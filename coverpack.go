@@ -27,7 +27,6 @@ package coverpack
 import (
 	"fmt"
 	"math/big"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -372,7 +371,15 @@ type Report struct {
 }
 
 // ExecOptions configures an execution beyond the algorithm and server
-// budget.
+// budget. It is the run's only configuration for streaming, parallel
+// kernels and spilling: those settings travel on the run's cluster, so
+// executions with different ExecOptions are safe side by side.
+// PlanCompile is the one exception (see its comment). The remaining
+// process-wide switches — SetPooling, SetPlanCompileCache,
+// SetMetricsEnabled and internal/relation's index caching — are not
+// run configuration: they turn process-wide stores (sync.Pools,
+// retained indexes, the shape cache and LP memo, the metrics registry)
+// on or off for every run at once.
 type ExecOptions struct {
 	// Workers sets the goroutine worker-pool size of the simulator's
 	// parallel engine: 0 or 1 runs sequentially, n > 1 uses n workers,
@@ -391,22 +398,16 @@ type ExecOptions struct {
 	// (hits, misses, partition hits, ...) after the run.
 	PlanStats *CacheStats
 	// Streaming selects streaming iterator execution for the run:
-	// StreamDefault (the zero value) follows the process-wide switch
-	// (on by default), StreamOn/StreamOff force it. Like SetPooling,
-	// the underlying switch is process-global: a forced setting is
-	// applied for the duration of the run and restored afterwards, so
-	// concurrent executions forcing different modes must be
-	// serialized by the caller (the difftest oracle runs serially).
-	// Results are byte-identical in every mode; only allocation and
-	// wall-clock behavior differ.
+	// StreamDefault (the zero value) streams, StreamOff takes the
+	// materialized operator forms. Results are byte-identical in both
+	// modes; only allocation and wall-clock behavior differ.
 	Streaming StreamMode
 	// Spilling selects out-of-core execution for the run: SpillDefault
-	// (the zero value) engages spilling only when SpillDir or the
-	// process-wide SetSpillDir names a directory; SpillOn forces it
-	// (falling back to os.TempDir()); SpillOff keeps the run fully
-	// resident. Like Streaming, results are byte-identical in every
-	// mode — spilling moves bytes between memory and disk, never
-	// changes what a run computes.
+	// (the zero value) engages spilling only when SpillDir names a
+	// directory; SpillOn forces it (falling back to os.TempDir());
+	// SpillOff keeps the run fully resident. Like Streaming, results
+	// are byte-identical in every mode — spilling moves bytes between
+	// memory and disk, never changes what a run computes.
 	Spilling SpillMode
 	// SpillDir is the directory for this run's arena segment files; the
 	// cluster creates (and on Release removes) a private subdirectory
@@ -417,19 +418,21 @@ type ExecOptions struct {
 	// DefaultSpillBudgetBytes.
 	SpillBudgetBytes int64
 	// ParKernels selects morsel-parallel local operators for the run:
-	// ParKernelDefault (the zero value) follows the process-wide switch
-	// (on by default), ParKernelOn/ParKernelOff force it. The switch
-	// shares Streaming's process-global semantics (forced settings are
-	// restored after the run; concurrent forced runs must serialize).
-	// Results are byte-identical in every mode and at every worker
-	// count; only wall-clock behavior differs.
+	// ParKernelDefault (the zero value) lets kernels fan out over the
+	// run's workers (they need Workers > 1 to engage), ParKernelOff
+	// takes the sequential references. Results are byte-identical in
+	// both modes and at every worker count; only wall-clock behavior
+	// differs.
 	ParKernels ParKernelMode
 	// PlanCompile selects the compiled-plan shape cache for the run:
 	// PlanCompileDefault (the zero value) follows the process-wide
 	// switch (on by default), PlanCompileOn/PlanCompileOff force it.
-	// The switch shares Streaming's process-global semantics (forced
-	// settings are restored after the run; concurrent forced runs must
-	// serialize). Results are byte-identical in every mode — the cache
+	// This is the only field that writes process state: the shape
+	// cache is read below the algorithm layers where no run handle
+	// exists, so a forced setting flips SetPlanCompileCache for the
+	// duration of the run and restores it afterwards, and concurrent
+	// executions forcing different modes must be serialized by the
+	// caller. Results are byte-identical in every mode — the cache
 	// reuses compilation artifacts whose remapped form equals direct
 	// computation (see internal/plan); only wall-clock time differs.
 	PlanCompile PlanCompileMode
@@ -449,16 +452,6 @@ func ExecuteTraced(alg Algorithm, in *Instance, p int, rec TraceRecorder) (*Repo
 
 // ExecuteOpts is Execute with full options.
 func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, error) {
-	if eo.Streaming != StreamDefault {
-		prev := relation.StreamingEnabled()
-		relation.SetStreaming(eo.Streaming == StreamOn)
-		defer relation.SetStreaming(prev)
-	}
-	if eo.ParKernels != ParKernelDefault {
-		prev := relation.ParKernelsEnabled()
-		relation.SetParKernels(eo.ParKernels == ParKernelOn)
-		defer relation.SetParKernels(prev)
-	}
 	if eo.PlanCompile != PlanCompileDefault {
 		prev := PlanCompileEnabled()
 		SetPlanCompileCache(eo.PlanCompile == PlanCompileOn)
@@ -474,6 +467,12 @@ func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, e
 	if eo.NoPlanCache {
 		opts = append(opts, mpc.WithPlanCache(false))
 	}
+	if eo.Streaming == StreamOff {
+		opts = append(opts, mpc.WithStreaming(false))
+	}
+	if eo.ParKernels == ParKernelOff {
+		opts = append(opts, mpc.WithParKernels(false))
+	}
 	// Shape-level seeding of the simulator's exchange-plan cache:
 	// exchange plans key on data content versions, so only a capacity
 	// hint (the entry count a previous run of this shape needed) is
@@ -488,7 +487,7 @@ func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, e
 			}
 		}
 	}
-	opts = append(opts, spillOptions(eo, os.TempDir)...)
+	opts = append(opts, spillOptions(eo)...)
 	c := mpc.NewCluster(p, opts...)
 	// The Report carries only scalars, so every exchange-produced
 	// relation is dead once Stats is read: recycle the cluster's arenas

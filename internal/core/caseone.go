@@ -411,7 +411,7 @@ func (ex *executor) heavyBranch(sub *mpc.Group, alive hypergraph.EdgeSet, vars m
 			nv.Remove(x)
 			nvars[e] = nv
 			ns := relation.NewSchema(nv.Attrs()...)
-			if relation.StreamingEnabled() && part.Len() > sub.Size()*relation.StreamCutoff {
+			if sub.Streaming() && part.Len() > sub.Size()*relation.StreamCutoff {
 				part = sub.LocalStream(part, func(_ int, it relation.RowIterator) relation.RowIterator {
 					return relation.Project(it, ns)
 				})
@@ -428,7 +428,7 @@ func (ex *executor) heavyBranch(sub *mpc.Group, alive hypergraph.EdgeSet, vars m
 		if c.Schema().Has(x) {
 			rest := hypergraph.NewVarSet(c.Schema().Attrs()...)
 			rest.Remove(x)
-			nctx = append(nctx, c.SelectEqProject(x, a, rest.Attrs()...))
+			nctx = append(nctx, c.SelectEqProject(sub.Streaming(), x, a, rest.Attrs()...))
 		} else {
 			nctx = append(nctx, c)
 		}

@@ -154,7 +154,7 @@ func RunLW(g *mpc.Group, in *relation.Instance) (*Result, error) {
 			perBranch = 1
 		}
 		for _, v := range vals {
-			sub, err := residualInstance(strat, h, v)
+			sub, err := residualInstance(strat, h, v, g.Streaming())
 			if err != nil {
 				return nil, err
 			}

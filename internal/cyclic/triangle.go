@@ -173,7 +173,7 @@ func RunTriangle(g *mpc.Group, in *relation.Instance) (*Result, error) {
 			perBranch = 1
 		}
 		for _, v := range vals {
-			sx, err := residualInstance(strat, h, v)
+			sx, err := residualInstance(strat, h, v, g.Streaming())
 			if err != nil {
 				return nil, err
 			}
@@ -260,9 +260,9 @@ func heavyValuesIn(in *relation.Instance, q *hypergraph.Query, h int) []relation
 
 // residualInstance builds the acyclic residual query for h = v: the
 // triangle minus vertex h. Relations containing h are filtered to v and
-// projected; the opposite relation is kept whole. Returns nil when some
-// relation empties.
-func residualInstance(in *relation.Instance, h int, v relation.Value) (*relation.Instance, error) {
+// projected (in one fused pass when the run streams); the opposite
+// relation is kept whole. Returns nil when some relation empties.
+func residualInstance(in *relation.Instance, h int, v relation.Value, fused bool) (*relation.Instance, error) {
 	q := in.Query
 	rq := hypergraph.NewQuery(q.Name() + "|res")
 	var rels []*relation.Relation
@@ -271,7 +271,7 @@ func residualInstance(in *relation.Instance, h int, v relation.Value) (*relation
 		if q.EdgeVars(e).Contains(h) {
 			rest := q.EdgeVars(e).Clone()
 			rest.Remove(h)
-			filtered := r.SelectEqProject(h, v, rest.Attrs()...)
+			filtered := r.SelectEqProject(fused, h, v, rest.Attrs()...)
 			if filtered.Len() == 0 {
 				return nil, nil
 			}

@@ -86,11 +86,10 @@ func (c Config) pick(small, big int) int {
 	return big
 }
 
-// eo is the ExecOptions shared by every execution of the config. It
-// pins Spilling off so the resident form stays the historical code
-// path even when a process-wide spill directory is set.
+// eo is the ExecOptions shared by every execution of the config: the
+// resident form (no spill directory, so nothing ever parks).
 func (c Config) eo() coverpack.ExecOptions {
-	e := coverpack.ExecOptions{Workers: c.Workers, Spilling: coverpack.SpillOff}
+	e := coverpack.ExecOptions{Workers: c.Workers}
 	if c.NoPlanCompile {
 		e.PlanCompile = coverpack.PlanCompileOff
 	}

@@ -308,13 +308,14 @@ func TestTable1SpillArmByteIdentical(t *testing.T) {
 	}
 }
 
-// TestConfigEOPinsResidentForm: the resident cell arm must stay
-// resident even when a process-wide spill directory is configured, or
+// TestConfigEOPinsResidentForm: ExecOptions is the run's only spill
+// configuration, so the resident cell arm stays resident exactly when
+// its options name no spill directory and do not force spilling — or
 // the difftest reference would silently become a spill run.
 func TestConfigEOPinsResidentForm(t *testing.T) {
-	eo := Config{}.eo()
-	if eo.Spilling != coverpack.SpillOff {
-		t.Fatalf("resident cell ExecOptions carries Spilling=%v, want SpillOff", eo.Spilling)
+	eo := Config{SpillDir: "/tmp/x", SpillBudget: 7}.eo()
+	if eo.Spilling == coverpack.SpillOn || eo.SpillDir != "" {
+		t.Fatalf("resident cell ExecOptions can spill: %+v", eo)
 	}
 	seo := Config{SpillDir: "/tmp/x", SpillBudget: 7}.spillEO()
 	if seo.Spilling != coverpack.SpillOn || seo.SpillDir != "/tmp/x" || seo.SpillBudgetBytes != 7 {

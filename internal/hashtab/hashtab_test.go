@@ -183,8 +183,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkProbe is the steady-state lookup benchmark BENCH_memory.json
-// cites: 0 allocs/op is the acceptance bar.
+// BenchmarkProbe is the steady-state lookup benchmark: 0 allocs/op is
+// the acceptance bar.
 func BenchmarkProbe(b *testing.B) {
 	tab := New(2, 1<<16)
 	pos := []int{0, 1}

@@ -277,7 +277,8 @@ type HistogramVec struct {
 	help     string
 	buckets  []float64
 	labelKey string
-	inst     sync.Map // string -> *Histogram
+	inst     sync.Map   // string -> *Histogram
+	mu       sync.Mutex // serializes first-use creation
 }
 
 // NewHistogramVec registers a histogram family with one dynamic label.
@@ -297,13 +298,15 @@ func (v *HistogramVec) With(value string) *Histogram {
 	if h, ok := v.inst.Load(value); ok {
 		return h.(*Histogram)
 	}
-	h := v.r.NewHistogram(v.name, v.help, v.buckets, Label{v.labelKey, value})
-	actual, loaded := v.inst.LoadOrStore(value, h)
-	if loaded {
-		// Lost the race: drop our duplicate registration.
-		v.r.drop(v.name, Label{v.labelKey, value}, h)
-		return actual.(*Histogram)
+	// Concurrent first users of one value must register it once: the
+	// registry panics on a duplicate series.
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if h, ok := v.inst.Load(value); ok {
+		return h.(*Histogram)
 	}
+	h := v.r.NewHistogram(v.name, v.help, v.buckets, Label{v.labelKey, value})
+	v.inst.Store(value, h)
 	return h
 }
 
@@ -351,23 +354,6 @@ func (r *Registry) reserve(name, help string, k Kind) {
 	}
 	if f.k != k {
 		panic(fmt.Sprintf("metrics: %s registered as %s and %s", name, f.k, k))
-	}
-}
-
-// drop removes one just-registered series (vector race loser).
-func (r *Registry) drop(name string, l Label, col collector) {
-	key := labelKey([]Label{l})
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.families[name]
-	if f == nil {
-		return
-	}
-	for i, s := range f.series {
-		if s.key == key && s.col == col {
-			f.series = append(f.series[:i], f.series[i+1:]...)
-			return
-		}
 	}
 }
 

@@ -127,7 +127,7 @@ func TestHistogramVecConcurrentFirstUse(t *testing.T) {
 	if hs[0].Count() != 16 {
 		t.Errorf("count = %d, want 16", hs[0].Count())
 	}
-	// The race losers' registrations were dropped: one series total.
+	// Only the first user registered: one series total.
 	fams := r.sortedFamilies()
 	if len(fams) != 1 || len(fams[0].series) != 1 {
 		t.Fatalf("registry holds %d families, series %d; want 1/1", len(fams), len(fams[0].series))

@@ -171,10 +171,14 @@ reserve:
 func (g *Group) Fork(n int, fn func(i int)) { g.cluster.fork(n, fn) }
 
 // Workers reports the cluster's worker-pool size. Together with Fork
-// this makes *Group satisfy relation.Forker, so local-operator kernels
-// can fan their phases out over the same pool (and the same token
-// budget) as the exchanges.
+// and ParKernels this makes *Group satisfy relation.Forker, so
+// local-operator kernels can fan their phases out over the same pool
+// (and the same token budget) as the exchanges.
 func (g *Group) Workers() int { return g.cluster.workers }
+
+// ParKernels reports whether the run's local operators may take their
+// morsel-parallel forms (WithParKernels).
+func (g *Group) ParKernels() bool { return g.cluster.parKernels }
 
 // frange is one contiguous run of tuples within a fragment; base is the
 // flattened (fragment-major) index of its first tuple.

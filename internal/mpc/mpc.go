@@ -122,6 +122,13 @@ type Cluster struct {
 	tokens   chan struct{}
 	fellBack bool
 
+	// streaming and parKernels are the run's execution levers, both on
+	// unless WithStreaming(false) / WithParKernels(false): operators
+	// read them through the Group they already hold, so two clusters
+	// with different settings run side by side.
+	streaming  bool
+	parKernels bool
+
 	// plans is the exchange-plan cache (see plancache.go); nil when
 	// disabled via WithPlanCache(false).
 	plans *planCache
@@ -188,6 +195,20 @@ func WithPlanCache(enabled bool) Option {
 	}
 }
 
+// WithStreaming selects streaming iterator execution (the default) or
+// the materialized operator forms for every gated composition of the
+// run. Outputs, Stats and traces are identical either way.
+func WithStreaming(on bool) Option {
+	return func(c *Cluster) { c.streaming = on }
+}
+
+// WithParKernels selects the morsel-parallel relation kernels (the
+// default; they still need workers > 1 to engage) or their sequential
+// references. Outputs, Stats and traces are identical either way.
+func WithParKernels(on bool) Option {
+	return func(c *Cluster) { c.parKernels = on }
+}
+
 // WithPlanCacheHint pre-sizes the exchange-plan cache's entry map for n
 // plans (typically the entry count a previous run of the same query
 // shape needed). Purely a capacity hint — plans key on data content
@@ -207,7 +228,7 @@ func NewCluster(p int, opts ...Option) *Cluster {
 	if p <= 0 {
 		panic(fmt.Sprintf("mpc: cluster needs p >= 1, got %d", p))
 	}
-	c := &Cluster{Budget: p, chargeSelfSends: true, workers: 1, plans: newPlanCache()}
+	c := &Cluster{Budget: p, chargeSelfSends: true, workers: 1, plans: newPlanCache(), streaming: true, parKernels: true}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -301,6 +322,10 @@ func (g *Group) child(size int) *Group {
 
 // Size returns the number of servers in the group.
 func (g *Group) Size() int { return g.size }
+
+// Streaming reports whether the run takes the streaming forms of gated
+// operator compositions (WithStreaming).
+func (g *Group) Streaming() bool { return g.cluster.streaming }
 
 // Stats returns the cost charged to this group so far.
 func (g *Group) Stats() Stats {

@@ -31,11 +31,15 @@ import (
 //     the next operation — until the resident sum is back under
 //     budget.
 //   - Parallel cluster (workers > 1): concurrent Parallel branches may
-//     be reading older fragments, so only the fragments of the
-//     exchange that just completed are parked (they are still
-//     pre-publication: the creating goroutine owns them until the
-//     exchange returns). This admits the new output at a bounded
-//     resident cost without racing readers.
+//     be reading, paging in or appending to older fragments, so only
+//     the fragments of the exchange that just completed are read and
+//     parked (they are still pre-publication: the creating goroutine
+//     owns them until the exchange returns). The resident sum is
+//     therefore kept as a running total of what each admission left
+//     resident — a published fragment is never re-measured, so bytes
+//     that a reader pages back in afterwards are not counted and stay
+//     resident until Release. This admits every new output at a
+//     bounded resident cost without racing the fragments' owners.
 //
 // Placement is pure policy: parking changes where bytes live, never
 // what any operation computes, charges, or records — the spill-on/off
@@ -74,9 +78,8 @@ func ResetSpillRetainedPeak() { gSpillRetainedPeak.Store(0); gSpillRetained.Stor
 // outputs: segment files go under a private subdirectory of dir
 // (created lazily on first admission) and the policy keeps the summed
 // resident bytes of tracked fragments at or under budgetBytes.
-// A non-positive budget or empty dir leaves spilling off, as does the
-// relation.SetSpilling kill switch. Cluster.Release deletes the
-// subdirectory and every segment file.
+// A non-positive budget or empty dir leaves spilling off.
+// Cluster.Release deletes the subdirectory and every segment file.
 func WithSpill(dir string, budgetBytes int64) Option {
 	return func(c *Cluster) {
 		c.spillBase = dir
@@ -101,7 +104,7 @@ type spillState struct {
 
 // spillOn reports whether this cluster does spill placement at all.
 func (c *Cluster) spillOn() bool {
-	return c.spillBase != "" && c.spillBudget > 0 && relation.SpillingEnabled()
+	return c.spillBase != "" && c.spillBudget > 0
 }
 
 // spillDir returns the per-run spill subdirectory, creating it on
@@ -165,29 +168,21 @@ func (c *Cluster) admitFrags(frags []*relation.Relation) {
 		s.tracked = append(s.tracked, f)
 		fresh = append(fresh, f)
 	}
-	resident := int64(0)
-	for _, f := range s.tracked {
+	// Exclusive engine: measure and park oldest-first across everything
+	// tracked. Parallel engine: only the pre-publication fragments are
+	// safe to touch, on top of the running total.
+	resident, parkable := int64(0), s.tracked
+	if c.workers > 1 {
+		resident, parkable = s.retained, fresh
+	}
+	for _, f := range parkable {
 		resident += f.ArenaBytes()
 	}
-	if resident > c.spillBudget {
-		if c.workers > 1 {
-			// Only the pre-publication fragments are safely parkable.
-			for _, f := range fresh {
-				if resident <= c.spillBudget {
-					break
-				}
-				resident -= c.parkOneLocked(s, f)
-			}
-		} else {
-			// Exclusive engine: park oldest-first across everything
-			// tracked until the resident sum fits.
-			for _, f := range s.tracked {
-				if resident <= c.spillBudget {
-					break
-				}
-				resident -= c.parkOneLocked(s, f)
-			}
+	for _, f := range parkable {
+		if resident <= c.spillBudget {
+			break
 		}
+		resident -= c.parkOneLocked(s, f)
 	}
 	s.retained = resident
 	if resident > s.peak {
@@ -245,7 +240,9 @@ func (c *Cluster) releaseSpill() {
 }
 
 // SpillRetained returns the resident bytes of tracked exchange outputs
-// after the most recent admission (0 when spilling is off).
+// after the most recent admission (0 when spilling is off): measured
+// across all of them under the sequential engine, the running total of
+// what admissions left resident under the parallel one.
 func (c *Cluster) SpillRetained() int64 {
 	c.spill.mu.Lock()
 	defer c.spill.mu.Unlock()

@@ -45,7 +45,7 @@ func (g *Group) ScatterDedup(r *relation.Relation) *DistRelation {
 	if g.cluster.workers > 1 && r.Len() >= relation.ParCutoff {
 		return g.Scatter(r.DedupPar(g))
 	}
-	if !relation.StreamingEnabled() {
+	if !g.Streaming() {
 		return g.Scatter(r.Dedup())
 	}
 	it := r.DedupIter()

@@ -264,7 +264,7 @@ func Degrees(g *mpc.Group, d *mpc.DistRelation, attr, countAttr int) *mpc.DistRe
 	schema := relation.NewSchema(attr, countAttr)
 	ap := schema.Pos(attr)
 	cp := schema.Pos(countAttr)
-	if relation.StreamingEnabled() {
+	if g.Streaming() {
 		// Fused per-server pass: the (value, 1) projection streams
 		// straight into the pre-aggregation, skipping the withOnes
 		// intermediate arena entirely. Group content and first-seen
@@ -392,7 +392,7 @@ func aggregateChunks(it relation.RowIterator, keyAttrs []int, valAttr int, outSc
 func HeavyFilter(g *mpc.Group, degs *mpc.DistRelation, countAttr int, threshold int64) *mpc.DistRelation {
 	return g.Local(degs, func(_ int, f *relation.Relation) *relation.Relation {
 		cp := f.Schema().Pos(countAttr)
-		if relation.StreamingEnabled() && f.Len() > relation.StreamCutoff {
+		if g.Streaming() && f.Len() > relation.StreamCutoff {
 			return relation.Materialize(relation.Filter(f.Iter(),
 				func(t relation.Tuple) bool { return t[cp] > threshold }))
 		}

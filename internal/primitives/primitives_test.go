@@ -328,9 +328,7 @@ func TestJoinCountDisconnectedComponentViaCartesian(t *testing.T) {
 func TestReduceByKeyChunkBoundaryStreaming(t *testing.T) {
 	const rows, keys = 1500, 311 // keys > 256: repeats straddle chunks
 	run := func(streaming bool) (*relation.Relation, *relation.Relation) {
-		relation.SetStreaming(streaming)
-		defer relation.SetStreaming(true)
-		c := mpc.NewCluster(2)
+		c := mpc.NewCluster(2, mpc.WithStreaming(streaming))
 		g := c.Root()
 		r := relation.New(relation.NewSchema(0, wAttr))
 		for i := int64(0); i < rows; i++ {

@@ -242,19 +242,19 @@ func JoinSizeOf(rels []*Relation) int64 {
 func semiJoinReduce(q *hypergraph.Query, tree *hypergraph.JoinTree, rels []*Relation) []*Relation {
 	out := make([]*Relation, len(rels))
 	copy(out, rels)
-	// Bottom-up: parent ⋉ child after child is fully reduced. With
-	// streaming on, a parent with several children chains the per-child
-	// semi-join filters over one pass of its rows instead of
-	// materializing an intermediate per child: reducing the children
-	// first never reads out[e], and chained filters preserve row order,
-	// so the fused pass yields exactly the sequential result.
+	// Bottom-up: parent ⋉ child after child is fully reduced. A parent
+	// with several children chains the per-child semi-join filters over
+	// one pass of its rows instead of materializing an intermediate per
+	// child: reducing the children first never reads out[e], and
+	// chained filters preserve row order, so the fused pass yields
+	// exactly the sequential result.
 	var up func(e int)
 	up = func(e int) {
 		cs := tree.Children(e)
 		for _, c := range cs {
 			up(c)
 		}
-		if len(cs) > 1 && StreamingEnabled() {
+		if len(cs) > 1 {
 			it := RowIterator(out[e].Iter())
 			for _, c := range cs {
 				it = StreamSemiJoin(it, out[c])

@@ -2,7 +2,6 @@ package relation
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"coverpack/internal/hashtab"
 )
@@ -43,25 +42,14 @@ import (
 // tables are byte-identical with streaming on or off; the difftest
 // oracle runs both settings against the same reference to pin it.
 //
-// The kill switch mirrors SetPooling: SetStreaming(false) routes every
-// gated composition back through the materialized operators.
+// Whether a run streams is the run's own setting (mpc.WithStreaming,
+// read by operators as Group.Streaming()): off, every gated
+// composition goes back through the materialized operators.
 
 // streamChunkRows is the row capacity of one streamed chunk. 256 rows
 // of 8-byte values keeps a full-arity chunk within the smallest arena
 // pool classes while amortizing per-chunk dispatch.
 const streamChunkRows = 256
-
-// streamingOff is inverted so the zero value means "streaming on".
-var streamingOff atomic.Bool
-
-// SetStreaming toggles streaming iterator execution process-wide
-// (default on). Off, every gated composition takes the materialized
-// operator path — the pre-streaming behavior, byte-identical in every
-// observable artifact (the difftest oracle pins this).
-func SetStreaming(on bool) { streamingOff.Store(!on) }
-
-// StreamingEnabled reports whether streaming execution is active.
-func StreamingEnabled() bool { return !streamingOff.Load() }
 
 // Chunk is one fixed-capacity batch of rows yielded by a RowIterator:
 // an arity-strided view of at most streamChunkRows rows. Chunks are
@@ -769,8 +757,9 @@ func Materialize(it RowIterator) *Relation {
 const StreamCutoff = streamChunkRows
 
 // SelectEqProject fuses SelectEq(a, v).Project(attrs...) into one
-// direct single pass when streaming is on and the relation spans
-// multiple chunks; otherwise it runs the two materialized operators.
+// direct single pass when fused is set (the run streams) and the
+// relation spans multiple chunks; otherwise it runs the two
+// materialized operators.
 // The fused pass writes survivors straight into the output — no
 // iterator scaffolding, no chunk scratch arena, and no materialized
 // SelectEq intermediate (which is the wide relation: it carries every
@@ -780,8 +769,8 @@ const StreamCutoff = streamChunkRows
 // attribute (as Project would, even when nothing survives the
 // filter), and survivors are emitted in scan order with columns in
 // schema order.
-func (r *Relation) SelectEqProject(a int, v Value, attrs ...int) *Relation {
-	if !StreamingEnabled() || r.rows <= StreamCutoff {
+func (r *Relation) SelectEqProject(fused bool, a int, v Value, attrs ...int) *Relation {
+	if !fused || r.rows <= StreamCutoff {
 		return r.SelectEq(a, v).Project(attrs...)
 	}
 	p := r.schema.Pos(a)

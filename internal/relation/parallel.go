@@ -2,7 +2,6 @@ package relation
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"coverpack/internal/hashtab"
 )
@@ -50,28 +49,21 @@ const maxHashParts = 256
 
 // Forker runs n index tasks, possibly concurrently, returning after
 // all complete. Workers reports the potential concurrency (1 means
-// sequential). *mpc.Group implements it; tests use local fakes.
+// sequential); ParKernels reports whether the run allows the parallel
+// kernel paths at all (off, every kernel takes its sequential
+// reference — outputs are byte-identical either way, the setting
+// exists for the differential tests). *mpc.Group implements it; tests
+// use local fakes.
 type Forker interface {
 	Fork(n int, fn func(i int))
 	Workers() int
+	ParKernels() bool
 }
-
-// parKernelsOff is inverted so the zero value means "parallel kernels
-// on" (mirroring the streaming and index-caching switches).
-var parKernelsOff atomic.Bool
-
-// SetParKernels toggles the parallel kernel paths process-wide
-// (default on). Outputs are byte-identical either way — the switch
-// exists for the differential tests and sequential benchmarking arms.
-func SetParKernels(on bool) { parKernelsOff.Store(!on) }
-
-// ParKernelsEnabled reports whether parallel kernels are in use.
-func ParKernelsEnabled() bool { return !parKernelsOff.Load() }
 
 // parEligible decides whether a kernel over the given row count takes
 // its parallel path, and counts the decision.
 func parEligible(f Forker, rows int) bool {
-	if f == nil || f.Workers() <= 1 || parKernelsOff.Load() {
+	if f == nil || f.Workers() <= 1 || !f.ParKernels() {
 		return false
 	}
 	if rows < ParCutoff {

@@ -19,6 +19,14 @@ type goForker struct{ w int }
 
 func (f goForker) Workers() int { return f.w }
 
+func (f goForker) ParKernels() bool { return true }
+
+// seqKernelForker is goForker on a run with parallel kernels off
+// (ExecOptions.ParKernels == ParKernelOff).
+type seqKernelForker struct{ goForker }
+
+func (seqKernelForker) ParKernels() bool { return false }
+
 func (f goForker) Fork(n int, fn func(i int)) {
 	p := f.w
 	if p > n {
@@ -242,8 +250,8 @@ func TestAggregateSumParMatchesSequential(t *testing.T) {
 	}
 }
 
-// Sub-cutoff inputs must stay sequential and be counted; the kill
-// switch must force the sequential path outright.
+// Sub-cutoff inputs must stay sequential and be counted; a run with
+// parallel kernels off must take the sequential path outright.
 func TestParKernelCutoffAndKillSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	small := randomRel(rng, NewSchema(0, 1), ParCutoff-1, 10)
@@ -266,14 +274,12 @@ func TestParKernelCutoffAndKillSwitch(t *testing.T) {
 		t.Fatalf("sequential forker counted %+v", st)
 	}
 
-	SetParKernels(false)
-	defer SetParKernels(true)
 	ResetParStats()
-	out := big.DedupPar(goForker{4})
-	if st := ParStats(); st.KernelRuns != 0 {
-		t.Fatalf("kill switch ignored: %+v", st)
+	out := big.DedupPar(seqKernelForker{goForker{4}})
+	if st := ParStats(); st.KernelRuns != 0 || st.SeqCutoffs != 0 {
+		t.Fatalf("ParKernels()==false ignored: %+v", st)
 	}
 	if !slices.Equal(out.data, big.Dedup().data) {
-		t.Fatal("kill-switch path differs from Dedup")
+		t.Fatal("kernels-off path differs from Dedup")
 	}
 }

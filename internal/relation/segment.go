@@ -41,41 +41,6 @@ import (
 // segment round-trip is exact, so spilling on/off cannot change any
 // report, trace, or table byte; the spill difftest arms pin this.
 
-// spillOff is inverted so the zero value means "spilling permitted".
-// Note the default direction differs from pooling/streaming: spilling
-// additionally requires a configured directory (SetSpillDir or
-// mpc.WithSpill), so the zero state of the process still never touches
-// disk.
-var spillOff atomic.Bool
-
-// SetSpilling toggles spill-to-disk globally (default on). Off, ParkTo
-// becomes a no-op and every relation stays fully resident — the
-// pre-spilling behavior, byte-identical in every observable artifact
-// (the spill difftest arms pin this). Mirrors SetPooling/SetStreaming.
-func SetSpilling(on bool) { spillOff.Store(!on) }
-
-// SpillingEnabled reports whether spill-to-disk is permitted.
-func SpillingEnabled() bool { return !spillOff.Load() }
-
-// spillDirV holds the process-default spill directory (a string; ""
-// means no default, so spilling is inactive unless a cluster is given
-// a directory explicitly via mpc.WithSpill).
-var spillDirV atomic.Value
-
-// SetSpillDir sets the process-default directory for spilled segments.
-// "" (the default) clears it; spilling then only happens for clusters
-// configured with an explicit directory.
-func SetSpillDir(dir string) { spillDirV.Store(dir) }
-
-// DefaultSpillDir returns the process-default spill directory ("" when
-// unset).
-func DefaultSpillDir() string {
-	if v, ok := spillDirV.Load().(string); ok {
-		return v
-	}
-	return ""
-}
-
 // spillSegValues is the target size of one segment in values: 1<<16
 // values = 512 KiB of 8-byte values, aligning a full segment with one
 // mid-range arena pool size class so paged-in segments recycle cleanly.
@@ -507,14 +472,14 @@ func (r *Relation) RemoveSpill() {
 // ParkTo writes the relation's arena to size-classed segment files
 // under dir and drops the resident copy, returning the SegmentedArena
 // now backing the relation. Returns (nil, nil) without touching
-// anything when spilling is disabled (SetSpilling), the relation is
-// empty or arity-0, or it is already parked. The resident arena is
-// dropped, never pooled — it may be a slab sub-slice that must only be
-// recycled as a whole blob. The caller owns cleanup of the returned
-// arena's files (Remove), normally by removing the run's spill
-// subdirectory wholesale after the last possible reader is done.
+// anything when the relation is empty or arity-0, or it is already
+// parked. The resident arena is dropped, never pooled — it may be a
+// slab sub-slice that must only be recycled as a whole blob. The
+// caller owns cleanup of the returned arena's files (Remove), normally
+// by removing the run's spill subdirectory wholesale after the last
+// possible reader is done.
 func (r *Relation) ParkTo(dir string) (*SegmentedArena, error) {
-	if !SpillingEnabled() || r.arity == 0 || r.rows == 0 || r.Parked() {
+	if r.arity == 0 || r.rows == 0 || r.Parked() {
 		return nil, nil
 	}
 	sa := NewSegmentedArena(r.schema, dir)

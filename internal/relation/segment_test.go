@@ -192,19 +192,6 @@ func TestParkToSkipsDegenerateAndParked(t *testing.T) {
 	}
 }
 
-func TestParkToDisabledByKillSwitch(t *testing.T) {
-	SetSpilling(false)
-	defer SetSpilling(true)
-	r := spillTestRel(50)
-	sa, err := r.ParkTo(t.TempDir())
-	if sa != nil || err != nil {
-		t.Fatalf("kill switch off, but ParkTo parked: %v %v", sa, err)
-	}
-	if r.Parked() {
-		t.Fatal("relation parked with spilling disabled")
-	}
-}
-
 func TestSegIteratorRewindAndChunkShape(t *testing.T) {
 	dir := t.TempDir()
 	n := segRowsFor(2) + 100

@@ -289,17 +289,14 @@ func FuzzStreamingVsMaterialized(f *testing.F) {
 	})
 }
 
-// TestStreamCutoffBoundary pins the SelectEqProject gate: at or below
-// StreamCutoff rows it runs the two materialized operators; above the
-// cutoff it runs the fused direct single pass — which builds neither
-// iterator chunks nor the wide SelectEq intermediate, so it must
-// produce zero chunks AND allocate strictly less than the
-// two-operator reference. Both paths must agree on the output either
-// way.
+// TestStreamCutoffBoundary pins the SelectEqProject gate: unfused, or
+// at or below StreamCutoff rows, it runs the two materialized
+// operators; above the cutoff it runs the fused direct single pass —
+// which builds neither iterator chunks nor the wide SelectEq
+// intermediate, so it must produce zero chunks AND allocate strictly
+// less than the two-operator reference. Both paths must agree on the
+// output either way.
 func TestStreamCutoffBoundary(t *testing.T) {
-	if !StreamingEnabled() {
-		t.Skip("streaming disabled")
-	}
 	build := func(n int) *Relation {
 		r := New(NewSchema(1, 2))
 		for i := 0; i < n; i++ {
@@ -311,18 +308,19 @@ func TestStreamCutoffBoundary(t *testing.T) {
 
 	at := build(StreamCutoff)
 	before := StreamStats().Chunks
-	assertSame(t, "at-cutoff", at.SelectEqProject(1, 1, 2), ref(at))
+	assertSame(t, "at-cutoff", at.SelectEqProject(true, 1, 1, 2), ref(at))
 	if got := StreamStats().Chunks - before; got != 0 {
 		t.Fatalf("exactly StreamCutoff rows produced %d chunks; the gate must materialize at the boundary", got)
 	}
 
 	above := build(StreamCutoff + 1)
 	before = StreamStats().Chunks
-	assertSame(t, "above-cutoff", above.SelectEqProject(1, 1, 2), ref(above))
+	assertSame(t, "above-cutoff", above.SelectEqProject(true, 1, 1, 2), ref(above))
 	if got := StreamStats().Chunks - before; got != 0 {
 		t.Fatalf("fused single pass produced %d chunks; it must not build iterator scaffolding", got)
 	}
-	fused := testing.AllocsPerRun(20, func() { above.SelectEqProject(1, 1, 2) })
+	assertSame(t, "unfused", above.SelectEqProject(false, 1, 1, 2), ref(above))
+	fused := testing.AllocsPerRun(20, func() { above.SelectEqProject(true, 1, 1, 2) })
 	twoOp := testing.AllocsPerRun(20, func() { ref(above) })
 	if fused >= twoOp {
 		t.Fatalf("fused pass allocates %.0f times vs %.0f for SelectEq+Project; fusion must skip the wide intermediate", fused, twoOp)

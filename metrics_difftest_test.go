@@ -2,6 +2,7 @@ package coverpack_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,21 +20,21 @@ func TestMetricsOnOffReportsIdentical(t *testing.T) {
 	in := coverpack.Uniform(coverpack.Catalog()[0].Query, 600, 3000, 1)
 	for _, alg := range oracleAlgorithms {
 		for _, workers := range []int{1, 4} {
-			cfg := runCfg{workers: workers, cache: true, pool: true}
+			eo := coverpack.ExecOptions{Workers: workers}
 
 			coverpack.SetMetricsEnabled(false)
-			offRep, offRoot, offPhases, err := tracedRun(t, alg, in, 16, cfg)
+			off, err := tracedExec(alg, in, 16, eo)
 			coverpack.SetMetricsEnabled(true)
 			if err != nil {
 				continue // algorithm rejects this query class
 			}
 			before := coverpack.DefaultMetrics().Snapshot()
-			onRep, onRoot, onPhases, err := tracedRun(t, alg, in, 16, cfg)
+			on, err := tracedExec(alg, in, 16, eo)
 			if err != nil {
 				t.Fatalf("%s metrics-on run failed where metrics-off succeeded: %v", alg, err)
 			}
-			label := alg.String() + "/" + cfg.String() + "/metrics-on-vs-off"
-			assertRunsAgree(t, label, offRep, offRoot, offPhases, onRep, onRoot, onPhases)
+			label := fmt.Sprintf("%s/workers=%d/metrics-on-vs-off", alg, workers)
+			assertRunsAgree(t, label, off, on)
 
 			// The enabled run must actually have recorded something.
 			after := coverpack.DefaultMetrics().Snapshot()

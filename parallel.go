@@ -10,15 +10,6 @@ import "coverpack/internal/relation"
 // worker count (the difftest oracle runs the full matrix both ways to
 // pin it), and at Workers <= 1 they never engage.
 
-// SetParKernels toggles the morsel-parallel kernel paths process-wide.
-// Off, every local operator runs its sequential reference
-// implementation even on parallel clusters. On by default; the switch
-// mirrors SetStreaming.
-func SetParKernels(on bool) { relation.SetParKernels(on) }
-
-// ParKernelsEnabled reports whether parallel kernels are active.
-func ParKernelsEnabled() bool { return relation.ParKernelsEnabled() }
-
 // ParCounters snapshots the parallel-kernel diagnostics: kernels that
 // took a parallel path, and parallel-eligible kernels that stayed
 // sequential under the cost cutoff. Diagnostics only — never part of a
@@ -37,13 +28,12 @@ func ResetParStats() { relation.ResetParStats() }
 type ParKernelMode int
 
 const (
-	// ParKernelDefault follows the process-wide switch (on unless
-	// SetParKernels(false) was called). The zero value, so plain
-	// ExecOptions literals keep parallel kernels on by default.
+	// ParKernelDefault allows the parallel kernel paths (they still
+	// require Workers > 1 to engage). The zero value, so plain
+	// ExecOptions literals keep parallel kernels on.
 	ParKernelDefault ParKernelMode = iota
-	// ParKernelOn forces the parallel kernel paths for the run (they
-	// still require Workers > 1 to engage).
-	ParKernelOn
-	// ParKernelOff forces the sequential operator path for the run.
+	// ParKernelOff runs every local operator through its sequential
+	// reference implementation even on parallel clusters — the
+	// determinism oracle's reference arm.
 	ParKernelOff
 )

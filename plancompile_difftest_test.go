@@ -16,23 +16,6 @@ import (
 // sharing and equivariant remapping actually serve artifacts, so a
 // remap bug cannot hide.
 
-// planCompileRun executes one arm with a collector attached.
-func planCompileRun(t *testing.T, alg coverpack.Algorithm, in *coverpack.Instance, p, workers int,
-	mode coverpack.PlanCompileMode) (*coverpack.Report, *coverpack.TraceSpan, []coverpack.PhaseRow, error) {
-	t.Helper()
-	col := coverpack.NewTraceCollector()
-	rep, err := coverpack.ExecuteOpts(alg, in, p, coverpack.ExecOptions{
-		Workers:     workers,
-		Recorder:    col,
-		PlanCompile: mode,
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	root := col.Root()
-	return rep, root, coverpack.PhaseTable(root), nil
-}
-
 // TestPlanCompileOracleCatalog sweeps the full catalog × algorithm ×
 // worker matrix.
 func TestPlanCompileOracleCatalog(t *testing.T) {
@@ -43,7 +26,7 @@ func TestPlanCompileOracleCatalog(t *testing.T) {
 		t.Run(entry.Query.Name(), func(t *testing.T) {
 			in := coverpack.Uniform(entry.Query, 400, 500, 1)
 			for _, alg := range oracleAlgorithms {
-				refRep, refRoot, refPhases, err := planCompileRun(t, alg, in, 8, 1, coverpack.PlanCompileOff)
+				ref, err := tracedExec(alg, in, 8, coverpack.ExecOptions{Workers: 1, PlanCompile: coverpack.PlanCompileOff})
 				if err != nil {
 					// The algorithm rejects this query class; nothing to
 					// compare.
@@ -53,14 +36,14 @@ func TestPlanCompileOracleCatalog(t *testing.T) {
 					coverpack.ResetPlanCompileCache()
 					coverpack.ResetAnalyzeCache()
 					for _, arm := range []string{"cold", "warm"} {
-						rep, root, phases, err := planCompileRun(t, alg, in, 8, w, coverpack.PlanCompileOn)
+						got, err := tracedExec(alg, in, 8, coverpack.ExecOptions{Workers: w, PlanCompile: coverpack.PlanCompileOn})
 						if err != nil {
 							t.Errorf("%s/%s workers=%d %s: run failed where the reference succeeded: %v",
 								entry.Query.Name(), alg, w, arm, err)
 							continue
 						}
 						label := entry.Query.Name() + "/" + alg.String() + "/compile-" + arm
-						assertRunsAgree(t, label, refRep, refRoot, refPhases, rep, root, phases)
+						assertRunsAgree(t, label, ref, got)
 					}
 				}
 			}

@@ -1,6 +1,8 @@
 package coverpack
 
 import (
+	"os"
+
 	"coverpack/internal/mpc"
 	"coverpack/internal/relation"
 	"coverpack/internal/trace"
@@ -18,24 +20,6 @@ import (
 // spill directory is configured but no explicit budget is given
 // (ExecOptions.SpillBudgetBytes == 0): 64 MiB.
 const DefaultSpillBudgetBytes int64 = 64 << 20
-
-// SetSpilling toggles spill-to-disk execution process-wide. Off, every
-// ParkTo becomes a no-op and all arenas stay resident — the
-// pre-spilling code path. Spilling is on by default (but inert until a
-// run configures a spill directory); the kill switch mirrors
-// SetPooling and SetStreaming.
-func SetSpilling(on bool) { relation.SetSpilling(on) }
-
-// SpillingEnabled reports whether spill-to-disk execution is active.
-func SpillingEnabled() bool { return relation.SpillingEnabled() }
-
-// SetSpillDir sets the process-wide default spill directory used when
-// an execution enables spilling without naming one ("" clears it).
-func SetSpillDir(dir string) { relation.SetSpillDir(dir) }
-
-// DefaultSpillDir returns the process-wide default spill directory
-// ("" when unset).
-func DefaultSpillDir() string { return relation.DefaultSpillDir() }
 
 // SpillCounters snapshots the storage-level spill diagnostics: parks,
 // page-ins, segment files and bytes written/read, and the on-disk
@@ -68,9 +52,9 @@ type SpillMode int
 
 const (
 	// SpillDefault follows the configuration: spilling engages only
-	// when the run (SpillDir) or the process (SetSpillDir) names a
-	// spill directory. The zero value, so plain ExecOptions literals
-	// keep the fully resident historical behavior.
+	// when the run names a spill directory (SpillDir). The zero value,
+	// so plain ExecOptions literals keep the fully resident historical
+	// behavior.
 	SpillDefault SpillMode = iota
 	// SpillOn forces spill placement for the run, defaulting the
 	// directory to os.TempDir() when none is configured.
@@ -81,16 +65,13 @@ const (
 
 // spillOptions resolves the ExecOptions spill fields into an mpc
 // option (nil when the run stays fully resident).
-func spillOptions(eo ExecOptions, tmpDir func() string) []mpc.Option {
-	if eo.Spilling == SpillOff || !relation.SpillingEnabled() {
+func spillOptions(eo ExecOptions) []mpc.Option {
+	if eo.Spilling == SpillOff {
 		return nil
 	}
 	dir := eo.SpillDir
-	if dir == "" {
-		dir = relation.DefaultSpillDir()
-	}
 	if dir == "" && eo.Spilling == SpillOn {
-		dir = tmpDir()
+		dir = os.TempDir()
 	}
 	if dir == "" {
 		return nil

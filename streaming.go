@@ -10,15 +10,6 @@ import "coverpack/internal/relation"
 // byte-identical with streaming on or off (the difftest oracle runs
 // the full matrix both ways to pin it).
 
-// SetStreaming toggles streaming iterator execution process-wide.
-// Off, every gated composition runs the historical materialized
-// operators — the pre-streaming code path. Streaming is on by
-// default; the switch mirrors SetPooling.
-func SetStreaming(on bool) { relation.SetStreaming(on) }
-
-// StreamingEnabled reports whether streaming execution is active.
-func StreamingEnabled() bool { return relation.StreamingEnabled() }
-
 // StreamCounters snapshots the streaming diagnostics: chunks yielded,
 // buffered-iterator spills, and the peak retained-arena high-water
 // mark. Diagnostics only — never part of a measured result.
@@ -36,12 +27,11 @@ func ResetStreamStats() { relation.ResetStreamStats() }
 type StreamMode int
 
 const (
-	// StreamDefault follows the process-wide switch (on unless
-	// SetStreaming(false) was called). The zero value, so plain
-	// ExecOptions literals keep streaming on by default.
+	// StreamDefault streams. The zero value, so plain ExecOptions
+	// literals keep streaming on.
 	StreamDefault StreamMode = iota
-	// StreamOn forces streaming execution for the run.
-	StreamOn
-	// StreamOff forces the materialized operator path for the run.
+	// StreamOff runs every gated composition through the historical
+	// materialized operators — the pre-streaming code path, and the
+	// determinism oracle's reference arm.
 	StreamOff
 )
