@@ -215,7 +215,9 @@ func analyze(q *Query) (*Analysis, error) {
 		return nil, err
 	}
 	red, _ := q.Reduce()
-	w, err := fractional.EdgePackingProvable(q)
+	// τ*(Q) is solved once, in Compute, and reused as ψ*'s first
+	// residual there and as the witness LP's right-hand side here.
+	w, err := fractional.EdgePackingProvableTau(q, nums.Tau)
 	if err != nil {
 		return nil, err
 	}

@@ -47,6 +47,12 @@ type Witness struct {
 // A positive optimum certifies the candidate; candidates are tried in
 // increasing size so the reported E' is minimal.
 func EdgePackingProvable(q *hypergraph.Query) (*Witness, error) {
+	return EdgePackingProvableTau(q, nil)
+}
+
+// EdgePackingProvableTau is EdgePackingProvable for a caller that
+// already holds tau = τ*(q); nil computes it.
+func EdgePackingProvableTau(q *hypergraph.Query, tau *big.Rat) (*Witness, error) {
 	if !q.IsReduced() {
 		return &Witness{Reason: "query is not reduced"}, nil
 	}
@@ -56,9 +62,11 @@ func EdgePackingProvable(q *hypergraph.Query) (*Witness, error) {
 	if q.HasOddCycle() {
 		return &Witness{Reason: "query has an odd-length cycle"}, nil
 	}
-	tau, err := Tau(q)
-	if err != nil {
-		return nil, err
+	if tau == nil {
+		var err error
+		if tau, err = Tau(q); err != nil {
+			return nil, err
+		}
 	}
 
 	m := q.NumEdges()
@@ -113,47 +121,38 @@ func neighborCondition(q *hypergraph.Query, probe hypergraph.EdgeSet) bool {
 
 // solveWitness solves the witness LP for one candidate E'.
 func solveWitness(q *hypergraph.Query, probe hypergraph.EdgeSet, tau *big.Rat) (*VertexAssignment, *big.Rat, bool, error) {
-	attrs := q.AllVars().Attrs()
+	attrs, pos := attrPositions(q)
 	n := len(attrs)
-	pos := make(map[int]int, n)
-	for i, a := range attrs {
-		pos[a] = i
-	}
 	// Variables: x_0..x_{n-1}, then t.
 	p := lp.NewProblem(n+1, true)
-	p.SetObjective(n, lp.Int(1))
+	p.SetObjective(n, one)
 
-	zeroRow := func() []*big.Rat {
-		row := make([]*big.Rat, n+1)
-		for i := range row {
-			row[i] = lp.Int(0)
-		}
-		return row
-	}
+	row := make([]int64, n+1)
 	for e := 0; e < q.NumEdges(); e++ {
-		row := zeroRow()
+		clear(row)
 		for _, a := range q.EdgeVars(e).Attrs() {
-			row[pos[a]] = lp.Int(1)
+			row[pos[a]] = 1
 		}
 		if probe.Contains(e) {
-			row[n] = lp.Int(-1) // Σx − t ≥ 1
-			p.AddConstraint(row, lp.GE, lp.Int(1))
+			row[n] = -1 // Σx − t ≥ 1
+			p.AddDense(row, lp.GE, 1)
 		} else {
-			p.AddConstraint(row, lp.EQ, lp.Int(1))
+			p.AddDense(row, lp.EQ, 1)
 		}
 	}
 	// Optimality: Σ x_v = τ*.
-	row := zeroRow()
-	for i := 0; i < n; i++ {
-		row[i] = lp.Int(1)
+	for i := range row {
+		row[i] = 1
 	}
-	p.AddConstraint(row, lp.EQ, tau)
+	row[n] = 0
+	p.AddDenseRat(row, lp.EQ, tau)
 	// Constant-small: x_v + t ≤ 1.
+	clear(row)
+	row[n] = 1
 	for i := 0; i < n; i++ {
-		row := zeroRow()
-		row[i] = lp.Int(1)
-		row[n] = lp.Int(1)
-		p.AddConstraint(row, lp.LE, lp.Int(1))
+		row[i] = 1
+		p.AddDense(row, lp.LE, 1)
+		row[i] = 0
 	}
 
 	sol, err := lp.Solve(p)

@@ -1,13 +1,14 @@
-// Package lp implements a small, exact linear-programming solver over
-// arbitrary-precision rationals (math/big.Rat).
+// Package lp implements a small, exact linear-programming solver:
+// rational in, rational (math/big.Rat) out, no epsilon anywhere.
 //
 // The solver targets the tiny LPs that arise when computing fractional
-// edge covers, edge packings, and vertex covers of join hypergraphs:
-// a handful of variables and constraints, where exactness matters much
-// more than speed. Fractional edge covering/packing numbers of real
-// queries are small rationals (often half-integral, see Lemma 5.3 of the
-// paper), and an exact simplex lets the rest of the repository compare
-// them with == instead of epsilon tests.
+// edge covers, edge packings, and vertex covers of join hypergraphs: a
+// handful of variables and constraints, solved by the thousand (ψ* is
+// a maximum over 2^|V| residual packings). Fractional edge
+// covering/packing numbers of real queries are small rationals (often
+// half-integral, see Lemma 5.3 of the paper), and an exact simplex lets
+// the rest of the repository compare them with == instead of epsilon
+// tests.
 //
 // The entry points are Solve, Maximize and Minimize, which accept a
 // Problem in the general form
@@ -20,6 +21,29 @@
 // returns both the primal solution and the dual values (shadow prices),
 // which the fractional package uses to extract optimal vertex covers from
 // edge packings.
+//
+// Exactness does not need arbitrary precision on these inputs. There
+// are two tableaus making the same pivots:
+//
+//   - intTableau (intsimplex.go) is fraction-free: it holds the
+//     rational tableau's entries times one common denominator, the
+//     determinant of the current basis, as int64s, and pivots by
+//     Bareiss's exact division. Every product and difference is
+//     overflow-checked.
+//   - tableau (simplex.go) is the same method over big.Rat.
+//
+// Which one runs is a function of the problem, not of any setting. A
+// Problem whose rows, each scaled by the LCM of its denominators, fit
+// in int64 starts on the integer tableau; if a pivot overflows, or the
+// problem has no such image, it is solved from scratch by the rational
+// one. Because entry signs and ratios agree between the two, Bland's
+// rule walks the same bases in both and Status, X, Value and Dual are
+// equal as normalized rationals — FuzzSolveIntVsRat and the dispatch
+// tests hold them to that. The big.Rat tableau stays because it is the
+// only one that cannot overflow, and because it is the independent
+// reference the integer one is tested against. IntProblem is the
+// integer tableau's native input, for the one caller (ψ*) that builds
+// its programs by the thousand.
 package lp
 
 import (
@@ -153,14 +177,31 @@ func (p *Problem) AddConstraint(coeffs []*big.Rat, sense Sense, rhs *big.Rat) {
 	})
 }
 
-// AddDense appends a constraint given plain int64 coefficients; it is a
-// test and catalog convenience.
+// AddDense appends a constraint given plain int64 coefficients.
 func (p *Problem) AddDense(coeffs []int64, sense Sense, rhs int64) {
-	cs := make([]*big.Rat, len(coeffs))
-	for i, c := range coeffs {
-		cs[i] = Int(c)
+	p.addDense(coeffs, sense).SetInt64(rhs)
+}
+
+// AddDenseRat is AddDense with a rational right-hand side (copied).
+func (p *Problem) AddDenseRat(coeffs []int64, sense Sense, rhs *big.Rat) {
+	p.addDense(coeffs, sense).Set(rhs)
+}
+
+// addDense appends the row and returns its right-hand side, zero, for
+// the caller to set. The row's rationals are built in place in one
+// block rather than one by one and then copied by AddConstraint.
+func (p *Problem) addDense(coeffs []int64, sense Sense) *big.Rat {
+	rats := make([]big.Rat, p.NumVars+1)
+	cp := make([]*big.Rat, p.NumVars)
+	for i := range cp {
+		cp[i] = &rats[i]
+		if i < len(coeffs) && coeffs[i] != 0 {
+			cp[i].SetInt64(coeffs[i])
+		}
 	}
-	p.AddConstraint(cs, sense, Int(rhs))
+	rhs := &rats[p.NumVars]
+	p.Constraints = append(p.Constraints, Constraint{Coeffs: cp, Sense: sense, RHS: rhs})
+	return rhs
 }
 
 // clone returns a deep copy of a rational slice.

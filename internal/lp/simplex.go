@@ -43,23 +43,30 @@ func (t *tableau) ratCmp(x, y *big.Rat) int {
 	return t.sCmpA.Cmp(t.sCmpB)
 }
 
-// solve runs the two-phase simplex exactly (see Solve in memo.go for
-// the memoized public entry point). It never mutates the problem and
-// is deterministic: Bland's rule breaks all ties by lowest column
-// index, so identical inputs yield identical bases.
-func solve(p *Problem) (*Solution, error) {
+func (p *Problem) validate() error {
 	if p.NumVars <= 0 {
-		return nil, fmt.Errorf("lp: problem has %d variables", p.NumVars)
+		return fmt.Errorf("lp: problem has %d variables", p.NumVars)
 	}
 	if len(p.Objective) != p.NumVars {
-		return nil, fmt.Errorf("lp: objective has %d coefficients for %d variables", len(p.Objective), p.NumVars)
+		return fmt.Errorf("lp: objective has %d coefficients for %d variables", len(p.Objective), p.NumVars)
 	}
 	for i, c := range p.Constraints {
 		if len(c.Coeffs) != p.NumVars {
-			return nil, fmt.Errorf("lp: constraint %d has %d coefficients for %d variables", i, len(c.Coeffs), p.NumVars)
+			return fmt.Errorf("lp: constraint %d has %d coefficients for %d variables", i, len(c.Coeffs), p.NumVars)
 		}
 	}
+	return nil
+}
 
+// solve runs the two-phase simplex over exact rationals: the reference
+// the integer tableau is tested against, and its fallback (see Solve in
+// memo.go for the memoized public entry point). It never mutates the
+// problem and is deterministic: Bland's rule breaks all ties by lowest
+// column index, so identical inputs yield identical bases.
+func solve(p *Problem) (*Solution, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	t := newTableau(p)
 
 	// Phase 1: drive the artificial variables to zero.

@@ -43,26 +43,60 @@ func checkCycleCover(tb testing.TB, sol *Solution, k int) {
 	}
 }
 
-// BenchmarkSolveCycleCover tracks the solver's allocation churn: the
-// pivot, reduced-cost and ratio-test loops reuse scratch big.Rats held
-// on the tableau instead of allocating one per matrix element, and the
-// ratio test compares via scratch big.Int cross-products instead of
-// the allocating big.Rat.Cmp. Hoisting the scratch values cut the
-// 9-cycle cover solve from 6149 allocs/op (186 kB) to 4455 allocs/op
-// (110 kB) with bit-identical solutions; the remaining allocations are
-// math/big-internal gcd normalization inside each exact Mul/Quo.
+// benchTableaus runs one problem through each tableau, outside the
+// memo: "int" is what Solve runs (integer image, integer tableau,
+// Solution), "rat" the rational reference.
+func benchTableaus(b *testing.B, p *Problem, check func(*Solution)) {
+	b.Run("int", func(b *testing.B) {
+		w := new(workspace)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sol, err := w.solve(p, w.integerize(p))
+			if err != nil {
+				b.Fatal(err)
+			}
+			check(sol)
+		}
+	})
+	b.Run("rat", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sol, err := solve(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			check(sol)
+		}
+	})
+}
+
+// BenchmarkSolveCycleCover: the half-integral, phase-1-heavy family at
+// three sizes. The rational tableau spends its time and ~4400 allocs
+// (9-cycle) in math/big gcd normalization; the integer tableau
+// allocates its Solution.
 func BenchmarkSolveCycleCover(b *testing.B) {
 	for _, k := range []int{5, 9, 17} {
 		b.Run(itoa(k), func(b *testing.B) {
-			p := cycleCover(k)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sol, err := Solve(p)
-				if err != nil {
-					b.Fatal(err)
+			benchTableaus(b, cycleCover(k), func(sol *Solution) { checkCycleCover(b, sol, k) })
+		})
+	}
+}
+
+// BenchmarkSolveCatalog: the edge cover and edge packing LPs of the
+// catalog's two largest queries, the programs every Analyze solves.
+func BenchmarkSolveCatalog(b *testing.B) {
+	lps := catalogLPs()
+	for _, name := range []string{"figure4/cover", "figure4/packing", "spoke-5/cover", "spoke-5/packing"} {
+		p := lps[name]
+		if p == nil {
+			b.Fatalf("no catalog LP %q", name)
+		}
+		b.Run(name, func(b *testing.B) {
+			benchTableaus(b, p, func(sol *Solution) {
+				if sol.Status != Optimal {
+					b.Fatalf("status = %v", sol.Status)
 				}
-				checkCycleCover(b, sol, k)
-			}
+			})
 		})
 	}
 }
@@ -113,20 +147,22 @@ func TestScratchReuseIdenticalSolutions(t *testing.T) {
 	checkCycleCover(t, third, 9)
 }
 
-// TestSolveAllocsBounded pins the allocation ceiling of one solve so
-// the scratch hoisting cannot silently regress: the pre-hoisting solver
-// spent ~6150 allocs on this problem, the hoisted one ~4350.
+// TestSolveAllocsBounded pins the allocation ceiling of one rational
+// solve so its scratch hoisting cannot silently regress: the
+// pre-hoisting solver spent ~6150 allocs on this problem, the hoisted
+// one ~4350. (The integer tableau's ceiling is pinned by
+// TestIntPathAllocatesOnlyItsSolution.)
 func TestSolveAllocsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc counting")
 	}
 	p := cycleCover(9)
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := Solve(p); err != nil {
+		if _, err := solve(p); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 5500 {
-		t.Fatalf("Solve allocated %.0f objects; scratch hoisting should keep it under 5500", allocs)
+		t.Fatalf("solve allocated %.0f objects; scratch hoisting should keep it under 5500", allocs)
 	}
 }

@@ -123,6 +123,10 @@ func GetArena(n int) []Value {
 		poolMisses.Add(1)
 		return make([]Value, 0, n)
 	}
+	if a := reserveGet(cl); a != nil {
+		poolHits.Add(1)
+		return a
+	}
 	if v := arenaPools[cl].Get(); v != nil {
 		poolHits.Add(1)
 		return (*v.(*[]Value))[:0]
@@ -150,7 +154,54 @@ func PutArena(a []Value) {
 	}
 	poolPuts.Add(1)
 	a = a[:0]
+	if reservePut(cl, a) {
+		return
+	}
 	arenaPools[cl].Put(&a)
+}
+
+// The reserve: a bounded set of arenas held by ordinary references in
+// front of the sync.Pools. A sync.Pool drops what it holds at every
+// second GC cycle, and a process whose live heap sits at the runtime's
+// 4 MiB floor (a sweep over small instances: a few MB live, tens of MB
+// allocated per pass) starts a cycle every few milliseconds, so its
+// arenas are freed between one run's Release and the next run's Get
+// and the pool never warms up. The reserve keeps up to reserveValues
+// worth of released arenas alive across cycles; whatever does not fit
+// goes to the sync.Pool as before, so a run with large arenas still
+// hands them back to the collector. The retained arenas count as live
+// heap, which also moves such a process off the floor.
+const reserveValues = 4 << 20 / 8 // 4 MiB of 8-byte values
+
+var (
+	reserveMu   sync.Mutex
+	reserve     [arenaClasses][][]Value // per class, last in first out
+	reserveUsed int                     // Σ cap over reserve, ≤ reserveValues
+)
+
+func reserveGet(cl int) []Value {
+	reserveMu.Lock()
+	defer reserveMu.Unlock()
+	st := reserve[cl]
+	if len(st) == 0 {
+		return nil
+	}
+	a := st[len(st)-1]
+	st[len(st)-1] = nil
+	reserve[cl] = st[:len(st)-1]
+	reserveUsed -= cap(a)
+	return a
+}
+
+func reservePut(cl int, a []Value) bool {
+	reserveMu.Lock()
+	defer reserveMu.Unlock()
+	if reserveUsed+cap(a) > reserveValues {
+		return false
+	}
+	reserve[cl] = append(reserve[cl], a)
+	reserveUsed += cap(a)
+	return true
 }
 
 // NewSlabArena is NewSlab with the arena block drawn from the pool. It
