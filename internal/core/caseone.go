@@ -390,7 +390,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 		if errs[bi] != nil {
 			return 0, errs[bi]
 		}
-		total += counts[bi]
+		total = relation.AddSat(total, counts[bi])
 	}
 	return total, nil
 }

@@ -171,6 +171,41 @@ func TestRunSmallQueriesExact(t *testing.T) {
 	}
 }
 
+// The path-optimal run peels S^x = {R1, R0} on A: in a light branch both
+// become context, and what is left — R2(B,Y) and R3(C,Z) — falls apart
+// into two components that the context relation R0(A,B,C) spans. The
+// product of the per-component counts over-counts there; the emitted
+// total must be the joint count.
+func TestCaseIIContextSpansComponents(t *testing.T) {
+	q := hypergraph.MustParse("spanned", "R0(A,B,C) R1(A,X) R2(B,Y) R3(C,Z)")
+	in := workload.Uniform(q, 20, 5, 21)
+	want := int64(in.Join().Len())
+	if want == 0 {
+		t.Fatal("fixture joins to nothing")
+	}
+	for _, strat := range []Strategy{Conservative, PathOptimal} {
+		c := mpc.NewCluster(8)
+		res, err := Run(c.Root(), in, Options{Strategy: strat, Trace: true})
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		if res.Emitted != want {
+			t.Errorf("%s: emitted %d, want %d", strat, res.Emitted, want)
+		}
+		if strat != PathOptimal {
+			continue
+		}
+		// Every x value is light at this size, so the only Case II of
+		// the run is the one inside a light branch, under the context.
+		log := strings.Join(res.Trace, "\n")
+		for _, line := range []string{"case I: x=A S^x={R0,R1}", "branches: 0 heavy", "  case II: 2 components"} {
+			if !strings.Contains(log, line) {
+				t.Fatalf("trace lacks %q:\n%s", line, log)
+			}
+		}
+	}
+}
+
 func mustAGM(t *testing.T, q *hypergraph.Query, n int) *relation.Instance {
 	t.Helper()
 	in, err := workload.AGMWorstCase(q, n)

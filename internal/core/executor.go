@@ -213,16 +213,24 @@ func (ex *executor) compute(g *mpc.Group, alive hypergraph.EdgeSet, vars map[int
 	// Base case: a single relation left — every server emits its
 	// fragment joined with the context.
 	if alive.Len() == 1 {
+		// The context is the same at every server: its side of the count
+		// is aggregated once, and each fragment only probes it.
 		e := alive.Edges()[0]
 		frags := rels[e].Frags
+		schemas := make([]relation.Schema, 1+len(ctx))
+		schemas[0] = rels[e].Schema
+		for i, c := range ctx {
+			schemas[1+i] = c.Schema()
+		}
+		bound := relation.NewCounter(schemas).Bind(append([]*relation.Relation{nil}, ctx...), 0)
 		partial := make([]int64, len(frags))
 		g.Fork(len(frags), func(i int) {
-			local := append([]*relation.Relation{frags[i]}, ctx...)
-			partial[i] = relation.JoinSizeOf(local)
+			partial[i] = bound.Count(frags[i])
 		})
+		bound.Release()
 		var total int64
 		for _, c := range partial {
-			total += c
+			total = relation.AddSat(total, c)
 		}
 		return total, nil
 	}

@@ -282,17 +282,22 @@ func RunWithShares(g *mpc.Group, in *relation.Instance, shares map[int]int, salt
 	})
 	// Local joins; emit() is zero-cost per the model. Each server's join
 	// is independent, so they run under the group's worker pool.
+	schemas := make([]relation.Schema, q.NumEdges())
+	for e := range schemas {
+		schemas[e] = local[e].Schema
+	}
+	counter := relation.NewCounter(schemas)
 	emits := make([]int64, gr.size)
 	g.Fork(gr.size, func(s int) {
-		li := relation.NewInstance(q)
-		for e := 0; e < q.NumEdges(); e++ {
-			li.Relations[e] = local[e].Frags[s]
+		frags := make([]*relation.Relation, len(local))
+		for e := range frags {
+			frags[e] = local[e].Frags[s]
 		}
-		emits[s] = li.JoinSize()
+		emits[s] = counter.Count(frags)
 	})
 	var emitted int64
 	for _, c := range emits {
-		emitted += c
+		emitted = relation.AddSat(emitted, c)
 	}
 	return &Result{Emitted: emitted, Shares: shares, GridSize: gr.size}
 }

@@ -140,6 +140,35 @@ func TestRunEmitsExactly(t *testing.T) {
 	}
 }
 
+// A relation with a single tuple reaches only the grid cells matching
+// its pinned coordinates (2 of the 8 below), so every other server
+// holds an empty fragment of it next to nonempty fragments of the
+// rest: those servers must emit 0 and the total must still be exact,
+// on the acyclic count and on the cyclic fallback.
+func TestRunWithEmptyServerFragments(t *testing.T) {
+	for _, q := range []*hypergraph.Query{hypergraph.PathJoin(3), hypergraph.TriangleJoin()} {
+		in := workload.Uniform(q, 30, 6, 11)
+		first := in.Rel(0).Row(0).Clone()
+		in.Relations[0] = relation.FromTuples(in.Rel(0).Schema(), []relation.Tuple{first})
+		shares := make(map[int]int)
+		for _, a := range q.AllVars().Attrs()[:3] {
+			shares[a] = 2
+		}
+		c := mpc.NewCluster(8)
+		res := RunWithShares(c.Root(), in, shares, 1)
+		if res.GridSize != 8 {
+			t.Fatalf("%s: grid %d, want 8", q.Name(), res.GridSize)
+		}
+		want := int64(in.Join().Len())
+		if want == 0 {
+			t.Fatalf("%s: fixture joins to nothing", q.Name())
+		}
+		if res.Emitted != want {
+			t.Errorf("%s: emitted %d, want %d", q.Name(), res.Emitted, want)
+		}
+	}
+}
+
 func TestRunLoadScalesWithTau(t *testing.T) {
 	// Triangle on matching data: load per relation ~ N/p^{2/3}.
 	n := 1200

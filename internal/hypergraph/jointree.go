@@ -16,24 +16,45 @@ type JoinTree struct {
 
 // GYO runs the Graham–Yu–Özsoyoğlu reduction (Appendix A.1) and, when the
 // query is α-acyclic, returns a join tree built from the elimination
-// order. The second result reports acyclicity.
+// order. The second result reports acyclicity. It is GYOVars over the
+// query's edge attribute sets.
+func GYO(q *Query) (*JoinTree, bool) {
+	vars := make([]VarSet, len(q.edges))
+	for i, e := range q.edges {
+		vars[i] = e.Vars
+	}
+	parent, ok := GYOVars(vars)
+	if !ok {
+		return nil, false
+	}
+	return &JoinTree{Query: q, Parent: parent}, true
+}
+
+// GYOVars is the reduction itself on a bare list of attribute sets —
+// no Query, no names — for callers that only have schemas (the compiled
+// join-size counter in internal/relation). parent[i] is the index of
+// the set that absorbed set i, or -1 for the root of each tree of the
+// forest; ok reports α-acyclicity. The input sets are not modified.
 //
 // The reduction repeats two rules until no rule applies: (1) remove an
 // attribute that appears in only one remaining relation; (2) remove a
 // relation contained in another remaining relation, attaching it as a
-// child of its container in the tree. The query is α-acyclic iff the
+// child of its container in the tree. The list is α-acyclic iff the
 // hypergraph empties.
-func GYO(q *Query) (*JoinTree, bool) {
-	n := len(q.edges)
+func GYOVars(sets []VarSet) (parent []int, ok bool) {
+	n := len(sets)
 	vars := make([]VarSet, n)
-	for i, e := range q.edges {
-		vars[i] = e.Vars.Clone()
+	var all VarSet
+	for i, s := range sets {
+		vars[i] = s.Clone()
+		all = all.Union(s)
 	}
+	attrs := all.Attrs()
 	alive := make([]bool, n)
 	for i := range alive {
 		alive[i] = true
 	}
-	parent := make([]int, n)
+	parent = make([]int, n)
 	for i := range parent {
 		parent[i] = -1
 	}
@@ -53,12 +74,10 @@ func GYO(q *Query) (*JoinTree, bool) {
 	for remaining > 0 {
 		progressed := false
 		// Rule 1: drop attributes unique to one remaining relation.
-		for _, a := range q.AllVars().Attrs() {
+		for _, a := range attrs {
 			if cnt, holder := attrDegree(a); cnt == 1 {
-				if vars[holder].Contains(a) {
-					vars[holder].Remove(a)
-					progressed = true
-				}
+				vars[holder].Remove(a)
+				progressed = true
 			}
 		}
 		// An edge whose attribute set emptied shares nothing with any
@@ -98,7 +117,7 @@ func GYO(q *Query) (*JoinTree, bool) {
 			return nil, false
 		}
 	}
-	return &JoinTree{Query: q, Parent: parent}, true
+	return parent, true
 }
 
 // NewJoinTree wraps an explicit parent array (e.g. a tree given in a

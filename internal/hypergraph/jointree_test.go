@@ -2,6 +2,7 @@ package hypergraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -187,6 +188,88 @@ func TestPropertyCyclesAreCyclic(t *testing.T) {
 	for k := 3; k <= 10; k++ {
 		if CycleJoin(k).IsAcyclic() {
 			t.Fatalf("cycle-%d reported acyclic", k)
+		}
+	}
+}
+
+// GYOVars on bare attribute sets: forests, 0-ary sets, duplicates and
+// cyclic lists, with the deterministic lowest-index choices spelled out.
+func TestGYOVars(t *testing.T) {
+	vs := NewVarSet
+	for _, tc := range []struct {
+		name   string
+		sets   []VarSet
+		parent []int // nil: cyclic
+	}{
+		{"empty list", nil, []int{}},
+		{"single", []VarSet{vs(0, 1)}, []int{-1}},
+		{"forest", []VarSet{vs(0, 1), vs(1, 2), vs(3, 4)}, []int{1, -1, -1}},
+		{"0-ary is its own root", []VarSet{vs(0, 1), vs(), vs(1, 2)}, []int{2, -1, -1}},
+		{"only 0-ary", []VarSet{vs(), vs()}, []int{-1, -1}},
+		{"duplicates chain to the last", []VarSet{vs(0, 1), vs(0, 1), vs(0, 1)}, []int{1, 2, -1}},
+		{"contained", []VarSet{vs(0), vs(0, 1, 2), vs(1, 2)}, []int{1, -1, 1}},
+		{"triangle", []VarSet{vs(0, 1), vs(1, 2), vs(0, 2)}, nil},
+		{"triangle beside a tree", []VarSet{vs(5, 6), vs(0, 1), vs(1, 2), vs(0, 2)}, nil},
+		{"square", []VarSet{vs(0, 1), vs(1, 2), vs(2, 3), vs(3, 0)}, nil},
+	} {
+		in := make([]VarSet, len(tc.sets))
+		for i, s := range tc.sets {
+			in[i] = s.Clone()
+		}
+		parent, ok := GYOVars(in)
+		if ok != (tc.parent != nil) {
+			t.Errorf("%s: acyclic = %v", tc.name, ok)
+			continue
+		}
+		if ok && !slices.Equal(parent, tc.parent) {
+			t.Errorf("%s: parent = %v, want %v", tc.name, parent, tc.parent)
+		}
+		for i := range in {
+			if !in[i].Equal(tc.sets[i]) {
+				t.Errorf("%s: input set %d modified to %v", tc.name, i, in[i])
+			}
+		}
+	}
+}
+
+// The parent arrays GYO returned for the catalog before it became a
+// wrapper over GYOVars; every join tree downstream (core's choices,
+// plan caches, golden reports) depends on them staying put.
+func TestGYOCatalogParentsPinned(t *testing.T) {
+	want := map[string][]int{
+		"hierarchical":     {1, -1},
+		"semijoin-example": {1, -1, 1},
+		"stardual-3":       {-1, 0, 0, 0},
+		"line3":            {1, -1, 1},
+		"path-4":           {1, 2, -1, 2},
+		"star-3":           {-1, 0, 0, 0},
+		"tree-2":           {1, -1, 0, 0, 1, 1},
+		"figure4":          {5, 0, 0, 0, 0, -1, 5, 5},
+		"triangle":         nil,
+		"cycle-4":          nil,
+		"cycle-6":          nil,
+		"lw-4":             nil,
+		"square":           nil,
+		"spoke-4":          nil,
+		"spoke-5":          nil,
+	}
+	cat := Catalog()
+	if len(cat) != len(want) {
+		t.Fatalf("catalog has %d queries, pinned %d", len(cat), len(want))
+	}
+	for _, e := range cat {
+		p, pinned := want[e.Query.Name()]
+		if !pinned {
+			t.Errorf("%s: no pinned parent array", e.Query.Name())
+			continue
+		}
+		tree, ok := GYO(e.Query)
+		if ok != (p != nil) {
+			t.Errorf("%s: acyclic = %v", e.Query.Name(), ok)
+			continue
+		}
+		if ok && !slices.Equal(tree.Parent, p) {
+			t.Errorf("%s: parent = %v, want %v", e.Query.Name(), tree.Parent, p)
 		}
 	}
 }

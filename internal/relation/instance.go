@@ -2,9 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"math"
 
-	"coverpack/internal/hashtab"
 	"coverpack/internal/hypergraph"
 )
 
@@ -132,108 +130,23 @@ func (in *Instance) Join() *Relation {
 	return acc
 }
 
-// JoinSize returns |Q(R)| without materializing when the query is
-// acyclic (Yannakakis-style counting over a join tree); otherwise it
-// falls back to materializing the join.
-func (in *Instance) JoinSize() int64 {
-	tree, ok := hypergraph.GYO(in.Query)
-	if !ok {
-		return int64(in.Join().Len())
-	}
-	rels := make([]*Relation, len(in.Relations))
-	for i, r := range in.Relations {
-		rels[i] = r.Dedup()
-	}
-	rels = semiJoinReduce(in.Query, tree, rels)
-
-	// Bottom-up count DP: weight of a tuple = product over children of
-	// the summed weights of matching child tuples.
-	total := int64(1)
-	for _, root := range tree.Roots() {
-		w := countSubtree(in.Query, tree, rels, root)
-		var sum int64
-		for _, c := range w {
-			sum += c
-		}
-		total = mulSat(total, sum)
-		if total == 0 {
-			return 0
-		}
-	}
-	return total
-}
-
-// countSubtree returns, for each tuple of edge e (deduped), the number
-// of join combinations of the subtree rooted at e consistent with it.
-func countSubtree(q *hypergraph.Query, tree *hypergraph.JoinTree, rels []*Relation, e int) []int64 {
-	r := rels[e]
-	weights := make([]int64, r.Len())
-	for i := range weights {
-		weights[i] = 1
-	}
-	for _, c := range tree.Children(e) {
-		cw := countSubtree(q, tree, rels, c)
-		cr := rels[c]
-		common := r.Schema().Common(cr.Schema())
-		if len(common) == 0 {
-			var sum int64
-			for _, w := range cw {
-				sum += w
-			}
-			for i := range weights {
-				weights[i] = mulSat(weights[i], sum)
-			}
-			continue
-		}
-		// Per-key child-weight sums, keyed on projected arena columns.
-		crPos := cr.Schema().Positions(common)
-		rPos := r.Schema().Positions(common)
-		agg := hashtab.New(len(common), cr.Len())
-		sums := make([]int64, 0, cr.Len())
-		for i := 0; i < cr.Len(); i++ {
-			k, found := agg.Insert(cr.Row(i), crPos)
-			if !found {
-				sums = append(sums, 0)
-			}
-			sums[k] += cw[i]
-		}
-		for i := 0; i < r.Len(); i++ {
-			var s int64 // missing key multiplies by 0, as the map read did
-			if k := agg.Find(r.Row(i), rPos); k >= 0 {
-				s = sums[k]
-			}
-			weights[i] = mulSat(weights[i], s)
-		}
-		agg.Release()
-	}
-	return weights
-}
-
-func mulSat(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	if a > math.MaxInt64/b {
-		return math.MaxInt64
-	}
-	return a * b
-}
+// JoinSize returns |Q(R)|, saturating at math.MaxInt64, without
+// materializing when the query is acyclic (Yannakakis-style counting
+// over a join tree; see Counter).
+func (in *Instance) JoinSize() int64 { return JoinSizeOf(in.Relations) }
 
 // JoinSizeOf returns the natural-join size of an ad-hoc list of
-// relations (duplicates within each relation are ignored). It builds a
-// synthetic query sharing the relations' attribute-id space and reuses
-// the Instance counting machinery; 0-ary relations act as presence
-// markers (nonempty: neutral, empty: annihilating).
+// relations (duplicates within each relation are ignored; 0-ary
+// relations act as presence markers — nonempty: neutral, empty:
+// annihilating). It compiles a Counter for the list's schemas and runs
+// it once; callers counting many lists of one shape compile once
+// themselves.
 func JoinSizeOf(rels []*Relation) int64 {
-	if len(rels) == 0 {
-		return 1
-	}
-	q := hypergraph.NewQuery("adhoc")
+	schemas := make([]Schema, len(rels))
 	for i, r := range rels {
-		q.AddEdgeVars(fmt.Sprintf("L%d", i), hypergraph.NewVarSet(r.Schema().Attrs()...))
+		schemas[i] = r.schema
 	}
-	in := &Instance{Query: q, Relations: rels}
-	return in.JoinSize()
+	return NewCounter(schemas).Count(rels)
 }
 
 // semiJoinReduce removes all dangling tuples with two passes of

@@ -178,6 +178,21 @@ func TestFigure4Hard(t *testing.T) {
 	}
 }
 
+// Figure4Hard's output is n^6: 2000^6 = 6.4e19 does not fit an int64
+// and must read as MaxInt64 (it used to wrap to 2000^6 mod 2^64), while
+// the largest n whose n^6 fits stays exact.
+func TestFigure4HardJoinSizeSaturates(t *testing.T) {
+	if got := Figure4Hard(2000).JoinSize(); got != math.MaxInt64 {
+		t.Fatalf("Figure4Hard(2000).JoinSize() = %d, want MaxInt64", got)
+	}
+	const n = 1448 // 1448^6 < 2^63 < 1449^6
+	want := int64(n * n * n)
+	want *= want
+	if got := Figure4Hard(n).JoinSize(); got != want {
+		t.Fatalf("Figure4Hard(%d).JoinSize() = %d, want %d", n, got, want)
+	}
+}
+
 func TestSquareHardConcentration(t *testing.T) {
 	n := 13824 // 24^3 so that n^(1/3) and n^(2/3) are exact
 	in := SquareHard(n, 7)
