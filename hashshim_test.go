@@ -1,6 +1,7 @@
 package coverpack_test
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"coverpack"
@@ -13,10 +14,18 @@ import (
 // FNV-64a) with hashtab.Hash over projected columns. HashPartition
 // destinations are part of the determinism contract — golden reports
 // and trace histograms depend on where every tuple lands — so this test
-// drives the new hash against the legacy reference shim
-// (mpc.LegacyHashDest, which still encodes the key string) over real
-// catalog workloads, every projection of each schema, and a spread of
-// group sizes including non-powers of two.
+// drives the new hash against the legacy destination (legacyHashDest
+// below, which still encodes the key string) over real catalog
+// workloads, every projection of each schema, and a spread of group
+// sizes including non-powers of two.
+
+// legacyHashDest is the historical destination function: FNV-64a over
+// the encoded key string, mod size.
+func legacyHashDest(t relation.Tuple, pos []int, size int) int {
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(relation.Key(t, pos)))
+	return int(h.Sum64() % uint64(size))
+}
 
 func TestHashDestinationsMatchLegacyKeyPath(t *testing.T) {
 	sizes := []int{1, 2, 3, 4, 8, 16, 101}
@@ -54,7 +63,7 @@ func TestHashDestinationsMatchLegacyKeyPath(t *testing.T) {
 					h := hashtab.Hash(row, pos)
 					for _, size := range sizes {
 						got := int(h % uint64(size))
-						want := mpc.LegacyHashDest(row, pos, size)
+						want := legacyHashDest(row, pos, size)
 						if got != want {
 							t.Fatalf("%s rel %d row %d pos %v size %d: hashtab dest %d, legacy dest %d",
 								entry.Query.Name(), e, i, pos, size, got, want)
@@ -91,7 +100,7 @@ func TestHashPartitionMatchesLegacyDestinations(t *testing.T) {
 	for _, f := range d.Frags {
 		for i := 0; i < f.Len(); i++ {
 			tp := f.Row(i)
-			want[mpc.LegacyHashDest(tp, pos, p)].Add(tp)
+			want[legacyHashDest(tp, pos, p)].Add(tp)
 		}
 	}
 

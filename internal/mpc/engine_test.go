@@ -3,6 +3,7 @@ package mpc
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,10 +11,10 @@ import (
 	"coverpack/internal/trace"
 )
 
-// The equivalence harness: every scenario is executed under the
-// sequential engine and under several worker-pool sizes, and every
-// observable — output tuples (order included), Stats, the trace span
-// tree, the load-observer call sequence — must be byte-identical.
+// The scenario harness: every scenario is executed on one worker and on
+// several worker-pool sizes, and every observable — output tuples
+// (order included), Stats, the trace span tree, the load-observer call
+// sequence — must be byte-identical.
 
 // capture is everything observable about one run.
 type capture struct {
@@ -207,7 +208,293 @@ var engineScenarios = []struct {
 	}},
 }
 
+// The reference exchanges: the per-tuple loops the package ran before
+// the kernel (Add into NewDist fragments, recv[dst]++), kept here as the
+// oracle's independent side. They share no code with exchange.go — with
+// one kernel under every worker count, comparing worker counts proves
+// chunking invariance, not correctness.
+
+func naiveHashPartition(d *DistRelation, pos []int, p int, charge bool) ([]*relation.Relation, []int) {
+	out := NewDist(d.Schema, p)
+	recv := make([]int, p)
+	for src, f := range d.Frags {
+		for i := 0; i < f.Len(); i++ {
+			t := f.Row(i)
+			dst := legacyHashDest(t, pos, p)
+			out.Frags[dst].Add(t)
+			if charge || dst != src || src >= p {
+				recv[dst]++
+			}
+		}
+	}
+	return out.Frags, recv
+}
+
+func naiveRoute(d *DistRelation, p int, route func(src int, t relation.Tuple) []int) ([]*relation.Relation, []int) {
+	out := NewDist(d.Schema, p)
+	recv := make([]int, p)
+	for src, f := range d.Frags {
+		for i := 0; i < f.Len(); i++ {
+			t := f.Row(i)
+			for _, dst := range route(src, t) {
+				out.Frags[dst].Add(t)
+				recv[dst]++
+			}
+		}
+	}
+	return out.Frags, recv
+}
+
+func naiveSendTo(d *DistRelation, k, p int) ([]*relation.Relation, []int) {
+	out := NewDist(d.Schema, k)
+	recv := make([]int, max(k, p))
+	i := 0
+	for _, f := range d.Frags {
+		for j := 0; j < f.Len(); j++ {
+			out.Frags[i%k].Add(f.Row(j))
+			recv[i%k]++
+			i++
+		}
+	}
+	return out.Frags, recv
+}
+
+// naiveBranches allocates the per-branch outputs of the Distribute
+// family as one flat fragment list, with each branch's first slot.
+func naiveBranches(schema relation.Schema, sizes []int, p int) (frags []*relation.Relation, offset, recv []int) {
+	total := 0
+	for _, k := range sizes {
+		offset = append(offset, total)
+		total += k
+	}
+	return NewDist(schema, total).Frags, offset, make([]int, max(total, p))
+}
+
+func naiveDistribute(d *DistRelation, sizes []int, p int, route func(f *relation.Relation, t relation.Tuple) []BranchDest) ([]*relation.Relation, []int) {
+	frags, offset, recv := naiveBranches(d.Schema, sizes, p)
+	for _, f := range d.Frags {
+		for i := 0; i < f.Len(); i++ {
+			t := f.Row(i)
+			for _, dest := range route(f, t) {
+				frags[offset[dest.Branch]+dest.Server].Add(t)
+				recv[offset[dest.Branch]+dest.Server]++
+			}
+		}
+	}
+	return frags, recv
+}
+
+func naiveDistributeSpread(d *DistRelation, sizes []int, p int, pick func(f *relation.Relation, t relation.Tuple) []BranchSend) ([]*relation.Relation, []int) {
+	frags, offset, recv := naiveBranches(d.Schema, sizes, p)
+	rr := make([]int, len(sizes))
+	for _, f := range d.Frags {
+		for i := 0; i < f.Len(); i++ {
+			t := f.Row(i)
+			for _, s := range pick(f, t) {
+				if s.Broadcast {
+					for srv := 0; srv < sizes[s.Branch]; srv++ {
+						frags[offset[s.Branch]+srv].Add(t)
+						recv[offset[s.Branch]+srv]++
+					}
+					continue
+				}
+				srv := rr[s.Branch] % sizes[s.Branch]
+				rr[s.Branch]++
+				frags[offset[s.Branch]+srv].Add(t)
+				recv[offset[s.Branch]+srv]++
+			}
+		}
+	}
+	return frags, recv
+}
+
+// exchangeCase is one routed exchange as the production call (branch
+// outputs flattened) and as its naive reference.
+type exchangeCase struct {
+	name string
+	run  func(g *Group, d *DistRelation) []*relation.Relation
+	ref  func(d *DistRelation, p int, charge bool) ([]*relation.Relation, []int)
+}
+
+// col reads column j of t, falling back on the source index so the
+// routing functions below also split arity-0 inputs.
+func col(src int, t relation.Tuple, j int) int {
+	if j < len(t) {
+		return int(t[j])
+	}
+	return src + j
+}
+
+func flatten(parts []*DistRelation) []*relation.Relation {
+	var out []*relation.Relation
+	for _, d := range parts {
+		out = append(out, d.Frags...)
+	}
+	return out
+}
+
+// exchangeCases returns the five routed exchanges over a group of p
+// servers. Routes replicate, drop and (Spread) mix broadcast with
+// round-robin sends to both branches, so any cut of the input has
+// rotation state on either side of it.
+func exchangeCases(p int) []exchangeCase {
+	route := func(src int, t relation.Tuple) []int {
+		switch a, b := col(src, t, 0), col(src, t, 1); {
+		case a%5 == 4:
+			return nil
+		case a%3 == 0:
+			return []int{b % p, (b + 1 + src) % p}
+		default:
+			return []int{a % p}
+		}
+	}
+	sizes := []int{2, 3}
+	dist := func(_ *relation.Relation, t relation.Tuple) []BranchDest {
+		if a := col(0, t, 0); a%2 == 0 {
+			return []BranchDest{{Branch: 0, Server: col(0, t, 1) % 2}}
+		}
+		return []BranchDest{{Branch: 1, Server: 0}, {Branch: 1, Server: 1}, {Branch: 1, Server: 2}}
+	}
+	pick := func(_ *relation.Relation, t relation.Tuple) []BranchSend {
+		switch a := col(0, t, 0); {
+		case a%5 == 0:
+			return []BranchSend{{Branch: 1, Broadcast: true}}
+		case a%2 == 0:
+			return []BranchSend{{Branch: 0}}
+		case a%7 == 0:
+			return nil
+		default:
+			return []BranchSend{{Branch: 0}, {Branch: 1}}
+		}
+	}
+	sendTo := func(k int) exchangeCase {
+		return exchangeCase{"send-to-" + itoa(k),
+			func(g *Group, d *DistRelation) []*relation.Relation { return g.SendTo(d, k).Frags },
+			func(d *DistRelation, p int, _ bool) ([]*relation.Relation, []int) { return naiveSendTo(d, k, p) }}
+	}
+	return []exchangeCase{
+		{"hash-partition",
+			func(g *Group, d *DistRelation) []*relation.Relation {
+				return g.HashPartition(d, d.Schema.Attrs()[:min(1, d.Schema.Len())]).Frags
+			},
+			func(d *DistRelation, p int, charge bool) ([]*relation.Relation, []int) {
+				return naiveHashPartition(d, []int{0}[:min(1, d.Schema.Len())], p, charge)
+			}},
+		{"route",
+			func(g *Group, d *DistRelation) []*relation.Relation { return g.Route(d, route).Frags },
+			func(d *DistRelation, p int, _ bool) ([]*relation.Relation, []int) { return naiveRoute(d, p, route) }},
+		sendTo(3), sendTo(p + 2),
+		{"distribute",
+			func(g *Group, d *DistRelation) []*relation.Relation { return flatten(g.Distribute(d, sizes, dist)) },
+			func(d *DistRelation, p int, _ bool) ([]*relation.Relation, []int) {
+				return naiveDistribute(d, sizes, p, dist)
+			}},
+		{"distribute-spread",
+			func(g *Group, d *DistRelation) []*relation.Relation {
+				return flatten(g.DistributeSpread(d, sizes, pick))
+			},
+			func(d *DistRelation, p int, _ bool) ([]*relation.Relation, []int) {
+				return naiveDistributeSpread(d, sizes, p, pick)
+			}},
+	}
+}
+
+// recvRecorder keeps the recv vector of every charged exchange.
+type recvRecorder struct{ recvs [][]int }
+
+func (*recvRecorder) BeginSpan(string, trace.SpanKind, int) {}
+func (*recvRecorder) EndSpan()                              {}
+func (r *recvRecorder) Exchange(_ trace.Op, recv []int) {
+	r.recvs = append(r.recvs, append([]int(nil), recv...))
+}
+
+// checkAgainstNaive runs ec on a fresh p-server cluster over d and
+// fails unless fragments (content and order), the charged recv vector
+// and the Stats equal the naive reference's.
+func checkAgainstNaive(t testing.TB, label string, ec exchangeCase, d *DistRelation, p int, charge bool, opts ...Option) {
+	t.Helper()
+	rec := &recvRecorder{}
+	c := NewCluster(p, append([]Option{WithChargeSelfSends(charge), WithRecorder(rec)}, opts...)...)
+	got := ec.run(c.Root(), d)
+	want, recv := ec.ref(d, p, charge)
+
+	if len(rec.recvs) != 1 || !reflect.DeepEqual(rec.recvs[0], recv) {
+		t.Fatalf("%s: charged %v, reference recv %v", label, rec.recvs, recv)
+	}
+	wantStats := Stats{Rounds: 1, ServersUsed: p}
+	for _, r := range recv {
+		wantStats.MaxLoad = max(wantStats.MaxLoad, r)
+		wantStats.TotalUnits += int64(r)
+	}
+	if c.Stats() != wantStats {
+		t.Fatalf("%s: stats %+v, reference %+v", label, c.Stats(), wantStats)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d output fragments, reference %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Schema().Equal(want[i].Schema()) || got[i].Len() != want[i].Len() {
+			t.Fatalf("%s: fragment %d is %v×%d, reference %v×%d", label, i,
+				got[i].Schema(), got[i].Len(), want[i].Schema(), want[i].Len())
+		}
+		if !slices.Equal(got[i].Data(), want[i].Data()) {
+			t.Fatalf("%s: fragment %d rows differ from the reference (content or order)", label, i)
+		}
+	}
+}
+
+// blocks lays r out over len(sizes) fragments by contiguous runs of the
+// given sizes (which must sum to r.Len()), without going through Scatter.
+func blocks(r *relation.Relation, sizes ...int) *DistRelation {
+	d := &DistRelation{Schema: r.Schema()}
+	row := 0
+	for _, n := range sizes {
+		f := relation.New(r.Schema())
+		for ; n > 0; n, row = n-1, row+1 {
+			f.Add(r.Row(row))
+		}
+		d.Frags = append(d.Frags, f)
+	}
+	return d
+}
+
 func TestEngineEquivalence(t *testing.T) {
+	const p = 5
+	nullary := relation.New(relation.NewSchema())
+	for i := 0; i < 3000; i++ {
+		nullary.Add(relation.Tuple{})
+	}
+	wide := big(relation.NewSchema(0, 1), 4000)
+	inputs := []struct {
+		name string
+		d    *DistRelation
+	}{
+		{"big", blocks(wide, 700, 0, 1, 299, 3000)},
+		{"arity-0", blocks(nullary, 1000, 500, 0, 1500, 0)},
+		{"empty", blocks(relation.New(relation.NewSchema(0, 1)), 0, 0, 0, 0, 0)},
+		{"fewer-frags", blocks(wide, 1500, 1500, 1000)},
+		{"more-frags", blocks(wide, 500, 500, 500, 500, 500, 500, 500, 500)},
+	}
+	for _, in := range inputs {
+		for _, ec := range exchangeCases(p) {
+			for _, w := range []int{1, 2, 4, 7} {
+				for _, charge := range []bool{true, false} {
+					label := in.name + "/" + ec.name + "/workers=" + itoa(w)
+					if !charge {
+						label += "/physical"
+					}
+					checkAgainstNaive(t, label, ec, in.d, p, charge, withForcedWorkers(w))
+				}
+			}
+		}
+	}
+}
+
+// TestEngineScenariosAcrossWorkers runs whole scenarios — the free and
+// per-server steps, nested Parallel blocks, spans and observers, which
+// the naive references above do not model — on one worker and on
+// several: every observable must be byte-identical.
+func TestEngineScenariosAcrossWorkers(t *testing.T) {
 	for _, sc := range engineScenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
@@ -303,8 +590,8 @@ func TestFlatChunksPartitionFlattenedOrder(t *testing.T) {
 			d.Frags = append(d.Frags, f)
 			total += n
 		}
-		for _, workers := range []int{1, 2, 7} {
-			chunks := flatChunks(d, workers)
+		for _, workers := range []int{1, 2, 7, 64} {
+			chunks := flatChunks(d, total, workers)
 			next := 0
 			for _, chunk := range chunks {
 				forEachTuple(d, chunk, func(f *relation.Relation, src int, tp relation.Tuple, flat int) {
@@ -444,5 +731,50 @@ func TestWithWorkersFallbackUnderSingleCPU(t *testing.T) {
 		if rout.Frags[i].Len() != out.Frags[i].Len() {
 			t.Fatalf("fragment %d: %d tuples, want %d", i, out.Frags[i].Len(), rout.Frags[i].Len())
 		}
+	}
+}
+
+// TestExchangeOutputsPooledAndTracked: every non-empty exchange output
+// is one pooled blob that Release hands back (recycled or, when too
+// small to pool, counted as a discard) — on one worker and on several.
+func TestExchangeOutputsPooledAndTracked(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		c := NewCluster(4, withForcedWorkers(w))
+		g := c.Root()
+		before := relation.PoolStats()
+		d := g.Scatter(big(relation.NewSchema(0, 1), 3000))
+		g.SendTo(d, 3)
+		g.SendTo(g.Scatter(relation.New(relation.NewSchema(0))), 2) // two empty exchanges: no blob
+		c.Release()
+		after := relation.PoolStats()
+		if got := (after.Puts + after.Discards) - (before.Puts + before.Discards); got != 2 {
+			t.Errorf("workers=%d: Release returned %d blobs, want 2 (one per non-empty exchange)", w, got)
+		}
+	}
+}
+
+// TestSmallStepsRunInline: Broadcast, Gather, Local and LocalStream
+// decide to fan out by the same rule as the exchanges — never below
+// parThreshold tuples, however many servers the group has.
+func TestSmallStepsRunInline(t *testing.T) {
+	c := NewCluster(8, withForcedWorkers(4))
+	g := c.Root()
+	d := g.Scatter(big(relation.NewSchema(0, 1), parThreshold/4)) // × 8 servers ≥ parThreshold
+	forks := mEngineForks.Value()
+	g.Broadcast(d)
+	g.Gather(d)
+	g.Local(d, func(_ int, f *relation.Relation) *relation.Relation { return f })
+	g.LocalStream(d, func(_ int, it relation.RowIterator) relation.RowIterator { return it })
+	if got := mEngineForks.Value() - forks; got != 0 {
+		t.Fatalf("%d fan-outs over %d tuples, want none", got, d.Len())
+	}
+}
+
+// TestSendListRoundTripAllocatesNothing: the pool holds the pointer
+// that came with the vector, so a put boxes nothing.
+func TestSendListRoundTripAllocatesNothing(t *testing.T) {
+	putSendList(getSendList(64))
+	if n := testing.AllocsPerRun(1000, func() { putSendList(getSendList(64)) }); n != 0 {
+		t.Fatalf("send-list get+put allocates %v objects per round trip", n)
 	}
 }

@@ -50,20 +50,23 @@
 //
 // # Parallel execution
 //
-// WithWorkers(n) runs the simulator on a goroutine pool: exchanges fan
-// their routing, hashing, and fragment construction out over
-// index-ordered chunks, and Parallel branches execute concurrently with
-// per-branch trace/observer buffering. All observable results — output
-// tuples, Stats, trace event streams, observer call sequences — are
-// byte-identical to the sequential engine for every worker count; see
-// engine.go and DESIGN.md ("Parallel engine determinism contract").
+// Every exchange is a routing function over one count-then-scatter
+// kernel (exchange.go) that takes its input as index-ordered chunks and
+// whose output does not depend on where they are cut. WithWorkers(n)
+// adds a goroutine pool: an exchange of parThreshold tuples or more is
+// cut into several chunks that run concurrently, and Parallel branches
+// execute concurrently with per-branch trace/observer buffering; one
+// worker, or a small exchange, is the same kernel over one chunk. All
+// observable results — output tuples, Stats, trace event streams,
+// observer call sequences — are byte-identical for every worker count;
+// see engine.go and DESIGN.md ("Parallel engine determinism contract").
 // Route/Distribute/DistributeSpread/Local callbacks must be pure
 // (deterministic, no shared mutable state) under a parallel cluster.
 package mpc
 
 import (
 	"fmt"
-	"hash/fnv"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -115,12 +118,14 @@ type Cluster struct {
 	// (false) accounting; see the package comment.
 	chargeSelfSends bool
 
-	// workers is the engine pool size (1 = sequential); tokens admits
-	// up to workers−1 extra goroutines cluster-wide (see engine.go).
-	// fellBack records the WithWorkers GOMAXPROCS=1 fallback.
+	// workers is the engine pool size (1 = everything inline); tokens
+	// admits up to workers−1 extra goroutines cluster-wide (see
+	// engine.go). fellBack records the WithWorkers GOMAXPROCS=1
+	// fallback. chunker is nil outside tests (withChunker).
 	workers  int
 	tokens   chan struct{}
 	fellBack bool
+	chunker  func(d *DistRelation) [][]frange
 
 	// streaming and parKernels are the run's execution levers, both on
 	// unless WithStreaming(false) / WithParKernels(false): operators
@@ -134,10 +139,10 @@ type Cluster struct {
 	plans *planCache
 
 	// arenas tracks every pooled arena blob acquired for this run's
-	// exchange outputs (slab blobs, builder concatenations, gather
-	// buffers). Release returns them all to the cross-run pool once the
-	// run's scalar results have been extracted. Mutex-guarded because
-	// the engine's fork paths acquire arenas concurrently.
+	// exchange outputs (slab blobs, gather buffers). Release returns
+	// them all to the cross-run pool once the run's scalar results have
+	// been extracted. Mutex-guarded because concurrent Parallel branches
+	// acquire arenas at the same time.
 	arenaMu sync.Mutex
 	arenas  [][]relation.Value
 
@@ -264,7 +269,18 @@ func (c *Cluster) trackArena(blob []relation.Value) {
 // have been read: every relation produced by this cluster's exchanges —
 // including fragments memoized in the plan cache — is invalid
 // afterwards. Release is idempotent; a second call is a no-op.
+//
+// Release also yields the processor. A sweep is one goroutine that
+// calls run after run and never blocks, and the runtime preempts such a
+// goroutine only every 10 ms. On a one- or two-P machine a collection
+// whose mark worker is waiting for this P stays open that long, and the
+// heap overshoots its goal by what the sweep allocates meanwhile, twice
+// over (the overshoot is marked live and doubles the next goal): at
+// catalog sizes 5-10 MiB on a 4 MiB heap, in some processes and not in
+// others. One scheduling point per run bounds the wait by a run's
+// length.
 func (c *Cluster) Release() {
+	runtime.Gosched()
 	c.arenaMu.Lock()
 	arenas := c.arenas
 	c.arenas = nil
@@ -439,21 +455,6 @@ func NewDist(schema relation.Schema, size int) *DistRelation {
 	return &DistRelation{Schema: schema, Frags: relation.NewSlab(schema, size, 0)}
 }
 
-// newDistSized is NewDist with a total-tuple hint: each fragment gets
-// arena capacity for its even share of total up front, so a roughly
-// balanced exchange fills destinations without per-Add growth. The slab
-// blob comes from the cross-run pool and is tracked on the cluster for
-// end-of-run recycling.
-func (c *Cluster) newDistSized(schema relation.Schema, size, total int) *DistRelation {
-	per := 0
-	if size > 0 {
-		per = total/size + 1
-	}
-	frags, blob := relation.NewSlabArena(schema, size, per)
-	c.trackArena(blob)
-	return &DistRelation{Schema: schema, Frags: frags}
-}
-
 // Len returns the total tuple count across fragments.
 func (d *DistRelation) Len() int {
 	n := 0
@@ -489,58 +490,23 @@ func (d *DistRelation) Collect() *relation.Relation {
 // the "data initially distributed evenly" premise of the model. It is
 // free: initial placement precedes the computation.
 func (g *Group) Scatter(r *relation.Relation) *DistRelation {
-	n := r.Len()
-	if g.parallel(n) {
-		// Destination i%size is index-determined, so each destination's
-		// fragment (tuples i, i+size, ...) builds independently, in the
-		// same order a sequential pass appends them.
-		d := &DistRelation{Schema: r.Schema(), Frags: make([]*relation.Relation, g.size)}
-		g.cluster.fork(g.size, func(dst int) {
-			f := relation.New(r.Schema())
-			f.Grow((n + g.size - 1 - dst) / g.size)
-			for i := dst; i < n; i += g.size {
-				f.Add(r.Row(i))
-			}
-			d.Frags[dst] = f
-		})
-		return g.spillAdmit(d)
-	}
-	d := g.cluster.newDistSized(r.Schema(), g.size, n)
-	for i := 0; i < n; i++ {
-		d.Frags[i%g.size].Add(r.Row(i))
-	}
-	return g.spillAdmit(d)
-}
-
-// hashKey gives a deterministic hash of an encoded key. It is the
-// legacy reference implementation: hashtab.Hash(t, pos) computes the
-// same FNV-64a value over the same big-endian byte stream without
-// materializing the key string, and the difftest shim asserts the two
-// agree so HashPartition destinations stay byte-for-byte unchanged.
-func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return h.Sum64()
-}
-
-// LegacyHashDest exposes the historical string-key destination function
-// for differential tests only: hash(Key(t, pos)) mod size via the
-// encode-then-FNV path. Production code routes through hashtab.Hash.
-func LegacyHashDest(t relation.Tuple, pos []int, size int) int {
-	return int(hashKey(relation.Key(t, pos)) % uint64(size))
+	d := &DistRelation{Schema: r.Schema(), Frags: []*relation.Relation{r}}
+	frags, _, _ := g.exchange(d, g.chunksOf(d), g.size, true, roundRobin(g.size))
+	return g.spillAdmit(&DistRelation{Schema: d.Schema, Frags: frags})
 }
 
 // HashPartition re-partitions d by the given attributes: every tuple
 // goes to server hash(key) mod size. One round; cost = tuples received.
 //
-// Three fast paths stack in front of the per-tuple loop (all of them
-// produce byte-identical outputs, charges, and traces):
+// Two fast paths stand in front of the exchange (both produce
+// byte-identical outputs, charges, and traces):
 //
 //  1. d is already partitioned on attrs for this group — the exchange
 //     is the identity (repartitionIdentity).
 //  2. The cluster's plan cache holds a plan for (group size, key,
 //     fragment versions) — replay it without re-hashing (replayPlan).
-//  3. Otherwise compute, and record a plan for next time.
+//
+// Otherwise it hashes, and records a plan for next time.
 func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
 	pos := d.Schema.Positions(attrs)
 	pc := g.cluster.plans
@@ -556,53 +522,30 @@ func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
 			return g.spillAdmit(out)
 		}
 	}
-	record := key != ""
-	var out *DistRelation
-	var plan *exchangePlan
-	if g.parallel(d.Len()) {
-		out, plan = g.parHashPartition(d, pos, record)
-	} else {
-		out, plan = g.seqHashPartition(d, pos, record)
-	}
-	out.part = append([]int(nil), attrs...)
-	if record {
-		plan.out = append([]*relation.Relation(nil), out.Frags...)
-		plan.outVers = versionsOf(out.Frags)
-		pc.store(key, plan)
-	}
-	return g.spillAdmit(out)
-}
-
-// seqHashPartition is the sequential exchange loop; when record is set
-// it also captures the per-destination packed source indices for the
-// plan cache (charging is unchanged either way).
-func (g *Group) seqHashPartition(d *DistRelation, pos []int, record bool) (*DistRelation, *exchangePlan) {
-	out := g.cluster.newDistSized(d.Schema, g.size, d.Len())
-	recv := make([]int, g.size)
-	charge := g.cluster.chargeSelfSends
-	var dest [][]uint64
-	if record {
-		dest = make([][]uint64, g.size)
-	}
-	for src, f := range d.Frags {
-		for i := 0; i < f.Len(); i++ {
-			t := f.Row(i)
-			dst := int(hashtab.Hash(t, pos) % uint64(g.size))
-			out.Frags[dst].Add(t)
-			if record {
-				dest[dst] = append(dest[dst], uint64(src)<<32|uint64(i))
-			}
-			if charge || dst != src || src >= g.size {
-				recv[dst]++
+	k := uint64(g.size)
+	frags, recv, dst := g.exchange(d, g.chunksOf(d), g.size, true, func(int) routeFn {
+		return func(dst []uint32, _ int, _ *relation.Relation, t relation.Tuple, _ int) []uint32 {
+			return append(dst, uint32(hashtab.Hash(t, pos)%k))
+		}
+	})
+	if !g.cluster.chargeSelfSends {
+		// Physical accounting: a tuple that hashes to the server already
+		// holding it is delivered but not charged.
+		flat := 0
+		for src, f := range d.Frags {
+			for end := flat + f.Len(); flat < end; flat++ {
+				if int(dst[flat]) == src {
+					recv[src]--
+				}
 			}
 		}
 	}
 	g.chargeRound(trace.OpHashPartition, recv)
-	var plan *exchangePlan
-	if record {
-		plan = &exchangePlan{dest: dest, recv: recv}
+	out := &DistRelation{Schema: d.Schema, Frags: frags, part: append([]int(nil), attrs...)}
+	if key != "" {
+		pc.store(key, &exchangePlan{dst: dst, recv: recv, out: slices.Clone(frags), outVers: versionsOf(frags)})
 	}
-	return out, plan
+	return g.spillAdmit(out)
 }
 
 // Broadcast sends every tuple of d to every server. One round; each
@@ -614,13 +557,7 @@ func (g *Group) Broadcast(d *DistRelation) *DistRelation {
 	for i := range recv {
 		recv[i] = all.Len()
 	}
-	if g.cluster.workers > 1 && g.size > 1 && all.Len()*g.size >= parThreshold {
-		g.cluster.fork(g.size, func(i int) { out.Frags[i] = all.Clone() })
-	} else {
-		for i := range out.Frags {
-			out.Frags[i] = all.Clone()
-		}
-	}
+	g.forEach(all.Len(), g.size, func(i int) { out.Frags[i] = all.Clone() })
 	g.chargeRound(trace.OpBroadcast, recv)
 	return g.spillAdmit(out)
 }
@@ -658,27 +595,22 @@ func (g *Group) Route(d *DistRelation, route func(src int, t relation.Tuple) []i
 // contract of Route still applies; the buffer is never shared between
 // goroutines.
 func (g *Group) RouteBuf(d *DistRelation, route func(src int, t relation.Tuple, buf []int) []int) *DistRelation {
-	if g.parallel(d.Len()) {
-		return g.spillAdmit(g.parRoute(d, route))
-	}
-	out := g.cluster.newDistSized(d.Schema, g.size, d.Len())
-	recv := make([]int, g.size)
-	var buf []int
-	for src, f := range d.Frags {
-		for i := 0; i < f.Len(); i++ {
-			t := f.Row(i)
+	k := g.size
+	frags, recv, _ := g.exchange(d, g.chunksOf(d), k, false, func(int) routeFn {
+		var buf []int
+		return func(dst []uint32, src int, _ *relation.Relation, t relation.Tuple, _ int) []uint32 {
 			buf = route(src, t, buf)
 			for _, dest := range buf {
-				if dest < 0 || dest >= g.size {
-					panic(fmt.Sprintf("mpc: route destination %d outside group of size %d", dest, g.size))
+				if dest < 0 || dest >= k {
+					panic(fmt.Sprintf("mpc: route destination %d outside group of size %d", dest, k))
 				}
-				out.Frags[dest].Add(t)
-				recv[dest]++
+				dst = append(dst, uint32(dest))
 			}
+			return dst
 		}
-	}
+	})
 	g.chargeRound(trace.OpRoute, recv)
-	return g.spillAdmit(out)
+	return g.spillAdmit(&DistRelation{Schema: d.Schema, Frags: frags})
 }
 
 // Local applies a per-server transformation with no communication.
@@ -690,13 +622,7 @@ func (g *Group) Local(d *DistRelation, f func(server int, frag *relation.Relatio
 		panic("mpc: Local on relation of mismatched group size")
 	}
 	out := &DistRelation{Frags: make([]*relation.Relation, g.size)}
-	if g.size > 1 && g.parallel(d.Len()) {
-		g.cluster.fork(g.size, func(i int) { out.Frags[i] = f(i, d.Frags[i]) })
-	} else {
-		for i, frag := range d.Frags {
-			out.Frags[i] = f(i, frag)
-		}
-	}
+	g.forEach(d.Len(), g.size, func(i int) { out.Frags[i] = f(i, d.Frags[i]) })
 	out.Schema = out.Frags[g.size-1].Schema()
 	return out
 }
@@ -726,38 +652,26 @@ func (g *Group) Parallel(branches []Branch) {
 		g.parallelBranches(branches)
 		return
 	}
-	maxRounds := 0
-	maxLoad := 0
-	var total int64
-	sumUsed := 0
+	subs := make([]*Group, len(branches))
 	rec := g.recorder()
 	for bi, b := range branches {
-		sub := g.child(b.Servers)
+		subs[bi] = g.child(b.Servers)
 		if rec != nil {
 			rec.BeginSpan("branch "+strconv.Itoa(bi), trace.KindParallel, b.Servers)
 		}
-		b.Run(sub)
+		b.Run(subs[bi])
 		if rec != nil {
 			rec.EndSpan()
 		}
-		s := sub.Stats()
-		if s.Rounds > maxRounds {
-			maxRounds = s.Rounds
-		}
-		if s.MaxLoad > maxLoad {
-			maxLoad = s.MaxLoad
-		}
-		total += s.TotalUnits
-		sumUsed += s.ServersUsed
 	}
-	g.foldParallel(maxRounds, maxLoad, total, sumUsed)
+	g.foldBranches(subs)
 }
 
 // parallelBranches runs a Parallel block's branches on concurrent
 // goroutines. Each branch gets a sub-group whose recorder and observer
 // are per-branch buffers; after all branches complete, the buffers are
 // replayed into the parent recorder/observer in branch order and the
-// stats are folded exactly as the sequential loop folds them.
+// stats are folded by the same foldBranches as the inline loop's.
 func (g *Group) parallelBranches(branches []Branch) {
 	rec := g.recorder()
 	obs := g.observer()
@@ -778,11 +692,6 @@ func (g *Group) parallelBranches(branches []Branch) {
 		subs[i] = sub
 	}
 	g.cluster.fork(n, func(i int) { branches[i].Run(subs[i]) })
-
-	maxRounds := 0
-	maxLoad := 0
-	var total int64
-	sumUsed := 0
 	for i, b := range branches {
 		if rec != nil {
 			rec.BeginSpan("branch "+strconv.Itoa(i), trace.KindParallel, b.Servers)
@@ -794,29 +703,24 @@ func (g *Group) parallelBranches(branches []Branch) {
 				obs(m)
 			}
 		}
-		s := subs[i].Stats()
-		if s.Rounds > maxRounds {
-			maxRounds = s.Rounds
-		}
-		if s.MaxLoad > maxLoad {
-			maxLoad = s.MaxLoad
-		}
-		total += s.TotalUnits
-		sumUsed += s.ServersUsed
 	}
-	g.foldParallel(maxRounds, maxLoad, total, sumUsed)
+	g.foldBranches(subs)
 }
 
-// foldParallel charges a completed parallel block to this group.
-func (g *Group) foldParallel(maxRounds, maxLoad int, total int64, sumUsed int) {
+// foldBranches charges a completed parallel block to this group: the
+// max of the branches' rounds and loads, the sum of their volumes and
+// of their peak server usages.
+func (g *Group) foldBranches(subs []*Group) {
+	maxRounds, sumUsed := 0, 0
+	for _, sub := range subs {
+		s := sub.Stats()
+		maxRounds = max(maxRounds, s.Rounds)
+		g.stats.MaxLoad = max(g.stats.MaxLoad, s.MaxLoad)
+		g.stats.TotalUnits += s.TotalUnits
+		sumUsed += s.ServersUsed
+	}
 	g.stats.Rounds += maxRounds
-	if maxLoad > g.stats.MaxLoad {
-		g.stats.MaxLoad = maxLoad
-	}
-	g.stats.TotalUnits += total
-	if sumUsed > g.used {
-		g.used = sumUsed
-	}
+	g.used = max(g.used, sumUsed)
 }
 
 // Subgroup runs one computation on a fresh subgroup of the given size,
@@ -846,29 +750,9 @@ func (g *Group) SendTo(d *DistRelation, k int) *DistRelation {
 	if k <= 0 {
 		panic(fmt.Sprintf("mpc: SendTo with %d servers", k))
 	}
-	if g.parallel(d.Len()) {
-		return g.spillAdmit(g.parSendTo(d, k))
-	}
-	out := NewDist(d.Schema, k)
-	recv := make([]int, maxInt(k, g.size))
-	i := 0
-	for _, f := range d.Frags {
-		for j := 0; j < f.Len(); j++ {
-			dest := i % k
-			out.Frags[dest].Add(f.Row(j))
-			recv[dest]++
-			i++
-		}
-	}
+	frags, recv, _ := g.exchange(d, g.chunksOf(d), k, true, roundRobin(k))
 	g.chargeRound(trace.OpSendTo, recv)
-	return g.spillAdmit(out)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return g.spillAdmit(&DistRelation{Schema: d.Schema, Frags: frags})
 }
 
 // BranchDest addresses a destination inside a parallel block that is
@@ -888,35 +772,20 @@ type BranchDest struct {
 // DistributeSpread, where the engine owns the rotation.
 func (g *Group) Distribute(d *DistRelation, sizes []int, route func(src *relation.Relation, t relation.Tuple) []BranchDest) []*DistRelation {
 	offset, total := branchOffsets("Distribute", sizes)
-	if g.parallel(d.Len()) {
-		return g.spillAdmitAll(g.parDistribute(d, sizes, offset, total, route))
-	}
-	out := make([]*DistRelation, len(sizes))
-	per := 0
-	if total > 0 {
-		per = d.Len()/total + 1
-	}
-	for i, k := range sizes {
-		frags, blob := relation.NewSlabArena(d.Schema, k, per)
-		g.cluster.trackArena(blob)
-		out[i] = &DistRelation{Schema: d.Schema, Frags: frags}
-	}
-	recv := make([]int, maxInt(total, g.size))
-	for _, f := range d.Frags {
-		for i := 0; i < f.Len(); i++ {
-			t := f.Row(i)
+	frags, recv, _ := g.exchange(d, g.chunksOf(d), total, false, func(int) routeFn {
+		return func(dst []uint32, _ int, f *relation.Relation, t relation.Tuple, _ int) []uint32 {
 			for _, dest := range route(f, t) {
 				if dest.Branch < 0 || dest.Branch >= len(sizes) ||
 					dest.Server < 0 || dest.Server >= sizes[dest.Branch] {
 					panic(fmt.Sprintf("mpc: Distribute destination %+v out of range", dest))
 				}
-				out[dest.Branch].Frags[dest.Server].Add(t)
-				recv[offset[dest.Branch]+dest.Server]++
+				dst = append(dst, uint32(offset[dest.Branch]+dest.Server))
 			}
+			return dst
 		}
-	}
+	})
 	g.chargeRound(trace.OpDistribute, recv)
-	return g.spillAdmitAll(out)
+	return g.spillAdmitAll(branchSlab(d.Schema, frags, sizes, offset))
 }
 
 // branchOffsets validates branch sizes and returns each branch's first
@@ -933,6 +802,24 @@ func branchOffsets(op string, sizes []int) (offset []int, total int) {
 	return offset, total
 }
 
+// branchSlab cuts the kernel's flat fragment vector into one
+// DistRelation per branch.
+func branchSlab(schema relation.Schema, frags []*relation.Relation, sizes, offset []int) []*DistRelation {
+	out := make([]*DistRelation, len(sizes))
+	for b, k := range sizes {
+		lo := offset[b]
+		out[b] = &DistRelation{Schema: schema, Frags: frags[lo : lo+k : lo+k]}
+	}
+	return out
+}
+
+// checkBranch panics unless b names one of nb branches.
+func checkBranch(b, nb int) {
+	if b < 0 || b >= nb {
+		panic(fmt.Sprintf("mpc: DistributeSpread branch %d out of range", b))
+	}
+}
+
 // BranchSend addresses one delivery of a DistributeSpread exchange at
 // the branch level: the tuple goes to branch Branch, either replicated
 // to every branch server (Broadcast) or to the next server in the
@@ -947,56 +834,60 @@ type BranchSend struct {
 // engine: pick returns, per tuple, the branches that must receive it
 // and whether delivery is broadcast or round-robin. The round-robin
 // rotation advances per branch in flattened (fragment-major) input
-// order, which both engines reproduce exactly — this is the home for
-// the "spread a branch's share evenly over its servers" pattern that
-// would otherwise need a stateful (and under the parallel engine,
-// racy and order-dependent) route closure.
+// order, whatever the worker count — this is the home for the "spread
+// a branch's share evenly over its servers" pattern that would
+// otherwise need a stateful (and on several workers, racy and
+// order-dependent) route closure.
 //
 // pick must be pure: deterministic, safe for concurrent calls, and
-// indifferent to how many times it is invoked per tuple (the parallel
-// engine calls it twice — once to count rotations, once to assign).
+// indifferent to how many times it is invoked per tuple (an exchange
+// cut into several chunks calls it twice — once to count rotations,
+// once to assign).
 func (g *Group) DistributeSpread(d *DistRelation, sizes []int, pick func(src *relation.Relation, t relation.Tuple) []BranchSend) []*DistRelation {
 	offset, total := branchOffsets("DistributeSpread", sizes)
-	if g.parallel(d.Len()) {
-		return g.spillAdmitAll(g.parDistributeSpread(d, sizes, offset, total, pick))
-	}
-	out := make([]*DistRelation, len(sizes))
-	// Hint every destination fragment at an even share of the exchange;
-	// skewed branches grow past it, balanced ones never reallocate.
-	per := 0
-	if total > 0 {
-		per = d.Len()/total + 1
-	}
-	for i, k := range sizes {
-		frags, blob := relation.NewSlabArena(d.Schema, k, per)
-		g.cluster.trackArena(blob)
-		out[i] = &DistRelation{Schema: d.Schema, Frags: frags}
-	}
-	recv := make([]int, maxInt(total, g.size))
-	rr := make([]int, len(sizes))
-	for _, f := range d.Frags {
-		for i := 0; i < f.Len(); i++ {
-			t := f.Row(i)
-			for _, s := range pick(f, t) {
-				if s.Branch < 0 || s.Branch >= len(sizes) {
-					panic(fmt.Sprintf("mpc: DistributeSpread branch %d out of range", s.Branch))
+	nb := len(sizes)
+	chunks := g.chunksOf(d)
+	// rot[ci*nb+b] is branch b's rotation when chunk ci starts: the
+	// round-robin sends to b ahead of the chunk in flattened order. One
+	// chunk starts at zero; several need a counting pass over all but
+	// the last, each leaving its count in the slot of the chunk after it.
+	rot := make([]int, len(chunks)*nb)
+	if len(chunks) > 1 {
+		g.cluster.fork(len(chunks)-1, func(ci int) {
+			cnt := rot[(ci+1)*nb : (ci+2)*nb]
+			forEachTuple(d, chunks[ci], func(f *relation.Relation, _ int, t relation.Tuple, _ int) {
+				for _, s := range pick(f, t) {
+					checkBranch(s.Branch, nb)
+					if !s.Broadcast {
+						cnt[s.Branch]++
+					}
 				}
+			})
+		})
+		for i := 2 * nb; i < len(rot); i++ {
+			rot[i] += rot[i-nb]
+		}
+	}
+	frags, recv, _ := g.exchange(d, chunks, total, false, func(ci int) routeFn {
+		rr := rot[ci*nb : (ci+1)*nb]
+		return func(dst []uint32, _ int, f *relation.Relation, t relation.Tuple, _ int) []uint32 {
+			for _, s := range pick(f, t) {
+				checkBranch(s.Branch, nb)
+				first, k := offset[s.Branch], sizes[s.Branch]
 				if s.Broadcast {
-					for srv := 0; srv < sizes[s.Branch]; srv++ {
-						out[s.Branch].Frags[srv].Add(t)
-						recv[offset[s.Branch]+srv]++
+					for srv := 0; srv < k; srv++ {
+						dst = append(dst, uint32(first+srv))
 					}
 					continue
 				}
-				srv := rr[s.Branch] % sizes[s.Branch]
+				dst = append(dst, uint32(first+rr[s.Branch]%k))
 				rr[s.Branch]++
-				out[s.Branch].Frags[srv].Add(t)
-				recv[offset[s.Branch]+srv]++
 			}
+			return dst
 		}
-	}
+	})
 	g.chargeRound(trace.OpDistribute, recv)
-	return g.spillAdmitAll(out)
+	return g.spillAdmitAll(branchSlab(d.Schema, frags, sizes, offset))
 }
 
 // DeclareServers records that the computation logically occupies at

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,31 +15,32 @@ import (
 // The paper's algorithms re-partition the same relations on the same
 // keys across rounds (semi-join sweeps, Degrees-then-route, repeated
 // statistics passes). A plan captures everything HashPartition computes
-// from the data — the per-destination source-index lists over the input
-// fragments, the charged recv vector, and the output fragments
-// themselves — keyed on (group size, key columns, input fragment
-// content versions). Re-partitioning an unchanged relation on the same
-// key then skips the per-tuple hashing entirely:
+// from the data — the exchange kernel's destination vector (one id per
+// input tuple, in flattened order), the charged recv vector, and the
+// output fragments themselves — keyed on (group size, key columns,
+// input fragment content versions). Re-partitioning an unchanged
+// relation on the same key then skips the per-tuple hashing entirely:
 //
 //   - When the memoized output fragments are still unmutated (their
 //     version stamps match), the hit returns them directly — O(p).
-//   - Otherwise the output is rebuilt by replaying the index lists over
-//     the input arenas — a straight copy, no re-hashing.
+//   - Otherwise the output is rebuilt by running the kernel with the
+//     stored vector as its routing function — count and copy, no
+//     re-hashing.
 //
 // Caching elides recomputation, never accounting: a hit charges the
-// stored recv vector, which is byte-identical to what the sequential
-// loop would recompute (content versions pin the inputs, and the
+// stored recv vector, which is byte-identical to what the exchange
+// would recompute (content versions pin the inputs, and the
 // self-send convention is cluster-constant). The difftest oracle runs
 // cache-on vs cache-off to enforce this.
 //
 // Concurrency: HashPartition may run from concurrent Parallel branches
 // of one cluster, so the entry map is mutex-guarded and counters are
-// atomics. Plans' dest/recv fields are immutable after insertion; only
+// atomics. Plans' dst/recv fields are immutable after insertion; only
 // the memoized output slot is swapped (under the lock) when a replay
 // refreshes it.
 
-// maxPlanTuples bounds the total packed source indices retained per
-// cluster (8 bytes each — the bound is ~32 MiB of index lists). When an
+// maxPlanTuples bounds the total destination ids retained per cluster
+// (4 bytes each — the bound is ~16 MiB of vectors). When an
 // insert would exceed it, the whole cache is cleared: deterministic,
 // simple, and a full sweep of fresh exchanges just rebuilds the hot
 // entries.
@@ -46,19 +48,16 @@ const maxPlanTuples = 1 << 22
 
 // exchangePlan is one cached HashPartition.
 type exchangePlan struct {
-	// dest[k] lists the source of every tuple of output fragment k as
-	// packed uint64(frag)<<32 | row, in flattened (fragment-major) input
-	// order — the exact order the sequential loop appends.
-	dest [][]uint64
+	// dst[i] is the destination of the i-th tuple of the flattened
+	// (fragment-major) input.
+	dst []uint32
 	// recv is the charged per-destination unit vector.
 	recv []int
 	// out / outVers memoize the output fragments and their version
 	// stamps at record time; a version mismatch falls back to replaying
-	// dest.
+	// dst.
 	out     []*relation.Relation
 	outVers []uint64
-	// tuples caches the total index count for the eviction bound.
-	tuples int
 }
 
 // planCache is the per-cluster store.
@@ -128,11 +127,7 @@ func (pc *planCache) lookup(key string) *exchangePlan {
 // store inserts a freshly recorded plan, clearing the cache first when
 // the retained-tuple bound would be exceeded.
 func (pc *planCache) store(key string, p *exchangePlan) {
-	n := 0
-	for _, dl := range p.dest {
-		n += len(dl)
-	}
-	p.tuples = n
+	n := len(p.dst)
 	pc.mu.Lock()
 	if pc.tuples+n > maxPlanTuples && len(pc.entries) > 0 {
 		pc.entries = make(map[string]*exchangePlan)
@@ -157,11 +152,12 @@ func versionsOf(frags []*relation.Relation) []uint64 {
 }
 
 // replayPlan materializes a cached plan's output: the memoized
-// fragments when still valid, otherwise a copy-only rebuild from the
-// index lists (no re-hashing). The caller charges plan.recv.
+// fragments when still valid, otherwise the kernel's count and scatter
+// passes over the stored destinations (no re-hashing). The caller
+// charges plan.recv.
 func (g *Group) replayPlan(d *DistRelation, plan *exchangePlan, attrs []int) *DistRelation {
 	pc := g.cluster.plans
-	frags := make([]*relation.Relation, len(plan.dest))
+	var frags []*relation.Relation
 	pc.mu.Lock()
 	memoOK := plan.out != nil
 	if memoOK {
@@ -173,23 +169,20 @@ func (g *Group) replayPlan(d *DistRelation, plan *exchangePlan, attrs []int) *Di
 		}
 	}
 	if memoOK {
-		copy(frags, plan.out)
+		frags = slices.Clone(plan.out)
 		pc.mu.Unlock()
 	} else {
 		pc.mu.Unlock()
 		pc.invalidated.Add(1)
 		mPlanInvalidated.Inc()
-		g.cluster.fork(len(frags), func(k int) {
-			f := relation.New(d.Schema)
-			f.Grow(len(plan.dest[k]))
-			for _, packed := range plan.dest[k] {
-				f.Add(d.Frags[packed>>32].Row(int(packed & 0xffffffff)))
+		frags, _, _ = g.exchange(d, g.chunksOf(d), g.size, true, func(int) routeFn {
+			return func(dst []uint32, _ int, _ *relation.Relation, _ relation.Tuple, flat int) []uint32 {
+				return append(dst, plan.dst[flat])
 			}
-			frags[k] = f
 		})
 		vers := versionsOf(frags)
 		pc.mu.Lock()
-		plan.out = append([]*relation.Relation(nil), frags...)
+		plan.out = slices.Clone(frags)
 		plan.outVers = vers
 		pc.mu.Unlock()
 	}

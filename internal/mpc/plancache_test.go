@@ -154,7 +154,7 @@ func TestPlanCacheInputMutationMisses(t *testing.T) {
 func TestPlanCacheEvictionBound(t *testing.T) {
 	pc := newPlanCache()
 	mk := func(n int) *exchangePlan {
-		return &exchangePlan{dest: [][]uint64{make([]uint64, n)}, recv: []int{n}}
+		return &exchangePlan{dst: make([]uint32, n), recv: []int{n}}
 	}
 	pc.store("a", mk(maxPlanTuples*3/4))
 	if pc.evictions.Load() != 0 || len(pc.entries) != 1 {

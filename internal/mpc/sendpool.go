@@ -9,12 +9,12 @@ import (
 
 // Send-list pooling.
 //
-// The engine's fan-out exchanges allocate one per-chunk received-unit
-// vector (and, for DistributeSpread, one rotation-count vector) per
-// chunk per exchange. Those vectors are dead as soon as foldRecv sums
-// them — unlike the folded recv vector, which the plan cache may
-// retain — so they recycle through a process-wide pool across chunks,
-// exchanges, and runs.
+// An exchange over several chunks (exchange.go) needs one
+// per-destination count-then-cursor vector per chunk. Those vectors are
+// dead as soon as the scatter pass ends — unlike the summed recv vector,
+// which the plan cache may retain — so they recycle through a
+// process-wide pool across chunks, exchanges, and runs. A one-chunk
+// exchange counts straight into its recv vector and never comes here.
 //
 // Determinism: vectors are zeroed on acquisition, so a recycled vector
 // is indistinguishable from a fresh make. Counters are trace.PoolStats
@@ -59,42 +59,31 @@ func ResetSendPoolStats() {
 	sendDiscards.Store(0)
 }
 
-// getSendList returns a zeroed []int of length n, recycled when a
-// pooled vector is large enough.
-func getSendList(n int) []int {
-	if sendPoolingOff.Load() {
-		return make([]int, n)
-	}
-	sendGets.Add(1)
-	if v := sendPool.Get(); v != nil {
-		if s := *v.(*[]int); cap(s) >= n {
+// getSendList returns a zeroed vector of length n, recycled when a
+// pooled one is large enough. The pointer is what the pool holds: it
+// travels with the vector so that putting it back allocates nothing.
+func getSendList(n int) *[]int {
+	if !sendPoolingOff.Load() {
+		sendGets.Add(1)
+		if p, _ := sendPool.Get().(*[]int); p != nil && cap(*p) >= n {
 			sendHits.Add(1)
-			s = s[:n]
-			clear(s)
-			return s
+			*p = (*p)[:n]
+			clear(*p)
+			return p
 		}
+		sendMisses.Add(1)
 	}
-	sendMisses.Add(1)
-	return make([]int, n)
+	s := make([]int, n)
+	return &s
 }
 
 // putSendList returns a vector to the pool. The caller must not use it
 // afterwards.
-func putSendList(s []int) {
-	if s == nil {
-		return
-	}
+func putSendList(p *[]int) {
 	if sendPoolingOff.Load() {
 		sendDiscards.Add(1)
 		return
 	}
 	sendPuts.Add(1)
-	sendPool.Put(&s)
-}
-
-// putSendLists releases a batch of per-chunk vectors (post-foldRecv).
-func putSendLists(parts [][]int) {
-	for _, p := range parts {
-		putSendList(p)
-	}
+	sendPool.Put(p)
 }

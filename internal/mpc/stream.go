@@ -21,13 +21,7 @@ func (g *Group) LocalStream(d *DistRelation, f func(server int, it relation.RowI
 	}
 	out := &DistRelation{Frags: make([]*relation.Relation, g.size)}
 	run := func(i int) { out.Frags[i] = relation.Materialize(f(i, d.Frags[i].Iter())) }
-	if g.size > 1 && g.parallel(d.Len()) {
-		g.cluster.fork(g.size, run)
-	} else {
-		for i := 0; i < g.size; i++ {
-			run(i)
-		}
-	}
+	g.forEach(d.Len(), g.size, run)
 	out.Schema = out.Frags[g.size-1].Schema()
 	return out
 }
@@ -48,8 +42,13 @@ func (g *Group) ScatterDedup(r *relation.Relation) *DistRelation {
 	if !g.Streaming() {
 		return g.Scatter(r.Dedup())
 	}
+	// The distinct count is known only when the stream ends, so this
+	// placement cannot count first: it appends into fragments sized for
+	// an even share of the input, which no fragment can exceed.
 	it := r.DedupIter()
-	d := g.cluster.newDistSized(r.Schema(), g.size, r.Len())
+	frags, blob := relation.NewSlabArena(r.Schema(), g.size, r.Len()/g.size+1)
+	g.cluster.trackArena(blob)
+	d := &DistRelation{Schema: r.Schema(), Frags: frags}
 	i := 0
 	for {
 		c, ok := it.Next()

@@ -229,3 +229,29 @@ func NewSlabArena(schema Schema, n, perHint int) ([]*Relation, []Value) {
 	}
 	return out, blob
 }
+
+// NewSlabCounts returns len(counts) relations over schema in one
+// pooled blob, relation i holding exactly counts[i] rows at value
+// offset arity·Σcounts[:i]. The rows are stale until the caller has
+// written every one of them through the returned blob — the scatter
+// pass of a count-then-scatter exchange. Arena slices are capped at
+// their region, so a relation that later grows reallocates on its own.
+// Ownership of the blob is as for NewSlabArena.
+func NewSlabCounts(schema Schema, counts []int) ([]*Relation, []Value) {
+	arity := schema.Len()
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	blob := GetArena(total * arity)[:total*arity]
+	slab := make([]Relation, len(counts))
+	out := make([]*Relation, len(counts))
+	lo := 0
+	for i, c := range counts {
+		hi := lo + c*arity
+		slab[i] = Relation{schema: schema, arity: arity, data: blob[lo:hi:hi], rows: c}
+		out[i] = &slab[i]
+		lo = hi
+	}
+	return out, blob
+}
