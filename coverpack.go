@@ -422,7 +422,7 @@ type ExecOptions struct {
 	// ParKernels selects morsel-parallel local operators for the run:
 	// ParKernelDefault (the zero value) lets kernels fan out over the
 	// run's workers (they need Workers > 1 to engage), ParKernelOff
-	// takes the sequential references. Results are byte-identical in
+	// holds every kernel to one block. Results are byte-identical in
 	// both modes and at every worker count; only wall-clock behavior
 	// differs.
 	ParKernels ParKernelMode

@@ -95,7 +95,7 @@ func Run(g *mpc.Group, in *relation.Instance, opts Options) (*Result, error) {
 	}
 	// Initial state: all edges alive with their full attribute sets,
 	// relations deduplicated and scattered evenly (free initial layout;
-	// ScatterDedup streams the dedup into the placement).
+	// ScatterDedup routes the first occurrences into the placement).
 	alive := q.AllEdges()
 	vars := make(map[int]hypergraph.VarSet)
 	rels := make(map[int]*mpc.DistRelation)

@@ -188,8 +188,8 @@ func (g *Group) Fork(n int, fn func(i int)) { g.cluster.fork(n, fn) }
 // (and the same token budget) as the exchanges.
 func (g *Group) Workers() int { return g.cluster.workers }
 
-// ParKernels reports whether the run's local operators may take their
-// morsel-parallel forms (WithParKernels).
+// ParKernels reports whether the run's local operators may run over
+// several blocks (WithParKernels).
 func (g *Group) ParKernels() bool { return g.cluster.parKernels }
 
 // frange is one contiguous run of tuples within a fragment; base is the

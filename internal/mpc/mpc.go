@@ -207,9 +207,10 @@ func WithStreaming(on bool) Option {
 	return func(c *Cluster) { c.streaming = on }
 }
 
-// WithParKernels selects the morsel-parallel relation kernels (the
-// default; they still need workers > 1 to engage) or their sequential
-// references. Outputs, Stats and traces are identical either way.
+// WithParKernels lets the relation kernels run over several row blocks
+// across the pool (the default; they still need workers > 1 to do so)
+// or holds them to one block. Outputs, Stats and traces are identical
+// either way.
 func WithParKernels(on bool) Option {
 	return func(c *Cluster) { c.parKernels = on }
 }
@@ -492,6 +493,30 @@ func (d *DistRelation) Collect() *relation.Relation {
 func (g *Group) Scatter(r *relation.Relation) *DistRelation {
 	d := &DistRelation{Schema: r.Schema(), Frags: []*relation.Relation{r}}
 	frags, _, _ := g.exchange(d, g.chunksOf(d), g.size, true, roundRobin(g.size))
+	return g.spillAdmit(&DistRelation{Schema: d.Schema, Frags: frags})
+}
+
+// ScatterDedup scatters the distinct rows of r round-robin over the
+// group — Scatter(r.Dedup()) without the deduplicated intermediate: the
+// dedup hands over the first occurrences in order, so row k of the
+// deduplicated order is known, with the count, before anything moves,
+// and the exchange kernel routes it to server k mod size and drops the
+// repeats. Free and untraced like Scatter.
+func (g *Group) ScatterDedup(r *relation.Relation) *DistRelation {
+	first := r.FirstRows()
+	d := &DistRelation{Schema: r.Schema(), Frags: []*relation.Relation{r}}
+	chunks := g.chunksOf(d)
+	frags, _, _ := g.exchange(d, chunks, g.size, false, func(ci int) routeFn {
+		// k is the rank of the chunk's next first occurrence.
+		k, _ := slices.BinarySearch(first, int32(chunks[ci][0].base))
+		return func(dst []uint32, _ int, _ *relation.Relation, _ relation.Tuple, flat int) []uint32 {
+			if k < len(first) && int(first[k]) == flat {
+				dst = append(dst, uint32(k%g.size))
+				k++
+			}
+			return dst
+		}
+	})
 	return g.spillAdmit(&DistRelation{Schema: d.Schema, Frags: frags})
 }
 

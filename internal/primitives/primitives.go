@@ -43,7 +43,7 @@ import (
 func ReduceByKey(g *mpc.Group, d *mpc.DistRelation, keyAttrs []int, valAttr int) *mpc.DistRelation {
 	outSchema := relation.NewSchema(append(append([]int(nil), keyAttrs...), valAttr)...)
 	pre := g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
-		return localAggregatePar(g, f, keyAttrs, valAttr, outSchema)
+		return localAggregate(f, keyAttrs, valAttr, outSchema)
 	})
 	return reduceAggregated(g, pre, keyAttrs, valAttr, outSchema)
 }
@@ -57,7 +57,7 @@ func ReduceByKey(g *mpc.Group, d *mpc.DistRelation, keyAttrs []int, valAttr int)
 func reduceAggregated(g *mpc.Group, pre *mpc.DistRelation, keyAttrs []int, valAttr int, outSchema relation.Schema) *mpc.DistRelation {
 	agg := func(dd *mpc.DistRelation) *mpc.DistRelation {
 		return g.Local(dd, func(_ int, f *relation.Relation) *relation.Relation {
-			return localAggregatePar(g, f, keyAttrs, valAttr, outSchema)
+			return localAggregate(f, keyAttrs, valAttr, outSchema)
 		})
 	}
 	var out *mpc.DistRelation
@@ -148,53 +148,6 @@ func localAggregate(f *relation.Relation, keyAttrs []int, valAttr int, outSchema
 	}
 	groups.Release()
 	return out
-}
-
-// localAggregatePar is localAggregate with the group scan fanned out
-// over the group's worker pool (relation.AggregateSumPar). The kernel
-// returns each key group's first-occurrence row in ascending order —
-// the hashtab first-insert order the sequential pass emits — so the
-// assembled output is byte-identical at any worker count; sub-cutoff
-// fragments and sequential groups fall back to localAggregate.
-func localAggregatePar(g *mpc.Group, f *relation.Relation, keyAttrs []int, valAttr int, outSchema relation.Schema) *relation.Relation {
-	if f.Len() == 0 {
-		return relation.New(outSchema)
-	}
-	kpos := f.Schema().Positions(keyAttrs)
-	vpos := f.Schema().Pos(valAttr)
-	reps, sums := f.AggregateSumPar(kpos, vpos, g)
-	if reps == nil {
-		return localAggregate(f, keyAttrs, valAttr, outSchema)
-	}
-	srcPos := make([]int, outSchema.Len())
-	for i := range srcPos {
-		if a := outSchema.Attr(i); a == valAttr {
-			srcPos[i] = -1
-		} else {
-			srcPos[i] = f.Schema().Pos(a)
-		}
-	}
-	arity := outSchema.Len()
-	data := make([]relation.Value, len(reps)*arity)
-	nb := g.Workers() * 4
-	if nb > len(reps) {
-		nb = len(reps)
-	}
-	g.Fork(nb, func(b int) {
-		lo, hi := len(reps)*b/nb, len(reps)*(b+1)/nb
-		for e := lo; e < hi; e++ {
-			rep := f.Row(int(reps[e]))
-			row := data[e*arity : (e+1)*arity]
-			for i, sp := range srcPos {
-				if sp < 0 {
-					row[i] = sums[e]
-				} else {
-					row[i] = rep[sp]
-				}
-			}
-		}
-	})
-	return relation.FromData(outSchema, data, len(reps))
 }
 
 // smallAggregate is the allocation-lean aggregation for tiny fragments:
@@ -385,24 +338,10 @@ func aggregateChunks(it relation.RowIterator, keyAttrs []int, valAttr int, outSc
 
 // HeavyFilter keeps the rows of a degree relation whose countAttr
 // value exceeds threshold — the per-server heavy-value cut every
-// skew-handling algorithm applies after Degrees. With streaming on
-// the filter streams the fragment (no row the consumer would drop is
-// ever copied); off, it is the historical materialized loop. Output
-// fragments are identical either way.
+// skew-handling algorithm applies after Degrees.
 func HeavyFilter(g *mpc.Group, degs *mpc.DistRelation, countAttr int, threshold int64) *mpc.DistRelation {
 	return g.Local(degs, func(_ int, f *relation.Relation) *relation.Relation {
-		cp := f.Schema().Pos(countAttr)
-		if g.Streaming() && f.Len() > relation.StreamCutoff {
-			return relation.Materialize(relation.Filter(f.Iter(),
-				func(t relation.Tuple) bool { return t[cp] > threshold }))
-		}
-		out := relation.New(f.Schema())
-		for i := 0; i < f.Len(); i++ {
-			if t := f.Row(i); t[cp] > threshold {
-				out.Add(t)
-			}
-		}
-		return out
+		return f.SelectGt(countAttr, threshold)
 	})
 }
 

@@ -79,7 +79,7 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 	for i, f := range sampleRel.Frags {
 		runLens[i] = f.Len()
 	}
-	sample := g.Gather(sampleRel).MergeRunsPar(runLens, pos, g)
+	sample := g.Gather(sampleRel).MergeRuns(runLens, pos)
 
 	// Splitters: p−1 evenly spaced sample keys. The views stay valid for
 	// the routing round below because sample is never mutated again.
@@ -116,9 +116,9 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 
 // sortRel stably sorts r in place on the given schema positions. It
 // must go through the relation (the arena is the storage; sorting a
-// materialized []Tuple view would not reorder it). Large fragments fan
-// the radix passes out over the group's worker pool; the result is
-// byte-identical at any worker count.
+// materialized []Tuple view would not reorder it). Large fragments run
+// the radix passes block by block over the group's worker pool; the
+// result is byte-identical at any worker count.
 func sortRel(g *mpc.Group, r *relation.Relation, pos []int) {
 	r.SortByPar(pos, g)
 }

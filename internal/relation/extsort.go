@@ -16,7 +16,7 @@ import (
 // The shape is the classic external merge sort, built from the kernels
 // the resident path already has: stream the parked segments, cut the
 // input into runs of at most extSortRunRows rows, sort each run with
-// the resident stable kernel (radixPerm above radixMinRows), spill each
+// the resident stable kernel (radixOrder above radixMinRows), spill each
 // sorted run to its own segment file, then merge. Mid-size inputs merge
 // by paging the runs into one concatenated arena and handing the run
 // boundaries to MergeRuns — the stable k-way galloping merge — while
@@ -150,7 +150,7 @@ func (r *Relation) spillSortedRuns(sa *SegmentedArena, pos []int, runRows int) (
 			return nil
 		}
 		run := FromData(r.schema, arena[:rows*r.arity], rows)
-		run.sortByPositions(pos, true) // resident; stable for cross-run identity
+		run.sortByPositions(pos, true, nil) // resident; stable for cross-run identity
 		sf, err := writeSpillFile(sa.dir, run.data, rows, r.arity)
 		if err != nil {
 			return err

@@ -25,8 +25,7 @@ import (
 // reuse one pooled scratch arena per stage, and source iterators hand
 // out views into the relation's arena, which the relation's own
 // mutation rules already cover. Consumers that need rows to outlive
-// the iteration must copy them out (Materialize) or wrap the iterator
-// in a BufferedIterator (buffered.go).
+// the iteration must copy them out (Materialize).
 //
 // Computed iterators are single-pass: calling Next after it has
 // returned ok=false panics with a clear message. Source iterators
@@ -97,7 +96,7 @@ type Rewindable interface {
 
 // exhaustPanic is the shared single-pass guard for computed iterators.
 func exhaustPanic() {
-	panic("relation: streaming iterator already exhausted; computed iterators are single-pass — wrap the pipeline in a BufferedIterator (relation.Buffer) to re-iterate")
+	panic("relation: streaming iterator already exhausted; computed iterators are single-pass — Materialize the pipeline to read it again")
 }
 
 // sourceIterator streams a materialized relation as zero-copy chunk
@@ -385,21 +384,6 @@ func StreamSemiJoin(src RowIterator, s *Relation) RowIterator {
 	return Filter(src, func(t Tuple) bool { return probe.Find(t, rPos) >= 0 })
 }
 
-// StreamAntiJoin streams the rows of src with no partner in s on the
-// common attributes — the streaming form of AntiJoin.
-func StreamAntiJoin(src RowIterator, s *Relation) RowIterator {
-	common := src.Schema().Common(s.schema)
-	if len(common) == 0 {
-		if s.Len() == 0 {
-			return Filter(src, func(Tuple) bool { return true })
-		}
-		return Filter(src, func(Tuple) bool { return false })
-	}
-	probe := s.indexOn(s.schema.Positions(common)).table
-	rPos := src.Schema().Positions(common)
-	return Filter(src, func(t Tuple) bool { return probe.Find(t, rPos) < 0 })
-}
-
 // dedupIterator streams first occurrences, tracking seen keys in an
 // incremental hash table that persists across chunk boundaries (so
 // duplicates straddling chunks are still dropped).
@@ -435,9 +419,7 @@ func (s *keyedSeen) insertNew(t Tuple) bool {
 func (s *keyedSeen) release() { s.table.Release() }
 
 // StreamDedup streams the distinct rows of src in first-seen order —
-// the streaming form of Dedup for computed pipelines. For a
-// materialized relation prefer (*Relation).DedupIter, which reuses
-// the retained key index.
+// the streaming form of Dedup for computed pipelines.
 func StreamDedup(src RowIterator) RowIterator {
 	return &dedupIterator{src: src, out: newScratch(src.Schema().Len())}
 }
@@ -502,89 +484,6 @@ func (it *dedupIterator) Close() {
 		it.src.Close()
 	}
 	it.releaseTable()
-	it.out.release()
-}
-
-// DedupIter streams the relation's distinct rows in first-seen order —
-// the output of Dedup without materializing it. Above the linear-scan
-// cutoff it reads the same retained full-row key index Dedup uses, so
-// repeated dedup of an unchanged relation stays cached. Single-pass.
-func (r *Relation) DedupIter() RowIterator {
-	if r.rows <= smallDedupCutoff {
-		// One chunk at most (smallDedupCutoff < streamChunkRows):
-		// materialize through the identical linear-scan path.
-		return &drainIterator{r: r.Dedup()}
-	}
-	ix := r.indexOn(identityPositions(r.arity))
-	return &headsIterator{r: r, heads: ix.heads, out: newScratch(r.arity)}
-}
-
-// drainIterator adapts a small owned relation as a single-pass
-// iterator (the relation is private to the iterator, so its chunks
-// are stable views).
-type drainIterator struct {
-	r    *Relation
-	src  Rewindable
-	done bool
-}
-
-func (it *drainIterator) Schema() Schema { return it.r.schema }
-
-func (it *drainIterator) Next() (Chunk, bool) {
-	if it.done {
-		exhaustPanic()
-	}
-	if it.src == nil {
-		it.src = it.r.Iter()
-	}
-	c, ok := it.src.Next()
-	if !ok {
-		it.done = true
-	}
-	return c, ok
-}
-
-func (it *drainIterator) Close() {}
-
-// headsIterator emits the head row of each key-index entry — Dedup's
-// hash path as a stream. Heads are scattered row indices, so rows are
-// compacted into a scratch chunk.
-type headsIterator struct {
-	r      *Relation
-	heads  []int32
-	next   int
-	out    scratchChunk
-	done   bool
-	closed bool
-}
-
-func (it *headsIterator) Schema() Schema { return it.r.schema }
-
-func (it *headsIterator) Next() (Chunk, bool) {
-	if it.done {
-		exhaustPanic()
-	}
-	if it.next >= len(it.heads) {
-		it.done = true
-		return Chunk{}, false
-	}
-	it.out.reset()
-	for it.next < len(it.heads) && !it.out.full() {
-		if it.out.arity == 0 {
-			it.out.rows++
-		} else {
-			it.out.add(it.r.Row(int(it.heads[it.next])))
-		}
-		it.next++
-	}
-	return it.out.chunk(), true
-}
-
-func (it *headsIterator) Close() {
-	if it.closed {
-		return
-	}
-	it.closed = true
 	it.out.release()
 }
 
@@ -757,18 +656,18 @@ func Materialize(it RowIterator) *Relation {
 const StreamCutoff = streamChunkRows
 
 // SelectEqProject fuses SelectEq(a, v).Project(attrs...) into one
-// direct single pass when fused is set (the run streams) and the
+// mark-then-compact pass when fused is set (the run streams) and the
 // relation spans multiple chunks; otherwise it runs the two
 // materialized operators.
-// The fused pass writes survivors straight into the output — no
-// iterator scaffolding, no chunk scratch arena, and no materialized
-// SelectEq intermediate (which is the wide relation: it carries every
-// column, while the output carries only the projected ones). Output
-// and panics are identical either way: the selection attribute is
-// validated first (as SelectEq would), then every projection
-// attribute (as Project would, even when nothing survives the
-// filter), and survivors are emitted in scan order with columns in
-// schema order.
+// The fused pass lists the survivors as SelectEq does and copies only
+// their projected columns into the exactly sized output — no iterator
+// scaffolding, no chunk scratch arena, and no materialized SelectEq
+// intermediate (which is the wide relation: it carries every column,
+// while the output carries only the projected ones). Output and panics
+// are identical either way: the selection attribute is validated first
+// (as SelectEq would), then every projection attribute (as Project
+// would, even when nothing survives the filter), and survivors are
+// emitted in scan order with columns in schema order.
 func (r *Relation) SelectEqProject(fused bool, a int, v Value, attrs ...int) *Relation {
 	if !fused || r.rows <= StreamCutoff {
 		return r.SelectEq(a, v).Project(attrs...)
@@ -778,7 +677,6 @@ func (r *Relation) SelectEqProject(fused bool, a int, v Value, attrs ...int) *Re
 		panic(fmt.Sprintf("relation: SelectEq attribute %d not in schema %v", a, r.schema))
 	}
 	schema := NewSchema(attrs...)
-	out := New(schema)
 	pos := make([]int, schema.Len())
 	for i := range pos {
 		pa := schema.Attr(i)
@@ -788,15 +686,14 @@ func (r *Relation) SelectEqProject(fused bool, a int, v Value, attrs ...int) *Re
 		}
 		pos[i] = pp
 	}
-	for i := 0; i < r.rows; i++ {
-		t := r.Row(i)
-		if t[p] != v {
-			continue
-		}
+	r.ensureResident()
+	sel := make([]int32, r.rows)
+	sel = sel[:rowPred{col: p, v: v}.mark(sel, r, 0, r.rows)]
+	data := make([]Value, 0, len(sel)*len(pos))
+	for _, i := range sel {
 		for _, q := range pos {
-			out.data = append(out.data, t[q])
+			data = append(data, r.data[int(i)*r.arity+q])
 		}
-		out.rows++
 	}
-	return out
+	return FromData(schema, data, len(sel))
 }

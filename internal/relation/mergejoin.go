@@ -1,7 +1,5 @@
 package relation
 
-import "slices"
-
 // MergeJoin computes the natural join r ⋈ s with a sort-merge strategy:
 // both inputs are ordered on the shared attributes (via stable
 // row-index permutations — the arenas are not touched) and matching key
@@ -99,38 +97,14 @@ func gallopPerm(r *Relation, perm []int32, pos []int, from int, t Tuple, tPos []
 
 // sortedPerm returns the row indices of r ordered stably by the given
 // positions (equal keys keep input order, matching the historical
-// sort.SliceStable over materialized tuples). Already-sorted inputs get
-// the identity permutation from one linear scan; large inputs take the
-// stable radix kernel.
+// sort.SliceStable over materialized tuples): sortPerm's permutation,
+// or the identity when it finds the rows already in order.
 func sortedPerm(r *Relation, pos []int) []int32 {
 	r.ensureResident() // permutation sort needs random access to the arena
-	if r.rows < 2 || r.sortedOnPositions(pos) {
-		perm := make([]int32, r.rows)
-		for i := range perm {
-			perm[i] = int32(i)
-		}
+	if perm := r.sortPerm(pos, true, nil, nil); perm != nil {
 		return perm
 	}
-	if r.rows >= radixMinRows {
-		return radixPerm(r.data, r.rows, r.arity, pos)
-	}
-	perm := make([]int32, r.rows)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortStableFunc(perm, func(a, b int32) int {
-		ta, tb := r.Row(int(a)), r.Row(int(b))
-		for _, p := range pos {
-			if ta[p] != tb[p] {
-				if ta[p] < tb[p] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
-	})
-	return perm
+	return identityPerm(r.rows)
 }
 
 func positionsOf(s Schema, attrs []int) []int {

@@ -1,20 +1,17 @@
 package relation
 
-import (
-	"fmt"
+import "fmt"
 
-	"coverpack/internal/hashtab"
-)
-
-// This file implements the local (single-server) operators. The MPC
+// This file holds the local (single-server) operators. The MPC
 // algorithms compose them with communication primitives; the sequential
-// oracle in instance.go composes them directly.
+// oracle in instance.go composes them directly. The filters, Dedup and
+// Join are the block kernels of parallel.go run over one block.
 //
-// Every keyed operator (dedup, semi-join, anti-join, hash join, group
-// count) probes an internal/hashtab table keyed on projected arena
-// columns — no per-tuple key strings. Output orders are identical to
-// the historical map[string] implementations because hashtab entries
-// enumerate in first-insert order and probes scan input order.
+// Every keyed operator (dedup, semi-join, hash join) probes an
+// internal/hashtab table keyed on projected arena columns — no
+// per-tuple key strings. Output orders are identical to the historical
+// map[string] implementations because hashtab entries enumerate in
+// first-insert order and probes scan input order.
 
 // Project returns the projection onto the given attributes (multiset —
 // no dedup; call Dedup for set semantics).
@@ -64,215 +61,28 @@ func (r *Relation) SelectEq(a int, v Value) *Relation {
 	if p < 0 {
 		panic(fmt.Sprintf("relation: SelectEq attribute %d not in schema %v", a, r.schema))
 	}
-	out := New(r.schema)
-	for i := 0; i < r.rows; i++ {
-		if t := r.Row(i); t[p] == v {
-			out.Add(t)
-		}
-	}
-	return out
+	return r.filterRows(rowPred{col: p, v: v}, nil)
 }
 
-// SelectIn returns the tuples whose value at attribute a is in the set.
-func (r *Relation) SelectIn(a int, vs map[Value]bool) *Relation {
+// SelectGt returns the tuples whose value at attribute a exceeds v.
+func (r *Relation) SelectGt(a int, v Value) *Relation {
 	p := r.schema.Pos(a)
 	if p < 0 {
-		panic(fmt.Sprintf("relation: SelectIn attribute %d not in schema %v", a, r.schema))
+		panic(fmt.Sprintf("relation: SelectGt attribute %d not in schema %v", a, r.schema))
 	}
-	out := New(r.schema)
-	for i := 0; i < r.rows; i++ {
-		if t := r.Row(i); vs[t[p]] {
-			out.Add(t)
-		}
-	}
-	return out
+	return r.filterRows(rowPred{col: p, v: v, gt: true}, nil)
 }
 
-// Dedup returns the relation with duplicate tuples removed.
-func (r *Relation) Dedup() *Relation {
-	out := New(r.schema)
-	if r.rows == 0 {
-		return out
-	}
-	if r.rows <= smallDedupCutoff {
-		// Linear scan over the rows already kept — same first-seen
-		// order as the hash path, no table or position allocations.
-		out.Grow(r.rows)
-		for i := 0; i < r.rows; i++ {
-			t := r.Row(i)
-			dup := false
-			for e := 0; e < out.rows && !dup; e++ {
-				dup = out.Row(e).Equal(t)
-			}
-			if !dup {
-				out.Add(t)
-			}
-		}
-		return out
-	}
-	// The full-row key index doubles as the dedup table: entry e's head
-	// row is the first occurrence of its key, and entries enumerate in
-	// first-insert order, so emitting heads in entry order reproduces
-	// the historical first-seen output exactly. Repeated Dedup of an
-	// unchanged relation (e.g. shared inputs re-deduped per stratum)
-	// reuses the retained index.
-	ix := r.indexOn(identityPositions(r.arity))
-	out.Grow(len(ix.heads))
-	for _, h := range ix.heads {
-		out.Add(r.Row(int(h)))
-	}
-	return out
-}
-
-// smallDedupCutoff bounds Dedup's linear-scan path; see smallAggCutoff
-// in internal/primitives for the same trade-off.
-const smallDedupCutoff = 32
+// Dedup returns the relation with duplicate tuples removed, in
+// first-seen order.
+func (r *Relation) Dedup() *Relation { return r.DedupPar(nil) }
 
 // SemiJoin returns the tuples of r that agree with at least one tuple of
-// s on their common attributes (r ⋉ s). With no common attributes it
-// returns r unchanged when s is nonempty and empty otherwise, matching
-// the join semantics.
-func (r *Relation) SemiJoin(s *Relation) *Relation {
-	common := r.schema.Common(s.schema)
-	if len(common) == 0 {
-		if s.Len() == 0 {
-			return New(r.schema)
-		}
-		return r.Clone()
-	}
-	probe := s.indexOn(s.schema.Positions(common)).table
-	rPos := r.schema.Positions(common)
-	out := New(r.schema)
-	for i := 0; i < r.rows; i++ {
-		if t := r.Row(i); probe.Find(t, rPos) >= 0 {
-			out.Add(t)
-		}
-	}
-	return out
-}
+// s on their common attributes (r ⋉ s); see SemiJoinPar.
+func (r *Relation) SemiJoin(s *Relation) *Relation { return r.SemiJoinPar(s, nil) }
 
-// AntiJoin returns the tuples of r with no partner in s on the common
-// attributes (r ▷ s).
-func (r *Relation) AntiJoin(s *Relation) *Relation {
-	common := r.schema.Common(s.schema)
-	if len(common) == 0 {
-		if s.Len() == 0 {
-			return r.Clone()
-		}
-		return New(r.schema)
-	}
-	probe := s.indexOn(s.schema.Positions(common)).table
-	rPos := r.schema.Positions(common)
-	out := New(r.schema)
-	for i := 0; i < r.rows; i++ {
-		if t := r.Row(i); probe.Find(t, rPos) < 0 {
-			out.Add(t)
-		}
-	}
-	return out
-}
-
-// Join returns the natural join r ⋈ s (hash join on the shared
-// attributes; Cartesian product when none are shared).
-func (r *Relation) Join(s *Relation) *Relation {
-	common := r.schema.Common(s.schema)
-	outSchema := r.schema.Union(s.schema)
-	out := New(outSchema)
-
-	// Precompute output assembly positions and reuse one scratch row:
-	// emit copies into the output arena, so nothing per-row escapes.
-	rOut := make([]int, 0, r.schema.Len())
-	for _, a := range r.schema.attrs {
-		rOut = append(rOut, outSchema.Pos(a))
-	}
-	sOut := make([]int, 0, s.schema.Len())
-	for _, a := range s.schema.attrs {
-		sOut = append(sOut, outSchema.Pos(a))
-	}
-	scratch := make(Tuple, outSchema.Len())
-	emit := func(rt, st Tuple) {
-		for i, p := range rOut {
-			scratch[p] = rt[i]
-		}
-		for i, p := range sOut {
-			scratch[p] = st[i]
-		}
-		out.Add(scratch)
-	}
-
-	if len(common) == 0 {
-		for i := 0; i < r.rows; i++ {
-			rt := r.Row(i)
-			for j := 0; j < s.rows; j++ {
-				emit(rt, s.Row(j))
-			}
-		}
-		return out
-	}
-	// Build on the smaller side. The key index maps each key to its
-	// chain of build rows (head/next links in build order), replacing
-	// the legacy map[string][]Tuple with the same per-key iteration
-	// order; a retained index from an earlier keyed op on the same side
-	// and key (e.g. the semi-join that filtered it) is reused as-is.
-	build, probe := s, r
-	buildIsS := true
-	if r.Len() < s.Len() {
-		build, probe = r, s
-		buildIsS = false
-	}
-	buildPos := build.schema.Positions(common)
-	probePos := probe.schema.Positions(common)
-	ix := build.indexOn(buildPos)
-	for i := 0; i < probe.rows; i++ {
-		t := probe.Row(i)
-		e := ix.table.Find(t, probePos)
-		if e < 0 {
-			continue
-		}
-		for b := ix.heads[e]; b >= 0; b = ix.next[b] {
-			bt := build.Row(int(b))
-			if buildIsS {
-				emit(t, bt)
-			} else {
-				emit(bt, t)
-			}
-		}
-	}
-	return out
-}
-
-// GroupCount returns one tuple (a-value, count) per distinct value of
-// attribute a, in first-seen order of a's values. The count column is
-// reported on the synthetic attribute id passed as countAttr (callers
-// pick an id outside the query's range).
-func (r *Relation) GroupCount(a, countAttr int) *Relation {
-	p := r.schema.Pos(a)
-	if p < 0 {
-		panic(fmt.Sprintf("relation: GroupCount attribute %d not in schema %v", a, r.schema))
-	}
-	groups := hashtab.New(1, 0)
-	pos := []int{p}
-	var counts []int64 // parallel to table entries
-	for i := 0; i < r.rows; i++ {
-		e, found := groups.Insert(r.Row(i), pos)
-		if !found {
-			counts = append(counts, 0)
-		}
-		counts[e]++
-	}
-	out := New(NewSchema(a, countAttr))
-	// Schema normalizes ascending; find where each lands.
-	ap := out.schema.Pos(a)
-	cp := out.schema.Pos(countAttr)
-	nt := make(Tuple, 2)
-	for e := 0; e < groups.Len(); e++ {
-		nt[ap] = groups.Key(e)[0]
-		nt[cp] = counts[e]
-		out.Add(nt)
-	}
-	groups.Release()
-	return out
-}
+// Join returns the natural join r ⋈ s; see JoinPar.
+func (r *Relation) Join(s *Relation) *Relation { return r.JoinPar(s, nil) }
 
 // DistinctValues returns the set of values of attribute a. The int64-
 // keyed map allocates no key strings; callers needing deterministic

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-
-	"coverpack/internal/hashtab"
 )
 
 // goForker is the test stand-in for the engine's fork: it really runs
@@ -56,27 +54,60 @@ func (f goForker) Fork(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// forkerCounts is the worker-count sweep every kernel equivalence test
-// runs: sequential refusal (1), fewer/more workers than blocks, and a
-// deliberately oversubscribed count.
-var forkerCounts = []int{1, 2, 3, 8}
+// cutForker is a goForker that also dictates where the kernels cut
+// their input (blockCutter), so the block paths run on inputs of any
+// size: cut returns the block boundaries for a kernel over rows.
+type cutForker struct {
+	goForker
+	cut func(rows int) []int
+}
+
+func (f cutForker) cutBlocks(rows int) []int { return f.cut(rows) }
+
+// evenBlocks cuts into nb blocks of near-equal size (empty ones when
+// there are fewer rows than blocks), run on 3 goroutines.
+func evenBlocks(nb int) Forker {
+	return cutForker{goForker{3}, func(rows int) []int {
+		cuts := make([]int, nb+1)
+		for b := range cuts {
+			cuts[b] = rows * b / nb
+		}
+		return cuts
+	}}
+}
+
+// blockForkers is the sweep every kernel test runs against the naive
+// reference: one block inline (nil Forker), then 1, 2 and 7 blocks
+// through the forked path.
+func blockForkers() map[string]Forker {
+	return map[string]Forker{"inline": nil, "1 block": evenBlocks(1), "2 blocks": evenBlocks(2), "7 blocks": evenBlocks(7)}
+}
+
+// sameRel reports whether got is want byte for byte.
+func sameRel(t *testing.T, label string, got, want *Relation) bool {
+	t.Helper()
+	if !got.Schema().Equal(want.Schema()) || got.Len() != want.Len() || !slices.Equal(got.data, want.data) {
+		t.Logf("%s: got %v, want %v", label, got, want)
+		return false
+	}
+	return true
+}
 
 func TestSortByParMatchesSortBy(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(23))}
+	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(23))}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		arity := 1 + rng.Intn(3)
 		schema := NewSchema(identityPositions(arity)...)
 		doms := []int64{3, 1000, 1 << 40}
-		r := randomRel(rng, schema, ParCutoff+rng.Intn(4000), doms[rng.Intn(len(doms))])
+		// Both sides of radixMinRows.
+		r := randomRel(rng, schema, rng.Intn(4*radixMinRows), doms[rng.Intn(len(doms))])
 		pos := rng.Perm(arity)[:1+rng.Intn(arity)]
-		want := r.Clone()
-		want.SortBy(pos)
-		for _, w := range forkerCounts {
+		want := refSortBy(r, pos)
+		for name, fk := range blockForkers() {
 			got := r.Clone()
-			got.SortByPar(pos, goForker{w})
-			if !slices.Equal(got.data, want.data) {
-				t.Logf("seed %d workers %d: SortByPar arena differs", seed, w)
+			got.SortByPar(pos, fk)
+			if !sameRel(t, name, got, want) {
 				return false
 			}
 		}
@@ -95,39 +126,32 @@ func TestSortByParSkipsSortedInput(t *testing.T) {
 	ver := r.Version()
 	r.SortByPar([]int{0}, goForker{4})
 	if got := r.Version(); got != ver {
-		t.Fatalf("sorted input re-sorted on parallel path: version %d -> %d", ver, got)
+		t.Fatalf("sorted input re-sorted on the block path: version %d -> %d", ver, got)
 	}
 }
 
+// MergeRuns has one part; its blocks are the runs.
 func TestMergeRunsParMatchesMergeRuns(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(29))}
+	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(29))}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		schema := NewSchema(0, 1)
 		pos := []int{0}
-		k := 2 + rng.Intn(6)
-		r := New(schema)
-		runLens := make([]int, k)
-		idx := int64(0)
-		for i := range runLens {
-			n := rng.Intn(ParCutoff / 2 * 3)
-			run := New(schema)
-			for j := 0; j < n; j++ {
-				run.AddValues(rng.Int63n(40)-20, idx) // payload pins stability
-				idx++
+		for _, k := range []int{1, 2, 7} {
+			r := New(schema)
+			runLens := make([]int, k)
+			idx := int64(0)
+			for i := range runLens {
+				run := New(schema)
+				for j := rng.Intn(60); j > 0; j-- {
+					run.AddValues(rng.Int63n(12)-6, idx) // payload pins stability
+					idx++
+				}
+				run.SortBy(pos)
+				runLens[i] = run.Len()
+				r.Append(run)
 			}
-			run.SortBy(pos)
-			runLens[i] = run.Len()
-			r.Append(run)
-		}
-		if r.Len() < ParCutoff {
-			return true // sub-cutoff draws delegate trivially
-		}
-		want := r.MergeRuns(runLens, pos)
-		for _, w := range forkerCounts {
-			got := r.MergeRunsPar(runLens, pos, goForker{w})
-			if !slices.Equal(got.data, want.data) || got.Len() != want.Len() {
-				t.Logf("seed %d workers %d: MergeRunsPar differs", seed, w)
+			if !sameRel(t, "MergeRuns", r.MergeRuns(runLens, pos), refMergeRuns(r, runLens, pos)) {
 				return false
 			}
 		}
@@ -139,23 +163,29 @@ func TestMergeRunsParMatchesMergeRuns(t *testing.T) {
 }
 
 func TestDedupParMatchesDedup(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(31))}
+	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(31))}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		arity := 1 + rng.Intn(3)
 		schema := NewSchema(identityPositions(arity)...)
 		// Small domains force heavy duplication; large ones almost none.
+		// Sizes fall on both sides of smallDedupCutoff.
 		doms := []int64{2, 30, 1 << 30}
-		r := randomRel(rng, schema, ParCutoff+rng.Intn(4000), doms[rng.Intn(len(doms))])
-		want := r.Dedup()
-		for _, w := range forkerCounts {
-			got := r.DedupPar(goForker{w})
-			if !slices.Equal(got.data, want.data) || got.Len() != want.Len() {
-				t.Logf("seed %d workers %d: DedupPar differs", seed, w)
+		r := randomRel(rng, schema, rng.Intn(6*smallDedupCutoff), doms[rng.Intn(len(doms))])
+		want := refDedup(r)
+		for name, fk := range blockForkers() {
+			if !sameRel(t, name, r.DedupPar(fk), want) {
 				return false
 			}
 		}
-		return true
+		first := r.FirstRows()
+		for k, i := range first {
+			if !slices.Equal(r.Row(int(i)), want.Row(k)) {
+				t.Logf("FirstRows[%d] = row %d, not row %d of the dedup", k, i, k)
+				return false
+			}
+		}
+		return len(first) == want.Len()
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
@@ -163,17 +193,24 @@ func TestDedupParMatchesDedup(t *testing.T) {
 }
 
 func TestSemiJoinParMatchesSemiJoin(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(37))}
+	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(37))}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := randomRel(rng, NewSchema(0, 1), ParCutoff+rng.Intn(4000), 50)
-		s := randomRel(rng, NewSchema(1, 2), 1+rng.Intn(2000), 50)
-		want := r.SemiJoin(s)
-		for _, w := range forkerCounts {
-			got := r.SemiJoinPar(s, goForker{w})
-			if !slices.Equal(got.data, want.data) || got.Len() != want.Len() {
-				t.Logf("seed %d workers %d: SemiJoinPar differs", seed, w)
+		// Around smallRows, where the kept-row list leaves the stack.
+		r := randomRel(rng, NewSchema(0, 1), rng.Intn(3*smallRows), 8)
+		s := randomRel(rng, NewSchema(1, 2), rng.Intn(40), 8)
+		want := refSemiJoin(r, s)
+		for name, fk := range blockForkers() {
+			if !sameRel(t, name, r.SemiJoinPar(s, fk), want) {
 				return false
+			}
+		}
+		for _, gt := range []bool{false, true} {
+			want := refSelect(r, 1, 2, gt)
+			for name, fk := range blockForkers() {
+				if !sameRel(t, name, r.filterRows(rowPred{col: 1, v: 2, gt: gt}, fk), want) {
+					return false
+				}
 			}
 		}
 		return true
@@ -184,18 +221,20 @@ func TestSemiJoinParMatchesSemiJoin(t *testing.T) {
 }
 
 func TestJoinParMatchesJoin(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(43))}
+	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(43))}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		// Skewed key domains give long chains on some keys; either side
-		// may be the build side depending on the draw.
-		r := randomRel(rng, NewSchema(0, 1), ParCutoff+rng.Intn(3000), 40)
-		s := randomRel(rng, NewSchema(1, 2), ParCutoff+rng.Intn(3000), 40)
-		want := r.Join(s)
-		for _, w := range forkerCounts {
-			got := r.JoinPar(s, goForker{w})
-			if !slices.Equal(got.data, want.data) || got.Len() != want.Len() {
-				t.Logf("seed %d workers %d: JoinPar differs", seed, w)
+		// may be the build side depending on the draw, and equal sizes
+		// (the tie goes to s) come up at zero.
+		r := randomRel(rng, NewSchema(0, 1), rng.Intn(3*smallRows), 6)
+		s := randomRel(rng, NewSchema(1, 2), rng.Intn(3*smallRows), 6)
+		if rng.Intn(4) == 0 {
+			s = randomRel(rng, NewSchema(1, 2), r.Len(), 6)
+		}
+		want := refJoin(r, s)
+		for name, fk := range blockForkers() {
+			if !sameRel(t, name, r.JoinPar(s, fk), want) {
 				return false
 			}
 		}
@@ -206,56 +245,56 @@ func TestJoinParMatchesJoin(t *testing.T) {
 	}
 }
 
-func TestJoinParCartesianFallsBack(t *testing.T) {
-	r := randomRel(rand.New(rand.NewSource(1)), NewSchema(0), ParCutoff+10, 5)
+func TestJoinParCartesian(t *testing.T) {
+	r := randomRel(rand.New(rand.NewSource(1)), NewSchema(0), 2*smallRows, 5)
 	s := randomRel(rand.New(rand.NewSource(2)), NewSchema(1), 3, 5)
-	want := r.Join(s)
-	got := r.JoinPar(s, goForker{4})
-	if !slices.Equal(got.data, want.data) {
-		t.Fatal("Cartesian JoinPar differs from Join")
+	for name, fk := range blockForkers() {
+		if !sameRel(t, name, r.JoinPar(s, fk), refJoin(r, s)) || !sameRel(t, name, s.JoinPar(r, fk), refJoin(s, r)) {
+			t.Fatal("Cartesian JoinPar differs from the nested loop")
+		}
 	}
 }
 
-func TestAggregateSumParMatchesSequential(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(47))}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := randomRel(rng, NewSchema(0, 1, 2), ParCutoff+rng.Intn(4000), 25)
-		kpos := []int{0, 1}
-		vpos := 2
-		// Sequential reference: the localAggregate insert loop.
-		groups := hashtab.New(len(kpos), r.Len())
-		var wantSums []int64
-		var wantReps []int32
-		for i := 0; i < r.Len(); i++ {
-			row := r.Row(i)
-			e, found := groups.Insert(row, kpos)
-			if !found {
-				wantSums = append(wantSums, 0)
-				wantReps = append(wantReps, int32(i))
-			}
-			wantSums[e] += row[vpos]
-		}
-		for _, w := range forkerCounts[1:] { // Workers()==1 returns nil by design
-			reps, sums := r.AggregateSumPar(kpos, vpos, goForker{w})
-			if !slices.Equal(reps, wantReps) || !slices.Equal(sums, wantSums) {
-				t.Logf("seed %d workers %d: AggregateSumPar differs", seed, w)
-				return false
-			}
-		}
-		return true
+// TestKernelsAboveCutoff runs every kernel through the cut blocksOf
+// makes on its own — inputs of ParCutoff rows and more on a real
+// multi-goroutine Forker — against the same references.
+func TestKernelsAboveCutoff(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	r := randomRel(rng, NewSchema(0, 1), ParCutoff+rng.Intn(2000), 1<<20)
+	for i := 0; i < r.Len(); i += 3 {
+		r.Row(i)[1] = int64(i % 50) // a third of the rows find partners
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
+	s := randomRel(rng, NewSchema(1, 2), 60, 25)
+	for _, w := range []int{2, 3, 8} {
+		fk := goForker{w}
+		ResetParStats()
+		ok := sameRel(t, "SemiJoinPar", r.SemiJoinPar(s, fk), refSemiJoin(r, s)) &&
+			sameRel(t, "JoinPar", r.JoinPar(s, fk), refJoin(r, s)) &&
+			sameRel(t, "JoinPar swapped", s.JoinPar(r, fk), refJoin(s, r)) &&
+			sameRel(t, "DedupPar", r.DedupPar(fk), r.Dedup())
+		sorted := r.Clone()
+		sorted.SortByPar([]int{1, 0}, fk)
+		if !ok || !sameRel(t, "SortByPar", sorted, refSortBy(r, []int{1, 0})) {
+			t.Fatalf("workers %d: a kernel differs from its reference above the cutoff", w)
+		}
+		if st := ParStats(); st.KernelRuns < 5 {
+			t.Fatalf("workers %d: %+v, want every kernel over several blocks", w, st)
+		}
 	}
 }
 
-// Sub-cutoff inputs must stay sequential and be counted; a run with
-// parallel kernels off must take the sequential path outright.
+// ParStats: KernelRuns counts runs over several blocks, SeqCutoffs
+// counts one-block runs forced by the input size on a Forker that would
+// otherwise fan out; a Forker with one worker, or on a run with
+// parallel kernels off, means one block and counts neither way.
 func TestParKernelCutoffAndKillSwitch(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	small := randomRel(rng, NewSchema(0, 1), ParCutoff-1, 10)
-	big := randomRel(rng, NewSchema(0, 1), ParCutoff, 10)
+	// Dedup cuts its first-occurrence list, so keep the rows distinct.
+	small := randomRel(rng, NewSchema(0, 1), ParCutoff-1, 1<<40)
+	big := randomRel(rng, NewSchema(0, 1), ParCutoff, 1<<40)
+	if small.Dedup().Len() != small.Len() || big.Dedup().Len() != big.Len() {
+		t.Fatal("test rows are not distinct")
+	}
 
 	ResetParStats()
 	_ = small.DedupPar(goForker{4})
@@ -264,14 +303,14 @@ func TestParKernelCutoffAndKillSwitch(t *testing.T) {
 	}
 	_ = big.DedupPar(goForker{4})
 	if st := ParStats(); st.KernelRuns != 1 {
-		t.Fatalf("cutoff-size dedup counted %+v, want 1 parallel run", st)
+		t.Fatalf("cutoff-size dedup counted %+v, want 1 multi-block run", st)
 	}
 
-	// A sequential forker never counts either way.
+	// A one-worker forker never counts either way.
 	ResetParStats()
 	_ = big.DedupPar(goForker{1})
 	if st := ParStats(); st.KernelRuns != 0 || st.SeqCutoffs != 0 {
-		t.Fatalf("sequential forker counted %+v", st)
+		t.Fatalf("one-worker forker counted %+v", st)
 	}
 
 	ResetParStats()
@@ -279,7 +318,42 @@ func TestParKernelCutoffAndKillSwitch(t *testing.T) {
 	if st := ParStats(); st.KernelRuns != 0 || st.SeqCutoffs != 0 {
 		t.Fatalf("ParKernels()==false ignored: %+v", st)
 	}
-	if !slices.Equal(out.data, big.Dedup().data) {
-		t.Fatal("kernels-off path differs from Dedup")
+	if !slices.Equal(out.data, refDedup(big).data) {
+		t.Fatal("kernels-off path differs from the reference")
+	}
+}
+
+// The small-fragment guard: the catalog workloads run ~8-row fragments,
+// so the one-block case may allocate no block list, offset table,
+// closure or per-row scratch. want is the measured count of this tree
+// and must stay at or under parent, the count of the same call on the
+// commit before the block kernels (20a6c53), measured with this test.
+// Index builds are outside the counts (retained on the build side; the
+// first, uncounted run of AllocsPerRun pays them).
+func TestOneBlockAllocs(t *testing.T) {
+	for _, rows := range []int{8, 10000} {
+		rng := rand.New(rand.NewSource(int64(rows)))
+		r := randomRel(rng, NewSchema(0, 1), rows, int64(rows))
+		s := randomRel(rng, NewSchema(1, 2), rows, int64(rows))
+		pos := []int{1}
+		for _, c := range []struct {
+			name         string
+			want, parent [2]float64 // at 8 and 10 000 rows
+			run          func()
+		}{
+			{"SemiJoin", [2]float64{5, 6}, [2]float64{7, 21}, func() { r.SemiJoin(s) }},
+			{"Join", [2]float64{13, 14}, [2]float64{18, 32}, func() { r.Join(s) }},
+			{"Dedup", [2]float64{2, 3}, [2]float64{2, 3}, func() { r.Dedup() }},
+			{"SortBy", [2]float64{4, 6}, [2]float64{4, 6}, func() { r.Clone().SortBy(pos) }},
+		} {
+			k := 0
+			if rows > 8 {
+				k = 1
+			}
+			got := testing.AllocsPerRun(10, c.run)
+			if got != c.want[k] || got > c.parent[k] {
+				t.Errorf("%s at %d rows: %.0f allocations, want %.0f (parent %.0f)", c.name, rows, got, c.want[k], c.parent[k])
+			}
+		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"coverpack/internal/metrics"
 )
 
-// Parallel-kernel telemetry, following the streaming layer's pattern:
+// Block-kernel telemetry, following the streaming layer's pattern:
 // hot-path counts land in process-wide atomics and reach the default
 // registry as callback series read at scrape time, staying available
 // to tests through ParStats even with metrics disabled.
@@ -18,10 +18,10 @@ var (
 
 // ParCounters snapshots the parallel-kernel counters.
 type ParCounters struct {
-	// KernelRuns is the number of kernels that took a parallel path.
+	// KernelRuns is the number of kernel runs over several blocks.
 	KernelRuns uint64
-	// SeqCutoffs is the number of parallel-eligible kernels that stayed
-	// sequential because the input was below ParCutoff.
+	// SeqCutoffs is the number of kernel runs on a multi-worker Forker
+	// that ran one block because the input was below ParCutoff.
 	SeqCutoffs uint64
 }
 
@@ -41,9 +41,9 @@ func ResetParStats() {
 
 func init() {
 	metrics.Default.NewCounterFunc("coverpack_par_kernels_total",
-		"Relation kernels executed on the morsel-parallel path.",
+		"Relation kernel runs over several row blocks.",
 		func() float64 { return float64(parKernelRuns.Load()) })
 	metrics.Default.NewCounterFunc("coverpack_morsel_seq_cutoffs_total",
-		"Parallel-eligible relation kernels that stayed sequential under the cost cutoff.",
+		"Relation kernel runs held to one row block by the cost cutoff.",
 		func() float64 { return float64(parSeqCutoffs.Load()) })
 }

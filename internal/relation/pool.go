@@ -20,7 +20,7 @@ import (
 // it. In practice that is the mpc.Cluster: it tracks every pooled blob
 // it acquires during a run and releases them all in Release(), after
 // the run's Report (scalars only) has been extracted. Slab blobs are
-// shared by many relations (NewSlabArena), so only the whole blob —
+// shared by many relations (NewSlabCounts), so only the whole blob —
 // never an individual relation's sub-slice — is ever released.
 //
 // Determinism. Recycled arenas are returned with length 0 (append
@@ -204,39 +204,15 @@ func reservePut(cl int, a []Value) bool {
 	return true
 }
 
-// NewSlabArena is NewSlab with the arena block drawn from the pool. It
-// additionally returns the backing blob so the owner can recycle it
-// with PutArena once every relation in the slab is dead (nil when no
-// block was allocated). The sub-slices share the single blob, so only
-// the returned blob — never an individual relation's arena — may be
-// released.
-func NewSlabArena(schema Schema, n, perHint int) ([]*Relation, []Value) {
-	arity := schema.Len()
-	slab := make([]Relation, n)
-	out := make([]*Relation, n)
-	var blob []Value
-	if perHint > 0 && arity > 0 {
-		need := n * perHint * arity
-		blob = GetArena(need)[:need]
-	}
-	for i := range slab {
-		slab[i] = Relation{schema: schema, arity: arity}
-		if blob != nil {
-			lo := i * perHint * arity
-			slab[i].data = blob[lo : lo : lo+perHint*arity]
-		}
-		out[i] = &slab[i]
-	}
-	return out, blob
-}
-
 // NewSlabCounts returns len(counts) relations over schema in one
 // pooled blob, relation i holding exactly counts[i] rows at value
 // offset arity·Σcounts[:i]. The rows are stale until the caller has
 // written every one of them through the returned blob — the scatter
 // pass of a count-then-scatter exchange. Arena slices are capped at
 // their region, so a relation that later grows reallocates on its own.
-// Ownership of the blob is as for NewSlabArena.
+// The sub-slices share the single blob, so only the returned blob —
+// never an individual relation's arena — may be recycled with PutArena,
+// once every relation in the slab is dead.
 func NewSlabCounts(schema Schema, counts []int) ([]*Relation, []Value) {
 	arity := schema.Len()
 	total := 0

@@ -35,9 +35,9 @@ func refPerm(r *Relation, pos []int) []int32 {
 	return perm
 }
 
-// Property: radixPerm equals the stable comparison sort for every row
-// count, arity, key-column subset, and domain — including negative
-// values and heavy tie multiplicity.
+// Property: radixOrder equals the stable comparison sort for every row
+// count, arity, key-column subset, domain — including negative values
+// and heavy tie multiplicity — and cut of the rows into blocks.
 func TestPropertyRadixPermMatchesStableSort(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(7))}
 	f := func(seed int64) bool {
@@ -53,8 +53,13 @@ func TestPropertyRadixPermMatchesStableSort(t *testing.T) {
 		r := randomRel(rng, schema, n, doms[rng.Intn(len(doms))])
 		// Key over a random non-empty position subset, random order.
 		pos := rng.Perm(arity)[:1+rng.Intn(arity)]
-		got := radixPerm(r.data, r.rows, r.arity, pos)
-		return slices.Equal(got, refPerm(r, pos))
+		want := refPerm(r, pos)
+		for _, fk := range blockForkers() {
+			if got := radixOrder(r.data, r.rows, r.arity, pos, fk, blocksOf(fk, r.rows)); !slices.Equal(got, want) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

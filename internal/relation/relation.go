@@ -332,7 +332,7 @@ func DecodeKey(key string) (vals []Value, ok bool) {
 
 // Positions resolves the named attributes to tuple positions under this
 // schema, panicking on a missing attribute. Precomputing positions once
-// and hashing rows directly (hashtab.Hash) avoids KeyOn's per-tuple
+// and hashing rows directly (hashtab.Hash) avoids per-tuple attribute
 // resolution and string building in hot loops.
 func (s Schema) Positions(attrs []int) []int {
 	pos := make([]int, len(attrs))
@@ -353,11 +353,6 @@ func identityPositions(n int) []int {
 		pos[i] = i
 	}
 	return pos
-}
-
-// KeyOn encodes the projection of t onto the named attributes.
-func (r *Relation) KeyOn(t Tuple, attrs []int) string {
-	return Key(t, r.schema.Positions(attrs))
 }
 
 // Grow reserves arena capacity for at least n additional tuples.
@@ -384,8 +379,8 @@ func FromTuples(schema Schema, tuples []Tuple) *Relation {
 // FromData wraps an existing row-major arena as a relation, taking
 // ownership of the slice. rows must equal len(data)/arity (rows is
 // explicit so 0-ary relations keep their multiplicity); this is the
-// zero-copy assembly path for engine-internal concatenation (see
-// Builder).
+// zero-copy assembly path for the kernels' exactly sized outputs and
+// engine-internal concatenation.
 func FromData(schema Schema, data []Value, rows int) *Relation {
 	if arity := schema.Len(); arity*rows != len(data) {
 		panic(fmt.Sprintf("relation: FromData arena length %d != %d rows × arity %d", len(data), rows, arity))
@@ -397,26 +392,24 @@ func FromData(schema Schema, data []Value, rows int) *Relation {
 // output and comparisons). Full-row comparison makes ties identical, so
 // the permutation sort needs no stability to be deterministic.
 func (r *Relation) Sort() {
-	r.sortByPositions(identityPositions(r.arity), false)
+	r.sortByPositions(identityPositions(r.arity), false, nil)
 }
 
 // SortBy stably orders tuples in place by the given schema positions;
 // rows that compare equal on the positions keep their relative order
 // (the in-place successor of sorting a materialized []Tuple with
 // sort.SliceStable).
-func (r *Relation) SortBy(pos []int) {
-	r.sortByPositions(pos, true)
-}
+func (r *Relation) SortBy(pos []int) { r.SortByPar(pos, nil) }
 
-// sortByPositions sorts via a row-index permutation and one pass
-// applying the permutation into a fresh arena. Already-sorted inputs
-// (detected by one linear scan — common for fragments returned by a
-// cached re-exchange) skip the permutation and arena copy entirely,
-// leaving the arena and version stamp untouched. Large inputs take the
-// stable LSD radix path (radix.go); its permutation is identical to
-// slices.SortStableFunc's, and for the unstable full-row Sort() call
-// tie rows are whole-row-equal so stability is indistinguishable.
-func (r *Relation) sortByPositions(pos []int, stable bool) {
+// SortByPar is SortBy with the sorted check, the radix passes and the
+// permutation apply run block by block over f.
+func (r *Relation) SortByPar(pos []int, f Forker) { r.sortByPositions(pos, true, f) }
+
+// sortByPositions sorts via a row-index permutation (sortPerm) and one
+// pass applying it into a fresh arena. Already-sorted inputs skip the
+// permutation and arena copy entirely, leaving the arena and version
+// stamp untouched.
+func (r *Relation) sortByPositions(pos []int, stable bool, f Forker) {
 	if r.rows < 2 || r.arity == 0 || len(pos) == 0 {
 		return
 	}
@@ -431,41 +424,12 @@ func (r *Relation) sortByPositions(pos []int, stable bool) {
 		}
 		r.pageIn()
 	}
-	if r.sortedOnPositions(pos) {
+	cuts := blocksOf(f, r.rows)
+	perm := r.sortPerm(pos, stable, f, cuts)
+	if perm == nil {
 		return
 	}
-	var perm []int32
-	if r.rows >= radixMinRows {
-		perm = radixPerm(r.data, r.rows, r.arity, pos)
-	} else {
-		perm = make([]int32, r.rows)
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		cmp := func(a, b int32) int {
-			ra := r.data[int(a)*r.arity:]
-			rb := r.data[int(b)*r.arity:]
-			for _, p := range pos {
-				if ra[p] != rb[p] {
-					if ra[p] < rb[p] {
-						return -1
-					}
-					return 1
-				}
-			}
-			return 0
-		}
-		if stable {
-			slices.SortStableFunc(perm, cmp)
-		} else {
-			slices.SortFunc(perm, cmp)
-		}
-	}
-	out := make([]Value, len(r.data))
-	for i, src := range perm {
-		copy(out[i*r.arity:(i+1)*r.arity], r.data[int(src)*r.arity:])
-	}
-	r.data = out
+	r.data = r.gather(perm, f, cuts)
 	r.invalidate()
 }
 

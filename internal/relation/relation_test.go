@@ -101,8 +101,8 @@ func TestProjectSelectDedup(t *testing.T) {
 	if s := r.SelectEq(0, 1); s.Len() != 2 {
 		t.Fatalf("SelectEq len = %d", s.Len())
 	}
-	if s := r.SelectIn(1, map[Value]bool{10: true}); s.Len() != 2 {
-		t.Fatalf("SelectIn len = %d", s.Len())
+	if s := r.SelectGt(1, 10); s.Len() != 1 || s.Row(0)[1] != 20 {
+		t.Fatalf("SelectGt = %v", s)
 	}
 	dv := r.DistinctValues(0)
 	if len(dv) != 2 || !dv[1] || !dv[2] {
@@ -110,7 +110,7 @@ func TestProjectSelectDedup(t *testing.T) {
 	}
 }
 
-func TestSemiAndAntiJoin(t *testing.T) {
+func TestSemiJoin(t *testing.T) {
 	r := New(NewSchema(0, 1))
 	r.AddValues(1, 10)
 	r.AddValues(2, 20)
@@ -123,10 +123,6 @@ func TestSemiAndAntiJoin(t *testing.T) {
 	if sj.Len() != 2 {
 		t.Fatalf("SemiJoin len = %d", sj.Len())
 	}
-	aj := r.AntiJoin(s)
-	if aj.Len() != 1 || aj.Tuples()[0][0] != 2 {
-		t.Fatalf("AntiJoin = %v", aj)
-	}
 	// Disjoint schemas: semi-join keeps everything iff other nonempty.
 	d := New(NewSchema(5))
 	if got := r.SemiJoin(d); got.Len() != 0 {
@@ -135,9 +131,6 @@ func TestSemiAndAntiJoin(t *testing.T) {
 	d.AddValues(1)
 	if got := r.SemiJoin(d); got.Len() != 3 {
 		t.Fatal("SemiJoin with nonempty disjoint relation should keep all")
-	}
-	if got := r.AntiJoin(d); got.Len() != 0 {
-		t.Fatal("AntiJoin with nonempty disjoint relation should be empty")
 	}
 }
 
@@ -200,24 +193,6 @@ func TestJoinBuildSideSymmetry(t *testing.T) {
 	}
 }
 
-func TestGroupCount(t *testing.T) {
-	r := New(NewSchema(0, 1))
-	r.AddValues(1, 10)
-	r.AddValues(1, 11)
-	r.AddValues(2, 20)
-	g := r.GroupCount(0, 99)
-	if g.Len() != 2 {
-		t.Fatalf("GroupCount len = %d", g.Len())
-	}
-	counts := map[Value]Value{}
-	for _, t2 := range g.Tuples() {
-		counts[g.Get(t2, 0)] = g.Get(t2, 99)
-	}
-	if counts[1] != 2 || counts[2] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-}
-
 func TestKeyEncoding(t *testing.T) {
 	a := Tuple{1, 2, 3}
 	b := Tuple{1, 2, 4}
@@ -232,5 +207,95 @@ func TestKeyEncoding(t *testing.T) {
 	d := Tuple{1}
 	if Key(c, []int{0}) == Key(d, []int{0}) {
 		t.Fatal("sign collision")
+	}
+}
+
+func TestFromTuples(t *testing.T) {
+	schema := NewSchema(0, 1)
+	ts := []Tuple{{1, 2}, {3, 4}}
+	r := FromTuples(schema, ts)
+	if r.Len() != 2 || !r.Schema().Equal(schema) {
+		t.Fatalf("FromTuples: len %d schema %v", r.Len(), r.Schema())
+	}
+	// The arena copies the inputs: mutating the source tuples afterwards
+	// must not reach into the relation.
+	ts[0][0] = 99
+	if r.Row(0)[0] != 1 {
+		t.Fatalf("FromTuples aliased its input: row 0 = %v", r.Row(0))
+	}
+}
+
+func TestFromDataZeroCopyAndValidation(t *testing.T) {
+	schema := NewSchema(0, 1)
+	data := []Value{1, 2, 3, 4}
+	r := FromData(schema, data, 2)
+	if r.Len() != 2 || r.Row(1)[0] != 3 {
+		t.Fatalf("FromData: len %d row1 %v", r.Len(), r.Row(1))
+	}
+	// Zero-copy: the relation owns the passed arena.
+	data[0] = 42
+	if r.Row(0)[0] != 42 {
+		t.Fatal("FromData must wrap the arena without copying")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("mismatched arena length should panic")
+			}
+		}()
+		FromData(schema, []Value{1, 2, 3}, 2)
+	}()
+}
+
+func TestRowViewInvalidationContract(t *testing.T) {
+	r := New(NewSchema(0, 1))
+	r.Grow(2)
+	r.AddValues(1, 2)
+	row := r.Row(0)
+	// Appends within reserved capacity keep existing views readable.
+	r.AddValues(3, 4)
+	if row[0] != 1 || row[1] != 2 {
+		t.Fatalf("view corrupted by in-capacity append: %v", row)
+	}
+	// A view is capped at its row boundary: appending through it must
+	// not scribble over the next row.
+	_ = append(row, 99)
+	if r.Row(1)[0] != 3 {
+		t.Fatalf("append through a view corrupted the next row: %v", r.Row(1))
+	}
+}
+
+func TestPositionsAndGrow(t *testing.T) {
+	schema := NewSchema(10, 20, 30)
+	pos := schema.Positions([]int{30, 10})
+	if len(pos) != 2 || pos[0] != 2 || pos[1] != 0 {
+		t.Fatalf("Positions = %v", pos)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("unknown attribute should panic")
+			}
+		}()
+		schema.Positions([]int{99})
+	}()
+	r := New(schema)
+	r.Grow(100)
+	if r.Len() != 0 {
+		t.Fatalf("Grow changed Len to %d", r.Len())
+	}
+	r.Add(Tuple{1, 2, 3})
+	if r.Len() != 1 {
+		t.Fatalf("Len = %d after Add", r.Len())
+	}
+}
+
+func TestDecodeKeyRejectsBadLength(t *testing.T) {
+	if _, ok := DecodeKey("1234567"); ok {
+		t.Fatal("7-byte key should be rejected")
+	}
+	vals, ok := DecodeKey("")
+	if !ok || len(vals) != 0 {
+		t.Fatalf("empty key: ok=%v vals=%v", ok, vals)
 	}
 }

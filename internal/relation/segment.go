@@ -67,7 +67,7 @@ const spillHeaderLen = len(spillMagic) + 16
 
 // encodeValue maps a value to the sort-order-preserving unsigned form:
 // flipping the sign bit makes unsigned byte order equal int64 order
-// (the same transform radixPerm applies before bucketing).
+// (the same transform radixOrder applies before bucketing).
 func encodeValue(v Value) uint64 { return uint64(v) ^ (1 << 63) }
 
 // decodeValue inverts encodeValue.

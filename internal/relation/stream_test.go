@@ -46,9 +46,7 @@ func TestStreamOpsEmptyInput(t *testing.T) {
 	assertSame(t, "filter", Materialize(Filter(empty.Iter(), func(Tuple) bool { return true })), empty)
 	assertSame(t, "project", Materialize(Project(empty.Iter(), NewSchema(2))), empty.ProjectTo(NewSchema(2)))
 	assertSame(t, "dedup", Materialize(StreamDedup(empty.Iter())), empty.Dedup())
-	assertSame(t, "dedupIter", Materialize(empty.DedupIter()), empty.Dedup())
 	assertSame(t, "semijoin", Materialize(StreamSemiJoin(empty.Iter(), s)), empty.SemiJoin(s))
-	assertSame(t, "antijoin", Materialize(StreamAntiJoin(empty.Iter(), s)), empty.AntiJoin(s))
 	assertSame(t, "join", Materialize(StreamJoin(empty.Iter(), s)), empty.Join(s))
 
 	// And the source iterator itself: no chunks at all.
@@ -67,9 +65,7 @@ func TestStreamOpsSingleChunk(t *testing.T) {
 		10, 100, 25, 250, 99, 990)
 
 	assertSame(t, "dedup", Materialize(StreamDedup(r.Iter())), r.Dedup())
-	assertSame(t, "dedupIter", Materialize(r.DedupIter()), r.Dedup())
 	assertSame(t, "semijoin", Materialize(StreamSemiJoin(r.Iter(), s)), r.SemiJoin(s))
-	assertSame(t, "antijoin", Materialize(StreamAntiJoin(r.Iter(), s)), r.AntiJoin(s))
 	assertSame(t, "selecteq", Materialize(FilterEq(r.Iter(), 1, 1)), r.SelectEq(1, 1))
 	assertSame(t, "project", Materialize(Project(r.Iter(), NewSchema(2))), r.ProjectTo(NewSchema(2)))
 	// s is the smaller side, so Join builds on it and StreamJoin's
@@ -94,7 +90,6 @@ func TestStreamDedupChunkStraddlingDuplicates(t *testing.T) {
 		t.Fatalf("materialized dedup kept %d rows, want %d", want.Len(), distinct)
 	}
 	assertSame(t, "StreamDedup", Materialize(StreamDedup(r.Iter())), want)
-	assertSame(t, "DedupIter", Materialize(r.DedupIter()), want)
 }
 
 // TestStreamFilterResumesMidChunk forces the scratch chunk to fill
@@ -128,7 +123,7 @@ func TestStreamDoubleIterationPanics(t *testing.T) {
 	}
 	defer func() {
 		msg, _ := recover().(string)
-		if !strings.Contains(msg, "single-pass") || !strings.Contains(msg, "BufferedIterator") {
+		if !strings.Contains(msg, "single-pass") || !strings.Contains(msg, "Materialize") {
 			t.Fatalf("re-iterating an exhausted computed iterator: panic %q, want the single-pass guidance", msg)
 		}
 	}()
@@ -136,77 +131,10 @@ func TestStreamDoubleIterationPanics(t *testing.T) {
 	t.Fatal("Next after exhaustion did not panic")
 }
 
-func TestBufferedIteratorRewindableSource(t *testing.T) {
-	r := buildRel([]int{1, 2}, 1, 10, 2, 20, 3, 30)
-	before := StreamStats().Spills
-	b := Buffer(r.Iter())
-	assertSame(t, "pass1", Materialize(drain(b)), r)
-	b.Rewind()
-	assertSame(t, "pass2", Materialize(drain(b)), r)
-	if b.Retained() != 0 {
-		t.Fatalf("rewindable source retained %d rows", b.Retained())
-	}
-	if got := StreamStats().Spills; got != before {
-		t.Fatalf("rewindable source spilled (%d -> %d)", before, got)
-	}
-	b.Release()
-}
-
-func TestBufferedIteratorComputedSource(t *testing.T) {
-	r := New(NewSchema(1))
-	n := 2*streamChunkRows + 11
-	for i := 0; i < n; i++ {
-		r.Add(Tuple{Value(i)})
-	}
-	before := StreamStats().Spills
-	b := Buffer(Filter(r.Iter(), func(t Tuple) bool { return t[0]%3 != 0 }))
-	want := New(r.Schema())
-	for i := 0; i < n; i++ {
-		if t := r.Row(i); t[0]%3 != 0 {
-			want.Add(t)
-		}
-	}
-
-	// First pass stops early; Rewind must drain the remainder into the
-	// retained arena and then replay everything.
-	if _, ok := b.Next(); !ok {
-		t.Fatal("first chunk missing")
-	}
-	b.Rewind()
-	assertSame(t, "replay", Materialize(drain(b)), want)
-	if b.Retained() != want.Len() {
-		t.Fatalf("retained %d rows, want %d", b.Retained(), want.Len())
-	}
-	if got := StreamStats().Spills; got == before {
-		t.Fatal("computed source did not record a spill")
-	}
-	b.Release()
-
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.Contains(msg, "after Release") {
-			t.Fatalf("use-after-Release: panic %q", msg)
-		}
-	}()
-	b.Next()
-	t.Fatal("Next after Release did not panic")
-}
-
-// drain adapts a BufferedIterator for Materialize without closing it
-// (Materialize closes its iterator; these tests manage Release
-// themselves to check post-Release behavior).
-func drain(b *BufferedIterator) RowIterator { return noCloseIterator{b} }
-
-type noCloseIterator struct{ b *BufferedIterator }
-
-func (n noCloseIterator) Schema() Schema      { return n.b.Schema() }
-func (n noCloseIterator) Next() (Chunk, bool) { return n.b.Next() }
-func (n noCloseIterator) Close()              {}
-
-// TestStreamingArenaPoolBalance pins satellite 2: every pooled arena a
-// streaming pipeline takes (scratch chunks, dedup tables aside — those
-// pool separately — and BufferedIterator spill arenas) goes back
-// through PutArena by the time the pipeline is closed and released.
+// TestStreamingArenaPoolBalance pins that every pooled arena a
+// streaming pipeline takes (scratch chunks; dedup tables pool
+// separately) goes back through PutArena by the time the pipeline is
+// closed.
 func TestStreamingArenaPoolBalance(t *testing.T) {
 	if !PoolingEnabled() {
 		t.Skip("pooling disabled")
@@ -220,12 +148,6 @@ func TestStreamingArenaPoolBalance(t *testing.T) {
 	ResetPoolStats()
 	// A pipeline with every scratch-owning iterator, materialized.
 	Materialize(Project(StreamSemiJoin(StreamDedup(r.Iter()), s), NewSchema(1)))
-	// A spilling BufferedIterator, rewound twice and released.
-	b := Buffer(Filter(r.Iter(), func(t Tuple) bool { return t[0] < 50 }))
-	b.Rewind()
-	Materialize(drain(b))
-	b.Rewind()
-	b.Release()
 	// An abandoned pipeline: Close mid-stream must still return every
 	// scratch arena.
 	it := Project(Filter(r.Iter(), func(Tuple) bool { return true }), NewSchema(2))
@@ -274,9 +196,7 @@ func FuzzStreamingVsMaterialized(f *testing.F) {
 		}
 
 		check("dedup", Materialize(StreamDedup(r.Iter())), r.Dedup())
-		check("dedupIter", Materialize(r.DedupIter()), r.Dedup())
 		check("semijoin", Materialize(StreamSemiJoin(r.Iter(), s)), r.SemiJoin(s))
-		check("antijoin", Materialize(StreamAntiJoin(r.Iter(), s)), r.AntiJoin(s))
 		check("selecteq", Materialize(FilterEq(r.Iter(), 2, 0)), r.SelectEq(2, 0))
 		check("project", Materialize(Project(r.Iter(), NewSchema(2, 1))), r.ProjectTo(NewSchema(2, 1)))
 		if s.Len() <= r.Len() {
@@ -327,40 +247,11 @@ func TestStreamCutoffBoundary(t *testing.T) {
 	}
 }
 
-// TestBufferedIteratorDoubleRelease pins satellite 2: the second
-// Release (and a Close after Release) must be a no-op — in particular
-// it must NOT put the retained arena into the pool a second time.
-func TestBufferedIteratorDoubleRelease(t *testing.T) {
-	if !PoolingEnabled() {
-		t.Skip("pooling disabled")
-	}
-	r := New(NewSchema(1))
-	for i := 0; i < 2*streamChunkRows; i++ {
-		r.Add(Tuple{Value(i)})
-	}
-	ResetPoolStats()
-	// Computed source: the buffer spills rows into a pooled arena.
-	b := Buffer(Filter(r.Iter(), func(Tuple) bool { return true }))
-	b.Rewind() // forces the drain into the retained arena
-	Materialize(drain(b))
-	b.Release()
-	putsAfterFirst := PoolStats().Puts
-	b.Release() // must be a no-op, not a second PutArena
-	b.Close()   // Close delegates to Release; also a no-op now
-	st := PoolStats()
-	if st.Puts != putsAfterFirst {
-		t.Fatalf("double release re-put arenas: puts %d -> %d", putsAfterFirst, st.Puts)
-	}
-	if st.Gets != st.Puts {
-		t.Fatalf("arena pool out of balance: gets=%d puts=%d", st.Gets, st.Puts)
-	}
-}
-
 // TestStreamingArenaPoolBalanceErrorAndEarlyExit extends the
 // pool-balance invariant (Gets==Puts) to the paths that do not drain
 // their input: pipelines abandoned before the first chunk, pipelines
-// closed twice, a BufferedIterator released without ever being read,
-// and a consumer panic unwinding through a deferred Close.
+// closed twice, and a consumer panic unwinding through a deferred
+// Close.
 func TestStreamingArenaPoolBalanceErrorAndEarlyExit(t *testing.T) {
 	if !PoolingEnabled() {
 		t.Skip("pooling disabled")
@@ -383,11 +274,6 @@ func TestStreamingArenaPoolBalanceErrorAndEarlyExit(t *testing.T) {
 	it.Next()
 	it.Close()
 	it.Close()
-
-	// BufferedIterator released without a single Next.
-	b := Buffer(Filter(r.Iter(), func(Tuple) bool { return true }))
-	b.Release()
-	b.Release()
 
 	// Consumer panic: the deferred Close runs mid-stream, as it would
 	// in a recovering caller.

@@ -12,68 +12,31 @@ import (
 // per-chunk registry traffic, and the counters stay available to tests
 // through StreamStats even with metrics disabled.
 
-var (
-	streamChunks atomic.Uint64
-	streamSpills atomic.Uint64
-	// streamPeakRetained is the high-water mark of bytes retained by
-	// any single BufferedIterator spill arena.
-	streamPeakRetained atomic.Uint64
-)
+var streamChunks atomic.Uint64
 
 // noteChunk counts one chunk yielded by any streaming iterator.
 func noteChunk() { streamChunks.Add(1) }
-
-// noteSpill counts one BufferedIterator starting to retain rows.
-func noteSpill() { streamSpills.Add(1) }
-
-// noteRetained raises the peak-retained-arena high-water mark to at
-// least n bytes.
-func noteRetained(n uint64) {
-	for {
-		cur := streamPeakRetained.Load()
-		if n <= cur || streamPeakRetained.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
 
 // StreamCounters snapshots the streaming-layer counters.
 type StreamCounters struct {
 	// Chunks is the total number of chunks yielded by streaming
 	// iterators.
 	Chunks uint64
-	// Spills is the number of BufferedIterators that retained rows to
-	// a spill arena (rewindable sources never spill).
+	// Spills is always zero: no iterator retains rows any more. The
+	// field stays for the readers of this snapshot.
 	Spills uint64
-	// PeakRetainedBytes is the largest spill arena any single
-	// BufferedIterator has held, in bytes.
-	PeakRetainedBytes uint64
 }
 
 // StreamStats snapshots the streaming counters.
 func StreamStats() StreamCounters {
-	return StreamCounters{
-		Chunks:            streamChunks.Load(),
-		Spills:            streamSpills.Load(),
-		PeakRetainedBytes: streamPeakRetained.Load(),
-	}
+	return StreamCounters{Chunks: streamChunks.Load()}
 }
 
 // ResetStreamStats zeroes the streaming counters (test/bench seam).
-func ResetStreamStats() {
-	streamChunks.Store(0)
-	streamSpills.Store(0)
-	streamPeakRetained.Store(0)
-}
+func ResetStreamStats() { streamChunks.Store(0) }
 
 func init() {
 	metrics.Default.NewCounterFunc("coverpack_stream_chunks_total",
 		"Chunks yielded by streaming relation iterators.",
 		func() float64 { return float64(streamChunks.Load()) })
-	metrics.Default.NewCounterFunc("coverpack_stream_spills_total",
-		"BufferedIterator spills to a retained arena.",
-		func() float64 { return float64(streamSpills.Load()) })
-	metrics.Default.NewGaugeFunc("coverpack_stream_retained_bytes_peak",
-		"High-water mark of bytes retained by a single BufferedIterator spill arena.",
-		func() float64 { return float64(streamPeakRetained.Load()) })
 }

@@ -43,8 +43,8 @@ func Run(g *mpc.Group, in *relation.Instance) (*Result, error) {
 	}
 
 	// Scatter and semi-join reduce (removes dangling tuples in O(1)
-	// rounds with load O(N/p) + key-skew). ScatterDedup streams the
-	// dedup straight into the free initial placement.
+	// rounds with load O(N/p) + key-skew). ScatterDedup routes the
+	// first occurrences straight into the free initial placement.
 	rels := make([]*mpc.DistRelation, q.NumEdges())
 	for e := range rels {
 		rels[e] = g.ScatterDedup(in.Rel(e))

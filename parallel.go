@@ -3,17 +3,16 @@ package coverpack
 import "coverpack/internal/relation"
 
 // This file re-exports the intra-operator parallelism layer: the
-// morsel-parallel relation kernels (sort, merge, dedup, semi-join,
-// join, reduce) that fan local operator work out over the cluster's
-// worker pool. Parallel kernels are a pure wall-clock lever — every
-// kernel's output is byte-identical to its sequential reference at any
-// worker count (the difftest oracle runs the full matrix both ways to
-// pin it), and at Workers <= 1 they never engage.
+// relation kernels (sort, dedup, semi-join, join) run over ordered row
+// blocks, several of them across the cluster's worker pool when the
+// input is large enough. Running over several blocks is a pure
+// wall-clock lever — a kernel's output is the same for any cut of its
+// input (the difftest oracle runs the full matrix both ways to pin
+// it), and at Workers <= 1 every kernel runs one block inline.
 
-// ParCounters snapshots the parallel-kernel diagnostics: kernels that
-// took a parallel path, and parallel-eligible kernels that stayed
-// sequential under the cost cutoff. Diagnostics only — never part of a
-// measured result.
+// ParCounters snapshots the block-kernel diagnostics: kernel runs over
+// several blocks, and runs held to one block by the cost cutoff.
+// Diagnostics only — never part of a measured result.
 type ParCounters = relation.ParCounters
 
 // ParStats snapshots the parallel-kernel counters.
@@ -28,12 +27,11 @@ func ResetParStats() { relation.ResetParStats() }
 type ParKernelMode int
 
 const (
-	// ParKernelDefault allows the parallel kernel paths (they still
-	// require Workers > 1 to engage). The zero value, so plain
+	// ParKernelDefault lets kernels run over several blocks (they still
+	// require Workers > 1 to do so). The zero value, so plain
 	// ExecOptions literals keep parallel kernels on.
 	ParKernelDefault ParKernelMode = iota
-	// ParKernelOff runs every local operator through its sequential
-	// reference implementation even on parallel clusters — the
-	// determinism oracle's reference arm.
+	// ParKernelOff runs every local operator over one block even on
+	// parallel clusters — the determinism oracle's reference arm.
 	ParKernelOff
 )
