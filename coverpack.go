@@ -373,8 +373,8 @@ type Report struct {
 }
 
 // ExecOptions configures an execution beyond the algorithm and server
-// budget. It is the run's only configuration for streaming, parallel
-// kernels and spilling: those settings travel on the run's cluster, so
+// budget. It is the run's only configuration for parallel kernels and
+// spilling: those settings travel on the run's cluster, so
 // executions with different ExecOptions are safe side by side.
 // PlanCompile is the one exception (see its comment). The remaining
 // process-wide switches — SetPooling, SetPlanCompileCache,
@@ -399,17 +399,16 @@ type ExecOptions struct {
 	// PlanStats, when non-nil, receives the exchange-plan cache counters
 	// (hits, misses, partition hits, ...) after the run.
 	PlanStats *CacheStats
-	// Streaming selects streaming iterator execution for the run:
-	// StreamDefault (the zero value) streams, StreamOff takes the
-	// materialized operator forms. Results are byte-identical in both
-	// modes; only allocation and wall-clock behavior differ.
+	// Streaming has no effect: every run executes the same exact-size
+	// operators. It stays because internal/bench names it; ROADMAP item 1
+	// deletes it with that harness code.
 	Streaming StreamMode
 	// Spilling selects out-of-core execution for the run: SpillDefault
 	// (the zero value) engages spilling only when SpillDir names a
 	// directory; SpillOn forces it (falling back to os.TempDir());
-	// SpillOff keeps the run fully resident. Like Streaming, results
-	// are byte-identical in every mode — spilling moves bytes between
-	// memory and disk, never changes what a run computes.
+	// SpillOff keeps the run fully resident. Results are byte-identical
+	// in every mode — spilling moves bytes between memory and disk, never
+	// changes what a run computes.
 	Spilling SpillMode
 	// SpillDir is the directory for this run's arena segment files; the
 	// cluster creates (and on Release removes) a private subdirectory
@@ -468,9 +467,6 @@ func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, e
 	}
 	if eo.NoPlanCache {
 		opts = append(opts, mpc.WithPlanCache(false))
-	}
-	if eo.Streaming == StreamOff {
-		opts = append(opts, mpc.WithStreaming(false))
 	}
 	if eo.ParKernels == ParKernelOff {
 		opts = append(opts, mpc.WithParKernels(false))

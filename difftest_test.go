@@ -17,17 +17,22 @@ import (
 // configurations, must produce the same report (emitted count, Stats,
 // chosen L) and the same trace — span tree and per-phase load
 // attribution — bit for bit as the reference run. The reference is the
-// sequential, cache-off, pool-off, materialized, resident run: the
-// pre-caching, pre-pooling, pre-streaming, pre-spilling code path, so
-// any divergence in a row is a determinism-contract violation.
+// sequential, cache-off, pool-off, index-off, resident run: the
+// pre-caching, pre-pooling, pre-spilling code path, so any divergence
+// in a row is a determinism-contract violation.
 //
-// A row is an ExecOptions value. Streaming, parallel kernels, the
-// exchange-plan cache, workers and spilling are all carried by the
+// A row is an ExecOptions value. Parallel kernels, the exchange-plan
+// cache, workers and spilling are all carried by the
 // run's own cluster, so rows that set nothing else run side by side
 // under t.Parallel() — which is itself part of what the oracle pins.
 // The pool-off and index-cache-off rows turn process-wide stores off
 // and therefore run one at a time, before the parallel group (as do
 // the plan-compile and metrics oracles in their own files).
+//
+// Every parallel row also runs untraced (trace-off): with no recorder
+// the engine skips span bookkeeping and per-branch trace buffers, which
+// is the path untraced callers take, and its report must still equal
+// the traced reference's.
 //
 // Spill rows park exchange outputs to disk under a budget small enough
 // that every oracle instance overflows it. Besides byte-identity they
@@ -66,9 +71,10 @@ const spillArmBudget = 4 << 10
 // for the serial rows only, the process-wide stores it runs without.
 // Spill rows name no directory; each run gets a fresh one.
 type oracleArm struct {
-	eo      coverpack.ExecOptions
-	noIndex bool // relation.SetIndexCaching(false)
-	noPool  bool // coverpack.SetPooling(false)
+	eo       coverpack.ExecOptions
+	noIndex  bool // relation.SetIndexCaching(false)
+	noPool   bool // coverpack.SetPooling(false)
+	untraced bool // no Recorder: the report is all the run produces
 }
 
 func (a oracleArm) serial() bool  { return a.noIndex || a.noPool }
@@ -83,9 +89,9 @@ func (a oracleArm) String() string {
 		{a.eo.NoPlanCache, "plancache-off"},
 		{a.noIndex, "index-off"},
 		{a.noPool, "pool-off"},
-		{a.eo.Streaming == coverpack.StreamOff, "stream-off"},
 		{a.eo.ParKernels == coverpack.ParKernelOff, "morsel-off"},
 		{a.spilled(), "spill-on"},
+		{a.untraced, "trace-off"},
 	} {
 		if f.on {
 			s += "," + f.name
@@ -96,54 +102,56 @@ func (a oracleArm) String() string {
 
 // oracleReference is the run every row is compared against.
 var oracleReference = oracleArm{
-	eo:      coverpack.ExecOptions{Workers: 1, NoPlanCache: true, Streaming: coverpack.StreamOff},
+	eo:      coverpack.ExecOptions{Workers: 1, NoPlanCache: true},
 	noIndex: true,
 	noPool:  true,
 }
 
 // oracleArms builds the table. Resident rows: the full workers ×
-// NoPlanCache × Streaming × ParKernels product (ParKernelOff only
-// where workers > 1 lets kernels engage at all), then the serial rows —
-// pool-off, cache-off (plan cache and retained indexes together, the
-// pre-caching path) and both — at workers 1 and 4 in both streaming
-// modes. Spill rows: workers × Streaming, since parked relations are
-// read back by page-in on the materialized path and by segment
-// iterators on the streaming one.
+// NoPlanCache × ParKernels product (ParKernelOff only where workers > 1
+// lets kernels engage at all), then the serial rows — pool-off,
+// cache-off (plan cache and retained indexes together, the pre-caching
+// path) and both — at workers 1 and 4. Spill rows: one per worker
+// count. Each parallel row is then repeated untraced.
 func oracleArms(spill bool) []oracleArm {
-	streams := []coverpack.StreamMode{coverpack.StreamDefault, coverpack.StreamOff}
 	var arms []oracleArm
 	if spill {
 		for _, w := range oracleWorkerSet() {
-			for _, st := range streams {
-				arms = append(arms, oracleArm{eo: coverpack.ExecOptions{
-					Workers: w, Streaming: st,
-					Spilling: coverpack.SpillOn, SpillBudgetBytes: spillArmBudget,
-				}})
-			}
+			arms = append(arms, oracleArm{eo: coverpack.ExecOptions{
+				Workers:  w,
+				Spilling: coverpack.SpillOn, SpillBudgetBytes: spillArmBudget,
+			}})
 		}
-		return arms
+		return withUntraced(arms)
 	}
 	for _, w := range oracleWorkerSet() {
 		for _, noCache := range []bool{false, true} {
-			for _, st := range streams {
-				eo := coverpack.ExecOptions{Workers: w, NoPlanCache: noCache, Streaming: st}
+			eo := coverpack.ExecOptions{Workers: w, NoPlanCache: noCache}
+			arms = append(arms, oracleArm{eo: eo})
+			if w > 1 {
+				eo.ParKernels = coverpack.ParKernelOff
 				arms = append(arms, oracleArm{eo: eo})
-				if w > 1 {
-					eo.ParKernels = coverpack.ParKernelOff
-					arms = append(arms, oracleArm{eo: eo})
-				}
 			}
 		}
 	}
 	for _, w := range []int{1, 4} {
-		for _, st := range streams {
-			on := coverpack.ExecOptions{Workers: w, Streaming: st}
-			off := on
-			off.NoPlanCache = true
-			arms = append(arms, oracleArm{eo: on, noPool: true}, oracleArm{eo: off, noIndex: true})
-			if both := (oracleArm{eo: off, noIndex: true, noPool: true}); both != oracleReference {
-				arms = append(arms, both)
-			}
+		on := coverpack.ExecOptions{Workers: w}
+		off := on
+		off.NoPlanCache = true
+		arms = append(arms, oracleArm{eo: on, noPool: true}, oracleArm{eo: off, noIndex: true})
+		if both := (oracleArm{eo: off, noIndex: true, noPool: true}); both != oracleReference {
+			arms = append(arms, both)
+		}
+	}
+	return withUntraced(arms)
+}
+
+// withUntraced appends an untraced copy of every parallel row.
+func withUntraced(arms []oracleArm) []oracleArm {
+	for _, a := range arms[:len(arms):len(arms)] {
+		if !a.serial() {
+			a.untraced = true
+			arms = append(arms, a)
 		}
 	}
 	return arms
@@ -187,12 +195,20 @@ func (a oracleArm) run(t *testing.T, alg coverpack.Algorithm, in *coverpack.Inst
 		eo.SpillDir = t.TempDir()
 		defer assertEmptyDir(t, eo.SpillDir)
 	}
+	if a.untraced {
+		rep, err := coverpack.ExecuteOpts(alg, in, p, eo)
+		if err != nil {
+			return nil, err
+		}
+		return &runArtifacts{rep: rep}, nil
+	}
 	return tracedExec(alg, in, p, eo)
 }
 
 // assertRunsAgree compares a run against the reference across every
-// observable. SeqFallback is execution metadata (see the file comment),
-// so it is zeroed on both sides before comparing.
+// observable it produced: an untraced run has only its report.
+// SeqFallback is execution metadata (see the file comment), so it is
+// zeroed on both sides before comparing.
 func assertRunsAgree(t *testing.T, label string, ref, got *runArtifacts) {
 	t.Helper()
 	rr, gr := *ref.rep, *got.rep
@@ -200,6 +216,9 @@ func assertRunsAgree(t *testing.T, label string, ref, got *runArtifacts) {
 	if rr != gr {
 		t.Errorf("%s: report diverged\n  reference: emitted=%d stats={%v} L=%d\n  candidate: emitted=%d stats={%v} L=%d",
 			label, ref.rep.Emitted, ref.rep.Stats, ref.rep.L, got.rep.Emitted, got.rep.Stats, got.rep.L)
+	}
+	if got.root == nil {
+		return
 	}
 	if !reflect.DeepEqual(ref.phases, got.phases) {
 		t.Errorf("%s: per-phase load attribution diverged:\n  reference: %+v\n  candidate: %+v", label, ref.phases, got.phases)

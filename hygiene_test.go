@@ -32,7 +32,6 @@ func TestExecuteOptsPathsLeakNoGoroutines(t *testing.T) {
 		{"workers", coverpack.AlgYannakakis, coverpack.ExecOptions{Workers: 4}},
 		{"workers-nocache", coverpack.AlgYannakakis, coverpack.ExecOptions{Workers: 4, NoPlanCache: true}},
 		{"workers-traced", coverpack.AlgTriangle, coverpack.ExecOptions{Workers: 4, Recorder: coverpack.NewTraceCollector()}},
-		{"stream-off", coverpack.AlgYannakakis, coverpack.ExecOptions{Workers: 4, Streaming: coverpack.StreamOff}},
 		{"morsel-off", coverpack.AlgYannakakis, coverpack.ExecOptions{Workers: 4, ParKernels: coverpack.ParKernelOff}},
 		{"spilling", coverpack.AlgYannakakis, coverpack.ExecOptions{Workers: 4, Spilling: coverpack.SpillOn, SpillDir: spillDir, SpillBudgetBytes: 1 << 14}},
 		{"gomaxprocs-workers", coverpack.AlgHyperCube, coverpack.ExecOptions{Workers: -1}},

@@ -60,9 +60,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 			degs[e] = primitives.Degrees(g, rels[e], x, ex.cntAttr)
 		}
 		for _, e := range ch.sx {
-			rows := gatherRows(g, degs[e], func(f *relation.Relation, t relation.Tuple) bool {
-				return f.Get(t, ex.cntAttr) > L
-			})
+			rows := g.Gather(primitives.HeavyFilter(g, degs[e], ex.cntAttr, L))
 			xp := rows.Schema().Pos(x)
 			for i := 0; i < rows.Len(); i++ {
 				heavySet[rows.Row(i)[xp]] = true
@@ -85,14 +83,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 		sums := primitives.ReduceByKey(g, merged, []int{x}, ex.cntAttr)
 		chargeSetBroadcast(g, len(heavySet))
 		lightW := g.Local(sums, func(_ int, f *relation.Relation) *relation.Relation {
-			out := relation.New(f.Schema())
-			xp := f.Schema().Pos(x)
-			for i := 0; i < f.Len(); i++ {
-				if t := f.Row(i); !heavySet[t[xp]] {
-					out.Add(t)
-				}
-			}
-			return out
+			return f.SelectIn(x, heavySet, false)
 		})
 		if lightW.Len() > 0 {
 			pk = primitives.Pack(g, lightW, x, ex.cntAttr, ex.grpAttr, int64(len(ch.sx))*L)
@@ -259,25 +250,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 				// Pack assignment by x (balanced: every light value has
 				// degree ≤ L) to learn their group ids, then shipped.
 				heavyPart := g.Local(rels[e], func(_ int, f *relation.Relation) *relation.Relation {
-					out := relation.New(f.Schema())
-					xp := f.Schema().Pos(x)
-					// Count first so the arena is sized in one allocation.
-					cnt := 0
-					for i := 0; i < f.Len(); i++ {
-						if heavySet[f.Row(i)[xp]] {
-							cnt++
-						}
-					}
-					if cnt == 0 {
-						return out
-					}
-					out.Grow(cnt)
-					for i := 0; i < f.Len(); i++ {
-						if t := f.Row(i); heavySet[t[xp]] {
-							out.Add(t)
-						}
-					}
-					return out
+					return f.SelectIn(x, heavySet, true)
 				})
 				hParts := g.DistributeSpread(heavyPart, sizes, func(f *relation.Relation, t relation.Tuple) []mpc.BranchSend {
 					bi, ok := heavyBranch[f.Get(t, x)]
@@ -288,24 +261,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 				})
 
 				lightPart := g.Local(rels[e], func(_ int, f *relation.Relation) *relation.Relation {
-					out := relation.New(f.Schema())
-					xp := f.Schema().Pos(x)
-					cnt := 0
-					for i := 0; i < f.Len(); i++ {
-						if !heavySet[f.Row(i)[xp]] {
-							cnt++
-						}
-					}
-					if cnt == 0 {
-						return out
-					}
-					out.Grow(cnt)
-					for i := 0; i < f.Len(); i++ {
-						if t := f.Row(i); !heavySet[t[xp]] {
-							out.Add(t)
-						}
-					}
-					return out
+					return f.SelectIn(x, heavySet, false)
 				})
 				var lParts []*mpc.DistRelation
 				if assign != nil && lightPart.Len() > 0 {
@@ -411,15 +367,9 @@ func (ex *executor) heavyBranch(sub *mpc.Group, alive hypergraph.EdgeSet, vars m
 			nv.Remove(x)
 			nvars[e] = nv
 			ns := relation.NewSchema(nv.Attrs()...)
-			if sub.Streaming() && part.Len() > sub.Size()*relation.StreamCutoff {
-				part = sub.LocalStream(part, func(_ int, it relation.RowIterator) relation.RowIterator {
-					return relation.Project(it, ns)
-				})
-			} else {
-				part = sub.Local(part, func(_ int, f *relation.Relation) *relation.Relation {
-					return f.ProjectTo(ns)
-				})
-			}
+			part = sub.Local(part, func(_ int, f *relation.Relation) *relation.Relation {
+				return f.ProjectTo(ns)
+			})
 		}
 		nrels[e] = part
 	}
@@ -428,7 +378,7 @@ func (ex *executor) heavyBranch(sub *mpc.Group, alive hypergraph.EdgeSet, vars m
 		if c.Schema().Has(x) {
 			rest := hypergraph.NewVarSet(c.Schema().Attrs()...)
 			rest.Remove(x)
-			nctx = append(nctx, c.SelectEqProject(sub.Streaming(), x, a, rest.Attrs()...))
+			nctx = append(nctx, c.SelectEqProject(x, a, rest.Attrs()...))
 		} else {
 			nctx = append(nctx, c)
 		}

@@ -18,19 +18,13 @@ import (
 // rows) are gathered to the driver, which matches the paper's free
 // control channel for O(p)-size coordination data.
 
-// gatherRows filters a distributed relation locally and gathers the
-// surviving rows to the driver (charged via Gather).
-func gatherRows(g *mpc.Group, d *mpc.DistRelation, keep func(f *relation.Relation, t relation.Tuple) bool) *relation.Relation {
-	filtered := g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
-		out := relation.New(f.Schema())
-		for i := 0; i < f.Len(); i++ {
-			if t := f.Row(i); keep(f, t) {
-				out.Add(t)
-			}
-		}
-		return out
-	})
-	return g.Gather(filtered)
+// gatherRows filters a distributed relation locally to the rows whose x
+// value is in values and gathers them to the coordinator (charged via
+// Gather).
+func gatherRows(g *mpc.Group, d *mpc.DistRelation, x int, values map[relation.Value]bool) *relation.Relation {
+	return g.Gather(g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
+		return f.SelectIn(x, values, true)
+	}))
 }
 
 // chargeSetBroadcast charges one round delivering a small driver-side
@@ -51,9 +45,7 @@ func (ex *executor) degreesForValues(g *mpc.Group, degs *mpc.DistRelation, x int
 		return map[relation.Value]int64{}
 	}
 	chargeSetBroadcast(g, len(values))
-	rows := gatherRows(g, degs, func(f *relation.Relation, t relation.Tuple) bool {
-		return values[f.Get(t, x)]
-	})
+	rows := gatherRows(g, degs, x, values)
 	out := make(map[relation.Value]int64, rows.Len())
 	xp := rows.Schema().Pos(x)
 	cp := rows.Schema().Pos(ex.cntAttr)

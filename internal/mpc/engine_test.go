@@ -573,10 +573,9 @@ func TestDistributeSpreadMatchesStatefulDistribute(t *testing.T) {
 
 // ScatterDedup routes first occurrences through the exchange kernel;
 // its placement must be Scatter(r.Dedup())'s — on one worker and on
-// several, streaming on and off, on both sides of the dedup's
-// linear-scan cutoff and of parThreshold, and with a chunk per tuple,
-// where every chunk has to find its own rank in the deduplicated
-// order.
+// several, on both sides of the dedup's linear-scan cutoff and of
+// parThreshold, and with a chunk per tuple, where every chunk has to
+// find its own rank in the deduplicated order.
 func TestScatterDedupMatchesScatterOfDedup(t *testing.T) {
 	everyTuple := withChunker(func(d *DistRelation) [][]frange { return cutChunks(d, nil, true) })
 	for _, n := range []int{0, 1, 20, 200, 3 * parThreshold} {
@@ -587,16 +586,14 @@ func TestScatterDedupMatchesScatterOfDedup(t *testing.T) {
 		ref := NewCluster(5)
 		want := ref.Root().Scatter(in.Dedup())
 		for _, workers := range []int{1, 4} {
-			for _, streaming := range []bool{true, false} {
-				for _, opts := range [][]Option{nil, {everyTuple}} {
-					c := NewCluster(5, append(opts, withForcedWorkers(workers), WithStreaming(streaming))...)
-					got := c.Root().ScatterDedup(in)
-					if !sameFrags(got, want) {
-						t.Fatalf("n=%d workers=%d streaming=%v chunker=%v: placement differs from Scatter(Dedup())", n, workers, streaming, opts != nil)
-					}
-					if c.Stats() != ref.Stats() {
-						t.Fatalf("ScatterDedup charged %+v, Scatter %+v", c.Stats(), ref.Stats())
-					}
+			for _, opts := range [][]Option{nil, {everyTuple}} {
+				c := NewCluster(5, append(opts, withForcedWorkers(workers))...)
+				got := c.Root().ScatterDedup(in)
+				if !sameFrags(got, want) {
+					t.Fatalf("n=%d workers=%d chunker=%v: placement differs from Scatter(Dedup())", n, workers, opts != nil)
+				}
+				if c.Stats() != ref.Stats() {
+					t.Fatalf("ScatterDedup charged %+v, Scatter %+v", c.Stats(), ref.Stats())
 				}
 			}
 		}
@@ -785,8 +782,7 @@ func TestExchangeOutputsPooledAndTracked(t *testing.T) {
 	}
 }
 
-// TestSmallStepsRunInline: Broadcast, Gather, Local and LocalStream
-// decide to fan out by the same rule as the exchanges — never below
+// TestSmallStepsRunInline: Broadcast, Gather and Local decide to fan out by the same rule as the exchanges — never below
 // parThreshold tuples, however many servers the group has.
 func TestSmallStepsRunInline(t *testing.T) {
 	c := NewCluster(8, withForcedWorkers(4))
@@ -796,7 +792,6 @@ func TestSmallStepsRunInline(t *testing.T) {
 	g.Broadcast(d)
 	g.Gather(d)
 	g.Local(d, func(_ int, f *relation.Relation) *relation.Relation { return f })
-	g.LocalStream(d, func(_ int, it relation.RowIterator) relation.RowIterator { return it })
 	if got := mEngineForks.Value() - forks; got != 0 {
 		t.Fatalf("%d fan-outs over %d tuples, want none", got, d.Len())
 	}

@@ -127,11 +127,10 @@ type Cluster struct {
 	fellBack bool
 	chunker  func(d *DistRelation) [][]frange
 
-	// streaming and parKernels are the run's execution levers, both on
-	// unless WithStreaming(false) / WithParKernels(false): operators
-	// read them through the Group they already hold, so two clusters
-	// with different settings run side by side.
-	streaming  bool
+	// parKernels is the run's kernel lever, on unless
+	// WithParKernels(false): operators read it through the Group they
+	// already hold, so two clusters with different settings run side by
+	// side.
 	parKernels bool
 
 	// plans is the exchange-plan cache (see plancache.go); nil when
@@ -200,13 +199,6 @@ func WithPlanCache(enabled bool) Option {
 	}
 }
 
-// WithStreaming selects streaming iterator execution (the default) or
-// the materialized operator forms for every gated composition of the
-// run. Outputs, Stats and traces are identical either way.
-func WithStreaming(on bool) Option {
-	return func(c *Cluster) { c.streaming = on }
-}
-
 // WithParKernels lets the relation kernels run over several row blocks
 // across the pool (the default; they still need workers > 1 to do so)
 // or holds them to one block. Outputs, Stats and traces are identical
@@ -234,7 +226,7 @@ func NewCluster(p int, opts ...Option) *Cluster {
 	if p <= 0 {
 		panic(fmt.Sprintf("mpc: cluster needs p >= 1, got %d", p))
 	}
-	c := &Cluster{Budget: p, chargeSelfSends: true, workers: 1, plans: newPlanCache(), streaming: true, parKernels: true}
+	c := &Cluster{Budget: p, chargeSelfSends: true, workers: 1, plans: newPlanCache(), parKernels: true}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -339,10 +331,6 @@ func (g *Group) child(size int) *Group {
 
 // Size returns the number of servers in the group.
 func (g *Group) Size() int { return g.size }
-
-// Streaming reports whether the run takes the streaming forms of gated
-// operator compositions (WithStreaming).
-func (g *Group) Streaming() bool { return g.cluster.streaming }
 
 // Stats returns the cost charged to this group so far.
 func (g *Group) Stats() Stats {

@@ -20,7 +20,7 @@ import (
 // parks fragments to size-classed segment files under a private
 // per-run spill directory (relation.ParkTo). Readers never notice:
 // random access pages a parked relation back in transparently, and
-// streaming consumers iterate the segment files directly.
+// the external sort reads the segment files directly.
 //
 // Which fragments park depends on the engine, because parking requires
 // exclusive access to the relation:

@@ -49,11 +49,10 @@ func ReduceByKey(g *mpc.Group, d *mpc.DistRelation, keyAttrs []int, valAttr int)
 }
 
 // reduceAggregated is ReduceByKey after the first local pre-aggregation
-// — the exchange tail shared with the callers (Degrees) that produce
-// their pre-aggregated partials in one fused streaming pass. pre must
-// hold at most one row per key per server, under outSchema. The local
-// pre-aggregation emits no trace events, so whether it happens inside
-// or before the span is unobservable.
+// — the exchange tail shared with Degrees, which counts its partials in
+// one pass. pre must hold at most one row per key per server, under
+// outSchema. The local pre-aggregation emits no trace events, so whether
+// it happens inside or before the span is unobservable.
 func reduceAggregated(g *mpc.Group, pre *mpc.DistRelation, keyAttrs []int, valAttr int, outSchema relation.Schema) *mpc.DistRelation {
 	agg := func(dd *mpc.DistRelation) *mpc.DistRelation {
 		return g.Local(dd, func(_ int, f *relation.Relation) *relation.Relation {
@@ -211,129 +210,15 @@ func smallAggregate(f *relation.Relation, valAttr int, outSchema relation.Schema
 // Degrees computes, for each distinct value of attr in d, its degree
 // (number of tuples holding it), as a distributed relation with schema
 // (attr, countAttr), hash-partitioned by attr. This is the paper's
-// reduce-by-key application to degree statistics.
+// reduce-by-key application to degree statistics: every server counts
+// its fragment's column straight into (value, count) rows
+// (relation.Degrees), and the exchange tail of ReduceByKey combines them.
 func Degrees(g *mpc.Group, d *mpc.DistRelation, attr, countAttr int) *mpc.DistRelation {
-	// One schema for every fragment; the Local closure runs per server.
 	schema := relation.NewSchema(attr, countAttr)
-	ap := schema.Pos(attr)
-	cp := schema.Pos(countAttr)
-	if g.Streaming() {
-		// Fused per-server pass: the (value, 1) projection streams
-		// straight into the pre-aggregation, skipping the withOnes
-		// intermediate arena entirely. Group content and first-seen
-		// order are identical to projecting then aggregating, so the
-		// exchange tail sees byte-identical partials. Fragments under
-		// one chunk take the materialized form of the same fusion
-		// (ones row reused in place) — identical output, no iterator
-		// scaffolding.
-		keyAttrs := []int{attr}
-		pre := g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
-			if f.Len() == 0 {
-				return relation.New(schema)
-			}
-			sp := f.Schema().Pos(attr)
-			if f.Len() <= relation.StreamCutoff {
-				ones := relation.New(schema)
-				ones.Grow(f.Len())
-				nt := make(relation.Tuple, 2)
-				nt[cp] = 1
-				for i := 0; i < f.Len(); i++ {
-					nt[ap] = f.Row(i)[sp]
-					ones.Add(nt)
-				}
-				return localAggregate(ones, keyAttrs, countAttr, schema)
-			}
-			ones := relation.MapRows(f.Iter(), schema, func(dst, t relation.Tuple) {
-				dst[ap] = t[sp]
-				dst[cp] = 1
-			})
-			return aggregateChunks(ones, keyAttrs, countAttr, schema, f.Len())
-		})
-		return reduceAggregated(g, pre, keyAttrs, countAttr, schema)
-	}
-	withOnes := g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
-		out := relation.New(schema)
-		if f.Len() == 0 {
-			return out
-		}
-		sp := f.Schema().Pos(attr)
-		out.Grow(f.Len())
-		nt := make(relation.Tuple, 2)
-		nt[cp] = 1
-		for i := 0; i < f.Len(); i++ {
-			nt[ap] = f.Row(i)[sp]
-			out.Add(nt)
-		}
-		return out
+	pre := g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
+		return f.Degrees(attr, schema)
 	})
-	return ReduceByKey(g, withOnes, []int{attr}, countAttr)
-}
-
-// aggregateChunks is localAggregate over a streamed input: it drains
-// the iterator, summing valAttr per key group, and emits one row per
-// group in first-seen order under outSchema. The hash table persists
-// across chunk boundaries, so groups straddling chunks accumulate
-// correctly; output content and order match localAggregate on the
-// materialized equivalent (both enumerate hashtab entries in
-// first-insert order, and the small-fragment linear path is documented
-// as order-identical to the hash path). sizeHint is the caller's row
-// estimate (an upper bound on groups), pre-sizing the table exactly as
-// localAggregate does — growth churn would otherwise eat the arena the
-// fusion saves.
-func aggregateChunks(it relation.RowIterator, keyAttrs []int, valAttr int, outSchema relation.Schema, sizeHint int) *relation.Relation {
-	s := it.Schema()
-	kpos := s.Positions(keyAttrs)
-	vpos := s.Pos(valAttr)
-	groups := hashtab.New(len(kpos), sizeHint)
-	sums := make([]int64, 0, sizeHint)
-	for {
-		c, ok := it.Next()
-		if !ok {
-			break
-		}
-		for i := 0; i < c.Len(); i++ {
-			t := c.Row(i)
-			e, found := groups.Insert(t, kpos)
-			if !found {
-				sums = append(sums, 0)
-			}
-			sums[e] += t[vpos]
-		}
-	}
-	it.Close()
-	out := relation.New(outSchema)
-	// Map each output column to its index in the stored key (or the
-	// sum). Every non-sum output column is a key column, and hashtab
-	// retains the projected key values, so no representative rows need
-	// to outlive their chunks.
-	keyIdx := make([]int, outSchema.Len())
-	for i := range keyIdx {
-		if a := outSchema.Attr(i); a == valAttr {
-			keyIdx[i] = -1
-		} else {
-			for j, k := range keyAttrs {
-				if k == a {
-					keyIdx[i] = j
-					break
-				}
-			}
-		}
-	}
-	out.Grow(groups.Len())
-	nt := make(relation.Tuple, outSchema.Len())
-	for e := 0; e < groups.Len(); e++ {
-		key := groups.Key(e)
-		for i, j := range keyIdx {
-			if j < 0 {
-				nt[i] = sums[e]
-			} else {
-				nt[i] = key[j]
-			}
-		}
-		out.Add(nt)
-	}
-	groups.Release()
-	return out
+	return reduceAggregated(g, pre, []int{attr}, countAttr, schema)
 }
 
 // HeavyFilter keeps the rows of a degree relation whose countAttr

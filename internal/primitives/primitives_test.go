@@ -1,7 +1,9 @@
 package primitives
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coverpack/internal/hypergraph"
@@ -319,40 +321,41 @@ func TestJoinCountDisconnectedComponentViaCartesian(t *testing.T) {
 	}
 }
 
-// TestReduceByKeyChunkBoundaryStreaming drives the streaming
-// pre-aggregation path with group keys recurring across iterator chunk
-// boundaries: one server holds far more than one 256-row chunk, and
-// every key's occurrences are spread hundreds of rows apart, so summing
-// them correctly requires the incremental aggregation table to persist
-// across chunks. Streaming on and off must agree row for row.
-func TestReduceByKeyChunkBoundaryStreaming(t *testing.T) {
-	const rows, keys = 1500, 311 // keys > 256: repeats straddle chunks
-	run := func(streaming bool) (*relation.Relation, *relation.Relation) {
-		c := mpc.NewCluster(2, mpc.WithStreaming(streaming))
-		g := c.Root()
-		r := relation.New(relation.NewSchema(0, wAttr))
-		for i := int64(0); i < rows; i++ {
-			r.AddValues(i%keys, i)
-		}
-		d := g.Scatter(r)
-		red := ReduceByKey(g, d, []int{0}, wAttr).Collect()
-		deg := Degrees(g, d, 0, gAttr).Collect()
-		return red, deg
-	}
-	onRed, onDeg := run(true)
-	offRed, offDeg := run(false)
-	for label, pair := range map[string][2]*relation.Relation{
-		"ReduceByKey": {onRed, offRed},
-		"Degrees":     {onDeg, offDeg},
-	} {
-		got, want := pair[0], pair[1]
-		if got.Len() != want.Len() {
-			t.Fatalf("%s: streaming %d rows, materialized %d", label, got.Len(), want.Len())
-		}
-		for i := 0; i < want.Len(); i++ {
-			if !got.Row(i).Equal(want.Row(i)) {
-				t.Fatalf("%s: row %d streaming %v, materialized %v", label, i, got.Row(i), want.Row(i))
-			}
+// TestDegreesMatchesReduceByKey: Degrees counts each fragment's column
+// in one pass; ReduceByKey over a test-built (value, 1) relation is the
+// reference. Every fragment of the output — rows, order and placement —
+// and the charged cost must be the same, on both sides of the kernel's
+// linear-scan cutoff and of the arena chunk size, on one worker and on
+// four.
+func TestDegreesMatchesReduceByKey(t *testing.T) {
+	const p = 4
+	for _, size := range []int{0, 1, 32, 33, 256, 257, 10000} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("size=%d,workers=%d", size, workers), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(size)))
+				in := mpc.NewDist(relation.NewSchema(0, 1), p)
+				ones := mpc.NewDist(relation.NewSchema(0, wAttr), p)
+				for s := 0; s < p; s++ {
+					for i := 0; i < size; i++ {
+						v := rng.Int63n(int64(size)/3 + 2)
+						in.Frags[s].AddValues(v, int64(i))
+						ones.Frags[s].AddValues(v, 1)
+					}
+				}
+				gc := mpc.NewCluster(p, mpc.WithWorkers(workers))
+				got := Degrees(gc.Root(), in, 0, wAttr)
+				wc := mpc.NewCluster(p, mpc.WithWorkers(workers))
+				want := ReduceByKey(wc.Root(), ones, []int{0}, wAttr)
+				for s := range want.Frags {
+					g, w := got.Frags[s], want.Frags[s]
+					if !g.Schema().Equal(w.Schema()) || g.Len() != w.Len() || !slices.Equal(g.Data(), w.Data()) {
+						t.Fatalf("server %d: Degrees %v, ReduceByKey %v", s, g, w)
+					}
+				}
+				if gc.Stats() != wc.Stats() {
+					t.Fatalf("Degrees charged %+v, ReduceByKey %+v", gc.Stats(), wc.Stats())
+				}
+			})
 		}
 	}
 }

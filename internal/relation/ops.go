@@ -57,20 +57,62 @@ func (r *Relation) ProjectTo(schema Schema) *Relation {
 
 // SelectEq returns the tuples with value v at attribute a.
 func (r *Relation) SelectEq(a int, v Value) *Relation {
-	p := r.schema.Pos(a)
-	if p < 0 {
-		panic(fmt.Sprintf("relation: SelectEq attribute %d not in schema %v", a, r.schema))
-	}
-	return r.filterRows(rowPred{col: p, v: v}, nil)
+	return r.filterRows(rowPred{op: predEq, col: r.selectPos("SelectEq", a), v: v}, nil)
 }
 
 // SelectGt returns the tuples whose value at attribute a exceeds v.
 func (r *Relation) SelectGt(a int, v Value) *Relation {
+	return r.filterRows(rowPred{op: predGt, col: r.selectPos("SelectGt", a), v: v}, nil)
+}
+
+// SelectIn returns the tuples whose value at attribute a is in set, or,
+// when in is false, is not in set.
+func (r *Relation) SelectIn(a int, set map[Value]bool, in bool) *Relation {
+	op := predIn
+	if !in {
+		op = predNotIn
+	}
+	return r.filterRows(rowPred{op: op, col: r.selectPos("SelectIn", a), set: set}, nil)
+}
+
+// selectPos resolves a selection attribute, panicking when it is not in
+// the schema.
+func (r *Relation) selectPos(op string, a int) int {
 	p := r.schema.Pos(a)
 	if p < 0 {
-		panic(fmt.Sprintf("relation: SelectGt attribute %d not in schema %v", a, r.schema))
+		panic(fmt.Sprintf("relation: %s attribute %d not in schema %v", op, a, r.schema))
 	}
-	return r.filterRows(rowPred{col: p, v: v, gt: true}, nil)
+	return p
+}
+
+// SelectEqProject is SelectEq(a, v).Project(attrs...) in one pass: the
+// mark pass lists the rows with v at a, and only their projected columns
+// are copied into the exactly sized output — no wide SelectEq
+// intermediate. Panics match the two operators': the selection attribute
+// is checked first, then every projection attribute, even when no row
+// survives.
+func (r *Relation) SelectEqProject(a int, v Value, attrs ...int) *Relation {
+	p := r.selectPos("SelectEq", a)
+	schema := NewSchema(attrs...)
+	pos := make([]int, schema.Len())
+	for i := range pos {
+		pa := schema.Attr(i)
+		if pos[i] = r.schema.Pos(pa); pos[i] < 0 {
+			panic(fmt.Sprintf("relation: Project attribute %d not in schema %v", pa, r.schema))
+		}
+	}
+	r.ensureResident()
+	var buf [smallRows]int32
+	sel := r.markAll(rowPred{op: predEq, col: p, v: v}, buf[:])
+	data := make([]Value, len(sel)*len(pos))
+	k := 0
+	for _, i := range sel {
+		for _, q := range pos {
+			data[k] = r.data[int(i)*r.arity+q]
+			k++
+		}
+	}
+	return FromData(schema, data, len(sel))
 }
 
 // Dedup returns the relation with duplicate tuples removed, in

@@ -1,6 +1,10 @@
 package relation
 
-import "coverpack/internal/hashtab"
+import (
+	"fmt"
+
+	"coverpack/internal/hashtab"
+)
 
 // The local-operator kernels.
 //
@@ -8,7 +12,7 @@ import "coverpack/internal/hashtab"
 // contiguous row blocks, in one of two shapes:
 //
 //   - mark-then-compact (the filter family — SelectEq, SelectGt,
-//     SemiJoin — and Dedup): pass 1 lists the rows each block keeps, the
+//     SelectIn, SemiJoin — and Dedup): pass 1 lists the rows each block keeps, the
 //     per-block counts size one arena exactly, pass 2 copies each
 //     block's rows to its offset.
 //   - count-then-scatter (Join): pass 1 probes, keeps the matched build
@@ -144,15 +148,26 @@ func (r *Relation) gather(sel []int32, f Forker, cuts []int) []Value {
 	return data
 }
 
+// predOp is the test a rowPred applies to a row.
+type predOp uint8
+
+const (
+	predEq    predOp = iota // value at col == v
+	predGt                  // value at col > v
+	predIn                  // value at col in set
+	predNotIn               // value at col not in set
+	predProbe               // key on pos found in probe
+)
+
 // rowPred is a filter-family predicate as data, so that a kernel call
-// carries no closure: a row is kept when its key on pos is in probe
-// or, with no probe, when its value at col is == v (> v when gt).
+// carries no closure.
 type rowPred struct {
-	probe *hashtab.Table
-	pos   []int
+	op    predOp
 	col   int
 	v     Value
-	gt    bool
+	set   map[Value]bool
+	probe *hashtab.Table
+	pos   []int
 }
 
 // mark lists the rows of [lo, hi) that p keeps, ascending, in sel
@@ -161,13 +176,17 @@ func (p rowPred) mark(sel []int32, r *Relation, lo, hi int) int {
 	n, a := 0, r.arity
 	for i := lo; i < hi; i++ {
 		var keep bool
-		switch {
-		case p.probe != nil:
-			keep = p.probe.Find(r.data[i*a:(i+1)*a], p.pos) >= 0
-		case p.gt:
-			keep = r.data[i*a+p.col] > p.v
-		default:
+		switch p.op {
+		case predEq:
 			keep = r.data[i*a+p.col] == p.v
+		case predGt:
+			keep = r.data[i*a+p.col] > p.v
+		case predIn:
+			keep = p.set[r.data[i*a+p.col]]
+		case predNotIn:
+			keep = !p.set[r.data[i*a+p.col]]
+		case predProbe:
+			keep = p.probe.Find(r.data[i*a:(i+1)*a], p.pos) >= 0
 		}
 		if keep {
 			sel[n] = int32(i)
@@ -184,20 +203,26 @@ func (r *Relation) filterRows(p rowPred, f Forker) *Relation {
 	cuts := blocksOf(f, r.rows)
 	if cuts == nil {
 		var buf [smallRows]int32
-		sel := buf[:]
-		if r.rows > len(buf) {
-			sel = make([]int32, r.rows)
-		}
-		n := p.mark(sel, r, 0, r.rows)
-		data := make([]Value, n*r.arity)
-		r.gatherInto(data, sel[:n])
-		return FromData(r.schema, data, n)
+		sel := r.markAll(p, buf[:])
+		data := make([]Value, len(sel)*r.arity)
+		r.gatherInto(data, sel)
+		return FromData(r.schema, data, len(sel))
 	}
 	sel := make([]int32, r.rows)
 	data, total := twoPass(f, cuts, r.arity,
 		func(lo, hi int) int { return p.mark(sel[lo:hi], r, lo, hi) },
 		func(dst []Value, n, lo, _ int) { r.gatherInto(dst, sel[lo:lo+n]) })
 	return FromData(r.schema, data, total)
+}
+
+// markAll is the one-block mark pass: the rows p keeps, listed in buf
+// when they fit and in a fresh list otherwise.
+func (r *Relation) markAll(p rowPred, buf []int32) []int32 {
+	sel := buf
+	if r.rows > len(buf) {
+		sel = make([]int32, r.rows)
+	}
+	return sel[:p.mark(sel, r, 0, r.rows)]
 }
 
 // SemiJoinPar is r ⋉ s with the probe scan run block by block over f.
@@ -213,12 +238,12 @@ func (r *Relation) SemiJoinPar(s *Relation, f Forker) *Relation {
 		return r.Clone()
 	}
 	probe := s.indexOn(s.schema.Positions(common)).table
-	return r.filterRows(rowPred{probe: probe, pos: r.schema.Positions(common)}, f)
+	return r.filterRows(rowPred{op: predProbe, probe: probe, pos: r.schema.Positions(common)}, f)
 }
 
-// smallDedupCutoff is the input size up to which Dedup finds first
-// occurrences by linear scan; see smallAggCutoff in internal/primitives
-// for the same trade-off.
+// smallDedupCutoff is the input size up to which Dedup and Degrees find
+// first occurrences by linear scan; see smallAggCutoff in
+// internal/primitives for the same trade-off.
 const smallDedupCutoff = 32
 
 // firstSmall appends to buf the index of the first occurrence of every
@@ -267,6 +292,66 @@ func (r *Relation) DedupPar(f Forker) *Relation {
 	}
 	first := r.FirstRows()
 	return FromData(r.schema, r.gather(first, f, blocksOf(f, len(first))), len(first))
+}
+
+// valuePos is the key position of a one-column key view.
+var valuePos = []int{0}
+
+// Degrees returns the degree of every value of attribute a — the number
+// of rows holding it — as rows of out, in first-seen order: the
+// per-server pre-aggregate of primitives.Degrees. out holds a and one
+// count attribute; it is prebuilt so that per-fragment loops hoist the
+// NewSchema call, as with ProjectTo. Up to smallDedupCutoff rows the
+// values are found by linear scan on the stack, above it through one
+// pooled hash table; either way the output arena is sized exactly.
+func (r *Relation) Degrees(a int, out Schema) *Relation {
+	col := r.selectPos("Degrees", a)
+	vp := out.Pos(a)
+	if out.Len() != 2 || vp < 0 {
+		panic(fmt.Sprintf("relation: Degrees schema %v is not attribute %d plus a count", out, a))
+	}
+	r.ensureResident()
+	if r.rows <= smallDedupCutoff {
+		var vals, cnts [smallDedupCutoff]Value
+		n := 0
+	rows:
+		for i := 0; i < r.rows; i++ {
+			v := r.data[i*r.arity+col]
+			for e := 0; e < n; e++ {
+				if vals[e] == v {
+					cnts[e]++
+					continue rows
+				}
+			}
+			vals[n], cnts[n] = v, 1
+			n++
+		}
+		return degreeRows(out, vp, n, func(e int) (Value, Value) { return vals[e], cnts[e] })
+	}
+	groups := hashtab.New(1, r.rows)
+	cnts := GetArena(r.rows)
+	for i := 0; i < r.rows; i++ {
+		k := i*r.arity + col
+		if e, found := groups.Insert(r.data[k:k+1], valuePos); found {
+			cnts[e]++
+		} else {
+			cnts = append(cnts, 1)
+		}
+	}
+	degs := degreeRows(out, vp, groups.Len(), func(e int) (Value, Value) { return groups.Key(e)[0], cnts[e] })
+	PutArena(cnts)
+	groups.Release()
+	return degs
+}
+
+// degreeRows lays out n (value, count) pairs, read from at, as rows of
+// schema with the value at column vp.
+func degreeRows(schema Schema, vp, n int, at func(e int) (Value, Value)) *Relation {
+	data := make([]Value, 2*n)
+	for e := 0; e < n; e++ {
+		data[2*e+vp], data[2*e+1-vp] = at(e)
+	}
+	return FromData(schema, data, n)
 }
 
 // joinRun is one natural join resolved to positions: the probe side is

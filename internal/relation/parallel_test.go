@@ -205,10 +205,19 @@ func TestSemiJoinParMatchesSemiJoin(t *testing.T) {
 				return false
 			}
 		}
-		for _, gt := range []bool{false, true} {
-			want := refSelect(r, 1, 2, gt)
+		set := map[Value]bool{-3: true, 2: true, 5: true}
+		for _, c := range []struct {
+			p    rowPred
+			want *Relation
+		}{
+			{rowPred{op: predEq, col: 1, v: 2}, refSelect(r, 1, 2, false)},
+			{rowPred{op: predGt, col: 1, v: 2}, refSelect(r, 1, 2, true)},
+			{rowPred{op: predIn, col: 1, set: set}, refSelectIn(r, 1, set, true)},
+			{rowPred{op: predNotIn, col: 1, set: set}, refSelectIn(r, 1, set, false)},
+			{rowPred{op: predNotIn, col: 0}, r},
+		} {
 			for name, fk := range blockForkers() {
-				if !sameRel(t, name, r.filterRows(rowPred{col: 1, v: 2, gt: gt}, fk), want) {
+				if !sameRel(t, name, r.filterRows(c.p, fk), c.want) {
 					return false
 				}
 			}
@@ -336,22 +345,42 @@ func TestOneBlockAllocs(t *testing.T) {
 		r := randomRel(rng, NewSchema(0, 1), rows, int64(rows))
 		s := randomRel(rng, NewSchema(1, 2), rows, int64(rows))
 		pos := []int{1}
+		v := r.Row(0)[1]
+		deg := NewSchema(1, 2)
 		for _, c := range []struct {
 			name         string
 			want, parent [2]float64 // at 8 and 10 000 rows
-			run          func()
+			// pooled marks a kernel with pooled scratch: its PutArena boxes
+			// the slice only when the arena reserve is full, which depends
+			// on the tests run before, so it may take one allocation less;
+			// under the race detector its count is not pinned.
+			pooled bool
+			run    func()
 		}{
-			{"SemiJoin", [2]float64{5, 6}, [2]float64{7, 21}, func() { r.SemiJoin(s) }},
-			{"Join", [2]float64{13, 14}, [2]float64{18, 32}, func() { r.Join(s) }},
-			{"Dedup", [2]float64{2, 3}, [2]float64{2, 3}, func() { r.Dedup() }},
-			{"SortBy", [2]float64{4, 6}, [2]float64{4, 6}, func() { r.Clone().SortBy(pos) }},
+			{"SemiJoin", [2]float64{5, 6}, [2]float64{7, 21}, false, func() { r.SemiJoin(s) }},
+			{"Join", [2]float64{13, 14}, [2]float64{18, 32}, false, func() { r.Join(s) }},
+			{"Dedup", [2]float64{2, 3}, [2]float64{2, 3}, false, func() { r.Dedup() }},
+			{"SortBy", [2]float64{4, 6}, [2]float64{4, 6}, false, func() { r.Clone().SortBy(pos) }},
+			// The parents of these two are the streaming run's forms on
+			// 202ad27: the fused SelectEqProject, and primitives.Degrees'
+			// per-server pass (a (value, 1) relation aggregated at 8 rows,
+			// a chunk-iterator aggregation at 10 000).
+			{"SelectEqProject", [2]float64{7, 8}, [2]float64{9, 8}, false, func() { r.SelectEqProject(1, v, 0) }},
+			{"Degrees", [2]float64{2, 7}, [2]float64{8, 20}, true, func() { r.Degrees(1, deg) }},
 		} {
 			k := 0
 			if rows > 8 {
 				k = 1
 			}
+			if c.pooled && raceEnabled {
+				continue
+			}
+			low := c.want[k]
+			if c.pooled {
+				low--
+			}
 			got := testing.AllocsPerRun(10, c.run)
-			if got != c.want[k] || got > c.parent[k] {
+			if got > c.want[k] || got < low || got > c.parent[k] {
 				t.Errorf("%s at %d rows: %.0f allocations, want %.0f (parent %.0f)", c.name, rows, got, c.want[k], c.parent[k])
 			}
 		}

@@ -6,7 +6,7 @@ import (
 	"coverpack/internal/metrics"
 )
 
-// Block-kernel telemetry, following the streaming layer's pattern:
+// Block-kernel telemetry, following the pool counters' pattern:
 // hot-path counts land in process-wide atomics and reach the default
 // registry as callback series read at scrape time, staying available
 // to tests through ParStats even with metrics disabled.

@@ -1,6 +1,12 @@
 package relation
 
-import "slices"
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+)
 
 // Naive references for the block kernels. They share no code with the
 // kernels — no hash table, no index, no permutation, no position maps —
@@ -89,6 +95,57 @@ func refSelect(r *Relation, col int, v Value, gt bool) *Relation {
 	return out
 }
 
+// refSelectIn keeps, in order, the rows whose value at column col is in
+// set (not in set when !in).
+func refSelectIn(r *Relation, col int, set map[Value]bool, in bool) *Relation {
+	out := New(r.Schema())
+	for i := 0; i < r.Len(); i++ {
+		if set[r.Row(i)[col]] == in {
+			out.Add(r.Row(i))
+		}
+	}
+	return out
+}
+
+// refProject copies every row's columns of schema, in row order.
+func refProject(r *Relation, schema Schema) *Relation {
+	out := New(schema)
+	for i := 0; i < r.Len(); i++ {
+		row := make(Tuple, 0, schema.Len())
+		for j, a := range r.Schema().Attrs() {
+			if schema.Has(a) {
+				row = append(row, r.Row(i)[j])
+			}
+		}
+		out.Add(row)
+	}
+	return out
+}
+
+// refDegrees counts the rows holding each value of attribute a, one
+// (a, countAttr) row per value in first-seen order.
+func refDegrees(r *Relation, a, countAttr int) *Relation {
+	col := r.Schema().Pos(a)
+	var vals, cnts []Value
+	for i := 0; i < r.Len(); i++ {
+		k := slices.Index(vals, r.Row(i)[col])
+		if k < 0 {
+			vals, cnts = append(vals, r.Row(i)[col]), append(cnts, 0)
+			k = len(vals) - 1
+		}
+		cnts[k]++
+	}
+	out := New(NewSchema(a, countAttr))
+	for k := range vals {
+		if a < countAttr {
+			out.AddValues(vals[k], cnts[k])
+		} else {
+			out.AddValues(cnts[k], vals[k])
+		}
+	}
+	return out
+}
+
 // refCompare orders tuples on the given positions.
 func refCompare(a, b Tuple, pos []int) int {
 	for _, p := range pos {
@@ -135,5 +192,48 @@ func refMergeRuns(r *Relation, runLens []int, pos []int) *Relation {
 		}
 		out.Add(r.Row(next[win]))
 		next[win]++
+	}
+}
+
+// SelectEqProject and Degrees against the naive references, on both
+// sides of the stack buffers (smallRows, smallDedupCutoff) and well
+// past them.
+func TestSelectEqProjectAndDegreesMatchReferences(t *testing.T) {
+	for _, rows := range []int{0, 1, 32, 33, 64, 65, 257, 10000} {
+		t.Run(fmt.Sprintf("rows=%d", rows), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(rows)))
+			r := randomRel(rng, NewSchema(0, 1, 2), rows, 3+int64(rows)/4)
+			for _, v := range []Value{0, 1, -1} {
+				want := refProject(refSelect(r, 1, v, false), NewSchema(0, 2))
+				if !sameRel(t, "SelectEqProject", r.SelectEqProject(1, v, 2, 0), want) {
+					t.Fatalf("SelectEqProject, v=%d", v)
+				}
+			}
+			if !sameRel(t, "SelectEqProject onto nothing", r.SelectEqProject(1, 0), refProject(refSelect(r, 1, 0, false), NewSchema())) {
+				t.Fatal("SelectEqProject onto no attributes")
+			}
+			// The count attribute on either side of the value attribute.
+			if !sameRel(t, "Degrees", r.Degrees(1, NewSchema(1, 5)), refDegrees(r, 1, 5)) || !sameRel(t, "Degrees", r.Degrees(2, NewSchema(-1, 2)), refDegrees(r, 2, -1)) {
+				t.Fatal("Degrees")
+			}
+		})
+	}
+}
+
+// SelectEqProject checks the selection attribute first and then every
+// projection attribute, even when no row survives the selection.
+func TestSelectEqProjectPanicOrder(t *testing.T) {
+	panicOf := func(f func()) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		f()
+		return ""
+	}
+	for _, r := range []*Relation{New(NewSchema(0, 1)), FromData(NewSchema(0, 1), []Value{1, 2}, 1)} {
+		if msg := panicOf(func() { r.SelectEqProject(7, 0, 9) }); !strings.Contains(msg, "SelectEq attribute 7") {
+			t.Fatalf("missing selection and projection attributes: panic %q, want the selection's", msg)
+		}
+		if msg := panicOf(func() { r.SelectEqProject(0, 99, 1, 9) }); !strings.Contains(msg, "Project attribute 9") {
+			t.Fatalf("missing projection attribute, nothing selected: panic %q, want the projection's", msg)
+		}
 	}
 }

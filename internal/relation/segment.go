@@ -25,8 +25,8 @@ import (
 // without decoding more than the head row of each run.
 //
 // Readers never observe the difference: a parked relation streams back
-// through the PR 7 chunk-iterator contract (segIterator below yields
-// ≤ streamChunkRows-row chunks, resident segments as zero-copy views
+// through the chunk-iterator contract (segIterator below yields
+// ≤ chunkRows-row chunks, resident segments as zero-copy views
 // and spilled segments decoded into one pooled scratch arena), and any
 // random-access path (Row, Data, sorts below the run threshold) pages
 // the whole arena back in first (relation.go pageIn).
@@ -313,12 +313,12 @@ func (sa *SegmentedArena) Remove() {
 
 // Iter streams the arena through the chunk-iterator contract: resident
 // segments as zero-copy views, spilled segments decoded into a pooled
-// scratch chunk. Rewindable, like every source iterator.
-func (sa *SegmentedArena) Iter() Rewindable {
+// scratch chunk.
+func (sa *SegmentedArena) Iter() RowIterator {
 	return &segIterator{sa: sa, out: newScratch(sa.arity)}
 }
 
-// segIterator is the Rewindable reader over a SegmentedArena. One
+// segIterator is the reader over a SegmentedArena. One
 // segment is open at a time; spilled segments are decoded through a
 // buffered file reader into the scratch chunk (valid until the next
 // Next or Close, per the iterator contract).
@@ -344,18 +344,16 @@ func (it *segIterator) Next() (Chunk, bool) {
 			continue
 		}
 		n := s.rows - it.row
-		if n > streamChunkRows {
-			n = streamChunkRows
+		if n > chunkRows {
+			n = chunkRows
 		}
 		if it.sa.arity == 0 {
 			it.row += n
-			noteChunk()
 			return Chunk{arity: 0, rows: n}, true
 		}
 		if s.data != nil {
 			lo := it.row * it.sa.arity
 			it.row += n
-			noteChunk()
 			return Chunk{data: s.data[lo : lo+n*it.sa.arity], arity: it.sa.arity, rows: n}, true
 		}
 		if it.f == nil {
@@ -382,11 +380,6 @@ func (it *segIterator) Next() (Chunk, bool) {
 	}
 	it.closeFile()
 	return Chunk{}, false
-}
-
-func (it *segIterator) Rewind() {
-	it.closeFile()
-	it.si, it.row = 0, 0
 }
 
 func (it *segIterator) closeFile() {

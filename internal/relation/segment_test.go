@@ -192,7 +192,10 @@ func TestParkToSkipsDegenerateAndParked(t *testing.T) {
 	}
 }
 
-func TestSegIteratorRewindAndChunkShape(t *testing.T) {
+// TestSegIteratorChunkShape: the reader over a parked relation yields
+// chunks of at most chunkRows rows across segment borders, and a
+// reader abandoned mid-segment leaves a fresh one unaffected.
+func TestSegIteratorChunkShape(t *testing.T) {
 	dir := t.TempDir()
 	n := segRowsFor(2) + 100
 	r := spillTestRel(n)
@@ -203,27 +206,16 @@ func TestSegIteratorRewindAndChunkShape(t *testing.T) {
 	}
 	defer sa.Remove()
 
+	if got, chunks := drainChunks(t, r.Iter()), (segRowsFor(2)+chunkRows-1)/chunkRows+1; got != chunks {
+		t.Fatalf("%d chunks over two segments, want %d", got, chunks)
+	}
 	it := r.Iter()
-	rows := 0
-	for {
-		c, ok := it.Next()
-		if !ok {
-			break
-		}
-		if c.Len() > streamChunkRows {
-			t.Fatalf("chunk of %d rows exceeds streamChunkRows", c.Len())
-		}
+	for rows := 0; rows <= n/2; {
+		c, _ := it.Next()
 		rows += c.Len()
-		if rows > n/2 {
-			break // rewind mid-stream, mid-segment
-		}
 	}
-	rw, ok := it.(Rewindable)
-	if !ok {
-		t.Fatal("parked iterator is not Rewindable")
-	}
-	rw.Rewind()
-	assertSame(t, "rewound", Materialize(it), want)
+	it.Close() // abandoned mid-stream, mid-segment
+	assertSame(t, "after abandon", Materialize(r.Iter()), want)
 }
 
 func TestSegmentedArenaMaterializeAndRemove(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 
 // Spill telemetry: process-wide atomics on the write/read paths,
 // exposed to the default registry as callback series read at scrape
-// time — the same shape as the pool and streaming counters, and like
+// time — the same shape as the pool and block-kernel counters, and like
 // them available to tests through SpillStats with metrics disabled.
 
 var (

@@ -14,9 +14,7 @@ import (
 // across those runs — neither may change a single byte of any table.
 // The reference is the sequential, pooling-off sweep (the
 // pre-scheduler code path); every (run-workers × pooling) arm must
-// render the exact same tables. Streaming is a per-run setting the
-// sweep has no lever for; the per-run oracle (difftest_test.go) pins
-// it.
+// render the exact same tables.
 
 // renderTables flattens tables into one comparable byte string.
 func renderTables(tables []experiments.Table) string {
