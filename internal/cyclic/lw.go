@@ -3,13 +3,11 @@ package cyclic
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 
 	"coverpack/internal/core"
 	"coverpack/internal/hypercube"
-	"coverpack/internal/hypergraph"
 	"coverpack/internal/mpc"
-	"coverpack/internal/primitives"
 	"coverpack/internal/relation"
 )
 
@@ -43,7 +41,7 @@ func RunLW(g *mpc.Group, in *relation.Instance) (*Result, error) {
 
 	// One dedup + scatter per relation, shared by the statistics loop
 	// (each edge recurs once per incident attribute — n−1 times for
-	// LW_n) and the 2^n-mask stratification loop below.
+	// LW_n) and the stratifier below.
 	dedup := make([]*relation.Relation, q.NumEdges())
 	scattered := make([]*mpc.DistRelation, q.NumEdges())
 	for e := 0; e < q.NumEdges(); e++ {
@@ -51,40 +49,7 @@ func RunLW(g *mpc.Group, in *relation.Instance) (*Result, error) {
 		scattered[e] = g.Scatter(dedup[e])
 	}
 
-	cntAttr := q.NumAttrs() + 1
-	heavy := make(map[int]map[relation.Value]bool, nAttrs)
-	g.Span("statistics", func() {
-		for _, a := range attrs {
-			heavy[a] = make(map[relation.Value]bool)
-			for _, e := range q.EdgesWith(a).Edges() {
-				degs := primitives.Degrees(g, scattered[e], a, cntAttr)
-				rows := g.Gather(primitives.HeavyFilter(g, degs, cntAttr, delta))
-				ap := rows.Schema().Pos(a)
-				for i := 0; i < rows.Len(); i++ {
-					heavy[a][rows.Row(i)[ap]] = true
-				}
-			}
-		}
-	})
-
-	pos := make(map[int]int, nAttrs)
-	for i, a := range attrs {
-		pos[a] = i
-	}
-	pattern := func(r *relation.Relation, t relation.Tuple) (mask uint16) {
-		for _, a := range r.Schema().Attrs() {
-			if heavy[a][r.Get(t, a)] {
-				mask |= 1 << uint(pos[a])
-			}
-		}
-		return
-	}
-	edgeMask := func(e int) (m uint16) {
-		for _, a := range q.EdgeVars(e).Attrs() {
-			m |= 1 << uint(pos[a])
-		}
-		return
-	}
+	heavy := heavyStatistics(g, q, attrs, scattered, delta)
 
 	res := &Result{Threshold: delta}
 	var branches []mpc.Branch
@@ -103,33 +68,13 @@ func RunLW(g *mpc.Group, in *relation.Instance) (*Result, error) {
 		})
 	}
 
-	limit := uint16(1) << uint(nAttrs)
-	for mask := uint16(0); mask < limit; mask++ {
-		strat := relation.NewInstance(q)
-		empty := false
-		for e := 0; e < q.NumEdges(); e++ {
-			em := edgeMask(e)
-			src := dedup[e]
-			dst := strat.Rel(e)
-			for i := 0; i < src.Len(); i++ {
-				if t := src.Row(i); pattern(src, t) == mask&em {
-					dst.Add(t)
-				}
-			}
-			if dst.Len() == 0 {
-				empty = true
-				break
-			}
-		}
-		if empty {
-			continue
-		}
-		if mask == 0 {
-			stratIn := strat
+	for _, st := range heavyStrata(&relation.Instance{Query: q, Relations: dedup}, attrs, heavy) {
+		strat := st.Inst
+		if st.Pattern == 0 {
 			addBranch(p, func(sub *mpc.Group) (int64, error) {
 				var r *hypercube.Result
 				var err error
-				sub.Span("light stratum", func() { r, err = hypercube.Run(sub, stratIn) })
+				sub.Span("light stratum", func() { r, err = hypercube.Run(sub, strat) })
 				if err != nil {
 					return 0, err
 				}
@@ -138,14 +83,8 @@ func RunLW(g *mpc.Group, in *relation.Instance) (*Result, error) {
 			continue
 		}
 		// Split on the lowest heavy attribute.
-		h := -1
-		for i, a := range attrs {
-			if mask&(1<<uint(i)) != 0 {
-				h = a
-				break
-			}
-		}
-		vals := lwHeavyValues(strat, q, h)
+		h := attrs[bits.TrailingZeros64(st.Pattern)]
+		vals := heavyValuesIn(strat, q, h)
 		if len(vals) == 0 {
 			continue
 		}
@@ -193,24 +132,4 @@ func RunLW(g *mpc.Group, in *relation.Instance) (*Result, error) {
 		res.Emitted += e
 	}
 	return res, nil
-}
-
-// lwHeavyValues lists the distinct h-values present in every relation
-// containing h within the stratum (sorted).
-func lwHeavyValues(in *relation.Instance, q *hypergraph.Query, h int) []relation.Value {
-	es := q.EdgesWith(h).Edges()
-	counts := make(map[relation.Value]int)
-	for _, e := range es {
-		for v := range in.Rel(e).DistinctValues(h) {
-			counts[v]++
-		}
-	}
-	var out []relation.Value
-	for v, c := range counts { // map order is random; sorted below
-		if c == len(es) {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -17,6 +17,7 @@ package cyclic
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"coverpack/internal/core"
@@ -55,8 +56,8 @@ func RunTriangle(g *mpc.Group, in *relation.Instance) (*Result, error) {
 
 	// Dedup and scatter each relation once up front: every edge is
 	// visited twice by the statistics loop (once per incident attribute)
-	// and eight more times by the stratification loop, and both the
-	// dedup and the initial placement are identical each time.
+	// and once more by the stratifier, and both the dedup and the
+	// initial placement are identical each time.
 	dedup := make([]*relation.Relation, q.NumEdges())
 	scattered := make([]*mpc.DistRelation, q.NumEdges())
 	for e := 0; e < q.NumEdges(); e++ {
@@ -64,41 +65,7 @@ func RunTriangle(g *mpc.Group, in *relation.Instance) (*Result, error) {
 		scattered[e] = g.Scatter(dedup[e])
 	}
 
-	// Heavy values per attribute: degree > δ in either incident
-	// relation (Degrees + small gather, both charged).
-	cntAttr := q.NumAttrs() + 1
-	heavy := make(map[int]map[relation.Value]bool, 3)
-	g.Span("statistics", func() {
-		for _, a := range attrs {
-			heavy[a] = make(map[relation.Value]bool)
-			for _, e := range q.EdgesWith(a).Edges() {
-				degs := primitives.Degrees(g, scattered[e], a, cntAttr)
-				rows := g.Gather(primitives.HeavyFilter(g, degs, cntAttr, delta))
-				ap := rows.Schema().Pos(a)
-				for i := 0; i < rows.Len(); i++ {
-					heavy[a][rows.Row(i)[ap]] = true
-				}
-			}
-		}
-	})
-
-	// Stratify by the heavy pattern over (attrs[0], attrs[1], attrs[2]).
-	pattern := func(r *relation.Relation, t relation.Tuple) (mask uint8) {
-		for i, a := range attrs {
-			if r.Schema().Has(a) && heavy[a][r.Get(t, a)] {
-				mask |= 1 << uint(i)
-			}
-		}
-		return
-	}
-	edgeMask := func(e int) (m uint8) {
-		for i, a := range attrs {
-			if q.EdgeVars(e).Contains(a) {
-				m |= 1 << uint(i)
-			}
-		}
-		return
-	}
+	heavy := heavyStatistics(g, q, attrs, scattered, delta)
 
 	res := &Result{Threshold: delta}
 	var branches []mpc.Branch
@@ -117,33 +84,12 @@ func RunTriangle(g *mpc.Group, in *relation.Instance) (*Result, error) {
 	}
 	var errSlots []*error
 
-	for mask := uint8(0); mask < 8; mask++ {
-		// Stratum instance: tuples whose heavy pattern agrees with the
-		// mask on the relation's attributes.
-		strat := relation.NewInstance(q)
-		empty := false
-		for e := 0; e < q.NumEdges(); e++ {
-			em := edgeMask(e)
-			src := dedup[e]
-			dst := strat.Rel(e)
-			for i := 0; i < src.Len(); i++ {
-				if t := src.Row(i); pattern(src, t) == mask&em {
-					dst.Add(t)
-				}
-			}
-			if dst.Len() == 0 {
-				empty = true
-				break
-			}
-		}
-		if empty {
-			continue
-		}
-		if mask == 0 {
+	for _, st := range heavyStrata(&relation.Instance{Query: q, Relations: dedup}, attrs, heavy) {
+		strat := st.Inst
+		if st.Pattern == 0 {
 			// All-light: one-round HyperCube with τ*-shares; light
 			// degrees are ≤ δ, so hashing balances and the load is
 			// ~N/p^{2/3}.
-			strat := strat
 			errSlots = append(errSlots, addBranch(p, func(sub *mpc.Group) (int64, error) {
 				var r *hypercube.Result
 				var err error
@@ -156,14 +102,8 @@ func RunTriangle(g *mpc.Group, in *relation.Instance) (*Result, error) {
 			continue
 		}
 		// Heavy stratum: split on the lowest heavy attribute h in the
-		// mask; each heavy value of h spawns the residual path query.
-		var h int = -1
-		for i, a := range attrs {
-			if mask&(1<<uint(i)) != 0 {
-				h = a
-				break
-			}
-		}
+		// pattern; each heavy value of h spawns the residual path query.
+		h := attrs[bits.TrailingZeros64(st.Pattern)]
 		vals := heavyValuesIn(strat, q, h)
 		if len(vals) == 0 {
 			continue
@@ -238,8 +178,41 @@ func triangleShape(q *hypergraph.Query) ([]int, error) {
 	return q.AllVars().Attrs(), nil
 }
 
-// heavyValuesIn lists the distinct h-values present in both relations
-// incident to h within the stratum (sorted for determinism).
+// heavyStatistics finds each attribute's heavy values, those of degree
+// above delta in some relation containing it (Degrees plus a small
+// gather, both charged). scattered holds the instance's relations,
+// indexed by edge.
+func heavyStatistics(g *mpc.Group, q *hypergraph.Query, attrs []int, scattered []*mpc.DistRelation, delta int64) map[int]map[relation.Value]bool {
+	cntAttr := q.NumAttrs() + 1
+	heavy := make(map[int]map[relation.Value]bool, len(attrs))
+	g.Span("statistics", func() {
+		for _, a := range attrs {
+			heavy[a] = make(map[relation.Value]bool)
+			for _, e := range q.EdgesWith(a).Edges() {
+				degs := primitives.Degrees(g, scattered[e], a, cntAttr)
+				rows := g.Gather(primitives.HeavyFilter(g, degs, cntAttr, delta))
+				ap := rows.Schema().Pos(a)
+				for i := 0; i < rows.Len(); i++ {
+					heavy[a][rows.Row(i)[ap]] = true
+				}
+			}
+		}
+	})
+	return heavy
+}
+
+// heavyStrata stratifies in by every heavy pattern over attrs (bit i
+// for attrs[i]), in ascending pattern order.
+func heavyStrata(in *relation.Instance, attrs []int, heavy map[int]map[relation.Value]bool) []hypercube.Stratum {
+	candidates := make([]uint64, 1<<uint(len(attrs)))
+	for i := range candidates {
+		candidates[i] = uint64(i)
+	}
+	return hypercube.Stratify(in, attrs, heavy, candidates)
+}
+
+// heavyValuesIn lists the distinct h-values present in every relation
+// containing h within the stratum (sorted for determinism).
 func heavyValuesIn(in *relation.Instance, q *hypergraph.Query, h int) []relation.Value {
 	es := q.EdgesWith(h).Edges()
 	counts := make(map[relation.Value]int)

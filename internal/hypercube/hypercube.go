@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 
 	"coverpack/internal/hypergraph"
@@ -184,8 +185,7 @@ type grid struct {
 	size   int
 }
 
-func newGrid(q *hypergraph.Query, shares map[int]int) *grid {
-	attrs := q.AllVars().Attrs()
+func newGrid(attrs []int, shares map[int]int) *grid {
 	g := &grid{attrs: attrs}
 	g.size = 1
 	for _, a := range attrs {
@@ -203,39 +203,56 @@ func newGrid(q *hypergraph.Query, shares map[int]int) *grid {
 	return g
 }
 
-// destinations returns every server index consistent with the tuple's
-// coordinates: attributes of the tuple's schema are pinned to their
-// hash, all other dimensions range freely.
-func (g *grid) destinations(f *relation.Relation, t relation.Tuple, salt uint64) []int {
-	pinned := make([]int, len(g.attrs))
+// router sends the tuples of one schema to every grid cell consistent
+// with their coordinates: dimensions whose attribute is in the schema
+// are pinned to the value's hash, all others range freely. It holds one
+// axis per grid dimension, in grid order.
+type router []axis
+
+type axis struct {
+	pos         int    // schema position of the dimension's attribute, or -1 when free
+	salt        uint64 // the attribute's hash constant, read when pinned
+	dim, stride int
+}
+
+func (g *grid) router(s relation.Schema, salt uint64) router {
+	r := make(router, len(g.attrs))
 	for i, a := range g.attrs {
-		if f.Schema().Has(a) {
-			// Each attribute gets an independent hash function (salted
-			// by the attribute id): correlated columns — e.g. matching
-			// instances where every attribute holds the same value —
-			// must not collapse onto the grid diagonal.
-			pinned[i] = int(coordHash(f.Get(t, a), salt+uint64(a+1)*0x51_7c_c1_b7_27_22_0a_95) % uint64(g.dims[i]))
-		} else {
-			pinned[i] = -1
+		// Each attribute gets an independent hash function: correlated
+		// columns — e.g. matching instances where every attribute holds
+		// the same value — must not collapse onto the grid diagonal.
+		r[i] = axis{pos: s.Pos(a), salt: salt + uint64(a+1)*0x51_7c_c1_b7_27_22_0a_95, dim: g.dims[i], stride: g.stride[i]}
+	}
+	return r
+}
+
+// route is an mpc.RouteBuf routing function: it writes t's destinations
+// into buf in ascending server order. The pinned coordinates sum to one
+// base cell; each free dimension then expands the list in place, back
+// to front so no entry is overwritten before it is read, which keeps
+// earlier dimensions outer.
+func (r router) route(_ int, t relation.Tuple, buf []int) []int {
+	base := 0
+	for _, x := range r {
+		if x.pos >= 0 {
+			base += int(coordHash(t[x.pos], x.salt)%uint64(x.dim)) * x.stride
 		}
 	}
-	dests := []int{0}
-	for i := range g.attrs {
-		if pinned[i] >= 0 {
-			for j := range dests {
-				dests[j] += pinned[i] * g.stride[i]
-			}
+	buf = append(buf[:0], base)
+	for _, x := range r {
+		if x.pos >= 0 || x.dim == 1 {
 			continue
 		}
-		next := make([]int, 0, len(dests)*g.dims[i])
-		for _, d := range dests {
-			for c := 0; c < g.dims[i]; c++ {
-				next = append(next, d+c*g.stride[i])
+		n := len(buf)
+		buf = slices.Grow(buf, n*(x.dim-1))[:n*x.dim]
+		for j := n - 1; j >= 0; j-- {
+			d := buf[j]
+			for c := x.dim - 1; c >= 0; c-- {
+				buf[j*x.dim+c] = d + c*x.stride
 			}
 		}
-		dests = next
 	}
-	return dests
+	return buf
 }
 
 // coordHash is a deterministic 64-bit mix of a value and a salt
@@ -266,18 +283,22 @@ func Run(g *mpc.Group, in *relation.Instance) (*Result, error) {
 // independent strata from sharing hash functions.
 func RunWithShares(g *mpc.Group, in *relation.Instance, shares map[int]int, salt uint64) *Result {
 	q := in.Query
-	gr := newGrid(q, shares)
+	gr := newGrid(q.AllVars().Attrs(), shares)
 	if gr.size > g.Size() {
 		panic(fmt.Sprintf("hypercube: grid %d exceeds group %d", gr.size, g.Size()))
 	}
-	// Route every relation in the single round.
+	// Route every relation in the single round. The relation is routed
+	// as placed, one fragment, which is the form Scatter starts from:
+	// Scatter is free and untraced, RouteBuf charges receivers only, and
+	// the grid router ignores the source server, so loads, Stats and
+	// traces are those of scattering first — without a full copy of the
+	// relation held until Release.
 	local := make([]*mpc.DistRelation, q.NumEdges())
 	g.Span("hypercube route", func() {
 		for e := 0; e < q.NumEdges(); e++ {
-			d := g.Scatter(in.Rel(e))
-			local[e] = g.Route(d, func(src int, t relation.Tuple) []int {
-				return gr.destinations(d.Frags[src], t, salt)
-			})
+			r := in.Rel(e)
+			placed := &mpc.DistRelation{Schema: r.Schema(), Frags: []*relation.Relation{r}}
+			local[e] = g.RouteBuf(placed, gr.router(r.Schema(), salt).route)
 		}
 	})
 	// Local joins; emit() is zero-cost per the model. Each server's join

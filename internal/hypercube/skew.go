@@ -3,7 +3,6 @@ package hypercube
 import (
 	"math"
 	"math/big"
-	"sort"
 	"strconv"
 
 	"coverpack/internal/hypergraph"
@@ -89,105 +88,22 @@ func SkewAwareWithThreshold(g *mpc.Group, in *relation.Instance, threshold int64
 	})
 
 	attrs := q.AllVars().Attrs()
-	pos := make(map[int]int, len(attrs))
-	for i, a := range attrs {
-		pos[a] = i
-	}
-
-	// Stratify: a tuple of relation e belongs to the stratum whose
-	// heavy set, restricted to e's attributes, matches exactly the
-	// tuple's heavy values. Patterns are bitmasks over all attributes;
-	// relation e's tuples are compatible with any pattern that agrees
-	// on e's attributes, and strata join results are disjoint because a
-	// join result fixes the full pattern.
-	type stratum struct {
-		pattern uint64
-		inst    *relation.Instance
-	}
-	strata := make(map[uint64]*stratum)
-	fullMasks := func(e int) (maskOf func(t *relation.Relation, tp relation.Tuple) uint64) {
-		return func(r *relation.Relation, tp relation.Tuple) uint64 {
-			var m uint64
-			for _, a := range q.EdgeVars(e).Attrs() {
-				if heavy[a][r.Get(tp, a)] {
-					m |= 1 << uint(pos[a])
-				}
-			}
-			return m
-		}
-	}
-	var edgeMask = func(e int) uint64 {
-		var m uint64
-		for _, a := range q.EdgeVars(e).Attrs() {
-			m |= 1 << uint(pos[a])
-		}
-		return m
-	}
-	// Enumerate candidate global patterns = subsets of attributes that
-	// are heavy somewhere; cap the enumeration for sanity.
-	var heavyAttrs []int
-	for _, a := range attrs {
-		if len(heavy[a]) > 0 {
-			heavyAttrs = append(heavyAttrs, a)
-		}
-	}
-	if len(heavyAttrs) > 20 {
-		heavyAttrs = heavyAttrs[:20]
-	}
-	for mask := 0; mask < 1<<uint(len(heavyAttrs)); mask++ {
-		var pattern uint64
-		for b, a := range heavyAttrs {
-			if mask&(1<<uint(b)) != 0 {
-				pattern |= 1 << uint(pos[a])
-			}
-		}
-		st := &stratum{pattern: pattern, inst: relation.NewInstance(q)}
-		empty := false
-		for e := 0; e < q.NumEdges(); e++ {
-			mf := fullMasks(e)
-			em := edgeMask(e)
-			r := in.Rel(e)
-			dst := st.inst.Rel(e)
-			for i := 0; i < r.Len(); i++ {
-				if tp := r.Row(i); mf(r, tp) == pattern&em {
-					dst.Add(tp)
-				}
-			}
-			if dst.Len() == 0 {
-				empty = true
-				break
-			}
-		}
-		if !empty {
-			strata[pattern] = st
-		}
-	}
+	strata := skewStrata(in, attrs, heavy)
 
 	// Run each stratum's HyperCube in parallel. Heavy dimensions get a
 	// share cap equal to their heavy-value count (hashing beyond the
 	// distinct count buys nothing); light dimensions cap at the
-	// stratum's distinct light values.
-	// Strata run in pattern order: map iteration order would vary from
-	// run to run, which the determinism contract (identical traces and
-	// stats for any worker count, and across repeated runs) forbids.
-	patterns := make([]uint64, 0, len(strata))
-	for pattern := range strata {
-		patterns = append(patterns, pattern)
-	}
-	sort.Slice(patterns, func(i, j int) bool { return patterns[i] < patterns[j] })
-
+	// stratum's distinct light values. Strata run in pattern order, so
+	// traces and stats are identical across runs and worker counts.
 	var res SkewAwareResult
 	res.Threshold = threshold
 	var branches []mpc.Branch
-	emits := make([]int64, len(patterns))
-	for si, pattern := range patterns {
-		pattern := pattern
-		st := strata[pattern]
-		idx := si
+	emits := make([]int64, len(strata))
+	for idx, st := range strata {
 		branches = append(branches, mpc.Branch{
 			Servers: g.Size(),
 			Run: func(sub *mpc.Group) {
-				sub.Span("stratum "+strconv.Itoa(idx), func() { runStratum(sub, q, st.inst, heavy, attrs, pos, pattern, &emits[idx]) })
+				sub.Span("stratum "+strconv.Itoa(idx), func() { runStratum(sub, q, st.Inst, heavy, attrs, st.Pattern, &emits[idx]) })
 			},
 		})
 	}
@@ -199,15 +115,40 @@ func SkewAwareWithThreshold(g *mpc.Group, in *relation.Instance, threshold int64
 	return &res, nil
 }
 
+// skewStrata stratifies in by heavy pattern over attrs (bit i for
+// attrs[i]). The candidates are the subsets of the attributes heavy
+// somewhere, the enumeration capped at 20 of them; they ascend, so the
+// nonempty strata come back in pattern order.
+func skewStrata(in *relation.Instance, attrs []int, heavy map[int]map[relation.Value]bool) []Stratum {
+	var heavyBits []uint64
+	for i, a := range attrs {
+		if len(heavy[a]) > 0 {
+			heavyBits = append(heavyBits, 1<<uint(i))
+		}
+	}
+	if len(heavyBits) > 20 {
+		heavyBits = heavyBits[:20]
+	}
+	candidates := make([]uint64, 1<<uint(len(heavyBits)))
+	for mask := range candidates {
+		for b, bit := range heavyBits {
+			if mask&(1<<uint(b)) != 0 {
+				candidates[mask] |= bit
+			}
+		}
+	}
+	return Stratify(in, attrs, heavy, candidates)
+}
+
 // runStratum executes one heavy-pattern stratum's capped HyperCube.
 func runStratum(sub *mpc.Group, q *hypergraph.Query, inst *relation.Instance,
-	heavy map[int]map[relation.Value]bool, attrs []int, pos map[int]int, pattern uint64, emitted *int64) {
+	heavy map[int]map[relation.Value]bool, attrs []int, pattern uint64, emitted *int64) {
 	caps := make(map[int]*big.Rat)
 	domCaps := make(map[int]int64)
 	logp := math.Log(float64(sub.Size()))
-	for _, a := range attrs {
+	for i, a := range attrs {
 		var dom int64
-		if pattern&(1<<uint(pos[a])) != 0 {
+		if pattern&(1<<uint(i)) != 0 {
 			dom = int64(len(heavy[a]))
 		} else {
 			seen := make(map[relation.Value]bool)

@@ -70,9 +70,9 @@ func reduceAggregated(g *mpc.Group, pre *mpc.DistRelation, keyAttrs []int, valAt
 			// All pre fragments share outSchema, so the key positions can
 			// be hoisted out of the (pure) route closure.
 			kpos := outSchema.Positions(keyAttrs)
-			mid := g.Route(pre, func(src int, t relation.Tuple) []int {
+			mid := g.RouteBuf(pre, func(src int, t relation.Tuple, buf []int) []int {
 				base := int(hashtab.Hash(t, kpos) % uint64(p))
-				return []int{(base + src%c) % p}
+				return append(buf[:0], (base+src%c)%p)
 			})
 			pre = agg(mid)
 		}

@@ -104,8 +104,8 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 	}
 
 	// Round 2: range routing, then local sort.
-	routed := g.Route(d, func(_ int, t relation.Tuple) []int {
-		return []int{destOf(t)}
+	routed := g.RouteBuf(d, func(_ int, t relation.Tuple, buf []int) []int {
+		return append(buf[:0], destOf(t))
 	})
 	return g.Local(routed, func(_ int, f *relation.Relation) *relation.Relation {
 		cp := f.Clone()
