@@ -3,63 +3,53 @@ package core
 import (
 	"sort"
 
-	"coverpack/internal/hypergraph"
 	"coverpack/internal/mpc"
 	"coverpack/internal/primitives"
 	"coverpack/internal/relation"
 )
 
 // caseI handles a connected subquery with at least two relations:
-// Section 3.1's Case I. It picks (x, S^x) via the strategy, computes the
+// Section 3.1's Case I. The step fixes (x, S^x); caseI computes the
 // heavy/light statistics of Step 1, decomposes dom(x) (Step 2), and
 // computes all subqueries in parallel (Step 3).
-func (ex *executor) caseI(g *mpc.Group, alive hypergraph.EdgeSet, vars map[int]hypergraph.VarSet,
-	rels map[int]*mpc.DistRelation, ctx []*relation.Relation,
-	tree *hypergraph.JoinTree, origOf []int, depth int) (int64, error) {
+func (ex *executor) caseI(g *mpc.Group, st *step, rels []*mpc.DistRelation,
+	ctx []*relation.Relation, depth int) (int64, error) {
 
-	ch := ex.choose(tree, origOf, vars)
-	sxSet := edgesSet(ch.sx)
-	ex.tracef(depth, "case I: x=%s S^x=%s", ex.q.AttrName(ch.x), ex.q.FormatEdges(sxSet))
-
+	c := st.caseI
+	if ex.trace {
+		ex.tracef(depth, "case I: x=%s S^x=%s", ex.q.AttrName(c.x), ex.q.FormatEdges(c.sxSet))
+	}
 	var total int64
 	var err error
-	g.Span("twig "+ex.q.AttrName(ch.x), func() {
-		total, err = ex.caseIPeel(g, alive, vars, rels, ctx, tree, origOf, depth, ch, sxSet)
+	g.Span(c.span, func() {
+		total, err = ex.caseIPeel(g, st, rels, ctx, depth)
 	})
 	return total, err
 }
 
 // caseIPeel is the body of caseI, separated so the whole peel of x runs
 // inside one named trace span.
-func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[int]hypergraph.VarSet,
-	rels map[int]*mpc.DistRelation, ctx []*relation.Relation,
-	tree *hypergraph.JoinTree, origOf []int, depth int, ch choice, sxSet hypergraph.EdgeSet) (int64, error) {
+func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
+	ctx []*relation.Relation, depth int) (int64, error) {
 
+	c := st.caseI
 	L := int64(ex.L)
-	x := ch.x
-
-	// Relations containing x (E_x ⊇ S^x).
-	var xHolders []int
-	for _, e := range alive.Edges() {
-		if vars[e].Contains(x) {
-			xHolders = append(xHolders, e)
-		}
-	}
+	x := c.x
 
 	// Step 1: degree statistics for x in every relation of E_x
 	// (reduce-by-key), then the heavy set H(x, S^x) = values with degree
 	// > L in some relation of S^x.
-	degs := make(map[int]*mpc.DistRelation, len(xHolders))
+	degs := make([]*mpc.DistRelation, len(rels))
 	heavySet := make(map[relation.Value]bool)
 	var heavyVals []relation.Value
 	var pk primitives.PackResult
-	heavyDeg := make(map[int]map[relation.Value]int64, len(xHolders))
-	groupW := make(map[int]map[int64]int64, len(xHolders))
+	heavyDeg := make([]map[relation.Value]int64, len(rels))
+	groupW := make([]map[int64]int64, len(rels))
 	g.Span("statistics", func() {
-		for _, e := range xHolders {
+		for _, e := range c.xHolders {
 			degs[e] = primitives.Degrees(g, rels[e], x, ex.cntAttr)
 		}
-		for _, e := range ch.sx {
+		for _, e := range c.sx {
 			rows := g.Gather(primitives.HeavyFilter(g, degs[e], ex.cntAttr, L))
 			xp := rows.Schema().Pos(x)
 			for i := 0; i < rows.Len(); i++ {
@@ -74,8 +64,8 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 
 		// Light values: total degree over S^x, packed into groups of total
 		// degree ≤ |S^x|·L (each light value has degree ≤ L per relation).
-		merged := mpc.NewDist(relation.NewSchema(x, ex.cntAttr), g.Size())
-		for _, e := range ch.sx {
+		merged := mpc.NewDist(c.degSchema, g.Size())
+		for _, e := range c.sx {
 			for i, f := range degs[e].Frags {
 				merged.Frags[i].Append(f)
 			}
@@ -86,15 +76,15 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 			return f.SelectIn(x, heavySet, false)
 		})
 		if lightW.Len() > 0 {
-			pk = primitives.Pack(g, lightW, x, ex.cntAttr, ex.grpAttr, int64(len(ch.sx))*L)
+			pk = primitives.Pack(g, lightW, x, ex.cntAttr, ex.grpAttr, int64(len(c.sx))*L)
 		}
 
 		// Per-branch input sizes for allocation and emptiness pruning.
-		for _, e := range xHolders {
+		for _, e := range c.xHolders {
 			heavyDeg[e] = ex.degreesForValues(g, degs[e], x, heavySet)
 		}
 		if pk.NumGroups > 0 {
-			for _, e := range xHolders {
+			for _, e := range c.xHolders {
 				groupW[e] = ex.groupSums(g, degs[e], pk.Assign, x)
 			}
 		}
@@ -113,50 +103,43 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 	heavyBranch := make(map[relation.Value]int)
 	groupBranch := make(map[int64]int)
 
-	// Residual structures for allocation.
-	subOf := make(map[int]int, len(origOf))
-	for i, e := range origOf {
-		subOf[e] = i
-	}
-	var sxSub hypergraph.EdgeSet
-	for _, e := range ch.sx {
-		sxSub.Add(subOf[e])
-	}
-	lightAlive := alive.Subtract(sxSet)
-	treeLight := tree.RemoveEdges(sxSub)
-
 	var scHeavy, scLight *statsContext
-	var heavyCoverOrig, lightCoverOrig hypergraph.EdgeSet
 	var assign *mpc.DistRelation
 	if pk.NumGroups > 0 {
 		assign = pk.Assign
 	}
-	switch ex.strat {
-	case Conservative:
-		scHeavy = newStatsContext(ex, g, rels, tree, origOf, x, heavySet, assign)
-		scLight = newStatsContext(ex, g, rels, treeLight, origOf, x, heavySet, assign)
-	case PathOptimal:
-		heavyCoverOrig = ex.residualCover(alive, vars, hypergraph.NewVarSet(x))
-		lightCoverOrig = ex.residualCover(lightAlive, vars, hypergraph.VarSet{})
+	if ex.strat == Conservative {
+		scHeavy = newStatsContext(ex, g, rels, c.psiHeavy, x, heavySet, assign)
+		scLight = newStatsContext(ex, g, rels, c.psiLight, x, heavySet, assign)
 	}
 
+	// Allocation inputs: an x-holder's size in a branch is its degree
+	// there, any other relation goes whole. Sizes read at least 1.
 	sizeHeavy := func(a relation.Value, e int) int64 {
-		if d, ok := heavyDeg[e]; ok {
-			return d[a]
+		s := int64(rels[e].Len())
+		if st.vars[e].Contains(x) {
+			s = heavyDeg[e][a]
 		}
-		return int64(rels[e].Len())
+		if s < 1 {
+			s = 1
+		}
+		return s
 	}
 	sizeGroup := func(j int64, e int) int64 {
-		if w, ok := groupW[e]; ok && vars[e].Contains(x) {
-			return w[j]
+		s := int64(rels[e].Len())
+		if w := groupW[e]; w != nil {
+			s = w[j]
 		}
-		return int64(rels[e].Len())
+		if s < 1 {
+			s = 1
+		}
+		return s
 	}
 
 	g.Span("allocation", func() {
 		for _, a := range heavyVals {
 			empty := false
-			for _, e := range xHolders {
+			for _, e := range c.xHolders {
 				if heavyDeg[e][a] == 0 {
 					empty = true
 					break
@@ -168,16 +151,10 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 			var servers int
 			switch ex.strat {
 			case Conservative:
-				servers = ceilPos(scHeavy.psiHeavy(alive.Edges(), vars, a, float64(L)))
+				servers = ceilPos(scHeavy.psi(float64(L), func(cs *compStats) int64 { return cs.byValue[a] }))
 			case PathOptimal:
 				a := a
-				servers = allocProduct(heavyCoverOrig, alive.Edges(), func(e int) int64 {
-					s := sizeHeavy(a, e)
-					if s < 1 {
-						s = 1
-					}
-					return s
-				}, float64(L))
+				servers = allocProduct(c.heavyCover, st.live, func(e int) int64 { return sizeHeavy(a, e) }, float64(L))
 			}
 			heavyBranch[a] = len(plans)
 			plans = append(plans, plan{heavyVal: a, isHeavy: true, servers: servers})
@@ -185,7 +162,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 		for j := 0; j < pk.NumGroups; j++ {
 			j64 := int64(j)
 			empty := false
-			for _, e := range xHolders {
+			for _, e := range c.xHolders {
 				if groupW[e][j64] == 0 {
 					empty = true
 					break
@@ -197,25 +174,23 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 			var servers int
 			switch ex.strat {
 			case Conservative:
-				servers = ceilPos(scLight.psiGroup(lightAlive.Edges(), vars, j64, float64(L)))
+				servers = ceilPos(scLight.psi(float64(L), func(cs *compStats) int64 { return cs.byGroup[j64] }))
 			case PathOptimal:
-				servers = allocProduct(lightCoverOrig, lightAlive.Edges(), func(e int) int64 {
-					s := sizeGroup(j64, e)
-					if s < 1 {
-						s = 1
-					}
-					return s
-				}, float64(L))
+				servers = allocProduct(c.lightCover, c.lightLive, func(e int) int64 { return sizeGroup(j64, e) }, float64(L))
 			}
 			groupBranch[j64] = len(plans)
 			plans = append(plans, plan{group: j64, servers: servers})
 		}
 	})
 	if len(plans) == 0 {
-		ex.tracef(depth, "no viable branches (all empty)")
+		if ex.trace {
+			ex.tracef(depth, "no viable branches (all empty)")
+		}
 		return 0, nil
 	}
-	ex.tracef(depth, "branches: %d heavy, %d light groups, L=%d", len(heavyBranch), len(groupBranch), L)
+	if ex.trace {
+		ex.tracef(depth, "branches: %d heavy, %d light groups, L=%d", len(heavyBranch), len(groupBranch), L)
+	}
 	sizes := make([]int, len(plans))
 	for i, p := range plans {
 		sizes[i] = p.servers
@@ -227,7 +202,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 	// branch's servers (they are the broadcast side of Step 3), others
 	// spread round-robin. Relations without x are copied to every
 	// branch. All movements are single Distribute exchanges.
-	parts := make(map[int][]*mpc.DistRelation, alive.Len())
+	parts := make([][]*mpc.DistRelation, len(rels))
 	// Per-branch send lists, shared across tuples: the pick closures
 	// below run once (twice under the parallel engine) per tuple, and
 	// the engines only read the returned slice, so allocating it per
@@ -239,8 +214,8 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 		bcast[bi] = []mpc.BranchSend{{Branch: bi, Broadcast: true}}
 	}
 	g.Span("heavy/light split", func() {
-		for _, e := range alive.Edges() {
-			if vars[e].Contains(x) {
+		for _, e := range st.live {
+			if st.vars[e].Contains(x) {
 				// Heavy tuples route straight from the current layout (the
 				// heavy-value list was already broadcast, so every server
 				// can classify locally). Partitioning them by x would
@@ -280,7 +255,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 						groupOf[relP.Frags[i]] = m
 					}
 					lightSends := unicast
-					if sxSet.Contains(e) {
+					if c.sxSet.Contains(e) {
 						lightSends = bcast
 					}
 					lParts = g.DistributeSpread(relP, sizes, func(f *relation.Relation, t relation.Tuple) []mpc.BranchSend {
@@ -330,11 +305,11 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 			Run: func(sub *mpc.Group) {
 				if pl.isHeavy {
 					sub.Span("heavy branch", func() {
-						counts[bi], errs[bi] = ex.heavyBranch(sub, alive, vars, parts, ctx, x, pl.heavyVal, bi, depth)
+						counts[bi], errs[bi] = ex.heavyBranch(sub, st, parts, ctx, pl.heavyVal, bi, depth)
 					})
 				} else {
 					sub.Span("light branch", func() {
-						counts[bi], errs[bi] = ex.lightBranch(sub, lightAlive, vars, parts, ctx, ch.sx, bi, depth)
+						counts[bi], errs[bi] = ex.lightBranch(sub, st, parts, ctx, bi, depth)
 					})
 				}
 			},
@@ -354,80 +329,56 @@ func (ex *executor) caseIPeel(g *mpc.Group, alive hypergraph.EdgeSet, vars map[i
 // heavyBranch computes the residual subquery Q_x on the σ_{x=a}
 // instance: x is projected away everywhere (it is constant), the context
 // is filtered consistently, and the whole algorithm recurses.
-func (ex *executor) heavyBranch(sub *mpc.Group, alive hypergraph.EdgeSet, vars map[int]hypergraph.VarSet,
-	parts map[int][]*mpc.DistRelation, ctx []*relation.Relation, x int, a relation.Value, bi, depth int) (int64, error) {
+func (ex *executor) heavyBranch(sub *mpc.Group, st *step, parts [][]*mpc.DistRelation,
+	ctx []*relation.Relation, a relation.Value, bi, depth int) (int64, error) {
 
+	c := st.caseI
 	chargeCtx(sub, ctx)
-	nvars := cloneVars(vars)
-	nrels := make(map[int]*mpc.DistRelation, alive.Len())
-	for _, e := range alive.Edges() {
+	nrels := make([]*mpc.DistRelation, len(parts))
+	for _, e := range st.live {
 		part := parts[e][bi]
-		if nvars[e].Contains(x) {
-			nv := nvars[e].Clone()
-			nv.Remove(x)
-			nvars[e] = nv
-			ns := relation.NewSchema(nv.Attrs()...)
+		if st.vars[e].Contains(c.x) {
+			ns := c.proj[e]
 			part = sub.Local(part, func(_ int, f *relation.Relation) *relation.Relation {
 				return f.ProjectTo(ns)
 			})
 		}
 		nrels[e] = part
 	}
-	nctx := make([]*relation.Relation, 0, len(ctx))
-	for _, c := range ctx {
-		if c.Schema().Has(x) {
-			rest := hypergraph.NewVarSet(c.Schema().Attrs()...)
-			rest.Remove(x)
-			nctx = append(nctx, c.SelectEqProject(x, a, rest.Attrs()...))
-		} else {
-			nctx = append(nctx, c)
+	nctx := make([]*relation.Relation, len(ctx))
+	for i, r := range ctx {
+		nctx[i] = r
+		if rest := c.ctxRest[i]; rest != nil {
+			nctx[i] = r.SelectEqProject(c.x, a, rest...)
 		}
 	}
-	return ex.compute(sub, alive.Clone(), nvars, nrels, nctx, depth+1)
+	child, err := c.heavy.step(ex)
+	if err != nil {
+		return 0, err
+	}
+	return ex.compute(sub, child, nrels, nctx, depth+1)
 }
 
 // lightBranch computes the residual subquery Q_y on the group's light
 // instance: the S^x relations' σ tuples were replicated to every server
 // of the branch and join the context; the rest recurses.
-func (ex *executor) lightBranch(sub *mpc.Group, lightAlive hypergraph.EdgeSet, vars map[int]hypergraph.VarSet,
-	parts map[int][]*mpc.DistRelation, ctx []*relation.Relation, sx []int, bi, depth int) (int64, error) {
+func (ex *executor) lightBranch(sub *mpc.Group, st *step, parts [][]*mpc.DistRelation,
+	ctx []*relation.Relation, bi, depth int) (int64, error) {
 
+	c := st.caseI
 	chargeCtx(sub, ctx)
-	nctx := append([]*relation.Relation(nil), ctx...)
-	for _, e := range sx {
-		bcast := parts[e][bi]
-		nctx = append(nctx, bcast.Frags[0])
+	nctx := make([]*relation.Relation, 0, len(ctx)+len(c.sx))
+	nctx = append(nctx, ctx...)
+	for _, e := range c.sx {
+		nctx = append(nctx, parts[e][bi].Frags[0])
 	}
-	nrels := make(map[int]*mpc.DistRelation, lightAlive.Len())
-	for _, e := range lightAlive.Edges() {
+	nrels := make([]*mpc.DistRelation, len(parts))
+	for _, e := range c.lightLive {
 		nrels[e] = parts[e][bi]
 	}
-	return ex.compute(sub, lightAlive.Clone(), cloneVars(vars), nrels, nctx, depth+1)
-}
-
-// residualCover computes the integral cover of the (alive, vars minus
-// drop) subquery in original edge ids.
-func (ex *executor) residualCover(alive hypergraph.EdgeSet, vars map[int]hypergraph.VarSet, drop hypergraph.VarSet) hypergraph.EdgeSet {
-	qc := hypergraph.NewQuery("rescover")
-	var origOf []int
-	for _, e := range alive.Edges() {
-		nv := vars[e].Subtract(drop)
-		if nv.IsEmpty() {
-			continue
-		}
-		qc.AddEdgeVars(ex.q.Edge(e).Name, nv)
-		origOf = append(origOf, e)
-	}
-	if qc.NumEdges() == 0 {
-		return hypergraph.EdgeSet{}
-	}
-	cover, err := coverFor(qc)
+	child, err := c.light.step(ex)
 	if err != nil {
-		return hypergraph.EdgeSet{}
+		return 0, err
 	}
-	var out hypergraph.EdgeSet
-	for _, i := range cover.Edges() {
-		out.Add(origOf[i])
-	}
-	return out
+	return ex.compute(sub, child, nrels, nctx, depth+1)
 }

@@ -19,21 +19,19 @@ type choice struct {
 }
 
 // choose picks (x, S^x) on the current subquery tree. tree indexes the
-// subquery; origOf maps back to original edge ids.
-func (ex *executor) choose(tree *hypergraph.JoinTree, origOf []int, vars map[int]hypergraph.VarSet) choice {
-	switch ex.strat {
-	case Conservative:
-		return chooseConservative(tree, origOf, vars)
-	case PathOptimal:
+// subquery; origOf maps back to original edge ids, by which vars is
+// indexed. Run rejects any other strategy before the first step.
+func (ex *executor) choose(tree *hypergraph.JoinTree, origOf []int, vars []hypergraph.VarSet) choice {
+	if ex.strat == PathOptimal {
 		return choosePathOptimal(tree, origOf, vars)
 	}
-	panic("core: unknown strategy")
+	return chooseConservative(tree, origOf, vars)
 }
 
 // chooseConservative picks the lowest-index leaf e1 with its parent e0
 // and the lowest shared attribute x ∈ e1 ∩ e0; S^x = {e1} (the Theorem 1
 // run analyzed in Section 3.2).
-func chooseConservative(tree *hypergraph.JoinTree, origOf []int, vars map[int]hypergraph.VarSet) choice {
+func chooseConservative(tree *hypergraph.JoinTree, origOf []int, vars []hypergraph.VarSet) choice {
 	for _, leaf := range tree.Leaves() {
 		p := tree.Parent[leaf]
 		if p < 0 {
@@ -55,7 +53,7 @@ func chooseConservative(tree *hypergraph.JoinTree, origOf []int, vars map[int]hy
 // out of the server-count formula (the fix Example 3.4 calls for). Among
 // all (leaf, attribute) pairs the longest path wins; ties break toward
 // lower edge index then lower attribute id for determinism.
-func choosePathOptimal(tree *hypergraph.JoinTree, origOf []int, vars map[int]hypergraph.VarSet) choice {
+func choosePathOptimal(tree *hypergraph.JoinTree, origOf []int, vars []hypergraph.VarSet) choice {
 	qc := tree.Query
 	cover, err := coverFor(qc)
 	if err != nil {
@@ -113,7 +111,7 @@ func choosePathOptimal(tree *hypergraph.JoinTree, origOf []int, vars map[int]hyp
 // residualAcyclic reports whether removing the path's relations leaves
 // an α-acyclic subquery.
 func residualAcyclic(qc *hypergraph.Query, tree *hypergraph.JoinTree, origOf []int,
-	vars map[int]hypergraph.VarSet, path []int) bool {
+	vars []hypergraph.VarSet, path []int) bool {
 	onPath := make(map[int]bool, len(path))
 	for _, e := range path {
 		onPath[e] = true

@@ -5,11 +5,11 @@ import (
 	"coverpack/internal/plan"
 )
 
-// Shape-cache entry points for the executor's hot structural work. The
-// generic algorithm rebuilds the same subqueries every run (and every
-// heavy-value branch), so GYO reductions and integral covers are
-// resolved through the compiled-plan cache: repeated — and isomorphic
-// — shapes skip the search. Both wrappers fall back to the direct
+// Shape-cache entry points for the program's structural work. Each run
+// compiles its recursion steps afresh (once per step, see program.go),
+// and successive runs rebuild the same subqueries, so GYO reductions and
+// integral covers are resolved through the compiled-plan cache:
+// repeated — and isomorphic — shapes skip the search. Both wrappers fall back to the direct
 // computation when the cache is disabled or the query exceeds the
 // canonical bounds, and the cached results are byte-identical to the
 // direct ones (internal/plan's sub-keying contract), so cache state

@@ -29,9 +29,9 @@ func Decomposition(q *hypergraph.Query) ([]PathChoice, error) {
 		return nil, fmt.Errorf("core: %s is not acyclic", q.Name())
 	}
 	alive := q.AllEdges()
-	vars := make(map[int]hypergraph.VarSet)
-	for e := 0; e < q.NumEdges(); e++ {
-		vars[e] = q.EdgeVars(e).Clone()
+	vars := make([]hypergraph.VarSet, q.NumEdges())
+	for e := range vars {
+		vars[e] = q.EdgeVars(e)
 	}
 	var out []PathChoice
 	for guard := 0; guard < q.NumEdges()+4; guard++ {

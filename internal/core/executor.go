@@ -71,12 +71,22 @@ const (
 
 // Run executes the generic acyclic join algorithm on the group.
 func Run(g *mpc.Group, in *relation.Instance, opts Options) (*Result, error) {
+	res, _, err := run(g, in, opts)
+	return res, err
+}
+
+// run is Run that also returns the root of the recursion program the run
+// compiled.
+func run(g *mpc.Group, in *relation.Instance, opts Options) (*Result, *step, error) {
+	if opts.Strategy != Conservative && opts.Strategy != PathOptimal {
+		return nil, nil, fmt.Errorf("core: unknown strategy %v", opts.Strategy)
+	}
 	q := in.Query
 	if !plan.Acyclic(q) {
-		return nil, fmt.Errorf("core: %s is not acyclic", q.Name())
+		return nil, nil, fmt.Errorf("core: %s is not acyclic", q.Name())
 	}
 	if err := in.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	L := opts.L
 	if L <= 0 {
@@ -96,22 +106,24 @@ func Run(g *mpc.Group, in *relation.Instance, opts Options) (*Result, error) {
 	// Initial state: all edges alive with their full attribute sets,
 	// relations deduplicated and scattered evenly (free initial layout;
 	// ScatterDedup routes the first occurrences into the placement).
-	alive := q.AllEdges()
-	vars := make(map[int]hypergraph.VarSet)
-	rels := make(map[int]*mpc.DistRelation)
-	for e := 0; e < q.NumEdges(); e++ {
-		vars[e] = q.EdgeVars(e).Clone()
+	vars := make([]hypergraph.VarSet, q.NumEdges())
+	rels := make([]*mpc.DistRelation, q.NumEdges())
+	for e := range rels {
+		vars[e] = q.EdgeVars(e)
 		rels[e] = g.ScatterDedup(in.Rel(e))
 	}
+	root, err := ex.compile(q.AllEdges().Edges(), vars, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	var emitted int64
-	var err error
 	g.Span("core "+opts.Strategy.String(), func() {
-		emitted, err = ex.compute(g, alive, vars, rels, nil, 0)
+		emitted, err = ex.compute(g, root, rels, nil, 0)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &Result{Emitted: emitted, L: L, Trace: ex.log}, nil
+	return &Result{Emitted: emitted, L: L, Trace: ex.log}, root, nil
 }
 
 // executor carries the per-run constants.
@@ -126,14 +138,12 @@ type executor struct {
 	log     []string
 }
 
-// tracef appends a decision-log line when tracing is on. Branches of a
+// tracef appends a decision-log line. Callers check ex.trace first, so
+// that a run without tracing never builds the arguments. Branches of a
 // Parallel block may log concurrently under the parallel engine, so
 // appends are serialized; line order across concurrent branches is not
 // part of the determinism contract (TraceRun runs sequentially).
 func (ex *executor) tracef(depth int, format string, args ...interface{}) {
-	if !ex.trace {
-		return
-	}
 	prefix := ""
 	for i := 0; i < depth; i++ {
 		prefix += "  "
@@ -143,145 +153,81 @@ func (ex *executor) tracef(depth int, format string, args ...interface{}) {
 	ex.logMu.Unlock()
 }
 
-func cloneVars(vars map[int]hypergraph.VarSet) map[int]hypergraph.VarSet {
-	out := make(map[int]hypergraph.VarSet, len(vars))
-	for k, v := range vars {
-		out[k] = v.Clone()
-	}
-	return out
-}
-
-// compute runs the generic algorithm on one subproblem and returns the
-// number of join results emitted.
-func (ex *executor) compute(g *mpc.Group, alive hypergraph.EdgeSet, vars map[int]hypergraph.VarSet,
-	rels map[int]*mpc.DistRelation, ctx []*relation.Relation, depth int) (int64, error) {
+// compute runs step st on one subproblem and returns the number of join
+// results emitted. rels is indexed by original edge id and owned by the
+// call: the reduction overwrites it.
+func (ex *executor) compute(g *mpc.Group, st *step, rels []*mpc.DistRelation,
+	ctx []*relation.Relation, depth int) (int64, error) {
 
 	if depth > maxDepth {
 		return 0, fmt.Errorf("core: recursion depth %d exceeded", depth)
 	}
 
-	// Drop 0-ary relations: an empty one annihilates the join, a
-	// nonempty one is a satisfied presence marker.
-	for _, e := range alive.Edges() {
-		if vars[e].IsEmpty() {
-			if rels[e].Len() == 0 {
-				return 0, nil
-			}
-			alive.Remove(e)
-		} else if rels[e].Len() == 0 {
+	// An empty relation annihilates the join; a nonempty 0-ary one is a
+	// satisfied presence marker, which the step drops.
+	for _, e := range st.alive {
+		if rels[e].Len() == 0 {
 			return 0, nil
 		}
 	}
-	if alive.IsEmpty() {
+	if len(st.live) == 0 {
 		// Everything peeled; the remaining result is the join of the
 		// replicated context, emitted once.
-		return relation.JoinSizeOf(ctx), nil
+		return st.count.Count(ctx), nil
 	}
 
 	// Reduce: absorb relations contained in another (semi-join, then
 	// drop), Case I's first step.
 	g.Span("semi-join reduce", func() {
-		reduced := true
-		for reduced {
-			reduced = false
-			es := alive.Edges()
-			for _, i := range es {
-				if !alive.Contains(i) {
-					continue
-				}
-				for _, j := range es {
-					if i == j || !alive.Contains(j) || !vars[i].SubsetOf(vars[j]) {
-						continue
-					}
-					if vars[i].Equal(vars[j]) && i < j {
-						continue // drop the higher index of equal pairs
-					}
-					rels[j] = primitives.SemiJoin(g, rels[j], rels[i])
-					alive.Remove(i)
-					reduced = true
-					break
-				}
-			}
+		for _, a := range st.absorb {
+			rels[a.into] = primitives.SemiJoin(g, rels[a.into], rels[a.from])
 		}
 	})
-	for _, e := range alive.Edges() {
+	for _, e := range st.live {
 		if rels[e].Len() == 0 {
 			return 0, nil
 		}
 	}
 
+	switch {
+	case st.caseII != nil:
+		if ex.trace {
+			ex.tracef(depth, "case II: %d components of %s", len(st.caseII.comps), st.qc)
+		}
+		return ex.caseII(g, st, rels, ctx, depth)
+	case st.caseI != nil:
+		return ex.caseI(g, st, rels, ctx, depth)
+	}
+
 	// Base case: a single relation left — every server emits its
-	// fragment joined with the context.
-	if alive.Len() == 1 {
-		// The context is the same at every server: its side of the count
-		// is aggregated once, and each fragment only probes it.
-		e := alive.Edges()[0]
-		frags := rels[e].Frags
-		schemas := make([]relation.Schema, 1+len(ctx))
-		schemas[0] = rels[e].Schema
-		for i, c := range ctx {
-			schemas[1+i] = c.Schema()
-		}
-		bound := relation.NewCounter(schemas).Bind(append([]*relation.Relation{nil}, ctx...), 0)
-		partial := make([]int64, len(frags))
-		g.Fork(len(frags), func(i int) {
-			partial[i] = bound.Count(frags[i])
-		})
-		bound.Release()
-		var total int64
-		for _, c := range partial {
-			total = relation.AddSat(total, c)
-		}
-		return total, nil
+	// fragment joined with the context. The context is the same at every
+	// server: its side of the count is aggregated once, and each fragment
+	// only probes it.
+	frags := rels[st.live[0]].Frags
+	bound := st.count.Bind(append([]*relation.Relation{nil}, ctx...), 0)
+	partial := make([]int64, len(frags))
+	g.Fork(len(frags), func(i int) {
+		partial[i] = bound.Count(frags[i])
+	})
+	bound.Release()
+	var total int64
+	for _, c := range partial {
+		total = relation.AddSat(total, c)
 	}
-
-	// Build the current subquery and its join tree.
-	qc, origOf := ex.subquery(alive, vars)
-	tree, ok := plan.GYO(qc)
-	if !ok {
-		return 0, fmt.Errorf("core: subquery became cyclic (bug): %s", qc)
-	}
-
-	comps := qc.ConnectedComponents()
-	if len(comps) > 1 {
-		ex.tracef(depth, "case II: %d components of %s", len(comps), qc)
-		return ex.caseII(g, alive, vars, rels, ctx, comps, origOf, depth)
-	}
-	return ex.caseI(g, alive, vars, rels, ctx, tree, origOf, depth)
-}
-
-// subquery materializes the current (alive, vars) pair as a Query whose
-// edge order is ascending original edge index; origOf maps subquery edge
-// index back to the original.
-func (ex *executor) subquery(alive hypergraph.EdgeSet, vars map[int]hypergraph.VarSet) (*hypergraph.Query, []int) {
-	qc := hypergraph.NewQuery(ex.q.Name() + "|sub")
-	var origOf []int
-	for _, e := range alive.Edges() {
-		qc.AddEdgeVars(ex.q.Edge(e).Name, vars[e])
-		origOf = append(origOf, e)
-	}
-	return qc, origOf
+	return total, nil
 }
 
 // caseII handles a disconnected subquery: the Cartesian product over
 // components on a hypercube of server groups (Section 3.1, Case II).
-func (ex *executor) caseII(g *mpc.Group, alive hypergraph.EdgeSet, vars map[int]hypergraph.VarSet,
-	rels map[int]*mpc.DistRelation, ctx []*relation.Relation,
-	comps []hypergraph.EdgeSet, origOf []int, depth int) (int64, error) {
+func (ex *executor) caseII(g *mpc.Group, st *step, rels []*mpc.DistRelation,
+	ctx []*relation.Relation, depth int) (int64, error) {
 
-	// Component edge sets in original ids.
-	compEdges := make([][]int, len(comps))
-	for i, c := range comps {
-		for _, sub := range c.Edges() {
-			compEdges[i] = append(compEdges[i], origOf[sub])
-		}
-	}
-
+	comps := st.caseII.comps
 	// Allocation per component.
 	sizes := make([]int, len(comps))
 	grid := 1
-	for i, edges := range compEdges {
-		sizes[i] = ex.allocate(g, edgesSet(edges), vars, rels)
+	for i := range comps {
+		sizes[i] = ex.allocate(g, &comps[i], rels)
 		grid *= sizes[i]
 	}
 	g.DeclareServers(grid)
@@ -293,10 +239,10 @@ func (ex *executor) caseII(g *mpc.Group, alive hypergraph.EdgeSet, vars map[int]
 	errs := make([]error, len(comps))
 	branches := make([]mpc.Branch, 0, len(comps))
 	g.Span("case II split", func() {
-		for i, edges := range compEdges {
-			i, edges := i, edges
-			branchRels := make(map[int]*mpc.DistRelation, len(edges))
-			for _, e := range edges {
+		for i := range comps {
+			i, comp := i, &comps[i]
+			branchRels := make([]*mpc.DistRelation, len(rels))
+			for _, e := range comp.edges {
 				parts := g.DistributeSpread(rels[e], []int{sizes[i]}, spreadAll(0))
 				branchRels[e] = parts[0]
 			}
@@ -305,7 +251,12 @@ func (ex *executor) caseII(g *mpc.Group, alive hypergraph.EdgeSet, vars map[int]
 				Run: func(sub *mpc.Group) {
 					sub.Span("component branch", func() {
 						chargeCtx(sub, ctx)
-						counts[i], errs[i] = ex.compute(sub, edgesSet(edges), cloneVars(vars), branchRels, ctx, depth+1)
+						child, err := comp.child.step(ex)
+						if err != nil {
+							errs[i] = err
+							return
+						}
+						counts[i], errs[i] = ex.compute(sub, child, branchRels, ctx, depth+1)
 					})
 				},
 			})
@@ -329,12 +280,11 @@ func (ex *executor) caseII(g *mpc.Group, alive hypergraph.EdgeSet, vars map[int]
 	// per-component counts over-counts; the emitted total is the joint
 	// count, which the final hypercube servers verify locally. The
 	// movement above is what costs; the count itself is exact.
-	var all []*relation.Relation
-	for _, e := range alive.Edges() {
+	all := make([]*relation.Relation, 0, len(st.live)+len(ctx))
+	for _, e := range st.live {
 		all = append(all, rels[e].Collect())
 	}
-	all = append(all, ctx...)
-	return relation.JoinSizeOf(all), nil
+	return st.caseII.joint.Count(append(all, ctx...)), nil
 }
 
 // spreadAll sends every tuple to one branch; the engine rotates tuples

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"sort"
-
-	"coverpack/internal/hypergraph"
 	"coverpack/internal/mpc"
-	"coverpack/internal/plan"
 	"coverpack/internal/primitives"
 	"coverpack/internal/relation"
 )
@@ -42,7 +38,7 @@ func chargeSetBroadcast(g *mpc.Group, size int) {
 // filtered locally and gathered (charged). Missing values read as 0.
 func (ex *executor) degreesForValues(g *mpc.Group, degs *mpc.DistRelation, x int, values map[relation.Value]bool) map[relation.Value]int64 {
 	if len(values) == 0 {
-		return map[relation.Value]int64{}
+		return nil
 	}
 	chargeSetBroadcast(g, len(values))
 	rows := gatherRows(g, degs, x, values)
@@ -71,7 +67,6 @@ func (ex *executor) groupSums(g *mpc.Group, counts, assign *mpc.DistRelation, x 
 	agp := ap.Schema.Pos(ex.grpAttr)
 	cxp := cp.Schema.Pos(x)
 	ccp := cp.Schema.Pos(ex.cntAttr)
-	nt := make(relation.Tuple, 2)
 	for i := range cp.Frags {
 		cf, af := cp.Frags[i], ap.Frags[i]
 		groupOf := make(map[relation.Value]int64, af.Len())
@@ -79,16 +74,24 @@ func (ex *executor) groupSums(g *mpc.Group, counts, assign *mpc.DistRelation, x 
 			t := af.Row(j)
 			groupOf[t[axp]] = t[agp]
 		}
-		out := relation.New(joinedSchema)
+		// Count the matches, then write them into one exactly sized arena.
+		n := 0
+		for j := 0; j < cf.Len(); j++ {
+			if _, ok := groupOf[cf.Row(j)[cxp]]; ok {
+				n++
+			}
+		}
+		data := make([]relation.Value, 2*n)
+		k := 0
 		for j := 0; j < cf.Len(); j++ {
 			t := cf.Row(j)
 			if gid, ok := groupOf[t[cxp]]; ok {
-				nt[gp] = gid
-				nt[cpos] = t[ccp]
-				out.Add(nt)
+				data[k+gp] = gid
+				data[k+cpos] = t[ccp]
+				k += 2
 			}
 		}
-		joined.Frags[i] = out
+		joined.Frags[i] = relation.FromData(joinedSchema, data, n)
 	}
 	reduced := primitives.ReduceByKey(g, joined, []int{ex.grpAttr}, ex.cntAttr)
 	rows := g.Gather(reduced)
@@ -113,173 +116,69 @@ type compStats struct {
 }
 
 // statsContext bundles what the conservative allocation needs to
-// evaluate Ψ(T, R_a, S, L) and Ψ(T', R_j, S, L) for every subset S.
+// evaluate Ψ(T, R_a, S, L) or Ψ(T', R_j, S, L) for every subset S of one
+// compiled psiPlan. Component statistics are computed on first use and
+// memoized by component index.
 type statsContext struct {
-	ex      *executor
-	g       *mpc.Group
-	rels    map[int]*mpc.DistRelation
-	x       int
-	heavy   map[relation.Value]bool
-	assign  *mpc.DistRelation // nil when there are no light groups
-	memo    map[string]*compStats
-	treeSub *hypergraph.JoinTree // subquery-indexed tree (T or T')
-	origOf  []int
-	subOf   map[int]int
+	ex     *executor
+	g      *mpc.Group
+	rels   []*mpc.DistRelation
+	x      int
+	heavy  map[relation.Value]bool
+	assign *mpc.DistRelation // nil when there are no light groups
+	plan   *psiPlan
+	memo   []*compStats
 }
 
-func newStatsContext(ex *executor, g *mpc.Group, rels map[int]*mpc.DistRelation,
-	tree *hypergraph.JoinTree, origOf []int, x int,
+func newStatsContext(ex *executor, g *mpc.Group, rels []*mpc.DistRelation, plan *psiPlan, x int,
 	heavy map[relation.Value]bool, assign *mpc.DistRelation) *statsContext {
-	subOf := make(map[int]int, len(origOf))
-	for i, e := range origOf {
-		subOf[e] = i
-	}
 	return &statsContext{
 		ex: ex, g: g, rels: rels, x: x, heavy: heavy, assign: assign,
-		memo: make(map[string]*compStats), treeSub: tree, origOf: origOf, subOf: subOf,
+		plan: plan, memo: make([]*compStats, len(plan.comps)),
 	}
-}
-
-// componentsOf returns T[S] in original edge ids, for S given in
-// original edge ids.
-func (sc *statsContext) componentsOf(s hypergraph.EdgeSet) [][]int {
-	var sub hypergraph.EdgeSet
-	for _, e := range s.Edges() {
-		sub.Add(sc.subOf[e])
-	}
-	var out [][]int
-	for _, comp := range sc.treeSub.ConnectedComponentsOn(sub) {
-		var orig []int
-		for _, i := range comp.Edges() {
-			orig = append(orig, sc.origOf[i])
-		}
-		sort.Ints(orig)
-		out = append(out, orig)
-	}
-	return out
 }
 
 // statsFor computes (memoized) the distributed join-count statistics of
-// one component, grouped by x when the component holds x.
-func (sc *statsContext) statsFor(comp []int, vars map[int]hypergraph.VarSet) *compStats {
-	key := keyOf(comp)
-	if st, ok := sc.memo[key]; ok {
+// component i, grouped by x when the component holds x.
+func (sc *statsContext) statsFor(i int) *compStats {
+	if st := sc.memo[i]; st != nil {
 		return st
 	}
-	// Root the component at an x-holder when one exists, so JoinCountBy
-	// can group by x at the root.
-	root := -1
-	for _, e := range comp {
-		if vars[e].Contains(sc.x) {
-			root = e
-			break
-		}
-	}
-	hasX := root >= 0
-	if !hasX {
-		root = comp[0]
-	}
-	children := sc.rerootedChildren(comp, root)
-	relsArr := make([]*mpc.DistRelation, sc.ex.q.NumEdges())
-	for _, e := range comp {
+	c := &sc.plan.comps[i]
+	relsArr := make([]*mpc.DistRelation, len(sc.rels))
+	for _, e := range c.edges {
 		relsArr[e] = sc.rels[e]
 	}
-	st := &compStats{hasX: hasX}
-	if hasX {
-		counts := primitives.JoinCountBy(sc.g, relsArr, children, root, sc.x, sc.ex.cntAttr)
+	st := &compStats{hasX: c.hasX}
+	if c.hasX {
+		counts := primitives.JoinCountBy(sc.g, relsArr, c.children, c.root, sc.x, sc.ex.cntAttr)
 		st.byValue = sc.ex.degreesForValues(sc.g, counts, sc.x, sc.heavy)
 		if sc.assign != nil {
 			st.byGroup = sc.ex.groupSums(sc.g, counts, sc.assign, sc.x)
 		}
 	} else {
-		st.scalar = primitives.JoinCount(sc.g, relsArr, children, root, sc.ex.cntAttr)
+		st.scalar = primitives.JoinCount(sc.g, relsArr, c.children, c.root, sc.ex.cntAttr)
 	}
-	sc.memo[key] = st
+	sc.memo[i] = st
 	return st
 }
 
-// rerootedChildren builds children arrays (original-id space) for the
-// component re-rooted at root, using the tree's adjacency restricted to
-// the component.
-func (sc *statsContext) rerootedChildren(comp []int, root int) [][]int {
-	inComp := make(map[int]bool, len(comp))
-	for _, e := range comp {
-		inComp[e] = true
-	}
-	adj := make(map[int][]int)
-	for _, e := range comp {
-		p := sc.treeSub.Parent[sc.subOf[e]]
-		if p >= 0 {
-			po := sc.origOf[p]
-			if inComp[po] {
-				adj[e] = append(adj[e], po)
-				adj[po] = append(adj[po], e)
-			}
-		}
-	}
-	children := make([][]int, sc.ex.q.NumEdges())
-	seen := map[int]bool{root: true}
-	queue := []int{root}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		ns := append([]int(nil), adj[u]...)
-		sort.Ints(ns)
-		for _, v := range ns {
-			if !seen[v] {
-				seen[v] = true
-				children[u] = append(children[u], v)
-				queue = append(queue, v)
-			}
-		}
-	}
-	return children
-}
-
-// psiHeavy evaluates max over nonempty S ⊆ candidates of
-// Ψ(T, R_a, S, L) = |⊗(T, R_a, S)| / L^{|S|} for heavy value a.
-func (sc *statsContext) psiHeavy(candidates []int, vars map[int]hypergraph.VarSet, a relation.Value, L float64) float64 {
+// psi evaluates max over the plan's subsets S of |⊗(T, R, S)| / L^{|S|},
+// where an x-holding component counts pick(stats) (its count for one
+// heavy value or one light group) and any other its scalar count.
+func (sc *statsContext) psi(L float64, pick func(*compStats) int64) float64 {
 	best := 0.0
-	for _, s := range hypergraph.SubsetsOf(candidates) {
-		if s.IsEmpty() {
-			continue
-		}
+	for _, s := range sc.plan.subsets {
 		prod := 1.0
-		for _, comp := range sc.componentsOf(s) {
-			st := sc.statsFor(comp, vars)
+		for _, i := range s.comps {
+			st := sc.statsFor(i)
 			if st.hasX {
-				prod *= float64(st.byValue[a])
+				prod *= float64(pick(st))
 			} else {
 				prod *= float64(st.scalar)
 			}
 		}
-		v := prod / powInt(L, s.Len())
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// psiGroup evaluates the same maximum for light group j, with the
-// per-component count summed over the group's values.
-func (sc *statsContext) psiGroup(candidates []int, vars map[int]hypergraph.VarSet, j int64, L float64) float64 {
-	best := 0.0
-	for _, s := range hypergraph.SubsetsOf(candidates) {
-		if s.IsEmpty() {
-			continue
-		}
-		prod := 1.0
-		for _, comp := range sc.componentsOf(s) {
-			st := sc.statsFor(comp, vars)
-			if st.hasX {
-				prod *= float64(st.byGroup[j])
-			} else {
-				prod *= float64(st.scalar)
-			}
-		}
-		v := prod / powInt(L, s.Len())
-		if v > best {
+		if v := prod / powInt(L, s.size); v > best {
 			best = v
 		}
 	}
@@ -294,24 +193,17 @@ func powInt(base float64, k int) float64 {
 	return out
 }
 
-func keyOf(edges []int) string {
-	return edgesSet(edges).Key()
-}
-
 // allocProduct implements the PathOptimal allocation: servers =
-// ⌈max over S of Π_{e∈S} size(e) / L^{|S|}⌉ with S ranging over subsets
-// of the integral cover plus all singletons.
-func allocProduct(cover hypergraph.EdgeSet, all []int, sizeOf func(e int) int64, L float64) int {
+// ⌈max over S of Π_{e∈S} size(e) / L^{|S|}⌉ with S ranging over the
+// nonempty subsets of the integral cover plus all singletons.
+func allocProduct(coverSubsets [][]int, all []int, sizeOf func(e int) int64, L float64) int {
 	best := 1.0
-	for _, s := range hypergraph.SubsetsOf(cover.Edges()) {
-		if s.IsEmpty() {
-			continue
-		}
+	for _, s := range coverSubsets {
 		prod := 1.0
-		for _, e := range s.Edges() {
+		for _, e := range s {
 			prod *= float64(sizeOf(e))
 		}
-		if v := prod / powInt(L, s.Len()); v > best {
+		if v := prod / powInt(L, len(s)); v > best {
 			best = v
 		}
 	}
@@ -339,57 +231,35 @@ func ceilPos(v float64) int {
 // cover; Conservative uses the sub-join form with a driver-side oracle
 // plus one charged statistics round (the distributed computation's load
 // shape, see DESIGN.md).
-func (ex *executor) allocate(g *mpc.Group, edges hypergraph.EdgeSet, vars map[int]hypergraph.VarSet,
-	rels map[int]*mpc.DistRelation) int {
-
-	qc := hypergraph.NewQuery("alloc")
-	var origOf []int
-	for _, e := range edges.Edges() {
-		qc.AddEdgeVars(ex.q.Edge(e).Name, vars[e])
-		origOf = append(origOf, e)
-	}
-	tree, ok := plan.GYO(qc)
-	if !ok {
+func (ex *executor) allocate(g *mpc.Group, c *component, rels []*mpc.DistRelation) int {
+	if c.whole {
 		return g.Size()
 	}
 	L := float64(ex.L)
-	switch ex.strat {
-	case PathOptimal:
-		cover, err := coverFor(qc)
-		if err != nil {
-			return g.Size()
-		}
-		var coverOrig hypergraph.EdgeSet
-		for _, i := range cover.Edges() {
-			coverOrig.Add(origOf[i])
-		}
-		return allocProduct(coverOrig, edges.Edges(), func(e int) int64 {
+	if ex.strat == PathOptimal {
+		return allocProduct(c.coverSubsets, c.edges, func(e int) int64 {
 			return int64(rels[e].Len())
 		}, L)
-	default:
-		// Conservative: oracle sub-joins over the collected component,
-		// one statistics round charged at the true O(total/p) load.
-		total := 0
-		collected := make([]*relation.Relation, len(origOf))
-		for i, e := range origOf {
-			collected[i] = rels[e].Collect()
-			total += collected[i].Len()
-		}
-		units := make([]int, g.Size())
-		for i := range units {
-			units[i] = total/g.Size() + 1
-		}
-		g.ChargeControl(units)
-		in := &relation.Instance{Query: qc, Relations: collected}
-		best := 1.0
-		for _, s := range hypergraph.SubsetsOf(qc.AllEdges().Edges()) {
-			if s.IsEmpty() {
-				continue
-			}
-			if v := float64(SubjoinSize(in, tree, s)) / powInt(L, s.Len()); v > best {
-				best = v
-			}
-		}
-		return ceilPos(best)
 	}
+	// Conservative: oracle sub-joins over the collected component, one
+	// statistics round charged at the true O(total/p) load.
+	total := 0
+	collected := make([]*relation.Relation, len(c.edges))
+	for i, e := range c.edges {
+		collected[i] = rels[e].Collect()
+		total += collected[i].Len()
+	}
+	units := make([]int, g.Size())
+	for i := range units {
+		units[i] = total/g.Size() + 1
+	}
+	g.ChargeControl(units)
+	in := &relation.Instance{Query: c.qc, Relations: collected}
+	best := 1.0
+	for _, s := range c.subsets {
+		if v := float64(SubjoinSize(in, c.tree, s)) / powInt(L, s.Len()); v > best {
+			best = v
+		}
+	}
+	return ceilPos(best)
 }
