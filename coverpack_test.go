@@ -3,6 +3,8 @@ package coverpack
 import (
 	"math/big"
 	"testing"
+
+	"coverpack/internal/relation"
 )
 
 func TestAnalyzeSquare(t *testing.T) {
@@ -62,6 +64,28 @@ func TestExecuteAllAlgorithmsAgree(t *testing.T) {
 	}
 	if want != in.JoinSize() {
 		t.Fatalf("all algorithms agree on %d but oracle says %d", want, in.JoinSize())
+	}
+}
+
+// TestExecuteYannakakisEmptyFirstComponent: R1(A,B) R2(B,C) R3(D,E)
+// with R1 ⋈ R2 empty emits nothing, however many rows R3 holds.
+func TestExecuteYannakakisEmptyFirstComponent(t *testing.T) {
+	in := relation.NewInstance(MustParseQuery("disc-empty", "R1(A,B) R2(B,C) R3(D,E)"))
+	in.Rel(0).Add(relation.Tuple{1, 2})
+	in.Rel(1).Add(relation.Tuple{3, 4})
+	in.Rel(2).Add(relation.Tuple{5, 6})
+	in.Rel(2).Add(relation.Tuple{7, 8})
+	if in.JoinSize() != 0 {
+		t.Fatalf("oracle %d, want 0", in.JoinSize())
+	}
+	for _, w := range []int{1, 4} {
+		rep, err := ExecuteOpts(AlgYannakakis, in, 4, ExecOptions{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Emitted != 0 {
+			t.Errorf("workers=%d: emitted %d, want 0", w, rep.Emitted)
+		}
 	}
 }
 

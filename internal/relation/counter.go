@@ -123,7 +123,7 @@ func (c *Counter) Count(rels []*Relation) int64 {
 	}
 	total := int64(1)
 	for _, root := range c.roots {
-		total = mulSat(total, c.treeCount(rels, root))
+		total = MulSat(total, c.treeCount(rels, root))
 		if total == 0 {
 			return 0
 		}
@@ -188,7 +188,7 @@ func (c *Counter) rowWeights(rels []*Relation, e, from int) (*Relation, []int64)
 				continue
 			}
 			if k := table.Find(data[i*r.arity:(i+1)*r.arity], l.pos); k >= 0 {
-				w[i] = mulSat(w[i], sums[k])
+				w[i] = MulSat(w[i], sums[k])
 			} else {
 				w[i] = 0
 			}
@@ -235,21 +235,7 @@ func (c *Counter) countFold(rels []*Relation) int64 {
 	for _, i := range c.fold[1:last] {
 		acc = acc.Join(distinct(rels[i]))
 	}
-	r := distinct(rels[c.fold[last]])
-	common := acc.schema.Common(r.schema)
-	if len(common) == 0 {
-		return mulSat(int64(acc.rows), int64(r.rows))
-	}
-	table, counts := sumByKey(r, nil, r.schema.Positions(common))
-	accPos := acc.schema.Positions(common)
-	var total int64
-	for i := 0; i < acc.rows; i++ {
-		if k := table.Find(acc.Row(i), accPos); k >= 0 {
-			total = AddSat(total, counts[k])
-		}
-	}
-	table.Release()
-	return total
+	return acc.JoinCount(distinct(rels[c.fold[last]]))
 }
 
 // BoundCounter is a Counter with every relation but one fixed: the
@@ -297,7 +283,7 @@ func (c *Counter) Bind(rels []*Relation, vary int) *BoundCounter {
 		if root == c.root[vary] {
 			continue
 		}
-		if b.factor = mulSat(b.factor, c.treeCount(rels, root)); b.factor == 0 {
+		if b.factor = MulSat(b.factor, c.treeCount(rels, root)); b.factor == 0 {
 			return b
 		}
 	}
@@ -325,7 +311,7 @@ func (b *BoundCounter) Count(frag *Relation) int64 {
 	}
 	r := distinct(frag)
 	if len(b.probes) == 0 {
-		return mulSat(int64(r.rows), b.factor)
+		return MulSat(int64(r.rows), b.factor)
 	}
 	var total int64
 	data := r.Data()
@@ -339,11 +325,11 @@ func (b *BoundCounter) Count(frag *Relation) int64 {
 				w = 0
 				break
 			}
-			w = mulSat(w, pr.sums[k])
+			w = MulSat(w, pr.sums[k])
 		}
 		total = AddSat(total, w)
 	}
-	return mulSat(total, b.factor)
+	return MulSat(total, b.factor)
 }
 
 // Release returns the bound tables to the hashtab pools; the counter
@@ -354,14 +340,15 @@ func (b *BoundCounter) Release() {
 	}
 }
 
-// smallDistinctRows bounds the allocation-free duplicate check of
-// distinct: row indices fit a byte and the slot array stays on the
-// stack.
+// smallDistinctRows bounds the stack form of distinct's duplicate
+// check: row indices fit a byte and the slot array stays on the stack.
 const smallDistinctRows = 64
 
 // distinct returns r when it holds no duplicate row and r.Dedup()
 // otherwise, so that the common duplicate-free relation is never copied.
-// A 0-ary relation's rows are all equal: it stands for a single row.
+// Above smallDistinctRows rows the check's slot array is a pooled arena,
+// cleared before use and released after it. A 0-ary relation's rows are
+// all equal: it stands for a single row.
 func distinct(r *Relation) *Relation {
 	if r.rows < 2 {
 		return r
@@ -378,7 +365,10 @@ func distinct(r *Relation) *Relation {
 		for size < 2*r.rows {
 			size <<= 1
 		}
-		dup = hasDuplicateRow(make([]int32, size), r.Data(), r.rows, r.arity)
+		slots := GetArena(size)[:size]
+		clear(slots)
+		dup = hasDuplicateRow(slots, r.Data(), r.rows, r.arity)
+		PutArena(slots[:0])
 	}
 	if dup {
 		return r.Dedup()
@@ -391,7 +381,7 @@ func distinct(r *Relation) *Relation {
 // a zeroed power-of-two array at least twice the row count) that
 // compares against the arena in place: no keys are copied and the hash
 // needs no compatibility with hashtab's, only speed.
-func hasDuplicateRow[S uint8 | int32](slots []S, data []Value, rows, arity int) bool {
+func hasDuplicateRow[S uint8 | int64](slots []S, data []Value, rows, arity int) bool {
 	mask := uint64(len(slots) - 1)
 	for i := 0; i < rows; i++ {
 		row := data[i*arity : (i+1)*arity]
@@ -411,7 +401,9 @@ func hasDuplicateRow[S uint8 | int32](slots []S, data []Value, rows, arity int) 
 	return false
 }
 
-func mulSat(a, b int64) int64 {
+// MulSat returns a·b for non-negative counts, saturating at
+// math.MaxInt64 instead of wrapping — the product beside AddSat.
+func MulSat(a, b int64) int64 {
 	if a == 0 || b == 0 {
 		return 0
 	}

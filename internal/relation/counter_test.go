@@ -336,6 +336,54 @@ func TestBoundCounterCountAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestDistinctAtStackBoundary runs distinct's duplicate check on both
+// sides of smallDistinctRows, with and without a duplicate, with arena
+// pooling off and on. Up to the boundary the check touches no pool;
+// above it it takes one arena and hands it back. Each case runs twice,
+// so the second check reuses the first one's arena: a slot array not
+// cleared before use would find row 0 already present.
+func TestDistinctAtStackBoundary(t *testing.T) {
+	defer SetPooling(PoolingEnabled())
+	for _, pooling := range []bool{false, true} {
+		SetPooling(pooling)
+		for _, rows := range []int{smallDistinctRows, smallDistinctRows + 1} {
+			for _, dup := range []bool{false, true} {
+				r := New(NewSchema(0, 1))
+				for r.Len() < rows {
+					if i := r.Len(); dup && i == rows-1 {
+						r.AddValues(0, 0)
+					} else {
+						r.AddValues(Value(i), Value(7*i))
+					}
+				}
+				for run := 0; run < 2; run++ {
+					before := PoolStats()
+					got := distinct(r)
+					after := PoolStats()
+					label := fmt.Sprintf("pooling=%v rows=%d dup=%v run %d", pooling, r.Len(), dup, run)
+					if dup && (got == r || !got.Equal(r.Dedup())) {
+						t.Errorf("%s: duplicate not removed", label)
+					}
+					if !dup && got != r {
+						t.Errorf("%s: duplicate-free relation copied", label)
+					}
+					gets, returned := after.Gets-before.Gets, (after.Puts+after.Discards)-(before.Puts+before.Discards)
+					wantGets, wantReturned := uint64(0), uint64(0)
+					if r.Len() > smallDistinctRows {
+						wantReturned = 1
+						if pooling {
+							wantGets = 1
+						}
+					}
+					if gets != wantGets || returned != wantReturned {
+						t.Errorf("%s: %d arena gets, %d returned; want %d, %d", label, gets, returned, wantGets, wantReturned)
+					}
+				}
+			}
+		}
+	}
+}
+
 // A bound counter is shared by the servers of a Fork: concurrent Counts
 // must be race-free (run under -race) and agree with the serial answer.
 func TestBoundCounterConcurrentCount(t *testing.T) {

@@ -105,6 +105,11 @@ func FuzzLocalKernelBlocks(f *testing.F) {
 		check("JoinPar", r.JoinPar(s, fk), refJoin(r, s))
 		check("JoinPar swapped", s.JoinPar(r, fk), refJoin(s, r))
 		check("JoinPar product", r.ProjectTo(NewSchema(0)).JoinPar(s, fk), refJoin(r.ProjectTo(NewSchema(0)), s))
+		for _, pair := range [][2]*Relation{{r, s}, {s, r}, {r.ProjectTo(NewSchema(0)), s}} {
+			if got, want := pair[0].JoinCount(pair[1]), pair[0].Join(pair[1]).Len(); got != int64(want) {
+				t.Fatalf("JoinCount %d, Join builds %d rows", got, want)
+			}
+		}
 		check("DedupPar", r.DedupPar(fk), refDedup(r))
 		for _, pos := range [][]int{{0}, {1, 0}} {
 			got := r.Clone()

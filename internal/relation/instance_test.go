@@ -186,13 +186,13 @@ func TestPropertyAcyclicCounting(t *testing.T) {
 }
 
 func TestMulSat(t *testing.T) {
-	if mulSat(0, 5) != 0 || mulSat(5, 0) != 0 {
+	if MulSat(0, 5) != 0 || MulSat(5, 0) != 0 {
 		t.Fatal("zero cases")
 	}
-	if mulSat(1<<40, 1<<40) != int64(^uint64(0)>>1) {
+	if MulSat(1<<40, 1<<40) != int64(^uint64(0)>>1) {
 		t.Fatal("saturation failed")
 	}
-	if mulSat(3, 7) != 21 {
+	if MulSat(3, 7) != 21 {
 		t.Fatal("plain multiply failed")
 	}
 }

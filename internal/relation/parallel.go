@@ -412,6 +412,40 @@ func (j *joinRun) scatter(dst []Value, chain []int32, lo, hi int) {
 	}
 }
 
+// JoinCount returns JoinPar(s, f).Len() without building the join: the
+// size of r ⋈ s with bag semantics (a duplicate row matches once per
+// copy), saturating at math.MaxInt64. It is the emit step of a plan
+// whose last join is never exchanged. The build side is JoinPar's; a
+// transient per-key count table over it is probed by the other side and
+// released to the hashtab pool, so the cost is O(|r| + |s|) whatever the
+// output size, and no index is retained.
+func (r *Relation) JoinCount(s *Relation) int64 {
+	if r.rows == 0 || s.rows == 0 {
+		return 0
+	}
+	common := r.schema.Common(s.schema)
+	if len(common) == 0 {
+		return MulSat(int64(r.rows), int64(s.rows))
+	}
+	r.ensureResident()
+	s.ensureResident()
+	probe, build := r, s
+	if r.rows < s.rows {
+		probe, build = s, r
+	}
+	pos, probePos := build.schema.Positions(common), probe.schema.Positions(common)
+	a := probe.arity
+	table, counts := sumByKey(build, nil, pos)
+	var n int64
+	for i := 0; i < probe.rows; i++ {
+		if k := table.Find(probe.data[i*a:(i+1)*a], probePos); k >= 0 {
+			n = AddSat(n, counts[k])
+		}
+	}
+	table.Release()
+	return n
+}
+
 // JoinPar is the natural join r ⋈ s (hash join on the shared
 // attributes; Cartesian product when none are shared), the
 // count-then-scatter kernel run block by block over f. The build side

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -264,6 +265,60 @@ func TestJoinParCartesian(t *testing.T) {
 	}
 }
 
+// TestJoinCountMatchesJoin: JoinCount is the size of the join JoinPar
+// builds (bag semantics: duplicate rows match once per copy), whether
+// the build side carries a retained index on the key, one on another
+// key or none, with caching on or off — and it never builds, uses up or
+// replaces a retained index.
+func TestJoinCountMatchesJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	big := randomRel(rng, NewSchema(0, 1), 3*smallRows, 6)
+	small := randomRel(rng, NewSchema(1, 2), smallRows, 6)
+	dups := randomRel(rng, NewSchema(1, 2), 10, 3)
+	for i := 0; i < 10; i++ {
+		dups.Add(dups.Row(i)) // every row twice
+	}
+	keyPos := []int{0} // attribute 1 in small's and dups' rows
+	for _, tc := range []struct {
+		name    string
+		r, s    *Relation
+		prepare func(s *Relation) // runs on s, the build side
+		caching bool
+	}{
+		{"no index", big, small, nil, true},
+		{"retained index hit", big, small, func(s *Relation) { s.indexOn(keyPos) }, true},
+		{"retained index on another key", big, small, func(s *Relation) { s.indexOn([]int{1}) }, true},
+		{"caching off", big, small, func(s *Relation) { s.indexOn(keyPos) }, false},
+		{"duplicate rows", big, dups, nil, true},
+		{"duplicate rows, index hit", big, dups, func(s *Relation) { s.indexOn(keyPos) }, true},
+		{"build side first", small, big, nil, true},
+		{"no shared attribute", big, randomRel(rng, NewSchema(2, 3), 5, 6), nil, true},
+		{"empty r", New(NewSchema(0, 1)), small, nil, true},
+		{"empty s", big, New(NewSchema(1, 2)), nil, true},
+		{"empty, no shared attribute", New(NewSchema(0)), small, nil, true},
+	} {
+		r, s := tc.r.Clone(), tc.s.Clone()
+		want := int64(refJoin(r, s).Len())
+		if tc.prepare != nil {
+			tc.prepare(s)
+		}
+		SetIndexCaching(tc.caching)
+		before := s.idx.Load()
+		got := r.JoinCount(s)
+		after := s.idx.Load()
+		SetIndexCaching(true)
+		if got != want {
+			t.Errorf("%s: JoinCount %d, want %d", tc.name, got, want)
+		}
+		if before != after || r.idx.Load() != nil {
+			t.Errorf("%s: JoinCount changed a retained index", tc.name)
+		}
+		if n := r.JoinPar(s, nil).Len(); int64(n) != want {
+			t.Errorf("%s: JoinPar builds %d rows, JoinCount counts %d", tc.name, n, want)
+		}
+	}
+}
+
 // TestKernelsAboveCutoff runs every kernel through the cut blocksOf
 // makes on its own — inputs of ParCutoff rows and more on a real
 // multi-goroutine Forker — against the same references.
@@ -338,8 +393,10 @@ func TestParKernelCutoffAndKillSwitch(t *testing.T) {
 // and must stay at or under parent, the count of the same call on the
 // commit before the block kernels (20a6c53), measured with this test.
 // Index builds are outside the counts (retained on the build side; the
-// first, uncounted run of AllocsPerRun pays them).
+// first, uncounted run of AllocsPerRun pays them). The collector is off
+// while counting, so no cycle empties a pool between runs.
 func TestOneBlockAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, rows := range []int{8, 10000} {
 		rng := rand.New(rand.NewSource(int64(rows)))
 		r := randomRel(rng, NewSchema(0, 1), rows, int64(rows))
@@ -359,6 +416,9 @@ func TestOneBlockAllocs(t *testing.T) {
 		}{
 			{"SemiJoin", [2]float64{5, 6}, [2]float64{7, 21}, false, func() { r.SemiJoin(s) }},
 			{"Join", [2]float64{13, 14}, [2]float64{18, 32}, false, func() { r.Join(s) }},
+			// The parent is Join's, the call JoinCount replaces. Its count
+			// table comes from the hashtab pool.
+			{"JoinCount", [2]float64{8, 8}, [2]float64{13, 14}, true, func() { r.JoinCount(s) }},
 			{"Dedup", [2]float64{2, 3}, [2]float64{2, 3}, false, func() { r.Dedup() }},
 			{"SortBy", [2]float64{4, 6}, [2]float64{4, 6}, false, func() { r.Clone().SortBy(pos) }},
 			// The parents of these two are the streaming run's forms on

@@ -153,12 +153,17 @@ func PutArena(a []Value) {
 		return
 	}
 	poolPuts.Add(1)
-	a = a[:0]
-	if reservePut(cl, a) {
+	if reservePut(cl, a[:0]) {
 		return
 	}
-	arenaPools[cl].Put(&a)
+	poolPut(cl, a[:0])
 }
+
+// poolPut hands a to its class's sync.Pool, boxing the slice header. It
+// is a function of its own because taking &a in PutArena would move
+// PutArena's parameter to the heap on every call, so an arena the
+// reserve takes would cost an allocation too.
+func poolPut(cl int, a []Value) { arenaPools[cl].Put(&a) }
 
 // The reserve: a bounded set of arenas held by ordinary references in
 // front of the sync.Pools. A sync.Pool drops what it holds at every

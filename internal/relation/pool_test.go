@@ -52,3 +52,24 @@ func TestArenaReserveBounded(t *testing.T) {
 		t.Fatalf("reserve holds %d values (accounted %d), budget %d", sum, used, reserveValues)
 	}
 }
+
+// TestArenaRecycleAllocatesNothing: an arena the reserve takes back
+// costs no allocation, neither on Put nor on the Get that reuses it —
+// only the sync.Pool path behind a full reserve boxes a slice header.
+func TestArenaRecycleAllocatesNothing(t *testing.T) {
+	if !PoolingEnabled() {
+		t.Skip("pooling disabled")
+	}
+	reserveMu.Lock()
+	saved, savedUsed := reserve, reserveUsed
+	reserve, reserveUsed = [arenaClasses][][]Value{}, 0
+	reserveMu.Unlock()
+	defer func() {
+		reserveMu.Lock()
+		reserve, reserveUsed = saved, savedUsed
+		reserveMu.Unlock()
+	}()
+	if allocs := testing.AllocsPerRun(100, func() { PutArena(GetArena(1 << 10)) }); allocs != 0 {
+		t.Fatalf("GetArena + PutArena through the reserve: %v allocations, want 0", allocs)
+	}
+}

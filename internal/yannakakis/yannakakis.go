@@ -7,6 +7,11 @@
 // the worst case, which is exactly the gap the paper's worst-case
 // optimal algorithm (internal/core) closes.
 //
+// Emitting results is free in the model, so the root's last join is
+// counted, not built: its inputs are exchanged exactly as a join's
+// would be, and each server reports |fragment ⋈ fragment| through
+// relation.JoinCount. Every join that is built is exchanged afterwards.
+//
 // The two-round semi-join evaluation of the Section 1.3 example
 // (R1(A) ⋈ R2(A,B) ⋈ R3(B) with linear load) is this algorithm on a
 // two-level join tree.
@@ -28,9 +33,12 @@ type Result struct {
 }
 
 // Run executes parallel Yannakakis on the group. The query must be
-// acyclic. Join results are emitted at the servers holding the final
-// root-relation partitions; emission itself is free per the model, but
-// every intermediate tuple movement is charged.
+// acyclic. Every tuple movement is charged: the scatter, the semi-join
+// reduction, and the exchanges of the join up the tree, including those
+// feeding each root's last join. That last join is emitted at the
+// servers holding its partitions, which is free per the model, so it is
+// counted per server instead of built; the components of a disconnected
+// query multiply, saturating at math.MaxInt64.
 func Run(g *mpc.Group, in *relation.Instance) (*Result, error) {
 	q := in.Query
 	tree, ok := hypergraph.GYO(q)
@@ -52,53 +60,56 @@ func Run(g *mpc.Group, in *relation.Instance) (*Result, error) {
 	rels = primitives.SemiJoinReduceTree(g, rels, children, tree.Roots())
 
 	// Join up the tree: each node joins the already-joined subtrees of
-	// its children. Partitioned hash joins on the parent-child common
-	// attributes; a Cartesian child (no common attributes) is handled
-	// by broadcasting the smaller side.
+	// its children, partitioned hash joins on the parent-child common
+	// attributes (never empty in a GYO tree; see pairExchange).
 	var joinUp func(e int) *mpc.DistRelation
 	joinUp = func(e int) *mpc.DistRelation {
 		acc := rels[e]
 		for _, c := range children[e] {
-			sub := joinUp(c)
-			acc = pairJoin(g, acc, sub)
+			acc = pairJoin(g, acc, joinUp(c))
 		}
 		return acc
+	}
+	// rootCount is joinUp at a root with the last join counted.
+	rootCount := func(root int) int64 {
+		acc, cs := rels[root], children[root]
+		if len(cs) == 0 {
+			return int64(acc.Len())
+		}
+		for _, c := range cs[:len(cs)-1] {
+			acc = pairJoin(g, acc, joinUp(c))
+		}
+		return pairCount(g, acc, joinUp(cs[len(cs)-1]))
 	}
 
 	var emitted int64
 	g.Span("join up", func() {
-		for _, root := range tree.Roots() {
-			full := joinUp(root)
-			// Roots of distinct components multiply; emit the Cartesian
-			// combination count without materializing across components.
-			if emitted == 0 {
-				emitted = int64(full.Len())
+		// Roots of distinct components multiply: the Cartesian
+		// combination count, never materialized across components.
+		for i, root := range tree.Roots() {
+			if n := rootCount(root); i == 0 {
+				emitted = n
 			} else {
-				emitted *= int64(full.Len())
+				emitted = relation.MulSat(emitted, n)
 			}
 		}
 	})
 	return &Result{Emitted: emitted}, nil
 }
 
+// pairExchange hash partitions a and b on their common attributes, so
+// that every result of a ⋈ b can be formed at one server, and returns
+// them with that key. A GYO join tree links a child to its parent only
+// through a shared attribute, and the accumulated sides keep their
+// relations' attributes, so the key is never empty.
+func pairExchange(g *mpc.Group, a, b *mpc.DistRelation) (ap, bp *mpc.DistRelation, common []int) {
+	common = a.Schema.Common(b.Schema)
+	return g.HashPartition(a, common), g.HashPartition(b, common), common
+}
+
 // pairJoin joins two distributed relations on their common attributes.
 func pairJoin(g *mpc.Group, a, b *mpc.DistRelation) *mpc.DistRelation {
-	common := a.Schema.Common(b.Schema)
-	if len(common) == 0 {
-		// Broadcast the smaller side, join locally.
-		small, large := a, b
-		if b.Len() < a.Len() {
-			small, large = b, a
-		}
-		bs := g.Broadcast(small)
-		out := mpc.NewDist(a.Schema.Union(b.Schema), g.Size())
-		g.Fork(len(large.Frags), func(i int) {
-			out.Frags[i] = large.Frags[i].Join(bs.Frags[i])
-		})
-		return out
-	}
-	ap := g.HashPartition(a, common)
-	bp := g.HashPartition(b, common)
+	ap, bp, common := pairExchange(g, a, b)
 	out := mpc.NewDist(a.Schema.Union(b.Schema), g.Size())
 	g.Fork(len(ap.Frags), func(i int) {
 		out.Frags[i] = ap.Frags[i].JoinPar(bp.Frags[i], g)
@@ -110,4 +121,19 @@ func pairJoin(g *mpc.Group, a, b *mpc.DistRelation) *mpc.DistRelation {
 	// into identity exchanges too.
 	out.MarkPartitioned(common)
 	return out
+}
+
+// pairCount is |a ⋈ b|: the exchanges of pairJoin, then each server
+// counts the join of its two fragments instead of building it.
+func pairCount(g *mpc.Group, a, b *mpc.DistRelation) int64 {
+	ap, bp, _ := pairExchange(g, a, b)
+	counts := make([]int64, len(ap.Frags))
+	g.Fork(len(ap.Frags), func(i int) {
+		counts[i] = ap.Frags[i].JoinCount(bp.Frags[i])
+	})
+	var total int64
+	for _, n := range counts {
+		total = relation.AddSat(total, n)
+	}
+	return total
 }

@@ -5,20 +5,25 @@ import (
 
 	"coverpack/internal/hypergraph"
 	"coverpack/internal/mpc"
+	"coverpack/internal/relation"
 	"coverpack/internal/workload"
 )
 
+// TestRunCountsExactly checks the count against the oracle and pins the
+// cost: MaxLoad and Rounds are the values measured when the root's last
+// join was still built, so counting it instead is local and uncharged.
 func TestRunCountsExactly(t *testing.T) {
 	for _, tc := range []struct {
-		q   *hypergraph.Query
-		n   int
-		dom int64
+		q               *hypergraph.Query
+		n               int
+		dom             int64
+		maxLoad, rounds int
 	}{
-		{hypergraph.PathJoin(3), 300, 30},
-		{hypergraph.PathJoin(5), 200, 30},
-		{hypergraph.StarJoin(3), 150, 30},
-		{hypergraph.Figure4Join(), 80, 30},
-		{hypergraph.SemiJoinExample(), 200, 250}, // unary relations need dom >= n
+		{hypergraph.PathJoin(3), 300, 30, 485, 12},
+		{hypergraph.PathJoin(5), 200, 30, 1572, 24},
+		{hypergraph.StarJoin(3), 150, 30, 622, 18},
+		{hypergraph.Figure4Join(), 80, 30, 20, 42},
+		{hypergraph.SemiJoinExample(), 200, 250, 33, 12}, // unary relations need dom >= n
 	} {
 		c := mpc.NewCluster(8)
 		in := workload.Uniform(tc.q, tc.n, tc.dom, 11)
@@ -29,8 +34,8 @@ func TestRunCountsExactly(t *testing.T) {
 		if want := in.JoinSize(); res.Emitted != want {
 			t.Errorf("%s: emitted %d, want %d", tc.q.Name(), res.Emitted, want)
 		}
-		if st := c.Stats(); st.Rounds == 0 || st.MaxLoad == 0 {
-			t.Errorf("%s: no cost recorded: %v", tc.q.Name(), st)
+		if st := c.Stats(); st.MaxLoad != tc.maxLoad || st.Rounds != tc.rounds {
+			t.Errorf("%s: max load %d, rounds %d; want %d, %d", tc.q.Name(), st.MaxLoad, st.Rounds, tc.maxLoad, tc.rounds)
 		}
 	}
 }
@@ -53,6 +58,27 @@ func TestRunDisconnectedQuery(t *testing.T) {
 	}
 	if want := in.JoinSize(); res.Emitted != want {
 		t.Fatalf("emitted %d, want %d", res.Emitted, want)
+	}
+	// Single-relation trees need no exchange: the scatter is free.
+	if st := c.Stats(); st.MaxLoad != 0 || st.Rounds != 0 {
+		t.Fatalf("max load %d, rounds %d; want 0, 0", st.MaxLoad, st.Rounds)
+	}
+}
+
+// TestRunEmptyFirstComponent: R1(A,B) R2(B,C) R3(D,E) with R1 ⋈ R2
+// empty emits nothing, however many rows R3 holds.
+func TestRunEmptyFirstComponent(t *testing.T) {
+	in := relation.NewInstance(hypergraph.MustParse("disc-empty", "R1(A,B) R2(B,C) R3(D,E)"))
+	in.Rel(0).Add(relation.Tuple{1, 2})
+	in.Rel(1).Add(relation.Tuple{3, 4})
+	in.Rel(2).Add(relation.Tuple{5, 6})
+	in.Rel(2).Add(relation.Tuple{7, 8})
+	res, err := Run(mpc.NewCluster(4).Root(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := in.JoinSize(); want != 0 || res.Emitted != want {
+		t.Fatalf("emitted %d, oracle %d; want 0", res.Emitted, want)
 	}
 }
 
