@@ -30,8 +30,6 @@ func main() {
 	workers := flag.Int("workers", 0, "goroutine workers INSIDE one simulated run (0 = GOMAXPROCS, 1 = sequential); independent of -parallel — the two multiply; tables are identical for every setting")
 	parallel := flag.Int("parallel", 1, "run-level sweep workers: how many experiment cells (independent simulator runs) execute concurrently (0 = GOMAXPROCS); tables are identical for every setting")
 	memBudget := flag.Int64("membudget", 0, "admission budget in total tuples resident across in-flight cells (0 = default, negative = unlimited)")
-	spillDir := flag.String("spill-dir", "", "arm every simulator cell with an out-of-core form spilling arena segments under this directory; the memory gate places cells spilled instead of delaying them (tables are byte-identical either way)")
-	spillBudget := flag.Int64("mem-budget", 0, "resident-byte budget of one spilled run (0 = 64 MiB default); requires -spill-dir")
 	planCache := flag.Bool("plan-cache", true, "reuse compiled plans (canonical shape cache + LP memo) across sweep cells; tables are byte-identical either way")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -61,7 +59,7 @@ func main() {
 			nw, np, product, runtime.NumCPU())
 	}
 	cfg := experiments.Config{Small: *small, Workers: nw, RunWorkers: np, MemBudget: *memBudget,
-		SpillDir: *spillDir, SpillBudget: *spillBudget, NoPlanCompile: !*planCache}
+		NoPlanCompile: !*planCache}
 	if !*planCache {
 		// Disable process-wide too, so concurrent sweep cells never race
 		// the per-run forced switch.
@@ -136,16 +134,9 @@ func main() {
 	}
 	fmt.Printf("wall-clock %s (run-workers=%d × intra-run workers=%d of %d CPUs)\n", elapsed.Round(time.Millisecond), np, nw, runtime.NumCPU())
 
-	// Spill I/O is diagnostics, never a table artifact: print it to
-	// stderr so stdout stays byte-identical with spilling on or off.
-	if *spillDir != "" {
-		sc := coverpack.SpillStats()
-		fmt.Fprintf(os.Stderr, "experiments: spill parks=%d pageins=%d segments=%d written=%dB read=%dB held=%dB\n",
-			sc.Parks, sc.PageIns, sc.SegmentsWritten, sc.BytesWritten, sc.BytesRead, sc.HeldBytes)
-	}
-
-	// Compile-cache reuse is diagnostics too: stderr, so stdout stays
-	// byte-identical with the cache on or off.
+	// Compile-cache reuse is diagnostics, never a table artifact: print
+	// it to stderr so stdout stays byte-identical with the cache on or
+	// off.
 	if *planCache {
 		pc := coverpack.PlanCompileCacheStats()
 		lm := coverpack.LPMemoCacheStats()

@@ -33,8 +33,6 @@ func main() {
 		traceFile = flag.String("trace", "", "write an execution trace to this file")
 		traceFmt  = flag.String("trace-format", "chrome", "trace rendering: jsonl, chrome, or heatmap")
 		workers   = flag.Int("workers", 0, "goroutine workers INSIDE the simulated run (0 = GOMAXPROCS, 1 = sequential); results are identical for every setting")
-		spillDir  = flag.String("spill-dir", "", "run out-of-core: park exchange-output arenas to segment files under this directory when resident bytes exceed -mem-budget (results are byte-identical either way)")
-		memBudget = flag.Int64("mem-budget", 0, "resident-byte budget before arenas spill (0 = 64 MiB default); requires -spill-dir")
 		parallel  = flag.Int("parallel", 1, "repeat the run this many times concurrently through the run-level scheduler and require identical reports (determinism stress mode)")
 		planCache = flag.Bool("plan-cache", true, "reuse compiled plans (canonical shape cache + LP memo) across runs; results are byte-identical either way")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -123,11 +121,7 @@ func main() {
 		}
 	}()
 
-	eo := coverpack.ExecOptions{Workers: nw, Recorder: rec,
-		SpillDir: *spillDir, SpillBudgetBytes: *memBudget}
-	if *spillDir != "" {
-		eo.Spilling = coverpack.SpillOn
-	}
+	eo := coverpack.ExecOptions{Workers: nw, Recorder: rec}
 	start := time.Now()
 	var rep *coverpack.Report
 	var err2 error
@@ -177,11 +171,6 @@ func main() {
 	fmt.Printf("emitted     %d join results\n", rep.Emitted)
 	fmt.Printf("cost        %s\n", rep.Stats)
 	fmt.Printf("wall-clock  %s  (workers=%d of %d CPUs)\n", elapsed.Round(time.Microsecond), nw, runtime.NumCPU())
-	if *spillDir != "" {
-		sc := coverpack.SpillStats()
-		fmt.Printf("spill       parks=%d pageins=%d segments=%d written=%dB read=%dB\n",
-			sc.Parks, sc.PageIns, sc.SegmentsWritten, sc.BytesWritten, sc.BytesRead)
-	}
 	if *planCache {
 		pc := coverpack.PlanCompileCacheStats()
 		lm := coverpack.LPMemoCacheStats()

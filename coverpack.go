@@ -373,9 +373,9 @@ type Report struct {
 }
 
 // ExecOptions configures an execution beyond the algorithm and server
-// budget. It is the run's only configuration for parallel kernels and
-// spilling: those settings travel on the run's cluster, so
-// executions with different ExecOptions are safe side by side.
+// budget. It is the run's only configuration for parallel kernels:
+// that setting travels on the run's cluster, so executions with
+// different ExecOptions are safe side by side.
 // PlanCompile is the one exception (see its comment). The remaining
 // process-wide switches — SetPooling, SetPlanCompileCache,
 // SetMetricsEnabled and internal/relation's index caching — are not
@@ -399,24 +399,13 @@ type ExecOptions struct {
 	// PlanStats, when non-nil, receives the exchange-plan cache counters
 	// (hits, misses, partition hits, ...) after the run.
 	PlanStats *CacheStats
-	// Streaming has no effect: every run executes the same exact-size
-	// operators. It stays because internal/bench names it; ROADMAP item 1
-	// deletes it with that harness code.
-	Streaming StreamMode
-	// Spilling selects out-of-core execution for the run: SpillDefault
-	// (the zero value) engages spilling only when SpillDir names a
-	// directory; SpillOn forces it (falling back to os.TempDir());
-	// SpillOff keeps the run fully resident. Results are byte-identical
-	// in every mode — spilling moves bytes between memory and disk, never
-	// changes what a run computes.
-	Spilling SpillMode
-	// SpillDir is the directory for this run's arena segment files; the
-	// cluster creates (and on Release removes) a private subdirectory
-	// under it.
-	SpillDir string
-	// SpillBudgetBytes caps the resident bytes of exchange outputs
-	// before the placement policy parks arenas to disk; 0 selects
-	// DefaultSpillBudgetBytes.
+	// Streaming, Spilling, SpillDir and SpillBudgetBytes have no
+	// effect: every run executes resident, with the same exact-size
+	// operators, and writes no file. They stay because internal/bench
+	// names them; ROADMAP item 1 deletes them with that harness code.
+	Streaming        StreamMode
+	Spilling         SpillMode
+	SpillDir         string
 	SpillBudgetBytes int64
 	// ParKernels selects morsel-parallel local operators for the run:
 	// ParKernelDefault (the zero value) lets kernels fan out over the
@@ -453,6 +442,9 @@ func ExecuteTraced(alg Algorithm, in *Instance, p int, rec TraceRecorder) (*Repo
 
 // ExecuteOpts is Execute with full options.
 func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, error) {
+	if err := checkServers(p); err != nil {
+		return nil, err
+	}
 	if eo.PlanCompile != PlanCompileDefault {
 		prev := PlanCompileEnabled()
 		SetPlanCompileCache(eo.PlanCompile == PlanCompileOn)
@@ -485,7 +477,6 @@ func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, e
 			}
 		}
 	}
-	opts = append(opts, spillOptions(eo)...)
 	c := mpc.NewCluster(p, opts...)
 	// The Report carries only scalars, so every exchange-produced
 	// relation is dead once Stats is read: recycle the cluster's arenas
@@ -578,10 +569,21 @@ func cachedPsi(q *Query) (*big.Rat, error) {
 	return psi, nil
 }
 
+// checkServers rejects a server count no cluster can have.
+func checkServers(p int) error {
+	if p < 1 {
+		return fmt.Errorf("coverpack: p must be >= 1, got %d", p)
+	}
+	return nil
+}
+
 // TraceRun re-executes an acyclic-algorithm run with decision tracing
 // and returns the log (one line per reduction, Case I choice, and
 // branch fan-out). Only the two acyclic strategies support tracing.
 func TraceRun(alg Algorithm, in *Instance, p int) ([]string, error) {
+	if err := checkServers(p); err != nil {
+		return nil, err
+	}
 	var strat core.Strategy
 	switch alg {
 	case AlgAcyclicOptimal:

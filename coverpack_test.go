@@ -1,6 +1,7 @@
 package coverpack
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -102,6 +103,30 @@ func TestExecuteRejectsCyclicForAcyclicAlgs(t *testing.T) {
 	rep, err := Execute(AlgHyperCube, in, 4)
 	if err != nil || rep.Emitted != 10 {
 		t.Fatalf("hypercube on triangle: %v, emitted %d", err, rep.Emitted)
+	}
+}
+
+// TestNonpositiveServersRejected: a server count below 1 is an input
+// error, returned before any cluster is built.
+func TestNonpositiveServersRejected(t *testing.T) {
+	in := Matching(MustParseQuery("line3", "R1(A,B) R2(B,C) R3(C,D)"), 10)
+	entries := []struct {
+		name string
+		run  func(p int) error
+	}{
+		{"Execute", func(p int) error { _, err := Execute(AlgYannakakis, in, p); return err }},
+		{"ExecuteOpts", func(p int) error { _, err := ExecuteOpts(AlgYannakakis, in, p, ExecOptions{Workers: 4}); return err }},
+		{"TraceRun", func(p int) error { _, err := TraceRun(AlgAcyclicOptimal, in, p); return err }},
+	}
+	for _, e := range entries {
+		for _, p := range []int{0, -1} {
+			t.Run(fmt.Sprintf("%s/p=%d", e.name, p), func(t *testing.T) {
+				want := fmt.Sprintf("coverpack: p must be >= 1, got %d", p)
+				if err := e.run(p); err == nil || err.Error() != want {
+					t.Errorf("error %v, want %q", err, want)
+				}
+			})
+		}
 	}
 }
 

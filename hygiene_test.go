@@ -22,7 +22,6 @@ func TestExecuteOptsPathsLeakNoGoroutines(t *testing.T) {
 
 	in := coverpack.Uniform(hypergraph.Line3Join(), 1200, 1500, 3)
 	triIn := coverpack.Uniform(hypergraph.TriangleJoin(), 1200, 1500, 3)
-	spillDir := t.TempDir()
 	paths := []struct {
 		name string
 		alg  coverpack.Algorithm
@@ -33,7 +32,6 @@ func TestExecuteOptsPathsLeakNoGoroutines(t *testing.T) {
 		{"workers-nocache", coverpack.AlgYannakakis, coverpack.ExecOptions{Workers: 4, NoPlanCache: true}},
 		{"workers-traced", coverpack.AlgTriangle, coverpack.ExecOptions{Workers: 4, Recorder: coverpack.NewTraceCollector()}},
 		{"morsel-off", coverpack.AlgYannakakis, coverpack.ExecOptions{Workers: 4, ParKernels: coverpack.ParKernelOff}},
-		{"spilling", coverpack.AlgYannakakis, coverpack.ExecOptions{Workers: 4, Spilling: coverpack.SpillOn, SpillDir: spillDir, SpillBudgetBytes: 1 << 14}},
 		{"gomaxprocs-workers", coverpack.AlgHyperCube, coverpack.ExecOptions{Workers: -1}},
 	}
 

@@ -106,19 +106,3 @@ func Reduce(profile LoadProfile, machine Params) (*Result, error) {
 		(math.Pow(float64(machine.M), x-1) * float64(machine.B))
 	return &Result{PStar: pStar, IOs: ios, ClosedForm: closed}, nil
 }
-
-// SpillIOs prices measured spill traffic in the machine's units: the
-// simulator's out-of-core execution reports bytes written to and read
-// back from arena segments; at 8 bytes per value one tuple-unit is 8
-// bytes, and the EM model charges one I/O per B tuples moved in either
-// direction. This is the empirical complement of Reduce — Reduce
-// prices the reduction's hypothetical simulation, SpillIOs prices the
-// I/O the out-of-core run actually performed — so the two are
-// comparable on the same axis.
-func (m Params) SpillIOs(bytesWritten, bytesRead uint64) (float64, error) {
-	if m.B <= 0 {
-		return 0, fmt.Errorf("em: invalid machine B=%d", m.B)
-	}
-	tuples := float64(bytesWritten+bytesRead) / 8
-	return tuples / float64(m.B), nil
-}

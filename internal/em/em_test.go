@@ -141,24 +141,3 @@ func TestReduceValidation(t *testing.T) {
 		}
 	}
 }
-
-func TestSpillIOs(t *testing.T) {
-	m := Params{M: 1 << 20, B: 64}
-	// 1024 bytes written + 1024 read = 256 tuples over blocks of 64
-	// tuples → 4 block I/Os.
-	got, err := m.SpillIOs(1024, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 4 {
-		t.Fatalf("SpillIOs(1024, 1024) = %v, want 4", got)
-	}
-	// Zero traffic is zero I/Os, not an error.
-	if got, err := m.SpillIOs(0, 0); err != nil || got != 0 {
-		t.Fatalf("SpillIOs(0, 0) = %v, %v", got, err)
-	}
-	// An invalid machine is rejected like Reduce rejects it.
-	if _, err := (Params{M: 8, B: 0}).SpillIOs(8, 8); err == nil {
-		t.Fatal("B=0 machine accepted")
-	}
-}

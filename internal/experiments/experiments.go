@@ -56,16 +56,6 @@ type Config struct {
 	// big AGM instances count more — of concurrently admitted cells.
 	// 0 selects DefaultMemBudget; negative disables the gate.
 	MemBudget int64
-	// SpillDir, when non-empty, arms every simulator cell with a
-	// spilled execution form: the memory gate may place the cell
-	// out-of-core (exchange outputs parked to arena segments under this
-	// directory, resident bytes bounded by SpillBudget) instead of
-	// delaying its admission. Every table is byte-identical with or
-	// without spilling — placement moves bytes, never results.
-	SpillDir string
-	// SpillBudget is the per-run resident-byte budget of a spilled
-	// cell; 0 selects coverpack.DefaultSpillBudgetBytes.
-	SpillBudget int64
 	// NoPlanCompile forces the compiled-plan shape cache off for every
 	// execution of the config (the differential-testing lever: every
 	// table is byte-identical with the cache on or off; only wall-clock
@@ -86,22 +76,12 @@ func (c Config) pick(small, big int) int {
 	return big
 }
 
-// eo is the ExecOptions shared by every execution of the config: the
-// resident form (no spill directory, so nothing ever parks).
+// eo is the ExecOptions shared by every execution of the config.
 func (c Config) eo() coverpack.ExecOptions {
 	e := coverpack.ExecOptions{Workers: c.Workers}
 	if c.NoPlanCompile {
 		e.PlanCompile = coverpack.PlanCompileOff
 	}
-	return e
-}
-
-// spillEO is eo with the config's out-of-core placement applied.
-func (c Config) spillEO() coverpack.ExecOptions {
-	e := c.eo()
-	e.Spilling = coverpack.SpillOn
-	e.SpillDir = c.SpillDir
-	e.SpillBudgetBytes = c.SpillBudget
 	return e
 }
 
@@ -129,26 +109,16 @@ func cellCost(in *coverpack.Instance) int64 { return int64(in.TotalTuples()) }
 
 // execCell builds the scheduler cell for one simulator run: alg on in
 // at p servers, report delivered through put (a caller-owned slot).
-// When the config names a SpillDir the cell also carries its spilled
-// execution form, so the memory gate can place it out-of-core (at the
-// default spilled admission weight) instead of delaying it. Both forms
-// produce byte-identical reports.
 func execCell(cfg Config, key string, alg coverpack.Algorithm, in *coverpack.Instance, p int, put func(*coverpack.Report)) sched.Cell {
-	run := func(eo coverpack.ExecOptions) func() error {
-		return func() error {
-			rep, err := coverpack.ExecuteOpts(alg, in, p, eo)
-			if err != nil {
-				return err
-			}
-			put(rep)
-			return nil
+	eo := cfg.eo()
+	return sched.Cell{Key: key, Cost: cellCost(in), Run: func() error {
+		rep, err := coverpack.ExecuteOpts(alg, in, p, eo)
+		if err != nil {
+			return err
 		}
-	}
-	cell := sched.Cell{Key: key, Cost: cellCost(in), Run: run(cfg.eo())}
-	if cfg.SpillDir != "" {
-		cell.SpillRun = run(cfg.spillEO())
-	}
-	return cell
+		put(rep)
+		return nil
+	}}
 }
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"reflect"
 	"strconv"
 	"testing"
-
-	"coverpack"
 )
 
 var small = Config{Small: true}
@@ -259,66 +256,5 @@ func TestAllRuns(t *testing.T) {
 	}
 	if len(tables) < 10 {
 		t.Fatalf("tables = %d", len(tables))
-	}
-}
-
-// TestTable1SpillArmByteIdentical is the sweep-level acceptance check
-// for out-of-core execution: a Table 1 sweep whose cells exceed the
-// scheduler's tuple budget is placed in its spilled form (the gate
-// always spills an oversized cell that carries a SpillRun), every
-// spilled run parks arena segments to disk under a 1 KiB resident
-// budget, and the emitted tables are byte-identical to the fully
-// resident reference.
-func TestTable1SpillArmByteIdentical(t *testing.T) {
-	resident := Config{Small: true, Workers: 1, RunWorkers: 2}
-	ref, err := Table1(resident)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	before := coverpack.SpillStats()
-	coverpack.ResetSpillRetainedPeak()
-	const spillBudget = 1 << 10
-	spilled := resident
-	// The main Table 1 cells cost 768–2400 tuples (deterministic
-	// generators); a 1000-tuple gate budget forces every larger cell
-	// into its spilled form while the smallest still runs resident —
-	// both placements are exercised in one sweep.
-	spilled.MemBudget = 1000
-	spilled.SpillDir = t.TempDir()
-	spilled.SpillBudget = spillBudget
-	got, err := Table1(spilled)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatalf("spill-armed Table 1 diverged from the resident reference:\n got %+v\nwant %+v", got, ref)
-	}
-	sc := coverpack.SpillStats()
-	if sc.Parks == before.Parks {
-		t.Fatal("spill-armed sweep parked nothing: the gate never placed a cell out of core")
-	}
-	peak := coverpack.SpillRetainedPeakBytes()
-	if peak == 0 {
-		t.Fatal("no spilled run recorded a retained peak")
-	}
-	if peak > spillBudget {
-		t.Fatalf("retained peak %d bytes exceeds the %d-byte spill budget", peak, spillBudget)
-	}
-}
-
-// TestConfigEOPinsResidentForm: ExecOptions is the run's only spill
-// configuration, so the resident cell arm stays resident exactly when
-// its options name no spill directory and do not force spilling — or
-// the difftest reference would silently become a spill run.
-func TestConfigEOPinsResidentForm(t *testing.T) {
-	eo := Config{SpillDir: "/tmp/x", SpillBudget: 7}.eo()
-	if eo.Spilling == coverpack.SpillOn || eo.SpillDir != "" {
-		t.Fatalf("resident cell ExecOptions can spill: %+v", eo)
-	}
-	seo := Config{SpillDir: "/tmp/x", SpillBudget: 7}.spillEO()
-	if seo.Spilling != coverpack.SpillOn || seo.SpillDir != "/tmp/x" || seo.SpillBudgetBytes != 7 {
-		t.Fatalf("spill ExecOptions wrong: %+v", seo)
 	}
 }

@@ -183,6 +183,33 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestReleaseAllocatesNothing: Release boxes a slice header only on its
+// way into a pool, so releasing a zero Table, or a table whose arrays
+// are discarded because pooling is off, allocates nothing.
+func TestReleaseAllocatesNothing(t *testing.T) {
+	t.Run("zero-table", func(t *testing.T) {
+		var zero Table
+		if avg := testing.AllocsPerRun(100, zero.Release); avg != 0 {
+			t.Fatalf("releasing a zero Table: %.2f allocs/run, want 0", avg)
+		}
+	})
+	t.Run("pooling-off", func(t *testing.T) {
+		SetPooling(false)
+		defer SetPooling(true)
+		const runs = 100
+		tabs := make([]*Table, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range tabs {
+			tabs[i] = New(1, 64)
+			tabs[i].Insert([]int64{int64(i)}, []int{0})
+		}
+		next := 0
+		release := func() { tabs[next].Release(); next++ }
+		if avg := testing.AllocsPerRun(runs, release); avg != 0 {
+			t.Fatalf("releasing under SetPooling(false): %.2f allocs/run, want 0", avg)
+		}
+	})
+}
+
 // BenchmarkProbe is the steady-state lookup benchmark: 0 allocs/op is
 // the acceptance bar.
 func BenchmarkProbe(b *testing.B) {

@@ -123,8 +123,17 @@ func putSlots(s []int32) {
 		return
 	}
 	poolPuts.Add(1)
-	slotPools[cl].Put(&s)
+	poolSlots(cl, s)
 }
+
+// poolSlots, poolHashes and poolKeys hand a buffer to its class's
+// sync.Pool, boxing the slice header. They are functions of their own
+// because taking &s in putSlots (or &h, &k in putHashes, putKeys) would
+// move that parameter to the heap on every call, so even releasing a
+// zero Table, or releasing with pooling off, would allocate.
+func poolSlots(cl int, s []int32)   { slotPools[cl].Put(&s) }
+func poolHashes(cl int, h []uint64) { hashPools[cl].Put(&h) }
+func poolKeys(cl int, k []int64)    { keyPools[cl].Put(&k) }
 
 // capClass returns the largest class whose capacity (1<<bits entries)
 // fits within c, or -1 when c is below the smallest class. Like the
@@ -189,8 +198,7 @@ func putHashes(h []uint64) {
 		return
 	}
 	poolPuts.Add(1)
-	h = h[:0]
-	hashPools[cl].Put(&h)
+	poolHashes(cl, h[:0])
 }
 
 // getKeys returns a zero-length []int64 with capacity ≥ n.
@@ -229,8 +237,7 @@ func putKeys(k []int64) {
 		return
 	}
 	poolPuts.Add(1)
-	k = k[:0]
-	keyPools[cl].Put(&k)
+	poolKeys(cl, k[:0])
 }
 
 // Release returns the table's buffers to the cross-run pools and leaves

@@ -144,13 +144,6 @@ type Cluster struct {
 	// acquire arenas at the same time.
 	arenaMu sync.Mutex
 	arenas  [][]relation.Value
-
-	// spillBase/spillBudget configure the spill placement policy
-	// (WithSpill); spill holds its run state. Zero values = spilling
-	// off, costing the exchanges one comparison each.
-	spillBase   string
-	spillBudget int64
-	spill       spillState
 }
 
 // Option configures a Cluster at construction.
@@ -220,6 +213,11 @@ func WithPlanCacheHint(n int) Option {
 	}
 }
 
+// WithSpill has no effect: there is no out-of-core execution. It stays
+// because internal/bench names it; ROADMAP item 1 deletes it with that
+// harness code.
+func WithSpill(dir string, budgetBytes int64) Option { return func(*Cluster) {} }
+
 // NewCluster creates a cluster with the given server budget and a root
 // group of exactly that size.
 func NewCluster(p int, opts ...Option) *Cluster {
@@ -281,7 +279,6 @@ func (c *Cluster) Release() {
 	for _, a := range arenas {
 		relation.PutArena(a)
 	}
-	c.releaseSpill()
 	c.plans = nil
 }
 
@@ -481,7 +478,7 @@ func (d *DistRelation) Collect() *relation.Relation {
 func (g *Group) Scatter(r *relation.Relation) *DistRelation {
 	d := &DistRelation{Schema: r.Schema(), Frags: []*relation.Relation{r}}
 	frags, _, _ := g.exchange(d, g.chunksOf(d), g.size, true, roundRobin(g.size))
-	return g.spillAdmit(&DistRelation{Schema: d.Schema, Frags: frags})
+	return &DistRelation{Schema: d.Schema, Frags: frags}
 }
 
 // ScatterDedup scatters the distinct rows of r round-robin over the
@@ -505,7 +502,7 @@ func (g *Group) ScatterDedup(r *relation.Relation) *DistRelation {
 			return dst
 		}
 	})
-	return g.spillAdmit(&DistRelation{Schema: d.Schema, Frags: frags})
+	return &DistRelation{Schema: d.Schema, Frags: frags}
 }
 
 // HashPartition re-partitions d by the given attributes: every tuple
@@ -532,7 +529,7 @@ func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
 		if plan := pc.lookup(key); plan != nil {
 			out := g.replayPlan(d, plan, attrs)
 			g.chargeRound(trace.OpHashPartition, plan.recv)
-			return g.spillAdmit(out)
+			return out
 		}
 	}
 	k := uint64(g.size)
@@ -558,7 +555,7 @@ func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
 	if key != "" {
 		pc.store(key, &exchangePlan{dst: dst, recv: recv, out: slices.Clone(frags), outVers: versionsOf(frags)})
 	}
-	return g.spillAdmit(out)
+	return out
 }
 
 // Broadcast sends every tuple of d to every server. One round; each
@@ -572,7 +569,7 @@ func (g *Group) Broadcast(d *DistRelation) *DistRelation {
 	}
 	g.forEach(all.Len(), g.size, func(i int) { out.Frags[i] = all.Clone() })
 	g.chargeRound(trace.OpBroadcast, recv)
-	return g.spillAdmit(out)
+	return out
 }
 
 // Gather collects d onto server 0. One round; server 0 receives
@@ -623,7 +620,7 @@ func (g *Group) RouteBuf(d *DistRelation, route func(src int, t relation.Tuple, 
 		}
 	})
 	g.chargeRound(trace.OpRoute, recv)
-	return g.spillAdmit(&DistRelation{Schema: d.Schema, Frags: frags})
+	return &DistRelation{Schema: d.Schema, Frags: frags}
 }
 
 // Local applies a per-server transformation with no communication.
@@ -765,7 +762,7 @@ func (g *Group) SendTo(d *DistRelation, k int) *DistRelation {
 	}
 	frags, recv, _ := g.exchange(d, g.chunksOf(d), k, true, roundRobin(k))
 	g.chargeRound(trace.OpSendTo, recv)
-	return g.spillAdmit(&DistRelation{Schema: d.Schema, Frags: frags})
+	return &DistRelation{Schema: d.Schema, Frags: frags}
 }
 
 // BranchDest addresses a destination inside a parallel block that is
@@ -798,7 +795,7 @@ func (g *Group) Distribute(d *DistRelation, sizes []int, route func(src *relatio
 		}
 	})
 	g.chargeRound(trace.OpDistribute, recv)
-	return g.spillAdmitAll(branchSlab(d.Schema, frags, sizes, offset))
+	return branchSlab(d.Schema, frags, sizes, offset)
 }
 
 // branchOffsets validates branch sizes and returns each branch's first
@@ -900,7 +897,7 @@ func (g *Group) DistributeSpread(d *DistRelation, sizes []int, pick func(src *re
 		}
 	})
 	g.chargeRound(trace.OpDistribute, recv)
-	return g.spillAdmitAll(branchSlab(d.Schema, frags, sizes, offset))
+	return branchSlab(d.Schema, frags, sizes, offset)
 }
 
 // DeclareServers records that the computation logically occupies at

@@ -1,6 +1,8 @@
 package mpc
 
 import (
+	"fmt"
+	"os"
 	"testing"
 
 	"coverpack/internal/relation"
@@ -251,5 +253,56 @@ func TestNestedParallel(t *testing.T) {
 	}
 	if st.ServersUsed != 16 {
 		t.Fatalf("servers = %d, want 16", st.ServersUsed)
+	}
+}
+
+// TestWithSpillIsInert: WithSpill has no effect, with or without a
+// directory and at any budget. Exchanges and a Gather on such a cluster
+// produce what a plain cluster produces, with the same accounting, and
+// write nothing to the directory.
+func TestWithSpillIsInert(t *testing.T) {
+	rel := relation.New(relation.NewSchema(0, 1))
+	for i := int64(0); i < 1500; i++ {
+		rel.AddValues(i%17, i)
+	}
+	run := func(workers int, opts ...Option) (*relation.Relation, Stats) {
+		c := NewCluster(4, append([]Option{WithWorkers(workers)}, opts...)...)
+		defer c.Release()
+		g := c.Root()
+		h := g.HashPartition(g.Scatter(rel), []int{0})
+		out := g.Gather(g.Broadcast(h)).Clone() // Clone: survives Release
+		return out, c.Stats()
+	}
+	for _, workers := range []int{1, 4} {
+		wantRel, wantStats := run(workers)
+		for _, c := range []struct {
+			name   string
+			dir    bool
+			budget int64
+		}{
+			{"no-dir", false, 1},
+			{"zero-budget", true, 0},
+			{"one-byte-budget", true, 1},
+		} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, c.name), func(t *testing.T) {
+				dir := ""
+				if c.dir {
+					dir = t.TempDir()
+				}
+				gotRel, gotStats := run(workers, WithSpill(dir, c.budget))
+				if gotStats != wantStats {
+					t.Fatalf("accounting changed:\n want %+v\n  got %+v", wantStats, gotStats)
+				}
+				if !gotRel.Equal(wantRel) {
+					t.Fatal("exchange results changed")
+				}
+				if dir == "" {
+					return
+				}
+				if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+					t.Fatalf("%d entries left in %s (err %v)", len(ents), dir, err)
+				}
+			})
+		}
 	}
 }

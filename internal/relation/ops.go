@@ -101,7 +101,6 @@ func (r *Relation) SelectEqProject(a int, v Value, attrs ...int) *Relation {
 			panic(fmt.Sprintf("relation: Project attribute %d not in schema %v", pa, r.schema))
 		}
 	}
-	r.ensureResident()
 	var buf [smallRows]int32
 	sel := r.markAll(rowPred{op: predEq, col: p, v: v}, buf[:])
 	data := make([]Value, len(sel)*len(pos))

@@ -199,7 +199,6 @@ func (p rowPred) mark(sel []int32, r *Relation, lo, hi int) int {
 // filterRows is the mark-then-compact kernel: the rows p keeps, in row
 // order.
 func (r *Relation) filterRows(p rowPred, f Forker) *Relation {
-	r.ensureResident()
 	cuts := blocksOf(f, r.rows)
 	if cuts == nil {
 		var buf [smallRows]int32
@@ -282,7 +281,6 @@ func (r *Relation) FirstRows() []int32 {
 // first-seen order: FirstRows is the mark pass, and the compaction runs
 // block by block over f.
 func (r *Relation) DedupPar(f Forker) *Relation {
-	r.ensureResident()
 	if r.rows <= smallDedupCutoff {
 		var buf [smallDedupCutoff]int32
 		first := r.firstSmall(buf[:0])
@@ -310,7 +308,6 @@ func (r *Relation) Degrees(a int, out Schema) *Relation {
 	if out.Len() != 2 || vp < 0 {
 		panic(fmt.Sprintf("relation: Degrees schema %v is not attribute %d plus a count", out, a))
 	}
-	r.ensureResident()
 	if r.rows <= smallDedupCutoff {
 		var vals, cnts [smallDedupCutoff]Value
 		n := 0
@@ -427,8 +424,6 @@ func (r *Relation) JoinCount(s *Relation) int64 {
 	if len(common) == 0 {
 		return MulSat(int64(r.rows), int64(s.rows))
 	}
-	r.ensureResident()
-	s.ensureResident()
 	probe, build := r, s
 	if r.rows < s.rows {
 		probe, build = s, r
@@ -456,8 +451,6 @@ func (r *Relation) JoinCount(s *Relation) int64 {
 func (r *Relation) JoinPar(s *Relation, f Forker) *Relation {
 	common := r.schema.Common(s.schema)
 	out := r.schema.Union(s.schema)
-	r.ensureResident()
-	s.ensureResident()
 	j := joinRun{probe: r, build: s, arity: out.Len()}
 	if len(common) > 0 {
 		if r.Len() < s.Len() {

@@ -205,7 +205,6 @@ func (r *Relation) gallopRows(lo, hi, limit int, pos []int, strict bool) int {
 // first — so the output equals r.Clone() followed by a stable sort on
 // pos, at merge cost instead of sort cost.
 func (r *Relation) MergeRuns(runLens []int, pos []int) *Relation {
-	r.ensureResident() // galloping needs random access; page a parked input in
 	type run struct{ next, end int }
 	runs := make([]run, 0, len(runLens))
 	start := 0

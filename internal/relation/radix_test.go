@@ -173,9 +173,9 @@ func TestGallopRowsBounds(t *testing.T) {
 	}
 }
 
-// TestMergeRunsThreePlusRunsWithBoundaryDuplicates pins satellite 3 of
-// the spilling PR deterministically (the quick.Check property above
-// covers it statistically): at least 3 runs, duplicate keys straddling
+// TestMergeRunsThreePlusRunsWithBoundaryDuplicates pins the k-way
+// merge deterministically (the quick.Check property above covers it
+// statistically): at least 3 runs, duplicate keys straddling
 // every run boundary, and stability observable through a payload column
 // recording each row's origin.
 func TestMergeRunsThreePlusRunsWithBoundaryDuplicates(t *testing.T) {

@@ -28,7 +28,6 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Value is a single attribute value.
@@ -159,14 +158,6 @@ type Relation struct {
 	// version counter and identifies this exact arena content. Mutators
 	// reset it to 0; Version() stamps on demand. See version.go.
 	ver uint64
-	// seg, when non-nil, is the *SegmentedArena holding this relation's
-	// content as spilled on-disk segments instead of the resident data
-	// arena (data is nil while parked). Accessed atomically: readers
-	// load-acquire it on every arena touch and page the content back in
-	// when set (segment.go). A plain unsafe.Pointer (not
-	// atomic.Pointer) so Relation values stay copyable for the slab
-	// constructors under vet's copylocks check.
-	seg unsafe.Pointer
 	// idx caches the last key index built over this relation (always a
 	// *keyIndex), validated against ver + positions on reuse. See
 	// index.go. atomic.Value rather than a plain pointer so readers on
@@ -215,14 +206,8 @@ func (r *Relation) Len() int { return r.rows }
 
 // Row returns tuple i as a view into the arena. The view is capped at
 // the row boundary, so appending to it cannot corrupt neighbors; it is
-// invalidated by arena-mutating calls (see the package comment). On a
-// parked relation (ParkTo) the first Row call transparently pages the
-// whole arena back in — random access needs residency; streamed
-// consumers should use Iter, which reads spilled segments in place.
+// invalidated by arena-mutating calls (see the package comment).
 func (r *Relation) Row(i int) Tuple {
-	if atomic.LoadPointer(&r.seg) != nil {
-		r.pageIn()
-	}
 	return r.data[i*r.arity : (i+1)*r.arity : (i+1)*r.arity]
 }
 
@@ -239,9 +224,8 @@ func (r *Relation) Tuples() []Tuple {
 
 // Data exposes the backing arena (row-major, arity-strided). Callers
 // must treat it as read-only; it is the zero-copy path for bulk
-// concatenation and hashing. Pages a parked relation back in first.
+// concatenation and hashing.
 func (r *Relation) Data() []Value {
-	r.ensureResident()
 	return r.data
 }
 
@@ -250,7 +234,6 @@ func (r *Relation) Add(t Tuple) {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation: tuple arity %d != schema arity %d", len(t), r.arity))
 	}
-	r.ensureResident()
 	if atomic.LoadUint64(&r.ver) != 0 {
 		r.invalidate()
 	}
@@ -266,8 +249,6 @@ func (r *Relation) Append(o *Relation) {
 	if !r.schema.Equal(o.schema) {
 		panic("relation: Append schema mismatch")
 	}
-	r.ensureResident()
-	o.ensureResident()
 	if atomic.LoadUint64(&r.ver) != 0 {
 		r.invalidate()
 	}
@@ -277,7 +258,6 @@ func (r *Relation) Append(o *Relation) {
 
 // Clone returns a deep copy (one arena allocation).
 func (r *Relation) Clone() *Relation {
-	r.ensureResident()
 	out := New(r.schema)
 	out.data = append(make([]Value, 0, len(r.data)), r.data...)
 	out.rows = r.rows
@@ -357,7 +337,6 @@ func identityPositions(n int) []int {
 
 // Grow reserves arena capacity for at least n additional tuples.
 func (r *Relation) Grow(n int) {
-	r.ensureResident()
 	if need := len(r.data) + n*r.arity; need > cap(r.data) {
 		grown := make([]Value, len(r.data), need)
 		copy(grown, r.data)
@@ -412,17 +391,6 @@ func (r *Relation) SortByPar(pos []int, f Forker) { r.sortByPositions(pos, true,
 func (r *Relation) sortByPositions(pos []int, stable bool, f Forker) {
 	if r.rows < 2 || r.arity == 0 || len(pos) == 0 {
 		return
-	}
-	// A parked relation above the run threshold sorts externally —
-	// budget-bounded runs merged from disk (extsort.go) — producing the
-	// same bytes the resident radix path would (the external path only
-	// triggers at row counts where the resident reference is the stable
-	// radix kernel). Smaller parked inputs just page in.
-	if sa := r.segArena(); sa != nil {
-		if r.externalSortByPositions(sa, pos) {
-			return
-		}
-		r.pageIn()
 	}
 	cuts := blocksOf(f, r.rows)
 	perm := r.sortPerm(pos, stable, f, cuts)

@@ -17,8 +17,6 @@ var (
 		"Experiment cells submitted to the sweep scheduler.")
 	mSchedGateWaits = metrics.Default.NewCounter("coverpack_sched_gate_waits_total",
 		"Cell admissions delayed by the memory-budget gate.")
-	mSchedSpillAdmits = metrics.Default.NewCounter("coverpack_sched_spill_admits_total",
-		"Cells the gate placed in their spilled (out-of-core) form instead of delaying.")
 	mSchedRunning = metrics.Default.NewGauge("coverpack_sched_running_cells",
 		"Cells currently executing across all scheduler Runs.")
 	mSchedInflight = metrics.Default.NewGauge("coverpack_sched_inflight_cost",

@@ -15,16 +15,10 @@
 // The admission gate models memory, not time: a cell's Cost is its
 // resident working-set estimate (total input tuples — big AGM instances
 // count more), and the gate delays admission while the sum of running
-// costs would exceed the budget. Cells that carry a SpillRun turn the
-// gate from a delay into a placement policy: when the resident form
-// does not fit but the spilled form's bounded working set (SpillCost)
-// does, the cell is admitted immediately in its out-of-core form
-// rather than queued — and a cell costlier than the whole budget
-// ALWAYS takes its spilled form when it has one, so working sets
-// larger than the budget complete within it. A cell costlier than the
-// whole budget with no spilled form is admitted alone (the gate waits
-// for the pool to drain), so oversized cells degrade to sequential
-// execution instead of deadlocking.
+// costs would exceed the budget. A cell costlier than the whole budget
+// is admitted alone (the gate waits for the pool to drain), so
+// oversized cells degrade to sequential execution instead of
+// deadlocking.
 package sched
 
 import (
@@ -42,18 +36,6 @@ type Cell struct {
 	// Run executes the cell. It must write results only to caller-owned
 	// slots and must not read any other cell's slots.
 	Run func() error
-	// SpillRun, when non-nil, executes the cell under spill-to-disk
-	// placement (out-of-core operators bounded by a memory budget).
-	// Instead of merely delaying admission, the gate places the cell:
-	// when the resident form does not fit the remaining budget but the
-	// spilled form does, SpillRun is admitted at weight SpillCost. Both
-	// forms must produce byte-identical results (the spill difftest
-	// arms pin this), so placement is invisible in every artifact.
-	SpillRun func() error
-	// SpillCost is SpillRun's admission weight — its bounded resident
-	// working set rather than the full input size. Non-positive
-	// defaults to Cost/8 + 1.
-	SpillCost int64
 }
 
 // Options configures one Run.
@@ -78,9 +60,6 @@ type Stats struct {
 	MaxConcurrent int
 	// GateWaits counts admissions delayed by the memory budget.
 	GateWaits int
-	// SpillAdmits counts cells the gate placed in their spilled form
-	// because the resident form would have exceeded the budget.
-	SpillAdmits int
 	// PeakCost is the highest summed Cost of concurrently running cells.
 	PeakCost int64
 }
@@ -90,14 +69,6 @@ func cellCost(c *Cell) int64 {
 		return 1
 	}
 	return c.Cost
-}
-
-// spillCost is the admission weight of a cell's spilled form.
-func spillCost(c *Cell) int64 {
-	if c.SpillCost > 0 {
-		return c.SpillCost
-	}
-	return cellCost(c)/8 + 1
 }
 
 // Run executes the cells and blocks until all have finished or one has
@@ -158,7 +129,6 @@ func Run(cells []Cell, o Options) (Stats, error) {
 		for {
 			mu.Lock()
 			waited := false
-			spilled := false
 			for {
 				if failed || next >= len(cells) {
 					mu.Unlock()
@@ -168,21 +138,8 @@ func Run(cells []Cell, o Options) (Stats, error) {
 				if o.Budget <= 0 || inflight+c <= o.Budget {
 					break
 				}
-				// Placement: the resident form does not fit, but the
-				// spilled form might — run it out-of-core now instead of
-				// waiting for budget to free up. Checked before the
-				// oversized escape below, so a cell costlier than the
-				// whole budget still runs WITHIN the budget when it has a
-				// spilled form: that is the out-of-core guarantee, and it
-				// makes placement deterministic for such cells (they can
-				// never race into a resident admission).
-				if cells[next].SpillRun != nil && inflight+spillCost(&cells[next]) <= o.Budget {
-					spilled = true
-					break
-				}
 				// Admit unconditionally when nothing is running, so an
-				// oversized cell with no (fitting) spilled form executes
-				// alone rather than deadlocking.
+				// oversized cell executes alone rather than deadlocking.
 				if running == 0 {
 					break
 				}
@@ -196,13 +153,6 @@ func Run(cells []Cell, o Options) (Stats, error) {
 			i := next
 			next++
 			c := cellCost(&cells[i])
-			run := cells[i].Run
-			if spilled {
-				c = spillCost(&cells[i])
-				run = cells[i].SpillRun
-				st.SpillAdmits++
-				mSchedSpillAdmits.Inc()
-			}
 			inflight += c
 			running++
 			if running > st.MaxConcurrent {
@@ -216,7 +166,7 @@ func Run(cells []Cell, o Options) (Stats, error) {
 			mSchedRunning.Add(1)
 			mSchedInflight.Add(c)
 			done := cellTimer()
-			err := run()
+			err := cells[i].Run()
 			if done != nil {
 				done()
 			}

@@ -222,142 +222,3 @@ func TestSequentialErrorShortCircuits(t *testing.T) {
 		t.Fatalf("%d cells ran, want 2 (stop at first error)", ran)
 	}
 }
-
-// TestSpillPlacementOversizedCell: a cell costlier than the whole
-// budget that carries a spilled form must ALWAYS be admitted in that
-// form (never resident-alone) — the deterministic core of the
-// out-of-core guarantee.
-func TestSpillPlacementOversizedCell(t *testing.T) {
-	const n = 12
-	const budget = 10
-	var residentRuns, spillRuns atomic.Int64
-	cells := make([]Cell, n)
-	out := make([]int64, n)
-	for i := range cells {
-		i := i
-		cells[i] = Cell{
-			Cost: 100, // every resident form exceeds the budget
-			Run: func() error {
-				residentRuns.Add(1)
-				out[i] = int64(i) * int64(i)
-				return nil
-			},
-			SpillRun: func() error {
-				spillRuns.Add(1)
-				out[i] = int64(i) * int64(i)
-				return nil
-			},
-			// Default SpillCost = 100/8 + 1 = 13 > 10, so pin one that fits.
-			SpillCost: 5,
-		}
-	}
-	st, err := Run(cells, Options{Workers: 4, Budget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFilled(t, out)
-	if got := residentRuns.Load(); got != 0 {
-		t.Fatalf("%d oversized cells ran resident; all should have spilled", got)
-	}
-	if got := spillRuns.Load(); got != n {
-		t.Fatalf("spill form ran %d times, want %d", got, n)
-	}
-	if st.SpillAdmits != n {
-		t.Fatalf("stats counted %d spill admissions, want %d", st.SpillAdmits, n)
-	}
-}
-
-// TestSpillPlacementBoundsInflight: spilled admissions are charged at
-// SpillCost, and the summed inflight weight stays within the budget.
-func TestSpillPlacementBoundsInflight(t *testing.T) {
-	const n = 30
-	const budget = 12
-	var inflight, peak atomic.Int64
-	note := func(cost int64) {
-		cur := inflight.Add(cost)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
-			}
-		}
-		inflight.Add(-cost)
-	}
-	cells := make([]Cell, n)
-	out := make([]int64, n)
-	for i := range cells {
-		i := i
-		cost := int64(i%3)*20 + 4 // 4, 24, 44: two of three sizes oversized
-		sc := cost/8 + 1
-		cells[i] = Cell{
-			Cost:     cost,
-			Run:      func() error { note(cost); out[i] = int64(i) * int64(i); return nil },
-			SpillRun: func() error { note(sc); out[i] = int64(i) * int64(i); return nil },
-		}
-	}
-	st, err := Run(cells, Options{Workers: 8, Budget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFilled(t, out)
-	if p := peak.Load(); p > budget {
-		t.Fatalf("observed inflight cost %d exceeded budget %d", p, budget)
-	}
-	if st.PeakCost > budget {
-		t.Fatalf("stats PeakCost %d exceeded budget %d", st.PeakCost, budget)
-	}
-	if st.SpillAdmits < 2*n/3 {
-		t.Fatalf("only %d of %d oversized cells were spill-admitted", st.SpillAdmits, 2*n/3)
-	}
-}
-
-// TestSpillPlacementOffWhenFits: cells whose resident form fits are
-// never placed spilled, and the sequential engine (Workers<=1) never
-// consults SpillRun at all.
-func TestSpillPlacementOffWhenFits(t *testing.T) {
-	mk := func(n int, budget int64, workers int) (Stats, *atomic.Int64, error) {
-		var spills atomic.Int64
-		out := make([]int64, n)
-		cells := make([]Cell, n)
-		for i := range cells {
-			i := i
-			cells[i] = Cell{
-				Cost:     2,
-				Run:      func() error { out[i] = int64(i) * int64(i); return nil },
-				SpillRun: func() error { spills.Add(1); out[i] = int64(i) * int64(i); return nil },
-			}
-		}
-		st, err := Run(cells, Options{Workers: workers, Budget: budget})
-		checkFilled(t, out)
-		return st, &spills, err
-	}
-	// Generous budget, concurrent: resident fits, no placement.
-	st, spills, err := mk(20, 1000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spills.Load() != 0 || st.SpillAdmits != 0 {
-		t.Fatalf("resident-fitting cells were spill-placed: runs=%d stats=%d", spills.Load(), st.SpillAdmits)
-	}
-	// Tiny budget, sequential: the w<=1 path has no gate and no placement.
-	st, spills, err = mk(20, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spills.Load() != 0 || st.SpillAdmits != 0 {
-		t.Fatalf("sequential scheduler consulted SpillRun: runs=%d stats=%d", spills.Load(), st.SpillAdmits)
-	}
-}
-
-// TestSpillCostDefault pins the documented default weight Cost/8 + 1.
-func TestSpillCostDefault(t *testing.T) {
-	if got := spillCost(&Cell{Cost: 80}); got != 11 {
-		t.Fatalf("spillCost(80) = %d, want 11", got)
-	}
-	if got := spillCost(&Cell{Cost: 80, SpillCost: 3}); got != 3 {
-		t.Fatalf("explicit SpillCost ignored: got %d, want 3", got)
-	}
-	if got := spillCost(&Cell{}); got != 1 {
-		t.Fatalf("spillCost(zero cell) = %d, want 1", got)
-	}
-}
