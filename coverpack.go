@@ -380,8 +380,8 @@ type Report struct {
 // process-wide switches — SetPooling, SetPlanCompileCache,
 // SetMetricsEnabled and internal/relation's index caching — are not
 // run configuration: they turn process-wide stores (sync.Pools,
-// retained indexes, the shape cache and LP memo, the metrics registry)
-// on or off for every run at once.
+// retained first-row lists, the shape cache and LP memo, the metrics
+// registry) on or off for every run at once.
 type ExecOptions struct {
 	// Workers sets the goroutine worker-pool size of the simulator's
 	// parallel engine: 0 or 1 runs sequentially, n > 1 uses n workers,

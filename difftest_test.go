@@ -111,7 +111,7 @@ var oracleReference = oracleArm{
 // oracleArms builds the table: the full workers × NoPlanCache ×
 // ParKernels product (ParKernelOff only where workers > 1 lets kernels
 // engage at all), then the serial rows — pool-off, cache-off (plan
-// cache and retained indexes together, the pre-caching path) and
+// cache and retained first-row lists together, the pre-caching path) and
 // both — at workers 1 and 4. Each parallel row is then repeated
 // untraced.
 func oracleArms() []oracleArm {

@@ -1,12 +1,16 @@
 package coverpack_test
 
 import (
+	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"coverpack"
+	"coverpack/internal/hashtab"
 	"coverpack/internal/hypergraph"
+	"coverpack/internal/relation"
 )
 
 // Engine shutdown hygiene: after Release (run by every ExecuteOpts
@@ -59,6 +63,94 @@ func TestExecuteOptsPathsLeakNoGoroutines(t *testing.T) {
 		}
 		if now := runtime.NumGoroutine(); now > baseline {
 			t.Fatalf("%s: %d goroutines after Release, baseline %d", pc.name, now, baseline)
+		}
+	}
+}
+
+// Keyed kernels borrow their hash tables: every table SemiJoin, Join and
+// FirstRows take from the hashtab pools goes back before they return,
+// and so does every table of a whole Yannakakis run, so no
+// exchange-output fragment keeps one.
+func TestKeyedKernelsReturnTables(t *testing.T) {
+	if !hashtab.PoolingEnabled() {
+		t.Fatal("pooling should default to on")
+	}
+	balanced := func(what string) {
+		t.Helper()
+		if st := hashtab.PoolStats(); st.Gets == 0 || st.Puts != st.Gets || st.Discards != 0 {
+			t.Errorf("%s: hashtab pools %+v, want every get put back", what, st)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	fresh := func(attrs ...int) *relation.Relation {
+		r := relation.New(relation.NewSchema(attrs...))
+		for i := 0; i < 200; i++ {
+			r.AddValues(rng.Int63n(20), rng.Int63n(20))
+		}
+		return r
+	}
+	for _, k := range []struct {
+		name string
+		run  func(r, s *relation.Relation)
+	}{
+		{"SemiJoin", func(r, s *relation.Relation) { r.SemiJoin(s) }},
+		{"Join", func(r, s *relation.Relation) { r.Join(s) }},
+		{"FirstRows", func(r, _ *relation.Relation) { r.FirstRows() }},
+	} {
+		r, s := fresh(0, 1), fresh(1, 2)
+		hashtab.ResetPoolStats()
+		k.run(r, s)
+		balanced(k.name)
+	}
+	in := coverpack.Uniform(hypergraph.Line3Join(), 1200, 1500, 3)
+	for _, w := range []int{1, 4} {
+		hashtab.ResetPoolStats()
+		if _, err := coverpack.ExecuteOpts(coverpack.AlgYannakakis, in, 8, coverpack.ExecOptions{Workers: w}); err != nil {
+			t.Fatal(err)
+		}
+		balanced("Yannakakis run")
+	}
+}
+
+// Two runs on one shared *Instance at the same time. The inputs outlive
+// both runs, and each run's ScatterDedup lists their distinct rows
+// through the same retained first-row lists: under -race this checks
+// that a list is published safely, and either way each run must report
+// what the same run reports alone.
+func TestConcurrentRunsShareInstance(t *testing.T) {
+	gen := func() *coverpack.Instance { return coverpack.Uniform(hypergraph.Line3Join(), 1200, 60, 5) }
+	algs := []coverpack.Algorithm{coverpack.AlgYannakakis, coverpack.AlgAcyclicOptimal}
+	eo := coverpack.ExecOptions{Workers: 2}
+	want := make([]coverpack.Report, len(algs))
+	for i, alg := range algs {
+		rep, err := coverpack.ExecuteOpts(alg, gen(), 8, eo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = *rep
+	}
+	shared := gen()
+	got := make([]coverpack.Report, len(algs))
+	errs := make([]error, len(algs))
+	var wg sync.WaitGroup
+	for i, alg := range algs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := coverpack.ExecuteOpts(alg, shared, 8, eo)
+			if errs[i] = err; err == nil {
+				got[i] = *rep
+			}
+		}()
+	}
+	wg.Wait()
+	for i, alg := range algs {
+		if errs[i] != nil {
+			t.Fatalf("%v: %v", alg, errs[i])
+		}
+		got[i].Stats.SeqFallback, want[i].Stats.SeqFallback = false, false
+		if got[i] != want[i] {
+			t.Errorf("%v on a shared instance: %+v, alone %+v", alg, got[i], want[i])
 		}
 	}
 }

@@ -77,6 +77,11 @@ type Table struct {
 	hashes []uint64
 	slots  []int32 // entry index + 1; 0 = empty
 	mask   uint64
+	// The pool handles the three buffers came in (pool.go); nil for a
+	// buffer the pool did not supply.
+	keysBox   *[]int64
+	hashesBox *[]uint64
+	slotsBox  *[]int32
 	// hashFn is a test seam for forcing hash collisions; nil selects
 	// Hash. Production constructors leave it nil so the hot path pays
 	// one predictable branch, not an indirect call.
@@ -93,10 +98,11 @@ func New(arity, hint int) *Table {
 	for size*loadNum < hint*loadDen {
 		size <<= 1
 	}
-	t := &Table{arity: arity, slots: getSlots(size), mask: uint64(size - 1)}
+	t := &Table{arity: arity, mask: uint64(size - 1)}
+	t.slots, t.slotsBox = getSlots(size)
 	if hint > 0 {
-		t.hashes = getHashes(hint)
-		t.keys = getKeys(hint * arity)
+		t.hashes, t.hashesBox = getArena[uint64](&hashPools, hint)
+		t.keys, t.keysBox = getArena[int64](&keyPools, hint*arity)
 	}
 	return t
 }
@@ -187,9 +193,9 @@ func (t *Table) Insert(row []int64, pos []int) (idx int, found bool) {
 // cached hashes (keys and entry indices are untouched).
 func (t *Table) grow() {
 	size := len(t.slots) * 2
-	old := t.slots
-	t.slots = getSlots(size)
-	putSlots(old)
+	old, oldBox := t.slots, t.slotsBox
+	t.slots, t.slotsBox = getSlots(size)
+	putSlots(old, oldBox)
 	t.mask = uint64(size - 1)
 	for e, h := range t.hashes {
 		s := h & t.mask

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand/v2"
+	"runtime/debug"
 	"testing"
 )
 
@@ -183,9 +184,10 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReleaseAllocatesNothing: Release boxes a slice header only on its
-// way into a pool, so releasing a zero Table, or a table whose arrays
-// are discarded because pooling is off, allocates nothing.
+// TestReleaseAllocatesNothing: Release allocates a pool handle only for
+// a buffer that did not come from a pool, so releasing a zero Table, a
+// table whose arrays are discarded because pooling is off, or a table
+// built from warm pools allocates nothing.
 func TestReleaseAllocatesNothing(t *testing.T) {
 	t.Run("zero-table", func(t *testing.T) {
 		var zero Table
@@ -206,6 +208,23 @@ func TestReleaseAllocatesNothing(t *testing.T) {
 		release := func() { tabs[next].Release(); next++ }
 		if avg := testing.AllocsPerRun(runs, release); avg != 0 {
 			t.Fatalf("releasing under SetPooling(false): %.2f allocs/run, want 0", avg)
+		}
+	})
+	t.Run("warm-round-trip", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("the race detector makes sync.Pool drop items at random")
+		}
+		// With the collector off no cycle empties the pools between
+		// runs: every buffer is a hit, and its handle goes back with it.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		row, pos := []int64{1, 2}, []int{0, 1}
+		trip := func() {
+			tab := New(2, 64)
+			tab.Insert(row, pos)
+			tab.Release()
+		}
+		if avg := testing.AllocsPerRun(100, trip); avg != 1 {
+			t.Fatalf("warm New/Insert/Release: %.2f allocs/run, want 1 (the *Table)", avg)
 		}
 	})
 }

@@ -16,10 +16,10 @@ import (
 // re-allocating them.
 //
 // Ownership contract: Release may only be called on tables that are
-// provably local — built and dropped inside one function. Retained key
-// indexes (internal/relation/index.go) live as long as their relation
-// and are shared across goroutines via atomic.Value; they are never
-// released.
+// provably local — built and dropped inside one call, with every probe
+// finished. No table outlives the call that built it: the relation
+// kernels (SemiJoin, Join, JoinCount, Degrees, Dedup's first-row list)
+// borrow theirs for one call and release it before they return.
 //
 // Determinism: recycled slot arrays are zeroed before reuse, and
 // hash/key arenas are append targets, so a recycled table behaves
@@ -87,53 +87,66 @@ func slotClass(size int) int {
 	return -1
 }
 
-// getSlots returns a zeroed []int32 of exactly size entries (size must
-// be a power of two ≥ 8).
-func getSlots(size int) []int32 {
-	if poolingOff.Load() {
-		return make([]int32, size)
+// A pooled buffer travels in a handle, the *[]T its sync.Pool holds.
+// A get takes the handle out with the buffer and the Table keeps it; the
+// put stores the buffer back into the same handle, so a steady-state put
+// boxes nothing. A buffer made on a miss has no handle yet, and its first
+// put allocates one.
+
+// take returns the buffer in one of p's handles, and the handle, or
+// nil, nil when p is empty.
+func take[T any](p *sync.Pool) ([]T, *[]T) {
+	if v := p.Get(); v != nil {
+		h := v.(*[]T)
+		return *h, h
 	}
-	poolGets.Add(1)
-	cl := slotClass(size)
-	if cl < 0 {
-		poolMisses.Add(1)
-		return make([]int32, size)
-	}
-	if v := slotPools[cl].Get(); v != nil {
-		poolHits.Add(1)
-		s := *v.(*[]int32)
-		clear(s)
-		return s
-	}
-	poolMisses.Add(1)
-	return make([]int32, size)
+	return nil, nil
 }
 
-func putSlots(s []int32) {
-	if s == nil {
-		return
-	}
-	if poolingOff.Load() {
-		poolDiscards.Add(1)
-		return
-	}
-	cl := slotClass(len(s))
+// give hands s to pools[cl] in handle h (a fresh one when h is nil), or
+// discards it when cl < 0.
+func give[T any](pools *[slotClasses]sync.Pool, cl int, s []T, h *[]T) {
 	if cl < 0 {
 		poolDiscards.Add(1)
 		return
 	}
 	poolPuts.Add(1)
-	poolSlots(cl, s)
+	if h == nil {
+		h = new([]T)
+	}
+	*h = s
+	pools[cl].Put(h)
 }
 
-// poolSlots, poolHashes and poolKeys hand a buffer to its class's
-// sync.Pool, boxing the slice header. They are functions of their own
-// because taking &s in putSlots (or &h, &k in putHashes, putKeys) would
-// move that parameter to the heap on every call, so even releasing a
-// zero Table, or releasing with pooling off, would allocate.
-func poolSlots(cl int, s []int32)   { slotPools[cl].Put(&s) }
-func poolHashes(cl int, h []uint64) { hashPools[cl].Put(&h) }
-func poolKeys(cl int, k []int64)    { keyPools[cl].Put(&k) }
+// getSlots returns a zeroed []int32 of exactly size entries (size must
+// be a power of two ≥ 8) and its handle, nil when the pool missed.
+func getSlots(size int) ([]int32, *[]int32) {
+	if poolingOff.Load() {
+		return make([]int32, size), nil
+	}
+	poolGets.Add(1)
+	if cl := slotClass(size); cl >= 0 {
+		if s, h := take[int32](&slotPools[cl]); h != nil {
+			poolHits.Add(1)
+			clear(s)
+			return s, h
+		}
+	}
+	poolMisses.Add(1)
+	return make([]int32, size), nil
+}
+
+// putSlots returns a slot array got with handle h to its pool.
+func putSlots(s []int32, h *[]int32) {
+	if s == nil {
+		return
+	}
+	cl := -1
+	if !poolingOff.Load() {
+		cl = slotClass(len(s))
+	}
+	give(&slotPools, cl, s, h)
+}
 
 // capClass returns the largest class whose capacity (1<<bits entries)
 // fits within c, or -1 when c is below the smallest class. Like the
@@ -162,92 +175,47 @@ func ceilClass(n int) int {
 	return bits - minSlotBits
 }
 
-// getHashes returns a zero-length []uint64 with capacity ≥ n.
-func getHashes(n int) []uint64 {
+// getArena returns a zero-length hash or key arena with capacity ≥ n
+// from pools, and its handle, nil when the pool missed.
+func getArena[T any](pools *[slotClasses]sync.Pool, n int) ([]T, *[]T) {
 	if n <= 0 {
-		return nil
+		return nil, nil
 	}
 	if poolingOff.Load() {
-		return make([]uint64, 0, n)
+		return make([]T, 0, n), nil
 	}
 	poolGets.Add(1)
 	cl := ceilClass(n)
 	if cl < 0 {
 		poolMisses.Add(1)
-		return make([]uint64, 0, n)
+		return make([]T, 0, n), nil
 	}
-	if v := hashPools[cl].Get(); v != nil {
+	if s, h := take[T](&pools[cl]); h != nil {
 		poolHits.Add(1)
-		return (*v.(*[]uint64))[:0]
+		return s[:0], h
 	}
 	poolMisses.Add(1)
-	return make([]uint64, 0, 1<<(cl+minSlotBits))
+	return make([]T, 0, 1<<(cl+minSlotBits)), nil
 }
 
-func putHashes(h []uint64) {
-	if h == nil {
+// putArena returns an arena got with handle h to pools, by capacity.
+func putArena[T any](pools *[slotClasses]sync.Pool, s []T, h *[]T) {
+	if s == nil {
 		return
 	}
-	if poolingOff.Load() {
-		poolDiscards.Add(1)
-		return
+	cl := -1
+	if !poolingOff.Load() {
+		cl = capClass(cap(s))
 	}
-	cl := capClass(cap(h))
-	if cl < 0 {
-		poolDiscards.Add(1)
-		return
-	}
-	poolPuts.Add(1)
-	poolHashes(cl, h[:0])
-}
-
-// getKeys returns a zero-length []int64 with capacity ≥ n.
-func getKeys(n int) []int64 {
-	if n <= 0 {
-		return nil
-	}
-	if poolingOff.Load() {
-		return make([]int64, 0, n)
-	}
-	poolGets.Add(1)
-	cl := ceilClass(n)
-	if cl < 0 {
-		poolMisses.Add(1)
-		return make([]int64, 0, n)
-	}
-	if v := keyPools[cl].Get(); v != nil {
-		poolHits.Add(1)
-		return (*v.(*[]int64))[:0]
-	}
-	poolMisses.Add(1)
-	return make([]int64, 0, 1<<(cl+minSlotBits))
-}
-
-func putKeys(k []int64) {
-	if k == nil {
-		return
-	}
-	if poolingOff.Load() {
-		poolDiscards.Add(1)
-		return
-	}
-	cl := capClass(cap(k))
-	if cl < 0 {
-		poolDiscards.Add(1)
-		return
-	}
-	poolPuts.Add(1)
-	poolKeys(cl, k[:0])
+	give(pools, cl, s[:0], h)
 }
 
 // Release returns the table's buffers to the cross-run pools and leaves
 // the table unusable. Only call it on provably local tables (built and
-// dropped within one function) — never on retained key indexes or any
-// table that may still be probed.
+// dropped within one call) — never on a table that may still be probed.
 func (t *Table) Release() {
-	putSlots(t.slots)
-	putHashes(t.hashes)
-	putKeys(t.keys)
-	t.slots, t.hashes, t.keys = nil, nil, nil
-	t.mask = 0
+	putSlots(t.slots, t.slotsBox)
+	putArena(&hashPools, t.hashes, t.hashesBox)
+	putArena(&keyPools, t.keys, t.keysBox)
+	*t = Table{}
 }

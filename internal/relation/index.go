@@ -1,86 +1,87 @@
 package relation
 
 import (
-	"slices"
 	"sync/atomic"
 
 	"coverpack/internal/hashtab"
 )
 
-// Retained key indexes: the partition-aware hash-table reuse layer.
+// Borrowed key tables.
 //
-// Consecutive keyed operators over the same relation on the same key —
-// SemiJoin followed by Join in a Yannakakis pass, Degrees followed by
-// a keyed route in skew handling, repeated Dedup of a shared input —
-// historically each rebuilt a hashtab table over the same rows. A
-// keyIndex is that table built once and remembered on the relation,
-// validated by (version stamp, key positions) so any mutation or a
-// different key transparently rebuilds. Reuse changes nothing
-// observable: hashtab entries enumerate in first-insert order whether
-// the table is fresh or retained, so probe results and output orders
-// are identical — the differential tests run with caching forced off
-// to prove it.
+// Every keyed kernel — SemiJoin, Join, JoinCount, Degrees and the
+// first-row list of Dedup — builds its hashtab table for the length of
+// one call and releases it to the hashtab pools before it returns, so
+// no table outlives its call and a sweep's tables come from the pools.
+// A table retained on the relation would rarely be probed again: the
+// build side of a semi-join is almost never the build side of a later
+// keyed operator on the same key.
+//
+// The one thing a relation keeps is Dedup's first-row list, stamped
+// with the content version it lists. The inputs of a run are
+// deduplicated as they are scattered (mpc.Group.ScatterDedup), and an
+// input that outlives runs is then listed once, however many runs
+// scatter it. The list is published through an atomic pointer, so runs
+// sharing an input stay race-free.
 
-// keyIndex is a hash index of a relation's rows projected on one
-// position list: the hashtab table (dense first-insert-order entries)
-// plus the per-entry row chains a hash join walks. heads[e] is the
-// first row of entry e; next[i] links rows sharing a key in row order
-// (-1 ends a chain).
-type keyIndex struct {
-	ver   uint64
-	pos   []int
-	table *hashtab.Table
-	heads []int32
-	next  []int32
+// firstList is a retained FirstRows result: the list and the version
+// stamp of the content it lists.
+type firstList struct {
+	ver  uint64
+	rows []int32
 }
 
 // indexCachingOff is inverted so the zero value means "caching on".
 var indexCachingOff atomic.Bool
 
-// SetIndexCaching toggles retained-key-index reuse process-wide
+// SetIndexCaching toggles the retention of FirstRows lists process-wide
 // (default on). Results are identical either way — the switch exists
 // for differential tests and cache-off benchmarking.
 func SetIndexCaching(on bool) { indexCachingOff.Store(!on) }
 
-// IndexCachingEnabled reports whether retained key indexes are in use.
+// IndexCachingEnabled reports whether FirstRows lists are retained.
 func IndexCachingEnabled() bool { return !indexCachingOff.Load() }
 
-// indexOn returns the key index of r on pos, reusing the cached one
-// when its version stamp and positions still match.
-func (r *Relation) indexOn(pos []int) *keyIndex {
-	caching := !indexCachingOff.Load()
-	var ver uint64
-	if caching {
-		ver = r.Version()
-		if ix, _ := r.idx.Load().(*keyIndex); ix != nil && ix.ver == ver && slices.Equal(ix.pos, pos) {
-			return ix
+// firstRows lists the first occurrence of every distinct row, ascending,
+// through a borrowed full-row table.
+func (r *Relation) firstRows() []int32 {
+	pos := identityPositions(r.arity)
+	seen := hashtab.New(r.arity, r.rows)
+	first := make([]int32, 0, r.rows)
+	for i := 0; i < r.rows; i++ {
+		if _, found := seen.Insert(r.Row(i), pos); !found {
+			first = append(first, int32(i))
 		}
 	}
-	ix := buildKeyIndex(r, pos)
-	if caching {
-		ix.ver = ver
-		r.idx.Store(ix)
-	}
-	return ix
+	seen.Release()
+	return first
 }
 
-// buildKeyIndex builds the table and row chains in one input-order
-// pass (exactly the build loop the hash join ran inline before).
-func buildKeyIndex(r *Relation, pos []int) *keyIndex {
-	table := hashtab.New(len(pos), r.rows)
-	heads := make([]int32, 0, r.rows)
-	tails := make([]int32, 0, r.rows)
-	next := make([]int32, r.rows)
-	for i := 0; i < r.rows; i++ {
-		next[i] = -1
-		e, found := table.Insert(r.Row(i), pos)
-		if !found {
-			heads = append(heads, int32(i))
-			tails = append(tails, int32(i))
-			continue
-		}
-		next[tails[e]] = int32(i)
-		tails[e] = int32(i)
+// keyChains is a hash index of a join's build side on the join key,
+// borrowed for one JoinPar call: table numbers the distinct keys,
+// heads[e] is the first row holding key e, and next[i] is the next row
+// after row i holding row i's key (−1 ends a chain), so a chain lists
+// its rows in row order.
+type keyChains struct {
+	table       *hashtab.Table
+	heads, next []Value
+}
+
+// chainsOn builds the index of r on pos over scratch, which holds at
+// least 2·r.Len() values. The rows are inserted last to first, so each
+// row is pushed on the front of its chain and no tail list is needed.
+func chainsOn(r *Relation, pos []int, scratch []Value) keyChains {
+	ix := keyChains{
+		table: hashtab.New(len(pos), r.rows),
+		heads: scratch[r.rows : r.rows : 2*r.rows],
+		next:  scratch[:r.rows],
 	}
-	return &keyIndex{pos: append([]int(nil), pos...), table: table, heads: heads, next: next}
+	for i := r.rows - 1; i >= 0; i-- {
+		e, found := ix.table.Insert(r.Row(i), pos)
+		if !found {
+			ix.heads = append(ix.heads, -1)
+		}
+		ix.next[i] = ix.heads[e]
+		ix.heads[e] = Value(i)
+	}
+	return ix
 }

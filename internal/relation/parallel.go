@@ -49,8 +49,8 @@ const (
 	parMinBlock    = 512
 )
 
-// smallRows is the input size up to which a one-block kernel keeps its
-// per-row scratch (kept-row list, matched chains) in a stack buffer.
+// smallRows is the input size up to which a one-block filter keeps its
+// kept-row list in a stack buffer.
 const smallRows = 64
 
 // Forker runs n index tasks, possibly concurrently, returning after
@@ -225,9 +225,10 @@ func (r *Relation) markAll(p rowPred, buf []int32) []int32 {
 }
 
 // SemiJoinPar is r ⋉ s with the probe scan run block by block over f.
-// The build side reuses the retained key index (shared read-only by all
-// blocks). With no common attributes it returns r unchanged when s is
-// nonempty and empty otherwise, matching the join semantics.
+// The build side is a keys-only table over s, borrowed from the hashtab
+// pools for the call (shared read-only by all blocks). With no common
+// attributes it returns r unchanged when s is nonempty and empty
+// otherwise, matching the join semantics.
 func (r *Relation) SemiJoinPar(s *Relation, f Forker) *Relation {
 	common := r.schema.Common(s.schema)
 	if len(common) == 0 {
@@ -236,8 +237,14 @@ func (r *Relation) SemiJoinPar(s *Relation, f Forker) *Relation {
 		}
 		return r.Clone()
 	}
-	probe := s.indexOn(s.schema.Positions(common)).table
-	return r.filterRows(rowPred{op: predProbe, probe: probe, pos: r.schema.Positions(common)}, f)
+	pos := s.schema.Positions(common)
+	keys := hashtab.New(len(pos), s.rows)
+	for i := 0; i < s.rows; i++ {
+		keys.Insert(s.Row(i), pos)
+	}
+	out := r.filterRows(rowPred{op: predProbe, probe: keys, pos: r.schema.Positions(common)}, f)
+	keys.Release()
+	return out
 }
 
 // smallDedupCutoff is the input size up to which Dedup and Degrees find
@@ -265,16 +272,24 @@ func (r *Relation) firstSmall(buf []int32) []int32 {
 
 // FirstRows returns the row index of the first occurrence of every
 // distinct row, ascending: row FirstRows()[k] is row k of Dedup(). Above
-// smallDedupCutoff rows the list is the retained full-row key index's
-// heads (entry e's head row is the first occurrence of its key, and
-// entries enumerate in first-insert order), shared with the index —
-// callers must not modify it — so repeated Dedup of an unchanged
-// relation (shared inputs re-deduped per run) reuses it.
+// smallDedupCutoff rows the list is retained on the relation with its
+// version stamp (index.go) — callers must not modify it — so repeated
+// Dedup of an unchanged relation (shared inputs re-deduped per run)
+// reuses it.
 func (r *Relation) FirstRows() []int32 {
 	if r.rows <= smallDedupCutoff {
 		return r.firstSmall(make([]int32, 0, r.rows))
 	}
-	return r.indexOn(identityPositions(r.arity)).heads
+	if indexCachingOff.Load() {
+		return r.firstRows()
+	}
+	ver := r.Version()
+	if l := r.first.Load(); l != nil && l.ver == ver {
+		return l.rows
+	}
+	first := r.firstRows()
+	r.first.Store(&firstList{ver: ver, rows: first})
+	return first
 }
 
 // DedupPar returns the relation with duplicate tuples removed, in
@@ -353,11 +368,11 @@ func degreeRows(schema Schema, vp, n int, at func(e int) (Value, Value)) *Relati
 
 // joinRun is one natural join resolved to positions: the probe side is
 // scanned in row order and each probe row meets its build rows in build
-// order — the key index's chain, or every build row when ix is nil (no
-// shared attribute).
+// order — the key index's chain, or every build row when ix.table is nil
+// (no shared attribute).
 type joinRun struct {
 	probe, build       *Relation
-	ix                 *keyIndex
+	ix                 keyChains
 	probePos           []int
 	probeOut, buildOut []int // column of the side -> output column
 	arity              int
@@ -366,8 +381,8 @@ type joinRun struct {
 // count is pass 1 over probe rows [lo, hi): it keeps the head of every
 // row's matched build chain (−1 for none) in chain and returns the
 // number of output rows.
-func (j *joinRun) count(chain []int32, lo, hi int) int {
-	if j.ix == nil {
+func (j *joinRun) count(chain []Value, lo, hi int) int {
+	if j.ix.table == nil {
 		return (hi - lo) * j.build.rows
 	}
 	n, a := 0, j.probe.arity
@@ -385,7 +400,7 @@ func (j *joinRun) count(chain []int32, lo, hi int) int {
 
 // scatter is pass 2: it writes the output rows of probe rows [lo, hi)
 // to dst, which holds exactly count's number of rows.
-func (j *joinRun) scatter(dst []Value, chain []int32, lo, hi int) {
+func (j *joinRun) scatter(dst []Value, chain []Value, lo, hi int) {
 	emit := func(pt, bt Tuple) {
 		for c, p := range j.probeOut {
 			dst[p] = pt[c]
@@ -397,7 +412,7 @@ func (j *joinRun) scatter(dst []Value, chain []int32, lo, hi int) {
 	}
 	for i := lo; i < hi; i++ {
 		pt := j.probe.Row(i)
-		if j.ix == nil {
+		if j.ix.table == nil {
 			for b := 0; b < j.build.rows; b++ {
 				emit(pt, j.build.Row(b))
 			}
@@ -444,20 +459,25 @@ func (r *Relation) JoinCount(s *Relation) int64 {
 // JoinPar is the natural join r ⋈ s (hash join on the shared
 // attributes; Cartesian product when none are shared), the
 // count-then-scatter kernel run block by block over f. The build side
-// is the smaller relation, ties to s, found through its retained key
-// index — one left by an earlier keyed operator on the same side and
-// key (the semi-join that filtered it) is reused as it is; output order
-// is probe order × build order, and r × s row order for the product.
+// is the smaller relation, ties to s, indexed for the call: the table
+// comes from the hashtab pools, and the chains and the per-probe-row
+// matches share one pooled arena; both are released after the scatter.
+// Output order is probe order × build order, and r × s row order for
+// the product.
 func (r *Relation) JoinPar(s *Relation, f Forker) *Relation {
 	common := r.schema.Common(s.schema)
 	out := r.schema.Union(s.schema)
 	j := joinRun{probe: r, build: s, arity: out.Len()}
+	var scratch, chain []Value
 	if len(common) > 0 {
 		if r.Len() < s.Len() {
 			j.probe, j.build = s, r
 		}
-		j.ix = j.build.indexOn(j.build.schema.Positions(common))
+		nb := 2 * j.build.rows
+		scratch = GetArena(nb + j.probe.rows)[:nb+j.probe.rows]
+		j.ix = chainsOn(j.build, j.build.schema.Positions(common), scratch)
 		j.probePos = j.probe.schema.Positions(common)
+		chain = scratch[nb:]
 	}
 	outPos := make([]int, j.probe.arity+j.build.arity)
 	for c, a := range j.probe.schema.attrs {
@@ -468,26 +488,22 @@ func (r *Relation) JoinPar(s *Relation, f Forker) *Relation {
 	}
 	j.probeOut, j.buildOut = outPos[:j.probe.arity], outPos[j.probe.arity:]
 
-	rows, marked := j.probe.rows, j.probe.rows
-	if j.ix == nil {
-		marked = 0 // a product matches every build row: nothing to keep per probe row
-	}
-	cuts := blocksOf(f, rows)
-	if cuts == nil {
-		var buf [smallRows]int32
-		chain := buf[:]
-		if marked > len(buf) {
-			chain = make([]int32, marked)
-		}
-		n := j.count(chain, 0, rows)
-		data := make([]Value, n*j.arity)
+	rows := j.probe.rows
+	var data []Value
+	var n int
+	if cuts := blocksOf(f, rows); cuts == nil {
+		n = j.count(chain, 0, rows)
+		data = make([]Value, n*j.arity)
 		j.scatter(data, chain, 0, rows)
-		return FromData(out, data, n)
+	} else {
+		jb := j // the closures below make their joinRun escape; j stays on the stack
+		data, n = twoPass(f, cuts, jb.arity,
+			func(lo, hi int) int { return jb.count(chain, lo, hi) },
+			func(dst []Value, _, lo, hi int) { jb.scatter(dst, chain, lo, hi) })
 	}
-	jb := j // the closures below make their joinRun escape; j stays on the stack
-	chain := make([]int32, marked)
-	data, total := twoPass(f, cuts, jb.arity,
-		func(lo, hi int) int { return jb.count(chain, lo, hi) },
-		func(dst []Value, _, lo, hi int) { jb.scatter(dst, chain, lo, hi) })
-	return FromData(out, data, total)
+	if j.ix.table != nil {
+		j.ix.table.Release()
+		PutArena(scratch)
+	}
+	return FromData(out, data, n)
 }

@@ -158,11 +158,11 @@ type Relation struct {
 	// version counter and identifies this exact arena content. Mutators
 	// reset it to 0; Version() stamps on demand. See version.go.
 	ver uint64
-	// idx caches the last key index built over this relation (always a
-	// *keyIndex), validated against ver + positions on reuse. See
-	// index.go. atomic.Value rather than a plain pointer so readers on
-	// other goroutines (shared immutable fragments) stay race-free.
-	idx atomic.Value
+	// first is the retained FirstRows list, valid while its stamp
+	// equals ver; no other index outlives the call that built it. See
+	// index.go. An atomic pointer so that runs sharing an immutable
+	// input list it race-free.
+	first atomic.Pointer[firstList]
 }
 
 // New returns an empty relation with the given schema.

@@ -44,12 +44,12 @@ func (r *Relation) Version() uint64 {
 	return atomic.LoadUint64(&r.ver)
 }
 
-// invalidate resets the version stamp and drops the cached key index.
-// Mutators call it (cheaply pre-gated on ver != 0) before changing the
-// arena.
+// invalidate resets the version stamp and drops the retained FirstRows
+// list. Mutators call it (cheaply pre-gated on ver != 0) before changing
+// the arena.
 func (r *Relation) invalidate() {
 	atomic.StoreUint64(&r.ver, 0)
-	if r.idx.Load() != nil {
-		r.idx.Store((*keyIndex)(nil))
+	if r.first.Load() != nil {
+		r.first.Store(nil)
 	}
 }

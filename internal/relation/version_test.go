@@ -66,23 +66,34 @@ func TestVersionConcurrentStamping(t *testing.T) {
 	}
 }
 
+// sameList reports whether two FirstRows results are one retained list.
+func sameList(a, b []int32) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
+}
+
 func TestIndexReusedUntilInvalidated(t *testing.T) {
 	r := New(NewSchema(0, 1))
 	for i := int64(0); i < 50; i++ {
-		r.AddValues(i%5, i)
+		r.AddValues(i%5, i%25)
 	}
-	ix1 := r.indexOn([]int{0})
-	if ix2 := r.indexOn([]int{0}); ix2 != ix1 {
-		t.Fatal("unchanged relation rebuilt its key index")
+	first := r.FirstRows()
+	if !sameList(r.FirstRows(), first) {
+		t.Fatal("unchanged relation rebuilt its FirstRows list")
 	}
-	// A different key must not reuse the cached index.
-	if ix3 := r.indexOn([]int{1}); ix3 == ix1 {
-		t.Fatal("index reused across different key positions")
+	// Keyed kernels on another key borrow their own tables and leave
+	// the list in place.
+	s := New(NewSchema(0, 2))
+	s.AddValues(1, 1)
+	r.SemiJoin(s)
+	r.Join(s)
+	s.Join(r)
+	if !sameList(r.FirstRows(), first) {
+		t.Fatal("a keyed kernel replaced the retained list")
 	}
-	// Mutation invalidates: the next build is fresh.
+	// Mutation invalidates: the next list is fresh.
 	r.AddValues(99, 99)
-	if ix4 := r.indexOn([]int{0}); ix4 == ix1 {
-		t.Fatal("index survived a mutation")
+	if again := r.FirstRows(); sameList(again, first) || len(again) != len(first)+1 {
+		t.Fatal("the FirstRows list survived a mutation")
 	}
 }
 
@@ -99,14 +110,14 @@ func TestIndexCachingToggle(t *testing.T) {
 	if IndexCachingEnabled() {
 		t.Fatal("toggle off not observed")
 	}
-	ix1 := r.indexOn([]int{0})
-	if ix2 := r.indexOn([]int{0}); ix2 == ix1 {
-		t.Fatal("index cached while caching is off")
+	first := r.FirstRows()
+	if sameList(r.FirstRows(), first) || r.first.Load() != nil {
+		t.Fatal("FirstRows list retained while caching is off")
 	}
 }
 
 // Dedup, SemiJoin and Join must produce identical outputs with the
-// retained index on and off (the relation-level analogue of the
+// retained first-row list on and off (the relation-level analogue of the
 // cluster-level difftest).
 func TestKeyedOpsIdenticalWithCachingOff(t *testing.T) {
 	mk := func() (*Relation, *Relation) {
