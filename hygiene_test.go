@@ -69,8 +69,8 @@ func TestExecuteOptsPathsLeakNoGoroutines(t *testing.T) {
 
 // Keyed kernels borrow their hash tables: every table SemiJoin, Join and
 // FirstRows take from the hashtab pools goes back before they return,
-// and so does every table of a whole Yannakakis run, so no
-// exchange-output fragment keeps one.
+// and so does every table of a whole run, so no exchange-output
+// fragment keeps one.
 func TestKeyedKernelsReturnTables(t *testing.T) {
 	if !hashtab.PoolingEnabled() {
 		t.Fatal("pooling should default to on")
@@ -79,6 +79,11 @@ func TestKeyedKernelsReturnTables(t *testing.T) {
 		t.Helper()
 		if st := hashtab.PoolStats(); st.Gets == 0 || st.Puts != st.Gets || st.Discards != 0 {
 			t.Errorf("%s: hashtab pools %+v, want every get put back", what, st)
+		}
+		// Relation arenas: the local steps' scratch goes back before the
+		// step returns, and a run's exchange arenas at its Release.
+		if st := relation.PoolStats(); st.Puts+st.Discards != st.Gets {
+			t.Errorf("%s: arena pools %+v, want every get put back", what, st)
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -99,16 +104,23 @@ func TestKeyedKernelsReturnTables(t *testing.T) {
 	} {
 		r, s := fresh(0, 1), fresh(1, 2)
 		hashtab.ResetPoolStats()
+		relation.ResetPoolStats()
 		k.run(r, s)
 		balanced(k.name)
 	}
+	// Whole runs: Yannakakis's pair joins and semi-joins, the acyclic
+	// algorithm's server-major aggregation and light-group lookup, and
+	// the skew-aware strata's domain counts.
 	in := coverpack.Uniform(hypergraph.Line3Join(), 1200, 1500, 3)
-	for _, w := range []int{1, 4} {
-		hashtab.ResetPoolStats()
-		if _, err := coverpack.ExecuteOpts(coverpack.AlgYannakakis, in, 8, coverpack.ExecOptions{Workers: w}); err != nil {
-			t.Fatal(err)
+	for _, alg := range []coverpack.Algorithm{coverpack.AlgYannakakis, coverpack.AlgAcyclicOptimal, coverpack.AlgSkewAware} {
+		for _, w := range []int{1, 4} {
+			hashtab.ResetPoolStats()
+			relation.ResetPoolStats()
+			if _, err := coverpack.ExecuteOpts(alg, in, 8, coverpack.ExecOptions{Workers: w}); err != nil {
+				t.Fatal(err)
+			}
+			balanced(alg.String() + " run")
 		}
-		balanced("Yannakakis run")
 	}
 }
 

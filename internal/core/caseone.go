@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"coverpack/internal/hashtab"
 	"coverpack/internal/mpc"
 	"coverpack/internal/primitives"
 	"coverpack/internal/relation"
@@ -72,9 +73,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 		}
 		sums := primitives.ReduceByKey(g, merged, []int{x}, ex.cntAttr)
 		chargeSetBroadcast(g, len(heavySet))
-		lightW := g.Local(sums, func(_ int, f *relation.Relation) *relation.Relation {
-			return f.SelectIn(x, heavySet, false)
-		})
+		lightW := mpc.Local(g, sums, relation.SelectInStep(sums.Schema, x, heavySet, false))
 		if lightW.Len() > 0 {
 			pk = primitives.Pack(g, lightW, x, ex.cntAttr, ex.grpAttr, int64(len(c.sx))*L)
 		}
@@ -224,9 +223,8 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 				// avoid. Light tuples are first co-partitioned with the
 				// Pack assignment by x (balanced: every light value has
 				// degree ≤ L) to learn their group ids, then shipped.
-				heavyPart := g.Local(rels[e], func(_ int, f *relation.Relation) *relation.Relation {
-					return f.SelectIn(x, heavySet, true)
-				})
+				rs := rels[e].Schema
+				heavyPart := mpc.Local(g, rels[e], relation.SelectInStep(rs, x, heavySet, true))
 				hParts := g.DistributeSpread(heavyPart, sizes, func(f *relation.Relation, t relation.Tuple) []mpc.BranchSend {
 					bi, ok := heavyBranch[f.Get(t, x)]
 					if !ok {
@@ -235,44 +233,49 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 					return unicast[bi]
 				})
 
-				lightPart := g.Local(rels[e], func(_ int, f *relation.Relation) *relation.Relation {
-					return f.SelectIn(x, heavySet, false)
-				})
+				lightPart := mpc.Local(g, rels[e], relation.SelectInStep(rs, x, heavySet, false))
 				var lParts []*mpc.DistRelation
 				if assign != nil && lightPart.Len() > 0 {
 					relP := g.HashPartition(lightPart, []int{x})
 					asgP := g.HashPartition(assign, []int{x})
-					groupOf := make(map[*relation.Relation]map[relation.Value]int64)
-					axp := asgP.Schema.Pos(x)
+					// relP and asgP are partitioned on x by the same hash, so
+					// the assignment row of a light value sits on the server
+					// of its tuples, and one table over all of asgP — x to
+					// the entry whose group id gids holds — reads what each
+					// server's own share would.
+					axp := []int{asgP.Schema.Pos(x)}
 					agp := asgP.Schema.Pos(ex.grpAttr)
-					for i := range relP.Frags {
-						m := make(map[relation.Value]int64)
-						af := asgP.Frags[i]
+					var groupOf hashtab.Table
+					groupOf.Init(1, asgP.Len())
+					gids := relation.GetArena(asgP.Len())
+					for _, af := range asgP.Frags {
 						for j := 0; j < af.Len(); j++ {
 							t := af.Row(j)
-							m[t[axp]] = t[agp]
+							if k, found := groupOf.Insert(t, axp); found {
+								gids[k] = t[agp]
+							} else {
+								gids = append(gids, t[agp])
+							}
 						}
-						groupOf[relP.Frags[i]] = m
 					}
 					lightSends := unicast
 					if c.sxSet.Contains(e) {
 						lightSends = bcast
 					}
-					lParts = g.DistributeSpread(relP, sizes, func(f *relation.Relation, t relation.Tuple) []mpc.BranchSend {
-						m := groupOf[f]
-						if m == nil {
+					rxp := []int{relP.Schema.Pos(x)}
+					lParts = g.DistributeSpread(relP, sizes, func(_ *relation.Relation, t relation.Tuple) []mpc.BranchSend {
+						k := groupOf.Find(t, rxp)
+						if k < 0 {
 							return nil
 						}
-						gid, ok := m[f.Get(t, x)]
-						if !ok {
-							return nil
-						}
-						bi, ok := groupBranch[gid]
+						bi, ok := groupBranch[gids[k]]
 						if !ok {
 							return nil
 						}
 						return lightSends[bi]
 					})
+					groupOf.Release()
+					relation.PutArena(gids)
 				}
 				merged := make([]*mpc.DistRelation, len(plans))
 				for bi := range plans {
@@ -339,9 +342,7 @@ func (ex *executor) heavyBranch(sub *mpc.Group, st *step, parts [][]*mpc.DistRel
 		part := parts[e][bi]
 		if st.vars[e].Contains(c.x) {
 			ns := c.proj[e]
-			part = sub.Local(part, func(_ int, f *relation.Relation) *relation.Relation {
-				return f.ProjectTo(ns)
-			})
+			part = mpc.Local(sub, part, relation.ProjectStep(part.Schema, ns))
 		}
 		nrels[e] = part
 	}

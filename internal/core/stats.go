@@ -1,6 +1,7 @@
 package core
 
 import (
+	"coverpack/internal/hashtab"
 	"coverpack/internal/mpc"
 	"coverpack/internal/primitives"
 	"coverpack/internal/relation"
@@ -18,9 +19,55 @@ import (
 // value is in values and gathers them to the coordinator (charged via
 // Gather).
 func gatherRows(g *mpc.Group, d *mpc.DistRelation, x int, values map[relation.Value]bool) *relation.Relation {
-	return g.Gather(g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
-		return f.SelectIn(x, values, true)
-	}))
+	return g.Gather(mpc.Local(g, d, relation.SelectInStep(d.Schema, x, values, true)))
+}
+
+// groupJoin is groupSums' per-server step: every (x, cnt) row of the
+// server whose x has an assignment row on the server becomes a (grp,
+// cnt) row. Count looks x up in a borrowed table over the server's
+// assignment rows, whose group ids sit at the scratch's tail, and lists
+// each match's group id and count at scratch[2k] and scratch[2k+1];
+// Fill lays them out.
+type groupJoin struct {
+	assign             []*relation.Relation
+	axp, cxp           []int // x in the assignment and the count rows
+	agp, ccp, gp, cpos int   // group id and count columns, in and out
+	out                relation.Schema
+}
+
+func (s groupJoin) Schema() relation.Schema { return s.out }
+
+func (s groupJoin) Scratch(i int, in *relation.Relation) int { return 2*in.Len() + s.assign[i].Len() }
+
+func (s groupJoin) Count(i int, in *relation.Relation, sc []relation.Value) int {
+	af := s.assign[i]
+	gids := sc[2*in.Len() : 2*in.Len() : len(sc)]
+	var groupOf hashtab.Table
+	groupOf.Init(1, af.Len())
+	for j := 0; j < af.Len(); j++ {
+		t := af.Row(j)
+		if k, found := groupOf.Insert(t, s.axp); found {
+			gids[k] = t[s.agp]
+		} else {
+			gids = append(gids, t[s.agp])
+		}
+	}
+	n := 0
+	for j := 0; j < in.Len(); j++ {
+		t := in.Row(j)
+		if k := groupOf.Find(t, s.cxp); k >= 0 {
+			sc[2*n], sc[2*n+1] = gids[k], t[s.ccp]
+			n++
+		}
+	}
+	groupOf.Release()
+	return n
+}
+
+func (s groupJoin) Fill(_ int, _ *relation.Relation, sc, dst []relation.Value, rows int) {
+	for k := 0; k < rows; k++ {
+		dst[2*k+s.gp], dst[2*k+s.cpos] = sc[2*k], sc[2*k+1]
+	}
 }
 
 // chargeSetBroadcast charges one round delivering a small driver-side
@@ -60,39 +107,11 @@ func (ex *executor) groupSums(g *mpc.Group, counts, assign *mpc.DistRelation, x 
 	cp := g.HashPartition(counts, []int{x})
 	ap := g.HashPartition(assign, []int{x})
 	joinedSchema := relation.NewSchema(ex.grpAttr, ex.cntAttr)
-	joined := mpc.NewDist(joinedSchema, g.Size())
-	gp := joinedSchema.Pos(ex.grpAttr)
-	cpos := joinedSchema.Pos(ex.cntAttr)
-	axp := ap.Schema.Pos(x)
-	agp := ap.Schema.Pos(ex.grpAttr)
-	cxp := cp.Schema.Pos(x)
-	ccp := cp.Schema.Pos(ex.cntAttr)
-	for i := range cp.Frags {
-		cf, af := cp.Frags[i], ap.Frags[i]
-		groupOf := make(map[relation.Value]int64, af.Len())
-		for j := 0; j < af.Len(); j++ {
-			t := af.Row(j)
-			groupOf[t[axp]] = t[agp]
-		}
-		// Count the matches, then write them into one exactly sized arena.
-		n := 0
-		for j := 0; j < cf.Len(); j++ {
-			if _, ok := groupOf[cf.Row(j)[cxp]]; ok {
-				n++
-			}
-		}
-		data := make([]relation.Value, 2*n)
-		k := 0
-		for j := 0; j < cf.Len(); j++ {
-			t := cf.Row(j)
-			if gid, ok := groupOf[t[cxp]]; ok {
-				data[k+gp] = gid
-				data[k+cpos] = t[ccp]
-				k += 2
-			}
-		}
-		joined.Frags[i] = relation.FromData(joinedSchema, data, n)
-	}
+	joined := mpc.Local(g, cp, groupJoin{out: joinedSchema,
+		assign: ap.Frags, axp: []int{ap.Schema.Pos(x)}, agp: ap.Schema.Pos(ex.grpAttr),
+		cxp: []int{cp.Schema.Pos(x)}, ccp: cp.Schema.Pos(ex.cntAttr),
+		gp: joinedSchema.Pos(ex.grpAttr), cpos: joinedSchema.Pos(ex.cntAttr),
+	})
 	reduced := primitives.ReduceByKey(g, joined, []int{ex.grpAttr}, ex.cntAttr)
 	rows := g.Gather(reduced)
 	out := make(map[int64]int64, rows.Len())

@@ -70,7 +70,7 @@ func hashValue(h, v uint64) uint64 {
 }
 
 // Table is an open-addressing (linear-probing) hash table over fixed-
-// width int64 keys. The zero value is not usable; call New.
+// width int64 keys. The zero value is not usable; call New or Init.
 type Table struct {
 	arity  int     // key width in columns
 	keys   []int64 // stride-arity key storage, entry i at keys[i*arity:]
@@ -82,15 +82,27 @@ type Table struct {
 	keysBox   *[]int64
 	hashesBox *[]uint64
 	slotsBox  *[]int32
-	// hashFn is a test seam for forcing hash collisions; nil selects
-	// Hash. Production constructors leave it nil so the hot path pays
-	// one predictable branch, not an indirect call.
-	hashFn func(row []int64, pos []int) uint64
+	// collide is a test seam for forcing hash collisions: every key
+	// hashes to one value. Production constructors leave it false, so
+	// the hot path pays one predictable branch, and no indirect call
+	// makes the probed rows escape (a caller's table can stay on its
+	// stack).
+	collide bool
 }
 
 // New returns a table for keys of the given column count, pre-sized for
 // about hint entries.
 func New(arity, hint int) *Table {
+	t := new(Table)
+	t.Init(arity, hint)
+	return t
+}
+
+// Init makes t an empty table for keys of the given column count,
+// pre-sized for about hint entries — New without the Table allocation,
+// for a caller that keeps the table in a local variable for the length
+// of one call and releases it before returning.
+func (t *Table) Init(arity, hint int) {
 	if arity < 0 {
 		panic("hashtab: negative key arity")
 	}
@@ -98,20 +110,19 @@ func New(arity, hint int) *Table {
 	for size*loadNum < hint*loadDen {
 		size <<= 1
 	}
-	t := &Table{arity: arity, mask: uint64(size - 1)}
+	*t = Table{arity: arity, mask: uint64(size - 1)}
 	t.slots, t.slotsBox = getSlots(size)
 	if hint > 0 {
 		t.hashes, t.hashesBox = getArena[uint64](&hashPools, hint)
 		t.keys, t.keysBox = getArena[int64](&keyPools, hint*arity)
 	}
-	return t
 }
 
-// newWithHash is the test-only constructor that substitutes the hash
-// function, letting the tests force distinct keys onto equal hashes.
-func newWithHash(arity, hint int, fn func([]int64, []int) uint64) *Table {
+// newColliding is the test-only constructor whose keys all hash to one
+// value, letting the tests force distinct keys onto equal hashes.
+func newColliding(arity, hint int) *Table {
 	t := New(arity, hint)
-	t.hashFn = fn
+	t.collide = true
 	return t
 }
 
@@ -125,8 +136,8 @@ func (t *Table) Key(i int) []int64 {
 }
 
 func (t *Table) hashOf(row []int64, pos []int) uint64 {
-	if t.hashFn != nil {
-		return t.hashFn(row, pos)
+	if t.collide {
+		return 0xdead
 	}
 	return Hash(row, pos)
 }

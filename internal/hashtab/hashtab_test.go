@@ -92,7 +92,7 @@ func TestInsertFindFirstInsertOrder(t *testing.T) {
 // keys must still occupy distinct entries, and lookups must resolve by
 // comparing key columns, not hashes.
 func TestForcedCollisions(t *testing.T) {
-	tab := newWithHash(1, 0, func([]int64, []int) uint64 { return 0xdead })
+	tab := newColliding(1, 0)
 	const n = 200
 	pos := []int{0}
 	for i := int64(0); i < n; i++ {
@@ -184,6 +184,9 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// escapeSink makes a table escape to the heap in an allocation pin.
+var escapeSink *Table
+
 // TestReleaseAllocatesNothing: Release allocates a pool handle only for
 // a buffer that did not come from a pool, so releasing a zero Table, a
 // table whose arrays are discarded because pooling is off, or a table
@@ -217,14 +220,35 @@ func TestReleaseAllocatesNothing(t *testing.T) {
 		// With the collector off no cycle empties the pools between
 		// runs: every buffer is a hit, and its handle goes back with it.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		// New inlines, so a table that does not escape stays on the
+		// stack; escapeSink keeps it on the heap, as a retained table is.
 		row, pos := []int64{1, 2}, []int{0, 1}
 		trip := func() {
 			tab := New(2, 64)
+			escapeSink = tab
 			tab.Insert(row, pos)
 			tab.Release()
 		}
 		if avg := testing.AllocsPerRun(100, trip); avg != 1 {
 			t.Fatalf("warm New/Insert/Release: %.2f allocs/run, want 1 (the *Table)", avg)
+		}
+	})
+	t.Run("warm-init-round-trip", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("the race detector makes sync.Pool drop items at random")
+		}
+		// The same trip on a caller-owned Table: Init replaces New's
+		// *Table, so nothing is allocated at all.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		row, pos := []int64{1, 2}, []int{0, 1}
+		var tab Table
+		trip := func() {
+			tab.Init(2, 64)
+			tab.Insert(row, pos)
+			tab.Release()
+		}
+		if avg := testing.AllocsPerRun(100, trip); avg != 0 {
+			t.Fatalf("warm Init/Insert/Release: %.2f allocs/run, want 0", avg)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"strconv"
 
+	"coverpack/internal/hashtab"
 	"coverpack/internal/hypergraph"
 	"coverpack/internal/mpc"
 	"coverpack/internal/primitives"
@@ -140,6 +141,32 @@ func skewStrata(in *relation.Instance, attrs []int, heavy map[int]map[relation.V
 	return Stratify(in, attrs, heavy, candidates)
 }
 
+// distinctUnion counts the distinct values of attribute a over every
+// relation holding it, in one borrowed arity-1 table.
+func distinctUnion(q *hypergraph.Query, inst *relation.Instance, a int) int64 {
+	edges := q.EdgesWith(a).Edges()
+	hint := 0
+	for _, e := range edges {
+		hint += inst.Rel(e).Len()
+	}
+	var seen hashtab.Table
+	seen.Init(1, hint)
+	for _, e := range edges {
+		r := inst.Rel(e)
+		p, arity, data := r.Schema().Pos(a), r.Schema().Len(), r.Data()
+		for i := 0; i < r.Len(); i++ {
+			k := i*arity + p
+			seen.Insert(data[k:k+1], valuePos)
+		}
+	}
+	n := int64(seen.Len())
+	seen.Release()
+	return n
+}
+
+// valuePos is the key position of a one-column key view.
+var valuePos = []int{0}
+
 // runStratum executes one heavy-pattern stratum's capped HyperCube.
 func runStratum(sub *mpc.Group, q *hypergraph.Query, inst *relation.Instance,
 	heavy map[int]map[relation.Value]bool, attrs []int, pattern uint64, emitted *int64) {
@@ -151,14 +178,7 @@ func runStratum(sub *mpc.Group, q *hypergraph.Query, inst *relation.Instance,
 		if pattern&(1<<uint(i)) != 0 {
 			dom = int64(len(heavy[a]))
 		} else {
-			seen := make(map[relation.Value]bool)
-			for _, e := range q.EdgesWith(a).Edges() {
-				r := inst.Rel(e)
-				for v := range r.DistinctValues(a) {
-					seen[v] = true
-				}
-			}
-			dom = int64(len(seen))
+			dom = distinctUnion(q, inst, a)
 		}
 		if dom < 1 {
 			dom = 1

@@ -20,8 +20,9 @@ import (
 //     index-ordered chunks (flatChunks) and run the one exchange kernel
 //     (exchange.go) over them; its output does not depend on where the
 //     cuts fall, and a small exchange or a one-worker cluster is the
-//     same kernel over one chunk. Per-server steps (Local, Broadcast's
-//     copies, Gather's concatenation) write caller-owned per-index slots.
+//     same kernel over one chunk. Per-server steps (Local, and
+//     Broadcast's copies through it, Gather's concatenation) write
+//     caller-owned per-index slots.
 //
 //   - Parallel branches run concurrently on sub-groups whose recorder
 //     and load observer are replaced by per-branch buffers; after all

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"coverpack/internal/metrics"
 	"coverpack/internal/relation"
 	"coverpack/internal/trace"
 )
@@ -127,15 +128,7 @@ var engineScenarios = []struct {
 	}},
 	{"local", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0, 1), 4000))
-		out := g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
-			sel := relation.New(f.Schema())
-			for _, t := range f.Tuples() {
-				if t[0] == 5 {
-					sel.Add(t)
-				}
-			}
-			return sel
-		})
+		out := Local(g, d, relation.SelectEqStep(d.Schema, 0, 5))
 		keep(out.Frags...)
 	}},
 	{"distribute", func(g *Group, keep func(...*relation.Relation)) {
@@ -791,7 +784,7 @@ func TestSmallStepsRunInline(t *testing.T) {
 	forks := mEngineForks.Value()
 	g.Broadcast(d)
 	g.Gather(d)
-	g.Local(d, func(_ int, f *relation.Relation) *relation.Relation { return f })
+	Local(g, d, relation.ProjectStep(d.Schema, d.Schema))
 	if got := mEngineForks.Value() - forks; got != 0 {
 		t.Fatalf("%d fan-outs over %d tuples, want none", got, d.Len())
 	}
@@ -803,5 +796,28 @@ func TestSendListRoundTripAllocatesNothing(t *testing.T) {
 	putSendList(getSendList(64))
 	if n := testing.AllocsPerRun(1000, func() { putSendList(getSendList(64)) }); n != 0 {
 		t.Fatalf("send-list get+put allocates %v objects per round trip", n)
+	}
+}
+
+// TestSpanTimerAllocatesNothing: with metrics on, a phase span times
+// itself without allocating, and still records when its body panics.
+func TestSpanTimerAllocatesNothing(t *testing.T) {
+	if !metrics.Enabled() {
+		t.Skip("metrics disabled")
+	}
+	g := NewCluster(2).Root()
+	body := func() {}
+	g.Span("span-timer-test", body)
+	if n := testing.AllocsPerRun(100, func() { g.Span("span-timer-test", body) }); n != 0 {
+		t.Fatalf("Span allocates %v objects per call", n)
+	}
+	h := mPhaseSeconds.With("span-timer-test")
+	before := h.Count()
+	func() {
+		defer func() { _ = recover() }()
+		g.Span("span-timer-test", func() { panic("boom") })
+	}()
+	if h.Count() != before+1 {
+		t.Fatalf("a panicking span recorded %d observations, want 1", h.Count()-before)
 	}
 }

@@ -76,14 +76,26 @@ func observeRound(max int, total int64) {
 	mRoundUnits.Observe(float64(total))
 }
 
-// spanTimer starts a wall-clock timer for one named phase; the returned
-// func observes the elapsed time. Nil when metrics are disabled, so
-// Span pays one atomic load in that case.
-func spanTimer(name string) func() {
+// phaseTimer is the wall-clock timer of one named phase: startPhase
+// reads the clock, and observe records the elapsed time into the
+// phase's histogram. It is a value, so timing a span allocates nothing;
+// the zero timer, returned when metrics are disabled, observes nothing,
+// and Span pays one atomic load in that case.
+type phaseTimer struct {
+	name  string
+	start time.Time
+}
+
+func startPhase(name string) phaseTimer {
 	if !metrics.Enabled() {
-		return nil
+		return phaseTimer{}
 	}
-	h := mPhaseSeconds.With(name)
-	start := time.Now()
-	return func() { h.Observe(time.Since(start).Seconds()) }
+	return phaseTimer{name: name, start: time.Now()}
+}
+
+func (t phaseTimer) observe() {
+	if t.start.IsZero() {
+		return
+	}
+	mPhaseSeconds.With(t.name).Observe(time.Since(t.start).Seconds())
 }

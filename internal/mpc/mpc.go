@@ -60,7 +60,7 @@
 // observable results — output tuples, Stats, trace event streams,
 // observer call sequences — are byte-identical for every worker count;
 // see engine.go and DESIGN.md ("Parallel engine determinism contract").
-// Route/Distribute/DistributeSpread/Local callbacks must be pure
+// Route/Distribute/DistributeSpread callbacks and Local steps must be pure
 // (deterministic, no shared mutable state) under a parallel cluster.
 package mpc
 
@@ -375,9 +375,7 @@ func (g *Group) chargeRound(op trace.Op, recv []int) {
 // complement of that load-unit attribution (inclusive of nested
 // phases), recorded into the coverpack_mpc_phase_seconds histogram.
 func (g *Group) Span(name string, fn func()) {
-	if done := spanTimer(name); done != nil {
-		defer done()
-	}
+	defer startPhase(name).observe()
 	rec := g.recorder()
 	if rec == nil {
 		fn()
@@ -461,15 +459,16 @@ func (d *DistRelation) MaxFrag() int {
 	return m
 }
 
-// Collect concatenates all fragments into one local relation. It is a
-// zero-cost inspection helper for tests and oracles, not a simulated
-// communication step — use Gather for the accounted operation.
+// Collect concatenates all fragments into one local relation, sized
+// once. It is a zero-cost inspection helper for tests and oracles, not a
+// simulated communication step — use Gather for the accounted operation.
 func (d *DistRelation) Collect() *relation.Relation {
-	out := relation.New(d.Schema)
+	n := d.Len()
+	data := make([]relation.Value, 0, n*d.Schema.Len())
 	for _, f := range d.Frags {
-		out.Append(f)
+		data = append(data, f.Data()...)
 	}
-	return out
+	return relation.FromData(d.Schema, data, n)
 }
 
 // Scatter distributes a local relation round-robin over the group —
@@ -559,17 +558,38 @@ func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
 }
 
 // Broadcast sends every tuple of d to every server. One round; each
-// server receives Len(d) units.
+// server receives Len(d) units. The p copies are one Local step: each
+// server's region of the one output arena is filled with d's fragments
+// in order.
 func (g *Group) Broadcast(d *DistRelation) *DistRelation {
-	all := g.collect(d)
-	out := &DistRelation{Schema: d.Schema, Frags: make([]*relation.Relation, g.size)}
+	n := d.Len()
+	out := Local(g, d, replicate{schema: d.Schema, frags: d.Frags, rows: n})
 	recv := make([]int, g.size)
 	for i := range recv {
-		recv[i] = all.Len()
+		recv[i] = n
 	}
-	g.forEach(all.Len(), g.size, func(i int) { out.Frags[i] = all.Clone() })
 	g.chargeRound(trace.OpBroadcast, recv)
 	return out
+}
+
+// replicate is Broadcast's step: every server's output is all of frags,
+// rows rows in fragment order.
+type replicate struct {
+	schema relation.Schema
+	frags  []*relation.Relation
+	rows   int
+}
+
+func (s replicate) Schema() relation.Schema { return s.schema }
+
+func (s replicate) Scratch(int, *relation.Relation) int { return 0 }
+
+func (s replicate) Count(int, *relation.Relation, []relation.Value) int { return s.rows }
+
+func (s replicate) Fill(_ int, _ *relation.Relation, _, dst []relation.Value, _ int) {
+	for _, f := range s.frags {
+		dst = dst[copy(dst, f.Data()):]
+	}
 }
 
 // Gather collects d onto server 0. One round; server 0 receives
@@ -623,18 +643,26 @@ func (g *Group) RouteBuf(d *DistRelation, route func(src int, t relation.Tuple, 
 	return &DistRelation{Schema: d.Schema, Frags: frags}
 }
 
-// Local applies a per-server transformation with no communication.
-// Under a parallel cluster the per-server calls may run concurrently;
-// f must be pure with respect to shared state (reading shared
-// read-only data is fine).
-func (g *Group) Local(d *DistRelation, f func(server int, frag *relation.Relation) *relation.Relation) *DistRelation {
+// Local runs a per-server step with no communication: s's Count half
+// over every server of g, one exactly sized arena for all the outputs,
+// then its Fill half into each server's capacity-capped region of it
+// (relation.Fragments). The output is under s.Schema(). Under a parallel
+// cluster the servers of each half may run concurrently; both halves
+// must be pure with respect to shared state (reading shared read-only
+// data is fine).
+//
+// Local is a function, not a method, because it is generic in the step:
+// a step passed as a type argument stays a value on the caller's stack,
+// where an interface argument would be boxed on every call.
+func Local[S relation.Step](g *Group, d *DistRelation, s S) *DistRelation {
 	if len(d.Frags) != g.size {
 		panic("mpc: Local on relation of mismatched group size")
 	}
-	out := &DistRelation{Frags: make([]*relation.Relation, g.size)}
-	g.forEach(d.Len(), g.size, func(i int) { out.Frags[i] = f(i, d.Frags[i]) })
-	out.Schema = out.Frags[g.size-1].Schema()
-	return out
+	var f relation.Forker
+	if g.parallel(d.Len()) {
+		f = g
+	}
+	return &DistRelation{Schema: s.Schema(), Frags: relation.Fragments(f, d.Frags, s)}
 }
 
 // Branch describes one member of a parallel block: a subgroup size and

@@ -128,9 +128,7 @@ func TestLocalNoCost(t *testing.T) {
 	c := NewCluster(2)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0, 1), 10))
-	out := g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
-		return f.Project(0)
-	})
+	out := Local(g, d, relation.ProjectStep(d.Schema, relation.NewSchema(0)))
 	if out.Len() != 10 || out.Schema.Len() != 1 {
 		t.Fatal("Local transform wrong")
 	}

@@ -1,0 +1,53 @@
+//go:build !race
+
+package primitives
+
+import (
+	"math/rand"
+	"runtime/debug"
+	"testing"
+
+	"coverpack/internal/mpc"
+	"coverpack/internal/relation"
+)
+
+// TestLocalAllocsIndependentOfServers: a server-major local step costs
+// the output DistRelation, its header slab and one arena, whatever the
+// group size — a filter, an aggregate and a Broadcast over the same 256
+// rows read the same allocation count on 4 servers as on 64. (The race
+// detector makes sync.Pool drop items at random, so the pooled scratch
+// is not pinned under it.)
+func TestLocalAllocsIndependentOfServers(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const rows = 256
+	counts := map[string][]float64{}
+	for _, p := range []int{4, 64} {
+		sizes := make([]int, p)
+		for i := range sizes {
+			sizes[i] = rows / p
+		}
+		d := fragmented(rand.New(rand.NewSource(5)), sizes, 40)
+		g := mpc.NewCluster(p).Root()
+		keys, out := []int{0}, relation.NewSchema(0, wAttr)
+		agg := aggregateStep(d.Schema, keys, wAttr, out)
+		sel := relation.SelectGtStep(d.Schema, 1, 20)
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"filter", func() { mpc.Local(g, d, sel) }},
+			{"aggregate", func() { mpc.Local(g, d, agg) }},
+			{"Broadcast", func() { g.Broadcast(d) }},
+		} {
+			counts[c.name] = append(counts[c.name], testing.AllocsPerRun(20, c.run))
+		}
+	}
+	// The DistRelation, the Relation structs, their pointer list and the
+	// arena; Broadcast adds the charged load vector.
+	want := map[string]float64{"filter": 4, "aggregate": 4, "Broadcast": 5}
+	for name, n := range counts {
+		if n[0] != want[name] || n[1] != want[name] {
+			t.Errorf("%s: %v allocations on 4 servers, %v on 64, want %v", name, n[0], n[1], want[name])
+		}
+	}
+}

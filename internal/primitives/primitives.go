@@ -42,9 +42,7 @@ import (
 // at Õ(input/p + √p).
 func ReduceByKey(g *mpc.Group, d *mpc.DistRelation, keyAttrs []int, valAttr int) *mpc.DistRelation {
 	outSchema := relation.NewSchema(append(append([]int(nil), keyAttrs...), valAttr)...)
-	pre := g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
-		return localAggregate(f, keyAttrs, valAttr, outSchema)
-	})
+	pre := mpc.Local(g, d, aggregateStep(d.Schema, keyAttrs, valAttr, outSchema))
 	return reduceAggregated(g, pre, keyAttrs, valAttr, outSchema)
 }
 
@@ -54,11 +52,10 @@ func ReduceByKey(g *mpc.Group, d *mpc.DistRelation, keyAttrs []int, valAttr int)
 // outSchema. The local pre-aggregation emits no trace events, so whether
 // it happens inside or before the span is unobservable.
 func reduceAggregated(g *mpc.Group, pre *mpc.DistRelation, keyAttrs []int, valAttr int, outSchema relation.Schema) *mpc.DistRelation {
-	agg := func(dd *mpc.DistRelation) *mpc.DistRelation {
-		return g.Local(dd, func(_ int, f *relation.Relation) *relation.Relation {
-			return localAggregate(f, keyAttrs, valAttr, outSchema)
-		})
-	}
+	// Every exchanged fragment is under outSchema, so one step serves
+	// both aggregations.
+	step := aggregateStep(outSchema, keyAttrs, valAttr, outSchema)
+	agg := func(dd *mpc.DistRelation) *mpc.DistRelation { return mpc.Local(g, dd, step) }
 	var out *mpc.DistRelation
 	g.Span("reduce-by-key", func() {
 		p := g.Size()
@@ -88,123 +85,101 @@ func reduceAggregated(g *mpc.Group, pre *mpc.DistRelation, keyAttrs []int, valAt
 	return out
 }
 
-// smallAggCutoff bounds localAggregate's linear-scan path: at or below
-// it the O(rows·groups) scan over the output arena beats building a
-// hash table, and the per-fragment allocation count drops from ~10 to
-// ~3. Grouping semantics and first-seen output order are identical on
-// both paths.
+// smallAggCutoff bounds the aggregation's linear-scan path: at or below
+// it the O(rows·groups) scan over the groups found so far beats building
+// a hash table. Grouping semantics and first-seen output order are
+// identical on both paths.
 const smallAggCutoff = 32
 
-// localAggregate sums valAttr per key group of f, producing rows under
-// outSchema (keys ∪ {valAttr}) in first-seen key order — the hashtab's
-// dense entry indices are exactly that order, replacing the legacy
-// string-keyed maps plus explicit order slice.
-func localAggregate(f *relation.Relation, keyAttrs []int, valAttr int, outSchema relation.Schema) *relation.Relation {
-	if f.Len() == 0 {
-		// Most fragments of a skewed exchange are empty; skip the table
-		// and scratch allocations entirely.
-		return relation.New(outSchema)
-	}
-	if f.Len() <= smallAggCutoff && outSchema.Len() <= 16 {
-		return smallAggregate(f, valAttr, outSchema)
-	}
-	kpos := f.Schema().Positions(keyAttrs)
-	vpos := f.Schema().Pos(valAttr)
-	groups := hashtab.New(len(kpos), f.Len())
-	sums := make([]int64, 0, f.Len())
-	reps := make([]int32, 0, f.Len()) // entry -> representative row
-	for i := 0; i < f.Len(); i++ {
-		t := f.Row(i)
-		e, found := groups.Insert(t, kpos)
-		if !found {
-			sums = append(sums, 0)
-			reps = append(reps, int32(i))
-		}
-		sums[e] += t[vpos]
-	}
-	out := relation.New(outSchema)
-	// Map each output column to its source column (or the sum).
-	srcPos := make([]int, outSchema.Len())
-	for i := range srcPos {
-		if a := outSchema.Attr(i); a == valAttr {
-			srcPos[i] = -1
-		} else {
-			srcPos[i] = f.Schema().Pos(a)
-		}
-	}
-	out.Grow(groups.Len())
-	nt := make(relation.Tuple, outSchema.Len())
-	for e := 0; e < groups.Len(); e++ {
-		rep := f.Row(int(reps[e]))
-		for i, sp := range srcPos {
-			if sp < 0 {
-				nt[i] = sums[e]
-			} else {
-				nt[i] = rep[sp]
-			}
-		}
-		out.Add(nt)
-	}
-	groups.Release()
-	return out
+// aggregate is ReduceByKey's per-server step: valAttr summed per key
+// group of a fragment, one row per group under the output schema in
+// first-seen key order. Count finds the groups and keeps group e's
+// representative row and running sum at scratch[2e] and scratch[2e+1]:
+// up to smallAggCutoff rows by comparing each row's key columns with
+// those of the representatives found so far, above it through a
+// borrowed hash table, whose dense entry indices are exactly first-seen
+// order. Fill writes each group's representative's columns and its sum.
+type aggregate struct {
+	kpos   []int // key columns of the input
+	vpos   int   // value column of the input
+	srcPos []int // output column -> input column, −1 for the sum
+	out    relation.Schema
 }
 
-// smallAggregate is the allocation-lean aggregation for tiny fragments:
-// groups are found by scanning the rows already emitted to the output
-// arena (every non-sum output column is a key column, so row equality
-// on those columns is exactly key-group equality), and sums accumulate
-// in place through row views — safe because the arena is grown to its
-// maximum size up front and never reallocates mid-loop. Stack buffers
-// (the caller checks outSchema.Len() ≤ 16) keep the scratch slices off
-// the heap.
-func smallAggregate(f *relation.Relation, valAttr int, outSchema relation.Schema) *relation.Relation {
-	out := relation.New(outSchema)
-	fs := f.Schema()
-	vp := fs.Pos(valAttr)
-	ovp := outSchema.Pos(valAttr)
-	arity := outSchema.Len()
-	var posBuf [16]int
-	srcPos := posBuf[:arity]
-	for i := range srcPos {
-		if a := outSchema.Attr(i); a == valAttr {
-			srcPos[i] = -1
+// aggregateStep is the aggregate of valAttr by keyAttrs over fragments
+// of schema in, producing rows under out (keys ∪ {valAttr}).
+func aggregateStep(in relation.Schema, keyAttrs []int, valAttr int, out relation.Schema) aggregate {
+	s := aggregate{kpos: in.Positions(keyAttrs), vpos: in.Pos(valAttr), srcPos: make([]int, out.Len()), out: out}
+	for i := range s.srcPos {
+		if a := out.Attr(i); a == valAttr {
+			s.srcPos[i] = -1
 		} else {
-			srcPos[i] = fs.Pos(a)
+			s.srcPos[i] = in.Pos(a)
 		}
 	}
-	out.Grow(f.Len())
-	var ntBuf [16]relation.Value
-	nt := ntBuf[:arity]
-	for i := 0; i < f.Len(); i++ {
-		t := f.Row(i)
-		found := false
-		for e := 0; e < out.Len(); e++ {
-			ot := out.Row(e)
-			match := true
-			for j, sp := range srcPos {
-				if sp >= 0 && ot[j] != t[sp] {
-					match = false
-					break
+	return s
+}
+
+func (s aggregate) Schema() relation.Schema { return s.out }
+
+func (s aggregate) Scratch(_ int, in *relation.Relation) int { return 2 * in.Len() }
+
+func (s aggregate) Count(_ int, in *relation.Relation, sc []relation.Value) int {
+	n := in.Len()
+	if n <= smallAggCutoff {
+		groups := 0
+	rows:
+		for i := 0; i < n; i++ {
+			t := in.Row(i)
+			for e := 0; e < groups; e++ {
+				if sameKey(in.Row(int(sc[2*e])), t, s.kpos) {
+					sc[2*e+1] += t[s.vpos]
+					continue rows
 				}
 			}
-			if match {
-				ot[ovp] += t[vp]
-				found = true
-				break
-			}
+			sc[2*groups], sc[2*groups+1] = relation.Value(i), t[s.vpos]
+			groups++
 		}
+		return groups
+	}
+	var tab hashtab.Table
+	tab.Init(len(s.kpos), n)
+	for i := 0; i < n; i++ {
+		t := in.Row(i)
+		e, found := tab.Insert(t, s.kpos)
 		if !found {
-			for j, sp := range srcPos {
-				if sp < 0 {
-					nt[j] = t[vp]
-				} else {
-					nt[j] = t[sp]
-				}
+			sc[2*e], sc[2*e+1] = relation.Value(i), 0
+		}
+		sc[2*e+1] += t[s.vpos]
+	}
+	groups := tab.Len()
+	tab.Release()
+	return groups
+}
+
+func (s aggregate) Fill(_ int, in *relation.Relation, sc, dst []relation.Value, rows int) {
+	k := 0
+	for e := 0; e < rows; e++ {
+		rep := in.Row(int(sc[2*e]))
+		for _, sp := range s.srcPos {
+			if sp < 0 {
+				dst[k] = sc[2*e+1]
+			} else {
+				dst[k] = rep[sp]
 			}
-			out.Add(nt)
+			k++
 		}
 	}
-	return out
+}
+
+// sameKey reports whether rows a and b agree on the columns pos.
+func sameKey(a, b relation.Tuple, pos []int) bool {
+	for _, p := range pos {
+		if a[p] != b[p] {
+			return false
+		}
+	}
+	return true
 }
 
 // Degrees computes, for each distinct value of attr in d, its degree
@@ -215,9 +190,7 @@ func smallAggregate(f *relation.Relation, valAttr int, outSchema relation.Schema
 // (relation.Degrees), and the exchange tail of ReduceByKey combines them.
 func Degrees(g *mpc.Group, d *mpc.DistRelation, attr, countAttr int) *mpc.DistRelation {
 	schema := relation.NewSchema(attr, countAttr)
-	pre := g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
-		return f.Degrees(attr, schema)
-	})
+	pre := mpc.Local(g, d, relation.DegreesStep(d.Schema, attr, schema))
 	return reduceAggregated(g, pre, []int{attr}, countAttr, schema)
 }
 
@@ -225,9 +198,7 @@ func Degrees(g *mpc.Group, d *mpc.DistRelation, attr, countAttr int) *mpc.DistRe
 // value exceeds threshold — the per-server heavy-value cut every
 // skew-handling algorithm applies after Degrees.
 func HeavyFilter(g *mpc.Group, degs *mpc.DistRelation, countAttr int, threshold int64) *mpc.DistRelation {
-	return g.Local(degs, func(_ int, f *relation.Relation) *relation.Relation {
-		return f.SelectGt(countAttr, threshold)
-	})
+	return mpc.Local(g, degs, relation.SelectGtStep(degs.Schema, countAttr, threshold))
 }
 
 // SemiJoin filters r to the tuples with a partner in s on their common
@@ -244,10 +215,7 @@ func SemiJoin(g *mpc.Group, r, s *mpc.DistRelation) *mpc.DistRelation {
 	}
 	rp := g.HashPartition(r, common)
 	sp := g.HashPartition(s, common)
-	out := mpc.NewDist(r.Schema, g.Size())
-	g.Fork(len(rp.Frags), func(i int) {
-		out.Frags[i] = rp.Frags[i].SemiJoinPar(sp.Frags[i], g)
-	})
+	out := mpc.Local(g, rp, relation.SemiJoinStep(rp.Schema, sp.Schema, sp.Frags, g))
 	// The local filter keeps rows in place, so the output inherits rp's
 	// partitioning — the next semi-join of a reduce sweep on the same
 	// key (or the pair join that follows it) skips the exchange.

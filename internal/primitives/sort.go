@@ -41,12 +41,7 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 		pos[i] = pp
 	}
 	if p == 1 {
-		out := g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
-			cp := f.Clone()
-			sortRel(g, cp, pos)
-			return cp
-		})
-		return out
+		return mpc.Local(g, d, relation.SortStep(d.Schema, pos, g))
 	}
 
 	// Round 1: deterministic per-server sample (every ⌈n_s/(4)⌉-th
@@ -54,23 +49,7 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 	// take up to 8 evenly spaced keys per server), gathered to the
 	// driver (charged via Gather).
 	const perServer = 8
-	sampleRel := g.Local(d, func(_ int, f *relation.Relation) *relation.Relation {
-		cp := f.Clone()
-		sortRel(g, cp, pos)
-		out := relation.New(f.Schema())
-		n := cp.Len()
-		if n == 0 {
-			return out
-		}
-		step := n / perServer
-		if step < 1 {
-			step = 1
-		}
-		for i := 0; i < n; i += step {
-			out.Add(cp.Row(i))
-		}
-		return out
-	})
+	sampleRel := mpc.Local(g, d, relation.SampleStep(d.Schema, pos, g, perServer))
 	// Each gathered fragment is already sorted (the sample walks a
 	// sorted clone in ascending order), so the concatenation is a
 	// sequence of sorted runs: k-way merge with galloping instead of a
@@ -107,20 +86,10 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 	routed := g.RouteBuf(d, func(_ int, t relation.Tuple, buf []int) []int {
 		return append(buf[:0], destOf(t))
 	})
-	return g.Local(routed, func(_ int, f *relation.Relation) *relation.Relation {
-		cp := f.Clone()
-		sortRel(g, cp, pos)
-		return cp
-	})
-}
-
-// sortRel stably sorts r in place on the given schema positions. It
-// must go through the relation (the arena is the storage; sorting a
-// materialized []Tuple view would not reorder it). Large fragments run
-// the radix passes block by block over the group's worker pool; the
-// result is byte-identical at any worker count.
-func sortRel(g *mpc.Group, r *relation.Relation, pos []int) {
-	r.SortByPar(pos, g)
+	// Each server stably sorts its range: large fragments run the radix
+	// passes block by block over the group's worker pool, and the result
+	// is byte-identical at any worker count.
+	return mpc.Local(g, routed, relation.SortStep(routed.Schema, pos, g))
 }
 
 // IsGloballySorted reports whether the distributed relation is sorted

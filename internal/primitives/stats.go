@@ -25,34 +25,9 @@ import (
 // carries the number of subtree join combinations consistent with it.
 // Tuples with zero weight are dropped.
 func weightedDP(g *mpc.Group, rels []*mpc.DistRelation, children [][]int, e, weightAttr int) *mpc.DistRelation {
-	base := g.Local(rels[e], func(_ int, f *relation.Relation) *relation.Relation {
-		outSchema := f.Schema().Union(relation.NewSchema(weightAttr))
-		out := relation.New(outSchema)
-		wp := outSchema.Pos(weightAttr)
-		srcPos := make([]int, outSchema.Len())
-		for i, a := range outSchema.Attrs() {
-			if i == wp {
-				srcPos[i] = -1
-			} else {
-				srcPos[i] = f.Schema().Pos(a)
-			}
-		}
-		out.Grow(f.Len())
-		nt := make(relation.Tuple, outSchema.Len())
-		for i := 0; i < f.Len(); i++ {
-			t := f.Row(i)
-			for j, sp := range srcPos {
-				if sp < 0 {
-					nt[j] = 1
-				} else {
-					nt[j] = t[sp]
-				}
-			}
-			out.Add(nt)
-		}
-		return out
-	})
-	cur := base
+	in := rels[e].Schema
+	outSchema := in.Union(relation.NewSchema(weightAttr))
+	cur := mpc.Local(g, rels[e], unitWeights(in, outSchema, weightAttr))
 	for _, c := range children[e] {
 		childW := weightedDP(g, rels, children, c, weightAttr)
 		common := commonExcept(cur.Schema, childW.Schema, weightAttr)
@@ -60,6 +35,47 @@ func weightedDP(g *mpc.Group, rels []*mpc.DistRelation, children [][]int, e, wei
 		cur = multiplyWeights(g, cur, agg, common, weightAttr)
 	}
 	return cur
+}
+
+// unitWeight is weightedDP's base step: every row, with weight 1 in
+// the weight column.
+type unitWeight struct {
+	srcPos []int // output column -> input column, −1 for the weight
+	out    relation.Schema
+}
+
+// unitWeights is the unitWeight from schema in to out = in ∪ {weightAttr}.
+func unitWeights(in, out relation.Schema, weightAttr int) unitWeight {
+	s := unitWeight{srcPos: make([]int, out.Len()), out: out}
+	for i := range s.srcPos {
+		if a := out.Attr(i); a == weightAttr {
+			s.srcPos[i] = -1
+		} else {
+			s.srcPos[i] = in.Pos(a)
+		}
+	}
+	return s
+}
+
+func (s unitWeight) Schema() relation.Schema { return s.out }
+
+func (s unitWeight) Scratch(int, *relation.Relation) int { return 0 }
+
+func (s unitWeight) Count(_ int, in *relation.Relation, _ []relation.Value) int { return in.Len() }
+
+func (s unitWeight) Fill(_ int, in *relation.Relation, _, dst []relation.Value, rows int) {
+	k := 0
+	for i := 0; i < rows; i++ {
+		t := in.Row(i)
+		for _, sp := range s.srcPos {
+			if sp < 0 {
+				dst[k] = 1
+			} else {
+				dst[k] = t[sp]
+			}
+			k++
+		}
+	}
 }
 
 // commonExcept returns the shared attributes of two schemas, excluding
@@ -78,68 +94,72 @@ func commonExcept(a, b relation.Schema, weightAttr int) []int {
 // parent's weight column: both sides are partitioned by the key, then
 // each parent tuple's weight is multiplied by the matching aggregate
 // (dropped when no aggregate matches — the child has no join partner).
-// With an empty key (Cartesian child), the child total is broadcast.
+// With an empty key (Cartesian child), the child total is broadcast, and
+// every server's aggregates form the one group of the empty key.
 func multiplyWeights(g *mpc.Group, parent, agg *mpc.DistRelation, key []int, weightAttr int) *mpc.DistRelation {
-	wp := parent.Schema.Pos(weightAttr)
 	if len(key) == 0 {
-		// Cartesian component below: multiply all weights by the total.
 		ba := g.Broadcast(agg)
-		bwp := ba.Schema.Pos(weightAttr)
-		out := mpc.NewDist(parent.Schema, g.Size())
-		nt := make(relation.Tuple, parent.Schema.Len())
-		for i, f := range parent.Frags {
-			var total int64
-			bf := ba.Frags[i]
-			for j := 0; j < bf.Len(); j++ {
-				total += bf.Row(j)[bwp]
-			}
-			nf := relation.New(parent.Schema)
-			if total != 0 {
-				nf.Grow(f.Len())
-				for j := 0; j < f.Len(); j++ {
-					copy(nt, f.Row(j))
-					nt[wp] *= total
-					nf.Add(nt)
-				}
-			}
-			out.Frags[i] = nf
-		}
-		return out
+		return mpc.Local(g, parent, multiplyStep(parent.Schema, ba, key, weightAttr))
 	}
 	pp := g.HashPartition(parent, key)
 	ap := g.HashPartition(agg, key)
-	akpos := ap.Schema.Positions(key)
-	awp := ap.Schema.Pos(weightAttr)
-	pkpos := pp.Schema.Positions(key)
-	out := mpc.NewDist(parent.Schema, g.Size())
-	nt := make(relation.Tuple, parent.Schema.Len())
-	for i := range pp.Frags {
-		f := pp.Frags[i]
-		af := ap.Frags[i]
-		// Per-key aggregate sums, keyed on the projected key columns.
-		tab := hashtab.New(len(key), af.Len())
-		sums := make([]int64, 0, af.Len())
-		for j := 0; j < af.Len(); j++ {
-			t := af.Row(j)
-			e, found := tab.Insert(t, akpos)
-			if !found {
-				sums = append(sums, 0)
-			}
-			sums[e] += t[awp]
+	return mpc.Local(g, pp, multiplyStep(pp.Schema, ap, key, weightAttr))
+}
+
+// multiply is multiplyWeights' per-server step. Count sums server i's
+// aggregates per key in a borrowed table, the sums at the scratch's
+// tail, then lists every parent row with a nonzero matching sum and
+// that sum, at scratch[2k] and scratch[2k+1]; Fill copies the listed
+// rows with their weights multiplied.
+type multiply struct {
+	agg          []*relation.Relation
+	akpos, pkpos []int // key columns of the aggregates and of the parent
+	awp, wp      int   // weight columns
+	out          relation.Schema
+}
+
+// multiplyStep is the multiply of parent fragments of schema ps by the
+// aggregates agg on key.
+func multiplyStep(ps relation.Schema, agg *mpc.DistRelation, key []int, weightAttr int) multiply {
+	return multiply{agg: agg.Frags, akpos: agg.Schema.Positions(key), pkpos: ps.Positions(key),
+		awp: agg.Schema.Pos(weightAttr), wp: ps.Pos(weightAttr), out: ps}
+}
+
+func (s multiply) Schema() relation.Schema { return s.out }
+
+func (s multiply) Scratch(i int, in *relation.Relation) int { return 2*in.Len() + s.agg[i].Len() }
+
+func (s multiply) Count(i int, in *relation.Relation, sc []relation.Value) int {
+	af := s.agg[i]
+	sums := sc[2*in.Len() : 2*in.Len() : len(sc)]
+	var tab hashtab.Table
+	tab.Init(len(s.akpos), af.Len())
+	for j := 0; j < af.Len(); j++ {
+		t := af.Row(j)
+		e, found := tab.Insert(t, s.akpos)
+		if !found {
+			sums = append(sums, 0)
 		}
-		nf := relation.New(parent.Schema)
-		for j := 0; j < f.Len(); j++ {
-			t := f.Row(j)
-			if e := tab.Find(t, pkpos); e >= 0 && sums[e] != 0 {
-				copy(nt, t)
-				nt[wp] *= sums[e]
-				nf.Add(nt)
-			}
-		}
-		tab.Release()
-		out.Frags[i] = nf
+		sums[e] += t[s.awp]
 	}
-	return out
+	n := 0
+	for j := 0; j < in.Len(); j++ {
+		if e := tab.Find(in.Row(j), s.pkpos); e >= 0 && sums[e] != 0 {
+			sc[2*n], sc[2*n+1] = relation.Value(j), sums[e]
+			n++
+		}
+	}
+	tab.Release()
+	return n
+}
+
+func (s multiply) Fill(_ int, in *relation.Relation, sc, dst []relation.Value, rows int) {
+	a := in.Schema().Len()
+	for k := 0; k < rows; k++ {
+		row := dst[k*a : (k+1)*a]
+		copy(row, in.Row(int(sc[2*k])))
+		row[s.wp] *= sc[2*k+1]
+	}
 }
 
 // JoinCount computes the exact join size of one join-tree component:

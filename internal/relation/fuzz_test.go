@@ -95,11 +95,12 @@ func FuzzLocalKernelBlocks(f *testing.F) {
 			}
 		}
 		check("SemiJoinPar", r.SemiJoinPar(s, fk), refSemiJoin(r, s))
-		check("SelectEq", r.filterRows(rowPred{op: predEq, col: 0, v: 0}, fk), refSelect(r, 0, 0, false))
-		check("SelectGt", r.filterRows(rowPred{op: predGt, col: 1, v: d / 2}, fk), refSelect(r, 1, d/2, true))
+		filter := func(p rowPred) *Relation { return one(r, Filter{p: p, out: r.schema, f: fk}) }
+		check("SelectEq", filter(rowPred{op: predEq, col: 0, v: 0}), refSelect(r, 0, 0, false))
+		check("SelectGt", filter(rowPred{op: predGt, col: 1, v: d / 2}), refSelect(r, 1, d/2, true))
 		set := map[Value]bool{0: true, d / 2: true}
-		check("SelectIn", r.filterRows(rowPred{op: predIn, col: 1, set: set}, fk), refSelectIn(r, 1, set, true))
-		check("SelectNotIn", r.filterRows(rowPred{op: predNotIn, col: 1, set: set}, fk), refSelectIn(r, 1, set, false))
+		check("SelectIn", filter(rowPred{op: predIn, col: 1, set: set}), refSelectIn(r, 1, set, true))
+		check("SelectNotIn", filter(rowPred{op: predNotIn, col: 1, set: set}), refSelectIn(r, 1, set, false))
 		check("SelectEqProject", r.SelectEqProject(0, 0, 1), refProject(refSelect(r, 0, 0, false), NewSchema(1)))
 		check("Degrees", r.Degrees(1, NewSchema(1, 2)), refDegrees(r, 1, 2))
 		check("JoinPar", r.JoinPar(s, fk), refJoin(r, s))

@@ -66,12 +66,14 @@ type keyChains struct {
 	heads, next []Value
 }
 
-// chainsOn builds the index of r on pos over scratch, which holds at
-// least 2·r.Len() values. The rows are inserted last to first, so each
-// row is pushed on the front of its chain and no tail list is needed.
-func chainsOn(r *Relation, pos []int, scratch []Value) keyChains {
+// chainsOn builds the index of r on pos in tab, which it initializes,
+// and scratch, which holds at least 2·r.Len() values. The rows are
+// inserted last to first, so each row is pushed on the front of its
+// chain and no tail list is needed.
+func chainsOn(tab *hashtab.Table, r *Relation, pos []int, scratch []Value) keyChains {
+	tab.Init(len(pos), r.rows)
 	ix := keyChains{
-		table: hashtab.New(len(pos), r.rows),
+		table: tab,
 		heads: scratch[r.rows : r.rows : 2*r.rows],
 		next:  scratch[:r.rows],
 	}

@@ -19,68 +19,35 @@ func (r *Relation) Project(attrs ...int) *Relation {
 	return r.ProjectTo(NewSchema(attrs...))
 }
 
-// ProjectTo projects onto a prebuilt schema — the allocation-free
-// entry for per-fragment loops, which hoist the NewSchema call (sort +
-// position map) out of the loop and reuse one schema for every
-// fragment.
+// ProjectTo projects onto a prebuilt schema — ProjectStep over r alone,
+// for callers that hoist the NewSchema call (sort + position map) out of
+// a loop. A missing attribute panics whether or not any rows exist.
 func (r *Relation) ProjectTo(schema Schema) *Relation {
-	out := New(schema)
-	if r.rows == 0 {
-		// Still validate: a missing attribute must panic regardless of
-		// whether any rows exist.
-		for i := 0; i < schema.Len(); i++ {
-			if a := schema.Attr(i); r.schema.Pos(a) < 0 {
-				panic(fmt.Sprintf("relation: Project attribute %d not in schema %v", a, r.schema))
-			}
-		}
-		return out
-	}
-	pos := make([]int, schema.Len())
-	for i := range pos {
-		a := schema.Attr(i)
-		p := r.schema.Pos(a)
-		if p < 0 {
-			panic(fmt.Sprintf("relation: Project attribute %d not in schema %v", a, r.schema))
-		}
-		pos[i] = p
-	}
-	out.Grow(r.rows)
-	for i := 0; i < r.rows; i++ {
-		t := r.Row(i)
-		for _, p := range pos {
-			out.data = append(out.data, t[p])
-		}
-		out.rows++
-	}
-	return out
+	return one(r, ProjectStep(r.schema, schema))
 }
 
 // SelectEq returns the tuples with value v at attribute a.
 func (r *Relation) SelectEq(a int, v Value) *Relation {
-	return r.filterRows(rowPred{op: predEq, col: r.selectPos("SelectEq", a), v: v}, nil)
+	return one(r, SelectEqStep(r.schema, a, v))
 }
 
 // SelectGt returns the tuples whose value at attribute a exceeds v.
 func (r *Relation) SelectGt(a int, v Value) *Relation {
-	return r.filterRows(rowPred{op: predGt, col: r.selectPos("SelectGt", a), v: v}, nil)
+	return one(r, SelectGtStep(r.schema, a, v))
 }
 
 // SelectIn returns the tuples whose value at attribute a is in set, or,
 // when in is false, is not in set.
 func (r *Relation) SelectIn(a int, set map[Value]bool, in bool) *Relation {
-	op := predIn
-	if !in {
-		op = predNotIn
-	}
-	return r.filterRows(rowPred{op: op, col: r.selectPos("SelectIn", a), set: set}, nil)
+	return one(r, SelectInStep(r.schema, a, set, in))
 }
 
 // selectPos resolves a selection attribute, panicking when it is not in
 // the schema.
-func (r *Relation) selectPos(op string, a int) int {
-	p := r.schema.Pos(a)
+func (s Schema) selectPos(op string, a int) int {
+	p := s.Pos(a)
 	if p < 0 {
-		panic(fmt.Sprintf("relation: %s attribute %d not in schema %v", op, a, r.schema))
+		panic(fmt.Sprintf("relation: %s attribute %d not in schema %v", op, a, s))
 	}
 	return p
 }
@@ -92,26 +59,32 @@ func (r *Relation) selectPos(op string, a int) int {
 // is checked first, then every projection attribute, even when no row
 // survives.
 func (r *Relation) SelectEqProject(a int, v Value, attrs ...int) *Relation {
-	p := r.selectPos("SelectEq", a)
-	schema := NewSchema(attrs...)
-	pos := make([]int, schema.Len())
-	for i := range pos {
-		pa := schema.Attr(i)
-		if pos[i] = r.schema.Pos(pa); pos[i] < 0 {
-			panic(fmt.Sprintf("relation: Project attribute %d not in schema %v", pa, r.schema))
-		}
-	}
-	var buf [smallRows]int32
-	sel := r.markAll(rowPred{op: predEq, col: p, v: v}, buf[:])
-	data := make([]Value, len(sel)*len(pos))
+	sel := SelectEqStep(r.schema, a, v)
+	return one(r, selectProject{sel: sel, proj: ProjectStep(r.schema, NewSchema(attrs...))})
+}
+
+// selectProject is SelectEqProject's step: Filter's marks, Project's
+// columns of the marked rows.
+type selectProject struct {
+	sel  Filter
+	proj Project
+}
+
+func (s selectProject) Schema() Schema { return s.proj.out }
+
+func (s selectProject) Scratch(i int, in *Relation) int { return s.sel.Scratch(i, in) }
+
+func (s selectProject) Count(i int, in *Relation, sel []Value) int { return s.sel.Count(i, in, sel) }
+
+func (s selectProject) Fill(_ int, in *Relation, sel, dst []Value, rows int) {
 	k := 0
-	for _, i := range sel {
-		for _, q := range pos {
-			data[k] = r.data[int(i)*r.arity+q]
+	for _, i := range sel[:rows] {
+		t := in.data[int(i)*in.arity:]
+		for _, p := range s.proj.pos {
+			dst[k] = t[p]
 			k++
 		}
 	}
-	return FromData(schema, data, len(sel))
 }
 
 // Dedup returns the relation with duplicate tuples removed, in

@@ -1,8 +1,6 @@
 package relation
 
 import (
-	"fmt"
-
 	"coverpack/internal/hashtab"
 )
 
@@ -12,13 +10,17 @@ import (
 // contiguous row blocks, in one of two shapes:
 //
 //   - mark-then-compact (the filter family — SelectEq, SelectGt,
-//     SelectIn, SemiJoin — and Dedup): pass 1 lists the rows each block keeps, the
-//     per-block counts size one arena exactly, pass 2 copies each
-//     block's rows to its offset.
+//     SelectIn, SemiJoin — and Dedup): pass 1 lists the rows each block
+//     keeps, the kept count sizes one arena exactly, pass 2 copies the
+//     listed rows block by block.
 //   - count-then-scatter (Join): pass 1 probes, keeps the matched build
 //     chain of every probe row and counts the output rows per block,
 //     the prefix sum sizes one arena exactly, pass 2 writes each block's
 //     rows at its offset without hashing again.
+//
+// The filter family and Join are the Filter and Join steps of
+// servers.go, whose two halves are these passes; a step given a Forker
+// cuts each fragment it runs over into blocks.
 //
 // Blocks partition the input in row order and block b's output lands
 // before block b+1's, so the output is the same for any cut: one block
@@ -49,10 +51,6 @@ const (
 	parMinBlock    = 512
 )
 
-// smallRows is the input size up to which a one-block filter keeps its
-// kept-row list in a stack buffer.
-const smallRows = 64
-
 // Forker runs n index tasks, possibly concurrently, returning after
 // all complete. Workers reports the potential concurrency (1 means
 // sequential); ParKernels reports whether the run allows kernels to
@@ -75,6 +73,20 @@ type blockCutter interface {
 // on f — block b is rows [cuts[b], cuts[b+1]) — or nil for one block
 // run inline, and counts the decision.
 func blocksOf(f Forker, rows int) []int {
+	cuts := cutsOf(f, rows)
+	if _, cutter := f.(blockCutter); f != nil && !cutter && f.Workers() > 1 && f.ParKernels() {
+		if cuts == nil {
+			parSeqCutoffs.Add(1)
+		} else {
+			parKernelRuns.Add(1)
+		}
+	}
+	return cuts
+}
+
+// cutsOf is blocksOf without the counting, for a kernel's second look at
+// a decision its first pass has counted.
+func cutsOf(f Forker, rows int) []int {
 	if f == nil || f.Workers() <= 1 || !f.ParKernels() {
 		return nil
 	}
@@ -82,10 +94,8 @@ func blocksOf(f Forker, rows int) []int {
 		return c.cutBlocks(rows)
 	}
 	if rows < ParCutoff {
-		parSeqCutoffs.Add(1)
 		return nil
 	}
-	parKernelRuns.Add(1)
 	nb := min(f.Workers()*parBlockFactor, (rows+parMinBlock-1)/parMinBlock)
 	cuts := make([]int, nb+1)
 	for b := range cuts {
@@ -99,24 +109,6 @@ func forkBlocks(f Forker, cuts []int, body func(b, lo, hi int)) {
 	f.Fork(len(cuts)-1, func(b int) { body(b, cuts[b], cuts[b+1]) })
 }
 
-// twoPass is the skeleton both shapes share over several blocks: count
-// reports the output rows of a block, the prefix sum sizes the arena
-// exactly, and write fills a block's region dst of n rows. It returns
-// the arena and its row count.
-func twoPass(f Forker, cuts []int, arity int, count func(lo, hi int) int, write func(dst []Value, n, lo, hi int)) ([]Value, int) {
-	offs := make([]int, len(cuts))
-	forkBlocks(f, cuts, func(b, lo, hi int) { offs[b+1] = count(lo, hi) })
-	for b := 1; b < len(offs); b++ {
-		offs[b] += offs[b-1]
-	}
-	total := offs[len(offs)-1]
-	data := make([]Value, total*arity)
-	forkBlocks(f, cuts, func(b, lo, hi int) {
-		write(data[offs[b]*arity:offs[b+1]*arity], offs[b+1]-offs[b], lo, hi)
-	})
-	return data, total
-}
-
 // identityPerm returns [0, 1, ..., n) as row indices.
 func identityPerm(n int) []int32 {
 	perm := make([]int32, n)
@@ -126,25 +118,31 @@ func identityPerm(n int) []int32 {
 	return perm
 }
 
-// gatherInto copies the rows listed in sel, in order, to dst — the one
-// compaction body (a filter's kept rows, Dedup's first occurrences, a
+// gatherInto copies the rows of r listed in sel, in order, to dst — the
+// one compaction body (a filter's kept rows, Dedup's first occurrences, a
 // sort's permutation).
-func (r *Relation) gatherInto(dst []Value, sel []int32) {
+func gatherInto[I int32 | Value](r *Relation, dst []Value, sel []I) {
 	a := r.arity
 	for k, i := range sel {
 		copy(dst[k*a:(k+1)*a], r.data[int(i)*a:])
 	}
 }
 
+// gatherBlocks is gatherInto block by block on f: cuts are over sel,
+// nil for one block.
+func gatherBlocks[I int32 | Value](r *Relation, dst []Value, sel []I, f Forker, cuts []int) {
+	if cuts == nil {
+		gatherInto(r, dst, sel)
+		return
+	}
+	forkBlocks(f, cuts, func(_, lo, hi int) { gatherInto(r, dst[lo*r.arity:hi*r.arity], sel[lo:hi]) })
+}
+
 // gather returns the arena of the rows listed in sel, in order, copied
 // block by block: cuts are over sel, nil for one block.
 func (r *Relation) gather(sel []int32, f Forker, cuts []int) []Value {
 	data := make([]Value, len(sel)*r.arity)
-	if cuts == nil {
-		r.gatherInto(data, sel)
-	} else {
-		forkBlocks(f, cuts, func(_, lo, hi int) { r.gatherInto(data[lo*r.arity:hi*r.arity], sel[lo:hi]) })
-	}
+	gatherBlocks(r, data, sel, f, cuts)
 	return data
 }
 
@@ -172,7 +170,7 @@ type rowPred struct {
 
 // mark lists the rows of [lo, hi) that p keeps, ascending, in sel
 // (len ≥ hi−lo) and returns how many there are.
-func (p rowPred) mark(sel []int32, r *Relation, lo, hi int) int {
+func (p rowPred) mark(sel []Value, r *Relation, lo, hi int) int {
 	n, a := 0, r.arity
 	for i := lo; i < hi; i++ {
 		var keep bool
@@ -189,46 +187,18 @@ func (p rowPred) mark(sel []int32, r *Relation, lo, hi int) int {
 			keep = p.probe.Find(r.data[i*a:(i+1)*a], p.pos) >= 0
 		}
 		if keep {
-			sel[n] = int32(i)
+			sel[n] = Value(i)
 			n++
 		}
 	}
 	return n
 }
 
-// filterRows is the mark-then-compact kernel: the rows p keeps, in row
-// order.
-func (r *Relation) filterRows(p rowPred, f Forker) *Relation {
-	cuts := blocksOf(f, r.rows)
-	if cuts == nil {
-		var buf [smallRows]int32
-		sel := r.markAll(p, buf[:])
-		data := make([]Value, len(sel)*r.arity)
-		r.gatherInto(data, sel)
-		return FromData(r.schema, data, len(sel))
-	}
-	sel := make([]int32, r.rows)
-	data, total := twoPass(f, cuts, r.arity,
-		func(lo, hi int) int { return p.mark(sel[lo:hi], r, lo, hi) },
-		func(dst []Value, n, lo, _ int) { r.gatherInto(dst, sel[lo:lo+n]) })
-	return FromData(r.schema, data, total)
-}
-
-// markAll is the one-block mark pass: the rows p keeps, listed in buf
-// when they fit and in a fresh list otherwise.
-func (r *Relation) markAll(p rowPred, buf []int32) []int32 {
-	sel := buf
-	if r.rows > len(buf) {
-		sel = make([]int32, r.rows)
-	}
-	return sel[:p.mark(sel, r, 0, r.rows)]
-}
-
-// SemiJoinPar is r ⋉ s with the probe scan run block by block over f.
-// The build side is a keys-only table over s, borrowed from the hashtab
-// pools for the call (shared read-only by all blocks). With no common
-// attributes it returns r unchanged when s is nonempty and empty
-// otherwise, matching the join semantics.
+// SemiJoinPar is r ⋉ s, SemiJoinStep's Filter over r alone with its
+// probe scan cut into blocks on f. The build side is a keys-only table
+// over s, borrowed from the hashtab pools for the call (shared read-only
+// by all blocks). With no common attributes it returns r unchanged when
+// s is nonempty and empty otherwise, matching the join semantics.
 func (r *Relation) SemiJoinPar(s *Relation, f Forker) *Relation {
 	common := r.schema.Common(s.schema)
 	if len(common) == 0 {
@@ -237,14 +207,7 @@ func (r *Relation) SemiJoinPar(s *Relation, f Forker) *Relation {
 		}
 		return r.Clone()
 	}
-	pos := s.schema.Positions(common)
-	keys := hashtab.New(len(pos), s.rows)
-	for i := 0; i < s.rows; i++ {
-		keys.Insert(s.Row(i), pos)
-	}
-	out := r.filterRows(rowPred{op: predProbe, probe: keys, pos: r.schema.Positions(common)}, f)
-	keys.Release()
-	return out
+	return one(r, semiJoinOn(r.schema, s.schema, common, nil, s, f))
 }
 
 // smallDedupCutoff is the input size up to which Dedup and Degrees find
@@ -300,7 +263,7 @@ func (r *Relation) DedupPar(f Forker) *Relation {
 		var buf [smallDedupCutoff]int32
 		first := r.firstSmall(buf[:0])
 		data := make([]Value, len(first)*r.arity)
-		r.gatherInto(data, first)
+		gatherInto(r, data, first)
 		return FromData(r.schema, data, len(first))
 	}
 	first := r.FirstRows()
@@ -312,68 +275,21 @@ var valuePos = []int{0}
 
 // Degrees returns the degree of every value of attribute a — the number
 // of rows holding it — as rows of out, in first-seen order: the
-// per-server pre-aggregate of primitives.Degrees. out holds a and one
-// count attribute; it is prebuilt so that per-fragment loops hoist the
-// NewSchema call, as with ProjectTo. Up to smallDedupCutoff rows the
-// values are found by linear scan on the stack, above it through one
-// pooled hash table; either way the output arena is sized exactly.
+// per-server pre-aggregate of primitives.Degrees, and DegreesStep over r
+// alone. out holds a and one count attribute; it is prebuilt so that
+// callers hoist the NewSchema call, as with ProjectTo.
 func (r *Relation) Degrees(a int, out Schema) *Relation {
-	col := r.selectPos("Degrees", a)
-	vp := out.Pos(a)
-	if out.Len() != 2 || vp < 0 {
-		panic(fmt.Sprintf("relation: Degrees schema %v is not attribute %d plus a count", out, a))
-	}
-	if r.rows <= smallDedupCutoff {
-		var vals, cnts [smallDedupCutoff]Value
-		n := 0
-	rows:
-		for i := 0; i < r.rows; i++ {
-			v := r.data[i*r.arity+col]
-			for e := 0; e < n; e++ {
-				if vals[e] == v {
-					cnts[e]++
-					continue rows
-				}
-			}
-			vals[n], cnts[n] = v, 1
-			n++
-		}
-		return degreeRows(out, vp, n, func(e int) (Value, Value) { return vals[e], cnts[e] })
-	}
-	groups := hashtab.New(1, r.rows)
-	cnts := GetArena(r.rows)
-	for i := 0; i < r.rows; i++ {
-		k := i*r.arity + col
-		if e, found := groups.Insert(r.data[k:k+1], valuePos); found {
-			cnts[e]++
-		} else {
-			cnts = append(cnts, 1)
-		}
-	}
-	degs := degreeRows(out, vp, groups.Len(), func(e int) (Value, Value) { return groups.Key(e)[0], cnts[e] })
-	PutArena(cnts)
-	groups.Release()
-	return degs
-}
-
-// degreeRows lays out n (value, count) pairs, read from at, as rows of
-// schema with the value at column vp.
-func degreeRows(schema Schema, vp, n int, at func(e int) (Value, Value)) *Relation {
-	data := make([]Value, 2*n)
-	for e := 0; e < n; e++ {
-		data[2*e+vp], data[2*e+1-vp] = at(e)
-	}
-	return FromData(schema, data, n)
+	return one(r, DegreesStep(r.schema, a, out))
 }
 
 // joinRun is one natural join resolved to positions: the probe side is
 // scanned in row order and each probe row meets its build rows in build
-// order — the key index's chain, or every build row when ix.table is nil
+// order — the key index's chain, or every build row when probePos is nil
 // (no shared attribute).
 type joinRun struct {
 	probe, build       *Relation
 	ix                 keyChains
-	probePos           []int
+	probePos, buildPos []int
 	probeOut, buildOut []int // column of the side -> output column
 	arity              int
 }
@@ -382,7 +298,7 @@ type joinRun struct {
 // row's matched build chain (−1 for none) in chain and returns the
 // number of output rows.
 func (j *joinRun) count(chain []Value, lo, hi int) int {
-	if j.ix.table == nil {
+	if j.probePos == nil {
 		return (hi - lo) * j.build.rows
 	}
 	n, a := 0, j.probe.arity
@@ -412,7 +328,7 @@ func (j *joinRun) scatter(dst []Value, chain []Value, lo, hi int) {
 	}
 	for i := lo; i < hi; i++ {
 		pt := j.probe.Row(i)
-		if j.ix.table == nil {
+		if j.probePos == nil {
 			for b := 0; b < j.build.rows; b++ {
 				emit(pt, j.build.Row(b))
 			}
@@ -457,53 +373,13 @@ func (r *Relation) JoinCount(s *Relation) int64 {
 }
 
 // JoinPar is the natural join r ⋈ s (hash join on the shared
-// attributes; Cartesian product when none are shared), the
-// count-then-scatter kernel run block by block over f. The build side
-// is the smaller relation, ties to s, indexed for the call: the table
-// comes from the hashtab pools, and the chains and the per-probe-row
-// matches share one pooled arena; both are released after the scatter.
-// Output order is probe order × build order, and r × s row order for
-// the product.
+// attributes; Cartesian product when none are shared): JoinStep's Join
+// over r alone, the count-then-scatter kernel run block by block over f.
+// The build side is the smaller relation, ties to s, indexed for the
+// call: the table comes from the hashtab pools, and the chains and the
+// per-probe-row matches share one pooled arena; both are released after
+// the scatter. Output order is probe order × build order, and r × s row
+// order for the product.
 func (r *Relation) JoinPar(s *Relation, f Forker) *Relation {
-	common := r.schema.Common(s.schema)
-	out := r.schema.Union(s.schema)
-	j := joinRun{probe: r, build: s, arity: out.Len()}
-	var scratch, chain []Value
-	if len(common) > 0 {
-		if r.Len() < s.Len() {
-			j.probe, j.build = s, r
-		}
-		nb := 2 * j.build.rows
-		scratch = GetArena(nb + j.probe.rows)[:nb+j.probe.rows]
-		j.ix = chainsOn(j.build, j.build.schema.Positions(common), scratch)
-		j.probePos = j.probe.schema.Positions(common)
-		chain = scratch[nb:]
-	}
-	outPos := make([]int, j.probe.arity+j.build.arity)
-	for c, a := range j.probe.schema.attrs {
-		outPos[c] = out.Pos(a)
-	}
-	for c, a := range j.build.schema.attrs {
-		outPos[j.probe.arity+c] = out.Pos(a)
-	}
-	j.probeOut, j.buildOut = outPos[:j.probe.arity], outPos[j.probe.arity:]
-
-	rows := j.probe.rows
-	var data []Value
-	var n int
-	if cuts := blocksOf(f, rows); cuts == nil {
-		n = j.count(chain, 0, rows)
-		data = make([]Value, n*j.arity)
-		j.scatter(data, chain, 0, rows)
-	} else {
-		jb := j // the closures below make their joinRun escape; j stays on the stack
-		data, n = twoPass(f, cuts, jb.arity,
-			func(lo, hi int) int { return jb.count(chain, lo, hi) },
-			func(dst []Value, _, lo, hi int) { jb.scatter(dst, chain, lo, hi) })
-	}
-	if j.ix.table != nil {
-		j.ix.table.Release()
-		PutArena(scratch)
-	}
-	return FromData(out, data, n)
+	return one(r, joinStep(r.schema, s.schema, nil, s, f))
 }

@@ -10,6 +10,10 @@ import (
 	"testing/quick"
 )
 
+// smallRows sizes the small-input sweeps: up to a few multiples of it,
+// the inputs the catalog workloads' fragments have.
+const smallRows = 64
+
 // goForker is the test stand-in for the engine's fork: it really runs
 // tasks on w goroutines (claimed off a shared counter, so placement is
 // nondeterministic — exactly the adversary the byte-identity contract
@@ -197,7 +201,6 @@ func TestSemiJoinParMatchesSemiJoin(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(37))}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		// Around smallRows, where the kept-row list leaves the stack.
 		r := randomRel(rng, NewSchema(0, 1), rng.Intn(3*smallRows), 8)
 		s := randomRel(rng, NewSchema(1, 2), rng.Intn(40), 8)
 		want := refSemiJoin(r, s)
@@ -218,7 +221,7 @@ func TestSemiJoinParMatchesSemiJoin(t *testing.T) {
 			{rowPred{op: predNotIn, col: 0}, r},
 		} {
 			for name, fk := range blockForkers() {
-				if !sameRel(t, name, r.filterRows(c.p, fk), c.want) {
+				if !sameRel(t, name, one(r, Filter{p: c.p, out: r.schema, f: fk}), c.want) {
 					return false
 				}
 			}
@@ -414,29 +417,26 @@ func TestOneBlockAllocs(t *testing.T) {
 			want, parent [2]float64 // at 8 and 10 000 rows
 			// pooled marks a kernel whose table or scratch comes from a
 			// pool: under the race detector, which makes sync.Pool drop
-			// items at random, its count is not pinned. arena marks one
-			// whose scratch is a relation arena: PutArena boxes the slice
-			// only when the arena reserve is full, which depends on the
-			// tests run before, so it may take one allocation less.
-			pooled, arena bool
-			run           func()
+			// items at random, its count is not pinned.
+			pooled bool
+			run    func()
 		}{
 			// The parents of SemiJoin and Join are the same calls on a
 			// fresh build side (9f5040d with SetIndexCaching(false)): the
 			// index that commit retained was rarely probed twice.
-			{"SemiJoin", [2]float64{6, 7}, [2]float64{14, 15}, true, false, func() { r.SemiJoin(s) }},
-			{"Join", [2]float64{15, 15}, [2]float64{22, 23}, true, true, func() { r.Join(s) }},
+			{"SemiJoin", [2]float64{5, 5}, [2]float64{14, 15}, true, func() { r.SemiJoin(s) }},
+			{"Join", [2]float64{13, 13}, [2]float64{22, 23}, true, func() { r.Join(s) }},
 			// The parent is Join's, the call JoinCount replaces. Its count
 			// table comes from the hashtab pool.
-			{"JoinCount", [2]float64{5, 5}, [2]float64{13, 14}, true, false, func() { r.JoinCount(s) }},
-			{"Dedup", [2]float64{2, 2}, [2]float64{2, 3}, false, false, func() { r.Dedup() }},
-			{"SortBy", [2]float64{4, 6}, [2]float64{4, 6}, false, false, func() { r.Clone().SortBy(pos) }},
+			{"JoinCount", [2]float64{5, 5}, [2]float64{13, 14}, true, func() { r.JoinCount(s) }},
+			{"Dedup", [2]float64{2, 2}, [2]float64{2, 3}, false, func() { r.Dedup() }},
+			{"SortBy", [2]float64{4, 6}, [2]float64{4, 6}, false, func() { r.Clone().SortBy(pos) }},
 			// The parents of these two are the streaming run's forms on
 			// 202ad27: the fused SelectEqProject, and primitives.Degrees'
 			// per-server pass (a (value, 1) relation aggregated at 8 rows,
 			// a chunk-iterator aggregation at 10 000).
-			{"SelectEqProject", [2]float64{7, 8}, [2]float64{9, 8}, false, false, func() { r.SelectEqProject(1, v, 0) }},
-			{"Degrees", [2]float64{2, 4}, [2]float64{8, 20}, true, true, func() { r.Degrees(1, deg) }},
+			{"SelectEqProject", [2]float64{7, 7}, [2]float64{9, 8}, true, func() { r.SelectEqProject(1, v, 0) }},
+			{"Degrees", [2]float64{2, 2}, [2]float64{8, 20}, true, func() { r.Degrees(1, deg) }},
 		} {
 			k := 0
 			if rows > 8 {
@@ -445,12 +445,8 @@ func TestOneBlockAllocs(t *testing.T) {
 			if c.pooled && raceEnabled {
 				continue
 			}
-			low := c.want[k]
-			if c.arena {
-				low--
-			}
 			got := testing.AllocsPerRun(10, c.run)
-			if got > c.want[k] || got < low || got > c.parent[k] {
+			if got != c.want[k] || got > c.parent[k] {
 				t.Errorf("%s at %d rows: %.0f allocations, want %.0f (parent %.0f)", c.name, rows, got, c.want[k], c.parent[k])
 			}
 		}

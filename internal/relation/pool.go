@@ -129,7 +129,11 @@ func GetArena(n int) []Value {
 	}
 	if v := arenaPools[cl].Get(); v != nil {
 		poolHits.Add(1)
-		return (*v.(*[]Value))[:0]
+		h := v.(*[]Value)
+		a := (*h)[:0]
+		*h = nil
+		handles.Put(h)
+		return a
 	}
 	poolMisses.Add(1)
 	return make([]Value, 0, 1<<(cl+minArenaBits))
@@ -159,11 +163,22 @@ func PutArena(a []Value) {
 	poolPut(cl, a[:0])
 }
 
-// poolPut hands a to its class's sync.Pool, boxing the slice header. It
-// is a function of its own because taking &a in PutArena would move
-// PutArena's parameter to the heap on every call, so an arena the
-// reserve takes would cost an allocation too.
-func poolPut(cl int, a []Value) { arenaPools[cl].Put(&a) }
+// handles holds the empty *[]Value handles the arena pools' gets leave
+// behind. A sync.Pool holds an arena in a handle; a get takes the arena
+// out and parks its handle here, and a put stores its arena in a parked
+// handle, so a steady-state put boxes nothing. Only after a collection
+// has emptied this pool does a put allocate a handle.
+var handles sync.Pool
+
+// poolPut hands a to its class's sync.Pool in a recycled handle.
+func poolPut(cl int, a []Value) {
+	h, _ := handles.Get().(*[]Value)
+	if h == nil {
+		h = new([]Value)
+	}
+	*h = a
+	arenaPools[cl].Put(h)
+}
 
 // The reserve: a bounded set of arenas held by ordinary references in
 // front of the sync.Pools. A sync.Pool drops what it holds at every

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -71,5 +72,30 @@ func TestArenaRecycleAllocatesNothing(t *testing.T) {
 	}()
 	if allocs := testing.AllocsPerRun(100, func() { PutArena(GetArena(1 << 10)) }); allocs != 0 {
 		t.Fatalf("GetArena + PutArena through the reserve: %v allocations, want 0", allocs)
+	}
+}
+
+// TestArenaPoolPutAllocatesNothing: behind a full reserve an arena goes
+// to its class's sync.Pool, and the put reuses the handle an earlier get
+// parked, so a steady-state round trip through the pool boxes nothing.
+func TestArenaPoolPutAllocatesNothing(t *testing.T) {
+	if !PoolingEnabled() {
+		t.Skip("pooling disabled")
+	}
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	reserveMu.Lock()
+	saved, savedUsed := reserve, reserveUsed
+	reserve, reserveUsed = [arenaClasses][][]Value{}, reserveValues
+	reserveMu.Unlock()
+	defer func() {
+		reserveMu.Lock()
+		reserve, reserveUsed = saved, savedUsed
+		reserveMu.Unlock()
+	}()
+	if allocs := testing.AllocsPerRun(100, func() { PutArena(GetArena(1 << 10)) }); allocs != 0 {
+		t.Fatalf("GetArena + PutArena through the sync.Pool: %v allocations, want 0", allocs)
 	}
 }

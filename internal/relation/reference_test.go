@@ -196,8 +196,7 @@ func refMergeRuns(r *Relation, runLens []int, pos []int) *Relation {
 }
 
 // SelectEqProject and Degrees against the naive references, on both
-// sides of the stack buffers (smallRows, smallDedupCutoff) and well
-// past them.
+// sides of smallDedupCutoff and well past it.
 func TestSelectEqProjectAndDegreesMatchReferences(t *testing.T) {
 	for _, rows := range []int{0, 1, 32, 33, 64, 65, 257, 10000} {
 		t.Run(fmt.Sprintf("rows=%d", rows), func(t *testing.T) {

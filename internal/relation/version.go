@@ -23,7 +23,7 @@ import "sync/atomic"
 // winner. Note that writes through Row views bypass the stamp — only
 // package mutators (Add, AddValues, Append, Sort, SortBy) invalidate —
 // so view-mutation is only permitted on relations that have never been
-// shared or stamped (see smallAggregate in internal/primitives).
+// shared or stamped.
 
 // versionCounter is the global stamp source; 0 is reserved for
 // "unstamped/dirty".

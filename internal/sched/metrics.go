@@ -26,7 +26,7 @@ var (
 		metrics.ExponentialBuckets(1e-4, 10, 8))
 )
 
-// cellTimer mirrors mpc's spanTimer: nil when metrics are disabled.
+// cellTimer times one cell: nil when metrics are disabled.
 func cellTimer() func() {
 	if !metrics.Enabled() {
 		return nil

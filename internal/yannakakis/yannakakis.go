@@ -110,10 +110,7 @@ func pairExchange(g *mpc.Group, a, b *mpc.DistRelation) (ap, bp *mpc.DistRelatio
 // pairJoin joins two distributed relations on their common attributes.
 func pairJoin(g *mpc.Group, a, b *mpc.DistRelation) *mpc.DistRelation {
 	ap, bp, common := pairExchange(g, a, b)
-	out := mpc.NewDist(a.Schema.Union(b.Schema), g.Size())
-	g.Fork(len(ap.Frags), func(i int) {
-		out.Frags[i] = ap.Frags[i].JoinPar(bp.Frags[i], g)
-	})
+	out := mpc.Local(g, ap, relation.JoinStep(ap.Schema, bp.Schema, bp.Frags, g))
 	// Joined rows keep the join-key values of their inputs, so the
 	// output stays partitioned on common — the parent's pairJoin on the
 	// same key (frequent in path/star trees) elides its exchange. The

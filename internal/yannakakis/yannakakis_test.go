@@ -1,6 +1,7 @@
 package yannakakis
 
 import (
+	"slices"
 	"testing"
 
 	"coverpack/internal/hypergraph"
@@ -122,5 +123,34 @@ func TestOutputSensitivity(t *testing.T) {
 	if cb.Stats().MaxLoad <= cs.Stats().MaxLoad {
 		t.Fatalf("worst-case load %d not above matching load %d",
 			cb.Stats().MaxLoad, cs.Stats().MaxLoad)
+	}
+}
+
+// TestPairJoinCutsLargeFragments: a server whose probe side holds
+// ParCutoff rows or more cuts its pair join into blocks on the group's
+// worker pool, and the output is the one-worker output.
+func TestPairJoinCutsLargeFragments(t *testing.T) {
+	a := &mpc.DistRelation{Schema: relation.NewSchema(0, 1)}
+	b := &mpc.DistRelation{Schema: relation.NewSchema(1, 2)}
+	for srv := 0; srv < 2; srv++ {
+		fa, fb := relation.New(a.Schema), relation.New(b.Schema)
+		for i := 0; i < 4*relation.ParCutoff; i++ {
+			fa.AddValues(int64(i), int64(i%97))
+		}
+		for v := int64(0); v < 97; v++ {
+			fb.AddValues(v, v+int64(srv))
+		}
+		a.Frags, b.Frags = append(a.Frags, fa), append(b.Frags, fb)
+	}
+	want := pairJoin(mpc.NewCluster(2).Root(), a, b)
+	relation.ResetParStats()
+	got := pairJoin(mpc.NewCluster(2, mpc.WithWorkers(4)).Root(), a, b)
+	if st := relation.ParStats(); st.KernelRuns < 2 {
+		t.Fatalf("%+v: want each server's join cut into blocks", st)
+	}
+	for i := range want.Frags {
+		if want.Frags[i].Len() == 0 || !slices.Equal(got.Frags[i].Data(), want.Frags[i].Data()) {
+			t.Fatalf("server %d: the 4-worker pair join differs from the 1-worker one (or is empty)", i)
+		}
 	}
 }
