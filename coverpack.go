@@ -392,17 +392,15 @@ type ExecOptions struct {
 	// Recorder receives the execution's trace events (typically a
 	// *TraceCollector); nil runs untraced.
 	Recorder TraceRecorder
-	// NoPlanCache disables the simulator's exchange-plan cache (and is
-	// the differential-testing lever: results are byte-identical with
-	// the cache on or off; only wall-clock time differs).
-	NoPlanCache bool
-	// PlanStats, when non-nil, receives the exchange-plan cache counters
-	// (hits, misses, partition hits, ...) after the run.
+	// PlanStats, when non-nil, receives the run's HashPartition counts
+	// after the run (see CacheStats).
 	PlanStats *CacheStats
-	// Streaming, Spilling, SpillDir and SpillBudgetBytes have no
-	// effect: every run executes resident, with the same exact-size
-	// operators, and writes no file. They stay because internal/bench
-	// names them; ROADMAP item 1 deletes them with that harness code.
+	// NoPlanCache, Streaming, Spilling, SpillDir and SpillBudgetBytes
+	// have no effect: there is no exchange-plan cache, and every run
+	// executes resident, with the same exact-size operators, and writes
+	// no file. They stay because internal/bench names them; ROADMAP
+	// item 1 deletes them with that harness code.
+	NoPlanCache      bool
 	Streaming        StreamMode
 	Spilling         SpillMode
 	SpillDir         string
@@ -457,25 +455,8 @@ func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, e
 	if eo.Workers != 0 && eo.Workers != 1 {
 		opts = append(opts, mpc.WithWorkers(eo.Workers))
 	}
-	if eo.NoPlanCache {
-		opts = append(opts, mpc.WithPlanCache(false))
-	}
 	if eo.ParKernels == ParKernelOff {
 		opts = append(opts, mpc.WithParKernels(false))
-	}
-	// Shape-level seeding of the simulator's exchange-plan cache:
-	// exchange plans key on data content versions, so only a capacity
-	// hint (the entry count a previous run of this shape needed) is
-	// sound to carry across runs.
-	var shape plan.Handle
-	var shapeOK bool
-	if !eo.NoPlanCache {
-		if h, ok := plan.For(in.Query); ok {
-			shape, shapeOK = h, true
-			if v, hit := h.Invariant("mpc_plan_entries"); hit {
-				opts = append(opts, mpc.WithPlanCacheHint(v.(int)))
-			}
-		}
 	}
 	c := mpc.NewCluster(p, opts...)
 	// The Report carries only scalars, so every exchange-produced
@@ -535,15 +516,8 @@ func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, e
 		return nil, fmt.Errorf("coverpack: unknown algorithm %v", alg)
 	}
 	rep.Stats = c.Stats()
-	ps := c.PlanCacheStats()
 	if eo.PlanStats != nil {
-		*eo.PlanStats = ps
-	}
-	if shapeOK {
-		n := int(ps.Misses)
-		if v, hit := shape.Invariant("mpc_plan_entries"); !hit || n > v.(int) {
-			shape.SetInvariant("mpc_plan_entries", n)
-		}
+		*eo.PlanStats = c.PlanCacheStats()
 	}
 	return rep, nil
 }

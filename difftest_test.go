@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"coverpack"
@@ -17,14 +18,14 @@ import (
 // configurations, must produce the same report (emitted count, Stats,
 // chosen L) and the same trace — span tree and per-phase load
 // attribution — bit for bit as the reference run. The reference is the
-// sequential, cache-off, pool-off, index-off run: the pre-caching,
-// pre-pooling code path, so any divergence in a row is a
-// determinism-contract violation.
+// sequential, pool-off, index-off run: the pre-caching, pre-pooling
+// code path, so any divergence in a row is a determinism-contract
+// violation.
 //
-// A row is an ExecOptions value. Parallel kernels, the exchange-plan
-// cache and workers are all carried by the run's own cluster, so rows
-// that set nothing else run side by side
-// under t.Parallel() — which is itself part of what the oracle pins.
+// A row is an ExecOptions value. Parallel kernels and workers are both
+// carried by the run's own cluster, so rows that set nothing else run
+// side by side under t.Parallel() — which is itself part of what the
+// oracle pins.
 // The pool-off and index-cache-off rows turn process-wide stores off
 // and therefore run one at a time, before the parallel group (as do
 // the plan-compile and metrics oracles in their own files).
@@ -56,10 +57,12 @@ var oracleAlgorithms = []coverpack.Algorithm{
 }
 
 // oracleWorkerSet returns the worker counts of the table: sequential,
-// a fixed 4, and the machine's CPU count.
+// 2 and 4, an odd 3 (the token pool never splits evenly over the 8
+// servers), 8 (one worker per server), 16 (more workers than servers,
+// the surplus going to morsel blocks) and the machine's CPU count.
 func oracleWorkerSet() []int {
-	ws := []int{1, 4}
-	if n := runtime.NumCPU(); n > 1 && n != 4 {
+	ws := []int{1, 2, 3, 4, 8, 16}
+	if n := runtime.NumCPU(); !slices.Contains(ws, n) {
 		ws = append(ws, n)
 	}
 	return ws
@@ -87,7 +90,6 @@ func (a oracleArm) String() string {
 		on   bool
 		name string
 	}{
-		{a.eo.NoPlanCache, "plancache-off"},
 		{a.noIndex, "index-off"},
 		{a.noPool, "pool-off"},
 		{a.eo.ParKernels == coverpack.ParKernelOff, "morsel-off"},
@@ -103,35 +105,30 @@ func (a oracleArm) String() string {
 
 // oracleReference is the run every row is compared against.
 var oracleReference = oracleArm{
-	eo:      coverpack.ExecOptions{Workers: 1, NoPlanCache: true},
+	eo:      coverpack.ExecOptions{Workers: 1},
 	noIndex: true,
 	noPool:  true,
 }
 
-// oracleArms builds the table: the full workers × NoPlanCache ×
-// ParKernels product (ParKernelOff only where workers > 1 lets kernels
-// engage at all), then the serial rows — pool-off, cache-off (plan
-// cache and retained first-row lists together, the pre-caching path) and
-// both — at workers 1 and 4. Each parallel row is then repeated
+// oracleArms builds the table: the full workers × ParKernels product
+// (ParKernelOff only where workers > 1 lets kernels engage at all), then
+// the serial rows — pool-off, index-off (no retained first-row lists)
+// and both — at workers 1 and 4. Each parallel row is then repeated
 // untraced.
 func oracleArms() []oracleArm {
 	var arms []oracleArm
 	for _, w := range oracleWorkerSet() {
-		for _, noCache := range []bool{false, true} {
-			eo := coverpack.ExecOptions{Workers: w, NoPlanCache: noCache}
+		eo := coverpack.ExecOptions{Workers: w}
+		arms = append(arms, oracleArm{eo: eo})
+		if w > 1 {
+			eo.ParKernels = coverpack.ParKernelOff
 			arms = append(arms, oracleArm{eo: eo})
-			if w > 1 {
-				eo.ParKernels = coverpack.ParKernelOff
-				arms = append(arms, oracleArm{eo: eo})
-			}
 		}
 	}
 	for _, w := range []int{1, 4} {
-		on := coverpack.ExecOptions{Workers: w}
-		off := on
-		off.NoPlanCache = true
-		arms = append(arms, oracleArm{eo: on, noPool: true}, oracleArm{eo: off, noIndex: true})
-		if both := (oracleArm{eo: off, noIndex: true, noPool: true}); both != oracleReference {
+		eo := coverpack.ExecOptions{Workers: w}
+		arms = append(arms, oracleArm{eo: eo, noPool: true}, oracleArm{eo: eo, noIndex: true})
+		if both := (oracleArm{eo: eo, noIndex: true, noPool: true}); both != oracleReference {
 			arms = append(arms, both)
 		}
 	}

@@ -183,8 +183,8 @@ func (*Gauge) kind() Kind     { return KindGauge }
 func (*Histogram) kind() Kind { return KindHistogram }
 
 // funcVal is a callback-backed counter or gauge: the value is read at
-// exposition time (how PoolStats/CacheStats snapshots fold in without
-// touching their hot paths).
+// exposition time (how PoolStats snapshots fold in without touching
+// their hot paths).
 type funcVal struct {
 	k  Kind
 	fn func() float64

@@ -8,9 +8,9 @@ import (
 
 // Process-wide telemetry of the simulator, registered on the default
 // registry. Everything here is observation-only: the counters mirror
-// quantities the simulator already computes (per-cluster Stats and
-// CacheStats are untouched), so metrics on/off cannot change a Report,
-// a trace, or a table — the root difftest oracle pins that contract.
+// quantities the simulator already computes (per-cluster Stats are
+// untouched), so metrics on/off cannot change a Report, a trace, or a
+// table — the root difftest oracle pins that contract.
 //
 // The per-round load histograms are the live form of the paper's
 // central quantity: mRoundMaxLoad observes, for every charged exchange
@@ -34,17 +34,6 @@ var (
 	mPhaseSeconds = metrics.Default.NewHistogramVec("coverpack_mpc_phase_seconds",
 		"Wall-clock seconds spent inside named algorithm phases (inclusive of nested phases).",
 		metrics.ExponentialBuckets(1e-6, 10, 8), "phase")
-
-	mPlanHits = metrics.Default.NewCounter("coverpack_plan_cache_events_total",
-		"Exchange-plan cache outcomes across all clusters.", metrics.Label{Key: "event", Value: "hit"})
-	mPlanMisses = metrics.Default.NewCounter("coverpack_plan_cache_events_total",
-		"", metrics.Label{Key: "event", Value: "miss"})
-	mPlanPartitionHits = metrics.Default.NewCounter("coverpack_plan_cache_events_total",
-		"", metrics.Label{Key: "event", Value: "partition_hit"})
-	mPlanInvalidated = metrics.Default.NewCounter("coverpack_plan_cache_events_total",
-		"", metrics.Label{Key: "event", Value: "invalidated_replay"})
-	mPlanEvictions = metrics.Default.NewCounter("coverpack_plan_cache_events_total",
-		"", metrics.Label{Key: "event", Value: "eviction"})
 
 	mEngineForks = metrics.Default.NewCounter("coverpack_engine_forks_total",
 		"Parallel fan-outs issued by the execution engine.")

@@ -70,6 +70,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"coverpack/internal/hashtab"
 	"coverpack/internal/relation"
@@ -133,9 +134,10 @@ type Cluster struct {
 	// side.
 	parKernels bool
 
-	// plans is the exchange-plan cache (see plancache.go); nil when
-	// disabled via WithPlanCache(false).
-	plans *planCache
+	// hashed and identity count the HashPartitions that hashed and
+	// those that took the identity path (see PlanCacheStats). Atomics:
+	// concurrent Parallel branches partition at the same time.
+	hashed, identity atomic.Uint64
 
 	// arenas tracks every pooled arena blob acquired for this run's
 	// exchange outputs (slab blobs, gather buffers). Release returns
@@ -176,22 +178,6 @@ func WithChargeSelfSends(charge bool) Option {
 	return func(c *Cluster) { c.chargeSelfSends = charge }
 }
 
-// WithPlanCache enables or disables the exchange-plan cache (see
-// plancache.go). The default is enabled; disabling exists for
-// differential testing and cache-off benchmarking — all observable
-// results (outputs, Stats, traces) are identical either way.
-func WithPlanCache(enabled bool) Option {
-	return func(c *Cluster) {
-		if enabled {
-			if c.plans == nil {
-				c.plans = newPlanCache()
-			}
-			return
-		}
-		c.plans = nil
-	}
-}
-
 // WithParKernels lets the relation kernels run over several row blocks
 // across the pool (the default; they still need workers > 1 to do so)
 // or holds them to one block. Outputs, Stats and traces are identical
@@ -200,18 +186,10 @@ func WithParKernels(on bool) Option {
 	return func(c *Cluster) { c.parKernels = on }
 }
 
-// WithPlanCacheHint pre-sizes the exchange-plan cache's entry map for n
-// plans (typically the entry count a previous run of the same query
-// shape needed). Purely a capacity hint — plans key on data content
-// versions, so no plan content crosses clusters; a no-op when the
-// cache is disabled or n is not positive.
-func WithPlanCacheHint(n int) Option {
-	return func(c *Cluster) {
-		if c.plans != nil && n > 0 {
-			c.plans.entries = make(map[string]*exchangePlan, n)
-		}
-	}
-}
+// WithPlanCacheHint has no effect: there is no exchange-plan cache. It
+// stays because internal/bench names it; ROADMAP item 1 deletes it with
+// that harness code.
+func WithPlanCacheHint(n int) Option { return func(*Cluster) {} }
 
 // WithSpill has no effect: there is no out-of-core execution. It stays
 // because internal/bench names it; ROADMAP item 1 deletes it with that
@@ -224,7 +202,7 @@ func NewCluster(p int, opts ...Option) *Cluster {
 	if p <= 0 {
 		panic(fmt.Sprintf("mpc: cluster needs p >= 1, got %d", p))
 	}
-	c := &Cluster{Budget: p, chargeSelfSends: true, workers: 1, plans: newPlanCache(), parKernels: true}
+	c := &Cluster{Budget: p, chargeSelfSends: true, workers: 1, parKernels: true}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -255,11 +233,10 @@ func (c *Cluster) trackArena(blob []relation.Value) {
 }
 
 // Release returns every pooled arena acquired during the computation to
-// the cross-run pool and drops the plan cache. Call it exactly once,
-// after all scalar results (Stats, plan-cache counters, emitted counts)
-// have been read: every relation produced by this cluster's exchanges —
-// including fragments memoized in the plan cache — is invalid
-// afterwards. Release is idempotent; a second call is a no-op.
+// the cross-run pool. Call it exactly once, after all scalar results
+// (Stats, emitted counts) have been read: every relation produced by
+// this cluster's exchanges is invalid afterwards. Release is
+// idempotent; a second call is a no-op.
 //
 // Release also yields the processor. A sweep is one goroutine that
 // calls run after run and never blocks, and the runtime preempts such a
@@ -279,7 +256,6 @@ func (c *Cluster) Release() {
 	for _, a := range arenas {
 		relation.PutArena(a)
 	}
-	c.plans = nil
 }
 
 // Stats returns the accumulated cost of the whole computation so far.
@@ -287,6 +263,15 @@ func (c *Cluster) Stats() Stats {
 	s := c.root.Stats()
 	s.SeqFallback = c.fellBack
 	return s
+}
+
+// PlanCacheStats reports the cluster's HashPartition counts in the shape
+// internal/bench reads: PartitionHits counts the exchanges that took the
+// identity path and Misses those that hashed. Hits is always 0: there is
+// no exchange-plan cache. ROADMAP item 1 deletes it with that harness
+// code.
+func (c *Cluster) PlanCacheStats() trace.CacheStats {
+	return trace.CacheStats{Misses: c.hashed.Load(), PartitionHits: c.identity.Load()}
 }
 
 // Group is a set of virtual servers executing one (sub)computation.
@@ -411,7 +396,7 @@ type DistRelation struct {
 	// HashPartition on these attributes over a group of len(Frags)
 	// servers: every tuple of Frags[i] hashes to i. HashPartition uses it
 	// to elide re-partitioning on the same key entirely (the identity
-	// fast path in plancache.go). The mark describes fragment placement,
+	// path of HashPartition). The mark describes fragment placement,
 	// not content, so Local and other per-fragment transforms must not
 	// propagate it unless placement is preserved; algorithm layers
 	// propagate it explicitly via MarkPartitioned.
@@ -507,30 +492,28 @@ func (g *Group) ScatterDedup(r *relation.Relation) *DistRelation {
 // HashPartition re-partitions d by the given attributes: every tuple
 // goes to server hash(key) mod size. One round; cost = tuples received.
 //
-// Two fast paths stand in front of the exchange (both produce
-// byte-identical outputs, charges, and traces):
-//
-//  1. d is already partitioned on attrs for this group — the exchange
-//     is the identity (repartitionIdentity).
-//  2. The cluster's plan cache holds a plan for (group size, key,
-//     fragment versions) — replay it without re-hashing (replayPlan).
-//
-// Otherwise it hashes, and records a plan for next time.
+// When d is already partitioned on attrs for this group the exchange is
+// the identity: every tuple of fragment i hashes back to server i, in
+// fragment order. The output then shares d's fragments without hashing,
+// and the charge is each fragment's size under logical accounting and
+// zero under physical accounting (every tuple is a self-send) — what
+// hashing would compute.
 func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
-	pos := d.Schema.Positions(attrs)
-	pc := g.cluster.plans
-	var key string
-	if pc != nil && len(d.Frags) == g.size {
-		if d.PartitionedOn(attrs) {
-			return g.repartitionIdentity(d, attrs)
+	out := &DistRelation{Schema: d.Schema, part: append([]int(nil), attrs...)}
+	if len(d.Frags) == g.size && d.PartitionedOn(attrs) {
+		g.cluster.identity.Add(1)
+		recv := make([]int, g.size)
+		if g.cluster.chargeSelfSends {
+			for i, f := range d.Frags {
+				recv[i] = f.Len()
+			}
 		}
-		key = planKey(g.size, pos, d.Frags)
-		if plan := pc.lookup(key); plan != nil {
-			out := g.replayPlan(d, plan, attrs)
-			g.chargeRound(trace.OpHashPartition, plan.recv)
-			return out
-		}
+		out.Frags = slices.Clone(d.Frags)
+		g.chargeRound(trace.OpHashPartition, recv)
+		return out
 	}
+	g.cluster.hashed.Add(1)
+	pos := d.Schema.Positions(attrs)
 	k := uint64(g.size)
 	frags, recv, dst := g.exchange(d, g.chunksOf(d), g.size, true, func(int) routeFn {
 		return func(dst []uint32, _ int, _ *relation.Relation, t relation.Tuple, _ int) []uint32 {
@@ -550,10 +533,7 @@ func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
 		}
 	}
 	g.chargeRound(trace.OpHashPartition, recv)
-	out := &DistRelation{Schema: d.Schema, Frags: frags, part: append([]int(nil), attrs...)}
-	if key != "" {
-		pc.store(key, &exchangePlan{dst: dst, recv: recv, out: slices.Clone(frags), outVers: versionsOf(frags)})
-	}
+	out.Frags = frags
 	return out
 }
 

@@ -304,3 +304,92 @@ func TestWithSpillIsInert(t *testing.T) {
 		}
 	}
 }
+
+// sameFrags reports byte-identity of two distributed relations.
+func sameFrags(a, b *DistRelation) bool {
+	if len(a.Frags) != len(b.Frags) {
+		return false
+	}
+	for i := range a.Frags {
+		af, bf := a.Frags[i], b.Frags[i]
+		if af.Len() != bf.Len() {
+			return false
+		}
+		for j := 0; j < af.Len(); j++ {
+			at, bt := af.Row(j), bf.Row(j)
+			for k := range at {
+				if at[k] != bt[k] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// Re-partitioning a relation already partitioned on the key is the
+// identity exchange: nothing is hashed, and the fragments and charge are
+// those of hashing the same relation without its mark — every tuple
+// lands on its own server, so the charge is the fragment sizes with
+// self-sends charged and nothing without.
+func TestPartitionIdentityFastPath(t *testing.T) {
+	key := []int{0}
+	for _, charge := range []bool{true, false} {
+		c := NewCluster(4, WithChargeSelfSends(charge))
+		g := c.Root()
+		p1 := g.HashPartition(g.Scatter(big(relation.NewSchema(0, 1), 500)), key)
+		if !p1.PartitionedOn(key) {
+			t.Fatal("HashPartition output not marked partitioned")
+		}
+		p2 := g.HashPartition(p1, key)
+		if s := c.PlanCacheStats(); s.PartitionHits != 1 || s.Misses != 1 || s.Hits != 0 {
+			t.Fatalf("charge=%v: identity path not taken: %+v", charge, s)
+		}
+		if !p2.PartitionedOn(key) {
+			t.Fatalf("charge=%v: identity output lost its mark", charge)
+		}
+
+		ref := NewCluster(4, WithChargeSelfSends(charge))
+		rg := ref.Root()
+		rp1 := rg.HashPartition(rg.Scatter(big(relation.NewSchema(0, 1), 500)), key)
+		rp2 := rg.HashPartition(&DistRelation{Schema: rp1.Schema, Frags: rp1.Frags}, key)
+		if s := ref.PlanCacheStats(); s.PartitionHits != 0 || s.Misses != 2 {
+			t.Fatalf("charge=%v: unmarked relation not hashed: %+v", charge, s)
+		}
+		if !sameFrags(p2, rp2) {
+			t.Fatalf("charge=%v: identity repartition differs from hashing", charge)
+		}
+		if ref.Stats() != c.Stats() {
+			t.Fatalf("charge=%v: identity stats %v, reference %v", charge, c.Stats(), ref.Stats())
+		}
+	}
+}
+
+// Concurrent Parallel branches partition at the same time, so the
+// cluster's HashPartition counts are shared across goroutines (run under
+// -race): every branch hashes one input and takes the identity path on
+// one already-partitioned input.
+func TestHashPartitionCountsUnderParallelBranches(t *testing.T) {
+	key := []int{0}
+	c := NewCluster(4, withForcedWorkers(4))
+	g := c.Root()
+	d := g.Scatter(big(relation.NewSchema(0, 1), 2000))
+	parted := g.HashPartition(d, key)
+	const branches = 8
+	outs := make([][2]*DistRelation, branches)
+	bs := make([]Branch, branches)
+	for i := range bs {
+		bs[i] = Branch{Servers: 4, Run: func(sub *Group) {
+			outs[i] = [2]*DistRelation{sub.HashPartition(d, key), sub.HashPartition(parted, key)}
+		}}
+	}
+	g.Parallel(bs)
+	for i, o := range outs {
+		if !sameFrags(o[0], parted) || !sameFrags(o[1], parted) {
+			t.Fatalf("branch %d produced a wrong exchange", i)
+		}
+	}
+	if s := c.PlanCacheStats(); s.Misses != 1+branches || s.PartitionHits != branches {
+		t.Fatalf("counts %+v, want %d hashed and %d identity", s, 1+branches, branches)
+	}
+}

@@ -206,21 +206,28 @@ func HeavyFilter(g *mpc.Group, degs *mpc.DistRelation, countAttr int, threshold 
 // (one round each), then filtered locally. The result keeps r's schema,
 // partitioned by the common attributes.
 func SemiJoin(g *mpc.Group, r, s *mpc.DistRelation) *mpc.DistRelation {
+	out, _ := semiJoin(g, r, s)
+	return out
+}
+
+// semiJoin is SemiJoin that also returns s as it was partitioned for the
+// filter (s itself when there is no common attribute).
+func semiJoin(g *mpc.Group, r, s *mpc.DistRelation) (out, sp *mpc.DistRelation) {
 	common := r.Schema.Common(s.Schema)
 	if len(common) == 0 {
 		if s.Len() == 0 {
-			return mpc.NewDist(r.Schema, g.Size())
+			return mpc.NewDist(r.Schema, g.Size()), s
 		}
-		return r
+		return r, s
 	}
 	rp := g.HashPartition(r, common)
-	sp := g.HashPartition(s, common)
-	out := mpc.Local(g, rp, relation.SemiJoinStep(rp.Schema, sp.Schema, sp.Frags, g))
+	sp = g.HashPartition(s, common)
+	out = mpc.Local(g, rp, relation.SemiJoinStep(rp.Schema, sp.Schema, sp.Frags, g))
 	// The local filter keeps rows in place, so the output inherits rp's
 	// partitioning — the next semi-join of a reduce sweep on the same
 	// key (or the pair join that follows it) skips the exchange.
 	out.MarkPartitioned(common)
-	return out
+	return out, sp
 }
 
 // SemiJoinReduceTree removes all dangling tuples of an acyclic instance
@@ -228,6 +235,14 @@ func SemiJoin(g *mpc.Group, r, s *mpc.DistRelation) *mpc.DistRelation {
 // root, then root to leaf), as the paper's Section 2 notes following
 // Yannakakis. children[e] lists the join-tree children of edge e;
 // roots are the tree roots. O(1) rounds for constant-size queries.
+//
+// The up sweep keeps each child as it partitioned it on the key the
+// child shares with its parent. Nothing touches the child again before
+// the down sweep filters it by that parent on the same key, so that
+// exchange is the identity: it returns the fragments re-hashing would
+// and charges the same round, without hashing. (Under logical
+// accounting the units are the same too; under physical accounting it
+// charges none, since every tuple already sits on its server.)
 func SemiJoinReduceTree(g *mpc.Group, rels []*mpc.DistRelation, children [][]int, roots []int) []*mpc.DistRelation {
 	out := make([]*mpc.DistRelation, len(rels))
 	copy(out, rels)
@@ -236,7 +251,7 @@ func SemiJoinReduceTree(g *mpc.Group, rels []*mpc.DistRelation, children [][]int
 		up = func(e int) {
 			for _, c := range children[e] {
 				up(c)
-				out[e] = SemiJoin(g, out[e], out[c])
+				out[e], out[c] = semiJoin(g, out[e], out[c])
 			}
 		}
 		var down func(e int)

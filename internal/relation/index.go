@@ -16,18 +16,21 @@ import (
 // build side of a semi-join is almost never the build side of a later
 // keyed operator on the same key.
 //
-// The one thing a relation keeps is Dedup's first-row list, stamped
-// with the content version it lists. The inputs of a run are
-// deduplicated as they are scattered (mpc.Group.ScatterDedup), and an
-// input that outlives runs is then listed once, however many runs
-// scatter it. The list is published through an atomic pointer, so runs
-// sharing an input stay race-free.
+// The one thing a relation keeps is Dedup's first-row list, dropped by
+// every mutator (Add, AddValues, Append, Sort, SortBy). The inputs of a
+// run are deduplicated as they are scattered (mpc.Group.ScatterDedup),
+// and an input that outlives runs is then listed once, however many
+// runs scatter it. The list is published through an atomic pointer, so
+// runs sharing an input stay race-free. Writes through Row views bypass
+// the mutators, so they are only permitted on relations that have never
+// been shared or listed.
 
-// firstList is a retained FirstRows result: the list and the version
-// stamp of the content it lists.
-type firstList struct {
-	ver  uint64
-	rows []int32
+// invalidate drops the retained FirstRows list. Mutators call it before
+// changing the arena.
+func (r *Relation) invalidate() {
+	if r.first.Load() != nil {
+		r.first.Store(nil)
+	}
 }
 
 // indexCachingOff is inverted so the zero value means "caching on".

@@ -1,70 +1,9 @@
 package relation
 
 import (
-	"sync"
+	"slices"
 	"testing"
 )
-
-func TestVersionStableUntilMutation(t *testing.T) {
-	r := New(NewSchema(0, 1))
-	r.AddValues(1, 2)
-	v1 := r.Version()
-	if v1 == 0 {
-		t.Fatal("version 0 is reserved for unstamped")
-	}
-	if v2 := r.Version(); v2 != v1 {
-		t.Fatalf("version changed without mutation: %d -> %d", v1, v2)
-	}
-	r.AddValues(3, 4)
-	if v3 := r.Version(); v3 == v1 {
-		t.Fatal("mutation did not change the version")
-	}
-}
-
-func TestVersionNeverReused(t *testing.T) {
-	// Same content before and after a mutation cycle must still get
-	// distinct stamps — identity is allocation order, not content hash.
-	r := New(NewSchema(0))
-	r.AddValues(7)
-	v1 := r.Version()
-	r.AddValues(8)
-	s := New(NewSchema(0))
-	s.AddValues(7)
-	if v2 := s.Version(); v2 == v1 {
-		t.Fatalf("stamp %d reused for a different relation", v1)
-	}
-}
-
-func TestVersionDistinctAcrossRelations(t *testing.T) {
-	a, b := New(NewSchema(0)), New(NewSchema(0))
-	a.AddValues(1)
-	b.AddValues(1)
-	if a.Version() == b.Version() {
-		t.Fatal("two relations share a version stamp")
-	}
-}
-
-func TestVersionConcurrentStamping(t *testing.T) {
-	r := New(NewSchema(0))
-	r.AddValues(1)
-	const n = 16
-	got := make([]uint64, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = r.Version()
-		}()
-	}
-	wg.Wait()
-	for i := 1; i < n; i++ {
-		if got[i] != got[0] {
-			t.Fatalf("concurrent stampers disagree: %d vs %d", got[i], got[0])
-		}
-	}
-}
 
 // sameList reports whether two FirstRows results are one retained list.
 func sameList(a, b []int32) bool {
@@ -90,10 +29,32 @@ func TestIndexReusedUntilInvalidated(t *testing.T) {
 	if !sameList(r.FirstRows(), first) {
 		t.Fatal("a keyed kernel replaced the retained list")
 	}
-	// Mutation invalidates: the next list is fresh.
-	r.AddValues(99, 99)
-	if again := r.FirstRows(); sameList(again, first) || len(again) != len(first)+1 {
-		t.Fatal("the FirstRows list survived a mutation")
+	// Every mutator drops the retained list; the next list is fresh and
+	// lists the mutated content.
+	other := New(NewSchema(0, 1))
+	other.AddValues(98, 98)
+	for _, m := range []struct {
+		name   string
+		mutate func()
+	}{
+		{"Add", func() { r.Add(Tuple{99, 99}) }},
+		{"AddValues", func() { r.AddValues(97, 97) }},
+		{"Append", func() { r.Append(other) }},
+		{"SortBy", func() { r.SortBy([]int{1}) }},
+		{"Sort", func() { r.Sort() }},
+	} {
+		before := r.FirstRows()
+		if !sameList(r.FirstRows(), before) {
+			t.Fatalf("%s: unchanged relation rebuilt its FirstRows list", m.name)
+		}
+		m.mutate()
+		if r.first.Load() != nil {
+			t.Fatalf("%s: the FirstRows list survived the mutation", m.name)
+		}
+		again := r.FirstRows()
+		if sameList(again, before) || !slices.Equal(again, r.firstRows()) {
+			t.Fatalf("%s: stale FirstRows list after the mutation", m.name)
+		}
 	}
 }
 

@@ -235,8 +235,8 @@ func (r *Relation) firstSmall(buf []int32) []int32 {
 
 // FirstRows returns the row index of the first occurrence of every
 // distinct row, ascending: row FirstRows()[k] is row k of Dedup(). Above
-// smallDedupCutoff rows the list is retained on the relation with its
-// version stamp (index.go) — callers must not modify it — so repeated
+// smallDedupCutoff rows the list is retained on the relation until it
+// is mutated (index.go) — callers must not modify it — so repeated
 // Dedup of an unchanged relation (shared inputs re-deduped per run)
 // reuses it.
 func (r *Relation) FirstRows() []int32 {
@@ -246,12 +246,11 @@ func (r *Relation) FirstRows() []int32 {
 	if indexCachingOff.Load() {
 		return r.firstRows()
 	}
-	ver := r.Version()
-	if l := r.first.Load(); l != nil && l.ver == ver {
-		return l.rows
+	if l := r.first.Load(); l != nil {
+		return *l
 	}
 	first := r.firstRows()
-	r.first.Store(&firstList{ver: ver, rows: first})
+	r.first.Store(&first)
 	return first
 }
 

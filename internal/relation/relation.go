@@ -153,16 +153,11 @@ type Relation struct {
 	data   []Value // row i at data[i*arity : (i+1)*arity]
 	rows   int     // row count (len(data)/arity, tracked for arity 0)
 
-	// ver is the lazily assigned content-version stamp: 0 means
-	// unstamped or dirty, any other value was drawn from the global
-	// version counter and identifies this exact arena content. Mutators
-	// reset it to 0; Version() stamps on demand. See version.go.
-	ver uint64
-	// first is the retained FirstRows list, valid while its stamp
-	// equals ver; no other index outlives the call that built it. See
-	// index.go. An atomic pointer so that runs sharing an immutable
-	// input list it race-free.
-	first atomic.Pointer[firstList]
+	// first is the retained FirstRows list of the current content:
+	// mutators drop it, and no other index outlives the call that built
+	// it. See index.go. An atomic pointer so that runs sharing an
+	// immutable input list it race-free.
+	first atomic.Pointer[[]int32]
 }
 
 // New returns an empty relation with the given schema.
@@ -234,9 +229,7 @@ func (r *Relation) Add(t Tuple) {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation: tuple arity %d != schema arity %d", len(t), r.arity))
 	}
-	if atomic.LoadUint64(&r.ver) != 0 {
-		r.invalidate()
-	}
+	r.invalidate()
 	r.data = append(r.data, t...)
 	r.rows++
 }
@@ -249,9 +242,7 @@ func (r *Relation) Append(o *Relation) {
 	if !r.schema.Equal(o.schema) {
 		panic("relation: Append schema mismatch")
 	}
-	if atomic.LoadUint64(&r.ver) != 0 {
-		r.invalidate()
-	}
+	r.invalidate()
 	r.data = append(r.data, o.data...)
 	r.rows += o.rows
 }
@@ -386,8 +377,8 @@ func (r *Relation) SortByPar(pos []int, f Forker) { r.sortByPositions(pos, true,
 
 // sortByPositions sorts via a row-index permutation (sortPerm) and one
 // pass applying it into a fresh arena. Already-sorted inputs skip the
-// permutation and arena copy entirely, leaving the arena and version
-// stamp untouched.
+// permutation and arena copy entirely, leaving the arena and the
+// retained FirstRows list untouched.
 func (r *Relation) sortByPositions(pos []int, stable bool, f Forker) {
 	if r.rows < 2 || r.arity == 0 || len(pos) == 0 {
 		return

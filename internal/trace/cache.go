@@ -1,40 +1,21 @@
 package trace
 
-import "fmt"
-
-// CacheStats reports exchange-plan cache outcomes for one cluster. It
-// lives in the trace package so observability layers (CLIs, benchmark
-// harnesses, the public coverpack API) can consume the counters
-// without importing internal/mpc.
+// CacheStats reports one cluster's HashPartition counts in the shape of
+// the retired exchange-plan cache's counters, which internal/bench still
+// reads. It lives in the trace package so observability layers can
+// consume it without importing internal/mpc.
 //
-// The counters are diagnostics, not accounting: they are deliberately
-// excluded from Stats, Report, and the span tree, so cached and
-// uncached runs stay byte-identical on every measured artifact. Under
-// concurrent Parallel branches the hit/miss split can vary run to run
-// (insertion races decide which branch records first); the sums are
-// stable.
+// The counters are diagnostics, not accounting: they are excluded from
+// Stats, Report, and the span tree.
 type CacheStats struct {
-	// Hits counts exchanges answered from a cached plan (memoized
-	// output or index-list replay).
+	// Hits is always 0: there is no exchange-plan cache.
 	Hits uint64 `json:"hits"`
-	// Misses counts exchanges that computed and recorded a fresh plan.
+	// Misses counts exchanges that hashed their input.
 	Misses uint64 `json:"misses"`
 	// PartitionHits counts exchanges elided entirely because the input
 	// was already partitioned on the requested key.
 	PartitionHits uint64 `json:"partition_hits"`
-	// InvalidatedReplays counts hits whose memoized output had been
-	// mutated (version mismatch) and was rebuilt from the plan's index
-	// lists.
-	InvalidatedReplays uint64 `json:"invalidated_replays"`
-	// Evictions counts whole-cache clears triggered by the retained-
-	// tuple bound.
-	Evictions uint64 `json:"evictions"`
 }
 
-// Lookups is the total number of cacheable exchanges observed.
+// Lookups is the total number of hash partitions observed.
 func (s CacheStats) Lookups() uint64 { return s.Hits + s.Misses + s.PartitionHits }
-
-func (s CacheStats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d partition-hits=%d invalidated=%d evictions=%d",
-		s.Hits, s.Misses, s.PartitionHits, s.InvalidatedReplays, s.Evictions)
-}

@@ -86,7 +86,6 @@ func TestMetricsExpositionCoversSubsystems(t *testing.T) {
 		"coverpack_mpc_rounds_total",
 		"coverpack_mpc_round_max_load",
 		"coverpack_mpc_phase_seconds",
-		"coverpack_plan_cache_events_total",
 		"coverpack_pool_ops_total",
 		"coverpack_sched_cells_total",
 		"coverpack_engine_forks_total",

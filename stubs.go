@@ -1,11 +1,13 @@
 package coverpack
 
-// Streaming and out-of-core execution are gone: every run executes the
-// same exact-size local operators on resident arenas and writes no
-// file. The names below, with ExecOptions' Streaming, Spilling, SpillDir
-// and SpillBudgetBytes fields, have no effect and stay only because
-// internal/bench reads them. ROADMAP item 1 deletes these with the
-// harness code that reads them.
+// Streaming, out-of-core execution and the exchange-plan cache are gone:
+// every run executes the same exact-size local operators on resident
+// arenas, writes no file and hashes every exchange whose input is not
+// already partitioned on its key. The names below, with ExecOptions'
+// NoPlanCache, Streaming, Spilling, SpillDir and SpillBudgetBytes
+// fields, have no effect and stay only because internal/bench reads
+// them. ROADMAP item 1 deletes these with the harness code that reads
+// them.
 
 // StreamCounters is the former streaming-layer snapshot. Both fields
 // always read zero.

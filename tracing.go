@@ -25,8 +25,11 @@ type TraceSpan = trace.Span
 // PhaseRow is one line of the per-phase load-attribution table.
 type PhaseRow = trace.PhaseRow
 
-// CacheStats reports the exchange-plan cache counters of one execution
-// (see ExecOptions.PlanStats). The counters are diagnostics only — they
+// CacheStats reports the HashPartition counts of one execution (see
+// ExecOptions.PlanStats): Misses counts the exchanges that hashed and
+// PartitionHits those that took the identity path because their input
+// was already partitioned on the key; Hits is always 0, since there is
+// no exchange-plan cache. The counters are diagnostics only — they
 // never influence Reports, Stats, or traces.
 type CacheStats = trace.CacheStats
 
