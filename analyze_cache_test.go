@@ -27,8 +27,8 @@ func TestAnalyzeMemoized(t *testing.T) {
 		t.Fatalf("after first analyze: hits=%d misses=%d, want 0/1", hits, misses)
 	}
 
-	// Repeats of the same *Query are pointer-L1 hits returning the
-	// shared entry itself.
+	// Repeats of the same *Query hit the shape entry's analysis slot
+	// and return the shared entry itself.
 	for i := 0; i < 3; i++ {
 		again, err := coverpack.Analyze(q)
 		if err != nil {
@@ -101,58 +101,55 @@ func TestAnalyzeMemoized(t *testing.T) {
 	}
 }
 
-// TestAnalyzeLegacyMemoWhenDisabled pins the kill-switch fallback: with
-// the compile cache off, Analyze still memoizes exact repeats through
-// the legacy fingerprint memo, but isomorphic renamings are separate
-// computations (the pre-cache behavior).
-func TestAnalyzeLegacyMemoWhenDisabled(t *testing.T) {
-	coverpack.SetPlanCompileCache(false)
-	defer coverpack.SetPlanCompileCache(true)
+// TestAnalyzeSeesQueryMutation: Query.AddEdge changes the hypergraph
+// in place, so an analysis or plan compiled before the edge was added
+// must not be served after it. Line R(A,B) S(B,C) is acyclic with
+// ρ* = 2; adding T(C,A) makes it the triangle, cyclic with ρ* = 3/2.
+func TestAnalyzeSeesQueryMutation(t *testing.T) {
+	coverpack.ResetPlanCompileCache()
 	defer coverpack.ResetPlanCompileCache()
-	coverpack.ResetAnalyzeCache()
-	defer coverpack.ResetAnalyzeCache()
-
-	q := hypergraph.Line3Join()
-	first, err := coverpack.Analyze(q)
+	tri := hypergraph.MustParse("mut-ref", "R(A,B) S(B,C) T(C,A)")
+	want, err := coverpack.Analyze(tri)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup := hypergraph.MustParse(q.Name(), q.String())
-	a, err := coverpack.Analyze(dup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != first {
-		t.Fatal("exact repeat missed the legacy memo")
-	}
-	if hits, misses := coverpack.AnalyzeCacheStats(); hits != 1 || misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", hits, misses)
-	}
-	iso := hypergraph.MustParse("line3-renamed", "S1(X,Y) S2(Y,Z) S3(Z,W)")
-	if _, err := coverpack.Analyze(iso); err != nil {
-		t.Fatal(err)
-	}
-	if _, misses := coverpack.AnalyzeCacheStats(); misses != 2 {
-		t.Fatalf("disabled cache shared across isomorphic queries (misses=%d, want 2)", misses)
-	}
-}
-
-// TestAnalyzeHitZeroAlloc pins the repeat-Analyze fast path at zero
-// allocations: a pointer-keyed L1 lookup returning the shared entry.
-func TestAnalyzeHitZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under the race detector")
-	}
-	q := hypergraph.Line3Join()
-	if _, err := coverpack.Analyze(q); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := coverpack.Analyze(q); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Analyze cache hit allocates %.1f times, want 0", allocs)
+	for _, tc := range []struct {
+		name    string
+		analyze func(*coverpack.Query) (*coverpack.Analysis, error)
+	}{
+		{"Analyze", coverpack.Analyze},
+		{"CompileQuery", func(q *coverpack.Query) (*coverpack.Analysis, error) {
+			cp, err := coverpack.CompileQuery(q)
+			if err != nil {
+				return nil, err
+			}
+			if cp.Acyclic != cp.Analysis.Acyclic || cp.Algorithm != coverpack.RecommendAlgorithm(cp.Analysis) {
+				t.Errorf("plan %+v disagrees with its own analysis", *cp)
+			}
+			if cp.Key != coverpack.CanonicalKey(q) {
+				t.Errorf("plan key %q, want %q", cp.Key, coverpack.CanonicalKey(q))
+			}
+			return cp.Analysis, nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := hypergraph.MustParse("mut-"+tc.name, "R(A,B) S(B,C)")
+			before, err := tc.analyze(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !before.Acyclic || before.Rho.Cmp(big.NewRat(2, 1)) != 0 {
+				t.Fatalf("line: acyclic=%v ρ*=%v, want acyclic with ρ* = 2", before.Acyclic, before.Rho)
+			}
+			q.AddEdge("T", "C", "A")
+			after, err := tc.analyze(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Acyclic || after.Rho.Cmp(want.Rho) != 0 || after.Psi.Cmp(want.Psi) != 0 {
+				t.Fatalf("after AddEdge: acyclic=%v ρ*=%v ψ*=%v, want the triangle's acyclic=false ρ*=%v ψ*=%v",
+					after.Acyclic, after.Rho, after.Psi, want.Rho, want.Psi)
+			}
+		})
 	}
 }

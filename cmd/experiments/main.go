@@ -30,7 +30,6 @@ func main() {
 	workers := flag.Int("workers", 0, "goroutine workers INSIDE one simulated run (0 = GOMAXPROCS, 1 = sequential); independent of -parallel — the two multiply; tables are identical for every setting")
 	parallel := flag.Int("parallel", 1, "run-level sweep workers: how many experiment cells (independent simulator runs) execute concurrently (0 = GOMAXPROCS); tables are identical for every setting")
 	memBudget := flag.Int64("membudget", 0, "admission budget in total tuples resident across in-flight cells (0 = default, negative = unlimited)")
-	planCache := flag.Bool("plan-cache", true, "reuse compiled plans (canonical shape cache + LP memo) across sweep cells; tables are byte-identical either way")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /metrics.json and /debug/pprof on this address (e.g. 127.0.0.1:9190; \":0\" picks a free port)")
@@ -58,13 +57,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: warning: -workers(%d) × -parallel(%d) = %d goroutines exceeds %d CPUs; oversubscription adds scheduling overhead without extra speedup\n",
 			nw, np, product, runtime.NumCPU())
 	}
-	cfg := experiments.Config{Small: *small, Workers: nw, RunWorkers: np, MemBudget: *memBudget,
-		NoPlanCompile: !*planCache}
-	if !*planCache {
-		// Disable process-wide too, so concurrent sweep cells never race
-		// the per-run forced switch.
-		coverpack.SetPlanCompileCache(false)
-	}
+	cfg := experiments.Config{Small: *small, Workers: nw, RunWorkers: np, MemBudget: *memBudget}
 
 	if *debugAddr != "" {
 		srv, err := coverpack.StartDebugServer(*debugAddr)
@@ -135,14 +128,10 @@ func main() {
 	fmt.Printf("wall-clock %s (run-workers=%d × intra-run workers=%d of %d CPUs)\n", elapsed.Round(time.Millisecond), np, nw, runtime.NumCPU())
 
 	// Compile-cache reuse is diagnostics, never a table artifact: print
-	// it to stderr so stdout stays byte-identical with the cache on or
-	// off.
-	if *planCache {
-		pc := coverpack.PlanCompileCacheStats()
-		lm := coverpack.LPMemoCacheStats()
-		fmt.Fprintf(os.Stderr, "experiments: plan-cache shapes=%d hits=%d misses=%d iso=%d equiv-hits=%d lp-hits=%d simplex-runs=%d\n",
-			pc.Entries, pc.Hits, pc.Misses, pc.IsoHits, pc.EquivHits, lm.Hits, lm.SimplexRuns)
-	}
+	// it to stderr so stdout holds only the tables.
+	pc := coverpack.PlanCompileCacheStats()
+	fmt.Fprintf(os.Stderr, "experiments: plan-cache shapes=%d hits=%d misses=%d iso=%d equiv-hits=%d\n",
+		pc.Entries, pc.Hits, pc.Misses, pc.IsoHits, pc.EquivHits)
 
 	if *traceFile != "" {
 		if err := captureTrace(sub, cfg, *traceFile, *traceFormat); err != nil {

@@ -34,16 +34,11 @@ func main() {
 		traceFmt  = flag.String("trace-format", "chrome", "trace rendering: jsonl, chrome, or heatmap")
 		workers   = flag.Int("workers", 0, "goroutine workers INSIDE the simulated run (0 = GOMAXPROCS, 1 = sequential); results are identical for every setting")
 		parallel  = flag.Int("parallel", 1, "repeat the run this many times concurrently through the run-level scheduler and require identical reports (determinism stress mode)")
-		planCache = flag.Bool("plan-cache", true, "reuse compiled plans (canonical shape cache + LP memo) across runs; results are byte-identical either way")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /metrics.json and /debug/pprof on this address (e.g. 127.0.0.1:9190; \":0\" picks a free port)")
 	)
 	flag.Parse()
-
-	if !*planCache {
-		coverpack.SetPlanCompileCache(false)
-	}
 
 	if *debugAddr != "" {
 		srv, err := coverpack.StartDebugServer(*debugAddr)
@@ -171,12 +166,8 @@ func main() {
 	fmt.Printf("emitted     %d join results\n", rep.Emitted)
 	fmt.Printf("cost        %s\n", rep.Stats)
 	fmt.Printf("wall-clock  %s  (workers=%d of %d CPUs)\n", elapsed.Round(time.Microsecond), nw, runtime.NumCPU())
-	if *planCache {
-		pc := coverpack.PlanCompileCacheStats()
-		lm := coverpack.LPMemoCacheStats()
-		fmt.Printf("plan-cache  shapes=%d hits=%d misses=%d iso=%d lp-hits=%d simplex-runs=%d\n",
-			pc.Entries, pc.Hits, pc.Misses, pc.IsoHits, lm.Hits, lm.SimplexRuns)
-	}
+	pc := coverpack.PlanCompileCacheStats()
+	fmt.Printf("plan-cache  shapes=%d hits=%d misses=%d iso=%d\n", pc.Entries, pc.Hits, pc.Misses, pc.IsoHits)
 }
 
 // runRepeated executes the same join reps times concurrently through

@@ -27,7 +27,6 @@ package coverpack
 import (
 	"fmt"
 	"math/big"
-	"sync"
 	"sync/atomic"
 
 	"coverpack/internal/core"
@@ -86,36 +85,15 @@ type Analysis struct {
 	LowerBoundExponent float64
 }
 
-// Analysis memoization: ρ*/τ*/ψ* are LP solves over exact rationals, so
-// re-analyzing the same hypergraph (every Table 1 row, every sweep cell)
-// repeats identical simplex runs. Three layers, fastest first:
-//
-//   - An L1 keyed by the *Query pointer itself. Storing a pointer in an
-//     interface key never allocates, so a repeat Analyze of the same
-//     Query value is a zero-allocation lookup returning the shared
-//     entry (analyze_cache_test pins this).
-//   - The process-wide compiled-plan shape cache (internal/plan),
-//     keyed on the hypergraph's canonical form: isomorphic queries —
-//     renamed catalog entries, per-run residual subqueries — share one
-//     Analysis, since every field is invariant under relabeling.
-//   - A legacy fingerprint memo (name + textual form) that keeps exact
-//     repeats cheap when the compile cache is disabled.
-//
-// All layers store the same shared *Analysis, which is why Analyze's
-// result is immutable: mutate a Clone, never the returned value.
-// Counters are diagnostics only.
-var (
-	analyzeByQuery sync.Map // *Query -> *Analysis (shared)
-	analyzeL1Count atomic.Int64
-	analyzeLegacy  sync.Map // fingerprint string -> *Analysis (shared)
-	analyzeLegacyN atomic.Int64
-	analyzeHits    atomic.Uint64
-	analyzeMisses  atomic.Uint64
-)
-
-// maxAnalyzeEntries bounds each Analyze memo layer; on overflow the
-// layer is cleared wholesale (the same discipline as mpc's plan cache).
-const maxAnalyzeEntries = 8192
+// Analysis memoization: ρ*/τ*/ψ* are LP solves over exact rationals
+// and every field depends only on the query's hypergraph, so the
+// analysis is one invariant slot of the query's shape entry in the
+// compiled-plan cache (internal/plan). Isomorphic queries — renamed
+// catalog entries, per-run residual subqueries — share one Analysis,
+// which is why Analyze's result is immutable: mutate a Clone, never the
+// returned value. Queries too large to canonicalize are analyzed
+// directly on every call. Counters are diagnostics only.
+var analyzeHits, analyzeMisses atomic.Uint64
 
 // Clone returns a deep copy of the analysis that the caller may mutate
 // freely. The *Analysis returned by Analyze is shared across callers
@@ -128,29 +106,18 @@ func (a *Analysis) Clone() *Analysis {
 	return &b
 }
 
-// AnalyzeCacheStats reports the Analyze memoization counters.
+// AnalyzeCacheStats reports the hits and misses of the shape entries'
+// analysis slot.
 func AnalyzeCacheStats() (hits, misses uint64) {
 	return analyzeHits.Load(), analyzeMisses.Load()
 }
 
-// ResetAnalyzeCache drops every memoized analysis and zeroes the
-// counters (test seam). It clears only Analyze's own layers; shape
-// entries in the compiled-plan cache survive (use
-// ResetPlanCompileCache to drop those too).
+// ResetAnalyzeCache zeroes the analysis-slot counters (test seam). The
+// analyses themselves live in the shape entries; ResetPlanCompileCache
+// drops those.
 func ResetAnalyzeCache() {
-	clearSyncMap(&analyzeByQuery)
-	clearSyncMap(&analyzeLegacy)
-	analyzeL1Count.Store(0)
-	analyzeLegacyN.Store(0)
 	analyzeHits.Store(0)
 	analyzeMisses.Store(0)
-}
-
-func clearSyncMap(m *sync.Map) {
-	m.Range(func(k, _ any) bool {
-		m.Delete(k)
-		return true
-	})
 }
 
 // Analyze computes the query's classification and fractional numbers.
@@ -158,41 +125,16 @@ func clearSyncMap(m *sync.Map) {
 // queries (see AnalyzeCacheStats, PlanCompileCacheStats); the returned
 // Analysis is shared and immutable — use Clone before mutating.
 func Analyze(q *Query) (*Analysis, error) {
-	if v, ok := analyzeByQuery.Load(q); ok {
-		analyzeHits.Add(1)
-		return v.(*Analysis), nil
+	if h, ok := plan.For(q); ok {
+		return analyzeSlot(h, q)
 	}
-	a, err := analyzeShared(q)
-	if err != nil {
-		return nil, err
-	}
-	if analyzeL1Count.Add(1) > maxAnalyzeEntries {
-		clearSyncMap(&analyzeByQuery)
-		analyzeL1Count.Store(1)
-	}
-	analyzeByQuery.Store(q, a)
-	return a, nil
+	return analyze(q)
 }
 
-// analyzeShared resolves the shared Analysis for q through the shape
-// cache (isomorphic sharing) or, when that is disabled or the query is
-// too large to canonicalize, the legacy fingerprint memo.
-func analyzeShared(q *Query) (*Analysis, error) {
-	if h, ok := plan.For(q); ok {
-		if v, hit := h.Invariant("analysis"); hit {
-			analyzeHits.Add(1)
-			return v.(*Analysis), nil
-		}
-		a, err := analyze(q)
-		if err != nil {
-			return nil, err
-		}
-		analyzeMisses.Add(1)
-		h.SetInvariant("analysis", a)
-		return a, nil
-	}
-	fp := q.Name() + "|" + q.String()
-	if v, ok := analyzeLegacy.Load(fp); ok {
+// analyzeSlot reads q's analysis from its shape entry, computing and
+// storing it on a miss.
+func analyzeSlot(h plan.Handle, q *Query) (*Analysis, error) {
+	if v, hit := h.Invariant("analysis"); hit {
 		analyzeHits.Add(1)
 		return v.(*Analysis), nil
 	}
@@ -201,11 +143,7 @@ func analyzeShared(q *Query) (*Analysis, error) {
 		return nil, err
 	}
 	analyzeMisses.Add(1)
-	if analyzeLegacyN.Add(1) > maxAnalyzeEntries {
-		clearSyncMap(&analyzeLegacy)
-		analyzeLegacyN.Store(1)
-	}
-	analyzeLegacy.Store(fp, a)
+	h.SetInvariant("analysis", a)
 	return a, nil
 }
 
@@ -375,13 +313,12 @@ type Report struct {
 // ExecOptions configures an execution beyond the algorithm and server
 // budget. It is the run's only configuration for parallel kernels:
 // that setting travels on the run's cluster, so executions with
-// different ExecOptions are safe side by side.
-// PlanCompile is the one exception (see its comment). The remaining
-// process-wide switches — SetPooling, SetPlanCompileCache,
+// different ExecOptions are safe side by side, and no field writes
+// process state. The process-wide switches — SetPooling,
 // SetMetricsEnabled and internal/relation's index caching — are not
 // run configuration: they turn process-wide stores (sync.Pools,
-// retained first-row lists, the shape cache and LP memo, the metrics
-// registry) on or off for every run at once.
+// retained first-row lists, the metrics registry) on or off for every
+// run at once.
 type ExecOptions struct {
 	// Workers sets the goroutine worker-pool size of the simulator's
 	// parallel engine: 0 or 1 runs sequentially, n > 1 uses n workers,
@@ -395,16 +332,18 @@ type ExecOptions struct {
 	// PlanStats, when non-nil, receives the run's HashPartition counts
 	// after the run (see CacheStats).
 	PlanStats *CacheStats
-	// NoPlanCache, Streaming, Spilling, SpillDir and SpillBudgetBytes
-	// have no effect: there is no exchange-plan cache, and every run
-	// executes resident, with the same exact-size operators, and writes
-	// no file. They stay because internal/bench names them; ROADMAP
-	// item 1 deletes them with that harness code.
+	// NoPlanCache, Streaming, Spilling, SpillDir, SpillBudgetBytes and
+	// PlanCompile have no effect: there is no exchange-plan cache, every
+	// run executes resident, with the same exact-size operators, and
+	// writes no file, and every run compiles through the always-on shape
+	// cache. They stay because internal/bench names them; ROADMAP item 1
+	// deletes them with that harness code.
 	NoPlanCache      bool
 	Streaming        StreamMode
 	Spilling         SpillMode
 	SpillDir         string
 	SpillBudgetBytes int64
+	PlanCompile      PlanCompileMode
 	// ParKernels selects morsel-parallel local operators for the run:
 	// ParKernelDefault (the zero value) lets kernels fan out over the
 	// run's workers (they need Workers > 1 to engage), ParKernelOff
@@ -412,18 +351,6 @@ type ExecOptions struct {
 	// both modes and at every worker count; only wall-clock behavior
 	// differs.
 	ParKernels ParKernelMode
-	// PlanCompile selects the compiled-plan shape cache for the run:
-	// PlanCompileDefault (the zero value) follows the process-wide
-	// switch (on by default), PlanCompileOn/PlanCompileOff force it.
-	// This is the only field that writes process state: the shape
-	// cache is read below the algorithm layers where no run handle
-	// exists, so a forced setting flips SetPlanCompileCache for the
-	// duration of the run and restores it afterwards, and concurrent
-	// executions forcing different modes must be serialized by the
-	// caller. Results are byte-identical in every mode — the cache
-	// reuses compilation artifacts whose remapped form equals direct
-	// computation (see internal/plan); only wall-clock time differs.
-	PlanCompile PlanCompileMode
 }
 
 // Execute runs one algorithm on a fresh p-server cluster and returns
@@ -442,11 +369,6 @@ func ExecuteTraced(alg Algorithm, in *Instance, p int, rec TraceRecorder) (*Repo
 func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, error) {
 	if err := checkServers(p); err != nil {
 		return nil, err
-	}
-	if eo.PlanCompile != PlanCompileDefault {
-		prev := PlanCompileEnabled()
-		SetPlanCompileCache(eo.PlanCompile == PlanCompileOn)
-		defer SetPlanCompileCache(prev)
 	}
 	var opts []mpc.Option
 	if eo.Recorder != nil {

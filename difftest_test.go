@@ -27,8 +27,8 @@ import (
 // side by side under t.Parallel() — which is itself part of what the
 // oracle pins.
 // The pool-off and index-cache-off rows turn process-wide stores off
-// and therefore run one at a time, before the parallel group (as do
-// the plan-compile and metrics oracles in their own files).
+// and therefore run one at a time, before the parallel group (as does
+// the metrics oracle in its own file).
 //
 // Every parallel row also runs untraced (trace-off): with no recorder
 // the engine skips span bookkeeping and per-branch trace buffers, which

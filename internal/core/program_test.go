@@ -378,9 +378,6 @@ func TestProgramMatchesDirectPlanning(t *testing.T) {
 // how many heavy values or light groups the data has. Not parallel: the
 // counters are process-wide.
 func TestPlanningIndependentOfData(t *testing.T) {
-	if !plan.Enabled() {
-		t.Skip("shape cache disabled")
-	}
 	lookups := func(n int) uint64 {
 		in := workload.Figure4Hard(n)
 		c := mpc.NewCluster(64)

@@ -56,11 +56,6 @@ type Config struct {
 	// big AGM instances count more — of concurrently admitted cells.
 	// 0 selects DefaultMemBudget; negative disables the gate.
 	MemBudget int64
-	// NoPlanCompile forces the compiled-plan shape cache off for every
-	// execution of the config (the differential-testing lever: every
-	// table is byte-identical with the cache on or off; only wall-clock
-	// time differs).
-	NoPlanCompile bool
 }
 
 // DefaultMemBudget is the admission-gate default: the summed input
@@ -78,11 +73,7 @@ func (c Config) pick(small, big int) int {
 
 // eo is the ExecOptions shared by every execution of the config.
 func (c Config) eo() coverpack.ExecOptions {
-	e := coverpack.ExecOptions{Workers: c.Workers}
-	if c.NoPlanCompile {
-		e.PlanCompile = coverpack.PlanCompileOff
-	}
-	return e
+	return coverpack.ExecOptions{Workers: c.Workers}
 }
 
 // schedOpts maps the config onto scheduler options.

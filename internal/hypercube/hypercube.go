@@ -61,36 +61,35 @@ func ShareExponents(q *hypergraph.Query, caps map[int]*big.Rat) (map[int]*big.Ra
 	for i, a := range attrs {
 		pos[a] = i
 	}
-	// Variables: s_0..s_{n-1}, then t.
-	p := lp.NewProblem(n+1, true)
-	p.SetObjective(n, lp.Int(1))
-	for e := 0; e < q.NumEdges(); e++ {
-		row := make([]*big.Rat, n+1)
-		for i := range row {
-			row[i] = lp.Int(0)
-		}
-		for _, a := range q.EdgeVars(e).Attrs() {
-			row[pos[a]] = lp.Int(1)
-		}
-		row[n] = lp.Int(-1)
-		p.AddConstraint(row, lp.GE, lp.Int(0))
-	}
-	sum := make([]*big.Rat, n+1)
-	for i := range sum {
-		sum[i] = lp.Int(1)
-	}
-	sum[n] = lp.Int(0)
-	p.AddConstraint(sum, lp.LE, lp.Int(1))
-	for a, cap := range caps {
+	for a := range caps {
 		if _, ok := pos[a]; !ok {
 			return nil, fmt.Errorf("hypercube: cap on unknown attribute %d", a)
 		}
-		row := make([]*big.Rat, n+1)
-		for i := range row {
-			row[i] = lp.Int(0)
+	}
+	// Variables: s_0..s_{n-1}, then t. Every row is built in one reused
+	// coefficient slice; cap rows follow in attribute order.
+	p := lp.NewProblem(n+1, true)
+	p.SetObjective(n, lp.Int(1))
+	row := make([]int64, n+1)
+	for e := 0; e < q.NumEdges(); e++ {
+		clear(row)
+		for _, a := range q.EdgeVars(e).Attrs() {
+			row[pos[a]] = 1
 		}
-		row[pos[a]] = lp.Int(1)
-		p.AddConstraint(row, lp.LE, cap)
+		row[n] = -1
+		p.AddDense(row, lp.GE, 0)
+	}
+	for i := range row {
+		row[i] = 1
+	}
+	row[n] = 0
+	p.AddDense(row, lp.LE, 1)
+	for i, a := range attrs {
+		if cap, ok := caps[a]; ok {
+			clear(row)
+			row[i] = 1
+			p.AddDenseRat(row, lp.LE, cap)
+		}
 	}
 	sol, err := lp.Solve(p)
 	if err != nil {

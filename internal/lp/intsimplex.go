@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // IntProblem is a linear program whose coefficients are machine
@@ -43,17 +44,50 @@ func (p *IntProblem) validate() error {
 	return nil
 }
 
+// simplexRuns counts simplex executions (see MemoStats.SimplexRuns).
+var simplexRuns atomic.Uint64
+
+// Solve solves the problem exactly and returns the solution. It never
+// mutates the problem, and identical problems yield identical
+// solutions (the simplex is deterministic).
+//
+// Which tableau runs is decided by the problem alone: one whose
+// entries, scaled to integers, fit in int64 is solved by the integer
+// tableau, and handed to the rational one only if a pivot overflows.
+// Both walk the same bases, so the choice is invisible in the result.
+func Solve(p *Problem) (*Solution, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
+	simplexRuns.Add(1)
+	w := workspaces.Get().(*workspace)
+	defer workspaces.Put(w)
+	return w.solve(p, w.integerize(p))
+}
+
+// solve runs the integer tableau on w.ip, the image of p, when there
+// is one, and the rational tableau otherwise or on overflow.
+func (w *workspace) solve(p *Problem, integral bool) (*Solution, error) {
+	if integral {
+		if st, ok := w.tab.solve(&w.ip); ok {
+			if st != Optimal {
+				return &Solution{Status: st}, nil
+			}
+			if sol, ok := w.tab.solution(&w.ip); ok {
+				return sol, nil
+			}
+		}
+	}
+	return solve(p)
+}
+
 // Value solves p and stores the optimum in v when the returned status
-// is Optimal. The solve is counted in MemoStats.SimplexRuns but never
-// memoized: the caller enumerates its own problems and is the one that
-// knows which of them repeat.
+// is Optimal. The solve is counted in MemoStats.SimplexRuns.
 func (p *IntProblem) Value(v *big.Rat) (Status, error) {
 	if err := p.validate(); err != nil {
 		return 0, err
 	}
-	memoMu.Lock()
-	simplexRuns++
-	memoMu.Unlock()
+	simplexRuns.Add(1)
 
 	w := workspaces.Get().(*workspace)
 	defer workspaces.Put(w)
@@ -94,14 +128,13 @@ func (p *IntProblem) problem() *Problem {
 }
 
 // workspace is the scratch of one Solve or Value call: the integer
-// tableau, the integer image of a Problem, and the memo-key buffer.
+// tableau and the integer image of a Problem.
 // Workspaces are pooled, so a steady-state solve allocates only what
 // it returns; nothing in a returned Solution points into one.
 type workspace struct {
 	tab    intTableau
 	ip     IntProblem
 	rowDen []int64
-	key    []byte
 }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}

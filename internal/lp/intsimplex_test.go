@@ -291,9 +291,8 @@ func TestIntProblemValue(t *testing.T) {
 	}
 	ratEq(t, v, 3, 2, "triangle packing")
 	after := Memo()
-	if after.SimplexRuns != before.SimplexRuns+1 || after.Entries != before.Entries ||
-		after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Fatalf("Value must count one simplex run and leave the memo alone: %+v -> %+v", before, after)
+	if after.SimplexRuns != before.SimplexRuns+1 {
+		t.Fatalf("Value must count one simplex run: %d -> %d", before.SimplexRuns, after.SimplexRuns)
 	}
 
 	p.Sense[0], p.RHS[0] = GE, 5 // x0 + x2 ≥ 5 against x0 + x1 ≤ 1, x1 + x2 ≤ 1
@@ -330,41 +329,6 @@ func TestIntProblemValue(t *testing.T) {
 	if _, err := (&IntProblem{NumVars: 1, Objective: []int64{1}, Sense: []Sense{LE}, RHS: []int64{1}}).Value(v); err == nil {
 		t.Fatal("expected error for missing coefficients")
 	}
-}
-
-// TestMemoKeysInjective: the integer and rational keys never collide,
-// and the integer key tells apart problems that differ only in shape
-// or denominators.
-func TestMemoKeysInjective(t *testing.T) {
-	keys := map[string]string{}
-	add := func(name string, p *Problem) {
-		t.Helper()
-		w := new(workspace)
-		var k string
-		if w.integerize(p) {
-			k = string(intKey(nil, &w.ip))
-		} else {
-			k = string(ratKey(nil, p))
-		}
-		if prev, dup := keys[k]; dup {
-			t.Fatalf("%s and %s share a memo key", prev, name)
-		}
-		keys[k] = name
-	}
-	mk := func(n int, maximize bool, rows ...[]*big.Rat) *Problem {
-		p := NewProblem(n, maximize)
-		for _, r := range rows {
-			p.AddConstraint(r[:n], LE, r[n])
-		}
-		return p
-	}
-	add("1 var, rows (1|1) (1|1)", mk(1, true, []*big.Rat{Int(1), Int(1)}, []*big.Rat{Int(1), Int(1)}))
-	add("2 vars, row (1 1|1)", mk(2, true, []*big.Rat{Int(1), Int(1), Int(1)}))
-	add("same, minimized", mk(2, false, []*big.Rat{Int(1), Int(1), Int(1)}))
-	add("halves", mk(2, true, []*big.Rat{Rat(1, 2), Rat(1, 2), Rat(1, 2)}))
-	add("quarters", mk(2, true, []*big.Rat{Rat(1, 4), Rat(1, 4), Rat(1, 4)}))
-	huge := new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 70))
-	add("no image", mk(1, true, []*big.Rat{huge, huge}))
 }
 
 // catalogLPs returns the edge cover (min, GE) and edge packing (max,
@@ -421,7 +385,7 @@ func TestSolveConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(memo bool) {
+		go func() {
 			defer wg.Done()
 			for round := 0; round < 5; round++ {
 				for name, p := range lps {
@@ -439,35 +403,37 @@ func TestSolveConcurrent(t *testing.T) {
 						}
 					}
 				}
-				if memo {
-					ResetMemo() // forces the other goroutines back onto the tableau
-				}
 			}
-		}(g == 0)
+		}()
 	}
 	wg.Wait()
 }
 
 // TestIntPathAllocatesOnlyItsSolution: on the integer path, figure4's
 // 11×8 packing LP allocates no more than a copy of the Solution it
-// returns — the tableau, the integer image and the key live in a
-// pooled workspace.
+// returns — the tableau and the integer image live in a pooled
+// workspace.
 func TestIntPathAllocatesOnlyItsSolution(t *testing.T) {
 	p := catalogLPs()["figure4/packing"]
 	if p == nil || p.NumVars != 8 || len(p.Constraints) != 11 {
 		t.Fatalf("figure4 packing LP is not 11×8: %+v", p)
 	}
-	SetMemo(false)
-	defer SetMemo(true)
 	sol := mustSolve(t, p) // also warms the workspace pool
 	solveAllocs := testing.AllocsPerRun(50, func() {
 		if _, err := Solve(p); err != nil {
 			t.Fatal(err)
 		}
 	})
-	cloneAllocs := testing.AllocsPerRun(50, func() { _ = sol.clone() })
+	cloneAllocs := testing.AllocsPerRun(50, func() { _ = copySolution(sol) })
 	if solveAllocs > cloneAllocs {
 		t.Fatalf("Solve allocates %.0f objects, a copy of its Solution %.0f", solveAllocs, cloneAllocs)
 	}
 	t.Logf("Solve %.0f allocs, Solution copy %.0f", solveAllocs, cloneAllocs)
+}
+
+// copySolution deep-copies an optimal solution: the objects a caller
+// holding its own copy of sol would own.
+func copySolution(sol *Solution) *Solution {
+	return &Solution{Status: sol.Status, Value: new(big.Rat).Set(sol.Value),
+		X: cloneRats(sol.X), Dual: cloneRats(sol.Dual)}
 }

@@ -60,7 +60,7 @@ func (p *Problem) validate() error {
 
 // solve runs the two-phase simplex over exact rationals: the reference
 // the integer tableau is tested against, and its fallback (see Solve in
-// memo.go for the memoized public entry point). It never mutates the
+// intsimplex.go for the public entry point). It never mutates the
 // problem and is deterministic: Bland's rule breaks all ties by lowest
 // column index, so identical inputs yield identical bases.
 func solve(p *Problem) (*Solution, error) {

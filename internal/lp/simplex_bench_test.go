@@ -43,9 +43,9 @@ func checkCycleCover(tb testing.TB, sol *Solution, k int) {
 	}
 }
 
-// benchTableaus runs one problem through each tableau, outside the
-// memo: "int" is what Solve runs (integer image, integer tableau,
-// Solution), "rat" the rational reference.
+// benchTableaus runs one problem through each tableau: "int" is what
+// Solve runs (integer image, integer tableau, Solution), "rat" the
+// rational reference.
 func benchTableaus(b *testing.B, p *Problem, check func(*Solution)) {
 	b.Run("int", func(b *testing.B) {
 		w := new(workspace)

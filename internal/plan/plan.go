@@ -3,14 +3,16 @@
 // hypergraph (internal/hypergraph.Canon), so isomorphic queries —
 // renamed catalog queries, per-run residual subqueries, repeated
 // requests to a join service — share one compilation instead of
-// re-running classification, LP solves, and join-tree search.
+// re-running classification, LP solves, and join-tree search. It is
+// the only compile memo, and it is always on: a query too large to
+// canonicalize (over CanonMaxAttrs or CanonMaxEdges) is declined by
+// For and compiled directly, uncached.
 //
 // Artifacts divide into two invariance classes:
 //
 //   - Shape-invariant values (ρ*, τ*, ψ*, class flags, algorithm
-//     picks, observed exchange-plan entry counts) are identical for
-//     every member of the isomorphism class and are shared freely
-//     through the Invariant slots.
+//     picks) are identical for every member of the isomorphism class
+//     and are shared freely through the Invariant slots.
 //   - Labeling-equivariant artifacts (join-tree parent arrays,
 //     integral cover edge sets) are stored in canonical coordinates
 //     and sub-keyed by the querying form's permutation signature, then
@@ -18,13 +20,14 @@
 //     means a hit is only served to queries whose edge structure is
 //     identical to the seed's (they differ at most in names), so the
 //     remapped artifact is byte-for-byte what direct computation
-//     produces — cache on/off can never change a report, a trace, or
-//     a table. Queries embedded differently (e.g. a rotated cycle)
-//     seed their own sub-slot while still sharing every invariant.
+//     produces — the cache can never change a report, a trace, or a
+//     table. Queries embedded differently (e.g. a rotated cycle) seed
+//     their own sub-slot while still sharing every invariant.
 //
-// The cache is a pure wall-clock lever with a kill switch
-// (SetEnabled, re-exported as coverpack.SetPlanCompileCache); the
-// difftest oracle pins byte-identity of cache-on vs cache-off runs.
+// Entries are found by the query's fingerprint (name and textual
+// form), so a query mutated after a lookup resolves afresh; there is
+// no index keyed on the *Query pointer. The tests compare every slot
+// the engine reads with the direct function it memoizes.
 package plan
 
 import (
@@ -36,8 +39,8 @@ import (
 
 // maxEntries bounds the number of retained shapes; inserting past it
 // evicts the least recently used entry. maxFingerprints bounds the
-// fingerprint -> entry fast path (cleared wholesale on overflow, the
-// same discipline as mpc's plan cache). Variables only so the tests
+// fingerprint -> entry fast path (cleared wholesale on overflow).
+// Variables only so the tests
 // can shrink them; never reassigned outside tests.
 var (
 	maxEntries      = 512
@@ -75,32 +78,15 @@ type fpRef struct {
 }
 
 var (
-	mu      sync.Mutex
-	enabled = true
-	byKey   = make(map[string]*entry)
-	lru     = list.New() // front = most recent; values are *entry
-	byFP    = make(map[string]fpRef)
+	mu    sync.Mutex
+	byKey = make(map[string]*entry)
+	lru   = list.New() // front = most recent; values are *entry
+	byFP  = make(map[string]fpRef)
 
 	hits, misses, isoHits  uint64
 	equivHits, equivMisses uint64
 	evictions              uint64
 )
-
-// SetEnabled toggles the compile cache process-wide. Disabling does
-// not drop existing entries (use Reset); lookups simply bypass them —
-// the pre-cache compilation path.
-func SetEnabled(on bool) {
-	mu.Lock()
-	enabled = on
-	mu.Unlock()
-}
-
-// Enabled reports whether the compile cache is active.
-func Enabled() bool {
-	mu.Lock()
-	defer mu.Unlock()
-	return enabled
-}
 
 // Reset drops every entry and zeroes the counters (test seam).
 func Reset() {
@@ -136,14 +122,10 @@ type Handle struct {
 }
 
 // For resolves the shape entry for q, creating it if absent. ok is
-// false when the cache is disabled or the query exceeds the canonical
-// search bounds; callers then compute directly.
+// false when the query exceeds the canonical search bounds; callers
+// then compute directly.
 func For(q *hypergraph.Query) (h Handle, ok bool) {
 	mu.Lock()
-	if !enabled {
-		mu.Unlock()
-		return Handle{}, false
-	}
 	fp := q.Name() + "|" + q.String()
 	if ref, hit := byFP[fp]; hit && !ref.e.dead {
 		lru.MoveToFront(ref.e.elem)
@@ -161,9 +143,6 @@ func For(q *hypergraph.Query) (h Handle, ok bool) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if !enabled {
-		return Handle{}, false
-	}
 	e := byKey[cf.Key]
 	if e == nil {
 		e = &entry{

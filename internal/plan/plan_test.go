@@ -11,11 +11,7 @@ import (
 func reset(t *testing.T) {
 	t.Helper()
 	Reset()
-	SetEnabled(true)
-	t.Cleanup(func() {
-		Reset()
-		SetEnabled(true)
-	})
+	t.Cleanup(Reset)
 }
 
 func TestForCreatesAndReusesEntries(t *testing.T) {
@@ -213,28 +209,6 @@ func TestLRUEviction(t *testing.T) {
 	// The newest shapes are still live.
 	if _, ok := handles[3].Invariant("k"); !ok {
 		t.Fatal("most recent entry was evicted")
-	}
-}
-
-func TestKillSwitch(t *testing.T) {
-	reset(t)
-	q := hypergraph.Line3Join()
-	if _, ok := For(q); !ok {
-		t.Fatal("For declined while enabled")
-	}
-	SetEnabled(false)
-	if _, ok := For(q); ok {
-		t.Fatal("For served while disabled")
-	}
-	// GYO falls back to the direct computation.
-	want, wantOK := hypergraph.GYO(q)
-	got, ok := GYO(q)
-	if ok != wantOK || !reflect.DeepEqual(got, want) {
-		t.Fatal("disabled GYO diverged from direct computation")
-	}
-	SetEnabled(true)
-	if _, ok := For(q); !ok {
-		t.Fatal("For declined after re-enabling")
 	}
 }
 

@@ -2,75 +2,31 @@ package coverpack
 
 import (
 	"coverpack/internal/hypergraph"
-	"coverpack/internal/lp"
 	"coverpack/internal/plan"
 )
 
 // This file re-exports the query-compilation shape cache: the
 // process-wide LRU of compiled-plan artifacts keyed on the canonical
 // form of a query's hypergraph (internal/plan, internal/hypergraph's
-// Canon), plus the LP solve memo that rides under it. Compilation
-// caching is a pure wall-clock lever — invariant artifacts are shared
-// only within an isomorphism class and equivariant ones only between
-// identically-embedded queries, so every Report, table and trace is
-// byte-identical with the cache on or off (the difftest oracle pins
-// this).
-
-// PlanCompileMode selects the compiled-plan shape cache for one run
-// (see ExecOptions.PlanCompile).
-type PlanCompileMode int
-
-const (
-	// PlanCompileDefault follows the process-wide switch.
-	PlanCompileDefault PlanCompileMode = iota
-	// PlanCompileOn forces the compile cache on for the run.
-	PlanCompileOn
-	// PlanCompileOff forces the compile cache off for the run.
-	PlanCompileOff
-)
+// Canon). It is the only compile memo and it is always on. Invariant
+// artifacts are shared only within an isomorphism class and
+// equivariant ones only between identically-embedded queries, so every
+// served artifact equals its direct computation (the tests compare
+// each slot with the function it memoizes).
 
 // PlanCompileStats reports the shape-cache counters: invariant slot
 // hits/misses, the iso-hit subset served across fingerprints,
 // equivariant slot hits/misses, LRU evictions and the live entry count.
 type PlanCompileStats = plan.Stats
 
-// LPMemoStats reports the LP solve-memo counters, including the number
-// of actual simplex executions.
-type LPMemoStats = lp.MemoStats
-
-// SetPlanCompileCache toggles compiled-plan reuse at once: the shape
-// cache, the LP solve memo under it, and Analyze's pointer L1 (cleared
-// so subsequent lookups take the selected path). Off, every lookup
-// degrades to direct computation — the pre-cache behavior. The cache
-// is on by default.
-func SetPlanCompileCache(on bool) {
-	plan.SetEnabled(on)
-	lp.SetMemo(on)
-	clearSyncMap(&analyzeByQuery)
-	analyzeL1Count.Store(0)
-}
-
-// PlanCompileEnabled reports whether the compile cache is active (the
-// layers toggle together through SetPlanCompileCache; this reads the
-// shape cache's switch).
-func PlanCompileEnabled() bool { return plan.Enabled() }
-
 // PlanCompileCacheStats snapshots the shape-cache counters.
 func PlanCompileCacheStats() PlanCompileStats { return plan.Snapshot() }
 
-// LPMemoCacheStats snapshots the LP solve-memo counters.
-func LPMemoCacheStats() LPMemoStats { return lp.Memo() }
-
-// ResetPlanCompileCache drops every compiled-plan artifact — shape
-// entries, LP memo, Analyze's pointer L1 — and zeroes their counters
-// (test and benchmark seam). The legacy Analyze fingerprint memo is
-// ResetAnalyzeCache's business.
-func ResetPlanCompileCache() {
-	plan.Reset()
-	lp.ResetMemo()
-	clearSyncMap(&analyzeByQuery)
-	analyzeL1Count.Store(0)
-}
+// ResetPlanCompileCache drops every shape entry — and with them every
+// memoized analysis, ψ*, join tree and cover — and zeroes the
+// shape-cache counters (test and benchmark seam). ResetAnalyzeCache
+// zeroes the analysis-slot counters.
+func ResetPlanCompileCache() { plan.Reset() }
 
 // CanonicalKey returns the labeling-invariant canonical shape key of
 // q's hypergraph — equal keys iff isomorphic hypergraphs — or "" when
@@ -96,20 +52,23 @@ type CompiledPlan struct {
 
 // CompileQuery resolves the compiled plan for q through the shape
 // cache: repeated or isomorphic queries skip classification, LP solves
-// and join-tree search entirely.
+// and join-tree search entirely. The query's handle is resolved once
+// and serves both the analysis and the key; a query too large to
+// canonicalize is analyzed directly and gets the empty key.
 func CompileQuery(q *Query) (*CompiledPlan, error) {
-	a, err := Analyze(q)
-	if err != nil {
-		return nil, err
-	}
-	// The shape cache's handle carries the canonical form, so repeat
-	// compiles skip canonicalization too; only when the cache declines
-	// (disabled, oversize) is the key derived directly.
-	key := ""
+	var (
+		a   *Analysis
+		err error
+		key string
+	)
 	if h, ok := plan.For(q); ok {
+		a, err = analyzeSlot(h, q)
 		key = h.Key()
 	} else {
-		key = CanonicalKey(q)
+		a, err = analyze(q)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &CompiledPlan{
 		Analysis:  a,

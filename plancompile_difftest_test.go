@@ -8,25 +8,27 @@ import (
 )
 
 // Plan-compile-cache oracle: for every catalog query × algorithm ×
-// worker count, a run with the compile cache forced OFF (the pre-cache
-// compilation path) is the reference, and cache-on runs — cold (just
-// after a full reset) and warm (entries populated by the cold run) —
-// must match it byte for byte across the report, the span tree, and
-// the per-phase load attribution. Warm arms are where isomorphic
-// sharing and equivariant remapping actually serve artifacts, so a
-// remap bug cannot hide.
+// worker count, runs compiled from a cold shape cache (just after a
+// reset) and from a warm one (entries populated by the cold run) must
+// match the sequential cold reference byte for byte across the report,
+// the span tree, and the per-phase load attribution. Warm arms are
+// where isomorphic sharing and equivariant remapping actually serve
+// artifacts, so a remap bug cannot hide; TestShapeSlotsMatchDirect
+// compares the served artifacts themselves with direct computation.
 
 // TestPlanCompileOracleCatalog sweeps the full catalog × algorithm ×
-// worker matrix.
+// worker matrix. The queries run in parallel and reset the process-wide
+// cache under one another: a reset can only make an arm colder than its
+// name, which must never change a result.
 func TestPlanCompileOracleCatalog(t *testing.T) {
-	defer coverpack.ResetPlanCompileCache()
-	defer coverpack.ResetAnalyzeCache()
+	t.Parallel()
 	for _, entry := range coverpack.Catalog() {
-		entry := entry
 		t.Run(entry.Query.Name(), func(t *testing.T) {
+			t.Parallel()
 			in := coverpack.Uniform(entry.Query, 400, 500, 1)
 			for _, alg := range oracleAlgorithms {
-				ref, err := tracedExec(alg, in, 8, coverpack.ExecOptions{Workers: 1, PlanCompile: coverpack.PlanCompileOff})
+				coverpack.ResetPlanCompileCache()
+				ref, err := tracedExec(alg, in, 8, coverpack.ExecOptions{Workers: 1})
 				if err != nil {
 					// The algorithm rejects this query class; nothing to
 					// compare.
@@ -34,9 +36,8 @@ func TestPlanCompileOracleCatalog(t *testing.T) {
 				}
 				for _, w := range []int{1, 4} {
 					coverpack.ResetPlanCompileCache()
-					coverpack.ResetAnalyzeCache()
 					for _, arm := range []string{"cold", "warm"} {
-						got, err := tracedExec(alg, in, 8, coverpack.ExecOptions{Workers: w, PlanCompile: coverpack.PlanCompileOn})
+						got, err := tracedExec(alg, in, 8, coverpack.ExecOptions{Workers: w})
 						if err != nil {
 							t.Errorf("%s/%s workers=%d %s: run failed where the reference succeeded: %v",
 								entry.Query.Name(), alg, w, arm, err)

@@ -1,13 +1,16 @@
 package coverpack
 
-// Streaming, out-of-core execution and the exchange-plan cache are gone:
-// every run executes the same exact-size local operators on resident
-// arenas, writes no file and hashes every exchange whose input is not
-// already partitioned on its key. The names below, with ExecOptions'
-// NoPlanCache, Streaming, Spilling, SpillDir and SpillBudgetBytes
-// fields, have no effect and stay only because internal/bench reads
-// them. ROADMAP item 1 deletes these with the harness code that reads
-// them.
+import "coverpack/internal/lp"
+
+// Streaming, out-of-core execution, the exchange-plan cache, the LP
+// solve memo and the per-run compile-cache switch are gone: every run
+// executes the same exact-size local operators on resident arenas,
+// writes no file, hashes every exchange whose input is not already
+// partitioned on its key, and compiles through the always-on shape
+// cache. The names below, with ExecOptions' NoPlanCache, Streaming,
+// Spilling, SpillDir, SpillBudgetBytes and PlanCompile fields, have no
+// effect and stay only because internal/bench reads them. ROADMAP
+// item 1 deletes these with the harness code that reads them.
 
 // StreamCounters is the former streaming-layer snapshot. Both fields
 // always read zero.
@@ -48,3 +51,16 @@ type SpillMode int
 
 // SpillOn is the SpillMode internal/bench sets; it selects nothing.
 const SpillOn SpillMode = 1
+
+// PlanCompileMode is the type of ExecOptions.PlanCompile.
+type PlanCompileMode int
+
+// PlanCompileDefault is the zero PlanCompileMode, the only one left.
+const PlanCompileDefault PlanCompileMode = 0
+
+// LPMemoStats is the former LP solve-memo snapshot. SimplexRuns counts
+// simplex executions; the other fields always read zero.
+type LPMemoStats = lp.MemoStats
+
+// LPMemoCacheStats snapshots the simplex-run counter.
+func LPMemoCacheStats() LPMemoStats { return lp.Memo() }
