@@ -165,3 +165,35 @@ func TestConcurrentRunsShareInstance(t *testing.T) {
 		}
 	}
 }
+
+// Every exchange puts its scratch back: after catalog runs on one worker
+// and on four — where Parallel branches exchange at the same time, each
+// on its own scratch, and big exchanges fan out over several chunks —
+// the scratch pool has handed out exactly as many as came back. (A put
+// counts a scratch whose oversized vectors it drops as pooled.)
+//
+// Workers fall back to sequential at GOMAXPROCS=1, so a single-CPU host
+// raises it for the test. Only there: raising and restoring it on every
+// -race -count run crashed the race runtime (Go 1.24.0).
+func TestExchangeScratchBalanced(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		prev := runtime.GOMAXPROCS(2)
+		defer runtime.GOMAXPROCS(prev)
+	}
+	coverpack.ResetPoolStats()
+	run := func(in *coverpack.Instance, w int) {
+		for _, alg := range oracleAlgorithms {
+			// An algorithm that rejects the query class exchanges nothing.
+			_, _ = coverpack.ExecuteOpts(alg, in, 8, coverpack.ExecOptions{Workers: w})
+		}
+	}
+	for _, w := range []int{1, 4} {
+		for _, entry := range coverpack.Catalog() {
+			run(coverpack.Uniform(entry.Query, 400, 500, 1), w)
+		}
+		run(coverpack.Uniform(hypergraph.Line3Join(), 1600, 2000, 7), w)
+	}
+	if st := coverpack.SendPoolStats(); st.Gets == 0 || st.Puts != st.Gets || st.Discards != 0 {
+		t.Fatalf("exchange scratch pool %+v, want every get put back", st)
+	}
+}

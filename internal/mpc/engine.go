@@ -101,18 +101,6 @@ func (g *Group) parallel(n int) bool {
 	return g.cluster.workers > 1 && n >= parThreshold
 }
 
-// forEach runs fn(0..tasks-1) for a step over n tuples: across the pool
-// when the step is big enough to fan out, inline otherwise.
-func (g *Group) forEach(n, tasks int, fn func(i int)) {
-	if g.parallel(n) {
-		g.cluster.fork(tasks, fn)
-		return
-	}
-	for i := 0; i < tasks; i++ {
-		fn(i)
-	}
-}
-
 // fork runs fn(0..n-1) across the worker pool and returns when all
 // calls have finished. The caller participates; extra goroutines are
 // admitted by the cluster token pool (capacity workers−1). Indices are
@@ -200,14 +188,15 @@ type frange struct {
 }
 
 // flatChunks splits d's flattened stream of total tuples into at most
-// nchunks index-ordered chunks of roughly equal size. Where the cuts
-// fall affects only scheduling granularity, never results (exchange.go).
-func flatChunks(d *DistRelation, total, nchunks int) [][]frange {
+// nchunks index-ordered chunks of roughly equal size, in x's chunk
+// vectors. Where the cuts fall affects only scheduling granularity, never
+// results (exchange.go).
+func (x *xrun) flatChunks(d *DistRelation, total, nchunks int) [][]frange {
 	per := (total + nchunks - 1) / nchunks
-	out := make([][]frange, 0, nchunks)
+	out := x.chunks[:0]
 	// One backing array: a fragment adds a range, a cut inside one adds
 	// another.
-	spans := make([]frange, 0, len(d.Frags)+nchunks)
+	spans := sized(x.spans, len(d.Frags)+nchunks)[:0]
 	start, room, base := 0, per, 0
 	for fi, f := range d.Frags {
 		n := f.Len()
@@ -226,40 +215,34 @@ func flatChunks(d *DistRelation, total, nchunks int) [][]frange {
 	if len(spans) > start {
 		out = append(out, spans[start:])
 	}
+	x.chunks, x.spans = out, spans
 	return out
 }
 
-// forEachTuple visits the tuples of the chunk in flattened order. Rows
-// are arena views valid for the duration of fn (the callbacks copy on
-// append, never retain).
-func forEachTuple(d *DistRelation, chunk []frange, fn func(f *relation.Relation, src int, t relation.Tuple, flat int)) {
-	for _, r := range chunk {
-		f := d.Frags[r.frag]
-		for i := r.lo; i < r.hi; i++ {
-			fn(f, r.frag, f.Row(i), r.base+i-r.lo)
-		}
-	}
-}
-
-// collect concatenates fragments in order. Each fragment's arena is
-// copied straight into its slice of one pooled output arena (offsets
-// are in values, rows × arity), so the merged relation is built with a
-// single allocation.
-func (g *Group) collect(d *DistRelation) *relation.Relation {
+// collect concatenates fragments in order into one pooled output arena,
+// so the merged relation is built with a single allocation. A parallel
+// collect copies each fragment into its slice of the arena at the
+// offsets (in values, rows × arity) it keeps in x.
+func (g *Group) collect(x *xrun, d *DistRelation) *relation.Relation {
 	total := d.Len()
 	arity := d.Schema.Len()
-	offs := make([]int, len(d.Frags))
-	off := 0
-	for i, f := range d.Frags {
-		offs[i] = off
-		off += f.Len() * arity
-	}
-	// Every position is overwritten (the offsets tile the arena), so a
+	// Every position is overwritten (the fragments tile the arena), so a
 	// recycled arena is safe despite its stale contents.
 	data := relation.GetArena(total * arity)[:total*arity]
-	g.forEach(total, len(d.Frags), func(i int) {
-		copy(data[offs[i]:], d.Frags[i].Data())
-	})
+	if g.parallel(total) {
+		offs, off := sized(x.offs, len(d.Frags)), 0
+		for i, f := range d.Frags {
+			offs[i] = off
+			off += f.Len() * arity
+		}
+		x.offs = offs
+		g.cluster.fork(len(d.Frags), func(i int) { copy(data[offs[i]:], d.Frags[i].Data()) })
+	} else {
+		off := 0
+		for _, f := range d.Frags {
+			off += copy(data[off:], f.Data())
+		}
+	}
 	g.cluster.trackArena(data)
 	return relation.FromData(d.Schema, data, total)
 }

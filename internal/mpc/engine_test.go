@@ -595,6 +595,7 @@ func TestScatterDedupMatchesScatterOfDedup(t *testing.T) {
 
 func TestFlatChunksPartitionFlattenedOrder(t *testing.T) {
 	schema := relation.NewSchema(0)
+	x := new(xrun) // one scratch for every cut: reused vectors must not leak stale ranges
 	for _, sizes := range [][]int{
 		{0, 0, 0},
 		{1},
@@ -613,18 +614,19 @@ func TestFlatChunksPartitionFlattenedOrder(t *testing.T) {
 			total += n
 		}
 		for _, workers := range []int{1, 2, 7, 64} {
-			chunks := flatChunks(d, total, workers)
+			chunks := x.flatChunks(d, total, workers)
 			next := 0
 			for _, chunk := range chunks {
-				forEachTuple(d, chunk, func(f *relation.Relation, src int, tp relation.Tuple, flat int) {
-					if flat != next {
-						t.Fatalf("sizes %v workers %d: flat index %d, want %d", sizes, workers, flat, next)
+				for _, r := range chunk {
+					at := r.lo // the range's flat index, counted from the sizes
+					for _, n := range sizes[:r.frag] {
+						at += n
 					}
-					if d.Frags[src] != f {
-						t.Fatalf("src %d does not match fragment", src)
+					if r.base != next || at != next || r.hi <= r.lo || r.hi > sizes[r.frag] {
+						t.Fatalf("sizes %v workers %d: range %+v, want one starting at flat index %d", sizes, workers, r, next)
 					}
-					next++
-				})
+					next += r.hi - r.lo
+				}
 			}
 			if next != total {
 				t.Fatalf("sizes %v workers %d: visited %d of %d tuples", sizes, workers, next, total)
@@ -790,12 +792,12 @@ func TestSmallStepsRunInline(t *testing.T) {
 	}
 }
 
-// TestSendListRoundTripAllocatesNothing: the pool holds the pointer
-// that came with the vector, so a put boxes nothing.
-func TestSendListRoundTripAllocatesNothing(t *testing.T) {
-	putSendList(getSendList(64))
-	if n := testing.AllocsPerRun(1000, func() { putSendList(getSendList(64)) }); n != 0 {
-		t.Fatalf("send-list get+put allocates %v objects per round trip", n)
+// TestScratchRoundTripAllocatesNothing: the pool holds the scratch's
+// pointer, so a put boxes nothing.
+func TestScratchRoundTripAllocatesNothing(t *testing.T) {
+	putScratch(getScratch())
+	if n := testing.AllocsPerRun(1000, func() { putScratch(getScratch()) }); n != 0 {
+		t.Fatalf("scratch get+put allocates %v objects per round trip", n)
 	}
 }
 

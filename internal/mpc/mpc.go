@@ -19,8 +19,9 @@
 //     against L.
 //
 // Data lives in DistRelations: one relation fragment per server of the
-// owning group. All communication goes through Group.Exchange (or the
-// conveniences built on it), which is where cost is charged. Decisions
+// owning group. Tuples move between servers only through the group's
+// exchange operations (HashPartition, Route, SendTo, Distribute, ...),
+// which share one kernel (exchange.go) and charge every round. Decisions
 // the driver makes from O(p)-size summaries (fragment sizes, heavy-value
 // cutoffs) model the free control channel of the paper's lower-bound
 // convention; every tuple and every per-value statistic moved between
@@ -50,18 +51,12 @@
 //
 // # Parallel execution
 //
-// Every exchange is a routing function over one count-then-scatter
-// kernel (exchange.go) that takes its input as index-ordered chunks and
-// whose output does not depend on where they are cut. WithWorkers(n)
-// adds a goroutine pool: an exchange of parThreshold tuples or more is
-// cut into several chunks that run concurrently, and Parallel branches
-// execute concurrently with per-branch trace/observer buffering; one
-// worker, or a small exchange, is the same kernel over one chunk. All
-// observable results — output tuples, Stats, trace event streams,
-// observer call sequences — are byte-identical for every worker count;
-// see engine.go and DESIGN.md ("Parallel engine determinism contract").
-// Route/Distribute/DistributeSpread callbacks and Local steps must be pure
-// (deterministic, no shared mutable state) under a parallel cluster.
+// WithWorkers(n) adds a goroutine pool: a big exchange runs its kernel
+// over several chunks at once, and Parallel branches run concurrently.
+// All observable results are byte-identical for every worker count (see
+// engine.go and DESIGN.md, "Parallel engine determinism contract").
+// Route/Distribute/DistributeSpread callbacks and Local steps must be
+// pure (deterministic, no shared mutable state) under a parallel cluster.
 package mpc
 
 import (
@@ -250,12 +245,12 @@ func (c *Cluster) trackArena(blob []relation.Value) {
 func (c *Cluster) Release() {
 	runtime.Gosched()
 	c.arenaMu.Lock()
-	arenas := c.arenas
-	c.arenas = nil
-	c.arenaMu.Unlock()
-	for _, a := range arenas {
+	defer c.arenaMu.Unlock()
+	for _, a := range c.arenas {
 		relation.PutArena(a)
 	}
+	clear(c.arenas)
+	c.arenas = c.arenas[:0]
 }
 
 // Stats returns the accumulated cost of the whole computation so far.
@@ -351,6 +346,12 @@ func (g *Group) chargeRound(op trace.Op, recv []int) {
 	// Observation-only: the live per-round load histograms read the same
 	// max/total the Stats fold just consumed.
 	observeRound(m, total)
+}
+
+// charge charges x.recv as one round of op and puts x back.
+func (g *Group) charge(op trace.Op, x *xrun) {
+	g.chargeRound(op, x.recv)
+	putScratch(x)
 }
 
 // Span runs fn inside a named phase span when the cluster records
@@ -461,8 +462,10 @@ func (d *DistRelation) Collect() *relation.Relation {
 // free: initial placement precedes the computation.
 func (g *Group) Scatter(r *relation.Relation) *DistRelation {
 	d := &DistRelation{Schema: r.Schema(), Frags: []*relation.Relation{r}}
-	frags, _, _ := g.exchange(d, g.chunksOf(d), g.size, true, roundRobin(g.size))
-	return &DistRelation{Schema: d.Schema, Frags: frags}
+	x := g.scratch(d)
+	d.Frags = exchange(g, x, d, g.size, true, roundRobin(g.size))
+	putScratch(x)
+	return d
 }
 
 // ScatterDedup scatters the distinct rows of r round-robin over the
@@ -474,19 +477,28 @@ func (g *Group) Scatter(r *relation.Relation) *DistRelation {
 func (g *Group) ScatterDedup(r *relation.Relation) *DistRelation {
 	first := r.FirstRows()
 	d := &DistRelation{Schema: r.Schema(), Frags: []*relation.Relation{r}}
-	chunks := g.chunksOf(d)
-	frags, _, _ := g.exchange(d, chunks, g.size, false, func(ci int) routeFn {
-		// k is the rank of the chunk's next first occurrence.
-		k, _ := slices.BinarySearch(first, int32(chunks[ci][0].base))
-		return func(dst []uint32, _ int, _ *relation.Relation, _ relation.Tuple, flat int) []uint32 {
-			if k < len(first) && int(first[k]) == flat {
-				dst = append(dst, uint32(k%g.size))
-				k++
-			}
-			return dst
-		}
-	})
-	return &DistRelation{Schema: d.Schema, Frags: frags}
+	x := g.scratch(d)
+	for ci, chunk := range x.chunks {
+		x.cs[ci].k, _ = slices.BinarySearch(first, int32(chunk[0].base))
+	}
+	d.Frags = exchange(g, x, d, g.size, false, dedupRoute{first, g.size})
+	putScratch(x)
+	return d
+}
+
+// dedupRoute sends the k-th first occurrence to server k mod size and
+// drops the repeats (c.k: the rank of the chunk's next first occurrence).
+type dedupRoute struct {
+	first []int32
+	size  int
+}
+
+func (r dedupRoute) route(c *xchunk, dst []uint32, _ int, _ *relation.Relation, _ relation.Tuple, flat int) []uint32 {
+	if c.k < len(r.first) && int(r.first[c.k]) == flat {
+		dst = append(dst, uint32(c.k%r.size))
+		c.k++
+	}
+	return dst
 }
 
 // HashPartition re-partitions d by the given attributes: every tuple
@@ -500,41 +512,49 @@ func (g *Group) ScatterDedup(r *relation.Relation) *DistRelation {
 // hashing would compute.
 func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
 	out := &DistRelation{Schema: d.Schema, part: append([]int(nil), attrs...)}
+	var x *xrun
 	if len(d.Frags) == g.size && d.PartitionedOn(attrs) {
 		g.cluster.identity.Add(1)
-		recv := make([]int, g.size)
+		x = getScratch()
+		x.recv = zeroed(x.recv, g.size)
 		if g.cluster.chargeSelfSends {
 			for i, f := range d.Frags {
-				recv[i] = f.Len()
+				x.recv[i] = f.Len()
 			}
 		}
 		out.Frags = slices.Clone(d.Frags)
-		g.chargeRound(trace.OpHashPartition, recv)
-		return out
-	}
-	g.cluster.hashed.Add(1)
-	pos := d.Schema.Positions(attrs)
-	k := uint64(g.size)
-	frags, recv, dst := g.exchange(d, g.chunksOf(d), g.size, true, func(int) routeFn {
-		return func(dst []uint32, _ int, _ *relation.Relation, t relation.Tuple, _ int) []uint32 {
-			return append(dst, uint32(hashtab.Hash(t, pos)%k))
-		}
-	})
-	if !g.cluster.chargeSelfSends {
-		// Physical accounting: a tuple that hashes to the server already
-		// holding it is delivered but not charged.
-		flat := 0
-		for src, f := range d.Frags {
-			for end := flat + f.Len(); flat < end; flat++ {
-				if int(dst[flat]) == src {
-					recv[src]--
+	} else {
+		g.cluster.hashed.Add(1)
+		x = g.scratch(d)
+		x.offs = d.Schema.AppendPositions(x.offs[:0], attrs)
+		out.Frags = exchange(g, x, d, g.size, true, hashRoute{x.offs, uint64(g.size)})
+		if !g.cluster.chargeSelfSends {
+			// Physical accounting: a tuple that hashes to the server
+			// already holding it is delivered but not charged.
+			for ci, chunk := range x.chunks {
+				j := 0
+				for _, s := range chunk {
+					for end := j + s.hi - s.lo; j < end; j++ {
+						if int(x.cs[ci].dst[j]) == s.frag {
+							x.recv[s.frag]--
+						}
+					}
 				}
 			}
 		}
 	}
-	g.chargeRound(trace.OpHashPartition, recv)
-	out.Frags = frags
+	g.charge(trace.OpHashPartition, x)
 	return out
+}
+
+// hashRoute sends a tuple to server hash(key) mod k.
+type hashRoute struct {
+	pos []int
+	k   uint64
+}
+
+func (r hashRoute) route(_ *xchunk, dst []uint32, _ int, _ *relation.Relation, t relation.Tuple, _ int) []uint32 {
+	return append(dst, uint32(hashtab.Hash(t, r.pos)%r.k))
 }
 
 // Broadcast sends every tuple of d to every server. One round; each
@@ -544,11 +564,12 @@ func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
 func (g *Group) Broadcast(d *DistRelation) *DistRelation {
 	n := d.Len()
 	out := Local(g, d, replicate{schema: d.Schema, frags: d.Frags, rows: n})
-	recv := make([]int, g.size)
-	for i := range recv {
-		recv[i] = n
+	x := getScratch()
+	x.recv = sized(x.recv, g.size)
+	for i := range x.recv {
+		x.recv[i] = n
 	}
-	g.chargeRound(trace.OpBroadcast, recv)
+	g.charge(trace.OpBroadcast, x)
 	return out
 }
 
@@ -576,13 +597,15 @@ func (s replicate) Fill(_ int, _ *relation.Relation, _, dst []relation.Value, _ 
 // Len(d) units (minus its own fragment under physical accounting; see
 // the package comment). Use only for provably small data (statistics).
 func (g *Group) Gather(d *DistRelation) *relation.Relation {
-	recv := make([]int, g.size)
-	recv[0] = d.Len()
+	x := getScratch()
+	x.recv = zeroed(x.recv, g.size)
+	x.recv[0] = d.Len()
 	if !g.cluster.chargeSelfSends && len(d.Frags) > 0 {
-		recv[0] -= d.Frags[0].Len()
+		x.recv[0] -= d.Frags[0].Len()
 	}
-	g.chargeRound(trace.OpGather, recv)
-	return g.collect(d)
+	out := g.collect(x, d)
+	g.charge(trace.OpGather, x)
+	return out
 }
 
 // Route sends each tuple to the destinations chosen by route (0-based
@@ -605,22 +628,27 @@ func (g *Group) Route(d *DistRelation, route func(src int, t relation.Tuple) []i
 // contract of Route still applies; the buffer is never shared between
 // goroutines.
 func (g *Group) RouteBuf(d *DistRelation, route func(src int, t relation.Tuple, buf []int) []int) *DistRelation {
-	k := g.size
-	frags, recv, _ := g.exchange(d, g.chunksOf(d), k, false, func(int) routeFn {
-		var buf []int
-		return func(dst []uint32, src int, _ *relation.Relation, t relation.Tuple, _ int) []uint32 {
-			buf = route(src, t, buf)
-			for _, dest := range buf {
-				if dest < 0 || dest >= k {
-					panic(fmt.Sprintf("mpc: route destination %d outside group of size %d", dest, k))
-				}
-				dst = append(dst, uint32(dest))
-			}
-			return dst
+	x := g.scratch(d)
+	out := &DistRelation{Schema: d.Schema, Frags: exchange(g, x, d, g.size, false, bufRoute{route, g.size})}
+	g.charge(trace.OpRoute, x)
+	return out
+}
+
+// bufRoute routes by a RouteBuf function, in the chunk's buffer.
+type bufRoute struct {
+	fn func(src int, t relation.Tuple, buf []int) []int
+	k  int
+}
+
+func (r bufRoute) route(c *xchunk, dst []uint32, src int, _ *relation.Relation, t relation.Tuple, _ int) []uint32 {
+	c.buf = r.fn(src, t, c.buf)
+	for _, dest := range c.buf {
+		if dest < 0 || dest >= r.k {
+			panic(fmt.Sprintf("mpc: route destination %d outside group of size %d", dest, r.k))
 		}
-	})
-	g.chargeRound(trace.OpRoute, recv)
-	return &DistRelation{Schema: d.Schema, Frags: frags}
+		dst = append(dst, uint32(dest))
+	}
+	return dst
 }
 
 // Local runs a per-server step with no communication: s's Count half
@@ -768,9 +796,10 @@ func (g *Group) SendTo(d *DistRelation, k int) *DistRelation {
 	if k <= 0 {
 		panic(fmt.Sprintf("mpc: SendTo with %d servers", k))
 	}
-	frags, recv, _ := g.exchange(d, g.chunksOf(d), k, true, roundRobin(k))
-	g.chargeRound(trace.OpSendTo, recv)
-	return &DistRelation{Schema: d.Schema, Frags: frags}
+	x := g.scratch(d)
+	out := &DistRelation{Schema: d.Schema, Frags: exchange(g, x, d, k, true, roundRobin(k))}
+	g.charge(trace.OpSendTo, x)
+	return out
 }
 
 // BranchDest addresses a destination inside a parallel block that is
@@ -789,44 +818,54 @@ type BranchDest struct {
 // per-branch round-robin rotation (inherently stateful) belongs in
 // DistributeSpread, where the engine owns the rotation.
 func (g *Group) Distribute(d *DistRelation, sizes []int, route func(src *relation.Relation, t relation.Tuple) []BranchDest) []*DistRelation {
-	offset, total := branchOffsets("Distribute", sizes)
-	frags, recv, _ := g.exchange(d, g.chunksOf(d), total, false, func(int) routeFn {
-		return func(dst []uint32, _ int, f *relation.Relation, t relation.Tuple, _ int) []uint32 {
-			for _, dest := range route(f, t) {
-				if dest.Branch < 0 || dest.Branch >= len(sizes) ||
-					dest.Server < 0 || dest.Server >= sizes[dest.Branch] {
-					panic(fmt.Sprintf("mpc: Distribute destination %+v out of range", dest))
-				}
-				dst = append(dst, uint32(offset[dest.Branch]+dest.Server))
-			}
-			return dst
-		}
-	})
-	g.chargeRound(trace.OpDistribute, recv)
-	return branchSlab(d.Schema, frags, sizes, offset)
+	x := g.scratch(d)
+	total := x.branchOffsets("Distribute", sizes)
+	frags := exchange(g, x, d, total, false, branchRoute{route, sizes, x.offs})
+	g.charge(trace.OpDistribute, x)
+	return branchSlab(d.Schema, frags, sizes)
 }
 
-// branchOffsets validates branch sizes and returns each branch's first
-// slot in the flattened recv vector plus the total server count.
-func branchOffsets(op string, sizes []int) (offset []int, total int) {
-	offset = make([]int, len(sizes))
+// branchRoute sends a tuple to the branch servers a Distribute function names.
+type branchRoute struct {
+	fn          func(src *relation.Relation, t relation.Tuple) []BranchDest
+	sizes, offs []int
+}
+
+func (r branchRoute) route(_ *xchunk, dst []uint32, _ int, f *relation.Relation, t relation.Tuple, _ int) []uint32 {
+	for _, dest := range r.fn(f, t) {
+		if dest.Branch < 0 || dest.Branch >= len(r.sizes) ||
+			dest.Server < 0 || dest.Server >= r.sizes[dest.Branch] {
+			panic(fmt.Sprintf("mpc: Distribute destination %+v out of range", dest))
+		}
+		dst = append(dst, uint32(r.offs[dest.Branch]+dest.Server))
+	}
+	return dst
+}
+
+// branchOffsets validates branch sizes, leaves each branch's first slot
+// of the flattened recv vector in x.offs and returns their total.
+func (x *xrun) branchOffsets(op string, sizes []int) (total int) {
+	x.offs = sized(x.offs, len(sizes))
 	for i, k := range sizes {
 		if k <= 0 {
 			panic(fmt.Sprintf("mpc: %s branch %d with %d servers", op, i, k))
 		}
-		offset[i] = total
+		x.offs[i] = total
 		total += k
 	}
-	return offset, total
+	return total
 }
 
 // branchSlab cuts the kernel's flat fragment vector into one
-// DistRelation per branch.
-func branchSlab(schema relation.Schema, frags []*relation.Relation, sizes, offset []int) []*DistRelation {
+// DistRelation per branch, all in one slab.
+func branchSlab(schema relation.Schema, frags []*relation.Relation, sizes []int) []*DistRelation {
+	slab := make([]DistRelation, len(sizes))
 	out := make([]*DistRelation, len(sizes))
+	lo := 0
 	for b, k := range sizes {
-		lo := offset[b]
-		out[b] = &DistRelation{Schema: schema, Frags: frags[lo : lo+k : lo+k]}
+		slab[b] = DistRelation{Schema: schema, Frags: frags[lo : lo+k : lo+k]}
+		out[b] = &slab[b]
+		lo += k
 	}
 	return out
 }
@@ -862,50 +901,63 @@ type BranchSend struct {
 // cut into several chunks calls it twice — once to count rotations,
 // once to assign).
 func (g *Group) DistributeSpread(d *DistRelation, sizes []int, pick func(src *relation.Relation, t relation.Tuple) []BranchSend) []*DistRelation {
-	offset, total := branchOffsets("DistributeSpread", sizes)
-	nb := len(sizes)
-	chunks := g.chunksOf(d)
+	x := g.scratch(d)
+	total := x.branchOffsets("DistributeSpread", sizes)
+	nb, chunks := len(sizes), x.chunks
 	// rot[ci*nb+b] is branch b's rotation when chunk ci starts: the
 	// round-robin sends to b ahead of the chunk in flattened order. One
 	// chunk starts at zero; several need a counting pass over all but
 	// the last, each leaving its count in the slot of the chunk after it.
-	rot := make([]int, len(chunks)*nb)
+	rot := zeroed(x.rot, len(chunks)*nb)
+	x.rot = rot
 	if len(chunks) > 1 {
 		g.cluster.fork(len(chunks)-1, func(ci int) {
 			cnt := rot[(ci+1)*nb : (ci+2)*nb]
-			forEachTuple(d, chunks[ci], func(f *relation.Relation, _ int, t relation.Tuple, _ int) {
-				for _, s := range pick(f, t) {
-					checkBranch(s.Branch, nb)
-					if !s.Broadcast {
-						cnt[s.Branch]++
+			for _, r := range chunks[ci] {
+				f := d.Frags[r.frag]
+				for i := r.lo; i < r.hi; i++ {
+					for _, s := range pick(f, f.Row(i)) {
+						checkBranch(s.Branch, nb)
+						if !s.Broadcast {
+							cnt[s.Branch]++
+						}
 					}
 				}
-			})
+			}
 		})
 		for i := 2 * nb; i < len(rot); i++ {
 			rot[i] += rot[i-nb]
 		}
 	}
-	frags, recv, _ := g.exchange(d, chunks, total, false, func(ci int) routeFn {
-		rr := rot[ci*nb : (ci+1)*nb]
-		return func(dst []uint32, _ int, f *relation.Relation, t relation.Tuple, _ int) []uint32 {
-			for _, s := range pick(f, t) {
-				checkBranch(s.Branch, nb)
-				first, k := offset[s.Branch], sizes[s.Branch]
-				if s.Broadcast {
-					for srv := 0; srv < k; srv++ {
-						dst = append(dst, uint32(first+srv))
-					}
-					continue
-				}
-				dst = append(dst, uint32(first+rr[s.Branch]%k))
-				rr[s.Branch]++
+	for ci := range chunks {
+		x.cs[ci].rr = rot[ci*nb : (ci+1)*nb]
+	}
+	frags := exchange(g, x, d, total, false, spreadRoute{pick, sizes, x.offs})
+	g.charge(trace.OpDistribute, x)
+	return branchSlab(d.Schema, frags, sizes)
+}
+
+// spreadRoute sends a tuple to every server of a broadcast branch and to
+// the next one in the chunk's rotation (c.rr) of a round-robin branch.
+type spreadRoute struct {
+	fn          func(src *relation.Relation, t relation.Tuple) []BranchSend
+	sizes, offs []int
+}
+
+func (r spreadRoute) route(c *xchunk, dst []uint32, _ int, f *relation.Relation, t relation.Tuple, _ int) []uint32 {
+	for _, s := range r.fn(f, t) {
+		checkBranch(s.Branch, len(r.sizes))
+		first, k := r.offs[s.Branch], r.sizes[s.Branch]
+		if s.Broadcast {
+			for srv := 0; srv < k; srv++ {
+				dst = append(dst, uint32(first+srv))
 			}
-			return dst
+			continue
 		}
-	})
-	g.chargeRound(trace.OpDistribute, recv)
-	return branchSlab(d.Schema, frags, sizes, offset)
+		dst = append(dst, uint32(first+c.rr[s.Branch]%k))
+		c.rr[s.Branch]++
+	}
+	return dst
 }
 
 // DeclareServers records that the computation logically occupies at

@@ -112,6 +112,22 @@ func TestRouteReplication(t *testing.T) {
 	}
 }
 
+// A route function may return a slice it holds: the engine reuses it as
+// the buffer within that exchange only, so a later exchange's route,
+// appending into its buffer, leaves the held slice intact.
+func TestRouteKeepsNoReturnedSlice(t *testing.T) {
+	c := NewCluster(4, withForcedWorkers(1))
+	g := c.Root()
+	d := g.Scatter(fill(relation.NewSchema(0), 10))
+	held := []int{0, 1}
+	g.Route(d, func(int, relation.Tuple) []int { return held })
+	g.RouteBuf(d, func(_ int, _ relation.Tuple, buf []int) []int { return held })
+	g.RouteBuf(d, func(_ int, _ relation.Tuple, buf []int) []int { return append(buf[:0], 3, 2) })
+	if held[0] != 0 || held[1] != 1 {
+		t.Fatalf("held destinations overwritten: %v", held)
+	}
+}
+
 func TestRoutePanicsOnBadDest(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,0 +1,135 @@
+package mpc
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"coverpack/internal/trace"
+)
+
+// Exchange scratch: an exchange's bookkeeping — the chunk cut, each
+// chunk's destination ids and count-then-cursor vector, the recv vector,
+// the routers' per-chunk state — is dead once its round is charged. One
+// xrun holds it all; an operation takes one before routing and puts it
+// back right after chargeRound, so an exchange allocates only what it
+// returns. xruns recycle through a process-wide pool (SetSendPooling(false):
+// a fresh one per exchange). No recorder keeps recv
+// (trace.Recorder.Exchange) and no output aliases the scratch; every
+// vector is cleared or fully overwritten before it is read, and vectors
+// over scratchCap elements are dropped, not pooled.
+
+// xrun is one exchange's scratch.
+type xrun struct {
+	chunks [][]frange // this exchange's cut, into spans or the test chunker's ranges
+	spans  []frange
+	cs     []xchunk // per chunk, indexed like chunks
+	recv   []int    // per destination: tuples received (the charged vector)
+	rot    []int    // DistributeSpread: branch rotations, chunk-major
+	offs   []int    // branch offsets, collect's offsets or key positions
+}
+
+// xchunk is one chunk's share of the scratch.
+type xchunk struct {
+	dst []uint32 // destination ids in tuple order (see lastID)
+	cur []int    // per destination: ids counted, then the next row to write
+	rr  []int    // DistributeSpread: the chunk's branch rotations, in rot
+	k   int      // ScatterDedup: rank of the chunk's next first occurrence
+	buf []int    // RouteBuf's destination buffer, dropped at the put
+}
+
+// scratchCap bounds the elements of a vector the pool keeps.
+const scratchCap = 1 << 12
+
+var (
+	// sendPoolingOff is inverted so the zero value means "enabled".
+	sendPoolingOff atomic.Bool
+	scratchPool    sync.Pool // *xrun
+
+	sendGets     atomic.Uint64
+	sendHits     atomic.Uint64
+	sendMisses   atomic.Uint64
+	sendPuts     atomic.Uint64
+	sendDiscards atomic.Uint64
+)
+
+// SetSendPooling toggles exchange-scratch recycling globally. Off, every
+// exchange makes a fresh scratch — the pre-pooling behavior.
+func SetSendPooling(on bool) { sendPoolingOff.Store(!on) }
+
+// SendPoolStats snapshots the exchange-scratch pool counters: Gets counts
+// the scratches taken, one per charged or scattering operation.
+func SendPoolStats() trace.PoolStats {
+	return trace.PoolStats{
+		Gets:     sendGets.Load(),
+		Hits:     sendHits.Load(),
+		Misses:   sendMisses.Load(),
+		Puts:     sendPuts.Load(),
+		Discards: sendDiscards.Load(),
+	}
+}
+
+// ResetSendPoolStats zeroes the exchange-scratch pool counters (test seam).
+func ResetSendPoolStats() {
+	sendGets.Store(0)
+	sendHits.Store(0)
+	sendMisses.Store(0)
+	sendPuts.Store(0)
+	sendDiscards.Store(0)
+}
+
+// getScratch returns a scratch, recycled when the pool has one.
+func getScratch() *xrun {
+	if !sendPoolingOff.Load() {
+		sendGets.Add(1)
+		if x, _ := scratchPool.Get().(*xrun); x != nil {
+			sendHits.Add(1)
+			return x
+		}
+		sendMisses.Add(1)
+	}
+	return new(xrun)
+}
+
+// putScratch returns x to the pool without its vectors over scratchCap
+// elements, any view of them, or RouteBuf's buffers (a route function
+// may return memory it holds, so a buffer lives for one exchange). The
+// caller must not use x afterwards.
+func putScratch(x *xrun) {
+	if sendPoolingOff.Load() {
+		sendDiscards.Add(1)
+		return
+	}
+	clear(x.chunks[:cap(x.chunks)]) // views of spans or of the test's ranges
+	x.chunks, x.spans = keep(x.chunks), keep(x.spans)
+	x.recv, x.rot, x.offs = keep(x.recv), keep(x.rot), keep(x.offs)
+	x.cs = keep(x.cs)
+	for i, c := range x.cs[:cap(x.cs)] {
+		x.cs[:cap(x.cs)][i] = xchunk{dst: keep(c.dst), cur: keep(c.cur)}
+	}
+	sendPuts.Add(1)
+	scratchPool.Put(x)
+}
+
+// keep returns s emptied, or nil when it is too large to pool.
+func keep[T any](s []T) []T {
+	if cap(s) > scratchCap {
+		return nil
+	}
+	return s[:0]
+}
+
+// sized returns s at length n, reusing its storage when it is large
+// enough. The contents are stale: the caller overwrites or clears them.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
+}
+
+// zeroed returns s at length n, all zeros.
+func zeroed[T any](s []T, n int) []T {
+	s = sized(s, n)
+	clear(s)
+	return s
+}

@@ -425,7 +425,7 @@ func TestOneBlockAllocs(t *testing.T) {
 			// fresh build side (9f5040d with SetIndexCaching(false)): the
 			// index that commit retained was rarely probed twice.
 			{"SemiJoin", [2]float64{5, 5}, [2]float64{14, 15}, true, func() { r.SemiJoin(s) }},
-			{"Join", [2]float64{13, 13}, [2]float64{22, 23}, true, func() { r.Join(s) }},
+			{"Join", [2]float64{7, 7}, [2]float64{22, 23}, true, func() { r.Join(s) }},
 			// The parent is Join's, the call JoinCount replaces. Its count
 			// table comes from the hashtab pool.
 			{"JoinCount", [2]float64{5, 5}, [2]float64{13, 14}, true, func() { r.JoinCount(s) }},
@@ -435,7 +435,7 @@ func TestOneBlockAllocs(t *testing.T) {
 			// 202ad27: the fused SelectEqProject, and primitives.Degrees'
 			// per-server pass (a (value, 1) relation aggregated at 8 rows,
 			// a chunk-iterator aggregation at 10 000).
-			{"SelectEqProject", [2]float64{7, 7}, [2]float64{9, 8}, true, func() { r.SelectEqProject(1, v, 0) }},
+			{"SelectEqProject", [2]float64{4, 4}, [2]float64{9, 8}, true, func() { r.SelectEqProject(1, v, 0) }},
 			{"Degrees", [2]float64{2, 2}, [2]float64{8, 20}, true, func() { r.Degrees(1, deg) }},
 		} {
 			k := 0

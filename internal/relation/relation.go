@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -57,26 +56,15 @@ func (t Tuple) Equal(o Tuple) bool {
 // Schema is an ordered list of attribute ids (ascending).
 type Schema struct {
 	attrs []int
-	pos   map[int]int
 }
 
 // NewSchema builds a schema over the given attribute ids; duplicates are
-// collapsed and order normalized ascending.
+// collapsed and order normalized ascending. The one copy of attrs is
+// sorted and deduplicated in place, so it is the schema's only allocation.
 func NewSchema(attrs ...int) Schema {
 	sorted := append([]int(nil), attrs...)
-	sort.Ints(sorted)
-	out := make([]int, 0, len(sorted))
-	for i, a := range sorted {
-		if i > 0 && sorted[i-1] == a {
-			continue
-		}
-		out = append(out, a)
-	}
-	pos := make(map[int]int, len(out))
-	for i, a := range out {
-		pos[a] = i
-	}
-	return Schema{attrs: out, pos: pos}
+	slices.Sort(sorted)
+	return Schema{attrs: slices.Clip(slices.Compact(sorted))}
 }
 
 // Attrs returns the attribute ids in schema order.
@@ -90,10 +78,22 @@ func (s Schema) Attr(i int) int { return s.attrs[i] }
 // Len returns the arity.
 func (s Schema) Len() int { return len(s.attrs) }
 
-// Pos returns the index of attribute a in tuples of this schema, or -1.
+// Pos returns the index of attribute a in tuples of this schema, or -1:
+// a scan of the sorted ids, a binary search above 8 of them.
 func (s Schema) Pos(a int) int {
-	if i, ok := s.pos[a]; ok {
-		return i
+	if len(s.attrs) > 8 {
+		if i, ok := slices.BinarySearch(s.attrs, a); ok {
+			return i
+		}
+		return -1
+	}
+	for i, b := range s.attrs {
+		if b == a {
+			return i
+		}
+		if b > a {
+			break
+		}
 	}
 	return -1
 }
@@ -125,9 +125,23 @@ func (s Schema) Common(o Schema) []int {
 	return out
 }
 
-// Union returns the schema over the union of attributes.
+// Union returns the schema over the union of attributes: one merge of
+// the two sorted lists into one allocation.
 func (s Schema) Union(o Schema) Schema {
-	return NewSchema(append(s.Attrs(), o.Attrs()...)...)
+	a, b := s.attrs, o.attrs
+	out := make([]int, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	out = append(append(out, a...), b...)
+	return Schema{attrs: out}
 }
 
 // String renders the schema as (a0,a1,...) with raw ids.
@@ -306,15 +320,20 @@ func DecodeKey(key string) (vals []Value, ok bool) {
 // and hashing rows directly (hashtab.Hash) avoids per-tuple attribute
 // resolution and string building in hot loops.
 func (s Schema) Positions(attrs []int) []int {
-	pos := make([]int, len(attrs))
-	for i, a := range attrs {
+	return s.AppendPositions(make([]int, 0, len(attrs)), attrs)
+}
+
+// AppendPositions is Positions appending to dst, for a caller that keeps
+// its own position buffer.
+func (s Schema) AppendPositions(dst, attrs []int) []int {
+	for _, a := range attrs {
 		p := s.Pos(a)
 		if p < 0 {
 			panic(fmt.Sprintf("relation: attribute %d not in schema %v", a, s))
 		}
-		pos[i] = p
+		dst = append(dst, p)
 	}
-	return pos
+	return dst
 }
 
 // identityPositions returns [0, 1, ..., n).

@@ -299,3 +299,24 @@ func TestDecodeKeyRejectsBadLength(t *testing.T) {
 		t.Fatalf("empty key: ok=%v vals=%v", ok, vals)
 	}
 }
+
+// TestSchemaAllocs: a schema is its sorted attribute list and nothing
+// else, so building one and merging two are one allocation each.
+func TestSchemaAllocs(t *testing.T) {
+	a, b := NewSchema(0, 2, 4), NewSchema(1, 2, 3)
+	if n := testing.AllocsPerRun(100, func() { _ = NewSchema(3, 1, 2) }); n != 1 {
+		t.Errorf("NewSchema: %v allocations, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = a.Union(b) }); n != 1 {
+		t.Errorf("Union: %v allocations, want 1", n)
+	}
+	if got := a.Union(b); !got.Equal(NewSchema(0, 1, 2, 3, 4)) {
+		t.Errorf("Union = %v", got)
+	}
+	wide := NewSchema(20, 3, 17, 5, 11, 9, 1, 14, 7, 12)
+	for i, a := range wide.attrs {
+		if wide.Pos(a) != i || wide.Pos(a+100) != -1 {
+			t.Fatalf("Pos(%d) = %d, want %d", a, wide.Pos(a), i)
+		}
+	}
+}

@@ -242,7 +242,9 @@ type Recorder interface {
 	BeginSpan(name string, kind SpanKind, servers int)
 	// EndSpan closes the innermost open span.
 	EndSpan()
-	// Exchange records one charged communication round.
+	// Exchange records one charged communication round. recv is the
+	// per-server received-load vector, valid only during the call: the
+	// simulator reuses it, so a recorder that keeps it must copy it.
 	Exchange(op Op, recv []int)
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // This file re-exports the cross-run memory-recycling layer: the arena,
-// hash-table-bucket and send-list pools that recycle simulator working
-// memory across runs. Pooling is a pure wall-clock/allocation lever —
+// hash-table-bucket and exchange-scratch pools that recycle simulator
+// working memory across runs. Pooling is a pure wall-clock/allocation lever —
 // recycled memory is always zeroed or fully overwritten before use, so
 // every Report, table and trace is byte-identical with pooling on or
 // off (the difftest oracle pins this).
@@ -19,7 +19,7 @@ import (
 type PoolStats = trace.PoolStats
 
 // SetPooling toggles every memory pool at once: the relation arena
-// pool, the hash-table bucket pools and the engine's send-list pool.
+// pool, the hash-table bucket pools and the engine's exchange-scratch pool.
 // Off, every getter degrades to a plain make — the pre-pooling
 // behavior. Pooling is on by default.
 func SetPooling(on bool) {
@@ -38,7 +38,8 @@ func ArenaPoolStats() PoolStats { return relation.PoolStats() }
 // HashPoolStats snapshots the hash-table bucket pool counters.
 func HashPoolStats() PoolStats { return hashtab.PoolStats() }
 
-// SendPoolStats snapshots the engine's send-list pool counters.
+// SendPoolStats snapshots the engine's exchange-scratch pool counters
+// (one get per charged or scattering exchange operation).
 func SendPoolStats() PoolStats { return mpc.SendPoolStats() }
 
 // ResetPoolStats zeroes every pool counter (test and benchmark seam;
