@@ -8,6 +8,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -55,6 +56,10 @@ func main() {
 	}
 	if *dom == 0 {
 		*dom = int64(*n) * 5
+	}
+	if err := checkSizes(q, *kind, *n, *dom); err != nil {
+		fmt.Fprintln(os.Stderr, "mpcjoin:", err)
+		os.Exit(2)
 	}
 
 	var in *coverpack.Instance
@@ -203,6 +208,38 @@ func runRepeated(alg coverpack.Algorithm, in *coverpack.Instance, p, reps int, e
 	}
 	fmt.Printf("parallel    %d concurrent repetitions, all reports identical\n", reps)
 	return out[0], nil
+}
+
+// checkSizes rejects the sizes no instance can have: fewer than one
+// tuple per relation, a negative domain, and, for the workloads that
+// draw n distinct tuples from the domain (uniform, zipf), a domain whose
+// dom^arity tuples cannot hold n of them on some relation. dom is the
+// domain after -dom 0 has defaulted to 5·n.
+func checkSizes(q *coverpack.Query, kind string, n int, dom int64) error {
+	if n < 1 {
+		return fmt.Errorf("-n %d: need at least 1 tuple per relation", n)
+	}
+	if dom < 0 {
+		return fmt.Errorf("-dom %d: the domain size cannot be negative (0 picks 5·n)", dom)
+	}
+	if kind != "uniform" && kind != "zipf" {
+		return nil
+	}
+	for e := 0; e < q.NumEdges(); e++ {
+		space := int64(1)
+		for k := q.EdgeVars(e).Len(); k > 0 && space < int64(n); k-- {
+			if dom > 0 && space > math.MaxInt64/dom {
+				space = math.MaxInt64
+				break
+			}
+			space *= dom
+		}
+		if space < int64(n) {
+			return fmt.Errorf("-dom %d: relation %s holds at most %d distinct tuples, fewer than -n %d",
+				dom, q.Edge(e).Name, space, n)
+		}
+	}
+	return nil
 }
 
 func pickQuery(queryStr, catalog string) (*coverpack.Query, error) {

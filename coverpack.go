@@ -311,8 +311,8 @@ type Report struct {
 }
 
 // ExecOptions configures an execution beyond the algorithm and server
-// budget. It is the run's only configuration for parallel kernels:
-// that setting travels on the run's cluster, so executions with
+// budget. It is the run's only configuration for parallel execution:
+// the worker count travels on the run's cluster, so executions with
 // different ExecOptions are safe side by side, and no field writes
 // process state. The process-wide switches — SetPooling,
 // SetMetricsEnabled and internal/relation's index caching — are not
@@ -332,25 +332,20 @@ type ExecOptions struct {
 	// PlanStats, when non-nil, receives the run's HashPartition counts
 	// after the run (see CacheStats).
 	PlanStats *CacheStats
-	// NoPlanCache, Streaming, Spilling, SpillDir, SpillBudgetBytes and
-	// PlanCompile have no effect: there is no exchange-plan cache, every
-	// run executes resident, with the same exact-size operators, and
-	// writes no file, and every run compiles through the always-on shape
-	// cache. They stay because internal/bench names them; ROADMAP item 1
-	// deletes them with that harness code.
+	// NoPlanCache, Streaming, Spilling, SpillDir, SpillBudgetBytes,
+	// PlanCompile and ParKernels have no effect: there is no
+	// exchange-plan cache, every run executes resident, with the same
+	// exact-size operators, and writes no file, every run compiles
+	// through the always-on shape cache, and local operators run in
+	// parallel only across servers. They stay because internal/bench
+	// names them; ROADMAP item 1 deletes them with that harness code.
 	NoPlanCache      bool
 	Streaming        StreamMode
 	Spilling         SpillMode
 	SpillDir         string
 	SpillBudgetBytes int64
 	PlanCompile      PlanCompileMode
-	// ParKernels selects morsel-parallel local operators for the run:
-	// ParKernelDefault (the zero value) lets kernels fan out over the
-	// run's workers (they need Workers > 1 to engage), ParKernelOff
-	// holds every kernel to one block. Results are byte-identical in
-	// both modes and at every worker count; only wall-clock behavior
-	// differs.
-	ParKernels ParKernelMode
+	ParKernels       ParKernelMode
 }
 
 // Execute runs one algorithm on a fresh p-server cluster and returns
@@ -376,9 +371,6 @@ func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, e
 	}
 	if eo.Workers != 0 && eo.Workers != 1 {
 		opts = append(opts, mpc.WithWorkers(eo.Workers))
-	}
-	if eo.ParKernels == ParKernelOff {
-		opts = append(opts, mpc.WithParKernels(false))
 	}
 	c := mpc.NewCluster(p, opts...)
 	// The Report carries only scalars, so every exchange-produced

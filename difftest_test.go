@@ -22,10 +22,9 @@ import (
 // code path, so any divergence in a row is a determinism-contract
 // violation.
 //
-// A row is an ExecOptions value. Parallel kernels and workers are both
-// carried by the run's own cluster, so rows that set nothing else run
-// side by side under t.Parallel() — which is itself part of what the
-// oracle pins.
+// A row is an ExecOptions value. Workers are carried by the run's own
+// cluster, so rows that set nothing else run side by side under
+// t.Parallel() — which is itself part of what the oracle pins.
 // The pool-off and index-cache-off rows turn process-wide stores off
 // and therefore run one at a time, before the parallel group (as does
 // the metrics oracle in its own file).
@@ -40,7 +39,10 @@ import (
 // stay until the harness that reads them goes. The rows pin that
 // contract: under a budget every instance would overflow, a spill row
 // still matches the reference, writes nothing to its directory and
-// moves no spill counter.
+// moves no spill counter. Morsel-off rows likewise set ExecOptions'
+// ParKernels, which has no effect since local operators stopped running
+// over row blocks (a server is the unit of local parallelism); they pin
+// that setting it changes nothing.
 //
 // Stats.SeqFallback is the one deliberate exception: it records the
 // execution mode (whether WithWorkers degraded to sequential on a
@@ -57,9 +59,11 @@ var oracleAlgorithms = []coverpack.Algorithm{
 }
 
 // oracleWorkerSet returns the worker counts of the table: sequential,
-// 2 and 4, an odd 3 (the token pool never splits evenly over the 8
-// servers), 8 (one worker per server), 16 (more workers than servers,
-// the surplus going to morsel blocks) and the machine's CPU count.
+// 2 and 4, an odd 3 (the token pool never splits evenly over the
+// servers), 8 (one worker per server at p = 8), 16 (more workers than
+// servers at p = 8, so a fork over the servers leaves workers idle) and
+// the machine's CPU count. At p = 64 every count is far below the
+// server count, so each worker runs many servers of a fork.
 func oracleWorkerSet() []int {
 	ws := []int{1, 2, 3, 4, 8, 16}
 	if n := runtime.NumCPU(); !slices.Contains(ws, n) {
@@ -110,11 +114,10 @@ var oracleReference = oracleArm{
 	noPool:  true,
 }
 
-// oracleArms builds the table: the full workers × ParKernels product
-// (ParKernelOff only where workers > 1 lets kernels engage at all), then
-// the serial rows — pool-off, index-off (no retained first-row lists)
-// and both — at workers 1 and 4. Each parallel row is then repeated
-// untraced.
+// oracleArms builds the table at p = 8: one row per worker count, with
+// a morsel-off twin for each count above 1, then the serial rows —
+// pool-off, index-off (no retained first-row lists) and both — at
+// workers 1 and 4. Each parallel row is then repeated untraced.
 func oracleArms() []oracleArm {
 	var arms []oracleArm
 	for _, w := range oracleWorkerSet() {
@@ -133,6 +136,20 @@ func oracleArms() []oracleArm {
 		}
 	}
 	return withUntraced(arms)
+}
+
+// workerArms builds the table at p = 64: one traced row per worker
+// count above 1, the rows whose forks have many more servers than
+// workers. What the sequential, untraced, morsel-off and serial rows
+// pin does not depend on p, so they run at p = 8 only.
+func workerArms() []oracleArm {
+	var arms []oracleArm
+	for _, w := range oracleWorkerSet() {
+		if w > 1 {
+			arms = append(arms, oracleArm{eo: coverpack.ExecOptions{Workers: w}})
+		}
+	}
+	return arms
 }
 
 // spillArms builds the spill rows: one per worker count, each repeated
@@ -289,25 +306,32 @@ func skewOracleQueries() []*hypergraph.Query {
 }
 
 // TestDeterminismOracleCatalog sweeps the full paper catalog at a
-// moderate instance size.
+// moderate instance size, at p = 8 and again, against its own
+// reference, at the benchmark's p = 64, where Parallel trees are deep.
 func TestDeterminismOracleCatalog(t *testing.T) {
 	for _, entry := range coverpack.Catalog() {
 		t.Run(entry.Query.Name(), func(t *testing.T) {
-			runOracle(t, coverpack.Uniform(entry.Query, 400, 500, 1), 8, oracleArms())
+			in := coverpack.Uniform(entry.Query, 400, 500, 1)
+			runOracle(t, in, 8, oracleArms())
+			t.Run("p=64", func(t *testing.T) { runOracle(t, in, 64, workerArms()) })
 		})
 	}
 }
 
 // TestDeterminismOracleLarge re-runs a query subset on instances where
-// the chunked exchange paths — not just the sequential fallbacks — are
-// the ones being compared.
+// the chunked exchange paths and Local's fork over the servers — not
+// just the sequential fallbacks — are the ones being compared, at p = 8
+// and again, against its own reference, at p = 64, where that fork, the
+// only local one, has many more servers than workers.
 func TestDeterminismOracleLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large instances skipped in -short mode")
 	}
 	for _, q := range largeOracleQueries() {
 		t.Run(q.Name(), func(t *testing.T) {
-			runOracle(t, coverpack.Uniform(q, 1600, 2000, 7), 8, oracleArms())
+			in := coverpack.Uniform(q, 1600, 2000, 7)
+			runOracle(t, in, 8, oracleArms())
+			t.Run("p=64", func(t *testing.T) { runOracle(t, in, 64, workerArms()) })
 		})
 	}
 }

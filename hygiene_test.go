@@ -34,7 +34,6 @@ func TestExecuteOptsPathsLeakNoGoroutines(t *testing.T) {
 		{"default", coverpack.AlgYannakakis, coverpack.ExecOptions{}},
 		{"workers", coverpack.AlgYannakakis, coverpack.ExecOptions{Workers: 4}},
 		{"workers-traced", coverpack.AlgTriangle, coverpack.ExecOptions{Workers: 4, Recorder: coverpack.NewTraceCollector()}},
-		{"morsel-off", coverpack.AlgYannakakis, coverpack.ExecOptions{Workers: 4, ParKernels: coverpack.ParKernelOff}},
 		{"gomaxprocs-workers", coverpack.AlgHyperCube, coverpack.ExecOptions{Workers: -1}},
 	}
 

@@ -105,7 +105,7 @@ func TestHeavyStrataMatchReferenceLoop(t *testing.T) {
 		dedup := make([]*relation.Relation, q.NumEdges())
 		scattered := make([]*mpc.DistRelation, q.NumEdges())
 		for e := range dedup {
-			dedup[e] = tc.in.Rel(e).DedupPar(g)
+			dedup[e] = tc.in.Rel(e).Dedup()
 			scattered[e] = g.Scatter(dedup[e])
 		}
 		heavy := heavyStatistics(g, q, attrs, scattered, tc.delta)

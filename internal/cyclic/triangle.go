@@ -61,7 +61,7 @@ func RunTriangle(g *mpc.Group, in *relation.Instance) (*Result, error) {
 	dedup := make([]*relation.Relation, q.NumEdges())
 	scattered := make([]*mpc.DistRelation, q.NumEdges())
 	for e := 0; e < q.NumEdges(); e++ {
-		dedup[e] = in.Rel(e).DedupPar(g)
+		dedup[e] = in.Rel(e).Dedup()
 		scattered[e] = g.Scatter(dedup[e])
 	}
 

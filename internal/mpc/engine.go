@@ -103,83 +103,99 @@ func (g *Group) parallel(n int) bool {
 
 // fork runs fn(0..n-1) across the worker pool and returns when all
 // calls have finished. The caller participates; extra goroutines are
-// admitted by the cluster token pool (capacity workers−1). Indices are
-// distributed by a work-stealing morsel queue (morsel.go): each
-// participant drains its own contiguous range and steals half of the
-// fullest remaining range when it empties, with all shared state in
-// cache-line-padded per-participant words. A panic in any call is
-// re-raised on the caller (lowest index wins), preserving the
-// sequential engine's panic semantics for bad routes.
+// admitted by the cluster token pool (capacity workers−1), and a fork
+// that finds the pool exhausted — one nested in a Parallel branch, say
+// — runs inline on the caller. The participants claim indices from one
+// shared atomic counter: the tasks are servers or exchange chunks, so a
+// claim is rare next to the work it claims. A panic in any call is
+// re-raised on the caller (lowest index wins), preserving the sequential
+// engine's panic semantics for bad routes.
 func (c *Cluster) fork(n int, fn func(i int)) {
-	if n <= 0 {
-		return
+	spawned := 0
+	if c.workers > 1 && n > 1 {
+	reserve:
+		for spawned < min(c.workers, n)-1 {
+			select {
+			case c.tokens <- struct{}{}:
+				spawned++
+			default:
+				break reserve // pool exhausted; the caller absorbs the rest
+			}
+		}
+		mEngineForks.Inc()
+		mEngineForkTasks.Add(uint64(n))
+		mEngineForkGoroutines.Add(uint64(spawned))
 	}
-	if c.workers <= 1 || n == 1 {
+	if spawned == 0 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	want := c.workers
-	if n < want {
-		want = n
-	}
-	// Reserve tokens before seeding the queue so the initial ranges
-	// split over the real participant count; a pool-exhausted fork
-	// degrades to the caller draining one full range inline.
-	spawned := 0
-reserve:
-	for extra := 1; extra < want; extra++ {
-		select {
-		case c.tokens <- struct{}{}:
-			spawned++
-		default:
-			break reserve // pool exhausted; the caller absorbs the rest
-		}
-	}
-	q := newMorselQueue(spawned+1, n)
-	panics := make([]any, n)
-	var panicked atomic.Bool
+	t := &forkTasks{n: n, fn: fn}
 	var wg sync.WaitGroup
-	for w := 1; w <= spawned; w++ {
-		wg.Add(1)
-		go func(w int) {
+	wg.Add(spawned)
+	for w := 0; w < spawned; w++ {
+		go func() {
 			defer wg.Done()
 			defer func() { <-c.tokens }()
-			q.run(w, fn, panics, &panicked)
-		}(w)
+			t.drain()
+		}()
 	}
-	q.run(0, fn, panics, &panicked)
+	t.drain()
 	wg.Wait()
-	mEngineForks.Inc()
-	mEngineForkTasks.Add(uint64(n))
-	mEngineForkGoroutines.Add(uint64(spawned))
-	q.flush()
-	if panicked.Load() {
-		for _, p := range panics {
-			if p != nil {
-				panic(p)
-			}
+	for _, p := range t.panics {
+		if p != nil {
+			panic(p)
 		}
 	}
+}
+
+// forkTasks is one fork's task list. next is the shared claim index;
+// panics holds each panicking task's value at its index and is
+// allocated by the first task that panics.
+type forkTasks struct {
+	n      int
+	fn     func(i int)
+	next   atomic.Int64
+	mu     sync.Mutex
+	panics []any
+}
+
+// drain runs claimed tasks until none is left.
+func (t *forkTasks) drain() {
+	for {
+		i := int(t.next.Add(1)) - 1
+		if i >= t.n {
+			return
+		}
+		t.run(i)
+	}
+}
+
+// run runs task i, keeping its panic, if any, for the forker.
+func (t *forkTasks) run(i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.mu.Lock()
+			if t.panics == nil {
+				t.panics = make([]any, t.n)
+			}
+			t.panics[i] = r
+			t.mu.Unlock()
+		}
+	}()
+	t.fn(i)
 }
 
 // Fork runs fn(i) for i in [0, n) across the cluster's worker pool
 // (inline under the sequential engine). It parallelizes local,
 // communication-free computation: fn must not charge the group and its
 // only shared writes must go to caller-owned per-index slots, so the
-// merged result is independent of scheduling.
+// merged result is independent of scheduling. It makes *Group a
+// relation.Forker, so Local's server fork shares the exchanges' pool
+// and token budget.
 func (g *Group) Fork(n int, fn func(i int)) { g.cluster.fork(n, fn) }
-
-// Workers reports the cluster's worker-pool size. Together with Fork
-// and ParKernels this makes *Group satisfy relation.Forker, so
-// local-operator kernels can fan their phases out over the same pool
-// (and the same token budget) as the exchanges.
-func (g *Group) Workers() int { return g.cluster.workers }
-
-// ParKernels reports whether the run's local operators may run over
-// several blocks (WithParKernels).
-func (g *Group) ParKernels() bool { return g.cluster.parKernels }
 
 // frange is one contiguous run of tuples within a fragment; base is the
 // flattened (fragment-major) index of its first tuple.

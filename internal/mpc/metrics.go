@@ -43,17 +43,6 @@ var (
 		"Extra goroutines admitted by the engine token pool (utilization = goroutines / (forks × (workers−1))).")
 	mEngineSeqFallbacks = metrics.Default.NewCounter("coverpack_engine_seq_fallbacks_total",
 		"Clusters that requested WithWorkers but fell back to sequential execution (GOMAXPROCS=1).")
-
-	// Morsel-queue telemetry (morsel.go). All three are batch-flushed
-	// once per fork from per-participant padded slots — no per-task
-	// counter traffic on the hot path.
-	mMorselSteals = metrics.Default.NewCounter("coverpack_morsel_steals_total",
-		"Range steals between fork participants (work moved off an overloaded range).")
-	mMorselMorsels = metrics.Default.NewCounter("coverpack_morsel_ranges_total",
-		"Morsel ranges dispatched across all forks (initial per-participant ranges plus steals); divide by coverpack_engine_forks_total for morsels per fork.")
-	mMorselWorkerBusy = metrics.Default.NewHistogram("coverpack_morsel_worker_busy_seconds",
-		"Per-participant wall-clock busy time inside one fork (claim loop entry to drain).",
-		metrics.ExponentialBuckets(1e-6, 10, 8))
 )
 
 // observeRound records one charged exchange's load shape. max and total

@@ -123,12 +123,6 @@ type Cluster struct {
 	fellBack bool
 	chunker  func(d *DistRelation) [][]frange
 
-	// parKernels is the run's kernel lever, on unless
-	// WithParKernels(false): operators read it through the Group they
-	// already hold, so two clusters with different settings run side by
-	// side.
-	parKernels bool
-
 	// hashed and identity count the HashPartitions that hashed and
 	// those that took the identity path (see PlanCacheStats). Atomics:
 	// concurrent Parallel branches partition at the same time.
@@ -173,14 +167,6 @@ func WithChargeSelfSends(charge bool) Option {
 	return func(c *Cluster) { c.chargeSelfSends = charge }
 }
 
-// WithParKernels lets the relation kernels run over several row blocks
-// across the pool (the default; they still need workers > 1 to do so)
-// or holds them to one block. Outputs, Stats and traces are identical
-// either way.
-func WithParKernels(on bool) Option {
-	return func(c *Cluster) { c.parKernels = on }
-}
-
 // WithPlanCacheHint has no effect: there is no exchange-plan cache. It
 // stays because internal/bench names it; ROADMAP item 1 deletes it with
 // that harness code.
@@ -197,7 +183,7 @@ func NewCluster(p int, opts ...Option) *Cluster {
 	if p <= 0 {
 		panic(fmt.Sprintf("mpc: cluster needs p >= 1, got %d", p))
 	}
-	c := &Cluster{Budget: p, chargeSelfSends: true, workers: 1, parKernels: true}
+	c := &Cluster{Budget: p, chargeSelfSends: true, workers: 1}
 	for _, opt := range opts {
 		opt(c)
 	}

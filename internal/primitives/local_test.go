@@ -122,32 +122,3 @@ func TestLocalStepsMatchPerFragment(t *testing.T) {
 		}
 	}
 }
-
-// TestSemiJoinCutsLargeFragments: a server whose fragment holds
-// ParCutoff rows or more cuts its semi-join probe into blocks on the
-// group's worker pool, and the output is the one-worker output. Two
-// servers with large fragments are exactly the case the servers alone
-// cannot keep four workers busy with.
-func TestSemiJoinCutsLargeFragments(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	r := fragmented(rng, []int{4 * relation.ParCutoff, 4 * relation.ParCutoff}, 64)
-	s := &mpc.DistRelation{Schema: relation.NewSchema(1, 9)}
-	for range r.Frags {
-		f := relation.New(s.Schema)
-		for v := int64(0); v < 64; v += 3 {
-			f.AddValues(v, 0)
-		}
-		s.Frags = append(s.Frags, f)
-	}
-	want := SemiJoin(mpc.NewCluster(2).Root(), r, s)
-	relation.ResetParStats()
-	got := SemiJoin(mpc.NewCluster(2, mpc.WithWorkers(4)).Root(), r, s)
-	if st := relation.ParStats(); st.KernelRuns < 2 {
-		t.Fatalf("%+v: want each server's probe cut into blocks", st)
-	}
-	for i := range want.Frags {
-		if !slices.Equal(got.Frags[i].Data(), want.Frags[i].Data()) {
-			t.Fatalf("server %d: the 4-worker semi-join differs from the 1-worker one", i)
-		}
-	}
-}

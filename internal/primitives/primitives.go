@@ -222,7 +222,7 @@ func semiJoin(g *mpc.Group, r, s *mpc.DistRelation) (out, sp *mpc.DistRelation) 
 	}
 	rp := g.HashPartition(r, common)
 	sp = g.HashPartition(s, common)
-	out = mpc.Local(g, rp, relation.SemiJoinStep(rp.Schema, sp.Schema, sp.Frags, g))
+	out = mpc.Local(g, rp, relation.SemiJoinStep(rp.Schema, sp.Schema, sp.Frags))
 	// The local filter keeps rows in place, so the output inherits rp's
 	// partitioning — the next semi-join of a reduce sweep on the same
 	// key (or the pair join that follows it) skips the exchange.

@@ -41,7 +41,7 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 		pos[i] = pp
 	}
 	if p == 1 {
-		return mpc.Local(g, d, relation.SortStep(d.Schema, pos, g))
+		return mpc.Local(g, d, relation.SortStep(d.Schema, pos))
 	}
 
 	// Round 1: deterministic per-server sample (every ⌈n_s/(4)⌉-th
@@ -49,7 +49,7 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 	// take up to 8 evenly spaced keys per server), gathered to the
 	// driver (charged via Gather).
 	const perServer = 8
-	sampleRel := mpc.Local(g, d, relation.SampleStep(d.Schema, pos, g, perServer))
+	sampleRel := mpc.Local(g, d, relation.SampleStep(d.Schema, pos, perServer))
 	// Each gathered fragment is already sorted (the sample walks a
 	// sorted clone in ascending order), so the concatenation is a
 	// sequence of sorted runs: k-way merge with galloping instead of a
@@ -86,10 +86,10 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 	routed := g.RouteBuf(d, func(_ int, t relation.Tuple, buf []int) []int {
 		return append(buf[:0], destOf(t))
 	})
-	// Each server stably sorts its range: large fragments run the radix
-	// passes block by block over the group's worker pool, and the result
-	// is byte-identical at any worker count.
-	return mpc.Local(g, routed, relation.SortStep(routed.Schema, pos, g))
+	// Each server stably sorts its range; the servers are the tasks of
+	// the group's worker pool, and the result is byte-identical at any
+	// worker count.
+	return mpc.Local(g, routed, relation.SortStep(routed.Schema, pos))
 }
 
 // IsGloballySorted reports whether the distributed relation is sorted

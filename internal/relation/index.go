@@ -60,7 +60,7 @@ func (r *Relation) firstRows() []int32 {
 }
 
 // keyChains is a hash index of a join's build side on the join key,
-// borrowed for one JoinPar call: table numbers the distinct keys,
+// borrowed for one Join call: table numbers the distinct keys,
 // heads[e] is the first row holding key e, and next[i] is the next row
 // after row i holding row i's key (−1 ends a chain), so a chain lists
 // its rows in row order.

@@ -20,16 +20,6 @@ const smallRows = 64
 // must survive).
 type goForker struct{ w int }
 
-func (f goForker) Workers() int { return f.w }
-
-func (f goForker) ParKernels() bool { return true }
-
-// seqKernelForker is goForker on a run with parallel kernels off
-// (ExecOptions.ParKernels == ParKernelOff).
-type seqKernelForker struct{ goForker }
-
-func (seqKernelForker) ParKernels() bool { return false }
-
 func (f goForker) Fork(n int, fn func(i int)) {
 	p := f.w
 	if p > n {
@@ -59,35 +49,6 @@ func (f goForker) Fork(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// cutForker is a goForker that also dictates where the kernels cut
-// their input (blockCutter), so the block paths run on inputs of any
-// size: cut returns the block boundaries for a kernel over rows.
-type cutForker struct {
-	goForker
-	cut func(rows int) []int
-}
-
-func (f cutForker) cutBlocks(rows int) []int { return f.cut(rows) }
-
-// evenBlocks cuts into nb blocks of near-equal size (empty ones when
-// there are fewer rows than blocks), run on 3 goroutines.
-func evenBlocks(nb int) Forker {
-	return cutForker{goForker{3}, func(rows int) []int {
-		cuts := make([]int, nb+1)
-		for b := range cuts {
-			cuts[b] = rows * b / nb
-		}
-		return cuts
-	}}
-}
-
-// blockForkers is the sweep every kernel test runs against the naive
-// reference: one block inline (nil Forker), then 1, 2 and 7 blocks
-// through the forked path.
-func blockForkers() map[string]Forker {
-	return map[string]Forker{"inline": nil, "1 block": evenBlocks(1), "2 blocks": evenBlocks(2), "7 blocks": evenBlocks(7)}
-}
-
 // sameRel reports whether got is want byte for byte.
 func sameRel(t *testing.T, label string, got, want *Relation) bool {
 	t.Helper()
@@ -97,6 +58,10 @@ func sameRel(t *testing.T, label string, got, want *Relation) bool {
 	}
 	return true
 }
+
+// The kernel-vs-reference properties below keep the names they had when
+// each kernel also ran over row blocks: every one now compares the one
+// kernel body with its naive reference (reference_test.go).
 
 func TestSortByParMatchesSortBy(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(23))}
@@ -108,15 +73,9 @@ func TestSortByParMatchesSortBy(t *testing.T) {
 		// Both sides of radixMinRows.
 		r := randomRel(rng, schema, rng.Intn(4*radixMinRows), doms[rng.Intn(len(doms))])
 		pos := rng.Perm(arity)[:1+rng.Intn(arity)]
-		want := refSortBy(r, pos)
-		for name, fk := range blockForkers() {
-			got := r.Clone()
-			got.SortByPar(pos, fk)
-			if !sameRel(t, name, got, want) {
-				return false
-			}
-		}
-		return true
+		got := r.Clone()
+		got.SortBy(pos)
+		return sameRel(t, "SortBy", got, refSortBy(r, pos))
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
@@ -125,17 +84,17 @@ func TestSortByParMatchesSortBy(t *testing.T) {
 
 func TestSortByParSkipsSortedInput(t *testing.T) {
 	r := New(NewSchema(0))
-	for i := 0; i < ParCutoff+100; i++ {
+	for i := 0; i < 4*radixMinRows; i++ {
 		r.AddValues(int64(i))
 	}
 	arena := &r.Data()[0]
-	r.SortByPar([]int{0}, goForker{4})
+	r.SortBy([]int{0})
 	if &r.Data()[0] != arena {
-		t.Fatal("sorted input re-sorted on the block path: the arena was replaced")
+		t.Fatal("sorted input re-sorted: the arena was replaced")
 	}
 }
 
-// MergeRuns has one part; its blocks are the runs.
+// MergeRuns against its reference, over 1, 2 and 7 runs.
 func TestMergeRunsParMatchesMergeRuns(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(29))}
 	f := func(seed int64) bool {
@@ -178,10 +137,8 @@ func TestDedupParMatchesDedup(t *testing.T) {
 		doms := []int64{2, 30, 1 << 30}
 		r := randomRel(rng, schema, rng.Intn(6*smallDedupCutoff), doms[rng.Intn(len(doms))])
 		want := refDedup(r)
-		for name, fk := range blockForkers() {
-			if !sameRel(t, name, r.DedupPar(fk), want) {
-				return false
-			}
+		if !sameRel(t, "Dedup", r.Dedup(), want) {
+			return false
 		}
 		first := r.FirstRows()
 		for k, i := range first {
@@ -203,11 +160,8 @@ func TestSemiJoinParMatchesSemiJoin(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := randomRel(rng, NewSchema(0, 1), rng.Intn(3*smallRows), 8)
 		s := randomRel(rng, NewSchema(1, 2), rng.Intn(40), 8)
-		want := refSemiJoin(r, s)
-		for name, fk := range blockForkers() {
-			if !sameRel(t, name, r.SemiJoinPar(s, fk), want) {
-				return false
-			}
+		if !sameRel(t, "SemiJoin", r.SemiJoin(s), refSemiJoin(r, s)) {
+			return false
 		}
 		set := map[Value]bool{-3: true, 2: true, 5: true}
 		for _, c := range []struct {
@@ -220,10 +174,8 @@ func TestSemiJoinParMatchesSemiJoin(t *testing.T) {
 			{rowPred{op: predNotIn, col: 1, set: set}, refSelectIn(r, 1, set, false)},
 			{rowPred{op: predNotIn, col: 0}, r},
 		} {
-			for name, fk := range blockForkers() {
-				if !sameRel(t, name, one(r, Filter{p: c.p, out: r.schema, f: fk}), c.want) {
-					return false
-				}
+			if !sameRel(t, "Filter", one(r, Filter{p: c.p, out: r.schema}), c.want) {
+				return false
 			}
 		}
 		return true
@@ -245,13 +197,7 @@ func TestJoinParMatchesJoin(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			s = randomRel(rng, NewSchema(1, 2), r.Len(), 6)
 		}
-		want := refJoin(r, s)
-		for name, fk := range blockForkers() {
-			if !sameRel(t, name, r.JoinPar(s, fk), want) {
-				return false
-			}
-		}
-		return true
+		return sameRel(t, "Join", r.Join(s), refJoin(r, s))
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
@@ -261,17 +207,15 @@ func TestJoinParMatchesJoin(t *testing.T) {
 func TestJoinParCartesian(t *testing.T) {
 	r := randomRel(rand.New(rand.NewSource(1)), NewSchema(0), 2*smallRows, 5)
 	s := randomRel(rand.New(rand.NewSource(2)), NewSchema(1), 3, 5)
-	for name, fk := range blockForkers() {
-		if !sameRel(t, name, r.JoinPar(s, fk), refJoin(r, s)) || !sameRel(t, name, s.JoinPar(r, fk), refJoin(s, r)) {
-			t.Fatal("Cartesian JoinPar differs from the nested loop")
-		}
+	if !sameRel(t, "r×s", r.Join(s), refJoin(r, s)) || !sameRel(t, "s×r", s.Join(r), refJoin(s, r)) {
+		t.Fatal("Cartesian Join differs from the nested loop")
 	}
 }
 
-// TestJoinCountMatchesJoin: JoinCount is the size of the join JoinPar
+// TestJoinCountMatchesJoin: JoinCount is the size of the join Join
 // builds (bag semantics: duplicate rows match once per copy), whether
 // the build side carries a retained FirstRows list or none, with caching
-// on or off — and neither JoinCount nor JoinPar builds, uses up or
+// on or off — and neither JoinCount nor Join builds, uses up or
 // replaces a retained list on either side.
 func TestJoinCountMatchesJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -309,13 +253,13 @@ func TestJoinCountMatchesJoin(t *testing.T) {
 		}
 		rBefore, sBefore := r.first.Load(), s.first.Load()
 		got := r.JoinCount(s)
-		n := r.JoinPar(s, nil).Len()
+		n := r.Join(s).Len()
 		SetIndexCaching(true)
 		if got != want {
 			t.Errorf("%s: JoinCount %d, want %d", tc.name, got, want)
 		}
 		if int64(n) != want {
-			t.Errorf("%s: JoinPar builds %d rows, JoinCount counts %d", tc.name, n, want)
+			t.Errorf("%s: Join builds %d rows, JoinCount counts %d", tc.name, n, want)
 		}
 		if r.first.Load() != rBefore || s.first.Load() != sBefore {
 			t.Errorf("%s: a keyed kernel changed a retained list", tc.name)
@@ -323,74 +267,6 @@ func TestJoinCountMatchesJoin(t *testing.T) {
 		if !tc.caching && sBefore != nil {
 			t.Errorf("%s: a list was retained with caching off", tc.name)
 		}
-	}
-}
-
-// TestKernelsAboveCutoff runs every kernel through the cut blocksOf
-// makes on its own — inputs of ParCutoff rows and more on a real
-// multi-goroutine Forker — against the same references.
-func TestKernelsAboveCutoff(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	r := randomRel(rng, NewSchema(0, 1), ParCutoff+rng.Intn(2000), 1<<20)
-	for i := 0; i < r.Len(); i += 3 {
-		r.Row(i)[1] = int64(i % 50) // a third of the rows find partners
-	}
-	s := randomRel(rng, NewSchema(1, 2), 60, 25)
-	for _, w := range []int{2, 3, 8} {
-		fk := goForker{w}
-		ResetParStats()
-		ok := sameRel(t, "SemiJoinPar", r.SemiJoinPar(s, fk), refSemiJoin(r, s)) &&
-			sameRel(t, "JoinPar", r.JoinPar(s, fk), refJoin(r, s)) &&
-			sameRel(t, "JoinPar swapped", s.JoinPar(r, fk), refJoin(s, r)) &&
-			sameRel(t, "DedupPar", r.DedupPar(fk), r.Dedup())
-		sorted := r.Clone()
-		sorted.SortByPar([]int{1, 0}, fk)
-		if !ok || !sameRel(t, "SortByPar", sorted, refSortBy(r, []int{1, 0})) {
-			t.Fatalf("workers %d: a kernel differs from its reference above the cutoff", w)
-		}
-		if st := ParStats(); st.KernelRuns < 5 {
-			t.Fatalf("workers %d: %+v, want every kernel over several blocks", w, st)
-		}
-	}
-}
-
-// ParStats: KernelRuns counts runs over several blocks, SeqCutoffs
-// counts one-block runs forced by the input size on a Forker that would
-// otherwise fan out; a Forker with one worker, or on a run with
-// parallel kernels off, means one block and counts neither way.
-func TestParKernelCutoffAndKillSwitch(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	// Dedup cuts its first-occurrence list, so keep the rows distinct.
-	small := randomRel(rng, NewSchema(0, 1), ParCutoff-1, 1<<40)
-	big := randomRel(rng, NewSchema(0, 1), ParCutoff, 1<<40)
-	if small.Dedup().Len() != small.Len() || big.Dedup().Len() != big.Len() {
-		t.Fatal("test rows are not distinct")
-	}
-
-	ResetParStats()
-	_ = small.DedupPar(goForker{4})
-	if st := ParStats(); st.SeqCutoffs != 1 || st.KernelRuns != 0 {
-		t.Fatalf("sub-cutoff dedup counted %+v, want 1 cutoff / 0 runs", st)
-	}
-	_ = big.DedupPar(goForker{4})
-	if st := ParStats(); st.KernelRuns != 1 {
-		t.Fatalf("cutoff-size dedup counted %+v, want 1 multi-block run", st)
-	}
-
-	// A one-worker forker never counts either way.
-	ResetParStats()
-	_ = big.DedupPar(goForker{1})
-	if st := ParStats(); st.KernelRuns != 0 || st.SeqCutoffs != 0 {
-		t.Fatalf("one-worker forker counted %+v", st)
-	}
-
-	ResetParStats()
-	out := big.DedupPar(seqKernelForker{goForker{4}})
-	if st := ParStats(); st.KernelRuns != 0 || st.SeqCutoffs != 0 {
-		t.Fatalf("ParKernels()==false ignored: %+v", st)
-	}
-	if !slices.Equal(out.data, refDedup(big).data) {
-		t.Fatal("kernels-off path differs from the reference")
 	}
 }
 

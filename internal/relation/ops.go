@@ -5,7 +5,7 @@ import "fmt"
 // This file holds the local (single-server) operators. The MPC
 // algorithms compose them with communication primitives; the sequential
 // oracle in instance.go composes them directly. The filters, Dedup and
-// Join are the block kernels of parallel.go run over one block.
+// Join are the kernels of kernels.go run over one relation.
 //
 // Every keyed operator (dedup, semi-join, hash join) probes an
 // internal/hashtab table keyed on projected arena columns — no
@@ -86,17 +86,6 @@ func (s selectProject) Fill(_ int, in *Relation, sel, dst []Value, rows int) {
 		}
 	}
 }
-
-// Dedup returns the relation with duplicate tuples removed, in
-// first-seen order.
-func (r *Relation) Dedup() *Relation { return r.DedupPar(nil) }
-
-// SemiJoin returns the tuples of r that agree with at least one tuple of
-// s on their common attributes (r ⋉ s); see SemiJoinPar.
-func (r *Relation) SemiJoin(s *Relation) *Relation { return r.SemiJoinPar(s, nil) }
-
-// Join returns the natural join r ⋈ s; see JoinPar.
-func (r *Relation) Join(s *Relation) *Relation { return r.JoinPar(s, nil) }
 
 // DistinctValues returns the set of values of attribute a. The int64-
 // keyed map allocates no key strings; callers needing deterministic

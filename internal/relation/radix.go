@@ -1,17 +1,13 @@
 package relation
 
-import (
-	"slices"
-	"sync/atomic"
-)
+import "slices"
 
 // LSD radix sort and galloping merge kernels over int64 arena columns.
 //
 // radixOrder is the workhorse behind Sort/SortBy/MergeJoin on large
 // relations: a least-significant-digit radix sort of the row indices,
-// one key column at a time from last to first, eight bits per pass,
-// written over row blocks like the kernels of parallel.go. Every
-// counting pass is stable, so the whole permutation is stable —
+// one key column at a time from last to first, eight bits per pass.
+// Every counting pass is stable, so the whole permutation is stable —
 // byte-for-byte the permutation slices.SortStableFunc would produce —
 // which is what keeps golden outputs unchanged when the kernel kicks
 // in. Signed order falls out of flipping the sign bit before bucketing
@@ -30,10 +26,10 @@ import (
 // (fewer fixed costs, no 64-bit key buffer).
 const radixMinRows = 128
 
-// sortedRange reports whether every row of [lo, hi) is ≥ its
-// predecessor (row lo's is row lo−1) on the given positions.
-func (r *Relation) sortedRange(pos []int, lo, hi int) bool {
-	for i := max(lo, 1); i < hi; i++ {
+// sorted reports whether every row is ≥ its predecessor on the given
+// positions.
+func (r *Relation) sorted(pos []int) bool {
+	for i := 1; i < r.rows; i++ {
 		if r.compareRowsAt(i-1, i, pos) > 0 {
 			return false
 		}
@@ -42,30 +38,18 @@ func (r *Relation) sortedRange(pos []int, lo, hi int) bool {
 }
 
 // sortPerm returns the sorted row permutation of the resident arena on
-// the given positions over the blocks of cuts (nil: one block, inline),
-// or nil when the rows are already in order — one linear scan, common
-// for fragments returned by a cached re-exchange. Large inputs take the
-// stable radix kernel; its permutation is identical to
-// slices.SortStableFunc's, and without stable the caller compares whole
-// rows, so tie rows are equal and stability is indistinguishable.
-func (r *Relation) sortPerm(pos []int, stable bool, f Forker, cuts []int) []int32 {
-	if cuts == nil {
-		if r.sortedRange(pos, 0, r.rows) {
-			return nil
-		}
-	} else {
-		var unsorted atomic.Bool
-		forkBlocks(f, cuts, func(_, lo, hi int) {
-			if !r.sortedRange(pos, lo, hi) {
-				unsorted.Store(true)
-			}
-		})
-		if !unsorted.Load() {
-			return nil
-		}
+// the given positions, or nil when the rows are already in order — one
+// linear scan, common for fragments an exchange left in key order.
+// Large inputs take the stable radix kernel; its permutation is
+// identical to slices.SortStableFunc's, and without stable the caller
+// compares whole rows, so tie rows are equal and stability is
+// indistinguishable.
+func (r *Relation) sortPerm(pos []int, stable bool) []int32 {
+	if r.sorted(pos) {
+		return nil
 	}
 	if r.rows >= radixMinRows {
-		return radixOrder(r.data, r.rows, r.arity, pos, f, cuts)
+		return radixOrder(r.data, r.rows, r.arity, pos)
 	}
 	perm := identityPerm(r.rows)
 	cmp := func(a, b int32) int { return r.compareRowsAt(int(a), int(b), pos) }
@@ -77,49 +61,14 @@ func (r *Relation) sortPerm(pos []int, stable bool, f Forker, cuts []int) []int3
 	return perm
 }
 
-// radixCount is the counting pass of one block: the histogram of the
-// digit at shift over the keys its slice of the permutation points at.
-func radixCount(cnt *[256]int, keys []uint64, perm []int32, shift uint) {
-	*cnt = [256]int{}
-	for _, pi := range perm {
-		cnt[byte(keys[pi]>>shift)]++
-	}
-}
-
-// radixOffsets turns the per-block histograms into write cursors,
-// digit-major then block-major: exactly the positions one stable
-// counting pass over the whole permutation assigns, since concatenating
-// the blocks in order is that scan's order.
-func radixOffsets(cnts [][256]int) {
-	sum := 0
-	for d := 0; d < 256; d++ {
-		for b := range cnts {
-			n := cnts[b][d]
-			cnts[b][d] = sum
-			sum += n
-		}
-	}
-}
-
-// radixScatter is the placement pass of one block, through its own
-// cursors.
-func radixScatter(off *[256]int, keys []uint64, perm, tmp []int32, shift uint) {
-	for _, pi := range perm {
-		d := byte(keys[pi] >> shift)
-		tmp[off[d]] = pi
-		off[d]++
-	}
-}
-
 // radixOrder returns the stable sorted row permutation of the arena on
-// the given positions, counting and placing block by block over f (nil
-// cuts: one block, inline). rows must be >= 2.
-func radixOrder(data []Value, rows, arity int, pos []int, f Forker, cuts []int) []int32 {
+// the given positions: per key column, last to first, one counting pass
+// over the permutation, the histogram turned into write cursors, and one
+// placement pass, per byte of the column. rows must be >= 2.
+func radixOrder(data []Value, rows, arity int, pos []int) []int32 {
 	perm := identityPerm(rows)
 	tmp := make([]int32, rows)
 	keys := make([]uint64, rows)
-	// The blocks' histograms; one block keeps its own on the stack.
-	cnts := make([][256]int, max(len(cuts)-1, 0))
 	for c := len(pos) - 1; c >= 0; c-- {
 		p := pos[c]
 		// differ has a bit set wherever two keys of the column differ: a
@@ -135,16 +84,19 @@ func radixOrder(data []Value, rows, arity int, pos []int, f Forker, cuts []int) 
 			if byte(differ>>shift) == 0 {
 				continue
 			}
-			if cuts == nil {
-				var cnt [1][256]int
-				radixCount(&cnt[0], keys, perm, shift)
-				radixOffsets(cnt[:])
-				radixScatter(&cnt[0], keys, perm, tmp, shift)
-			} else {
-				src, dst := perm, tmp
-				forkBlocks(f, cuts, func(b, lo, hi int) { radixCount(&cnts[b], keys, src[lo:hi], shift) })
-				radixOffsets(cnts)
-				forkBlocks(f, cuts, func(b, lo, hi int) { radixScatter(&cnts[b], keys, src[lo:hi], dst, shift) })
+			var cnt [256]int
+			for _, pi := range perm {
+				cnt[byte(keys[pi]>>shift)]++
+			}
+			sum := 0
+			for d, n := range cnt {
+				cnt[d] = sum
+				sum += n
+			}
+			for _, pi := range perm {
+				d := byte(keys[pi] >> shift)
+				tmp[cnt[d]] = pi
+				cnt[d]++
 			}
 			perm, tmp = tmp, perm
 		}

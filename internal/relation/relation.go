@@ -381,33 +381,28 @@ func FromData(schema Schema, data []Value, rows int) *Relation {
 // output and comparisons). Full-row comparison makes ties identical, so
 // the permutation sort needs no stability to be deterministic.
 func (r *Relation) Sort() {
-	r.sortByPositions(identityPositions(r.arity), false, nil)
+	r.sortByPositions(identityPositions(r.arity), false)
 }
 
 // SortBy stably orders tuples in place by the given schema positions;
 // rows that compare equal on the positions keep their relative order
 // (the in-place successor of sorting a materialized []Tuple with
 // sort.SliceStable).
-func (r *Relation) SortBy(pos []int) { r.SortByPar(pos, nil) }
-
-// SortByPar is SortBy with the sorted check, the radix passes and the
-// permutation apply run block by block over f.
-func (r *Relation) SortByPar(pos []int, f Forker) { r.sortByPositions(pos, true, f) }
+func (r *Relation) SortBy(pos []int) { r.sortByPositions(pos, true) }
 
 // sortByPositions sorts via a row-index permutation (sortPerm) and one
 // pass applying it into a fresh arena. Already-sorted inputs skip the
 // permutation and arena copy entirely, leaving the arena and the
 // retained FirstRows list untouched.
-func (r *Relation) sortByPositions(pos []int, stable bool, f Forker) {
+func (r *Relation) sortByPositions(pos []int, stable bool) {
 	if r.rows < 2 || r.arity == 0 || len(pos) == 0 {
 		return
 	}
-	cuts := blocksOf(f, r.rows)
-	perm := r.sortPerm(pos, stable, f, cuts)
+	perm := r.sortPerm(pos, stable)
 	if perm == nil {
 		return
 	}
-	r.data = r.gather(perm, f, cuts)
+	r.data = r.gather(perm)
 	r.invalidate()
 }
 

@@ -12,8 +12,8 @@ import (
 // between exchanges — filters, projections, degree counts, aggregation,
 // sorting, the pair join — apply one operator to every fragment.
 // Fragments runs such a step as one two-pass kernel over all of them,
-// with the fragments as the blocks of parallel.go's count-then-fill
-// shape:
+// in the count-then-fill shape of kernels.go with the fragments as its
+// units:
 //
 //   - pass 1 (Count) records each fragment's output row count in the row
 //     field of its header in one header slab, keeping what pass 2 needs
@@ -30,8 +30,15 @@ import (
 // blob, so no arena is held until a cluster's Release.
 //
 // The single-relation operators (SelectEq, SelectGt, SelectIn,
-// ProjectTo, Degrees, and the one-block SemiJoin and Join) are the
-// one-fragment case of the same halves (one).
+// ProjectTo, Degrees, SemiJoin and Join) are the one-fragment case of
+// the same halves (one).
+
+// Forker runs n index tasks, possibly concurrently, returning after
+// all complete. *mpc.Group implements it, over the engine's worker
+// pool; tests use local fakes.
+type Forker interface {
+	Fork(n int, fn func(i int))
+}
 
 // A Step is a per-fragment operator split into the two halves of the
 // server-major kernel. Schema is the output schema, fixed when the step
@@ -41,9 +48,7 @@ import (
 // per-row state in scratch; Fill writes exactly those rows — rows of
 // them, row-major under Schema — to dst. Under a Forker the fragments of
 // a pass run concurrently, so both halves must be pure: they write only
-// scratch and dst and read in and data shared read-only. A step holding
-// a Forker of its own (Filter, Join, Sorted) may cut a large fragment
-// into blocks on it; those blocks, too, write only their own regions.
+// scratch and dst and read in and data shared read-only.
 type Step interface {
 	Schema() Schema
 	Scratch(i int, in *Relation) int
@@ -158,9 +163,6 @@ type Filter struct {
 	build    []*Relation
 	pair     *Relation
 	buildPos []int
-	// f, when set, cuts a fragment of ParCutoff rows or more into blocks
-	// (blocksOf): the semi-join's probe, like the join's, pays for it.
-	f Forker
 }
 
 // SelectEqStep is the Filter of SelectEq(a, v) over relations of schema
@@ -187,21 +189,20 @@ func SelectInStep(in Schema, a int, set map[Value]bool, keep bool) Filter {
 
 // SemiJoinStep is the Filter of the semi-join of fragment i (schema in)
 // with build[i] (schema bs): the probe of SemiJoin, one borrowed key
-// table per fragment, its scan cut into blocks on f (nil for none). The
-// schemas must share an attribute.
-func SemiJoinStep(in, bs Schema, build []*Relation, f Forker) Filter {
+// table per fragment. The schemas must share an attribute.
+func SemiJoinStep(in, bs Schema, build []*Relation) Filter {
 	common := in.Common(bs)
 	if len(common) == 0 {
 		panic(fmt.Sprintf("relation: SemiJoinStep schemas %v and %v share no attribute", in, bs))
 	}
-	return semiJoinOn(in, bs, common, build, nil, f)
+	return semiJoinOn(in, bs, common, build, nil)
 }
 
 // semiJoinOn is SemiJoinStep with the common attributes resolved; pair,
 // when build is nil, is the one build side.
-func semiJoinOn(in, bs Schema, common []int, build []*Relation, pair *Relation, f Forker) Filter {
+func semiJoinOn(in, bs Schema, common []int, build []*Relation, pair *Relation) Filter {
 	return Filter{p: rowPred{op: predProbe, pos: in.Positions(common)}, out: in,
-		build: build, pair: pair, buildPos: bs.Positions(common), f: f}
+		build: build, pair: pair, buildPos: bs.Positions(common)}
 }
 
 // other returns fragment i's other side: all[i], or pair when all is
@@ -220,11 +221,8 @@ func (s Filter) Schema() Schema { return s.out }
 func (s Filter) Scratch(_ int, in *Relation) int { return in.rows }
 
 func (s Filter) Count(i int, in *Relation, sel []Value) int {
-	if cuts := blocksOf(s.f, in.rows); cuts != nil {
-		return s.countBlocks(i, in, sel, cuts)
-	}
 	if s.p.op != predProbe {
-		return s.p.mark(sel, in, 0, in.rows)
+		return s.p.mark(sel, in)
 	}
 	b := other(s.build, s.pair, i)
 	var keys hashtab.Table
@@ -234,42 +232,13 @@ func (s Filter) Count(i int, in *Relation, sel []Value) int {
 	}
 	p := s.p
 	p.probe = &keys
-	n := p.mark(sel, in, 0, in.rows)
+	n := p.mark(sel, in)
 	keys.Release()
 	return n
 }
 
-// countBlocks is Count over the blocks of cuts: every block marks its
-// kept rows at the start of its own stretch of sel, and the stretches
-// are then closed up, so sel begins with all kept rows in row order, as
-// after a one-block mark. A semi-join's key table is built once and
-// probed by all blocks.
-func (s Filter) countBlocks(i int, in *Relation, sel []Value, cuts []int) int {
-	p := s.p
-	var keys *hashtab.Table
-	if p.op == predProbe {
-		b := other(s.build, s.pair, i)
-		keys = new(hashtab.Table)
-		keys.Init(len(s.buildPos), b.rows)
-		for k := 0; k < b.rows; k++ {
-			keys.Insert(b.Row(k), s.buildPos)
-		}
-		p.probe = keys
-	}
-	kept := make([]int, len(cuts)-1)
-	forkBlocks(s.f, cuts, func(b, lo, hi int) { kept[b] = p.mark(sel[lo:hi], in, lo, hi) })
-	n := 0
-	for b, k := range kept {
-		n += copy(sel[n:], sel[cuts[b]:cuts[b]+k])
-	}
-	if keys != nil {
-		keys.Release()
-	}
-	return n
-}
-
 func (s Filter) Fill(_ int, in *Relation, sel, dst []Value, rows int) {
-	gatherBlocks(in, dst, sel[:rows], s.f, cutsOf(s.f, rows))
+	gatherInto(in, dst, sel[:rows])
 }
 
 // Project is ProjectTo's step: every row, reduced to the columns of the
@@ -373,12 +342,10 @@ func (s DegreeCount) Fill(_ int, _ *Relation, sc, dst []Value, rows int) {
 }
 
 // Join is the step of the natural join of fragment i (the left side)
-// with other[i] (the right side), JoinPar's kernel: the build side of
-// each pair is the smaller, ties to the right, and Count keeps the build
-// side's chains and every probe row's matched chain in scratch — the key
-// table goes back to the pool before Count returns. A probe side of
-// ParCutoff rows or more is cut into blocks on f (blocksOf); Count then
-// also keeps each block's output offset in scratch, for Fill.
+// with other[i] (the right side), the kernel of Relation.Join: the build
+// side of each pair is the smaller, ties to the right, and Count keeps
+// the build side's chains and every probe row's matched chain in
+// scratch — the key table goes back to the pool before Count returns.
 type Join struct {
 	other []*Relation
 	pair  *Relation // the other side of a one-relation step
@@ -387,21 +354,19 @@ type Join struct {
 	// columns.
 	lpos, rpos, lout, rout []int
 	out                    Schema
-	f                      Forker
 }
 
 // JoinStep is the Join of relations of schema in with other, whose
-// relations have schema os, its probe scans cut into blocks on f (nil
-// for none); the output schema is in.Union(os).
-func JoinStep(in, os Schema, other []*Relation, f Forker) Join {
-	return joinStep(in, os, other, nil, f)
+// relations have schema os; the output schema is in.Union(os).
+func JoinStep(in, os Schema, other []*Relation) Join {
+	return joinStep(in, os, other, nil)
 }
 
 // joinStep is JoinStep with pair, when others is nil, the one other
 // side.
-func joinStep(in, os Schema, others []*Relation, pair *Relation, f Forker) Join {
+func joinStep(in, os Schema, others []*Relation, pair *Relation) Join {
 	out := in.Union(os)
-	s := Join{other: others, pair: pair, out: out, f: f}
+	s := Join{other: others, pair: pair, out: out}
 	if common := in.Common(os); len(common) > 0 {
 		s.lpos, s.rpos = in.Positions(common), os.Positions(common)
 	}
@@ -431,97 +396,56 @@ func (s Join) run(i int, in *Relation) joinRun {
 
 func (s Join) Schema() Schema { return s.out }
 
-// Scratch is the chains (2 values a build row), the matched chain of
-// every probe row, and, when the probe side is cut into blocks, the
-// output offset of every block boundary.
+// Scratch is the chains (2 values a build row) and the matched chain of
+// every probe row.
 func (s Join) Scratch(i int, in *Relation) int {
 	if s.lpos == nil {
 		return 0
 	}
 	j := s.run(i, in)
-	return 2*j.build.rows + j.probe.rows + len(cutsOf(s.f, j.probe.rows))
+	return 2*j.build.rows + j.probe.rows
 }
 
 func (s Join) Count(i int, in *Relation, sc []Value) int {
-	if cuts := blocksOf(s.f, s.run(i, in).probe.rows); cuts != nil && s.lpos != nil {
-		return countBlocks(s.f, cuts, s.run(i, in), sc)
-	}
 	j := s.run(i, in)
 	if j.probePos == nil {
-		return j.count(nil, 0, j.probe.rows)
+		return j.count(nil)
 	}
 	var tab hashtab.Table
 	nb := 2 * j.build.rows
 	j.ix = chainsOn(&tab, j.build, j.buildPos, sc[:nb])
-	n := j.count(sc[nb:], 0, j.probe.rows)
+	n := j.count(sc[nb:])
 	tab.Release()
 	return n
 }
 
-// countBlocks is Join.Count over the blocks of cuts: the chains are
-// built once, every block counts its probe rows' matches, and the
-// running totals — block b's output starts at row offs[b] — go to the
-// end of sc.
-func countBlocks(f Forker, cuts []int, j joinRun, sc []Value) int {
-	tab := new(hashtab.Table)
-	nb := 2 * j.build.rows
-	j.ix = chainsOn(tab, j.build, j.buildPos, sc[:nb])
-	chain, offs := sc[nb:nb+j.probe.rows], sc[nb+j.probe.rows:]
-	offs[0] = 0
-	forkBlocks(f, cuts, func(b, lo, hi int) { offs[b+1] = Value(j.count(chain, lo, hi)) })
-	for b := 1; b < len(offs); b++ {
-		offs[b] += offs[b-1]
-	}
-	tab.Release()
-	return int(offs[len(offs)-1])
-}
-
 func (s Join) Fill(i int, in *Relation, sc, dst []Value, _ int) {
 	j := s.run(i, in)
-	cuts := cutsOf(s.f, j.probe.rows)
-	var chain, offs []Value
+	var chain []Value
 	if j.probePos != nil {
 		j.ix.next = sc[:j.build.rows]
-		chain, offs = sc[2*j.build.rows:2*j.build.rows+j.probe.rows], sc[2*j.build.rows+j.probe.rows:]
+		chain = sc[2*j.build.rows:]
 	}
-	if cuts == nil {
-		j.scatter(dst, chain, 0, j.probe.rows)
-		return
-	}
-	scatterBlocks(s.f, cuts, j, chain, offs, dst)
-}
-
-// scatterBlocks is Join.Fill over the blocks of cuts: block b writes its
-// rows at its offset, offs[b] for a keyed join (countBlocks), the block's
-// first probe row times the build rows for a product.
-func scatterBlocks(f Forker, cuts []int, j joinRun, chain, offs, dst []Value) {
-	forkBlocks(f, cuts, func(b, lo, hi int) {
-		start, end := lo*j.build.rows, hi*j.build.rows
-		if offs != nil {
-			start, end = int(offs[b]), int(offs[b+1])
-		}
-		j.scatter(dst[start*j.arity:end*j.arity], chain, lo, hi)
-	})
+	j.scatter(dst, chain)
 }
 
 // Sorted is the step of a fragment-local stable sort on pos: every row,
 // or with every > 0 one sample row per every-th of the sorted order, in
-// sorted order. Fill lists the order block by block over f
-// (SortByPar's kernel) and gathers the rows into dst.
+// sorted order. Fill lists the order (SortBy's kernel) and gathers the
+// rows into dst.
 type Sorted struct {
 	out     Schema
 	pos     []int
-	f       Forker
 	samples int
 }
 
 // SortStep is the Sorted of all rows of relations of schema in on pos.
-func SortStep(in Schema, pos []int, f Forker) Sorted { return Sorted{out: in, pos: pos, f: f} }
+func SortStep(in Schema, pos []int) Sorted { return Sorted{out: in, pos: pos} }
 
 // SampleStep is the Sorted sample of up to about k evenly spaced rows
 // of the sorted order: rows 0, s, 2s, … for s = max(n/k, 1).
-func SampleStep(in Schema, pos []int, f Forker, k int) Sorted {
-	return Sorted{out: in, pos: pos, f: f, samples: k}
+func SampleStep(in Schema, pos []int, k int) Sorted {
+	return Sorted{out: in, pos: pos, samples: k}
 }
 
 func (s Sorted) Schema() Schema { return s.out }
@@ -545,7 +469,7 @@ func (s Sorted) Count(_ int, in *Relation, _ []Value) int {
 func (s Sorted) Fill(_ int, in *Relation, _, dst []Value, rows int) {
 	var perm []int32
 	if in.rows >= 2 && in.arity > 0 && len(s.pos) > 0 {
-		perm = in.sortPerm(s.pos, true, s.f, blocksOf(s.f, in.rows))
+		perm = in.sortPerm(s.pos, true)
 	}
 	st, a := s.stride(in.rows), in.arity
 	for k := 0; k < rows; k++ {

@@ -60,9 +60,7 @@ func checkFragments[S Step](t *testing.T, label string, frags []*Relation, s S, 
 
 // checkServerSteps runs every relation step over the fragmentations rf
 // of a relation over (0, 1) and sf of one over (1, 2), server i pairing
-// rf[i] with sf[i]. The semi-join and join steps also run with a Forker
-// of their own, which cuts each fragment into blocks: three fixed ones,
-// or blocksOf's natural cut above ParCutoff rows.
+// rf[i] with sf[i].
 func checkServerSteps(t *testing.T, rf, sf []*Relation, v Value) {
 	t.Helper()
 	rs, ss := NewSchema(0, 1), NewSchema(1, 2)
@@ -71,18 +69,14 @@ func checkServerSteps(t *testing.T, rf, sf []*Relation, v Value) {
 	checkFragments(t, "SelectGt", rf, SelectGtStep(rs, 1, v), func(_ int, f *Relation) *Relation { return refSelect(f, 1, v, true) })
 	checkFragments(t, "SelectIn", rf, SelectInStep(rs, 1, set, true), func(_ int, f *Relation) *Relation { return refSelectIn(f, 1, set, true) })
 	checkFragments(t, "SelectNotIn", rf, SelectInStep(rs, 1, set, false), func(_ int, f *Relation) *Relation { return refSelectIn(f, 1, set, false) })
-	for _, bf := range []Forker{nil, evenBlocks(3), goForker{4}} {
-		checkFragments(t, "SemiJoin", rf, SemiJoinStep(rs, ss, sf, bf), func(i int, f *Relation) *Relation { return refSemiJoin(f, sf[i]) })
-	}
+	checkFragments(t, "SemiJoin", rf, SemiJoinStep(rs, ss, sf), func(i int, f *Relation) *Relation { return refSemiJoin(f, sf[i]) })
 	for _, ps := range []Schema{NewSchema(1), NewSchema(1, 0), NewSchema()} {
 		checkFragments(t, "Project", rf, ProjectStep(rs, ps), func(_ int, f *Relation) *Relation { return refProject(f, ps) })
 	}
 	deg := NewSchema(1, 2)
 	checkFragments(t, "Degrees", rf, DegreesStep(rs, 1, deg), func(_ int, f *Relation) *Relation { return refDegrees(f, 1, 2) })
-	for _, bf := range []Forker{nil, evenBlocks(3), goForker{4}} {
-		checkFragments(t, "Join", rf, JoinStep(rs, ss, sf, bf), func(i int, f *Relation) *Relation { return refJoin(f, sf[i]) })
-		checkFragments(t, "Join swapped", sf, JoinStep(ss, rs, rf, bf), func(i int, f *Relation) *Relation { return refJoin(f, rf[i]) })
-	}
+	checkFragments(t, "Join", rf, JoinStep(rs, ss, sf), func(i int, f *Relation) *Relation { return refJoin(f, sf[i]) })
+	checkFragments(t, "Join swapped", sf, JoinStep(ss, rs, rf), func(i int, f *Relation) *Relation { return refJoin(f, rf[i]) })
 	// A 0-ary side: the product keeps the other side's rows once per
 	// 0-ary row.
 	zero := make([]*Relation, len(rf))
@@ -92,14 +86,11 @@ func checkServerSteps(t *testing.T, rf, sf []*Relation, v Value) {
 			zero[i].AddValues()
 		}
 	}
-	for _, bf := range []Forker{nil, evenBlocks(3), goForker{4}} {
-		checkFragments(t, "Join product", sf, JoinStep(ss, NewSchema(), zero, bf), func(i int, f *Relation) *Relation { return refJoin(f, zero[i]) })
-	}
+	checkFragments(t, "Join product", sf, JoinStep(ss, NewSchema(), zero), func(i int, f *Relation) *Relation { return refJoin(f, zero[i]) })
 	checkFragments(t, "Project 0-ary", zero, ProjectStep(NewSchema(), NewSchema()), func(_ int, f *Relation) *Relation { return f })
 	for _, pos := range [][]int{{0}, {1, 0}} {
-		checkFragments(t, "Sort", rf, SortStep(rs, pos, nil), func(_ int, f *Relation) *Relation { return refSortBy(f, pos) })
-		checkFragments(t, "Sort blocks", rf, SortStep(rs, pos, evenBlocks(3)), func(_ int, f *Relation) *Relation { return refSortBy(f, pos) })
-		checkFragments(t, "Sample", rf, SampleStep(rs, pos, nil, 8), func(_ int, f *Relation) *Relation {
+		checkFragments(t, "Sort", rf, SortStep(rs, pos), func(_ int, f *Relation) *Relation { return refSortBy(f, pos) })
+		checkFragments(t, "Sample", rf, SampleStep(rs, pos, 8), func(_ int, f *Relation) *Relation {
 			sorted, out := refSortBy(f, pos), New(rs)
 			for i := 0; i < sorted.Len(); i += max(sorted.Len()/8, 1) {
 				out.Add(sorted.Row(i))
@@ -111,8 +102,8 @@ func checkServerSteps(t *testing.T, rf, sf []*Relation, v Value) {
 
 // TestFragmentsMatchPerFragmentOperators sweeps random fragmentations
 // with empty fragments and fragments on both sides of smallDedupCutoff,
-// and one fragment above ParCutoff (paired with a
-// small one, which keeps the nested-loop references fast).
+// and one large fragment (paired with a small one, which keeps the
+// nested-loop references fast).
 func TestFragmentsMatchPerFragmentOperators(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range []struct{ rows, k int }{
@@ -123,7 +114,7 @@ func TestFragmentsMatchPerFragmentOperators(t *testing.T) {
 		rf, sf := cutAt(r, randomCuts(rng, r.Len(), c.k)), cutAt(s, randomCuts(rng, s.Len(), c.k))
 		checkServerSteps(t, rf, sf, Value(rng.Int63n(d)))
 	}
-	r, s := randomRel(rng, NewSchema(0, 1), ParCutoff+200, 500), randomRel(rng, NewSchema(1, 2), 100, 500)
+	r, s := randomRel(rng, NewSchema(0, 1), 4296, 500), randomRel(rng, NewSchema(1, 2), 100, 500)
 	checkServerSteps(t, cutAt(r, []int{100}), cutAt(s, []int{60}), 250)
 }
 

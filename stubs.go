@@ -3,14 +3,16 @@ package coverpack
 import "coverpack/internal/lp"
 
 // Streaming, out-of-core execution, the exchange-plan cache, the LP
-// solve memo and the per-run compile-cache switch are gone: every run
-// executes the same exact-size local operators on resident arenas,
-// writes no file, hashes every exchange whose input is not already
-// partitioned on its key, and compiles through the always-on shape
-// cache. The names below, with ExecOptions' NoPlanCache, Streaming,
-// Spilling, SpillDir, SpillBudgetBytes and PlanCompile fields, have no
-// effect and stay only because internal/bench reads them. ROADMAP
-// item 1 deletes these with the harness code that reads them.
+// solve memo, the per-run compile-cache switch and the row-block
+// kernels are gone: every run executes the same exact-size local
+// operators on resident arenas, writes no file, hashes every exchange
+// whose input is not already partitioned on its key, compiles through
+// the always-on shape cache, and runs a local operator in parallel only
+// across servers. The names below, with ExecOptions' NoPlanCache,
+// Streaming, Spilling, SpillDir, SpillBudgetBytes, PlanCompile and
+// ParKernels fields, have no effect and stay only because
+// internal/bench reads them. ROADMAP item 1 deletes these with the
+// harness code that reads them.
 
 // StreamCounters is the former streaming-layer snapshot. Both fields
 // always read zero.
@@ -64,3 +66,27 @@ type LPMemoStats = lp.MemoStats
 
 // LPMemoCacheStats snapshots the simplex-run counter.
 func LPMemoCacheStats() LPMemoStats { return lp.Memo() }
+
+// ParKernelMode is the type of ExecOptions.ParKernels.
+type ParKernelMode int
+
+const (
+	// ParKernelDefault is the zero ParKernelMode, the one internal/bench
+	// checks for.
+	ParKernelDefault ParKernelMode = iota
+	// ParKernelOff selects nothing either.
+	ParKernelOff
+)
+
+// ParCounters is the former block-kernel snapshot. Both fields always
+// read zero.
+type ParCounters struct {
+	KernelRuns uint64
+	SeqCutoffs uint64
+}
+
+// ParStats returns zero counters.
+func ParStats() ParCounters { return ParCounters{} }
+
+// ResetParStats does nothing.
+func ResetParStats() {}

@@ -57,15 +57,16 @@ func TestSpillNamesAreInert(t *testing.T) {
 // TestSpillNamesLiveInStubs keeps the inert names in one place for
 // ROADMAP item 1 to delete: outside stubs.go, no top-level declaration
 // of the root package, and no ExecOptions field other than Spilling,
-// SpillDir and SpillBudgetBytes, names spilling, the LP solve memo
-// (LPMemo*) or the compile-cache mode (PlanCompileMode,
-// PlanCompileDefault).
+// SpillDir, SpillBudgetBytes and ParKernels, names spilling, the LP
+// solve memo (LPMemo*), the compile-cache mode (PlanCompileMode,
+// PlanCompileDefault) or the block kernels (ParKernel*, ParCounters,
+// ParStats, ResetParStats).
 func TestSpillNamesLiveInStubs(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fields := map[string]bool{"Spilling": true, "SpillDir": true, "SpillBudgetBytes": true}
+	fields := map[string]bool{"Spilling": true, "SpillDir": true, "SpillBudgetBytes": true, "ParKernels": true}
 	fset := token.NewFileSet()
 	for _, name := range files {
 		if name == "stubs.go" || strings.HasSuffix(name, "_test.go") {
@@ -77,7 +78,9 @@ func TestSpillNamesLiveInStubs(t *testing.T) {
 		}
 		check := func(id *ast.Ident) {
 			stub := strings.Contains(id.Name, "Spill") || strings.HasPrefix(id.Name, "LPMemo") ||
-				id.Name == "PlanCompileMode" || id.Name == "PlanCompileDefault"
+				id.Name == "PlanCompileMode" || id.Name == "PlanCompileDefault" ||
+				strings.HasPrefix(id.Name, "ParKernel") || id.Name == "ParCounters" ||
+				id.Name == "ParStats" || id.Name == "ResetParStats"
 			if stub && !fields[id.Name] {
 				t.Errorf("%s: stub name %s outside stubs.go", fset.Position(id.Pos()), id.Name)
 			}
