@@ -61,6 +61,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mpcjoin:", err)
 		os.Exit(2)
 	}
+	if *parallel < 1 {
+		fmt.Fprintf(os.Stderr, "mpcjoin: -parallel %d: need at least 1 repetition\n", *parallel)
+		os.Exit(2)
+	}
 
 	var in *coverpack.Instance
 	switch *kind {
@@ -101,9 +105,6 @@ func main() {
 		nw = runtime.GOMAXPROCS(0)
 	}
 	reps := *parallel
-	if reps < 1 {
-		reps = 1
-	}
 	if product := nw * reps; product > runtime.NumCPU() {
 		fmt.Fprintf(os.Stderr, "mpcjoin: warning: -workers(%d) × -parallel(%d) = %d goroutines exceeds %d CPUs; oversubscription adds scheduling overhead without extra speedup\n",
 			nw, reps, product, runtime.NumCPU())

@@ -42,8 +42,9 @@ func TestCheckSizes(t *testing.T) {
 	}
 }
 
-// TestBadSizesExitTwo runs the command on sizes it must reject: each
-// exits with status 2 and a one-line message, and none panics.
+// TestBadSizesExitTwo runs the command on sizes and repetition counts it
+// must reject: each exits with status 2 and a one-line message, and none
+// panics.
 func TestBadSizesExitTwo(t *testing.T) {
 	if os.Getenv("MPCJOIN_MAIN") == "1" {
 		os.Args = append([]string{"mpcjoin"}, strings.Fields(os.Getenv("MPCJOIN_ARGS"))...)
@@ -54,6 +55,8 @@ func TestBadSizesExitTwo(t *testing.T) {
 		"-catalog line3 -dom -3",
 		"-catalog line3 -n -5",
 		"-catalog line3 -n 100 -dom 3",
+		"-catalog line3 -n 10 -parallel 0",
+		"-catalog line3 -n 10 -parallel -2",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestBadSizesExitTwo$")
 		cmd.Env = append(os.Environ(), "MPCJOIN_MAIN=1", "MPCJOIN_ARGS="+args)

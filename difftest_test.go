@@ -18,18 +18,18 @@ import (
 // configurations, must produce the same report (emitted count, Stats,
 // chosen L) and the same trace — span tree and per-phase load
 // attribution — bit for bit as the reference run. The reference is the
-// sequential, pool-off, index-off run: the pre-caching, pre-pooling
-// code path, so any divergence in a row is a determinism-contract
-// violation.
+// sequential traced run, taken after every arena class up to the
+// largest the oracle asks for has been seeded with sentinel-filled
+// arenas (seedArenas): a kernel that reads pooled memory it did not
+// write carries the sentinel into its output and diverges, so any
+// divergence in a row is a determinism-contract violation.
 //
 // A row is an ExecOptions value. Workers are carried by the run's own
-// cluster, so rows that set nothing else run side by side under
-// t.Parallel() — which is itself part of what the oracle pins.
-// The pool-off and index-cache-off rows turn process-wide stores off
-// and therefore run one at a time, before the parallel group (as does
-// the metrics oracle in its own file).
+// cluster, and no row touches process state, so every row runs side by
+// side under t.Parallel() — which is itself part of what the oracle
+// pins.
 //
-// Every parallel row also runs untraced (trace-off): with no recorder
+// Every row also runs untraced (trace-off): with no recorder
 // the engine skips span bookkeeping and per-branch trace buffers, which
 // is the path untraced callers take, and its report must still equal
 // the traced reference's.
@@ -76,16 +76,13 @@ func oracleWorkerSet() []int {
 // working set exceeds.
 const spillArmBudget = 4 << 10
 
-// oracleArm is one row of the table: the ExecOptions of the run plus,
-// for the serial rows only, the process-wide stores it runs without.
+// oracleArm is one row of the table: the ExecOptions of the run, traced
+// or not.
 type oracleArm struct {
 	eo       coverpack.ExecOptions
-	noIndex  bool // relation.SetIndexCaching(false)
-	noPool   bool // coverpack.SetPooling(false)
 	untraced bool // no Recorder: the report is all the run produces
 }
 
-func (a oracleArm) serial() bool  { return a.noIndex || a.noPool }
 func (a oracleArm) spilled() bool { return a.eo.Spilling == coverpack.SpillOn }
 
 func (a oracleArm) String() string {
@@ -94,8 +91,6 @@ func (a oracleArm) String() string {
 		on   bool
 		name string
 	}{
-		{a.noIndex, "index-off"},
-		{a.noPool, "pool-off"},
 		{a.eo.ParKernels == coverpack.ParKernelOff, "morsel-off"},
 		{a.spilled(), "spill-on"},
 		{a.untraced, "trace-off"},
@@ -108,16 +103,47 @@ func (a oracleArm) String() string {
 }
 
 // oracleReference is the run every row is compared against.
-var oracleReference = oracleArm{
-	eo:      coverpack.ExecOptions{Workers: 1},
-	noIndex: true,
-	noPool:  true,
+var oracleReference = oracleArm{eo: coverpack.ExecOptions{Workers: 1}}
+
+// oracleArenaBits is the largest arena class, in log₂ values, that an
+// oracle run asks the arena pool for (measured over the oracle's
+// instances: 204 800 values).
+const oracleArenaBits = 18
+
+// seedDepth is the number of sentinel arenas seeded per class: more
+// than any one kernel holds at once.
+const seedDepth = 4
+
+// sentinel fills the seeded arenas. No instance holds it, so a row that
+// carries it into an output reads memory its kernel never wrote.
+const sentinel = relation.Value(-0x5eed5eed5eed5eed)
+
+// seedArenas hands the arena pool seedDepth sentinel-filled arenas of
+// every class up to 1<<oracleArenaBits values, so the next gets of each
+// class take them. It takes every arena out before it puts any back,
+// smallest first, which leaves the pool's reserve as much room as it
+// can. What overflows the reserve goes to the sync.Pool tier, which a
+// collection may empty, so beyond the reserve the seeding is best
+// effort.
+func seedArenas() {
+	var held [][]relation.Value
+	for n := 1 << 8; n <= 1<<oracleArenaBits; n <<= 1 { // from the smallest class
+		for range seedDepth {
+			a := relation.GetArena(n)
+			held = append(held, a[:cap(a)])
+		}
+	}
+	for _, a := range held {
+		for i := range a {
+			a[i] = sentinel
+		}
+		relation.PutArena(a)
+	}
 }
 
 // oracleArms builds the table at p = 8: one row per worker count, with
-// a morsel-off twin for each count above 1, then the serial rows —
-// pool-off, index-off (no retained first-row lists) and both — at
-// workers 1 and 4. Each parallel row is then repeated untraced.
+// a morsel-off twin for each count above 1. Each row is then repeated
+// untraced.
 func oracleArms() []oracleArm {
 	var arms []oracleArm
 	for _, w := range oracleWorkerSet() {
@@ -128,20 +154,13 @@ func oracleArms() []oracleArm {
 			arms = append(arms, oracleArm{eo: eo})
 		}
 	}
-	for _, w := range []int{1, 4} {
-		eo := coverpack.ExecOptions{Workers: w}
-		arms = append(arms, oracleArm{eo: eo, noPool: true}, oracleArm{eo: eo, noIndex: true})
-		if both := (oracleArm{eo: eo, noIndex: true, noPool: true}); both != oracleReference {
-			arms = append(arms, both)
-		}
-	}
 	return withUntraced(arms)
 }
 
 // workerArms builds the table at p = 64: one traced row per worker
 // count above 1, the rows whose forks have many more servers than
-// workers. What the sequential, untraced, morsel-off and serial rows
-// pin does not depend on p, so they run at p = 8 only.
+// workers. What the sequential, untraced and morsel-off rows pin does
+// not depend on p, so they run at p = 8 only.
 func workerArms() []oracleArm {
 	var arms []oracleArm
 	for _, w := range oracleWorkerSet() {
@@ -165,13 +184,11 @@ func spillArms() []oracleArm {
 	return withUntraced(arms)
 }
 
-// withUntraced appends an untraced copy of every parallel row.
+// withUntraced appends an untraced copy of every row.
 func withUntraced(arms []oracleArm) []oracleArm {
 	for _, a := range arms[:len(arms):len(arms)] {
-		if !a.serial() {
-			a.untraced = true
-			arms = append(arms, a)
-		}
+		a.untraced = true
+		arms = append(arms, a)
 	}
 	return arms
 }
@@ -196,19 +213,10 @@ func tracedExec(alg coverpack.Algorithm, in *coverpack.Instance, p int, eo cover
 	return &runArtifacts{rep, root, coverpack.PhaseTable(root)}, nil
 }
 
-// run executes one row. Serial rows switch their process-wide stores
-// off for the duration; spill rows run in a fresh directory that must
+// run executes one row. Spill rows run in a fresh directory that must
 // still be empty when ExecuteOpts returns.
 func (a oracleArm) run(t *testing.T, alg coverpack.Algorithm, in *coverpack.Instance, p int) (*runArtifacts, error) {
 	t.Helper()
-	if a.noIndex {
-		relation.SetIndexCaching(false)
-		defer relation.SetIndexCaching(true)
-	}
-	if a.noPool {
-		coverpack.SetPooling(false)
-		defer coverpack.SetPooling(true)
-	}
 	eo := a.eo
 	if a.spilled() {
 		eo.SpillDir = t.TempDir()
@@ -248,39 +256,29 @@ func assertRunsAgree(t *testing.T, label string, ref, got *runArtifacts) {
 }
 
 // runOracle exercises every algorithm that accepts the instance's
-// query under each row: the serial rows first, one at a time, then the
-// ExecOptions-only rows concurrently. The group subtest returns only
-// when its parallel rows are done, so no serial row ever overlaps them.
+// query under each row, all rows concurrently. The reference runs
+// first, alone, over freshly seeded arenas; the group subtest returns
+// only when its rows are done, so no row overlaps the next reference.
 func runOracle(t *testing.T, in *coverpack.Instance, p int, arms []oracleArm) {
 	for _, alg := range oracleAlgorithms {
+		seedArenas()
 		ref, err := oracleReference.run(t, alg, in, p)
 		if err != nil {
 			// The algorithm rejects this query class (e.g. AlgTriangle on a
 			// star); nothing to compare.
 			continue
 		}
-		check := func(t *testing.T, arm oracleArm) {
-			label := in.Query.Name() + "/" + alg.String() + "/" + arm.String()
-			got, err := arm.run(t, alg, in, p)
-			if err != nil {
-				t.Errorf("%s: run failed where the reference succeeded: %v", label, err)
-				return
-			}
-			assertRunsAgree(t, label, ref, got)
-		}
-		for _, arm := range arms {
-			if arm.serial() {
-				check(t, arm)
-			}
-		}
 		t.Run(alg.String(), func(t *testing.T) {
 			for _, arm := range arms {
-				if arm.serial() {
-					continue
-				}
 				t.Run(arm.String(), func(t *testing.T) {
 					t.Parallel()
-					check(t, arm)
+					label := in.Query.Name() + "/" + alg.String() + "/" + arm.String()
+					got, err := arm.run(t, alg, in, p)
+					if err != nil {
+						t.Errorf("%s: run failed where the reference succeeded: %v", label, err)
+						return
+					}
+					assertRunsAgree(t, label, ref, got)
 				})
 			}
 		})

@@ -1,8 +1,14 @@
 package coverpack_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math/rand"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -70,9 +76,6 @@ func TestExecuteOptsPathsLeakNoGoroutines(t *testing.T) {
 // and so does every table of a whole run, so no exchange-output
 // fragment keeps one.
 func TestKeyedKernelsReturnTables(t *testing.T) {
-	if !hashtab.PoolingEnabled() {
-		t.Fatal("pooling should default to on")
-	}
 	balanced := func(what string) {
 		t.Helper()
 		if st := hashtab.PoolStats(); st.Gets == 0 || st.Puts != st.Gets || st.Discards != 0 {
@@ -194,5 +197,47 @@ func TestExchangeScratchBalanced(t *testing.T) {
 	}
 	if st := coverpack.SendPoolStats(); st.Gets == 0 || st.Puts != st.Gets || st.Discards != 0 {
 		t.Fatalf("exchange scratch pool %+v, want every get put back", st)
+	}
+}
+
+// No store has a switch: the memory pools and the retained first-row
+// lists are always on, so the only process-wide on/off value is the
+// metrics registry's. A source scan of every non-test file fails on any
+// other package-level func Set…(bool).
+func TestNoStoreSwitches(t *testing.T) {
+	allowed := map[string]bool{"SetMetricsEnabled": true, "internal/metrics.SetEnabled": true}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Set") {
+				continue
+			}
+			params := fn.Type.Params.List
+			if len(params) != 1 || len(params[0].Names) > 1 {
+				continue
+			}
+			if id, ok := params[0].Type.(*ast.Ident); !ok || id.Name != "bool" {
+				continue
+			}
+			name := fn.Name.Name
+			if dir := filepath.Dir(path); dir != "." {
+				name = filepath.ToSlash(dir) + "." + name
+			}
+			if !allowed[name] {
+				t.Errorf("%s: %s(bool) is a process-wide switch; stores carry none", fset.Position(fn.Pos()), name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

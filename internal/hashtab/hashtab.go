@@ -77,11 +77,6 @@ type Table struct {
 	hashes []uint64
 	slots  []int32 // entry index + 1; 0 = empty
 	mask   uint64
-	// The pool handles the three buffers came in (pool.go); nil for a
-	// buffer the pool did not supply.
-	keysBox   *[]int64
-	hashesBox *[]uint64
-	slotsBox  *[]int32
 	// collide is a test seam for forcing hash collisions: every key
 	// hashes to one value. Production constructors leave it false, so
 	// the hot path pays one predictable branch, and no indirect call
@@ -111,11 +106,9 @@ func (t *Table) Init(arity, hint int) {
 		size <<= 1
 	}
 	*t = Table{arity: arity, mask: uint64(size - 1)}
-	t.slots, t.slotsBox = getSlots(size)
-	if hint > 0 {
-		t.hashes, t.hashesBox = getArena[uint64](&hashPools, hint)
-		t.keys, t.keysBox = getArena[int64](&keyPools, hint*arity)
-	}
+	t.slots = getSlots(size)
+	t.hashes = hashPool.Get(hint)
+	t.keys = keyPool.Get(hint * arity)
 }
 
 // newColliding is the test-only constructor whose keys all hash to one
@@ -204,9 +197,9 @@ func (t *Table) Insert(row []int64, pos []int) (idx int, found bool) {
 // cached hashes (keys and entry indices are untouched).
 func (t *Table) grow() {
 	size := len(t.slots) * 2
-	old, oldBox := t.slots, t.slotsBox
-	t.slots, t.slotsBox = getSlots(size)
-	putSlots(old, oldBox)
+	old := t.slots
+	t.slots = getSlots(size)
+	slotPool.Put(old)
 	t.mask = uint64(size - 1)
 	for e, h := range t.hashes {
 		s := h & t.mask

@@ -187,10 +187,10 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 // escapeSink makes a table escape to the heap in an allocation pin.
 var escapeSink *Table
 
-// TestReleaseAllocatesNothing: Release allocates a pool handle only for
-// a buffer that did not come from a pool, so releasing a zero Table, a
-// table whose arrays are discarded because pooling is off, or a table
-// built from warm pools allocates nothing.
+// TestReleaseAllocatesNothing: Release allocates a pool handle only when
+// no get has parked one, so releasing a zero Table, a table whose
+// buffers the pools discard, or a table built from warm pools allocates
+// nothing.
 func TestReleaseAllocatesNothing(t *testing.T) {
 	t.Run("zero-table", func(t *testing.T) {
 		var zero Table
@@ -198,19 +198,21 @@ func TestReleaseAllocatesNothing(t *testing.T) {
 			t.Fatalf("releasing a zero Table: %.2f allocs/run, want 0", avg)
 		}
 	})
-	t.Run("pooling-off", func(t *testing.T) {
-		SetPooling(false)
-		defer SetPooling(true)
+	t.Run("below-class-floor", func(t *testing.T) {
+		// Buffers under the smallest class are discarded, not pooled.
 		const runs = 100
 		tabs := make([]*Table, runs+1) // AllocsPerRun adds one warm-up call
 		for i := range tabs {
-			tabs[i] = New(1, 64)
-			tabs[i].Insert([]int64{int64(i)}, []int{0})
+			tabs[i] = &Table{arity: 1, slots: make([]int32, 4), hashes: make([]uint64, 0, 4), keys: make([]int64, 0, 4)}
 		}
+		before := PoolStats()
 		next := 0
 		release := func() { tabs[next].Release(); next++ }
 		if avg := testing.AllocsPerRun(runs, release); avg != 0 {
-			t.Fatalf("releasing under SetPooling(false): %.2f allocs/run, want 0", avg)
+			t.Fatalf("releasing undersized buffers: %.2f allocs/run, want 0", avg)
+		}
+		if after := PoolStats(); after.Discards-before.Discards != 3*(runs+1) || after.Puts != before.Puts {
+			t.Fatalf("releasing undersized buffers: pool counters %+v -> %+v, want only discards", before, after)
 		}
 	})
 	t.Run("warm-round-trip", func(t *testing.T) {

@@ -202,8 +202,7 @@ func (c *Cluster) SetLoadObserver(fn func(maxLoad int)) { c.onRound = fn }
 func (c *Cluster) Root() *Group { return c.root }
 
 // trackArena registers a pooled arena blob acquired during this run so
-// Release can recycle it. nil blobs (pooling off, zero-size hints) are
-// ignored.
+// Release can recycle it. nil blobs (zero-size hints) are ignored.
 func (c *Cluster) trackArena(blob []relation.Value) {
 	if blob == nil {
 		return

@@ -2,8 +2,8 @@ package mpc
 
 import (
 	"sync"
-	"sync/atomic"
 
+	"coverpack/internal/pool"
 	"coverpack/internal/trace"
 )
 
@@ -12,11 +12,10 @@ import (
 // the routers' per-chunk state — is dead once its round is charged. One
 // xrun holds it all; an operation takes one before routing and puts it
 // back right after chargeRound, so an exchange allocates only what it
-// returns. xruns recycle through a process-wide pool (SetSendPooling(false):
-// a fresh one per exchange). No recorder keeps recv
-// (trace.Recorder.Exchange) and no output aliases the scratch; every
-// vector is cleared or fully overwritten before it is read, and vectors
-// over scratchCap elements are dropped, not pooled.
+// returns. xruns recycle through a process-wide pool. No recorder keeps
+// recv (trace.Recorder.Exchange) and no output aliases the scratch;
+// every vector is cleared or fully overwritten before it is read, and
+// vectors over scratchCap elements are dropped, not pooled.
 
 // xrun is one exchange's scratch.
 type xrun struct {
@@ -41,53 +40,25 @@ type xchunk struct {
 const scratchCap = 1 << 12
 
 var (
-	// sendPoolingOff is inverted so the zero value means "enabled".
-	sendPoolingOff atomic.Bool
-	scratchPool    sync.Pool // *xrun
-
-	sendGets     atomic.Uint64
-	sendHits     atomic.Uint64
-	sendMisses   atomic.Uint64
-	sendPuts     atomic.Uint64
-	sendDiscards atomic.Uint64
+	scratchPool   sync.Pool // *xrun
+	scratchCounts pool.Counters
 )
-
-// SetSendPooling toggles exchange-scratch recycling globally. Off, every
-// exchange makes a fresh scratch — the pre-pooling behavior.
-func SetSendPooling(on bool) { sendPoolingOff.Store(!on) }
 
 // SendPoolStats snapshots the exchange-scratch pool counters: Gets counts
 // the scratches taken, one per charged or scattering operation.
-func SendPoolStats() trace.PoolStats {
-	return trace.PoolStats{
-		Gets:     sendGets.Load(),
-		Hits:     sendHits.Load(),
-		Misses:   sendMisses.Load(),
-		Puts:     sendPuts.Load(),
-		Discards: sendDiscards.Load(),
-	}
-}
+func SendPoolStats() trace.PoolStats { return scratchCounts.Stats() }
 
 // ResetSendPoolStats zeroes the exchange-scratch pool counters (test seam).
-func ResetSendPoolStats() {
-	sendGets.Store(0)
-	sendHits.Store(0)
-	sendMisses.Store(0)
-	sendPuts.Store(0)
-	sendDiscards.Store(0)
-}
+func ResetSendPoolStats() { scratchCounts.Reset() }
 
 // getScratch returns a scratch, recycled when the pool has one.
 func getScratch() *xrun {
-	if !sendPoolingOff.Load() {
-		sendGets.Add(1)
-		if x, _ := scratchPool.Get().(*xrun); x != nil {
-			sendHits.Add(1)
-			return x
-		}
-		sendMisses.Add(1)
+	x, _ := scratchPool.Get().(*xrun)
+	scratchCounts.Got(x != nil)
+	if x == nil {
+		x = new(xrun)
 	}
-	return new(xrun)
+	return x
 }
 
 // putScratch returns x to the pool without its vectors over scratchCap
@@ -95,10 +66,6 @@ func getScratch() *xrun {
 // may return memory it holds, so a buffer lives for one exchange). The
 // caller must not use x afterwards.
 func putScratch(x *xrun) {
-	if sendPoolingOff.Load() {
-		sendDiscards.Add(1)
-		return
-	}
 	clear(x.chunks[:cap(x.chunks)]) // views of spans or of the test's ranges
 	x.chunks, x.spans = keep(x.chunks), keep(x.spans)
 	x.recv, x.rot, x.offs = keep(x.recv), keep(x.rot), keep(x.offs)
@@ -106,7 +73,7 @@ func putScratch(x *xrun) {
 	for i, c := range x.cs[:cap(x.cs)] {
 		x.cs[:cap(x.cs)][i] = xchunk{dst: keep(c.dst), cur: keep(c.cur)}
 	}
-	sendPuts.Add(1)
+	scratchCounts.Returned(true)
 	scratchPool.Put(x)
 }
 

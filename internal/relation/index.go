@@ -1,10 +1,6 @@
 package relation
 
-import (
-	"sync/atomic"
-
-	"coverpack/internal/hashtab"
-)
+import "coverpack/internal/hashtab"
 
 // Borrowed key tables.
 //
@@ -32,17 +28,6 @@ func (r *Relation) invalidate() {
 		r.first.Store(nil)
 	}
 }
-
-// indexCachingOff is inverted so the zero value means "caching on".
-var indexCachingOff atomic.Bool
-
-// SetIndexCaching toggles the retention of FirstRows lists process-wide
-// (default on). Results are identical either way — the switch exists
-// for differential tests and cache-off benchmarking.
-func SetIndexCaching(on bool) { indexCachingOff.Store(!on) }
-
-// IndexCachingEnabled reports whether FirstRows lists are retained.
-func IndexCachingEnabled() bool { return !indexCachingOff.Load() }
 
 // firstRows lists the first occurrence of every distinct row, ascending,
 // through a borrowed full-row table.

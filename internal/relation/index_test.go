@@ -58,28 +58,10 @@ func TestIndexReusedUntilInvalidated(t *testing.T) {
 	}
 }
 
-func TestIndexCachingToggle(t *testing.T) {
-	r := New(NewSchema(0))
-	for i := int64(0); i < 40; i++ {
-		r.AddValues(i % 4)
-	}
-	if !IndexCachingEnabled() {
-		t.Fatal("caching should default to on")
-	}
-	SetIndexCaching(false)
-	defer SetIndexCaching(true)
-	if IndexCachingEnabled() {
-		t.Fatal("toggle off not observed")
-	}
-	first := r.FirstRows()
-	if sameList(r.FirstRows(), first) || r.first.Load() != nil {
-		t.Fatal("FirstRows list retained while caching is off")
-	}
-}
-
-// Dedup, SemiJoin and Join must produce identical outputs with the
-// retained first-row list on and off (the relation-level analogue of the
-// cluster-level difftest).
+// Dedup, SemiJoin and Join must produce the same outputs whether or not
+// the relation's first-row list is retained: each is checked against a
+// fresh copy, whose list is built by the call itself, and Dedup's rows
+// against that copy's FirstRows.
 func TestKeyedOpsIdenticalWithCachingOff(t *testing.T) {
 	mk := func() (*Relation, *Relation) {
 		r := New(NewSchema(0, 1))
@@ -91,20 +73,27 @@ func TestKeyedOpsIdenticalWithCachingOff(t *testing.T) {
 		return r, s
 	}
 	r1, s1 := mk()
-	onDedup := r1.Dedup()
-	onSemi := r1.SemiJoin(s1)
-	onJoin := r1.Join(s1)
-
-	SetIndexCaching(false)
-	defer SetIndexCaching(true)
+	r1.FirstRows() // retained from here on
+	cachedDedup := r1.Dedup()
+	if r1.first.Load() == nil {
+		t.Fatal("FirstRows list not retained")
+	}
 	r2, s2 := mk()
-	if got := r2.Dedup(); !got.Equal(onDedup) {
-		t.Fatal("Dedup differs with caching off")
+	fresh := r2.Clone().FirstRows()
+	if !slices.Equal(r1.FirstRows(), fresh) {
+		t.Fatal("retained FirstRows differs from a fresh copy's")
 	}
-	if got := r2.SemiJoin(s2); !got.Equal(onSemi) {
-		t.Fatal("SemiJoin differs with caching off")
+	want := New(r2.Schema())
+	for _, i := range fresh {
+		want.Add(r2.Row(int(i)))
 	}
-	if got := r2.Join(s2); !got.Equal(onJoin) {
-		t.Fatal("Join differs with caching off")
+	if !cachedDedup.Equal(want) {
+		t.Fatal("Dedup over a retained list differs from a fresh copy's first rows")
+	}
+	if got := r1.SemiJoin(s1); !got.Equal(r2.Clone().SemiJoin(s2)) {
+		t.Fatal("SemiJoin differs over a retained list")
+	}
+	if got := r1.Join(s1); !got.Equal(r2.Clone().Join(s2)) {
+		t.Fatal("Join differs over a retained list")
 	}
 }

@@ -145,9 +145,6 @@ func (r *Relation) FirstRows() []int32 {
 	if r.rows <= smallDedupCutoff {
 		return r.firstSmall(make([]int32, 0, r.rows))
 	}
-	if indexCachingOff.Load() {
-		return r.firstRows()
-	}
 	if l := r.first.Load(); l != nil {
 		return *l
 	}

@@ -214,9 +214,9 @@ func TestJoinParCartesian(t *testing.T) {
 
 // TestJoinCountMatchesJoin: JoinCount is the size of the join Join
 // builds (bag semantics: duplicate rows match once per copy), whether
-// the build side carries a retained FirstRows list or none, with caching
-// on or off — and neither JoinCount nor Join builds, uses up or
-// replaces a retained list on either side.
+// the build side carries a retained FirstRows list or none — and neither
+// JoinCount nor Join builds, uses up or replaces a retained list on
+// either side.
 func TestJoinCountMatchesJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	big := randomRel(rng, NewSchema(0, 1), 3*smallRows, 6)
@@ -231,30 +231,26 @@ func TestJoinCountMatchesJoin(t *testing.T) {
 		name    string
 		r, s    *Relation
 		prepare func(r, s *Relation) // s is the build side
-		caching bool
 	}{
-		{"no index", big, small, nil, true},
-		{"retained index hit", big, small, func(r, s *Relation) { s.FirstRows(); s.FirstRows() }, true},
-		{"retained index on another key", big, small, func(r, s *Relation) { r.FirstRows(); s.FirstRows() }, true},
-		{"caching off", big, small, list, false},
-		{"duplicate rows", big, dups, nil, true},
-		{"duplicate rows, index hit", big, dups, list, true},
-		{"build side first", small, big, nil, true},
-		{"no shared attribute", big, randomRel(rng, NewSchema(2, 3), 5, 6), nil, true},
-		{"empty r", New(NewSchema(0, 1)), small, nil, true},
-		{"empty s", big, New(NewSchema(1, 2)), nil, true},
-		{"empty, no shared attribute", New(NewSchema(0)), small, nil, true},
+		{"no index", big, small, nil},
+		{"retained index hit", big, small, func(r, s *Relation) { s.FirstRows(); s.FirstRows() }},
+		{"retained index on another key", big, small, func(r, s *Relation) { r.FirstRows(); s.FirstRows() }},
+		{"duplicate rows", big, dups, nil},
+		{"duplicate rows, index hit", big, dups, list},
+		{"build side first", small, big, nil},
+		{"no shared attribute", big, randomRel(rng, NewSchema(2, 3), 5, 6), nil},
+		{"empty r", New(NewSchema(0, 1)), small, nil},
+		{"empty s", big, New(NewSchema(1, 2)), nil},
+		{"empty, no shared attribute", New(NewSchema(0)), small, nil},
 	} {
 		r, s := tc.r.Clone(), tc.s.Clone()
 		want := int64(refJoin(r, s).Len())
-		SetIndexCaching(tc.caching)
 		if tc.prepare != nil {
 			tc.prepare(r, s)
 		}
 		rBefore, sBefore := r.first.Load(), s.first.Load()
 		got := r.JoinCount(s)
 		n := r.Join(s).Len()
-		SetIndexCaching(true)
 		if got != want {
 			t.Errorf("%s: JoinCount %d, want %d", tc.name, got, want)
 		}
@@ -263,9 +259,6 @@ func TestJoinCountMatchesJoin(t *testing.T) {
 		}
 		if r.first.Load() != rBefore || s.first.Load() != sBefore {
 			t.Errorf("%s: a keyed kernel changed a retained list", tc.name)
-		}
-		if !tc.caching && sBefore != nil {
-			t.Errorf("%s: a list was retained with caching off", tc.name)
 		}
 	}
 }
@@ -298,7 +291,7 @@ func TestOneBlockAllocs(t *testing.T) {
 			run    func()
 		}{
 			// The parents of SemiJoin and Join are the same calls on a
-			// fresh build side (9f5040d with SetIndexCaching(false)): the
+			// fresh build side (9f5040d with its index caching off): the
 			// index that commit retained was rarely probed twice.
 			{"SemiJoin", [2]float64{5, 5}, [2]float64{14, 15}, true, func() { r.SemiJoin(s) }},
 			{"Join", [2]float64{7, 7}, [2]float64{22, 23}, true, func() { r.Join(s) }},

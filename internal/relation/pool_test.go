@@ -4,14 +4,21 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"coverpack/internal/pool"
 )
+
+// swapArenas makes p the arena pool until the returned function puts the
+// process's pool back.
+func swapArenas(p *pool.Pool[Value]) func() {
+	saved := arenas
+	arenas = p
+	return func() { arenas = saved }
+}
 
 // TestArenaReserveSurvivesGC: a released arena that fits the reserve is
 // handed out again after two GC cycles, which empty a sync.Pool.
 func TestArenaReserveSurvivesGC(t *testing.T) {
-	if !PoolingEnabled() {
-		t.Skip("pooling disabled")
-	}
 	a := GetArena(1 << 10)
 	a = append(a, 7)
 	PutArena(a)
@@ -31,9 +38,6 @@ func TestArenaReserveSurvivesGC(t *testing.T) {
 // TestArenaReserveBounded: the reserve never holds more than its
 // budget; the overflow goes to the sync.Pools.
 func TestArenaReserveBounded(t *testing.T) {
-	if !PoolingEnabled() {
-		t.Skip("pooling disabled")
-	}
 	var held [][]Value
 	for n := 0; n < 2*reserveValues; n += 1 << 16 {
 		held = append(held, GetArena(1<<16))
@@ -41,60 +45,32 @@ func TestArenaReserveBounded(t *testing.T) {
 	for _, a := range held {
 		PutArena(a)
 	}
-	reserveMu.Lock()
-	used, sum := reserveUsed, 0
-	for _, st := range reserve {
-		for _, a := range st {
-			sum += cap(a)
-		}
-	}
-	reserveMu.Unlock()
+	used, sum := arenas.Reserved()
 	if used != sum || used > reserveValues {
 		t.Fatalf("reserve holds %d values (accounted %d), budget %d", sum, used, reserveValues)
 	}
 }
 
 // TestArenaRecycleAllocatesNothing: an arena the reserve takes back
-// costs no allocation, neither on Put nor on the Get that reuses it —
-// only the sync.Pool path behind a full reserve boxes a slice header.
+// costs no allocation, neither on Put nor on the Get that reuses it. It
+// runs on a pool whose reserve starts empty.
 func TestArenaRecycleAllocatesNothing(t *testing.T) {
-	if !PoolingEnabled() {
-		t.Skip("pooling disabled")
-	}
-	reserveMu.Lock()
-	saved, savedUsed := reserve, reserveUsed
-	reserve, reserveUsed = [arenaClasses][][]Value{}, 0
-	reserveMu.Unlock()
-	defer func() {
-		reserveMu.Lock()
-		reserve, reserveUsed = saved, savedUsed
-		reserveMu.Unlock()
-	}()
+	defer swapArenas(pool.New[Value](minArenaBits, maxArenaBits, reserveValues))()
 	if allocs := testing.AllocsPerRun(100, func() { PutArena(GetArena(1 << 10)) }); allocs != 0 {
 		t.Fatalf("GetArena + PutArena through the reserve: %v allocations, want 0", allocs)
 	}
 }
 
-// TestArenaPoolPutAllocatesNothing: behind a full reserve an arena goes
-// to its class's sync.Pool, and the put reuses the handle an earlier get
-// parked, so a steady-state round trip through the pool boxes nothing.
+// TestArenaPoolPutAllocatesNothing: with no room in the reserve (here, a
+// pool without one) an arena goes to its class's sync.Pool, and the put
+// reuses the handle an earlier get parked, so a steady-state round trip
+// through the pool boxes nothing.
 func TestArenaPoolPutAllocatesNothing(t *testing.T) {
-	if !PoolingEnabled() {
-		t.Skip("pooling disabled")
-	}
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	reserveMu.Lock()
-	saved, savedUsed := reserve, reserveUsed
-	reserve, reserveUsed = [arenaClasses][][]Value{}, reserveValues
-	reserveMu.Unlock()
-	defer func() {
-		reserveMu.Lock()
-		reserve, reserveUsed = saved, savedUsed
-		reserveMu.Unlock()
-	}()
+	defer swapArenas(pool.New[Value](minArenaBits, maxArenaBits, 0))()
 	if allocs := testing.AllocsPerRun(100, func() { PutArena(GetArena(1 << 10)) }); allocs != 0 {
 		t.Fatalf("GetArena + PutArena through the sync.Pool: %v allocations, want 0", allocs)
 	}

@@ -9,7 +9,35 @@ import (
 // The server-major kernel against the per-fragment operators: every step
 // run by Fragments over a fragmentation must give, fragment by fragment
 // and byte for byte, what the naive reference gives on that fragment
-// alone — inline and on four goroutines.
+// alone — inline and on four goroutines — and so must one on the first
+// fragment. Before each call the arena pool is seeded with
+// sentinel-filled arenas, so a step that reads scratch it did not write
+// carries the sentinel into its output.
+
+// scratchSentinel fills the seeded arenas; no test relation holds it.
+const scratchSentinel = Value(-0x5eed5eed5eed5eed)
+
+// seedArenas hands the arena pool four sentinel-filled arenas of every
+// class up to the one holding n values. Every arena is taken out before
+// any goes back, so the pool hands the seeds out next.
+func seedArenas(n int) {
+	var held [][]Value
+	for c := 1 << minArenaBits; ; c <<= 1 {
+		for range 4 {
+			a := GetArena(c)
+			held = append(held, a[:cap(a)])
+		}
+		if c >= n {
+			break
+		}
+	}
+	for _, a := range held {
+		for i := range a {
+			a[i] = scratchSentinel
+		}
+		PutArena(a)
+	}
+}
 
 // cutAt splits r at the given ascending row offsets into len(cuts)+1
 // fragments (empty ones where offsets repeat).
@@ -42,7 +70,13 @@ func randomCuts(rng *rand.Rand, rows, k int) []int {
 // Outputs must also be capacity-capped views of one arena.
 func checkFragments[S Step](t *testing.T, label string, frags []*Relation, s S, ref func(i int, f *Relation) *Relation) {
 	t.Helper()
+	need := 0
+	for i, f := range frags {
+		need += s.Scratch(i, f)
+	}
+	need = max(need, len(frags)+1) // fragmentsPar's offsets
 	for _, f := range []Forker{nil, goForker{4}} {
+		seedArenas(need)
 		got := Fragments(f, frags, s)
 		if len(got) != len(frags) {
 			t.Fatalf("%s: %d fragments out of %d", label, len(got), len(frags))
@@ -55,6 +89,10 @@ func checkFragments[S Step](t *testing.T, label string, frags []*Relation, s S, 
 				t.Fatalf("%s (forker %v): fragment %d of %d differs", label, f, i, len(frags))
 			}
 		}
+	}
+	seedArenas(need)
+	if !sameRel(t, label, one(frags[0], s), ref(0, frags[0])) {
+		t.Fatalf("%s: one on fragment 0 differs", label)
 	}
 }
 
@@ -72,6 +110,8 @@ func checkServerSteps(t *testing.T, rf, sf []*Relation, v Value) {
 	checkFragments(t, "SemiJoin", rf, SemiJoinStep(rs, ss, sf), func(i int, f *Relation) *Relation { return refSemiJoin(f, sf[i]) })
 	for _, ps := range []Schema{NewSchema(1), NewSchema(1, 0), NewSchema()} {
 		checkFragments(t, "Project", rf, ProjectStep(rs, ps), func(_ int, f *Relation) *Relation { return refProject(f, ps) })
+		checkFragments(t, "SelectEqProject", rf, selectProject{sel: SelectEqStep(rs, 1, v), proj: ProjectStep(rs, ps)},
+			func(_ int, f *Relation) *Relation { return refProject(refSelect(f, 1, v, false), ps) })
 	}
 	deg := NewSchema(1, 2)
 	checkFragments(t, "Degrees", rf, DegreesStep(rs, 1, deg), func(_ int, f *Relation) *Relation { return refDegrees(f, 1, 2) })

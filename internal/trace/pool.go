@@ -3,9 +3,9 @@ package trace
 import "fmt"
 
 // PoolStats reports the counters of one cross-run memory pool (the
-// relation arena pool or the hashtab bucket pool). Like CacheStats,
-// these are diagnostics only: they never influence Reports, Stats, or
-// traces, so pooling on/off cannot change any measured artifact.
+// relation arena pool, the hashtab bucket pools or the exchange
+// scratch). Like CacheStats, these are diagnostics only: they never
+// influence Reports, Stats, or traces.
 //
 // A sweep has reached its allocation steady state when Hits ≈ Gets:
 // every arena a run asks for is satisfied from a previous run's
@@ -19,8 +19,8 @@ type PoolStats struct {
 	Misses uint64
 	// Puts counts buffers returned to the pool.
 	Puts uint64
-	// Discards counts returned buffers the pool refused (too small,
-	// pooling disabled, or no size class).
+	// Discards counts returned buffers the pool refused (no size class
+	// holds them).
 	Discards uint64
 }
 

@@ -5,16 +5,14 @@ import (
 	"reflect"
 	"testing"
 
-	"coverpack"
 	"coverpack/internal/experiments"
 )
 
 // The run-level determinism oracle: the sweep scheduler executes
 // experiment cells concurrently, and the memory pools recycle arenas
 // across those runs — neither may change a single byte of any table.
-// The reference is the sequential, pooling-off sweep (the
-// pre-scheduler code path); every (run-workers × pooling) arm must
-// render the exact same tables.
+// The reference is the sequential sweep (the pre-scheduler code path);
+// every run-workers arm must render the exact same tables.
 
 // renderTables flattens tables into one comparable byte string.
 func renderTables(tables []experiments.Table) string {
@@ -32,18 +30,16 @@ func renderTables(tables []experiments.Table) string {
 // sweepOnce runs the scheduled sweep subset under one configuration:
 // the full Table 1 plus one figure sweep (Figure 6) — together they
 // cover ExecuteOpts cells, MinLoad cells, and exponent-fit assembly.
-func sweepOnce(t *testing.T, runWorkers int, pool bool) string {
+func sweepOnce(t *testing.T, runWorkers int) string {
 	t.Helper()
-	coverpack.SetPooling(pool)
-	defer coverpack.SetPooling(true)
 	cfg := experiments.Config{Small: true, RunWorkers: runWorkers}
 	tables, err := experiments.Table1(cfg)
 	if err != nil {
-		t.Fatalf("table1 (runWorkers=%d pool=%v): %v", runWorkers, pool, err)
+		t.Fatalf("table1 (runWorkers=%d): %v", runWorkers, err)
 	}
 	fig, err := experiments.Figure6(cfg)
 	if err != nil {
-		t.Fatalf("figure6 (runWorkers=%d pool=%v): %v", runWorkers, pool, err)
+		t.Fatalf("figure6 (runWorkers=%d): %v", runWorkers, err)
 	}
 	return renderTables(append(tables, fig))
 }
@@ -52,14 +48,12 @@ func TestScheduledSweepByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep matrix skipped in -short mode")
 	}
-	ref := sweepOnce(t, 1, false)
+	seedArenas()
+	ref := sweepOnce(t, 1)
 	for _, rw := range []int{1, 4, 8} {
-		for _, pool := range []bool{false, true} {
-			got := sweepOnce(t, rw, pool)
-			if got != ref {
-				t.Errorf("runWorkers=%d pool=%v: rendered tables diverged from sequential pool-off reference\nref:\n%s\ngot:\n%s",
-					rw, pool, ref, got)
-			}
+		if got := sweepOnce(t, rw); got != ref {
+			t.Errorf("runWorkers=%d: rendered tables diverged from the sequential reference\nref:\n%s\ngot:\n%s",
+				rw, ref, got)
 		}
 	}
 }
