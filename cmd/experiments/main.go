@@ -23,7 +23,13 @@ import (
 	"coverpack/internal/profiling"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command: it returns the exit status, so every deferred
+// close — the profiles, the trace file, the debug server — runs on
+// every path, a failed sweep's included. 2 is a bad flag, 1 a failed
+// sweep.
+func run() (status int) {
 	small := flag.Bool("small", false, "use small experiment sizes")
 	traceFile := flag.String("trace", "", "capture a trace of a representative run to this file")
 	traceFormat := flag.String("trace-format", "chrome", "trace rendering: jsonl, chrome, or heatmap")
@@ -41,7 +47,7 @@ func main() {
 		// -trace out.json): re-parse the remainder.
 		if flag.NArg() > 1 {
 			if err := flag.CommandLine.Parse(flag.Args()[1:]); err != nil {
-				os.Exit(2)
+				return 2
 			}
 		}
 	}
@@ -59,11 +65,31 @@ func main() {
 	}
 	cfg := experiments.Config{Small: *small, Workers: nw, RunWorkers: np, MemBudget: *memBudget}
 
+	// The trace flags are checked, and the file created, before the sweep.
+	tf, err := coverpack.ParseTraceFormat(*traceFormat)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments: -trace-format:", err)
+		return 2
+	}
+	var traceOut *os.File
+	if *traceFile != "" {
+		if traceOut, err = os.Create(*traceFile); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments: -trace:", err)
+			return 2
+		}
+		defer func() {
+			traceOut.Close()
+			if status != 0 {
+				os.Remove(traceOut.Name()) // a failed run leaves no trace file
+			}
+		}()
+	}
+
 	if *debugAddr != "" {
 		srv, err := coverpack.StartDebugServer(*debugAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "experiments: telemetry on http://%s/\n", srv.Addr())
@@ -74,7 +100,7 @@ func main() {
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		return 1
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
@@ -119,7 +145,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
+		return 1
 	}
 	elapsed := time.Since(start)
 	for _, t := range tables {
@@ -133,35 +159,30 @@ func main() {
 	fmt.Fprintf(os.Stderr, "experiments: plan-cache shapes=%d hits=%d misses=%d iso=%d equiv-hits=%d\n",
 		pc.Entries, pc.Hits, pc.Misses, pc.IsoHits, pc.EquivHits)
 
-	if *traceFile != "" {
-		if err := captureTrace(sub, cfg, *traceFile, *traceFormat); err != nil {
+	if traceOut != nil {
+		if err := captureTrace(sub, cfg, traceOut, tf); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // captureTrace re-runs one representative instance of the experiment
-// with tracing on, writes the rendered trace, and prints the per-phase
-// load-attribution table.
-func captureTrace(sub string, cfg experiments.Config, file, format string) error {
-	tf, err := coverpack.ParseTraceFormat(format)
-	if err != nil {
-		return err
-	}
+// with tracing on, writes the rendered trace to f and closes it, and
+// prints the per-phase load-attribution table.
+func captureTrace(sub string, cfg experiments.Config, f *os.File, tf coverpack.TraceFormat) error {
 	root, err := experiments.TraceRun(sub, cfg)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(file)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	if err := coverpack.WriteTrace(f, root, tf); err != nil {
 		return err
 	}
-	fmt.Printf("trace written to %s (%s)\n\n", file, tf)
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("trace written to %s (%s)\n\n", f.Name(), tf)
 	printTable(experiments.PhaseTableOf(root))
 	return nil
 }

@@ -19,7 +19,12 @@ import (
 	"coverpack/internal/sched"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the command: it returns the exit status, so every deferred
+// close — the profiles, the trace file, the debug server — runs on
+// every path, a failed run's included. 2 is a bad flag, 1 a failed run.
+func run() (status int) {
 	var (
 		queryStr  = flag.String("query", "", "query in R(A,B) S(B,C) notation")
 		catalog   = flag.String("catalog", "", "catalog query name (e.g. square, line3, figure4)")
@@ -44,7 +49,7 @@ func main() {
 	if *debugAddr != "" {
 		srv, err := coverpack.StartDebugServer(*debugAddr)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "mpcjoin: telemetry on http://%s/\n", srv.Addr())
@@ -52,18 +57,37 @@ func main() {
 
 	q, err := pickQuery(*queryStr, *catalog)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *dom == 0 {
 		*dom = int64(*n) * 5
 	}
 	if err := checkSizes(q, *kind, *n, *dom); err != nil {
 		fmt.Fprintln(os.Stderr, "mpcjoin:", err)
-		os.Exit(2)
+		return 2
 	}
 	if *parallel < 1 {
 		fmt.Fprintf(os.Stderr, "mpcjoin: -parallel %d: need at least 1 repetition\n", *parallel)
-		os.Exit(2)
+		return 2
+	}
+	// The trace flags are checked, and the file created, before the run.
+	tf, err := coverpack.ParseTraceFormat(*traceFmt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mpcjoin: -trace-format:", err)
+		return 2
+	}
+	var traceOut *os.File
+	if *traceFile != "" {
+		if traceOut, err = os.Create(*traceFile); err != nil {
+			fmt.Fprintln(os.Stderr, "mpcjoin: -trace:", err)
+			return 2
+		}
+		defer func() {
+			traceOut.Close()
+			if status != 0 {
+				os.Remove(traceOut.Name()) // a failed run leaves no trace file
+			}
+		}()
 	}
 
 	var in *coverpack.Instance
@@ -79,24 +103,24 @@ func main() {
 	case "agm":
 		in, err = coverpack.AGMWorstCase(q, *n)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	case "hard":
 		in, err = coverpack.PackingHard(q, *n, *seed)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	default:
-		fatal(fmt.Errorf("unknown workload %q", *kind))
+		return fail(fmt.Errorf("unknown workload %q", *kind))
 	}
 
 	alg, err := pickAlg(*algName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var col *coverpack.TraceCollector
 	var rec coverpack.TraceRecorder
-	if *traceFile != "" {
+	if traceOut != nil {
 		col = coverpack.NewTraceCollector()
 		rec = col
 	}
@@ -114,7 +138,7 @@ func main() {
 	// -memprofile path fails here, not silently after the run.
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
@@ -133,32 +157,23 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	if err2 != nil {
-		fatal(err2)
+		return fail(err2)
 	}
 	if *decisions {
 		lines, terr := coverpack.TraceRun(alg, in, *p)
 		if terr != nil {
-			fatal(terr)
+			return fail(terr)
 		}
 		for _, l := range lines {
 			fmt.Println("trace:", l)
 		}
 	}
-	if col != nil {
-		tf, terr := coverpack.ParseTraceFormat(*traceFmt)
-		if terr != nil {
-			fatal(terr)
+	if traceOut != nil {
+		if terr := coverpack.WriteTrace(traceOut, col.Root(), tf); terr != nil {
+			return fail(terr)
 		}
-		f, terr := os.Create(*traceFile)
-		if terr != nil {
-			fatal(terr)
-		}
-		if terr := coverpack.WriteTrace(f, col.Root(), tf); terr != nil {
-			f.Close()
-			fatal(terr)
-		}
-		if terr := f.Close(); terr != nil {
-			fatal(terr)
+		if terr := traceOut.Close(); terr != nil {
+			return fail(terr)
 		}
 		fmt.Printf("trace       %s (%s)\n", *traceFile, tf)
 	}
@@ -174,6 +189,7 @@ func main() {
 	fmt.Printf("wall-clock  %s  (workers=%d of %d CPUs)\n", elapsed.Round(time.Microsecond), nw, runtime.NumCPU())
 	pc := coverpack.PlanCompileCacheStats()
 	fmt.Printf("plan-cache  shapes=%d hits=%d misses=%d iso=%d\n", pc.Entries, pc.Hits, pc.Misses, pc.IsoHits)
+	return 0
 }
 
 // runRepeated executes the same join reps times concurrently through
@@ -276,7 +292,8 @@ func pickAlg(name string) (coverpack.Algorithm, error) {
 	return 0, fmt.Errorf("unknown algorithm %q", name)
 }
 
-func fatal(err error) {
+// fail reports a failed run and returns its exit status.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "mpcjoin:", err)
-	os.Exit(1)
+	return 1
 }

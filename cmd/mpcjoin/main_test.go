@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -42,25 +43,43 @@ func TestCheckSizes(t *testing.T) {
 	}
 }
 
-// TestBadSizesExitTwo runs the command on sizes and repetition counts it
-// must reject: each exits with status 2 and a one-line message, and none
-// panics.
+// runMain runs the command in a child process of the test binary, with
+// the given arguments, through the named test's MPCJOIN_MAIN hook.
+func runMain(test, args string) ([]byte, error) {
+	cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$")
+	cmd.Env = append(os.Environ(), "MPCJOIN_MAIN=1", "MPCJOIN_ARGS="+args)
+	return cmd.CombinedOutput()
+}
+
+// mainHook runs main in the child process runMain started, and reports
+// whether it did.
+func mainHook() bool {
+	if os.Getenv("MPCJOIN_MAIN") != "1" {
+		return false
+	}
+	os.Args = append([]string{"mpcjoin"}, strings.Fields(os.Getenv("MPCJOIN_ARGS"))...)
+	main()
+	return true
+}
+
+// TestBadSizesExitTwo runs the command on sizes, repetition counts and
+// trace flags it must reject: each exits with status 2 and a one-line
+// message before the run, and none panics.
 func TestBadSizesExitTwo(t *testing.T) {
-	if os.Getenv("MPCJOIN_MAIN") == "1" {
-		os.Args = append([]string{"mpcjoin"}, strings.Fields(os.Getenv("MPCJOIN_ARGS"))...)
-		main()
+	if mainHook() {
 		return
 	}
+	dir := t.TempDir()
 	for _, args := range []string{
 		"-catalog line3 -dom -3",
 		"-catalog line3 -n -5",
 		"-catalog line3 -n 100 -dom 3",
 		"-catalog line3 -n 10 -parallel 0",
 		"-catalog line3 -n 10 -parallel -2",
+		"-catalog line3 -n 10 -trace " + filepath.Join(dir, "t.json") + " -trace-format nope",
+		"-catalog line3 -n 10 -trace " + filepath.Join(dir, "no-such-dir", "t.json"),
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestBadSizesExitTwo$")
-		cmd.Env = append(os.Environ(), "MPCJOIN_MAIN=1", "MPCJOIN_ARGS="+args)
-		out, err := cmd.CombinedOutput()
+		out, err := runMain("TestBadSizesExitTwo", args)
 		ee, ok := err.(*exec.ExitError)
 		if !ok || ee.ExitCode() != 2 {
 			t.Errorf("%s: exit %v, want status 2; output:\n%s", args, err, out)
@@ -69,5 +88,34 @@ func TestBadSizesExitTwo(t *testing.T) {
 		if msg := strings.TrimSpace(string(out)); !strings.HasPrefix(msg, "mpcjoin: -") || strings.Contains(msg, "\n") {
 			t.Errorf("%s: output %q, want one mpcjoin: line", args, msg)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "t.json")); !os.IsNotExist(err) {
+		t.Errorf("a rejected -trace-format left the trace file behind (stat: %v)", err)
+	}
+}
+
+// TestFailedRunWritesProfile: a run that fails after the profiles
+// started still stops them, so its -cpuprofile file is a profile, and
+// leaves no -trace file.
+func TestFailedRunWritesProfile(t *testing.T) {
+	if mainHook() {
+		return
+	}
+	dir := t.TempDir()
+	prof, tr := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "t.json")
+	// The acyclic algorithm rejects the cyclic triangle query.
+	out, err := runMain("TestFailedRunWritesProfile", "-catalog triangle -alg acyclic-optimal -n 200 -cpuprofile "+prof+" -trace "+tr)
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("exit %v, want status 1; output:\n%s", err, out)
+	}
+	fi, err := os.Stat(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Fatal("the failed run's CPU profile is empty")
+	}
+	if _, err := os.Stat(tr); !os.IsNotExist(err) {
+		t.Fatalf("failed run left its trace file (stat: %v)", err)
 	}
 }

@@ -337,7 +337,8 @@ type ExecOptions struct {
 	// exact-size operators, and writes no file, every run compiles
 	// through the always-on shape cache, and local operators run in
 	// parallel only across servers. They stay because internal/bench
-	// names them; ROADMAP item 1 deletes them with that harness code.
+	// names them, and go with that harness code when the benchmark
+	// contract reopens (ROADMAP, Parked).
 	NoPlanCache      bool
 	Streaming        StreamMode
 	Spilling         SpillMode

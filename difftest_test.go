@@ -297,8 +297,7 @@ func largeOracleQueries() []*hypergraph.Query {
 }
 
 // skewOracleQueries run on HeavyHub instances: heavy/light splits take
-// different branches (Distribute and SendTo placements) than uniform
-// data.
+// different branches (DistributeSpread placements) than uniform data.
 func skewOracleQueries() []*hypergraph.Query {
 	return []*hypergraph.Query{hypergraph.SemiJoinExample(), hypergraph.TriangleJoin()}
 }

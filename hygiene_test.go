@@ -202,8 +202,9 @@ func TestExchangeScratchBalanced(t *testing.T) {
 
 // No store has a switch: the memory pools and the retained first-row
 // lists are always on, so the only process-wide on/off value is the
-// metrics registry's. A source scan of every non-test file fails on any
-// other package-level func Set…(bool).
+// metrics registry's. No cluster has a mode switch either: a run has one
+// accounting convention. A source scan of every non-test file fails on
+// any other package-level func Set…(bool) and on any func With…(bool).
 func TestNoStoreSwitches(t *testing.T) {
 	allowed := map[string]bool{"SetMetricsEnabled": true, "internal/metrics.SetEnabled": true}
 	fset := token.NewFileSet()
@@ -217,7 +218,7 @@ func TestNoStoreSwitches(t *testing.T) {
 		}
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Set") {
+			if !ok || fn.Recv != nil || !strings.HasPrefix(fn.Name.Name, "Set") && !strings.HasPrefix(fn.Name.Name, "With") {
 				continue
 			}
 			params := fn.Type.Params.List
@@ -231,7 +232,10 @@ func TestNoStoreSwitches(t *testing.T) {
 			if dir := filepath.Dir(path); dir != "." {
 				name = filepath.ToSlash(dir) + "." + name
 			}
-			if !allowed[name] {
+			switch {
+			case strings.HasPrefix(fn.Name.Name, "With"):
+				t.Errorf("%s: %s(bool) is a mode switch; clusters carry none", fset.Position(fn.Pos()), name)
+			case !allowed[name]:
 				t.Errorf("%s: %s(bool) is a process-wide switch; stores carry none", fset.Position(fn.Pos()), name)
 			}
 		}

@@ -200,7 +200,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	// tuples of S^x relations are *replicated* across their light
 	// branch's servers (they are the broadcast side of Step 3), others
 	// spread round-robin. Relations without x are copied to every
-	// branch. All movements are single Distribute exchanges.
+	// branch. All movements are single DistributeSpread exchanges.
 	parts := make([][]*mpc.DistRelation, len(rels))
 	// Per-branch send lists, shared across tuples: the pick closures
 	// below run once (twice under the parallel engine) per tuple, and

@@ -1,20 +1,35 @@
 package mpc
 
 import (
+	"slices"
 	"testing"
 
 	"coverpack/internal/relation"
 	"coverpack/internal/trace"
 )
 
-// TestSendToGrowingGroup checks SendTo into a larger group: the round's
-// recv vector covers every destination and the load is the balanced
-// share of the target size.
+// The SendTo, Distribute, self-send and load-observer tests keep the
+// names they had when those exchanges, the physical-accounting switch
+// and the load observer existed: each checks the behaviour that
+// survives them — resizing and branch placement through
+// DistributeSpread, the paper's charge for a server's own tuples, and
+// per-round loads through a trace recorder.
+
+// resize moves d onto k servers, flattened tuple i to server i mod k:
+// DistributeSpread into one round-robin branch.
+func resize(g *Group, d *DistRelation, k int) *DistRelation {
+	one := []BranchSend{{Branch: 0}}
+	return g.DistributeSpread(d, []int{k}, func(*relation.Relation, relation.Tuple) []BranchSend { return one })[0]
+}
+
+// TestSendToGrowingGroup checks a resize into a larger group: the
+// round's recv vector covers every destination and the load is the
+// balanced share of the target size.
 func TestSendToGrowingGroup(t *testing.T) {
 	c := NewCluster(2)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 12))
-	out := g.SendTo(d, 6)
+	out := resize(g, d, 6)
 	if len(out.Frags) != 6 {
 		t.Fatalf("frags = %d", len(out.Frags))
 	}
@@ -35,7 +50,7 @@ func TestSendToShrinkPaddingLoad(t *testing.T) {
 	c := NewCluster(6)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 4))
-	out := g.SendTo(d, 2)
+	out := resize(g, d, 2)
 	if out.Len() != 4 {
 		t.Fatalf("tuples = %d", out.Len())
 	}
@@ -44,22 +59,14 @@ func TestSendToShrinkPaddingLoad(t *testing.T) {
 	}
 }
 
-// TestDistributeGrowingTotal checks Distribute into branches whose
-// total exceeds the group size.
+// TestDistributeGrowingTotal checks a branch exchange whose branches
+// total more servers than the group has.
 func TestDistributeGrowingTotal(t *testing.T) {
 	c := NewCluster(2)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 14))
-	rr0, rr1 := 0, 0
-	parts := g.Distribute(d, []int{3, 4}, func(f *relation.Relation, tp relation.Tuple) []BranchDest {
-		if tp[0]%2 == 0 {
-			dst := BranchDest{Branch: 0, Server: rr0 % 3}
-			rr0++
-			return []BranchDest{dst}
-		}
-		dst := BranchDest{Branch: 1, Server: rr1 % 4}
-		rr1++
-		return []BranchDest{dst}
+	parts := g.DistributeSpread(d, []int{3, 4}, func(f *relation.Relation, tp relation.Tuple) []BranchSend {
+		return []BranchSend{{Branch: int(tp[0] % 2)}}
 	})
 	if len(parts[0].Frags) != 3 || len(parts[1].Frags) != 4 {
 		t.Fatalf("branch sizes = %d, %d", len(parts[0].Frags), len(parts[1].Frags))
@@ -80,8 +87,8 @@ func TestDistributePaddingNeverInflatesMaxLoad(t *testing.T) {
 	c := NewCluster(8)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 5))
-	parts := g.Distribute(d, []int{1}, func(*relation.Relation, relation.Tuple) []BranchDest {
-		return []BranchDest{{Branch: 0, Server: 0}}
+	parts := g.DistributeSpread(d, []int{1}, func(*relation.Relation, relation.Tuple) []BranchSend {
+		return []BranchSend{{Branch: 0}}
 	})
 	if parts[0].Len() != 5 {
 		t.Fatalf("tuples = %d", parts[0].Len())
@@ -97,12 +104,8 @@ func TestDistributeReplicatedDestinations(t *testing.T) {
 	c := NewCluster(3)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 6))
-	parts := g.Distribute(d, []int{4}, func(*relation.Relation, relation.Tuple) []BranchDest {
-		out := make([]BranchDest, 4)
-		for s := range out {
-			out[s] = BranchDest{Branch: 0, Server: s}
-		}
-		return out
+	parts := g.DistributeSpread(d, []int{4}, func(*relation.Relation, relation.Tuple) []BranchSend {
+		return []BranchSend{{Branch: 0, Broadcast: true}}
 	})
 	for s, f := range parts[0].Frags {
 		if f.Len() != 6 {
@@ -114,85 +117,64 @@ func TestDistributeReplicatedDestinations(t *testing.T) {
 	}
 }
 
-// TestGatherSelfSendAccounting compares the two conventions: logical
-// accounting charges server 0's own fragment; physical does not.
+// TestGatherSelfSendAccounting: Gather charges server 0 its own
+// fragment too — every tuple it holds afterwards.
 func TestGatherSelfSendAccounting(t *testing.T) {
-	build := func(c *Cluster) *DistRelation {
-		g := c.Root()
-		return g.Scatter(fill(relation.NewSchema(0), 8)) // 2 per server on p=4
-	}
-	logical := NewCluster(4)
-	logical.Root().Gather(build(logical))
-	if st := logical.Stats(); st.TotalUnits != 8 || st.MaxLoad != 8 {
-		t.Fatalf("logical stats = %v", st)
-	}
-	physical := NewCluster(4, WithChargeSelfSends(false))
-	physical.Root().Gather(build(physical))
-	if st := physical.Stats(); st.TotalUnits != 6 || st.MaxLoad != 6 {
-		t.Fatalf("physical stats = %v (want 8 - frag0's 2)", st)
+	c := NewCluster(4)
+	g := c.Root()
+	g.Gather(g.Scatter(fill(relation.NewSchema(0), 8))) // 2 per server on p=4
+	if st := c.Stats(); st.TotalUnits != 8 || st.MaxLoad != 8 {
+		t.Fatalf("stats = %v, want server 0 charged all 8 tuples", st)
 	}
 }
 
-// TestHashPartitionSelfSendAccounting places all tuples on server 0 so
-// the self-sends are exactly the tuples hashed back to server 0.
+// TestHashPartitionSelfSendAccounting places all tuples on server 0:
+// the tuples hashed back to server 0 are charged like the others, so
+// every server's charge is the fragment it ends up with.
 func TestHashPartitionSelfSendAccounting(t *testing.T) {
-	run := func(c *Cluster) (selfStay int, st Stats) {
-		g := c.Root()
-		d := NewDist(relation.NewSchema(0), g.Size())
-		for i := 0; i < 32; i++ {
-			d.Frags[0].Add(relation.Tuple{int64(i)})
+	rec := &recvRecorder{}
+	c := NewCluster(4, WithRecorder(rec))
+	g := c.Root()
+	d := NewDist(relation.NewSchema(0), g.Size())
+	for i := 0; i < 32; i++ {
+		d.Frags[0].Add(relation.Tuple{int64(i)})
+	}
+	out := g.HashPartition(d, []int{0})
+	if out.Frags[0].Len() == 0 {
+		t.Fatal("hash sent nothing back to server 0; self-send path unexercised")
+	}
+	for i, f := range out.Frags {
+		if rec.recvs[0][i] != f.Len() {
+			t.Fatalf("server %d charged %d, holds %d", i, rec.recvs[0][i], f.Len())
 		}
-		out := g.HashPartition(d, []int{0})
-		return out.Frags[0].Len(), c.Stats()
 	}
-	_, logical := run(NewCluster(4))
-	if logical.TotalUnits != 32 {
-		t.Fatalf("logical total = %d", logical.TotalUnits)
-	}
-	stay, physical := run(NewCluster(4, WithChargeSelfSends(false)))
-	if stay == 0 {
-		t.Skip("hash sent nothing back to server 0; self-send path unexercised")
-	}
-	if physical.TotalUnits != int64(32-stay) {
-		t.Fatalf("physical total = %d, want %d", physical.TotalUnits, 32-stay)
+	if st := c.Stats(); st.TotalUnits != 32 {
+		t.Fatalf("total = %d, want 32", st.TotalUnits)
 	}
 }
 
-// TestLoadObserverPerCluster runs two clusters with observers in
-// parallel — the scenario the global DebugLoad hook could not survive
-// under the race detector.
+// TestLoadObserverPerCluster runs two traced clusters in parallel —
+// the scenario a process-wide load hook could not survive under the
+// race detector: each recorder sees its own cluster's loads.
 func TestLoadObserverPerCluster(t *testing.T) {
 	for _, n := range []int{4, 8} {
 		n := n
 		t.Run("", func(t *testing.T) {
 			t.Parallel()
-			seen := 0
-			c := NewCluster(2, WithLoadObserver(func(m int) { seen = m }))
+			rec := &recvRecorder{}
+			c := NewCluster(2, WithRecorder(rec))
 			g := c.Root()
 			g.Broadcast(g.Scatter(fill(relation.NewSchema(0), n)))
-			if seen != n {
-				t.Fatalf("observer saw %d, want %d", seen, n)
+			if len(rec.recvs) != 1 || slices.Max(rec.recvs[0]) != n {
+				t.Fatalf("recorder saw %v, want one round of load %d", rec.recvs, n)
 			}
 		})
 	}
 }
 
-func TestSetLoadObserver(t *testing.T) {
-	c := NewCluster(2)
-	g := c.Root()
-	calls := 0
-	c.SetLoadObserver(func(int) { calls++ })
-	g.ChargeControl([]int{1, 1})
-	c.SetLoadObserver(nil)
-	g.ChargeControl([]int{1, 1})
-	if calls != 1 {
-		t.Fatalf("calls = %d", calls)
-	}
-}
-
 // TestRecorderSpanTree checks that the simulator mirrors its structure
 // into an attached collector: phase spans via Group.Span, structural
-// spans for Parallel branches and Subgroups, one event per exchange.
+// spans for Parallel branches, one event per exchange.
 func TestRecorderSpanTree(t *testing.T) {
 	col := trace.NewCollector()
 	c := NewCluster(4, WithRecorder(col))
@@ -203,10 +185,9 @@ func TestRecorderSpanTree(t *testing.T) {
 		{Servers: 2, Run: func(sub *Group) { sub.ChargeControl([]int{1, 2}) }},
 		{Servers: 1, Run: func(sub *Group) {}},
 	})
-	g.Subgroup(3, func(sub *Group) { sub.ChargeControl([]int{5, 0, 0}) })
 
 	root := col.Root()
-	if len(root.Children) != 4 {
+	if len(root.Children) != 3 {
 		t.Fatalf("root children = %d", len(root.Children))
 	}
 	warm := root.Children[0]
@@ -226,15 +207,10 @@ func TestRecorderSpanTree(t *testing.T) {
 	if b1 := root.Children[2]; b1.Kind != trace.KindParallel || b1.NumEvents() != 0 {
 		t.Fatalf("empty branch span = %+v", b1)
 	}
-	sg := root.Children[3]
-	if sg.Kind != trace.KindSubgroup || sg.Servers != 3 || sg.Events[0].Hist.Max != 5 {
-		t.Fatalf("subgroup span = %+v", sg)
-	}
 }
 
 // TestNopRecorderZeroAlloc pins the hot-path contract: with the default
-// (or an explicit Nop) recorder and no observer, charging a round
-// allocates nothing.
+// (or an explicit Nop) recorder, charging a round allocates nothing.
 func TestNopRecorderZeroAlloc(t *testing.T) {
 	for _, c := range []*Cluster{
 		NewCluster(4),

@@ -13,9 +13,8 @@ import (
 // the next run.
 //
 // A routed exchange returns NewSlabCounts' fragment header slab and its
-// pointer slice, plus a DistRelation — or, for Distribute and
-// DistributeSpread, a slab of branch DistRelations and its pointer
-// slice. HashPartition adds its recorded key; Scatter and ScatterDedup
+// pointer slice, plus a DistRelation — or, for DistributeSpread, a slab
+// of branch DistRelations and its pointer slice. HashPartition adds its recorded key; Scatter and ScatterDedup
 // their one-fragment view of the input; Route its RouteBuf wrapper of
 // the caller's function; RouteBuf its destination buffer (one per
 // exchange: a route function may return memory it holds).
@@ -40,8 +39,6 @@ func TestExchangeAllocs(t *testing.T) {
 		return append(buf[:0], int(t[0])%p, int(t[1])%p)
 	}
 	sizes := []int{3, 5}
-	dests := [][]BranchDest{{{Branch: 0, Server: 1}}, {{Branch: 1, Server: 2}, {Branch: 1, Server: 4}}}
-	dist := func(_ *relation.Relation, t relation.Tuple) []BranchDest { return dests[t[0]%2] }
 	sends := [][]BranchSend{{{Branch: 0}}, {{Branch: 1, Broadcast: true}, {Branch: 0}}}
 	pick := func(_ *relation.Relation, t relation.Tuple) []BranchSend { return sends[t[0]%2] }
 	for _, op := range []struct {
@@ -55,8 +52,6 @@ func TestExchangeAllocs(t *testing.T) {
 		{"HashPartition/identity", 3, func() { g.HashPartition(parted, []int{0}) }},
 		{"Route", 4, func() { g.Route(d, plain) }},
 		{"RouteBuf", 4, func() { g.RouteBuf(d, route) }},
-		{"SendTo", 3, func() { g.SendTo(d, 5) }},
-		{"Distribute", 4, func() { g.Distribute(d, sizes, dist) }},
 		{"DistributeSpread", 4, func() { g.DistributeSpread(d, sizes, pick) }},
 		{"Gather", 1, func() { g.Gather(d) }},
 		{"Broadcast", 4, func() { g.Broadcast(d) }},

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"slices"
 	"testing"
 
 	"coverpack/internal/relation"
@@ -12,18 +13,11 @@ func TestDistributeSplitsAndCharges(t *testing.T) {
 	d := g.Scatter(fill(relation.NewSchema(0), 30))
 	// Tuples with even value to branch 0 (2 servers, round-robin),
 	// odd to branch 1 (3 servers, replicated).
-	rr := 0
-	parts := g.Distribute(d, []int{2, 3}, func(f *relation.Relation, tp relation.Tuple) []BranchDest {
+	parts := g.DistributeSpread(d, []int{2, 3}, func(f *relation.Relation, tp relation.Tuple) []BranchSend {
 		if tp[0]%2 == 0 {
-			dst := BranchDest{Branch: 0, Server: rr % 2}
-			rr++
-			return []BranchDest{dst}
+			return []BranchSend{{Branch: 0}}
 		}
-		out := make([]BranchDest, 3)
-		for s := range out {
-			out[s] = BranchDest{Branch: 1, Server: s}
-		}
-		return out
+		return []BranchSend{{Branch: 1, Broadcast: true}}
 	})
 	if len(parts) != 2 {
 		t.Fatalf("parts = %d", len(parts))
@@ -63,16 +57,16 @@ func TestDistributePanics(t *testing.T) {
 				t.Error("zero-size branch should panic")
 			}
 		}()
-		g.Distribute(d, []int{0}, func(*relation.Relation, relation.Tuple) []BranchDest { return nil })
+		g.DistributeSpread(d, []int{0}, func(*relation.Relation, relation.Tuple) []BranchSend { return nil })
 	}()
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("out-of-range destination should panic")
+				t.Error("out-of-range branch should panic")
 			}
 		}()
-		g.Distribute(d, []int{1}, func(*relation.Relation, relation.Tuple) []BranchDest {
-			return []BranchDest{{Branch: 0, Server: 5}}
+		g.DistributeSpread(d, []int{1}, func(*relation.Relation, relation.Tuple) []BranchSend {
+			return []BranchSend{{Branch: 1}}
 		})
 	}()
 }
@@ -81,7 +75,7 @@ func TestDistributeDropsUnrouted(t *testing.T) {
 	c := NewCluster(2)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 10))
-	parts := g.Distribute(d, []int{1}, func(*relation.Relation, relation.Tuple) []BranchDest {
+	parts := g.DistributeSpread(d, []int{1}, func(*relation.Relation, relation.Tuple) []BranchSend {
 		return nil // drop everything
 	})
 	if parts[0].Len() != 0 {
@@ -105,13 +99,14 @@ func TestDeclareServers(t *testing.T) {
 	}
 }
 
+// TestLoadObserverHook: a round's loads reach the cluster's recorder.
 func TestLoadObserverHook(t *testing.T) {
-	seen := 0
-	c := NewCluster(2, WithLoadObserver(func(maxLoad int) { seen = maxLoad }))
+	rec := &recvRecorder{}
+	c := NewCluster(2, WithRecorder(rec))
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 8))
 	g.Broadcast(d)
-	if seen != 8 {
-		t.Fatalf("observer saw %d, want 8", seen)
+	if len(rec.recvs) != 1 || slices.Max(rec.recvs[0]) != 8 {
+		t.Fatalf("recorder saw %v, want one round of load 8", rec.recvs)
 	}
 }

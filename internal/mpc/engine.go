@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the worker pool under the exchanges. The simulator's
-// observable artifacts — output tuples, Stats, trace events, observer
-// calls — are part of the reproduction's measured results, so the pool
-// is built around one invariant: every operation produces byte-identical
-// results for any worker count.
+// observable artifacts — output tuples, Stats, trace events — are part
+// of the reproduction's measured results, so the pool is built around
+// one invariant: every operation produces byte-identical results for
+// any worker count.
 //
 // The mechanism is deterministic decomposition + ordered merge:
 //
@@ -25,10 +25,9 @@ import (
 //     caller-owned per-index slots.
 //
 //   - Parallel branches run concurrently on sub-groups whose recorder
-//     and load observer are replaced by per-branch buffers; after all
-//     branches finish, the buffers are replayed into the parent
-//     recorder/observer in branch order and the branch Stats are folded
-//     exactly as the inline loop folds them.
+//     is replaced by a per-branch buffer; after all branches finish, the
+//     buffers are replayed into the parent recorder in branch order and
+//     the branch Stats are folded exactly as the inline loop folds them.
 //
 // Work is bounded by a cluster-wide token pool of workers−1 extra
 // goroutines; the calling goroutine always participates, so nested
@@ -81,9 +80,6 @@ func withForcedWorkers(n int) Option {
 func withChunker(cut func(d *DistRelation) [][]frange) Option {
 	return func(c *Cluster) { c.chunker = cut }
 }
-
-// Workers reports the cluster's worker-pool size.
-func (c *Cluster) Workers() int { return c.workers }
 
 const (
 	// parThreshold is the minimum flattened tuple count before a step

@@ -14,30 +14,26 @@ import (
 
 // The scenario harness: every scenario is executed on one worker and on
 // several worker-pool sizes, and every observable — output tuples
-// (order included), Stats, the trace span tree, the load-observer call
-// sequence — must be byte-identical.
+// (order included), Stats, the trace span tree with every exchange's
+// load — must be byte-identical.
 
 // capture is everything observable about one run.
 type capture struct {
 	stats Stats
-	loads []int
 	root  *trace.Span
 	outs  []*relation.Relation
 }
 
 // runScenario executes scenario on a fresh p-server cluster with the
-// given worker count, recording traces and observer calls. The scenario
-// registers output fragments through keep.
+// given worker count, recording traces. The scenario registers output
+// fragments through keep.
 func runScenario(p, workers int, scenario func(g *Group, keep func(rs ...*relation.Relation))) capture {
 	col := trace.NewCollector()
 	var cap capture
 	// withForcedWorkers: equivalence runs must exercise the concurrent
 	// engine even on single-CPU shards, where WithWorkers would fall
 	// back to sequential (and flag Stats.SeqFallback).
-	c := NewCluster(p,
-		withForcedWorkers(workers),
-		WithRecorder(col),
-		WithLoadObserver(func(m int) { cap.loads = append(cap.loads, m) }))
+	c := NewCluster(p, withForcedWorkers(workers), WithRecorder(col))
 	scenario(c.Root(), func(rs ...*relation.Relation) { cap.outs = append(cap.outs, rs...) })
 	cap.stats = c.Stats()
 	cap.root = col.Root()
@@ -49,9 +45,6 @@ func assertSameCapture(t *testing.T, label string, want, got capture) {
 	t.Helper()
 	if want.stats != got.stats {
 		t.Errorf("%s: stats differ: seq %+v, par %+v", label, want.stats, got.stats)
-	}
-	if !reflect.DeepEqual(want.loads, got.loads) {
-		t.Errorf("%s: observer sequences differ: seq %v, par %v", label, want.loads, got.loads)
 	}
 	if !reflect.DeepEqual(want.root, got.root) {
 		t.Errorf("%s: trace span trees differ", label)
@@ -118,8 +111,8 @@ var engineScenarios = []struct {
 	}},
 	{"send-to", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0, 1), 4000))
-		keep(g.SendTo(d, 3).Frags...)
-		keep(g.SendTo(d, g.Size()+2).Frags...)
+		keep(resize(g, d, 3).Frags...)
+		keep(resize(g, d, g.Size()+2).Frags...)
 	}},
 	{"broadcast-gather", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0), 2000))
@@ -133,12 +126,12 @@ var engineScenarios = []struct {
 	}},
 	{"distribute", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0, 1), 4000))
-		parts := g.Distribute(d, []int{2, 3}, func(_ *relation.Relation, t relation.Tuple) []BranchDest {
+		parts := g.DistributeSpread(d, []int{2, 3}, func(_ *relation.Relation, t relation.Tuple) []BranchSend {
 			if t[0]%2 == 0 {
-				return []BranchDest{{Branch: 0, Server: int(t[1]) % 2}}
+				return []BranchSend{{Branch: 0}}
 			}
 			// Replicate odd tuples over branch 1.
-			return []BranchDest{{Branch: 1, Server: 0}, {Branch: 1, Server: 1}, {Branch: 1, Server: 2}}
+			return []BranchSend{{Branch: 1, Broadcast: true}}
 		})
 		for _, p := range parts {
 			keep(p.Frags...)
@@ -177,7 +170,7 @@ var engineScenarios = []struct {
 					sub.Parallel([]Branch{
 						{Servers: 2, Run: func(s2 *Group) {
 							d := s2.Scatter(big(relation.NewSchema(0), 1500))
-							inner[0] = s2.SendTo(d, 2)
+							inner[0] = resize(s2, d, 2)
 						}},
 						{Servers: 1, Run: func(s2 *Group) {
 							d := s2.Scatter(big(relation.NewSchema(0), 1200))
@@ -188,10 +181,10 @@ var engineScenarios = []struct {
 				}},
 				{Servers: 4, Run: func(sub *Group) {
 					sub.ChargeControl([]int{1, 1, 1, 1})
-					sub.Subgroup(2, func(s2 *Group) {
+					sub.Parallel([]Branch{{Servers: 2, Run: func(s2 *Group) {
 						d := s2.Scatter(big(relation.NewSchema(0, 1), 2000))
 						outs[2] = s2.HashPartition(d, []int{1})
-					})
+					}}})
 				}},
 			})
 		})
@@ -207,17 +200,15 @@ var engineScenarios = []struct {
 // one kernel under every worker count, comparing worker counts proves
 // chunking invariance, not correctness.
 
-func naiveHashPartition(d *DistRelation, pos []int, p int, charge bool) ([]*relation.Relation, []int) {
+func naiveHashPartition(d *DistRelation, pos []int, p int) ([]*relation.Relation, []int) {
 	out := NewDist(d.Schema, p)
 	recv := make([]int, p)
-	for src, f := range d.Frags {
+	for _, f := range d.Frags {
 		for i := 0; i < f.Len(); i++ {
 			t := f.Row(i)
 			dst := legacyHashDest(t, pos, p)
 			out.Frags[dst].Add(t)
-			if charge || dst != src || src >= p {
-				recv[dst]++
-			}
+			recv[dst]++
 		}
 	}
 	return out.Frags, recv
@@ -238,22 +229,8 @@ func naiveRoute(d *DistRelation, p int, route func(src int, t relation.Tuple) []
 	return out.Frags, recv
 }
 
-func naiveSendTo(d *DistRelation, k, p int) ([]*relation.Relation, []int) {
-	out := NewDist(d.Schema, k)
-	recv := make([]int, max(k, p))
-	i := 0
-	for _, f := range d.Frags {
-		for j := 0; j < f.Len(); j++ {
-			out.Frags[i%k].Add(f.Row(j))
-			recv[i%k]++
-			i++
-		}
-	}
-	return out.Frags, recv
-}
-
-// naiveBranches allocates the per-branch outputs of the Distribute
-// family as one flat fragment list, with each branch's first slot.
+// naiveBranches allocates the per-branch outputs of DistributeSpread as
+// one flat fragment list, with each branch's first slot.
 func naiveBranches(schema relation.Schema, sizes []int, p int) (frags []*relation.Relation, offset, recv []int) {
 	total := 0
 	for _, k := range sizes {
@@ -261,20 +238,6 @@ func naiveBranches(schema relation.Schema, sizes []int, p int) (frags []*relatio
 		total += k
 	}
 	return NewDist(schema, total).Frags, offset, make([]int, max(total, p))
-}
-
-func naiveDistribute(d *DistRelation, sizes []int, p int, route func(f *relation.Relation, t relation.Tuple) []BranchDest) ([]*relation.Relation, []int) {
-	frags, offset, recv := naiveBranches(d.Schema, sizes, p)
-	for _, f := range d.Frags {
-		for i := 0; i < f.Len(); i++ {
-			t := f.Row(i)
-			for _, dest := range route(f, t) {
-				frags[offset[dest.Branch]+dest.Server].Add(t)
-				recv[offset[dest.Branch]+dest.Server]++
-			}
-		}
-	}
-	return frags, recv
 }
 
 func naiveDistributeSpread(d *DistRelation, sizes []int, p int, pick func(f *relation.Relation, t relation.Tuple) []BranchSend) ([]*relation.Relation, []int) {
@@ -306,7 +269,7 @@ func naiveDistributeSpread(d *DistRelation, sizes []int, p int, pick func(f *rel
 type exchangeCase struct {
 	name string
 	run  func(g *Group, d *DistRelation) []*relation.Relation
-	ref  func(d *DistRelation, p int, charge bool) ([]*relation.Relation, []int)
+	ref  func(d *DistRelation, p int) ([]*relation.Relation, []int)
 }
 
 // col reads column j of t, falling back on the source index so the
@@ -326,10 +289,10 @@ func flatten(parts []*DistRelation) []*relation.Relation {
 	return out
 }
 
-// exchangeCases returns the five routed exchanges over a group of p
-// servers. Routes replicate, drop and (Spread) mix broadcast with
-// round-robin sends to both branches, so any cut of the input has
-// rotation state on either side of it.
+// exchangeCases returns the routed exchanges over a group of p servers.
+// Routes replicate, drop and (Spread) mix broadcast with round-robin
+// sends to both branches, so any cut of the input has rotation state on
+// either side of it.
 func exchangeCases(p int) []exchangeCase {
 	route := func(src int, t relation.Tuple) []int {
 		switch a, b := col(src, t, 0), col(src, t, 1); {
@@ -342,12 +305,6 @@ func exchangeCases(p int) []exchangeCase {
 		}
 	}
 	sizes := []int{2, 3}
-	dist := func(_ *relation.Relation, t relation.Tuple) []BranchDest {
-		if a := col(0, t, 0); a%2 == 0 {
-			return []BranchDest{{Branch: 0, Server: col(0, t, 1) % 2}}
-		}
-		return []BranchDest{{Branch: 1, Server: 0}, {Branch: 1, Server: 1}, {Branch: 1, Server: 2}}
-	}
 	pick := func(_ *relation.Relation, t relation.Tuple) []BranchSend {
 		switch a := col(0, t, 0); {
 		case a%5 == 0:
@@ -360,33 +317,22 @@ func exchangeCases(p int) []exchangeCase {
 			return []BranchSend{{Branch: 0}, {Branch: 1}}
 		}
 	}
-	sendTo := func(k int) exchangeCase {
-		return exchangeCase{"send-to-" + itoa(k),
-			func(g *Group, d *DistRelation) []*relation.Relation { return g.SendTo(d, k).Frags },
-			func(d *DistRelation, p int, _ bool) ([]*relation.Relation, []int) { return naiveSendTo(d, k, p) }}
-	}
 	return []exchangeCase{
 		{"hash-partition",
 			func(g *Group, d *DistRelation) []*relation.Relation {
 				return g.HashPartition(d, d.Schema.Attrs()[:min(1, d.Schema.Len())]).Frags
 			},
-			func(d *DistRelation, p int, charge bool) ([]*relation.Relation, []int) {
-				return naiveHashPartition(d, []int{0}[:min(1, d.Schema.Len())], p, charge)
+			func(d *DistRelation, p int) ([]*relation.Relation, []int) {
+				return naiveHashPartition(d, []int{0}[:min(1, d.Schema.Len())], p)
 			}},
 		{"route",
 			func(g *Group, d *DistRelation) []*relation.Relation { return g.Route(d, route).Frags },
-			func(d *DistRelation, p int, _ bool) ([]*relation.Relation, []int) { return naiveRoute(d, p, route) }},
-		sendTo(3), sendTo(p + 2),
-		{"distribute",
-			func(g *Group, d *DistRelation) []*relation.Relation { return flatten(g.Distribute(d, sizes, dist)) },
-			func(d *DistRelation, p int, _ bool) ([]*relation.Relation, []int) {
-				return naiveDistribute(d, sizes, p, dist)
-			}},
+			func(d *DistRelation, p int) ([]*relation.Relation, []int) { return naiveRoute(d, p, route) }},
 		{"distribute-spread",
 			func(g *Group, d *DistRelation) []*relation.Relation {
 				return flatten(g.DistributeSpread(d, sizes, pick))
 			},
-			func(d *DistRelation, p int, _ bool) ([]*relation.Relation, []int) {
+			func(d *DistRelation, p int) ([]*relation.Relation, []int) {
 				return naiveDistributeSpread(d, sizes, p, pick)
 			}},
 	}
@@ -404,12 +350,12 @@ func (r *recvRecorder) Exchange(_ trace.Op, recv []int) {
 // checkAgainstNaive runs ec on a fresh p-server cluster over d and
 // fails unless fragments (content and order), the charged recv vector
 // and the Stats equal the naive reference's.
-func checkAgainstNaive(t testing.TB, label string, ec exchangeCase, d *DistRelation, p int, charge bool, opts ...Option) {
+func checkAgainstNaive(t testing.TB, label string, ec exchangeCase, d *DistRelation, p int, opts ...Option) {
 	t.Helper()
 	rec := &recvRecorder{}
-	c := NewCluster(p, append([]Option{WithChargeSelfSends(charge), WithRecorder(rec)}, opts...)...)
+	c := NewCluster(p, append([]Option{WithRecorder(rec)}, opts...)...)
 	got := ec.run(c.Root(), d)
-	want, recv := ec.ref(d, p, charge)
+	want, recv := ec.ref(d, p)
 
 	if len(rec.recvs) != 1 || !reflect.DeepEqual(rec.recvs[0], recv) {
 		t.Fatalf("%s: charged %v, reference recv %v", label, rec.recvs, recv)
@@ -471,20 +417,15 @@ func TestEngineEquivalence(t *testing.T) {
 	for _, in := range inputs {
 		for _, ec := range exchangeCases(p) {
 			for _, w := range []int{1, 2, 4, 7} {
-				for _, charge := range []bool{true, false} {
-					label := in.name + "/" + ec.name + "/workers=" + itoa(w)
-					if !charge {
-						label += "/physical"
-					}
-					checkAgainstNaive(t, label, ec, in.d, p, charge, withForcedWorkers(w))
-				}
+				label := in.name + "/" + ec.name + "/workers=" + itoa(w)
+				checkAgainstNaive(t, label, ec, in.d, p, withForcedWorkers(w))
 			}
 		}
 	}
 }
 
 // TestEngineScenariosAcrossWorkers runs whole scenarios — the free and
-// per-server steps, nested Parallel blocks, spans and observers, which
+// per-server steps, nested Parallel blocks and spans, which
 // the naive references above do not model — on one worker and on
 // several: every observable must be byte-identical.
 func TestEngineScenariosAcrossWorkers(t *testing.T) {
@@ -520,48 +461,6 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b)
-}
-
-// TestDistributeSpreadMatchesStatefulDistribute pins the migration from
-// caller-owned round-robin closures: on the sequential engine,
-// DistributeSpread must place tuples exactly where the old stateful
-// Distribute closure did.
-func TestDistributeSpreadMatchesStatefulDistribute(t *testing.T) {
-	sizes := []int{2, 3}
-	in := big(relation.NewSchema(0, 1), 500)
-
-	cOld := NewCluster(4)
-	dOld := cOld.Root().Scatter(in)
-	rr := make([]int, len(sizes))
-	old := cOld.Root().Distribute(dOld, sizes, func(_ *relation.Relation, tp relation.Tuple) []BranchDest {
-		bi := int(tp[0]) % 2
-		dst := BranchDest{Branch: bi, Server: rr[bi] % sizes[bi]}
-		rr[bi]++
-		return []BranchDest{dst}
-	})
-
-	cNew := NewCluster(4)
-	dNew := cNew.Root().Scatter(in)
-	now := cNew.Root().DistributeSpread(dNew, sizes, func(_ *relation.Relation, tp relation.Tuple) []BranchSend {
-		return []BranchSend{{Branch: int(tp[0]) % 2}}
-	})
-
-	if cOld.Stats() != cNew.Stats() {
-		t.Fatalf("stats differ: %+v vs %+v", cOld.Stats(), cNew.Stats())
-	}
-	for b := range sizes {
-		for s := range old[b].Frags {
-			of, nf := old[b].Frags[s], now[b].Frags[s]
-			if of.Len() != nf.Len() {
-				t.Fatalf("branch %d server %d: %d vs %d tuples", b, s, of.Len(), nf.Len())
-			}
-			for i := range of.Tuples() {
-				if of.Tuples()[i][0] != nf.Tuples()[i][0] || of.Tuples()[i][1] != nf.Tuples()[i][1] {
-					t.Fatalf("branch %d server %d tuple %d differs", b, s, i)
-				}
-			}
-		}
-	}
 }
 
 // ScatterDedup routes first occurrences through the exchange kernel;
@@ -689,7 +588,7 @@ func TestNestedForkDoesNotDeadlock(t *testing.T) {
 }
 
 func TestWithWorkersOption(t *testing.T) {
-	if got := NewCluster(2).Workers(); got != 1 {
+	if got := NewCluster(2).workers; got != 1 {
 		t.Fatalf("default workers = %d, want 1", got)
 	}
 	if c := NewCluster(2); c.Stats().SeqFallback {
@@ -698,7 +597,7 @@ func TestWithWorkersOption(t *testing.T) {
 	multiCPU := runtime.GOMAXPROCS(0) > 1
 	c := NewCluster(2, WithWorkers(6))
 	if multiCPU {
-		if got := c.Workers(); got != 6 {
+		if got := c.workers; got != 6 {
 			t.Fatalf("workers = %d, want 6", got)
 		}
 		if c.Stats().SeqFallback {
@@ -707,17 +606,17 @@ func TestWithWorkersOption(t *testing.T) {
 	} else {
 		// Single schedulable CPU: the pool cannot run concurrently, so
 		// the cluster must fall back to sequential and say so.
-		if got := c.Workers(); got != 1 {
+		if got := c.workers; got != 1 {
 			t.Fatalf("workers = %d under GOMAXPROCS=1, want 1 (fallback)", got)
 		}
 		if !c.Stats().SeqFallback {
 			t.Fatal("GOMAXPROCS=1 fallback not recorded in Stats.SeqFallback")
 		}
 	}
-	if got := NewCluster(2, WithWorkers(0)).Workers(); got < 1 {
+	if got := NewCluster(2, WithWorkers(0)).workers; got < 1 {
 		t.Fatalf("auto workers = %d, want >= 1", got)
 	}
-	if got := NewCluster(2, withForcedWorkers(6)).Workers(); got != 6 {
+	if got := NewCluster(2, withForcedWorkers(6)).workers; got != 6 {
 		t.Fatalf("forced workers = %d, want 6", got)
 	}
 }
@@ -730,7 +629,7 @@ func TestWithWorkersFallbackUnderSingleCPU(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 
 	c := NewCluster(3, WithWorkers(4))
-	if got := c.Workers(); got != 1 {
+	if got := c.workers; got != 1 {
 		t.Fatalf("workers = %d, want 1", got)
 	}
 	g := c.Root()
@@ -767,8 +666,8 @@ func TestExchangeOutputsPooledAndTracked(t *testing.T) {
 		g := c.Root()
 		before := relation.PoolStats()
 		d := g.Scatter(big(relation.NewSchema(0, 1), 3000))
-		g.SendTo(d, 3)
-		g.SendTo(g.Scatter(relation.New(relation.NewSchema(0))), 2) // two empty exchanges: no blob
+		g.HashPartition(d, []int{1})
+		g.HashPartition(g.Scatter(relation.New(relation.NewSchema(0))), []int{0}) // two empty exchanges: no blob
 		c.Release()
 		after := relation.PoolStats()
 		if got := (after.Puts + after.Discards) - (before.Puts + before.Discards); got != 2 {

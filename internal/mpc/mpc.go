@@ -20,34 +20,25 @@
 //
 // Data lives in DistRelations: one relation fragment per server of the
 // owning group. Tuples move between servers only through the group's
-// exchange operations (HashPartition, Route, SendTo, Distribute, ...),
+// exchange operations (HashPartition, Route, DistributeSpread, ...),
 // which share one kernel (exchange.go) and charge every round. Decisions
 // the driver makes from O(p)-size summaries (fragment sizes, heavy-value
 // cutoffs) model the free control channel of the paper's lower-bound
 // convention; every tuple and every per-value statistic moved between
-// servers is charged.
-//
-// # Self-send accounting
-//
-// By default the simulator charges every routed tuple, including tuples
-// whose destination is the server already holding them (server 0's own
-// fragment in Gather; same-server hash destinations in HashPartition).
-// This matches the paper's convention of bounding load by the full
-// fan-in of an exchange and keeps the charged loads independent of the
-// initial placement, at the price of overstating real network traffic
-// by an expected 1/size fraction. WithChargeSelfSends(false) switches
-// to physical accounting, where only tuples that actually change
-// servers are charged; the default stays true so historical (golden)
-// numbers are unchanged.
+// servers is charged, including a tuple whose destination is the server
+// already holding it (server 0's own fragment in Gather, same-server
+// hash destinations in HashPartition): the paper charges a server for
+// everything it receives in a round, so the charged loads do not depend
+// on the initial placement.
 //
 // # Observability
 //
 // A Cluster optionally carries a trace.Recorder (WithRecorder): every
 // charged exchange is emitted with its operation kind and per-server
-// received-load vector, and Parallel/Subgroup open structural spans so
-// a collected trace mirrors the computation tree. Algorithm layers open
-// named phase spans via Group.Span. The default recorder is off and
-// costs nothing on the hot path.
+// received-load vector, and Parallel opens one structural span per
+// branch so a collected trace mirrors the computation tree. Algorithm
+// layers open named phase spans via Group.Span. The default recorder is
+// off and costs nothing on the hot path.
 //
 // # Parallel execution
 //
@@ -55,8 +46,8 @@
 // over several chunks at once, and Parallel branches run concurrently.
 // All observable results are byte-identical for every worker count (see
 // engine.go and DESIGN.md, "Parallel engine determinism contract").
-// Route/Distribute/DistributeSpread callbacks and Local steps must be
-// pure (deterministic, no shared mutable state) under a parallel cluster.
+// Route/DistributeSpread callbacks and Local steps must be pure
+// (deterministic, no shared mutable state) under a parallel cluster.
 package mpc
 
 import (
@@ -98,21 +89,11 @@ func (s Stats) String() string {
 
 // Cluster owns one simulated computation.
 type Cluster struct {
-	// Budget is the number of physical servers the caller claims to
-	// have (the paper's p). Virtual usage may exceed it; experiments
-	// compare Stats.ServersUsed against Budget.
-	Budget int
-	root   *Group
+	root *Group
 
 	// rec receives spans and exchanges; nil when tracing is off so the
 	// hot path pays a single pointer test.
 	rec trace.Recorder
-	// onRound, when non-nil, observes the per-round maximum load of
-	// every exchange (per-cluster successor of the DebugLoad global).
-	onRound func(maxLoad int)
-	// chargeSelfSends selects logical (true, default) or physical
-	// (false) accounting; see the package comment.
-	chargeSelfSends bool
 
 	// workers is the engine pool size (1 = everything inline); tokens
 	// admits up to workers−1 extra goroutines cluster-wide (see
@@ -152,38 +133,24 @@ func WithRecorder(r trace.Recorder) Option {
 	}
 }
 
-// WithLoadObserver registers a per-cluster callback invoked with the
-// maximum per-server load of every charged exchange. It replaces the
-// deprecated DebugLoad global and is safe under parallel tests because
-// it is cluster-scoped.
-func WithLoadObserver(fn func(maxLoad int)) Option {
-	return func(c *Cluster) { c.onRound = fn }
-}
-
-// WithChargeSelfSends selects the accounting convention for tuples that
-// are routed to the server already holding them (see the package
-// comment). The default, true, charges them.
-func WithChargeSelfSends(charge bool) Option {
-	return func(c *Cluster) { c.chargeSelfSends = charge }
-}
-
 // WithPlanCacheHint has no effect: there is no exchange-plan cache. It
-// stays because internal/bench names it; ROADMAP item 1 deletes it with
-// that harness code.
+// stays because internal/bench names it, and goes with that harness
+// code when the benchmark contract reopens (ROADMAP, Parked).
 func WithPlanCacheHint(n int) Option { return func(*Cluster) {} }
 
 // WithSpill has no effect: there is no out-of-core execution. It stays
-// because internal/bench names it; ROADMAP item 1 deletes it with that
-// harness code.
+// because internal/bench names it, and goes with that harness code when
+// the benchmark contract reopens (ROADMAP, Parked).
 func WithSpill(dir string, budgetBytes int64) Option { return func(*Cluster) {} }
 
-// NewCluster creates a cluster with the given server budget and a root
-// group of exactly that size.
+// NewCluster creates a cluster of p servers: a root group of exactly
+// that size (the paper's p; virtual usage may exceed it, see
+// Stats.ServersUsed).
 func NewCluster(p int, opts ...Option) *Cluster {
 	if p <= 0 {
 		panic(fmt.Sprintf("mpc: cluster needs p >= 1, got %d", p))
 	}
-	c := &Cluster{Budget: p, chargeSelfSends: true, workers: 1}
+	c := &Cluster{workers: 1}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -194,11 +161,7 @@ func NewCluster(p int, opts ...Option) *Cluster {
 	return c
 }
 
-// SetLoadObserver replaces the cluster's load observer after
-// construction (nil disables it).
-func (c *Cluster) SetLoadObserver(fn func(maxLoad int)) { c.onRound = fn }
-
-// Root returns the root group (size = Budget).
+// Root returns the root group (size p).
 func (c *Cluster) Root() *Group { return c.root }
 
 // trackArena registers a pooled arena blob acquired during this run so
@@ -248,8 +211,8 @@ func (c *Cluster) Stats() Stats {
 // PlanCacheStats reports the cluster's HashPartition counts in the shape
 // internal/bench reads: PartitionHits counts the exchanges that took the
 // identity path and Misses those that hashed. Hits is always 0: there is
-// no exchange-plan cache. ROADMAP item 1 deletes it with that harness
-// code.
+// no exchange-plan cache. It goes with that harness code when the
+// benchmark contract reopens (ROADMAP, Parked).
 func (c *Cluster) PlanCacheStats() trace.CacheStats {
 	return trace.CacheStats{Misses: c.hashed.Load(), PartitionHits: c.identity.Load()}
 }
@@ -261,12 +224,11 @@ type Group struct {
 	stats   Stats
 	used    int // peak concurrent servers within this group's lifetime
 
-	// rec and onRound, when non-nil, override the cluster's recorder
-	// and load observer for this group and its descendants. Concurrent
-	// Parallel branches record into per-branch buffers through these
-	// overrides; the buffers are replayed in branch order afterwards.
-	rec     trace.Recorder
-	onRound func(maxLoad int)
+	// rec, when non-nil, overrides the cluster's recorder for this
+	// group and its descendants. Concurrent Parallel branches record
+	// into per-branch buffers through it; the buffers are replayed in
+	// branch order afterwards.
+	rec trace.Recorder
 }
 
 // recorder returns the effective trace recorder for this group.
@@ -277,18 +239,10 @@ func (g *Group) recorder() trace.Recorder {
 	return g.cluster.rec
 }
 
-// observer returns the effective load observer for this group.
-func (g *Group) observer() func(int) {
-	if g.onRound != nil {
-		return g.onRound
-	}
-	return g.cluster.onRound
-}
-
-// child creates a sub-group that inherits this group's recorder and
-// observer overrides (if any).
+// child creates a sub-group that inherits this group's recorder
+// override (if any).
 func (g *Group) child(size int) *Group {
-	return &Group{cluster: g.cluster, size: size, rec: g.rec, onRound: g.onRound}
+	return &Group{cluster: g.cluster, size: size, rec: g.rec}
 }
 
 // Size returns the number of servers in the group.
@@ -313,9 +267,6 @@ func (g *Group) chargeRound(op trace.Op, recv []int) {
 			m = r
 		}
 		total += int64(r)
-	}
-	if obs := g.observer(); obs != nil {
-		obs(m)
 	}
 	if rec := g.recorder(); rec != nil {
 		rec.Exchange(op, recv)
@@ -355,21 +306,6 @@ func (g *Group) Span(name string, fn func()) {
 	rec.BeginSpan(name, trace.KindPhase, g.size)
 	defer rec.EndSpan()
 	fn()
-}
-
-// merge folds a completed child computation into this group as one
-// parallel block member; the caller accumulates the block via
-// mergeParallel.
-func (g *Group) absorbSequential(child *Group) {
-	g.stats.Rounds += child.stats.Rounds
-	if child.stats.MaxLoad > g.stats.MaxLoad {
-		g.stats.MaxLoad = child.stats.MaxLoad
-	}
-	g.stats.TotalUnits += child.stats.TotalUnits
-	cu := child.Stats().ServersUsed
-	if cu > g.used {
-		g.used = cu
-	}
 }
 
 // DistRelation is a relation partitioned across the servers of a group:
@@ -419,20 +355,14 @@ func (d *DistRelation) Len() int {
 	return n
 }
 
-// MaxFrag returns the largest fragment size.
-func (d *DistRelation) MaxFrag() int {
-	m := 0
-	for _, f := range d.Frags {
-		if f.Len() > m {
-			m = f.Len()
-		}
-	}
-	return m
-}
-
 // Collect concatenates all fragments into one local relation, sized
-// once. It is a zero-cost inspection helper for tests and oracles, not a
-// simulated communication step — use Gather for the accounted operation.
+// once. It is free, not a simulated communication step: tests and
+// oracles inspect through it, and the engine calls it where the cost is
+// charged by other means — Case II's joint count (the movement to the
+// counting servers is charged by the exchanges before it) and the
+// conservative allocator's oracle sub-joins (one statistics round,
+// charged through ChargeControl). Use Gather for the accounted
+// operation.
 func (d *DistRelation) Collect() *relation.Relation {
 	n := d.Len()
 	data := make([]relation.Value, 0, n*d.Schema.Len())
@@ -492,20 +422,16 @@ func (r dedupRoute) route(c *xchunk, dst []uint32, _ int, _ *relation.Relation, 
 // When d is already partitioned on attrs for this group the exchange is
 // the identity: every tuple of fragment i hashes back to server i, in
 // fragment order. The output then shares d's fragments without hashing,
-// and the charge is each fragment's size under logical accounting and
-// zero under physical accounting (every tuple is a self-send) — what
-// hashing would compute.
+// and the charge is each fragment's size — what hashing would compute.
 func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
 	out := &DistRelation{Schema: d.Schema, part: append([]int(nil), attrs...)}
 	var x *xrun
 	if len(d.Frags) == g.size && d.PartitionedOn(attrs) {
 		g.cluster.identity.Add(1)
 		x = getScratch()
-		x.recv = zeroed(x.recv, g.size)
-		if g.cluster.chargeSelfSends {
-			for i, f := range d.Frags {
-				x.recv[i] = f.Len()
-			}
+		x.recv = sized(x.recv, g.size)
+		for i, f := range d.Frags {
+			x.recv[i] = f.Len()
 		}
 		out.Frags = slices.Clone(d.Frags)
 	} else {
@@ -513,20 +439,6 @@ func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
 		x = g.scratch(d)
 		x.offs = d.Schema.AppendPositions(x.offs[:0], attrs)
 		out.Frags = exchange(g, x, d, g.size, true, hashRoute{x.offs, uint64(g.size)})
-		if !g.cluster.chargeSelfSends {
-			// Physical accounting: a tuple that hashes to the server
-			// already holding it is delivered but not charged.
-			for ci, chunk := range x.chunks {
-				j := 0
-				for _, s := range chunk {
-					for end := j + s.hi - s.lo; j < end; j++ {
-						if int(x.cs[ci].dst[j]) == s.frag {
-							x.recv[s.frag]--
-						}
-					}
-				}
-			}
-		}
 	}
 	g.charge(trace.OpHashPartition, x)
 	return out
@@ -579,15 +491,12 @@ func (s replicate) Fill(_ int, _ *relation.Relation, _, dst []relation.Value, _ 
 }
 
 // Gather collects d onto server 0. One round; server 0 receives
-// Len(d) units (minus its own fragment under physical accounting; see
-// the package comment). Use only for provably small data (statistics).
+// Len(d) units, its own fragment included (see the package comment).
+// Use only for provably small data (statistics).
 func (g *Group) Gather(d *DistRelation) *relation.Relation {
 	x := getScratch()
 	x.recv = zeroed(x.recv, g.size)
 	x.recv[0] = d.Len()
-	if !g.cluster.chargeSelfSends && len(d.Frags) > 0 {
-		x.recv[0] -= d.Frags[0].Len()
-	}
 	out := g.collect(x, d)
 	g.charge(trace.OpGather, x)
 	return out
@@ -670,8 +579,8 @@ type Branch struct {
 // of their loads, the sum of their communication volumes, and the sum of
 // their peak server usages. Under a parallel cluster the branch Run
 // functions execute on concurrent goroutines; each branch's trace
-// events and observer calls are buffered and replayed in branch order,
-// so the recorded streams match the sequential engine exactly. Branch
+// events are buffered and replayed in branch order, so the recorded
+// stream matches the sequential engine exactly. Branch
 // closures must confine shared writes to caller-owned per-branch slots.
 func (g *Group) Parallel(branches []Branch) {
 	for _, b := range branches {
@@ -699,40 +608,28 @@ func (g *Group) Parallel(branches []Branch) {
 }
 
 // parallelBranches runs a Parallel block's branches on concurrent
-// goroutines. Each branch gets a sub-group whose recorder and observer
-// are per-branch buffers; after all branches complete, the buffers are
-// replayed into the parent recorder/observer in branch order and the
-// stats are folded by the same foldBranches as the inline loop's.
+// goroutines. Each branch gets a sub-group whose recorder is a
+// per-branch buffer; after all branches complete, the buffers are
+// replayed into the parent recorder in branch order and the stats are
+// folded by the same foldBranches as the inline loop's.
 func (g *Group) parallelBranches(branches []Branch) {
 	rec := g.recorder()
-	obs := g.observer()
 	n := len(branches)
 	subs := make([]*Group, n)
 	bufs := make([]*trace.Buffer, n)
-	loads := make([][]int, n)
 	for i, b := range branches {
-		sub := &Group{cluster: g.cluster, size: b.Servers}
+		subs[i] = &Group{cluster: g.cluster, size: b.Servers}
 		if rec != nil {
 			bufs[i] = trace.NewBuffer()
-			sub.rec = bufs[i]
+			subs[i].rec = bufs[i]
 		}
-		if obs != nil {
-			i := i
-			sub.onRound = func(m int) { loads[i] = append(loads[i], m) }
-		}
-		subs[i] = sub
 	}
 	g.cluster.fork(n, func(i int) { branches[i].Run(subs[i]) })
-	for i, b := range branches {
-		if rec != nil {
+	if rec != nil {
+		for i, b := range branches {
 			rec.BeginSpan("branch "+strconv.Itoa(i), trace.KindParallel, b.Servers)
 			bufs[i].ReplayInto(rec)
 			rec.EndSpan()
-		}
-		if obs != nil {
-			for _, m := range loads[i] {
-				obs(m)
-			}
 		}
 	}
 	g.foldBranches(subs)
@@ -754,86 +651,13 @@ func (g *Group) foldBranches(subs []*Group) {
 	g.used = max(g.used, sumUsed)
 }
 
-// Subgroup runs one computation on a fresh subgroup of the given size,
-// sequentially within g (rounds add).
-func (g *Group) Subgroup(servers int, run func(sub *Group)) {
-	if servers <= 0 {
-		panic(fmt.Sprintf("mpc: subgroup with %d servers", servers))
-	}
-	sub := g.child(servers)
-	rec := g.recorder()
-	if rec != nil {
-		rec.BeginSpan("subgroup "+strconv.Itoa(servers), trace.KindSubgroup, servers)
-	}
-	run(sub)
-	if rec != nil {
-		rec.EndSpan()
-	}
-	g.absorbSequential(sub)
-}
-
-// SendTo moves a distributed relation from this group into a target
-// fragment layout of a different size, assigning tuple i%k of the
-// flattened stream to target server i%k (balanced round-robin). It is a
-// single round charged to g; the returned DistRelation belongs to a
-// group of size k.
-func (g *Group) SendTo(d *DistRelation, k int) *DistRelation {
-	if k <= 0 {
-		panic(fmt.Sprintf("mpc: SendTo with %d servers", k))
-	}
-	x := g.scratch(d)
-	out := &DistRelation{Schema: d.Schema, Frags: exchange(g, x, d, k, true, roundRobin(k))}
-	g.charge(trace.OpSendTo, x)
-	return out
-}
-
-// BranchDest addresses a destination inside a parallel block that is
-// about to be launched: server Server of branch Branch.
-type BranchDest struct {
-	Branch, Server int
-}
-
-// Distribute reshapes a distributed relation into per-branch relations
-// in a single exchange: route returns, for each tuple, the branch
-// servers that must receive it (possibly several — replication is how
-// broadcasts to branches happen). sizes gives each branch's server
-// count. The round is charged to g with per-destination loads.
-//
-// route must be pure under a parallel cluster. Routing that needs
-// per-branch round-robin rotation (inherently stateful) belongs in
-// DistributeSpread, where the engine owns the rotation.
-func (g *Group) Distribute(d *DistRelation, sizes []int, route func(src *relation.Relation, t relation.Tuple) []BranchDest) []*DistRelation {
-	x := g.scratch(d)
-	total := x.branchOffsets("Distribute", sizes)
-	frags := exchange(g, x, d, total, false, branchRoute{route, sizes, x.offs})
-	g.charge(trace.OpDistribute, x)
-	return branchSlab(d.Schema, frags, sizes)
-}
-
-// branchRoute sends a tuple to the branch servers a Distribute function names.
-type branchRoute struct {
-	fn          func(src *relation.Relation, t relation.Tuple) []BranchDest
-	sizes, offs []int
-}
-
-func (r branchRoute) route(_ *xchunk, dst []uint32, _ int, f *relation.Relation, t relation.Tuple, _ int) []uint32 {
-	for _, dest := range r.fn(f, t) {
-		if dest.Branch < 0 || dest.Branch >= len(r.sizes) ||
-			dest.Server < 0 || dest.Server >= r.sizes[dest.Branch] {
-			panic(fmt.Sprintf("mpc: Distribute destination %+v out of range", dest))
-		}
-		dst = append(dst, uint32(r.offs[dest.Branch]+dest.Server))
-	}
-	return dst
-}
-
 // branchOffsets validates branch sizes, leaves each branch's first slot
 // of the flattened recv vector in x.offs and returns their total.
-func (x *xrun) branchOffsets(op string, sizes []int) (total int) {
+func (x *xrun) branchOffsets(sizes []int) (total int) {
 	x.offs = sized(x.offs, len(sizes))
 	for i, k := range sizes {
 		if k <= 0 {
-			panic(fmt.Sprintf("mpc: %s branch %d with %d servers", op, i, k))
+			panic(fmt.Sprintf("mpc: DistributeSpread branch %d with %d servers", i, k))
 		}
 		x.offs[i] = total
 		total += k
@@ -872,9 +696,11 @@ type BranchSend struct {
 }
 
 // DistributeSpread reshapes a distributed relation into per-branch
-// relations like Distribute, but with server selection owned by the
-// engine: pick returns, per tuple, the branches that must receive it
-// and whether delivery is broadcast or round-robin. The round-robin
+// relations in a single exchange, charged to g with per-destination
+// loads; sizes gives each branch's server count. Server selection is
+// owned by the engine: pick returns, per tuple, the branches that must
+// receive it (none drops it, several replicate it) and whether delivery
+// is broadcast or round-robin. The round-robin
 // rotation advances per branch in flattened (fragment-major) input
 // order, whatever the worker count — this is the home for the "spread
 // a branch's share evenly over its servers" pattern that would
@@ -887,7 +713,7 @@ type BranchSend struct {
 // once to assign).
 func (g *Group) DistributeSpread(d *DistRelation, sizes []int, pick func(src *relation.Relation, t relation.Tuple) []BranchSend) []*DistRelation {
 	x := g.scratch(d)
-	total := x.branchOffsets("DistributeSpread", sizes)
+	total := x.branchOffsets(sizes)
 	nb, chunks := len(sizes), x.chunks
 	// rot[ci*nb+b] is branch b's rotation when chunk ci starts: the
 	// round-robin sends to b ahead of the chunk in flattened order. One

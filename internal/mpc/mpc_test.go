@@ -20,6 +20,15 @@ func fill(schema relation.Schema, n int) *relation.Relation {
 	return r
 }
 
+// maxFrag returns d's largest fragment size.
+func maxFrag(d *DistRelation) int {
+	m := 0
+	for _, f := range d.Frags {
+		m = max(m, f.Len())
+	}
+	return m
+}
+
 func TestScatterEven(t *testing.T) {
 	c := NewCluster(4)
 	g := c.Root()
@@ -27,8 +36,8 @@ func TestScatterEven(t *testing.T) {
 	if d.Len() != 103 {
 		t.Fatalf("Len = %d", d.Len())
 	}
-	if d.MaxFrag() > (103+3)/4+1 {
-		t.Fatalf("MaxFrag = %d, not even", d.MaxFrag())
+	if m := maxFrag(d); m > (103+3)/4+1 {
+		t.Fatalf("largest fragment %d, not even", m)
 	}
 	if got := c.Stats(); got.Rounds != 0 || got.MaxLoad != 0 {
 		t.Fatalf("Scatter should be free, got %v", got)
@@ -179,17 +188,20 @@ func TestParallelAccounting(t *testing.T) {
 	}
 }
 
+// TestSubgroupSequential keeps its name from the retired Subgroup: two
+// one-branch Parallel blocks in a row are sequential steps on
+// subgroups, so their rounds add.
 func TestSubgroupSequential(t *testing.T) {
 	c := NewCluster(8)
 	g := c.Root()
-	g.Subgroup(3, func(sub *Group) {
+	g.Parallel([]Branch{{Servers: 3, Run: func(sub *Group) {
 		d := sub.Scatter(fill(relation.NewSchema(0), 30))
 		sub.HashPartition(d, []int{0})
-	})
-	g.Subgroup(5, func(sub *Group) {
+	}}})
+	g.Parallel([]Branch{{Servers: 5, Run: func(sub *Group) {
 		d := sub.Scatter(fill(relation.NewSchema(0), 50))
 		sub.HashPartition(d, []int{0})
-	})
+	}}})
 	st := c.Stats()
 	if st.Rounds != 2 { // sequential: 1+1
 		t.Fatalf("rounds = %d, want 2", st.Rounds)
@@ -216,12 +228,12 @@ func TestSendToResize(t *testing.T) {
 	c := NewCluster(6)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 30))
-	small := g.SendTo(d, 2)
+	small := resize(g, d, 2)
 	if len(small.Frags) != 2 || small.Len() != 30 {
-		t.Fatal("SendTo lost data")
+		t.Fatal("resize lost data")
 	}
-	if small.MaxFrag() != 15 {
-		t.Fatalf("uneven SendTo: %d", small.MaxFrag())
+	if m := maxFrag(small); m != 15 {
+		t.Fatalf("uneven resize: %d", m)
 	}
 	if st := c.Stats(); st.MaxLoad != 15 || st.Rounds != 1 {
 		t.Fatalf("stats = %v", st)
@@ -346,38 +358,35 @@ func sameFrags(a, b *DistRelation) bool {
 // Re-partitioning a relation already partitioned on the key is the
 // identity exchange: nothing is hashed, and the fragments and charge are
 // those of hashing the same relation without its mark — every tuple
-// lands on its own server, so the charge is the fragment sizes with
-// self-sends charged and nothing without.
+// lands on its own server, so the charge is the fragment sizes.
 func TestPartitionIdentityFastPath(t *testing.T) {
 	key := []int{0}
-	for _, charge := range []bool{true, false} {
-		c := NewCluster(4, WithChargeSelfSends(charge))
-		g := c.Root()
-		p1 := g.HashPartition(g.Scatter(big(relation.NewSchema(0, 1), 500)), key)
-		if !p1.PartitionedOn(key) {
-			t.Fatal("HashPartition output not marked partitioned")
-		}
-		p2 := g.HashPartition(p1, key)
-		if s := c.PlanCacheStats(); s.PartitionHits != 1 || s.Misses != 1 || s.Hits != 0 {
-			t.Fatalf("charge=%v: identity path not taken: %+v", charge, s)
-		}
-		if !p2.PartitionedOn(key) {
-			t.Fatalf("charge=%v: identity output lost its mark", charge)
-		}
+	c := NewCluster(4)
+	g := c.Root()
+	p1 := g.HashPartition(g.Scatter(big(relation.NewSchema(0, 1), 500)), key)
+	if !p1.PartitionedOn(key) {
+		t.Fatal("HashPartition output not marked partitioned")
+	}
+	p2 := g.HashPartition(p1, key)
+	if s := c.PlanCacheStats(); s.PartitionHits != 1 || s.Misses != 1 || s.Hits != 0 {
+		t.Fatalf("identity path not taken: %+v", s)
+	}
+	if !p2.PartitionedOn(key) {
+		t.Fatal("identity output lost its mark")
+	}
 
-		ref := NewCluster(4, WithChargeSelfSends(charge))
-		rg := ref.Root()
-		rp1 := rg.HashPartition(rg.Scatter(big(relation.NewSchema(0, 1), 500)), key)
-		rp2 := rg.HashPartition(&DistRelation{Schema: rp1.Schema, Frags: rp1.Frags}, key)
-		if s := ref.PlanCacheStats(); s.PartitionHits != 0 || s.Misses != 2 {
-			t.Fatalf("charge=%v: unmarked relation not hashed: %+v", charge, s)
-		}
-		if !sameFrags(p2, rp2) {
-			t.Fatalf("charge=%v: identity repartition differs from hashing", charge)
-		}
-		if ref.Stats() != c.Stats() {
-			t.Fatalf("charge=%v: identity stats %v, reference %v", charge, c.Stats(), ref.Stats())
-		}
+	ref := NewCluster(4)
+	rg := ref.Root()
+	rp1 := rg.HashPartition(rg.Scatter(big(relation.NewSchema(0, 1), 500)), key)
+	rp2 := rg.HashPartition(&DistRelation{Schema: rp1.Schema, Frags: rp1.Frags}, key)
+	if s := ref.PlanCacheStats(); s.PartitionHits != 0 || s.Misses != 2 {
+		t.Fatalf("unmarked relation not hashed: %+v", s)
+	}
+	if !sameFrags(p2, rp2) {
+		t.Fatal("identity repartition differs from hashing")
+	}
+	if ref.Stats() != c.Stats() {
+		t.Fatalf("identity stats %v, reference %v", c.Stats(), ref.Stats())
 	}
 }
 

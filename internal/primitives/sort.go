@@ -50,15 +50,10 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 	// driver (charged via Gather).
 	const perServer = 8
 	sampleRel := mpc.Local(g, d, relation.SampleStep(d.Schema, pos, perServer))
-	// Each gathered fragment is already sorted (the sample walks a
-	// sorted clone in ascending order), so the concatenation is a
-	// sequence of sorted runs: k-way merge with galloping instead of a
-	// full comparison sort.
-	runLens := make([]int, len(sampleRel.Frags))
-	for i, f := range sampleRel.Frags {
-		runLens[i] = f.Len()
-	}
-	sample := g.Gather(sampleRel).MergeRuns(runLens, pos)
+	// The gathered sample holds at most perServer·p rows: one stable
+	// sort orders it.
+	sample := g.Gather(sampleRel)
+	sample.SortBy(pos)
 
 	// Splitters: p−1 evenly spaced sample keys. The views stay valid for
 	// the routing round below because sample is never mutated again.

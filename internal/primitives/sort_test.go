@@ -44,8 +44,10 @@ func TestSortBalanced(t *testing.T) {
 	g := c.Root()
 	d := g.Scatter(randomRel(rng, 4000, 1_000_000))
 	s := Sort(g, d, []int{0})
-	if s.MaxFrag() > 4*4000/8 {
-		t.Fatalf("max fragment %d far above N/p", s.MaxFrag())
+	for _, f := range s.Frags {
+		if f.Len() > 4*4000/8 {
+			t.Fatalf("fragment of %d tuples far above N/p", f.Len())
+		}
 	}
 	st := c.Stats()
 	if st.Rounds != 2 { // gather + route

@@ -2,7 +2,8 @@ package relation
 
 // Iter, Materialize, StreamJoin, JoinPar and SortByPar have no engine
 // caller: they stay because internal/bench's stream_join and *_par rows
-// name them, and ROADMAP item 1 deletes them with those rows.
+// name them, and go with those rows when the benchmark contract reopens
+// (ROADMAP, Parked).
 
 // RowIterator is a resident relation handed out by Iter.
 type RowIterator struct{ r *Relation }

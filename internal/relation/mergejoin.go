@@ -100,7 +100,7 @@ func gallopPerm(r *Relation, perm []int32, pos []int, from int, t Tuple, tPos []
 // sort.SliceStable over materialized tuples): sortPerm's permutation,
 // or the identity when it finds the rows already in order.
 func sortedPerm(r *Relation, pos []int) []int32 {
-	if perm := r.sortPerm(pos, true); perm != nil {
+	if perm := r.sortPerm(pos); perm != nil {
 		return perm
 	}
 	return identityPerm(r.rows)

@@ -378,32 +378,77 @@ func FromData(schema Schema, data []Value, rows int) *Relation {
 }
 
 // Sort orders tuples lexicographically in place (for deterministic
-// output and comparisons). Full-row comparison makes ties identical, so
-// the permutation sort needs no stability to be deterministic.
+// output and comparisons).
 func (r *Relation) Sort() {
-	r.sortByPositions(identityPositions(r.arity), false)
+	r.sortByPositions(identityPositions(r.arity))
 }
 
 // SortBy stably orders tuples in place by the given schema positions;
 // rows that compare equal on the positions keep their relative order
 // (the in-place successor of sorting a materialized []Tuple with
 // sort.SliceStable).
-func (r *Relation) SortBy(pos []int) { r.sortByPositions(pos, true) }
+func (r *Relation) SortBy(pos []int) { r.sortByPositions(pos) }
 
 // sortByPositions sorts via a row-index permutation (sortPerm) and one
 // pass applying it into a fresh arena. Already-sorted inputs skip the
 // permutation and arena copy entirely, leaving the arena and the
 // retained FirstRows list untouched.
-func (r *Relation) sortByPositions(pos []int, stable bool) {
+func (r *Relation) sortByPositions(pos []int) {
 	if r.rows < 2 || r.arity == 0 || len(pos) == 0 {
 		return
 	}
-	perm := r.sortPerm(pos, stable)
+	perm := r.sortPerm(pos)
 	if perm == nil {
 		return
 	}
 	r.data = r.gather(perm)
 	r.invalidate()
+}
+
+// sortPerm returns the stable sorted row permutation of the resident
+// arena on the given positions, or nil when the rows are already in
+// order — one linear scan, common for fragments an exchange left in key
+// order. Rows equal on pos are ordered by index, so the order is total
+// and the one permutation it admits is the stable one, which pattern-
+// defeating quicksort finds in O(n log n) comparisons.
+func (r *Relation) sortPerm(pos []int) []int32 {
+	if r.sorted(pos) {
+		return nil
+	}
+	perm := identityPerm(r.rows)
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := r.compareRowsAt(int(a), int(b), pos); c != 0 {
+			return c
+		}
+		return int(a - b)
+	})
+	return perm
+}
+
+// sorted reports whether every row is ≥ its predecessor on the given
+// positions.
+func (r *Relation) sorted(pos []int) bool {
+	for i := 1; i < r.rows; i++ {
+		if r.compareRowsAt(i-1, i, pos) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// compareRowsAt compares rows i and j of r on the given positions.
+func (r *Relation) compareRowsAt(i, j int, pos []int) int {
+	a := r.data[i*r.arity:]
+	b := r.data[j*r.arity:]
+	for _, p := range pos {
+		if a[p] != b[p] {
+			if a[p] < b[p] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
 }
 
 // Equal reports whether two relations hold the same multiset of tuples

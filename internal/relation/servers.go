@@ -469,7 +469,7 @@ func (s Sorted) Count(_ int, in *Relation, _ []Value) int {
 func (s Sorted) Fill(_ int, in *Relation, _, dst []Value, rows int) {
 	var perm []int32
 	if in.rows >= 2 && in.arity > 0 && len(s.pos) > 0 {
-		perm = in.sortPerm(s.pos, true)
+		perm = in.sortPerm(s.pos)
 	}
 	st, a := s.stride(in.rows), in.arity
 	for k := 0; k < rows; k++ {

@@ -7,9 +7,17 @@ import (
 	"testing/quick"
 )
 
-// randomRel fills a relation with n rows drawn from [-dom, dom), so the
-// sign-bit handling of the radix kernel is exercised alongside small
-// positive domains with many ties.
+// The sort tests keep the names they had when sortPerm switched to an
+// LSD radix kernel above 128 rows and primitives.Sort merged its
+// gathered sample with a galloping k-way merge (MergeRuns): the one
+// comparison sort left must give the permutation the radix kernel was
+// pinned to, and a stable sort of concatenated sorted runs must give the
+// stable merge of them (refMergeRuns), the sample order primitives.Sort
+// now gets from SortBy.
+
+// randomRel fills a relation with n rows drawn from [-dom, dom), so
+// negative values are sorted alongside small positive domains with many
+// ties.
 func randomRel(rng *rand.Rand, schema Schema, n int, dom int64) *Relation {
 	r := New(schema)
 	t := make(Tuple, schema.Len())
@@ -22,8 +30,8 @@ func randomRel(rng *rand.Rand, schema Schema, n int, dom int64) *Relation {
 	return r
 }
 
-// refPerm is the comparison-sort reference the radix kernel must match
-// byte for byte: the stable permutation slices.SortStableFunc produces.
+// refPerm is the stable permutation slices.SortStableFunc produces over
+// the row indices.
 func refPerm(r *Relation, pos []int) []int32 {
 	perm := make([]int32, r.Len())
 	for i := range perm {
@@ -35,9 +43,9 @@ func refPerm(r *Relation, pos []int) []int32 {
 	return perm
 }
 
-// Property: radixOrder equals the stable comparison sort for every row
-// count, arity, key-column subset, domain — including negative values
-// and heavy tie multiplicity.
+// Property: sortPerm's stable permutation equals the reference for every
+// row count, arity, key-column subset, domain — including negative
+// values and heavy tie multiplicity — or is nil on sorted rows.
 func TestPropertyRadixPermMatchesStableSort(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(7))}
 	f := func(seed int64) bool {
@@ -54,19 +62,23 @@ func TestPropertyRadixPermMatchesStableSort(t *testing.T) {
 		// Key over a random non-empty position subset, random order.
 		pos := rng.Perm(arity)[:1+rng.Intn(arity)]
 		want := refPerm(r, pos)
-		return slices.Equal(radixOrder(r.data, r.rows, r.arity, pos), want)
+		got := r.sortPerm(pos)
+		if got == nil {
+			return r.sorted(pos) && slices.Equal(want, identityPerm(n))
+		}
+		return slices.Equal(got, want)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// SortBy must produce identical arenas whichever kernel runs, so pin
-// the radix path (above threshold) against a small-slice reference.
+// SortBy must produce the stable reference's arena on both sides of the
+// former radix threshold (128 rows).
 func TestSortByRadixThresholdEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	schema := NewSchema(0, 1)
-	for _, n := range []int{radixMinRows - 1, radixMinRows, 4 * radixMinRows} {
+	for _, n := range []int{127, 128, 512} {
 		r := randomRel(rng, schema, n, 9) // small domain: many ties
 		want := r.Clone()
 		perm := refPerm(want, []int{1})
@@ -100,6 +112,14 @@ func TestSortSkipsWhenAlreadySorted(t *testing.T) {
 	}
 }
 
+// sortRuns is the stable sort of the concatenated runs, as
+// primitives.Sort orders its gathered sample.
+func sortRuns(r *Relation, pos []int) *Relation {
+	out := r.Clone()
+	out.SortBy(pos)
+	return out
+}
+
 func TestMergeRunsEqualsStableSort(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(17))}
 	f := func(seed int64) bool {
@@ -116,69 +136,24 @@ func TestMergeRunsEqualsStableSort(t *testing.T) {
 			runLens[i] = run.Len()
 			r.Append(run)
 		}
-		got := r.MergeRuns(runLens, pos)
-		want := r.Clone()
-		want.SortBy([]int{0, 1})
-		return slices.Equal(got.data, want.data) && got.Len() == r.Len()
+		return sameRel(t, "sorted runs", sortRuns(r, pos), refMergeRuns(r, runLens, pos))
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestMergeRunsValidation(t *testing.T) {
-	r := New(NewSchema(0))
-	r.AddValues(1)
-	r.AddValues(2)
-	for _, lens := range [][]int{{1}, {3}, {1, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("run lengths %v accepted for 2 rows", lens)
-				}
-			}()
-			r.MergeRuns(lens, []int{0})
-		}()
-	}
-	// Single run: a clone, already sorted.
-	out := r.MergeRuns([]int{2}, []int{0})
-	if !out.Equal(r) {
-		t.Fatal("single-run merge is not a clone")
-	}
-}
-
-func TestGallopRowsBounds(t *testing.T) {
-	r := New(NewSchema(0))
-	for _, v := range []int64{1, 3, 3, 3, 5, 7} {
-		r.AddValues(v)
-	}
-	r.AddValues(3) // row 6: the probe key
-	// Non-strict: first row > key 3 within [0, 6).
-	if got := r.gallopRows(0, 6, 6, []int{0}, false); got != 4 {
-		t.Fatalf("gallop past ties = %d, want 4", got)
-	}
-	// Strict: first row >= key 3.
-	if got := r.gallopRows(0, 6, 6, []int{0}, true); got != 1 {
-		t.Fatalf("gallop to ties = %d, want 1", got)
-	}
-	// Key above every row: the full range.
-	r.AddValues(100) // row 7
-	if got := r.gallopRows(0, 6, 7, []int{0}, false); got != 6 {
-		t.Fatalf("gallop beyond = %d, want 6", got)
-	}
-}
-
-// TestMergeRunsThreePlusRunsWithBoundaryDuplicates pins the k-way
-// merge deterministically (the quick.Check property above covers it
-// statistically): at least 3 runs, duplicate keys straddling
-// every run boundary, and stability observable through a payload column
-// recording each row's origin.
+// TestMergeRunsThreePlusRunsWithBoundaryDuplicates pins the order
+// deterministically (the quick.Check property above covers it
+// statistically): at least 3 runs, duplicate keys straddling every run
+// boundary, and stability observable through a payload column recording
+// each row's origin.
 func TestMergeRunsThreePlusRunsWithBoundaryDuplicates(t *testing.T) {
 	schema := NewSchema(0, 1)
 	pos := []int{0}
 	// Four sorted runs; key 5 ends run 0, starts run 1, ends run 2 and
 	// fills run 3's middle, so every boundary carries a duplicate. The
-	// payload column is the global input index: after a stable merge,
+	// payload column is the global input index: after a stable sort,
 	// rows with equal keys must keep ascending payloads.
 	runs := [][]int64{
 		{1, 3, 5, 5},
@@ -196,11 +171,9 @@ func TestMergeRunsThreePlusRunsWithBoundaryDuplicates(t *testing.T) {
 			idx++
 		}
 	}
-	got := r.MergeRuns(runLens, pos)
-	want := r.Clone()
-	want.SortBy(pos) // stable reference
-	if !slices.Equal(got.data, want.data) {
-		t.Fatalf("4-run merge differs from stable sort:\n got %v\nwant %v", got.data, want.data)
+	got := sortRuns(r, pos)
+	if !sameRel(t, "4 runs", got, refMergeRuns(r, runLens, pos)) {
+		t.Fatal("stable sort of 4 runs differs from their stable merge")
 	}
 	// Explicit stability check on the tied key.
 	prev := int64(-1)
@@ -217,8 +190,8 @@ func TestMergeRunsThreePlusRunsWithBoundaryDuplicates(t *testing.T) {
 }
 
 // TestMergeRunsEmptyRunsInMiddle: zero-length runs anywhere in the run
-// list — leading, central, trailing, and consecutive — must be skipped
-// without disturbing the merge.
+// list — leading, central, trailing, and consecutive — leave the order
+// that of the non-empty runs' merge.
 func TestMergeRunsEmptyRunsInMiddle(t *testing.T) {
 	schema := NewSchema(0, 1)
 	r := New(schema)
@@ -231,16 +204,9 @@ func TestMergeRunsEmptyRunsInMiddle(t *testing.T) {
 	for i, k := range []int64{4} { // run C
 		r.AddValues(k, int64(20+i))
 	}
-	runLens := []int{0, 3, 0, 0, 3, 1, 0}
-	got := r.MergeRuns(runLens, []int{0})
-	want := r.Clone()
-	want.SortBy([]int{0})
-	if !slices.Equal(got.data, want.data) {
-		t.Fatalf("merge with empty middle runs differs from stable sort:\n got %v\nwant %v", got.data, want.data)
-	}
-	// Empty runs around a single non-empty run degenerate to a clone
-	// (the ≤1-run fast path, which must not count the empties as runs).
-	if out := r.MergeRuns([]int{0, 7, 0}, []int{0}); !out.Equal(r) {
-		t.Fatal("single-run-with-empties merge is not a clone")
+	for _, runLens := range [][]int{{0, 3, 0, 0, 3, 1, 0}, {3, 3, 1}} {
+		if !sameRel(t, "empty runs", sortRuns(r, []int{0}), refMergeRuns(r, runLens, []int{0})) {
+			t.Fatalf("runs %v: stable sort differs from the stable merge", runLens)
+		}
 	}
 }

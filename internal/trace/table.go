@@ -26,7 +26,7 @@ const Unattributed = "(unattributed)"
 // PhaseTable aggregates a span tree into per-phase rows, sorted by
 // units descending (ties by name). Every exchange is attributed to its
 // nearest ancestor-or-self span of KindPhase; structural spans
-// (parallel branches, subgroups) inherit the enclosing phase.
+// (parallel branches) inherit the enclosing phase.
 func PhaseTable(root *Span) []PhaseRow {
 	acc := map[string]*PhaseRow{}
 	var total int64

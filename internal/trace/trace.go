@@ -1,6 +1,6 @@
 // Package trace is the recording layer of the MPC simulator: a
-// hierarchical span tree mirroring the Group/Parallel/Subgroup nesting
-// of a computation, with one event per exchange carrying the operation
+// hierarchical span tree mirroring the Group/Parallel nesting of a
+// computation, with one event per exchange carrying the operation
 // kind, its position on the round timeline, and a per-server
 // received-load histogram (max, mean, p50/p99, skew ratio).
 //
@@ -19,7 +19,9 @@ package trace
 
 import "sort"
 
-// Op identifies the kind of a charged exchange.
+// Op identifies the kind of a charged exchange. No engine path emits
+// OpSendTo any more; it keeps its value because internal/bench indexes
+// its op table by Op.
 type Op uint8
 
 const (
@@ -53,7 +55,7 @@ func (op Op) String() string {
 }
 
 // SpanKind distinguishes algorithm-named phases from the structural
-// spans the simulator opens for parallel branches and subgroups.
+// spans the simulator opens for parallel branches.
 type SpanKind uint8
 
 const (
@@ -64,7 +66,9 @@ const (
 	KindPhase
 	// KindParallel is one branch of a Parallel block.
 	KindParallel
-	// KindSubgroup is a sequential Subgroup computation.
+	// KindSubgroup was a sequential subgroup computation. No engine path
+	// opens one any more; it keeps its value because internal/bench
+	// indexes its kind table by SpanKind.
 	KindSubgroup
 )
 

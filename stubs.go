@@ -11,8 +11,8 @@ import "coverpack/internal/lp"
 // across servers. The names below, with ExecOptions' NoPlanCache,
 // Streaming, Spilling, SpillDir, SpillBudgetBytes, PlanCompile and
 // ParKernels fields, have no effect and stay only because
-// internal/bench reads them. ROADMAP item 1 deletes these with the
-// harness code that reads them.
+// internal/bench reads them; they go with that harness code when the
+// benchmark contract reopens (ROADMAP, Parked).
 
 // StreamCounters is the former streaming-layer snapshot. Both fields
 // always read zero.

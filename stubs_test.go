@@ -54,13 +54,13 @@ func TestSpillNamesAreInert(t *testing.T) {
 	}
 }
 
-// TestSpillNamesLiveInStubs keeps the inert names in one place for
-// ROADMAP item 1 to delete: outside stubs.go, no top-level declaration
-// of the root package, and no ExecOptions field other than Spilling,
-// SpillDir, SpillBudgetBytes and ParKernels, names spilling, the LP
-// solve memo (LPMemo*), the compile-cache mode (PlanCompileMode,
-// PlanCompileDefault) or the block kernels (ParKernel*, ParCounters,
-// ParStats, ResetParStats).
+// TestSpillNamesLiveInStubs keeps the inert names in one place, to be
+// deleted when the benchmark contract reopens (ROADMAP, Parked): outside
+// stubs.go, no top-level declaration of the root package, and no
+// ExecOptions field other than Spilling, SpillDir, SpillBudgetBytes and
+// ParKernels, names spilling, the LP solve memo (LPMemo*), the
+// compile-cache mode (PlanCompileMode, PlanCompileDefault) or the block
+// kernels (ParKernel*, ParCounters, ParStats, ResetParStats).
 func TestSpillNamesLiveInStubs(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
