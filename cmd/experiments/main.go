@@ -156,8 +156,8 @@ func run() (status int) {
 	// Compile-cache reuse is diagnostics, never a table artifact: print
 	// it to stderr so stdout holds only the tables.
 	pc := coverpack.PlanCompileCacheStats()
-	fmt.Fprintf(os.Stderr, "experiments: plan-cache shapes=%d hits=%d misses=%d iso=%d equiv-hits=%d\n",
-		pc.Entries, pc.Hits, pc.Misses, pc.IsoHits, pc.EquivHits)
+	fmt.Fprintf(os.Stderr, "experiments: plan-cache shapes=%d hits=%d misses=%d\n",
+		pc.Entries, pc.Hits, pc.Misses)
 
 	if traceOut != nil {
 		if err := captureTrace(sub, cfg, traceOut, tf); err != nil {

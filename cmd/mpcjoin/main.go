@@ -66,6 +66,16 @@ func run() (status int) {
 		fmt.Fprintln(os.Stderr, "mpcjoin:", err)
 		return 2
 	}
+	alg, err := pickAlg(*algName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mpcjoin:", err)
+		return 2
+	}
+	if *decisions && alg != coverpack.AlgAcyclicOptimal && alg != coverpack.AlgAcyclicConservative {
+		fmt.Fprintf(os.Stderr, "mpcjoin: -decisions: %s keeps no decision log; only %s and %s do\n",
+			alg, coverpack.AlgAcyclicOptimal, coverpack.AlgAcyclicConservative)
+		return 2
+	}
 	if *parallel < 1 {
 		fmt.Fprintf(os.Stderr, "mpcjoin: -parallel %d: need at least 1 repetition\n", *parallel)
 		return 2
@@ -114,10 +124,6 @@ func run() (status int) {
 		return fail(fmt.Errorf("unknown workload %q", *kind))
 	}
 
-	alg, err := pickAlg(*algName)
-	if err != nil {
-		return fail(err)
-	}
 	var col *coverpack.TraceCollector
 	var rec coverpack.TraceRecorder
 	if traceOut != nil {
@@ -188,7 +194,7 @@ func run() (status int) {
 	fmt.Printf("cost        %s\n", rep.Stats)
 	fmt.Printf("wall-clock  %s  (workers=%d of %d CPUs)\n", elapsed.Round(time.Microsecond), nw, runtime.NumCPU())
 	pc := coverpack.PlanCompileCacheStats()
-	fmt.Printf("plan-cache  shapes=%d hits=%d misses=%d iso=%d\n", pc.Entries, pc.Hits, pc.Misses, pc.IsoHits)
+	fmt.Printf("plan-cache  shapes=%d hits=%d misses=%d\n", pc.Entries, pc.Hits, pc.Misses)
 	return 0
 }
 
@@ -280,6 +286,7 @@ func pickQuery(queryStr, catalog string) (*coverpack.Query, error) {
 }
 
 func pickAlg(name string) (coverpack.Algorithm, error) {
+	var names []string
 	for _, a := range []coverpack.Algorithm{
 		coverpack.AlgAcyclicOptimal, coverpack.AlgAcyclicConservative,
 		coverpack.AlgHyperCube, coverpack.AlgSkewAware, coverpack.AlgYannakakis,
@@ -288,8 +295,9 @@ func pickAlg(name string) (coverpack.Algorithm, error) {
 		if a.String() == name {
 			return a, nil
 		}
+		names = append(names, a.String())
 	}
-	return 0, fmt.Errorf("unknown algorithm %q", name)
+	return 0, fmt.Errorf("-alg %q: unknown algorithm; available: %s", name, strings.Join(names, ", "))
 }
 
 // fail reports a failed run and returns its exit status.

@@ -76,6 +76,8 @@ func TestBadSizesExitTwo(t *testing.T) {
 		"-catalog line3 -n 100 -dom 3",
 		"-catalog line3 -n 10 -parallel 0",
 		"-catalog line3 -n 10 -parallel -2",
+		"-catalog line3 -n 10 -alg nope",
+		"-catalog line3 -n 10 -alg hypercube -decisions",
 		"-catalog line3 -n 10 -trace " + filepath.Join(dir, "t.json") + " -trace-format nope",
 		"-catalog line3 -n 10 -trace " + filepath.Join(dir, "no-such-dir", "t.json"),
 	} {

@@ -87,12 +87,12 @@ type Analysis struct {
 
 // Analysis memoization: ρ*/τ*/ψ* are LP solves over exact rationals
 // and every field depends only on the query's hypergraph, so the
-// analysis is one invariant slot of the query's shape entry in the
-// compiled-plan cache (internal/plan). Isomorphic queries — renamed
-// catalog entries, per-run residual subqueries — share one Analysis,
-// which is why Analyze's result is immutable: mutate a Clone, never the
-// returned value. Queries too large to canonicalize are analyzed
-// directly on every call. Counters are diagnostics only.
+// analysis is one slot of the query's shape entry in the compiled-plan
+// cache (internal/plan). Queries with the same edge structure — a
+// catalog query run again, a renamed spelling, a per-run residual
+// subquery — share one Analysis, which is why Analyze's result is
+// immutable: mutate a Clone, never the returned value. Counters are
+// diagnostics only.
 var analyzeHits, analyzeMisses atomic.Uint64
 
 // Clone returns a deep copy of the analysis that the caller may mutate
@@ -121,19 +121,11 @@ func ResetAnalyzeCache() {
 }
 
 // Analyze computes the query's classification and fractional numbers.
-// Results are memoized per hypergraph and shared across isomorphic
-// queries (see AnalyzeCacheStats, PlanCompileCacheStats); the returned
-// Analysis is shared and immutable — use Clone before mutating.
+// Results are memoized per edge structure (see AnalyzeCacheStats,
+// PlanCompileCacheStats); the returned Analysis is shared and
+// immutable — use Clone before mutating.
 func Analyze(q *Query) (*Analysis, error) {
-	if h, ok := plan.For(q); ok {
-		return analyzeSlot(h, q)
-	}
-	return analyze(q)
-}
-
-// analyzeSlot reads q's analysis from its shape entry, computing and
-// storing it on a miss.
-func analyzeSlot(h plan.Handle, q *Query) (*Analysis, error) {
+	h, _ := plan.For(q)
 	if v, hit := h.Invariant("analysis"); hit {
 		analyzeHits.Add(1)
 		return v.(*Analysis), nil
@@ -436,16 +428,12 @@ func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, e
 	return rep, nil
 }
 
-// cachedPsi is fractional.Psi through the shape cache: ψ* is invariant
-// under relabeling, and its 2^|V| residual enumeration is the single
-// most expensive analysis step, so repeated skew-aware runs of one
-// shape (or an isomorphic one) compute it once. The shared *big.Rat is
-// read-only by contract.
+// cachedPsi is fractional.Psi through the shape cache: its 2^|V|
+// residual enumeration is the single most expensive analysis step, so
+// repeated skew-aware runs of one shape compute it once. The shared
+// *big.Rat is read-only by contract.
 func cachedPsi(q *Query) (*big.Rat, error) {
-	h, ok := plan.For(q)
-	if !ok {
-		return fractional.Psi(q)
-	}
+	h, _ := plan.For(q)
 	if v, hit := h.Invariant("psi"); hit {
 		return v.(*big.Rat), nil
 	}

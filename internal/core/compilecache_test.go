@@ -10,14 +10,14 @@ import (
 	"coverpack/internal/plan"
 )
 
-// FuzzShapeSlotsMatchDirect compares the shape entry's equivariant
+// FuzzShapeSlotsMatchDirect compares the shape entry's structural
 // slots — the join tree (plan.GYO) and, for acyclic queries, the
 // integral cover (coverFor) — with the direct functions they memoize.
 // One spelling of a random small hypergraph seeds the entry; a pure
-// renaming of it (same embedding, so its slots are served remapped) and
-// a spelling with renamed attributes and reordered edges (chosen by the
-// seed) must then read exactly what hypergraph.GYO and IntegralCover
-// compute.
+// renaming of it (same edge structure, so its slots are served from the
+// seeded entry) and a spelling with renamed attributes and reordered
+// edges (chosen by the seed) must then read exactly what hypergraph.GYO
+// and IntegralCover compute.
 func FuzzShapeSlotsMatchDirect(f *testing.F) {
 	f.Add([]byte{3, 0b011, 0b110}, uint64(1))
 	f.Add([]byte{4, 0b0011, 0b0110, 0b1100, 0b1001}, uint64(7))
@@ -111,7 +111,7 @@ func FuzzShapeSlotsMatchDirect(f *testing.F) {
 				t.Fatalf("%s %s: served cover %v, direct %v", q.Name(), q, got.Edges(), want.Edges())
 			}
 		}
-		if st := plan.Snapshot(); st.EquivHits == 0 {
+		if st := plan.Snapshot(); st.Hits == 0 {
 			t.Fatalf("the renamed spelling was not served from the seeded entry: %+v", st)
 		}
 	})

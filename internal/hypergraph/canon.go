@@ -11,11 +11,11 @@ import (
 // Two queries are isomorphic when a bijection of their attributes maps
 // the edge multiset of one onto the other — relation and attribute
 // names, attribute-id assignment, and edge order are all irrelevant.
-// Everything the planner computes from a query's *shape* (ρ*, τ*, ψ*,
-// class flags, algorithm pick, join trees up to relabeling) is shared
-// by the whole isomorphism class, so the compilation cache keys on a
-// canonical form: a labeling-invariant encoding plus the permutations
-// that relate the query's own labeling to the canonical one.
+// A canonical form is a labeling-invariant encoding plus the
+// permutations that relate the query's own labeling to the canonical
+// one. The compile memo (internal/plan) does not use it: it keys on the
+// query's own edge structure (Query.AppendShapeKey). Canon backs the
+// public coverpack.CanonicalKey.
 //
 // The algorithm is the standard individualization-refinement scheme on
 // the bipartite incidence structure:
@@ -38,9 +38,10 @@ import (
 // individualizations.
 
 // CanonMaxAttrs and CanonMaxEdges bound the canonical search; Canon
-// returns nil beyond them so accidental blowups degrade to "not
-// cacheable" instead of a stalled process. They comfortably exceed
-// PsiMaxAttrs, the binding size limit elsewhere in the analysis layer.
+// returns nil beyond them (and CanonKey "") so accidental blowups
+// degrade to "no key" instead of a stalled process. They comfortably
+// exceed PsiMaxAttrs, the binding size limit elsewhere in the analysis
+// layer.
 const (
 	CanonMaxAttrs = 30
 	CanonMaxEdges = 30
@@ -61,35 +62,6 @@ type CanonicalForm struct {
 	// edge list; duplicate edges tie-break by original index, so the
 	// map is a bijection).
 	EdgePerm []int
-}
-
-// PermSignature encodes both permutations as a comparable string. Two
-// queries with equal Key and equal PermSignature have identical edge
-// structure over identical attribute ids — they differ at most in
-// names — so shape-cache artifacts computed for one are byte-for-byte
-// what direct computation produces for the other.
-func (cf *CanonicalForm) PermSignature() string {
-	var b strings.Builder
-	b.Grow(3 * (len(cf.VertexPerm) + len(cf.EdgePerm) + 1))
-	for _, v := range cf.VertexPerm {
-		b.WriteString(strconv.Itoa(v))
-		b.WriteByte(',')
-	}
-	b.WriteByte('|')
-	for _, e := range cf.EdgePerm {
-		b.WriteString(strconv.Itoa(e))
-		b.WriteByte(',')
-	}
-	return b.String()
-}
-
-// InverseEdgePerm returns the canonical-position -> original-edge map.
-func (cf *CanonicalForm) InverseEdgePerm() []int {
-	inv := make([]int, len(cf.EdgePerm))
-	for e, c := range cf.EdgePerm {
-		inv[c] = e
-	}
-	return inv
 }
 
 // CanonKey returns just the canonical shape key (nil-safe shorthand

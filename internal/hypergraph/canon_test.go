@@ -212,25 +212,6 @@ func TestCanonOversize(t *testing.T) {
 	}
 }
 
-func TestCanonPermSignatureMatchesEmbedding(t *testing.T) {
-	// Pure renamings keep the attribute-id structure, so they share the
-	// permutation signature; a differently-embedded isomorphic spelling
-	// (ids assigned in another textual order) gets its own.
-	a := MustParse("p", "R1(A,B) R2(B,C) R3(C,D)")
-	ren := MustParse("p-ren", "S1(W,X) S2(X,Y) S3(Y,Z)")
-	emb := MustParse("p-emb", "R1(B,C) R2(C,D) R3(B,A)")
-	ca, cr, ce := Canon(a), Canon(ren), Canon(emb)
-	if ca.Key != cr.Key || ca.Key != ce.Key {
-		t.Fatal("isomorphic spellings got different keys")
-	}
-	if ca.PermSignature() != cr.PermSignature() {
-		t.Error("pure renaming changed the permutation signature")
-	}
-	if ca.PermSignature() == ce.PermSignature() {
-		t.Error("different embedding kept the permutation signature")
-	}
-}
-
 // FuzzCanonInvariance asserts the canonical key is invariant under
 // arbitrary vertex relabelings and edge reorderings of random small
 // hypergraphs: Canon(q) and Canon(permute(q)) must agree.

@@ -1,6 +1,7 @@
 package hypergraph
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -94,6 +95,27 @@ func (q *Query) AddEdgeVars(relName string, vs VarSet) int {
 	}
 	q.edges = append(q.edges, Edge{Name: relName, Vars: vs.Clone()})
 	return len(q.edges) - 1
+}
+
+// AppendShapeKey appends q's structural key to dst: the attribute count,
+// then each edge's attribute-id set in edge order (its bitset words,
+// trailing zero words trimmed, behind a word count). The key holds no
+// names, so two queries have equal keys exactly when they have the same
+// attribute count and the same id set on every edge; a pure renaming
+// keeps its key, because Parse assigns ids by first appearance.
+func (q *Query) AppendShapeKey(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(q.attrNames)))
+	for _, e := range q.edges {
+		w := e.Vars.words
+		for len(w) > 0 && w[len(w)-1] == 0 {
+			w = w[:len(w)-1]
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(w)))
+		for _, x := range w {
+			dst = binary.LittleEndian.AppendUint64(dst, x)
+		}
+	}
+	return dst
 }
 
 // Edge returns the edge at index i.

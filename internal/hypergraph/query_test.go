@@ -157,3 +157,43 @@ func TestFormatHelpers(t *testing.T) {
 		t.Fatal("AttrName fallback wrong")
 	}
 }
+
+func TestAppendShapeKey(t *testing.T) {
+	key := func(q *Query) string { return string(q.AppendShapeKey(nil)) }
+	base := MustParse("p", "R1(A,B) R2(B,C) R3(C,D)")
+	// A pure renaming assigns the same ids, so it keeps the key.
+	if key(MustParse("p-ren", "S1(W,X) S2(X,Y) S3(Y,Z)")) != key(base) {
+		t.Error("pure renaming changed the key")
+	}
+	// Another embedding of the same shape, and reordered edges, do not.
+	if key(MustParse("p-emb", "R1(B,C) R2(C,D) R3(B,A)")) == key(base) {
+		t.Error("a different id embedding kept the key")
+	}
+	if key(MustParse("p-rot", "R2(B,C) R3(C,D) R1(A,B)")) == key(base) {
+		t.Error("reordered edges kept the key")
+	}
+	// An unused attribute-table entry changes the key.
+	extra := base.Clone()
+	extra.Attr("E")
+	if key(extra) == key(base) {
+		t.Error("the attribute count is not part of the key")
+	}
+	// A set padded with zero words (a high id added and removed) keys
+	// like the unpadded one.
+	padded := NewQuery("pad")
+	for _, e := range []VarSet{NewVarSet(0, 1), NewVarSet(1, 2), NewVarSet(2, 3)} {
+		e.Add(200)
+		e.Remove(200)
+		padded.AddEdgeVars("R", e)
+	}
+	if len(padded.EdgeVars(0).words) < 2 {
+		t.Fatal("test premise broken: the set kept no padding word")
+	}
+	if key(padded) != key(base) {
+		t.Error("zero padding words split the key")
+	}
+	// The key appends to dst.
+	if got := string(base.AppendShapeKey([]byte("x"))); got != "x"+key(base) {
+		t.Errorf("AppendShapeKey did not append: %q", got)
+	}
+}

@@ -12,15 +12,7 @@ var (
 		metrics.Label{Key: "event", Value: "hit"})
 	mMisses = metrics.Default.NewCounter("coverpack_plancompile_events_total",
 		"", metrics.Label{Key: "event", Value: "miss"})
-	mIsoHits = metrics.Default.NewCounter("coverpack_plancompile_events_total",
-		"", metrics.Label{Key: "event", Value: "iso_hit"})
-	mEquivHits = metrics.Default.NewCounter("coverpack_plancompile_events_total",
-		"", metrics.Label{Key: "event", Value: "equiv_hit"})
-	mEquivMisses = metrics.Default.NewCounter("coverpack_plancompile_events_total",
-		"", metrics.Label{Key: "event", Value: "equiv_miss"})
-	mEvictions = metrics.Default.NewCounter("coverpack_plancompile_events_total",
-		"", metrics.Label{Key: "event", Value: "eviction"})
 
 	mEntries = metrics.Default.NewGauge("coverpack_plancompile_entries",
-		"Canonical query shapes currently retained by the compile cache.")
+		"Query shapes currently retained by the compile cache.")
 )

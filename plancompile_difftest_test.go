@@ -12,9 +12,9 @@ import (
 // reset) and from a warm one (entries populated by the cold run) must
 // match the sequential cold reference byte for byte across the report,
 // the span tree, and the per-phase load attribution. Warm arms are
-// where isomorphic sharing and equivariant remapping actually serve
-// artifacts, so a remap bug cannot hide; TestShapeSlotsMatchDirect
-// compares the served artifacts themselves with direct computation.
+// where the shape entries actually serve artifacts, so a stale slot
+// cannot hide; TestShapeSlotsMatchDirect compares the served artifacts
+// themselves with direct computation.
 
 // TestPlanCompileOracleCatalog sweeps the full catalog × algorithm ×
 // worker matrix. The queries run in parallel and reset the process-wide
@@ -52,13 +52,13 @@ func TestPlanCompileOracleCatalog(t *testing.T) {
 	}
 }
 
-// TestPlanCompileIsomorphicQueries pins the isomorphic-sharing
-// contract end to end: a renamed catalog query shares the canonical
-// shape entry with the original (the hit counters prove it, on its
-// compile and on every run that reads a shape slot) and its runs
-// produce the identically-shaped report — the instance generator and
-// the executor see the same structure, so everything measurable matches
-// modulo the name remap.
+// TestPlanCompileIsomorphicQueries: spellings of one shape compile to
+// equal plans. A pure renaming shares the original's shape entry (the
+// hit counters prove it, on its compile, on the skew-aware run that
+// reads ψ* from the entry and on the acyclic run that reads join trees
+// and covers), and its runs produce the identical report.
+// A spelling with reordered edges and other attribute ids has its own
+// entry and compiles, from it, to an equal analysis and plan.
 func TestPlanCompileIsomorphicQueries(t *testing.T) {
 	coverpack.ResetPlanCompileCache()
 	coverpack.ResetAnalyzeCache()
@@ -66,19 +66,28 @@ func TestPlanCompileIsomorphicQueries(t *testing.T) {
 	defer coverpack.ResetAnalyzeCache()
 
 	base := hypergraph.Line3Join()
-	ren := hypergraph.MustParse("line3-iso", "T1(P,Q) T2(Q,R) T3(R,S)")
-	if k1, k2 := coverpack.CanonicalKey(base), coverpack.CanonicalKey(ren); k1 == "" || k1 != k2 {
-		t.Fatalf("renamed query did not share the canonical key: %q vs %q", k1, k2)
-	}
-	if _, err := coverpack.CompileQuery(base); err != nil {
+	ren := hypergraph.MustParse("line3-ren", "T1(P,Q) T2(Q,R) T3(R,S)")
+	reord := hypergraph.MustParse("line3-reord", "T3(R,S) T1(P,Q) T2(Q,R)")
+	want, err := coverpack.CompileQuery(base)
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := coverpack.PlanCompileCacheStats()
-	if _, err := coverpack.CompileQuery(ren); err != nil {
-		t.Fatal(err)
-	}
-	if after := coverpack.PlanCompileCacheStats(); after.IsoHits <= before.IsoHits {
-		t.Errorf("renamed compile recorded no isomorphic hits (before=%d after=%d)", before.IsoHits, after.IsoHits)
+	for _, q := range []*coverpack.Query{ren, reord} {
+		before := coverpack.PlanCompileCacheStats()
+		got, err := coverpack.CompileQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := coverpack.PlanCompileCacheStats()
+		if !sameAnalysis(got.Analysis, want.Analysis) || got.Acyclic != want.Acyclic || got.Algorithm != want.Algorithm {
+			t.Errorf("%s: plan %+v %+v, want %+v %+v", q.Name(), *got, *got.Analysis, *want, *want.Analysis)
+		}
+		if q == ren && after.Hits <= before.Hits {
+			t.Errorf("renamed compile was not served from the entry (hits %d -> %d)", before.Hits, after.Hits)
+		}
+		if q == reord && after.Entries != before.Entries+1 {
+			t.Errorf("reordered compile did not get its own entry (entries %d -> %d)", before.Entries, after.Entries)
+		}
 	}
 
 	for _, alg := range []coverpack.Algorithm{
@@ -101,13 +110,14 @@ func TestPlanCompileIsomorphicQueries(t *testing.T) {
 		rb, rr := *repBase, *repRen
 		rb.Stats.SeqFallback, rr.Stats.SeqFallback = false, false
 		if rb != rr {
-			t.Errorf("%s: isomorphic runs diverged:\n  base:    emitted=%d stats={%v} L=%d\n  renamed: emitted=%d stats={%v} L=%d",
+			t.Errorf("%s: renamed runs diverged:\n  base:    emitted=%d stats={%v} L=%d\n  renamed: emitted=%d stats={%v} L=%d",
 				alg, repBase.Emitted, repBase.Stats, repBase.L, repRen.Emitted, repRen.Stats, repRen.L)
 		}
-		// Of the three, only the skew-aware run reads a shape slot (ψ*).
-		if alg == coverpack.AlgSkewAware && after.IsoHits <= before.IsoHits {
-			t.Errorf("%s: renamed run recorded no isomorphic hits (before=%d after=%d)",
-				alg, before.IsoHits, after.IsoHits)
+		// The acyclic run reads join trees and covers from shape entries
+		// and the skew-aware run reads ψ*; Yannakakis reads none.
+		if alg != coverpack.AlgYannakakis && after.Hits <= before.Hits {
+			t.Errorf("%s: renamed run was not served from the entry (hits %d -> %d)",
+				alg, before.Hits, after.Hits)
 		}
 	}
 }

@@ -10,12 +10,13 @@ import (
 	"coverpack/internal/hypergraph"
 )
 
-// TestShapeSlotsMatchDirect compares the shape entry's invariant slots
-// the engine reads — Analyze's analysis and the skew-aware run's ψ* —
-// with the direct functions they memoize. Every catalog query is spelled
-// several ways (renamed relations and attributes, reordered edges), so
-// later spellings are served from the entry an earlier one seeded; one
-// query over the canonical bounds checks the uncached path.
+// TestShapeSlotsMatchDirect compares the shape entry's slots the engine
+// reads — Analyze's analysis and the skew-aware run's ψ* — with the
+// direct functions they memoize. Every catalog query is spelled several
+// ways (renamed relations and attributes, reordered edges), so pure
+// renamings are served from the entry an earlier spelling seeded and
+// the others seed their own; one query too large for a canonical
+// labeling checks that size puts no query off the cached path.
 func TestShapeSlotsMatchDirect(t *testing.T) {
 	coverpack.ResetPlanCompileCache()
 	coverpack.ResetAnalyzeCache()
@@ -55,8 +56,8 @@ func TestShapeSlotsMatchDirect(t *testing.T) {
 	if hits, _ := coverpack.AnalyzeCacheStats(); hits == 0 {
 		t.Error("no analysis was served from a shape entry")
 	}
-	if ps := coverpack.PlanCompileCacheStats(); ps.IsoHits == 0 {
-		t.Errorf("no slot was served across spellings: %+v", ps)
+	if ps := coverpack.PlanCompileCacheStats(); ps.Hits == 0 {
+		t.Errorf("no slot was served from a shape entry: %+v", ps)
 	}
 
 	// All 28 pairs of eight attributes plus three more relations: 31
@@ -72,11 +73,11 @@ func TestShapeSlotsMatchDirect(t *testing.T) {
 	if big.NumEdges() <= hypergraph.CanonMaxEdges || coverpack.CanonicalKey(big) != "" {
 		t.Fatalf("%d edges, key %q: the query is not over the canonical bounds", big.NumEdges(), coverpack.CanonicalKey(big))
 	}
+	check(big)
 	before := coverpack.PlanCompileCacheStats()
 	check(big)
-	check(big)
-	if after := coverpack.PlanCompileCacheStats(); after != before {
-		t.Errorf("an over-bounds query touched the shape cache: %+v -> %+v", before, after)
+	if after := coverpack.PlanCompileCacheStats(); after.Hits <= before.Hits || after.Misses != before.Misses {
+		t.Errorf("the repeated over-bounds query was not served from its entry: %+v -> %+v", before, after)
 	}
 }
 
