@@ -5,13 +5,22 @@
 // 8·k-byte string per tuple — with a probe path that allocates nothing
 // in steady state.
 //
-// Hash compatibility is a hard contract: Hash(row, pos) is the FNV-64a
-// hash of the big-endian 8-byte encoding of each projected value, in
-// projection order — bit-identical to hashing relation.Key(row, pos)
-// with hash/fnv. HashPartition destinations, golden reports, and trace
-// histograms therefore do not move by a single byte when call sites
-// switch from the string path to this package (the difftest oracle and
-// FuzzHashMatchesLegacyKey enforce the equivalence).
+// The package has two hashes with different promises.
+//
+// Hash is the routing hash, and its compatibility is a hard contract:
+// Hash(row, pos) is the FNV-64a hash of the big-endian 8-byte encoding
+// of each projected value, in projection order — bit-identical to
+// hashing relation.Key(row, pos) with hash/fnv. HashPartition
+// destinations, golden reports, and trace histograms depend on it, so
+// they do not move by a single byte (the difftest oracle and
+// TestHashMatchesLegacyKeyPath enforce the equivalence).
+//
+// The table's own hash (Table.hashOf, and MixRow for a whole row) is
+// private to the process: a word-at-a-time multiply-xorshift closed by
+// murmur3's finaliser, chosen for speed and for spreading structured
+// keys over a power-of-two mask (TestTableHashSpreads). It
+// carries no compatibility promise — nothing observable depends on it,
+// because entry order is first-insert order, not slot order.
 //
 // The table maps keys to dense entry indices 0..Len()-1 in first-insert
 // order. Callers own the associated values as parallel slices indexed by
@@ -46,16 +55,6 @@ func Hash(row []int64, pos []int) uint64 {
 	return h
 }
 
-// HashVals hashes all columns of row in order (the identity
-// projection), matching Hash(row, [0..len(row))).
-func HashVals(row []int64) uint64 {
-	h := uint64(offset64)
-	for _, v := range row {
-		h = hashValue(h, uint64(v))
-	}
-	return h
-}
-
 // hashValue folds one value's 8 big-endian bytes into an FNV-64a state.
 func hashValue(h, v uint64) uint64 {
 	h = (h ^ (v >> 56 & 0xff)) * prime64
@@ -67,6 +66,42 @@ func hashValue(h, v uint64) uint64 {
 	h = (h ^ (v >> 8 & 0xff)) * prime64
 	h = (h ^ (v & 0xff)) * prime64
 	return h
+}
+
+// The table's mixer: seed with the key width, fold each column in with
+// a multiply and a xorshift, then avalanche with murmur3's 64-bit
+// finaliser so that a power-of-two mask sees every bit. Its first half
+// alone is not enough: forty consecutive small integers then crowd a
+// 64-slot table to 3.5 slots a probe.
+const (
+	mixMul = 0x9e3779b97f4a7c15
+	fmix1  = 0xff51afd7ed558ccd
+	fmix2  = 0xc4ceb9fe1a85ec53
+)
+
+// mix folds one key column into the table hash state.
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * mixMul
+	return h ^ h>>32
+}
+
+// finish avalanches a table hash state (murmur3's fmix64).
+func finish(h uint64) uint64 {
+	h = (h ^ h>>33) * fmix1
+	h = (h ^ h>>33) * fmix2
+	return h ^ h>>33
+}
+
+// MixRow returns the table's hash of all columns of row, in order: the
+// value Table.hashOf gives the identity projection. It is the one local
+// (non-routing) hash of the repository; it promises nothing across
+// versions.
+func MixRow(row []int64) uint64 {
+	h := uint64(len(row))
+	for _, v := range row {
+		h = mix(h, uint64(v))
+	}
+	return finish(h)
 }
 
 // Table is an open-addressing (linear-probing) hash table over fixed-
@@ -128,11 +163,17 @@ func (t *Table) Key(i int) []int64 {
 	return t.keys[i*t.arity : (i+1)*t.arity : (i+1)*t.arity]
 }
 
+// hashOf is the table's hash of the projection of row onto pos: MixRow
+// of the projected columns.
 func (t *Table) hashOf(row []int64, pos []int) uint64 {
 	if t.collide {
 		return 0xdead
 	}
-	return Hash(row, pos)
+	h := uint64(len(pos))
+	for _, p := range pos {
+		h = mix(h, uint64(row[p]))
+	}
+	return finish(h)
 }
 
 // equalAt reports whether entry e's key equals the projection of row

@@ -10,12 +10,15 @@ import "coverpack/internal/relation"
 // one pooled slab exactly (relation.NewSlabCounts) and, prefix-summed
 // destination by destination and chunk by chunk within a destination,
 // give every chunk its own write cursors into it. Pass 2 copies each row
-// to its cursors. Chunks partition the flattened (fragment-major) input
-// in order, so chunk-major cursors within a destination are flattened
-// input order: the output is the same for any chunking, and one chunk is
-// the sequential exchange. One chunk runs both passes inline; several
-// run them on the pool. All bookkeeping lives in the exchange's scratch
-// (scratch.go).
+// to its cursors, by arity: rows of one to four values move as
+// fixed-size arrays in a loop written for that arity, on the
+// one-destination path and on the many-destination path alike; wider
+// rows go through copy. Chunks partition the flattened (fragment-major)
+// input in order, so chunk-major cursors within a destination are
+// flattened input order: the output is the same for any chunking, and
+// one chunk is the sequential exchange. One chunk runs both passes
+// inline; several run them on the pool. All bookkeeping lives in the
+// exchange's scratch (scratch.go).
 
 // router appends the destinations of one tuple, as ids in [0, nd) with
 // nd < 1<<31, to dst. c is the tuple's chunk, f the source fragment, src
@@ -124,19 +127,124 @@ func pass1[R router](x *xrun, d *DistRelation, r R, ci, nd int, single bool) {
 func pass2(x *xrun, d *DistRelation, blob []relation.Value, ci int, single bool) {
 	c, j, arity := &x.cs[ci], 0, d.Schema.Len()
 	for _, s := range x.chunks[ci] {
-		data := d.Frags[s.frag].Data()
-		for i := s.lo; i < s.hi; i++ {
+		rows := s.hi - s.lo
+		data := d.Frags[s.frag].Data()[s.lo*arity : s.hi*arity]
+		if single {
+			fillOne(blob, data, c.dst[j:j+rows], c.cur, arity)
+			j += rows
+		} else {
+			j = fillMany(blob, data, rows, c.dst, j, c.cur, arity)
+		}
+	}
+}
+
+// fillOne copies row i of data (arity values a row) to blob row
+// cur[ids[i]] and advances that cursor: one destination a row. Rows of
+// one to four values move as fixed-size arrays, straight-line loads and
+// stores; for rows that short, copy's memmove call costs more than the
+// row. Wider rows go through copy.
+func fillOne(blob, data []relation.Value, ids []uint32, cur []int, arity int) {
+	switch arity {
+	case 1:
+		for i, id := range ids {
+			at := &cur[id]
+			blob[*at] = data[i]
+			*at++
+		}
+	case 2:
+		for i, id := range ids {
+			at := &cur[id]
+			*(*[2]relation.Value)(blob[*at*2:]) = *(*[2]relation.Value)(data[i*2:])
+			*at++
+		}
+	case 3:
+		for i, id := range ids {
+			at := &cur[id]
+			*(*[3]relation.Value)(blob[*at*3:]) = *(*[3]relation.Value)(data[i*3:])
+			*at++
+		}
+	case 4:
+		for i, id := range ids {
+			at := &cur[id]
+			*(*[4]relation.Value)(blob[*at*4:]) = *(*[4]relation.Value)(data[i*4:])
+			*at++
+		}
+	default:
+		for i, id := range ids {
+			at := &cur[id]
+			copy(blob[*at*arity:], data[i*arity:(i+1)*arity])
+			*at++
+		}
+	}
+}
+
+// fillMany is fillOne for any number of destinations a row: the ids
+// from ids[j] on run as lastID and noID mark them, one run a row. It
+// returns the index past the last run.
+func fillMany(blob, data []relation.Value, rows int, ids []uint32, j int, cur []int, arity int) int {
+	switch arity {
+	case 1:
+		for i := range rows {
 			for more := true; more; j++ {
-				id := c.dst[j]
+				id := ids[j]
 				if id != noID {
-					at := &c.cur[id&^lastID]
+					at := &cur[id&^lastID]
+					blob[*at] = data[i]
+					*at++
+				}
+				more = id&lastID == 0
+			}
+		}
+	case 2:
+		for i := range rows {
+			for more := true; more; j++ {
+				id := ids[j]
+				if id != noID {
+					at := &cur[id&^lastID]
+					*(*[2]relation.Value)(blob[*at*2:]) = *(*[2]relation.Value)(data[i*2:])
+					*at++
+				}
+				more = id&lastID == 0
+			}
+		}
+	case 3:
+		for i := range rows {
+			for more := true; more; j++ {
+				id := ids[j]
+				if id != noID {
+					at := &cur[id&^lastID]
+					*(*[3]relation.Value)(blob[*at*3:]) = *(*[3]relation.Value)(data[i*3:])
+					*at++
+				}
+				more = id&lastID == 0
+			}
+		}
+	case 4:
+		for i := range rows {
+			for more := true; more; j++ {
+				id := ids[j]
+				if id != noID {
+					at := &cur[id&^lastID]
+					*(*[4]relation.Value)(blob[*at*4:]) = *(*[4]relation.Value)(data[i*4:])
+					*at++
+				}
+				more = id&lastID == 0
+			}
+		}
+	default:
+		for i := range rows {
+			for more := true; more; j++ {
+				id := ids[j]
+				if id != noID {
+					at := &cur[id&^lastID]
 					copy(blob[*at*arity:], data[i*arity:(i+1)*arity])
 					*at++
 				}
-				more = !single && id&lastID == 0
+				more = id&lastID == 0
 			}
 		}
 	}
+	return j
 }
 
 // roundRobin routes flattened tuple i to destination i mod k.

@@ -379,18 +379,13 @@ func distinct(r *Relation) *Relation {
 // hasDuplicateRow reports whether two of the rows in data are equal. It
 // is a throwaway open-addressing set of row indices (index+1 in slots,
 // a zeroed power-of-two array at least twice the row count) that
-// compares against the arena in place: no keys are copied and the hash
-// needs no compatibility with hashtab's, only speed.
+// compares against the arena in place: no keys are copied, and rows
+// hash with the tables' own mixer (hashtab.MixRow).
 func hasDuplicateRow[S uint8 | int64](slots []S, data []Value, rows, arity int) bool {
 	mask := uint64(len(slots) - 1)
 	for i := 0; i < rows; i++ {
 		row := data[i*arity : (i+1)*arity]
-		var h uint64
-		for _, v := range row {
-			h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
-			h ^= h >> 29
-		}
-		s := h & mask
+		s := hashtab.MixRow(row) & mask
 		for ; slots[s] != 0; s = (s + 1) & mask {
 			if o := int(slots[s]-1) * arity; Tuple(row).Equal(data[o : o+arity]) {
 				return true

@@ -283,9 +283,11 @@ func (r *Relation) Get(t Tuple, a int) Value {
 // compact string usable as a hash key.
 //
 // This is the legacy keyed path: hot loops hash projections directly
-// with internal/hashtab (same FNV-64a over the same big-endian bytes,
-// no string materialization). Key remains the wire/debug encoding and
-// the reference the equivalence tests compare hashtab against.
+// with internal/hashtab, no string materialization. Routing uses
+// hashtab.Hash, the same FNV-64a over the same big-endian bytes, so Key
+// remains the wire/debug encoding and the reference the routing
+// equivalence tests compare hashtab.Hash against. The hash tables use
+// their own private hash, which Key has no counterpart for.
 func Key(t Tuple, positions []int) string {
 	buf := make([]byte, 8*len(positions))
 	for i, p := range positions {
@@ -317,7 +319,7 @@ func DecodeKey(key string) (vals []Value, ok bool) {
 
 // Positions resolves the named attributes to tuple positions under this
 // schema, panicking on a missing attribute. Precomputing positions once
-// and hashing rows directly (hashtab.Hash) avoids per-tuple attribute
+// and hashing rows directly (hashtab) avoids per-tuple attribute
 // resolution and string building in hot loops.
 func (s Schema) Positions(attrs []int) []int {
 	return s.AppendPositions(make([]int, 0, len(attrs)), attrs)
