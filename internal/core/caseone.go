@@ -199,8 +199,8 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	// their branch (round-robin), light values to their group's branch;
 	// tuples of S^x relations are *replicated* across their light
 	// branch's servers (they are the broadcast side of Step 3), others
-	// spread round-robin. Relations without x are copied to every
-	// branch. All movements are single DistributeSpread exchanges.
+	// spread round-robin. Both are DistributeSpread exchanges. Relations
+	// without x are copied to every branch by one Spread.
 	parts := make([][]*mpc.DistRelation, len(rels))
 	// Per-branch send lists, shared across tuples: the pick closures
 	// below run once (twice under the parallel engine) per tuple, and
@@ -222,11 +222,13 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 				// destination — exactly the skew the algorithm exists to
 				// avoid. Light tuples are first co-partitioned with the
 				// Pack assignment by x (balanced: every light value has
-				// degree ≤ L) to learn their group ids, then shipped.
+				// degree ≤ L) to learn their group ids, then shipped. The
+				// heavy pick drops every tuple outside heavyBranch, so it
+				// selects the heavy tuples as it routes them.
 				rs := rels[e].Schema
-				heavyPart := mpc.Local(g, rels[e], relation.SelectInStep(rs, x, heavySet, true))
-				hParts := g.DistributeSpread(heavyPart, sizes, func(f *relation.Relation, t relation.Tuple) []mpc.BranchSend {
-					bi, ok := heavyBranch[f.Get(t, x)]
+				hxp := rs.Pos(x)
+				hParts := g.DistributeSpread(rels[e], sizes, func(_ *relation.Relation, t relation.Tuple) []mpc.BranchSend {
+					bi, ok := heavyBranch[t[hxp]]
 					if !ok {
 						return nil
 					}
@@ -288,11 +290,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 				}
 				parts[e] = merged
 			} else {
-				all := make([]mpc.BranchSend, len(plans))
-				for bi := range plans {
-					all[bi] = mpc.BranchSend{Branch: bi}
-				}
-				parts[e] = g.DistributeSpread(rels[e], sizes, func(*relation.Relation, relation.Tuple) []mpc.BranchSend { return all })
+				parts[e] = g.Spread(rels[e], sizes)
 			}
 		}
 	})

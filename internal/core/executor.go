@@ -243,8 +243,7 @@ func (ex *executor) caseII(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 			i, comp := i, &comps[i]
 			branchRels := make([]*mpc.DistRelation, len(rels))
 			for _, e := range comp.edges {
-				parts := g.DistributeSpread(rels[e], []int{sizes[i]}, spreadAll(0))
-				branchRels[e] = parts[0]
+				branchRels[e] = g.Spread(rels[e], sizes[i:i+1])[0]
 			}
 			branches = append(branches, mpc.Branch{
 				Servers: sizes[i],
@@ -280,19 +279,17 @@ func (ex *executor) caseII(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	// per-component counts over-counts; the emitted total is the joint
 	// count, which the final hypercube servers verify locally. The
 	// movement above is what costs; the count itself is exact.
+	// The collected copies are dropped after the count, so their arenas
+	// go back to the pool.
 	all := make([]*relation.Relation, 0, len(st.live)+len(ctx))
 	for _, e := range st.live {
 		all = append(all, rels[e].Collect())
 	}
-	return st.caseII.joint.Count(append(all, ctx...)), nil
-}
-
-// spreadAll sends every tuple to one branch; the engine rotates tuples
-// over the branch's servers (DistributeSpread owns the round-robin
-// state, keeping the pick closure pure for the parallel engine).
-func spreadAll(branch int) func(*relation.Relation, relation.Tuple) []mpc.BranchSend {
-	sends := []mpc.BranchSend{{Branch: branch}}
-	return func(*relation.Relation, relation.Tuple) []mpc.BranchSend { return sends }
+	n := st.caseII.joint.Count(append(all, ctx...))
+	for _, r := range all[:len(st.live)] {
+		relation.PutArena(r.Data())
+	}
+	return n, nil
 }
 
 // chargeCtx charges the delivery of the replicated context to a freshly

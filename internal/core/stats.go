@@ -280,5 +280,8 @@ func (ex *executor) allocate(g *mpc.Group, c *component, rels []*mpc.DistRelatio
 			best = v
 		}
 	}
+	for _, r := range collected {
+		relation.PutArena(r.Data())
+	}
 	return ceilPos(best)
 }

@@ -14,7 +14,11 @@ import (
 //
 // A routed exchange returns NewSlabCounts' fragment header slab and its
 // pointer slice, plus a DistRelation — or, for DistributeSpread, a slab
-// of branch DistRelations and its pointer slice. HashPartition adds its recorded key; Scatter and ScatterDedup
+// of branch DistRelations and its pointer slice. Spread returns the
+// same and nothing else; it runs over more than scratchCap tuples, so a
+// destination-id vector would be too large to pool and show up here,
+// as would a rotation vector kept outside the scratch. HashPartition
+// adds its recorded key; Scatter and ScatterDedup
 // their one-fragment view of the input; Route its RouteBuf wrapper of
 // the caller's function; RouteBuf its destination buffer (one per
 // exchange: a route function may return memory it holds).
@@ -31,6 +35,7 @@ func TestExchangeAllocs(t *testing.T) {
 	src := NewCluster(p).Root()
 	d := src.Scatter(in)
 	parted := src.HashPartition(d, []int{0})
+	wide := src.Scatter(big(relation.NewSchema(0, 1), scratchCap+1))
 	c := NewCluster(p, withForcedWorkers(1))
 	g := c.Root()
 	two := []int{1, 5}
@@ -53,6 +58,7 @@ func TestExchangeAllocs(t *testing.T) {
 		{"Route", 4, func() { g.Route(d, plain) }},
 		{"RouteBuf", 4, func() { g.RouteBuf(d, route) }},
 		{"DistributeSpread", 4, func() { g.DistributeSpread(d, sizes, pick) }},
+		{"Spread", 4, func() { g.Spread(wide, sizes) }},
 		{"Gather", 1, func() { g.Gather(d) }},
 		{"Broadcast", 4, func() { g.Broadcast(d) }},
 	} {

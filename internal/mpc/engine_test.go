@@ -289,10 +289,13 @@ func flatten(parts []*DistRelation) []*relation.Relation {
 	return out
 }
 
-// exchangeCases returns the routed exchanges over a group of p servers.
-// Routes replicate, drop and (Spread) mix broadcast with round-robin
-// sends to both branches, so any cut of the input has rotation state on
-// either side of it.
+// exchangeCases returns the exchanges over a group of p servers.
+// Routes replicate, drop and (DistributeSpread) mix broadcast with
+// round-robin sends to both branches, so any cut of the input has
+// rotation state on either side of it. Spread's reference is
+// DistributeSpread's with every tuple picking every branch; its
+// branches have one server, three, and p+2 (more than some inputs
+// have tuples).
 func exchangeCases(p int) []exchangeCase {
 	route := func(src int, t relation.Tuple) []int {
 		switch a, b := col(src, t, 0), col(src, t, 1); {
@@ -305,6 +308,12 @@ func exchangeCases(p int) []exchangeCase {
 		}
 	}
 	sizes := []int{2, 3}
+	spreadSizes := []int{1, 3, p + 2}
+	every := make([]BranchSend, len(spreadSizes))
+	for b := range every {
+		every[b] = BranchSend{Branch: b}
+	}
+	everyBranch := func(*relation.Relation, relation.Tuple) []BranchSend { return every }
 	pick := func(_ *relation.Relation, t relation.Tuple) []BranchSend {
 		switch a := col(0, t, 0); {
 		case a%5 == 0:
@@ -334,6 +343,13 @@ func exchangeCases(p int) []exchangeCase {
 			},
 			func(d *DistRelation, p int) ([]*relation.Relation, []int) {
 				return naiveDistributeSpread(d, sizes, p, pick)
+			}},
+		{"spread",
+			func(g *Group, d *DistRelation) []*relation.Relation {
+				return flatten(g.Spread(d, spreadSizes))
+			},
+			func(d *DistRelation, p int) ([]*relation.Relation, []int) {
+				return naiveDistributeSpread(d, spreadSizes, p, everyBranch)
 			}},
 	}
 }

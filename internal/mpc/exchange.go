@@ -2,8 +2,9 @@ package mpc
 
 import "coverpack/internal/relation"
 
-// The exchange kernel: the only code in the package that moves tuples
-// between fragments. Every exchange is a router over it.
+// The exchange kernel: with Spread's fill below, the only code in the
+// package that moves tuples between fragments. Every exchange but
+// Spread is a router over it.
 //
 // Pass 1 routes every tuple, chunk by chunk, keeps the destination ids
 // the router returns and counts them per destination. The counts size
@@ -245,6 +246,72 @@ func fillMany(blob, data []relation.Value, rows int, ids []uint32, j int, cur []
 		}
 	}
 	return j
+}
+
+// spreadFill copies chunk ci's rows to every branch of a Spread. In a
+// k-server branch, flattened tuple i is row i/k of server i mod k, so
+// the chunk starts at quotient f0/k and server f0 mod k of each branch,
+// f0 its first flattened index, and walks the servers in rotation:
+// nothing is routed, counted or stored per row.
+func spreadFill(x *xrun, d *DistRelation, blob []relation.Value, sizes []int, ci int) {
+	chunk, arity := x.chunks[ci], d.Schema.Len()
+	f0, lo := chunk[0].base, 0
+	for _, k := range sizes {
+		first := x.first[lo : lo+k]
+		lo += k
+		q, s := f0/k, f0%k
+		for _, sp := range chunk {
+			data := d.Frags[sp.frag].Data()[sp.lo*arity : sp.hi*arity]
+			q, s = fillRotate(blob, data, sp.hi-sp.lo, first, q, s, arity)
+		}
+	}
+}
+
+// fillRotate copies rows rows of data (arity values a row) to one
+// branch: the next row goes to row q of the server s, whose first row
+// in blob is first[s], and s rotates over the len(first) servers,
+// advancing q on wrapping. It returns the next (q, s). Rows of one to
+// four values move as fixed-size arrays, as in fillOne.
+func fillRotate(blob, data []relation.Value, rows int, first []int, q, s, arity int) (int, int) {
+	k := len(first)
+	switch arity {
+	case 1:
+		for i := range rows {
+			blob[first[s]+q] = data[i]
+			if s++; s == k {
+				s, q = 0, q+1
+			}
+		}
+	case 2:
+		for i := range rows {
+			*(*[2]relation.Value)(blob[(first[s]+q)*2:]) = *(*[2]relation.Value)(data[i*2:])
+			if s++; s == k {
+				s, q = 0, q+1
+			}
+		}
+	case 3:
+		for i := range rows {
+			*(*[3]relation.Value)(blob[(first[s]+q)*3:]) = *(*[3]relation.Value)(data[i*3:])
+			if s++; s == k {
+				s, q = 0, q+1
+			}
+		}
+	case 4:
+		for i := range rows {
+			*(*[4]relation.Value)(blob[(first[s]+q)*4:]) = *(*[4]relation.Value)(data[i*4:])
+			if s++; s == k {
+				s, q = 0, q+1
+			}
+		}
+	default:
+		for i := range rows {
+			copy(blob[(first[s]+q)*arity:], data[i*arity:(i+1)*arity])
+			if s++; s == k {
+				s, q = 0, q+1
+			}
+		}
+	}
+	return q, s
 }
 
 // roundRobin routes flattened tuple i to destination i mod k.

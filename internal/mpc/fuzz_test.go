@@ -45,7 +45,7 @@ func cutChunks(d *DistRelation, cuts []byte, every bool) [][]frange {
 	return out
 }
 
-// FuzzExchangeChunking runs the routed exchanges over arbitrary
+// FuzzExchangeChunking runs the exchanges over arbitrary
 // tuples of arity 1 to 6, fragment layouts and cut points of the
 // flattened stream — inside fragments, at their borders, one chunk per
 // tuple — on one worker and on several, and requires fragments, recv
@@ -57,9 +57,9 @@ func FuzzExchangeChunking(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{0xff}, uint8(1), uint8(4), uint8(3), uint8(1))
 	f.Add([]byte{0, 0, 255, 255, 7, 7, 9, 9, 42, 42}, []byte{0x12}, uint8(16), uint8(7), uint8(5), uint8(1))
 	f.Add([]byte{200, 1, 200, 2, 200, 3}, []byte{0}, uint8(5), uint8(1), uint8(0x80), uint8(1))
-	// Round-robin sends to both Spread branches on either side of every
-	// cut: two cuts inside the only fragment, then one chunk per tuple
-	// over two fragments.
+	// Round-robin sends to both DistributeSpread branches on either side
+	// of every cut: two cuts inside the only fragment, then one chunk per
+	// tuple over two fragments.
 	rr := []byte{1, 0, 3, 0, 9, 0, 11, 0, 13, 0, 17, 0}
 	f.Add(rr, []byte{0x0a}, uint8(4), uint8(3), uint8(0), uint8(1))
 	f.Add(rr, []byte{}, uint8(4), uint8(1), uint8(0x81), uint8(1))
@@ -70,6 +70,12 @@ func FuzzExchangeChunking(f *testing.F) {
 	f.Add(wide, []byte{0x0c}, uint8(7), uint8(2), uint8(1), uint8(2))
 	f.Add(wide, []byte{}, uint8(3), uint8(4), uint8(0x82), uint8(3))
 	f.Add(wide, []byte{0x41}, uint8(6), uint8(2), uint8(3), uint8(4))
+	// Spread: a one-server group under the one-server branch, two tuples
+	// over branches of up to 18 servers, and three tuples behind seven
+	// empty fragments, cut after each.
+	f.Add(wide[:8], []byte{0x05}, uint8(0), uint8(1), uint8(1), uint8(1))
+	f.Add(wide[:4], []byte{0x01}, uint8(15), uint8(2), uint8(0), uint8(1))
+	f.Add(wide[:3], []byte{}, uint8(9), uint8(3), uint8(0x87), uint8(0))
 	f.Fuzz(func(t *testing.T, data, cuts []byte, p8, w8, layout, a8 uint8) {
 		p := int(p8)%16 + 1
 		workers := int(w8)%8 + 1

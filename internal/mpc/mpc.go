@@ -362,10 +362,14 @@ func (d *DistRelation) Len() int {
 // counting servers is charged by the exchanges before it) and the
 // conservative allocator's oracle sub-joins (one statistics round,
 // charged through ChargeControl). Use Gather for the accounted
-// operation.
+// operation. The copy's arena comes from relation.GetArena and nothing
+// tracks it: a caller that drops the copy hands its Data back with
+// relation.PutArena once nothing reads it (the engine's callers do,
+// right after counting), and one that keeps it leaves it to the
+// collector.
 func (d *DistRelation) Collect() *relation.Relation {
 	n := d.Len()
-	data := make([]relation.Value, 0, n*d.Schema.Len())
+	data := relation.GetArena(n * d.Schema.Len())
 	for _, f := range d.Frags {
 		data = append(data, f.Data()...)
 	}
@@ -657,7 +661,7 @@ func (x *xrun) branchOffsets(sizes []int) (total int) {
 	x.offs = sized(x.offs, len(sizes))
 	for i, k := range sizes {
 		if k <= 0 {
-			panic(fmt.Sprintf("mpc: DistributeSpread branch %d with %d servers", i, k))
+			panic(fmt.Sprintf("mpc: branch %d with %d servers", i, k))
 		}
 		x.offs[i] = total
 		total += k
@@ -705,7 +709,9 @@ type BranchSend struct {
 // order, whatever the worker count — this is the home for the "spread
 // a branch's share evenly over its servers" pattern that would
 // otherwise need a stateful (and on several workers, racy and
-// order-dependent) route closure.
+// order-dependent) route closure. It serves data-dependent picks; a
+// relation copied round-robin to every branch goes through Spread,
+// which delivers the same without routing.
 //
 // pick must be pure: deterministic, safe for concurrent calls, and
 // indifferent to how many times it is invoked per tuple (an exchange
@@ -769,6 +775,42 @@ func (r spreadRoute) route(c *xchunk, dst []uint32, _ int, f *relation.Relation,
 		c.rr[s.Branch]++
 	}
 	return dst
+}
+
+// Spread copies d to every branch in a single exchange, charged to g
+// with per-destination loads like DistributeSpread: flattened tuple i
+// goes to server i mod sizes[b] of every branch b. It delivers exactly
+// what DistributeSpread delivers when pick sends every tuple
+// round-robin to every branch, but nothing is routed: branch b's
+// rotation at tuple i is i, so server s of a k-server branch receives
+// n/k tuples, one more when s < n mod k, and tuple i is row i/k of
+// server i mod k — the fill computes every row's place from its index
+// (spreadFill).
+func (g *Group) Spread(d *DistRelation, sizes []int) []*DistRelation {
+	x := g.scratch(d)
+	total, n := x.branchOffsets(sizes), d.Len()
+	x.recv = zeroed(x.recv, max(total, g.size))
+	x.first = sized(x.first, total)
+	row := 0
+	for b, k := range sizes {
+		for s := range k {
+			dest := x.offs[b] + s
+			x.recv[dest] = n / k
+			if s < n%k {
+				x.recv[dest]++
+			}
+			x.first[dest], row = row, row+x.recv[dest]
+		}
+	}
+	frags, blob := relation.NewSlabCounts(d.Schema, x.recv[:total])
+	g.cluster.trackArena(blob)
+	if nc := len(x.chunks); nc == 1 {
+		spreadFill(x, d, blob, sizes, 0)
+	} else if nc > 1 {
+		g.cluster.fork(nc, func(ci int) { spreadFill(x, d, blob, sizes, ci) })
+	}
+	g.charge(trace.OpDistribute, x)
+	return branchSlab(d.Schema, frags, sizes)
 }
 
 // DeclareServers records that the computation logically occupies at

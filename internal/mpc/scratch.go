@@ -25,6 +25,7 @@ type xrun struct {
 	recv   []int    // per destination: tuples received (the charged vector)
 	rot    []int    // DistributeSpread: branch rotations, chunk-major
 	offs   []int    // branch offsets, collect's offsets or key positions
+	first  []int    // Spread: each destination's first row in the slab
 }
 
 // xchunk is one chunk's share of the scratch.
@@ -68,7 +69,7 @@ func getScratch() *xrun {
 func putScratch(x *xrun) {
 	clear(x.chunks[:cap(x.chunks)]) // views of spans or of the test's ranges
 	x.chunks, x.spans = keep(x.chunks), keep(x.spans)
-	x.recv, x.rot, x.offs = keep(x.recv), keep(x.rot), keep(x.offs)
+	x.recv, x.rot, x.offs, x.first = keep(x.recv), keep(x.rot), keep(x.offs), keep(x.first)
 	x.cs = keep(x.cs)
 	for i, c := range x.cs[:cap(x.cs)] {
 		x.cs[:cap(x.cs)][i] = xchunk{dst: keep(c.dst), cur: keep(c.cur)}
