@@ -35,7 +35,7 @@ func run() (status int) {
 		kind      = flag.String("workload", "uniform", "workload: uniform | zipf | matching | agm | hard | heavyhub")
 		skew      = flag.Float64("skew", 1.1, "zipf skew parameter")
 		seed      = flag.Uint64("seed", 1, "random seed")
-		decisions = flag.Bool("decisions", false, "print the acyclic algorithm's decision log")
+		decisions = flag.Bool("decisions", false, "print the acyclic algorithm's decision log: the notes it leaves on the run's own trace")
 		traceFile = flag.String("trace", "", "write an execution trace to this file")
 		traceFmt  = flag.String("trace-format", "chrome", "trace rendering: jsonl, chrome, or heatmap")
 		workers   = flag.Int("workers", 0, "goroutine workers INSIDE the simulated run (0 = GOMAXPROCS, 1 = sequential); results are identical for every setting")
@@ -124,9 +124,11 @@ func run() (status int) {
 		return fail(fmt.Errorf("unknown workload %q", *kind))
 	}
 
+	// One collector serves -trace and -decisions: the decision log is
+	// the notes on the run's own trace.
 	var col *coverpack.TraceCollector
 	var rec coverpack.TraceRecorder
-	if traceOut != nil {
+	if traceOut != nil || *decisions {
 		col = coverpack.NewTraceCollector()
 		rec = col
 	}
@@ -166,11 +168,7 @@ func run() (status int) {
 		return fail(err2)
 	}
 	if *decisions {
-		lines, terr := coverpack.TraceRun(alg, in, *p)
-		if terr != nil {
-			return fail(terr)
-		}
-		for _, l := range lines {
+		for _, l := range coverpack.Decisions(col.Root()) {
 			fmt.Println("trace:", l)
 		}
 	}

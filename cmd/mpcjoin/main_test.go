@@ -121,3 +121,46 @@ func TestFailedRunWritesProfile(t *testing.T) {
 		t.Fatalf("failed run left its trace file (stat: %v)", err)
 	}
 }
+
+// TestDecisionsFromTheRun: -decisions reads the decision log off the
+// run's own trace, so it adds no second run (the cost and plan-cache
+// lines match a run without it), and the log is the pinned one for
+// every worker count.
+func TestDecisionsFromTheRun(t *testing.T) {
+	if mainHook() {
+		return
+	}
+	const args = "-catalog path-4 -workload agm -n 64 -p 16"
+	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "trace_path4agm64_optimal.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// lines returns the output lines of one run that start with prefix.
+	lines := func(extra, prefix string) string {
+		t.Helper()
+		out, err := runMain("TestDecisionsFromTheRun", args+" "+extra)
+		if err != nil {
+			t.Fatalf("%s %s: %v\n%s", args, extra, err, out)
+		}
+		var keep []string
+		for _, l := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(l, prefix) {
+				keep = append(keep, l)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	for _, prefix := range []string{"cost", "plan-cache"} {
+		plain, withLog := lines("-workers 1", prefix), lines("-workers 1 -decisions", prefix)
+		if plain == "" || plain != withLog {
+			t.Errorf("%s line: %q without -decisions, %q with it", prefix, plain, withLog)
+		}
+	}
+	for _, w := range []string{"1", "4"} {
+		got := lines("-workers "+w+" -decisions", "trace: ")
+		want := "trace: " + strings.ReplaceAll(strings.TrimSuffix(string(golden), "\n"), "\n", "\ntrace: ")
+		if got != want {
+			t.Errorf("-workers %s: decision log\n%s\nwant\n%s", w, got, want)
+		}
+	}
+}

@@ -453,29 +453,22 @@ func checkServers(p int) error {
 	return nil
 }
 
-// TraceRun re-executes an acyclic-algorithm run with decision tracing
-// and returns the log (one line per reduction, Case I choice, and
-// branch fan-out). Only the two acyclic strategies support tracing.
+// TraceRun executes an acyclic-algorithm run with a trace collector and
+// returns its decision log (one line per reduction, Case I choice,
+// branch fan-out and Case II split), read from the run's note spans by
+// Decisions. Only the two acyclic strategies keep a decision log.
 func TraceRun(alg Algorithm, in *Instance, p int) ([]string, error) {
 	if err := checkServers(p); err != nil {
 		return nil, err
 	}
-	var strat core.Strategy
-	switch alg {
-	case AlgAcyclicOptimal:
-		strat = core.PathOptimal
-	case AlgAcyclicConservative:
-		strat = core.Conservative
-	default:
+	if alg != AlgAcyclicOptimal && alg != AlgAcyclicConservative {
 		return nil, fmt.Errorf("coverpack: %v does not support tracing", alg)
 	}
-	c := mpc.NewCluster(p)
-	defer c.Release()
-	res, err := core.Run(c.Root(), in, core.Options{Strategy: strat, Trace: true})
-	if err != nil {
+	col := NewTraceCollector()
+	if _, err := ExecuteOpts(alg, in, p, ExecOptions{Recorder: col}); err != nil {
 		return nil, err
 	}
-	return res.Trace, nil
+	return Decisions(col.Root()), nil
 }
 
 // LoadScaling runs an algorithm across server counts and returns the

@@ -17,8 +17,8 @@ func (ex *executor) caseI(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	ctx []*relation.Relation, depth int) (int64, error) {
 
 	c := st.caseI
-	if ex.trace {
-		ex.tracef(depth, "case I: x=%s S^x=%s", ex.q.AttrName(c.x), ex.q.FormatEdges(c.sxSet))
+	if g.Recording() {
+		note(g, depth, "case I: x=%s S^x=%s", ex.q.AttrName(c.x), ex.q.FormatEdges(c.sxSet))
 	}
 	var total int64
 	var err error
@@ -182,13 +182,13 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 		}
 	})
 	if len(plans) == 0 {
-		if ex.trace {
-			ex.tracef(depth, "no viable branches (all empty)")
+		if g.Recording() {
+			note(g, depth, "no viable branches (all empty)")
 		}
 		return 0, nil
 	}
-	if ex.trace {
-		ex.tracef(depth, "branches: %d heavy, %d light groups, L=%d", len(heavyBranch), len(groupBranch), L)
+	if g.Recording() {
+		note(g, depth, "branches: %d heavy, %d light groups, L=%d", len(heavyBranch), len(groupBranch), L)
 	}
 	sizes := make([]int, len(plans))
 	for i, p := range plans {

@@ -8,6 +8,7 @@ import (
 	"coverpack/internal/hypergraph"
 	"coverpack/internal/mpc"
 	"coverpack/internal/relation"
+	"coverpack/internal/trace"
 	"coverpack/internal/workload"
 )
 
@@ -184,8 +185,9 @@ func TestCaseIIContextSpansComponents(t *testing.T) {
 		t.Fatal("fixture joins to nothing")
 	}
 	for _, strat := range []Strategy{Conservative, PathOptimal} {
-		c := mpc.NewCluster(8)
-		res, err := Run(c.Root(), in, Options{Strategy: strat, Trace: true})
+		col := trace.NewCollector()
+		c := mpc.NewCluster(8, mpc.WithRecorder(col))
+		res, err := Run(c.Root(), in, Options{Strategy: strat})
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -197,7 +199,7 @@ func TestCaseIIContextSpansComponents(t *testing.T) {
 		}
 		// Every x value is light at this size, so the only Case II of
 		// the run is the one inside a light branch, under the context.
-		log := strings.Join(res.Trace, "\n")
+		log := strings.Join(trace.Notes(col.Root()), "\n")
 		for _, line := range []string{"case I: x=A S^x={R0,R1}", "branches: 0 heavy", "  case II: 2 components"} {
 			if !strings.Contains(log, line) {
 				t.Fatalf("trace lacks %q:\n%s", line, log)
@@ -345,32 +347,26 @@ func TestStrategyString(t *testing.T) {
 	}
 }
 
+// TestTraceRecordsDecisions: a run with a recorder leaves its decisions
+// as notes on its own trace.
 func TestTraceRecordsDecisions(t *testing.T) {
 	in := workload.Uniform(hypergraph.PathJoin(4), 60, 10, 19)
-	c := mpc.NewCluster(8)
-	res, err := Run(c.Root(), in, Options{Strategy: PathOptimal, Trace: true})
-	if err != nil {
+	col := trace.NewCollector()
+	c := mpc.NewCluster(8, mpc.WithRecorder(col))
+	if _, err := Run(c.Root(), in, Options{Strategy: PathOptimal}); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trace) == 0 {
-		t.Fatal("empty trace")
+	notes := trace.Notes(col.Root())
+	if len(notes) == 0 {
+		t.Fatal("no decision notes")
 	}
 	sawCaseI := false
-	for _, line := range res.Trace {
+	for _, line := range notes {
 		if strings.Contains(line, "case I") {
 			sawCaseI = true
 		}
 	}
 	if !sawCaseI {
-		t.Fatalf("no case I decision in trace: %v", res.Trace)
-	}
-	// Without the option the trace stays empty.
-	c2 := mpc.NewCluster(8)
-	res2, err := Run(c2.Root(), in, Options{Strategy: PathOptimal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Trace) != 0 {
-		t.Fatal("trace recorded without the option")
+		t.Fatalf("no case I decision in the notes: %v", notes)
 	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"strings"
 
 	"coverpack/internal/hypergraph"
 	"coverpack/internal/mpc"
@@ -42,10 +42,6 @@ type Options struct {
 	// L is the load threshold; 0 selects it automatically (Theorem 2
 	// for Conservative, Section 4.3 for PathOptimal).
 	L int
-	// Trace records one line per structural decision (reductions,
-	// Case I choices, heavy/light branch counts, Case II grids) in
-	// Result.Trace — the observability hook for debugging runs.
-	Trace bool
 }
 
 // Result reports one execution.
@@ -54,8 +50,6 @@ type Result struct {
 	Emitted int64
 	// L is the threshold used.
 	L int
-	// Trace holds the decision log when Options.Trace was set.
-	Trace []string
 }
 
 // maxDepth bounds the recursion; the paper's recursion depth is O(|E| +
@@ -101,7 +95,6 @@ func run(g *mpc.Group, in *relation.Instance, opts Options) (*Result, *step, err
 		L:       L,
 		cntAttr: q.NumAttrs() + cntOff,
 		grpAttr: q.NumAttrs() + grpOff,
-		trace:   opts.Trace,
 	}
 	// Initial state: all edges alive with their full attribute sets,
 	// relations deduplicated and scattered evenly (free initial layout;
@@ -123,7 +116,7 @@ func run(g *mpc.Group, in *relation.Instance, opts Options) (*Result, *step, err
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Result{Emitted: emitted, L: L, Trace: ex.log}, root, nil
+	return &Result{Emitted: emitted, L: L}, root, nil
 }
 
 // executor carries the per-run constants.
@@ -133,24 +126,14 @@ type executor struct {
 	L       int
 	cntAttr int
 	grpAttr int
-	trace   bool
-	logMu   sync.Mutex
-	log     []string
 }
 
-// tracef appends a decision-log line. Callers check ex.trace first, so
-// that a run without tracing never builds the arguments. Branches of a
-// Parallel block may log concurrently under the parallel engine, so
-// appends are serialized; line order across concurrent branches is not
-// part of the determinism contract (TraceRun runs sequentially).
-func (ex *executor) tracef(depth int, format string, args ...interface{}) {
-	prefix := ""
-	for i := 0; i < depth; i++ {
-		prefix += "  "
-	}
-	ex.logMu.Lock()
-	ex.log = append(ex.log, prefix+fmt.Sprintf(format, args...))
-	ex.logMu.Unlock()
+// note leaves one line of the decision log (a reduction, a Case I
+// choice, a branch count, a Case II split), indented two spaces per
+// recursion level, as a note on g's trace. Callers check g.Recording()
+// first, so that a run without a recorder never builds the arguments.
+func note(g *mpc.Group, depth int, format string, args ...interface{}) {
+	g.Note(strings.Repeat("  ", depth) + fmt.Sprintf(format, args...))
 }
 
 // compute runs step st on one subproblem and returns the number of join
@@ -191,8 +174,8 @@ func (ex *executor) compute(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 
 	switch {
 	case st.caseII != nil:
-		if ex.trace {
-			ex.tracef(depth, "case II: %d components of %s", len(st.caseII.comps), st.qc)
+		if g.Recording() {
+			note(g, depth, "case II: %d components of %s", len(st.caseII.comps), st.qc)
 		}
 		return ex.caseII(g, st, rels, ctx, depth)
 	case st.caseI != nil:

@@ -3,10 +3,7 @@ package cyclic
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
-	"coverpack/internal/core"
-	"coverpack/internal/hypercube"
 	"coverpack/internal/mpc"
 	"coverpack/internal/relation"
 )
@@ -28,108 +25,9 @@ func RunLW(g *mpc.Group, in *relation.Instance) (*Result, error) {
 		return nil, fmt.Errorf("cyclic: %s is not a Loomis-Whitney join", q.Name())
 	}
 	attrs := q.AllVars().Attrs()
-	nAttrs := len(attrs)
-	n := in.N()
-	p := g.Size()
 	// Heavy cutoff: the share per dimension is p^{1/n} (every attribute
 	// participates in n−1 of the n relations; the symmetric share LP
 	// gives s_v = 1/n).
-	delta := int64(float64(n) / math.Pow(float64(p), 1/float64(nAttrs)))
-	if delta < 1 {
-		delta = 1
-	}
-
-	// One dedup + scatter per relation, shared by the statistics loop
-	// (each edge recurs once per incident attribute — n−1 times for
-	// LW_n) and the stratifier below.
-	dedup := make([]*relation.Relation, q.NumEdges())
-	scattered := make([]*mpc.DistRelation, q.NumEdges())
-	for e := 0; e < q.NumEdges(); e++ {
-		dedup[e] = in.Rel(e).Dedup()
-		scattered[e] = g.Scatter(dedup[e])
-	}
-
-	heavy := heavyStatistics(g, q, attrs, scattered, delta)
-
-	res := &Result{Threshold: delta}
-	var branches []mpc.Branch
-	var emits []int64
-	var errSlots []*error
-	addBranch := func(servers int, run func(sub *mpc.Group) (int64, error)) {
-		idx := len(emits)
-		emits = append(emits, 0)
-		errSlot := new(error)
-		errSlots = append(errSlots, errSlot)
-		branches = append(branches, mpc.Branch{
-			Servers: servers,
-			Run: func(sub *mpc.Group) {
-				emits[idx], *errSlot = run(sub)
-			},
-		})
-	}
-
-	for _, st := range heavyStrata(&relation.Instance{Query: q, Relations: dedup}, attrs, heavy) {
-		strat := st.Inst
-		if st.Pattern == 0 {
-			addBranch(p, func(sub *mpc.Group) (int64, error) {
-				var r *hypercube.Result
-				var err error
-				sub.Span("light stratum", func() { r, err = hypercube.Run(sub, strat) })
-				if err != nil {
-					return 0, err
-				}
-				return r.Emitted, nil
-			})
-			continue
-		}
-		// Split on the lowest heavy attribute.
-		h := attrs[bits.TrailingZeros64(st.Pattern)]
-		vals := heavyValuesIn(strat, q, h)
-		if len(vals) == 0 {
-			continue
-		}
-		perBranch := p / len(vals)
-		if perBranch < 1 {
-			perBranch = 1
-		}
-		for _, v := range vals {
-			sub, err := residualInstance(strat, h, v)
-			if err != nil {
-				return nil, err
-			}
-			if sub == nil {
-				continue
-			}
-			res.HeavyBranches++
-			branchIn := sub
-			addBranch(perBranch, func(sg *mpc.Group) (int64, error) {
-				var r *core.Result
-				var err error
-				sg.Span("heavy stratum", func() {
-					units := make([]int, sg.Size())
-					per := branchIn.TotalTuples()/sg.Size() + 1
-					for i := range units {
-						units[i] = per
-					}
-					sg.ChargeControl(units)
-					r, err = core.Run(sg, branchIn, core.Options{Strategy: core.PathOptimal})
-				})
-				if err != nil {
-					return 0, err
-				}
-				return r.Emitted, nil
-			})
-		}
-	}
-
-	g.Parallel(branches)
-	for _, es := range errSlots {
-		if *es != nil {
-			return nil, *es
-		}
-	}
-	for _, e := range emits {
-		res.Emitted += e
-	}
-	return res, nil
+	delta := int64(float64(in.N()) / math.Pow(float64(g.Size()), 1/float64(len(attrs))))
+	return runStrata(g, in, attrs, delta)
 }

@@ -42,22 +42,29 @@ type Result struct {
 // must be a 3-cycle of binary relations (hypergraph.TriangleJoin shape,
 // any attribute/relation names).
 func RunTriangle(g *mpc.Group, in *relation.Instance) (*Result, error) {
-	q := in.Query
-	attrs, err := triangleShape(q)
+	attrs, err := triangleShape(in.Query)
 	if err != nil {
 		return nil, err
 	}
-	n := in.N()
+	return runStrata(g, in, attrs, int64(float64(in.N())/math.Cbrt(float64(g.Size()))))
+}
+
+// runStrata is the multi-round body shared by RunTriangle and RunLW:
+// heavy statistics at cutoff delta (at least 1) over attrs, then one
+// Parallel block with the all-light stratum on one-round HyperCube and
+// one internal/core branch per heavy value of each heavy stratum's
+// lowest heavy attribute. Each caller computes its own delta.
+func runStrata(g *mpc.Group, in *relation.Instance, attrs []int, delta int64) (*Result, error) {
+	q := in.Query
 	p := g.Size()
-	delta := int64(float64(n) / math.Cbrt(float64(p)))
 	if delta < 1 {
 		delta = 1
 	}
 
 	// Dedup and scatter each relation once up front: every edge is
-	// visited twice by the statistics loop (once per incident attribute)
-	// and once more by the stratifier, and both the dedup and the
-	// initial placement are identical each time.
+	// visited once per incident attribute by the statistics loop and
+	// once more by the stratifier, and both the dedup and the initial
+	// placement are identical each time.
 	dedup := make([]*relation.Relation, q.NumEdges())
 	scattered := make([]*mpc.DistRelation, q.NumEdges())
 	for e := 0; e < q.NumEdges(); e++ {
@@ -70,27 +77,26 @@ func RunTriangle(g *mpc.Group, in *relation.Instance) (*Result, error) {
 	res := &Result{Threshold: delta}
 	var branches []mpc.Branch
 	var emits []int64
-	addBranch := func(servers int, run func(sub *mpc.Group) (int64, error)) *error {
+	var errSlots []*error
+	addBranch := func(servers int, run func(sub *mpc.Group) (int64, error)) {
 		idx := len(emits)
 		emits = append(emits, 0)
 		errSlot := new(error)
+		errSlots = append(errSlots, errSlot)
 		branches = append(branches, mpc.Branch{
 			Servers: servers,
 			Run: func(sub *mpc.Group) {
 				emits[idx], *errSlot = run(sub)
 			},
 		})
-		return errSlot
 	}
-	var errSlots []*error
 
 	for _, st := range heavyStrata(&relation.Instance{Query: q, Relations: dedup}, attrs, heavy) {
 		strat := st.Inst
 		if st.Pattern == 0 {
 			// All-light: one-round HyperCube with τ*-shares; light
-			// degrees are ≤ δ, so hashing balances and the load is
-			// ~N/p^{2/3}.
-			errSlots = append(errSlots, addBranch(p, func(sub *mpc.Group) (int64, error) {
+			// degrees are ≤ δ, so hashing balances the load.
+			addBranch(p, func(sub *mpc.Group) (int64, error) {
 				var r *hypercube.Result
 				var err error
 				sub.Span("light stratum", func() { r, err = hypercube.Run(sub, strat) })
@@ -98,11 +104,11 @@ func RunTriangle(g *mpc.Group, in *relation.Instance) (*Result, error) {
 					return 0, err
 				}
 				return r.Emitted, nil
-			}))
+			})
 			continue
 		}
 		// Heavy stratum: split on the lowest heavy attribute h in the
-		// pattern; each heavy value of h spawns the residual path query.
+		// pattern; each heavy value of h spawns the acyclic residual.
 		h := attrs[bits.TrailingZeros64(st.Pattern)]
 		vals := heavyValuesIn(strat, q, h)
 		if len(vals) == 0 {
@@ -113,16 +119,15 @@ func RunTriangle(g *mpc.Group, in *relation.Instance) (*Result, error) {
 			perBranch = 1
 		}
 		for _, v := range vals {
-			sx, err := residualInstance(strat, h, v)
+			branchIn, err := residualInstance(strat, h, v)
 			if err != nil {
 				return nil, err
 			}
-			if sx == nil {
+			if branchIn == nil {
 				continue
 			}
 			res.HeavyBranches++
-			branchIn := sx
-			errSlots = append(errSlots, addBranch(perBranch, func(sub *mpc.Group) (int64, error) {
+			addBranch(perBranch, func(sub *mpc.Group) (int64, error) {
 				var r *core.Result
 				var err error
 				sub.Span("heavy stratum", func() {
@@ -140,7 +145,7 @@ func RunTriangle(g *mpc.Group, in *relation.Instance) (*Result, error) {
 					return 0, err
 				}
 				return r.Emitted, nil
-			}))
+			})
 		}
 	}
 

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"slices"
+	"strconv"
 	"testing"
 
 	"coverpack/internal/relation"
@@ -222,5 +223,57 @@ func TestNopRecorderZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { g.ChargeControl(units) }); n != 0 {
 			t.Fatalf("ChargeControl allocates %v per run with recorder off", n)
 		}
+	}
+}
+
+// TestNotesBranchOrder: notes left inside concurrent Parallel branches
+// (nested ones included) read back in the order a sequential run leaves
+// them, so a decision log is the same for every worker count.
+func TestNotesBranchOrder(t *testing.T) {
+	notes := func(workers int) []string {
+		col := trace.NewCollector()
+		g := NewCluster(8, withForcedWorkers(workers), WithRecorder(col)).Root()
+		g.Note("start")
+		branches := make([]Branch, 4)
+		for i := range branches {
+			i := i
+			branches[i] = Branch{Servers: 2, Run: func(sub *Group) {
+				sub.Note("branch " + strconv.Itoa(i))
+				sub.Parallel([]Branch{
+					{Servers: 1, Run: func(s *Group) { s.Note("inner " + strconv.Itoa(i) + ".0") }},
+					{Servers: 1, Run: func(s *Group) { s.ChargeControl([]int{i}); s.Note("inner " + strconv.Itoa(i) + ".1") }},
+				})
+			}}
+		}
+		g.Parallel(branches)
+		g.Span("end", func() { g.Note("end") })
+		return trace.Notes(col.Root())
+	}
+	seq, par := notes(1), notes(4)
+	if len(seq) != 14 || seq[0] != "start" || seq[1] != "branch 0" || seq[13] != "end" {
+		t.Fatalf("sequential notes = %q", seq)
+	}
+	if !slices.Equal(seq, par) {
+		t.Fatalf("notes at 4 workers = %q, at 1 worker %q", par, seq)
+	}
+}
+
+// TestNoteWithoutRecorderZeroAlloc: without a recorder, Note and
+// Recording allocate nothing.
+func TestNoteWithoutRecorderZeroAlloc(t *testing.T) {
+	g := NewCluster(4).Root()
+	if g.Recording() {
+		t.Fatal("a cluster without a recorder reports Recording")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if g.Recording() {
+			t.Fatal("Recording flipped")
+		}
+		g.Note("case I: x=A")
+	}); n != 0 {
+		t.Fatalf("Note and Recording allocate %v per run without a recorder", n)
+	}
+	if !NewCluster(4, WithRecorder(trace.NewCollector())).Root().Recording() {
+		t.Fatal("a cluster with a collector does not report Recording")
 	}
 }

@@ -37,8 +37,9 @@
 // charged exchange is emitted with its operation kind and per-server
 // received-load vector, and Parallel opens one structural span per
 // branch so a collected trace mirrors the computation tree. Algorithm
-// layers open named phase spans via Group.Span. The default recorder is
-// off and costs nothing on the hot path.
+// layers open named phase spans via Group.Span and leave their decision
+// log as notes via Group.Note. The default recorder is off and costs
+// nothing on the hot path.
 //
 // # Parallel execution
 //
@@ -306,6 +307,22 @@ func (g *Group) Span(name string, fn func()) {
 	rec.BeginSpan(name, trace.KindPhase, g.size)
 	defer rec.EndSpan()
 	fn()
+}
+
+// Recording reports whether the group has a trace recorder, so a caller
+// can skip formatting a Note nobody would read.
+func (g *Group) Recording() bool { return g.recorder() != nil }
+
+// Note records text as one line of the run's decision log: a zero-width
+// span of kind trace.KindNote under the current span. Notes reach the
+// recorder in execution order, Parallel branches' in branch order for
+// every worker count; trace.Notes reads them back. Without a recorder
+// it does nothing.
+func (g *Group) Note(text string) {
+	if rec := g.recorder(); rec != nil {
+		rec.BeginSpan(text, trace.KindNote, g.size)
+		rec.EndSpan()
+	}
 }
 
 // DistRelation is a relation partitioned across the servers of a group:

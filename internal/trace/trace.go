@@ -7,11 +7,12 @@
 // The simulator (internal/mpc) emits into a Recorder hung off the
 // Cluster; algorithm layers open named phase spans ("statistics",
 // "heavy/light split", "semi-join reduce", ...) so that load attributes
-// to paper-level concepts rather than raw exchanges. A collected trace
-// renders as JSONL, as Chrome trace-event JSON (loadable in
-// about:tracing and Perfetto), or as an ASCII per-round × per-server
-// load heatmap (see export.go), and aggregates into a per-phase load
-// attribution table (see table.go).
+// to paper-level concepts rather than raw exchanges, and leave their
+// structural decisions as zero-width note spans (read back by Notes).
+// A collected trace renders as JSONL, as Chrome trace-event JSON
+// (loadable in about:tracing and Perfetto), or as an ASCII per-round ×
+// per-server load heatmap (see export.go), and aggregates into a
+// per-phase load attribution table (see table.go).
 //
 // The package has no dependencies inside the repository, so every layer
 // may import it.
@@ -70,6 +71,9 @@ const (
 	// opens one any more; it keeps its value because internal/bench
 	// indexes its kind table by SpanKind.
 	KindSubgroup
+	// KindNote is a zero-width span whose name is one line of an
+	// algorithm's decision log (Group.Note); Notes reads them back.
+	KindNote
 )
 
 func (k SpanKind) String() string {
@@ -82,6 +86,8 @@ func (k SpanKind) String() string {
 		return "parallel"
 	case KindSubgroup:
 		return "subgroup"
+	case KindNote:
+		return "note"
 	}
 	return "kind?"
 }
@@ -237,6 +243,18 @@ func (s *Span) Walk(fn func(*Span)) {
 	for _, c := range s.Children {
 		c.Walk(fn)
 	}
+}
+
+// Notes returns the names of the note spans under root in preorder,
+// which is the order they were emitted in: the run's decision log.
+func Notes(root *Span) []string {
+	var out []string
+	root.Walk(func(s *Span) {
+		if s.Kind == KindNote {
+			out = append(out, s.Name)
+		}
+	})
+	return out
 }
 
 // Recorder receives the simulator's emissions. Implementations must not

@@ -57,6 +57,12 @@ func WriteTrace(w io.Writer, root *TraceSpan, format TraceFormat) error {
 	return trace.Write(w, root, format)
 }
 
+// Decisions returns the decision log of a collected span tree: the
+// lines the acyclic algorithm left as notes (its reductions, Case I
+// choices, branch counts and Case II splits), in execution order. A
+// run with another algorithm leaves none.
+func Decisions(root *TraceSpan) []string { return trace.Notes(root) }
+
 // PhaseTable aggregates a collected span tree into per-phase load
 // attribution rows, sorted by attributed units descending.
 func PhaseTable(root *TraceSpan) []PhaseRow { return trace.PhaseTable(root) }
