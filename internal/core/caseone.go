@@ -65,13 +65,11 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 
 		// Light values: total degree over S^x, packed into groups of total
 		// degree ≤ |S^x|·L (each light value has degree ≤ L per relation).
-		merged := mpc.NewDist(c.degSchema, g.Size())
-		for _, e := range c.sx {
-			for i, f := range degs[e].Frags {
-				merged.Frags[i].Append(f)
-			}
+		sxDegs := make([]*mpc.DistRelation, len(c.sx))
+		for i, e := range c.sx {
+			sxDegs[i] = degs[e]
 		}
-		sums := primitives.ReduceByKey(g, merged, []int{x}, ex.cntAttr)
+		sums := primitives.ReduceByKey(g, primitives.Union(g, sxDegs), []int{x}, ex.cntAttr)
 		chargeSetBroadcast(g, len(heavySet))
 		lightW := mpc.Local(g, sums, relation.SelectInStep(sums.Schema, x, heavySet, false))
 		if lightW.Len() > 0 {
@@ -199,99 +197,61 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	// their branch (round-robin), light values to their group's branch;
 	// tuples of S^x relations are *replicated* across their light
 	// branch's servers (they are the broadcast side of Step 3), others
-	// spread round-robin. Both are DistributeSpread exchanges. Relations
-	// without x are copied to every branch by one Spread.
+	// spread round-robin. Both are DistributeSpread exchanges, and each
+	// tuple lands in exactly one branch, so a heavy branch's part is the
+	// heavy exchange's and a light branch's the light exchange's.
+	// Relations without x are copied to every branch by one Spread.
 	parts := make([][]*mpc.DistRelation, len(rels))
-	// Per-branch send lists, shared across tuples: the pick closures
-	// below run once (twice under the parallel engine) per tuple, and
-	// the engines only read the returned slice, so allocating it per
-	// call would dominate the exchange's allocation profile.
-	unicast := make([][]mpc.BranchSend, len(plans))
-	bcast := make([][]mpc.BranchSend, len(plans))
-	for bi := range plans {
-		unicast[bi] = []mpc.BranchSend{{Branch: bi}}
-		bcast[bi] = []mpc.BranchSend{{Branch: bi, Broadcast: true}}
-	}
+	nHeavy := len(heavyBranch) // plans list the heavy branches first
 	g.Span("heavy/light split", func() {
 		for _, e := range st.live {
-			if st.vars[e].Contains(x) {
-				// Heavy tuples route straight from the current layout (the
-				// heavy-value list was already broadcast, so every server
-				// can classify locally). Partitioning them by x would
-				// concentrate a heavy value's entire degree on one hash
-				// destination — exactly the skew the algorithm exists to
-				// avoid. Light tuples are first co-partitioned with the
-				// Pack assignment by x (balanced: every light value has
-				// degree ≤ L) to learn their group ids, then shipped. The
-				// heavy pick drops every tuple outside heavyBranch, so it
-				// selects the heavy tuples as it routes them.
-				rs := rels[e].Schema
-				hxp := rs.Pos(x)
-				hParts := g.DistributeSpread(rels[e], sizes, func(_ *relation.Relation, t relation.Tuple) []mpc.BranchSend {
-					bi, ok := heavyBranch[t[hxp]]
-					if !ok {
-						return nil
-					}
-					return unicast[bi]
-				})
-
-				lightPart := mpc.Local(g, rels[e], relation.SelectInStep(rs, x, heavySet, false))
-				var lParts []*mpc.DistRelation
-				if assign != nil && lightPart.Len() > 0 {
-					relP := g.HashPartition(lightPart, []int{x})
-					asgP := g.HashPartition(assign, []int{x})
-					// relP and asgP are partitioned on x by the same hash, so
-					// the assignment row of a light value sits on the server
-					// of its tuples, and one table over all of asgP — x to
-					// the entry whose group id gids holds — reads what each
-					// server's own share would.
-					axp := []int{asgP.Schema.Pos(x)}
-					agp := asgP.Schema.Pos(ex.grpAttr)
-					var groupOf hashtab.Table
-					groupOf.Init(1, asgP.Len())
-					gids := relation.GetArena(asgP.Len())
-					for _, af := range asgP.Frags {
-						for j := 0; j < af.Len(); j++ {
-							t := af.Row(j)
-							if k, found := groupOf.Insert(t, axp); found {
-								gids[k] = t[agp]
-							} else {
-								gids = append(gids, t[agp])
-							}
-						}
-					}
-					lightSends := unicast
-					if c.sxSet.Contains(e) {
-						lightSends = bcast
-					}
-					rxp := []int{relP.Schema.Pos(x)}
-					lParts = g.DistributeSpread(relP, sizes, func(_ *relation.Relation, t relation.Tuple) []mpc.BranchSend {
-						k := groupOf.Find(t, rxp)
-						if k < 0 {
-							return nil
-						}
-						bi, ok := groupBranch[gids[k]]
-						if !ok {
-							return nil
-						}
-						return lightSends[bi]
-					})
-					groupOf.Release()
-					relation.PutArena(gids)
-				}
-				merged := make([]*mpc.DistRelation, len(plans))
-				for bi := range plans {
-					merged[bi] = hParts[bi]
-					if lParts != nil {
-						for s := range merged[bi].Frags {
-							merged[bi].Frags[s].Append(lParts[bi].Frags[s])
-						}
-					}
-				}
-				parts[e] = merged
-			} else {
+			if !st.vars[e].Contains(x) {
 				parts[e] = g.Spread(rels[e], sizes)
+				continue
 			}
+			// Heavy tuples route straight from the current layout (the
+			// heavy-value list was already broadcast, so every server can
+			// classify locally). Partitioning them by x would concentrate
+			// a heavy value's entire degree on one hash destination —
+			// exactly the skew the algorithm exists to avoid. Light tuples
+			// are first co-partitioned with the Pack assignment by x
+			// (balanced: every light value has degree ≤ L) to learn their
+			// group ids, then shipped. The heavy pick drops every tuple
+			// outside heavyBranch, so it selects the heavy tuples as it
+			// routes them.
+			rs := rels[e].Schema
+			hxp := rs.Pos(x)
+			parts[e] = g.DistributeSpread(rels[e], sizes, false, func(t relation.Tuple) int {
+				if bi, ok := heavyBranch[t[hxp]]; ok {
+					return bi
+				}
+				return -1
+			})
+			lightPart := mpc.Local(g, rels[e], relation.SelectInStep(rs, x, heavySet, false))
+			if assign == nil || lightPart.Len() == 0 {
+				continue
+			}
+			relP := g.HashPartition(lightPart, []int{x})
+			asgP := g.HashPartition(assign, []int{x})
+			// relP and asgP are partitioned on x by the same hash, so the
+			// assignment row of a light value sits on the server of its
+			// tuples, and one table over all of asgP reads what each
+			// server's own share would.
+			var groupOf hashtab.Table
+			gids := groupIndex(&groupOf, relation.GetArena(asgP.Len()), asgP.Frags,
+				[]int{asgP.Schema.Pos(x)}, asgP.Schema.Pos(ex.grpAttr))
+			rxp := []int{relP.Schema.Pos(x)}
+			lParts := g.DistributeSpread(relP, sizes, c.sxSet.Contains(e), func(t relation.Tuple) int {
+				if k := groupOf.Find(t, rxp); k >= 0 {
+					if bi, ok := groupBranch[gids[k]]; ok {
+						return bi
+					}
+				}
+				return -1
+			})
+			groupOf.Release()
+			relation.PutArena(gids)
+			copy(parts[e][nHeavy:], lParts[nHeavy:])
 		}
 	})
 

@@ -104,9 +104,8 @@ type caseIStep struct {
 	sx       []int
 	sxSet    hypergraph.EdgeSet
 	xHolders []int
-	// span names the peel's trace span; degSchema is (x, cnt).
-	span      string
-	degSchema relation.Schema
+	// span names the peel's trace span.
+	span string
 	// proj is, by edge id, an x-holder's schema with x projected away
 	// (the heavy branch's input). ctxRest is, per context relation
 	// holding x, the attributes the heavy branch keeps after selecting
@@ -251,9 +250,8 @@ func (ex *executor) compileCaseI(st *step, ctx []relation.Schema) *caseIStep {
 	x := ch.x
 	c := &caseIStep{
 		x: x, sx: ch.sx, sxSet: edgesSet(ch.sx),
-		span:      "twig " + ex.q.AttrName(x),
-		degSchema: relation.NewSchema(x, ex.cntAttr),
-		proj:      make([]relation.Schema, ex.q.NumEdges()),
+		span: "twig " + ex.q.AttrName(x),
+		proj: make([]relation.Schema, ex.q.NumEdges()),
 	}
 
 	// The heavy branch: x projected away from every x-holder and fixed in

@@ -40,18 +40,8 @@ func (s groupJoin) Schema() relation.Schema { return s.out }
 func (s groupJoin) Scratch(i int, in *relation.Relation) int { return 2*in.Len() + s.assign[i].Len() }
 
 func (s groupJoin) Count(i int, in *relation.Relation, sc []relation.Value) int {
-	af := s.assign[i]
-	gids := sc[2*in.Len() : 2*in.Len() : len(sc)]
 	var groupOf hashtab.Table
-	groupOf.Init(1, af.Len())
-	for j := 0; j < af.Len(); j++ {
-		t := af.Row(j)
-		if k, found := groupOf.Insert(t, s.axp); found {
-			gids[k] = t[s.agp]
-		} else {
-			gids = append(gids, t[s.agp])
-		}
-	}
+	gids := groupIndex(&groupOf, sc[2*in.Len():2*in.Len():len(sc)], s.assign[i:i+1], s.axp, s.agp)
 	n := 0
 	for j := 0; j < in.Len(); j++ {
 		t := in.Row(j)
@@ -68,6 +58,29 @@ func (s groupJoin) Fill(_ int, _ *relation.Relation, sc, dst []relation.Value, r
 	for k := 0; k < rows; k++ {
 		dst[2*k+s.gp], dst[2*k+s.cpos] = sc[2*k], sc[2*k+1]
 	}
+}
+
+// groupIndex initializes groupOf as an index of the x values (column
+// axp) of the assignment rows in frags and appends to gids, at each
+// entry's index, the group id (column agp) of its value's last row. It
+// returns gids; the caller releases groupOf.
+func groupIndex(groupOf *hashtab.Table, gids []relation.Value, frags []*relation.Relation, axp []int, agp int) []relation.Value {
+	n := 0
+	for _, f := range frags {
+		n += f.Len()
+	}
+	groupOf.Init(1, n)
+	for _, f := range frags {
+		for j := 0; j < f.Len(); j++ {
+			t := f.Row(j)
+			if k, found := groupOf.Insert(t, axp); found {
+				gids[k] = t[agp]
+			} else {
+				gids = append(gids, t[agp])
+			}
+		}
+	}
+	return gids
 }
 
 // chargeSetBroadcast charges one round delivering a small driver-side

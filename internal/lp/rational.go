@@ -10,8 +10,8 @@
 // the rest of the repository compare them with == instead of epsilon
 // tests.
 //
-// The entry points are Solve, Maximize and Minimize, which accept a
-// Problem in the general form
+// The entry points are Solve and Maximize, which accept a Problem in
+// the general form
 //
 //	optimize  c·x
 //	s.t.      A_i·x (<=|=|>=) b_i   for each constraint i

@@ -154,13 +154,6 @@ func Maximize(p *Problem) (*Solution, error) {
 	return Solve(&q)
 }
 
-// Minimize is shorthand for solving with the direction forced to min.
-func Minimize(p *Problem) (*Solution, error) {
-	q := *p
-	q.Maximize = false
-	return Solve(&q)
-}
-
 func newTableau(p *Problem) *tableau {
 	m := len(p.Constraints)
 	n := p.NumVars

@@ -19,8 +19,7 @@ import (
 // resize moves d onto k servers, flattened tuple i to server i mod k:
 // DistributeSpread into one round-robin branch.
 func resize(g *Group, d *DistRelation, k int) *DistRelation {
-	one := []BranchSend{{Branch: 0}}
-	return g.DistributeSpread(d, []int{k}, func(*relation.Relation, relation.Tuple) []BranchSend { return one })[0]
+	return g.DistributeSpread(d, []int{k}, false, func(relation.Tuple) int { return 0 })[0]
 }
 
 // TestSendToGrowingGroup checks a resize into a larger group: the
@@ -66,9 +65,7 @@ func TestDistributeGrowingTotal(t *testing.T) {
 	c := NewCluster(2)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 14))
-	parts := g.DistributeSpread(d, []int{3, 4}, func(f *relation.Relation, tp relation.Tuple) []BranchSend {
-		return []BranchSend{{Branch: int(tp[0] % 2)}}
-	})
+	parts := g.DistributeSpread(d, []int{3, 4}, false, func(tp relation.Tuple) int { return int(tp[0] % 2) })
 	if len(parts[0].Frags) != 3 || len(parts[1].Frags) != 4 {
 		t.Fatalf("branch sizes = %d, %d", len(parts[0].Frags), len(parts[1].Frags))
 	}
@@ -88,9 +85,7 @@ func TestDistributePaddingNeverInflatesMaxLoad(t *testing.T) {
 	c := NewCluster(8)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 5))
-	parts := g.DistributeSpread(d, []int{1}, func(*relation.Relation, relation.Tuple) []BranchSend {
-		return []BranchSend{{Branch: 0}}
-	})
+	parts := g.DistributeSpread(d, []int{1}, false, func(relation.Tuple) int { return 0 })
 	if parts[0].Len() != 5 {
 		t.Fatalf("tuples = %d", parts[0].Len())
 	}
@@ -105,9 +100,7 @@ func TestDistributeReplicatedDestinations(t *testing.T) {
 	c := NewCluster(3)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 6))
-	parts := g.DistributeSpread(d, []int{4}, func(*relation.Relation, relation.Tuple) []BranchSend {
-		return []BranchSend{{Branch: 0, Broadcast: true}}
-	})
+	parts := g.DistributeSpread(d, []int{4}, true, func(relation.Tuple) int { return 0 })
 	for s, f := range parts[0].Frags {
 		if f.Len() != 6 {
 			t.Fatalf("server %d has %d, want 6 (replication)", s, f.Len())

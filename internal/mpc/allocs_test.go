@@ -14,11 +14,13 @@ import (
 //
 // A routed exchange returns NewSlabCounts' fragment header slab and its
 // pointer slice, plus a DistRelation — or, for DistributeSpread, a slab
-// of branch DistRelations and its pointer slice. Spread returns the
-// same and nothing else; it runs over more than scratchCap tuples, so a
-// destination-id vector would be too large to pool and show up here,
-// as would a rotation vector kept outside the scratch. HashPartition
-// adds its recorded key; Scatter and ScatterDedup
+// of branch DistRelations and its pointer slice. Destination-id
+// vectors over scratchCap come from idPool, so HashPartition over more
+// than scratchCap tuples allocates no more than over fewer. Spread
+// returns the same and nothing else; it runs over more than scratchCap
+// tuples, so a destination-id vector would come from idPool and count a
+// get there, and a rotation vector kept outside the scratch would show
+// up here. HashPartition adds its recorded key; Scatter and ScatterDedup
 // their one-fragment view of the input; Route its RouteBuf wrapper of
 // the caller's function; RouteBuf its destination buffer (one per
 // exchange: a route function may return memory it holds).
@@ -44,8 +46,7 @@ func TestExchangeAllocs(t *testing.T) {
 		return append(buf[:0], int(t[0])%p, int(t[1])%p)
 	}
 	sizes := []int{3, 5}
-	sends := [][]BranchSend{{{Branch: 0}}, {{Branch: 1, Broadcast: true}, {Branch: 0}}}
-	pick := func(_ *relation.Relation, t relation.Tuple) []BranchSend { return sends[t[0]%2] }
+	pick := func(t relation.Tuple) int { return int(t[0]%3) - 1 } // one in three dropped
 	for _, op := range []struct {
 		name string
 		want float64
@@ -54,10 +55,12 @@ func TestExchangeAllocs(t *testing.T) {
 		{"Scatter", 4, func() { g.Scatter(in) }},
 		{"ScatterDedup", 4, func() { g.ScatterDedup(in) }},
 		{"HashPartition", 4, func() { g.HashPartition(d, []int{0}) }},
+		{"HashPartition/wide", 4, func() { g.HashPartition(wide, []int{0}) }},
 		{"HashPartition/identity", 3, func() { g.HashPartition(parted, []int{0}) }},
 		{"Route", 4, func() { g.Route(d, plain) }},
 		{"RouteBuf", 4, func() { g.RouteBuf(d, route) }},
-		{"DistributeSpread", 4, func() { g.DistributeSpread(d, sizes, pick) }},
+		{"DistributeSpread", 4, func() { g.DistributeSpread(d, sizes, false, pick) }},
+		{"DistributeSpread/broadcast", 4, func() { g.DistributeSpread(d, sizes, true, pick) }},
 		{"Spread", 4, func() { g.Spread(wide, sizes) }},
 		{"Gather", 1, func() { g.Gather(d) }},
 		{"Broadcast", 4, func() { g.Broadcast(d) }},
@@ -74,5 +77,11 @@ func TestExchangeAllocs(t *testing.T) {
 		if st := SendPoolStats(); st.Gets == 0 || st.Puts != st.Gets {
 			t.Errorf("%s: scratch pool %+v, want every get put back", op.name, st)
 		}
+	}
+	before := idPool.Stats().Gets
+	g.Spread(wide, sizes)
+	c.Release()
+	if got := idPool.Stats().Gets; got != before {
+		t.Errorf("Spread took %d destination-id vectors, want none", got-before)
 	}
 }

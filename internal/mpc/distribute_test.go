@@ -7,21 +7,14 @@ import (
 	"coverpack/internal/relation"
 )
 
+// TestDistributeSplitsAndCharges: even values go to branch 0 (2
+// servers), odd ones to branch 1 (3 servers), first round-robin, then
+// replicated over their branch.
 func TestDistributeSplitsAndCharges(t *testing.T) {
 	c := NewCluster(4)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 30))
-	// Tuples with even value to branch 0 (2 servers, round-robin),
-	// odd to branch 1 (3 servers, replicated).
-	parts := g.DistributeSpread(d, []int{2, 3}, func(f *relation.Relation, tp relation.Tuple) []BranchSend {
-		if tp[0]%2 == 0 {
-			return []BranchSend{{Branch: 0}}
-		}
-		return []BranchSend{{Branch: 1, Broadcast: true}}
-	})
-	if len(parts) != 2 {
-		t.Fatalf("parts = %d", len(parts))
-	}
+	parity := func(tp relation.Tuple) int { return int(tp[0] % 2) }
 	evens, odds := 0, 0
 	for _, tp := range d.Collect().Tuples() {
 		if tp[0]%2 == 0 {
@@ -30,20 +23,35 @@ func TestDistributeSplitsAndCharges(t *testing.T) {
 			odds++
 		}
 	}
-	if parts[0].Len() != evens {
-		t.Fatalf("branch 0 has %d, want %d", parts[0].Len(), evens)
+	rr := g.DistributeSpread(d, []int{2, 3}, false, parity)
+	if len(rr) != 2 {
+		t.Fatalf("parts = %d", len(rr))
 	}
-	for s, f := range parts[1].Frags {
-		if f.Len() != odds {
-			t.Fatalf("branch 1 server %d has %d, want %d (replicated)", s, f.Len(), odds)
+	for b, want := range []int{evens, odds} {
+		if rr[b].Len() != want {
+			t.Fatalf("round-robin branch %d has %d, want %d", b, rr[b].Len(), want)
+		}
+		k := len(rr[b].Frags)
+		for s, f := range rr[b].Frags {
+			if n := want/k + min(1, max(0, want%k-s)); f.Len() != n {
+				t.Fatalf("round-robin branch %d server %d has %d, want %d", b, s, f.Len(), n)
+			}
+		}
+	}
+	bc := g.DistributeSpread(d, []int{2, 3}, true, parity)
+	for b, want := range []int{evens, odds} {
+		for s, f := range bc[b].Frags {
+			if f.Len() != want {
+				t.Fatalf("broadcast branch %d server %d has %d, want %d (replicated)", b, s, f.Len(), want)
+			}
 		}
 	}
 	st := c.Stats()
-	if st.Rounds != 1 {
+	if st.Rounds != 2 {
 		t.Fatalf("rounds = %d", st.Rounds)
 	}
-	if st.TotalUnits != int64(evens+3*odds) {
-		t.Fatalf("total = %d, want %d", st.TotalUnits, evens+3*odds)
+	if st.TotalUnits != int64(30+2*evens+3*odds) {
+		t.Fatalf("total = %d, want %d", st.TotalUnits, 30+2*evens+3*odds)
 	}
 }
 
@@ -51,37 +59,41 @@ func TestDistributePanics(t *testing.T) {
 	c := NewCluster(2)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 2))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("zero-size branch should panic")
-			}
-		}()
-		g.DistributeSpread(d, []int{0}, func(*relation.Relation, relation.Tuple) []BranchSend { return nil })
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-range branch should panic")
-			}
-		}()
-		g.DistributeSpread(d, []int{1}, func(*relation.Relation, relation.Tuple) []BranchSend {
-			return []BranchSend{{Branch: 1}}
-		})
-	}()
+	for _, bc := range []struct {
+		name  string
+		sizes []int
+		pick  int
+	}{
+		{"zero-size branch", []int{0}, -1},
+		{"out-of-range branch", []int{1}, 1},
+		{"negative branch other than -1", []int{1}, -2},
+	} {
+		for _, broadcast := range []bool{false, true} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s (broadcast %v) should panic", bc.name, broadcast)
+					}
+				}()
+				g.DistributeSpread(d, bc.sizes, broadcast, func(relation.Tuple) int { return bc.pick })
+			}()
+		}
+	}
 }
 
 func TestDistributeDropsUnrouted(t *testing.T) {
 	c := NewCluster(2)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 10))
-	parts := g.DistributeSpread(d, []int{1}, func(*relation.Relation, relation.Tuple) []BranchSend {
-		return nil // drop everything
-	})
-	if parts[0].Len() != 0 {
-		t.Fatalf("dropped tuples reappeared: %d", parts[0].Len())
+	for _, broadcast := range []bool{false, true} {
+		parts := g.DistributeSpread(d, []int{1, 2}, broadcast, func(relation.Tuple) int {
+			return -1 // drop everything
+		})
+		if parts[0].Len() != 0 || parts[1].Len() != 0 {
+			t.Fatalf("broadcast %v: dropped tuples reappeared: %d, %d", broadcast, parts[0].Len(), parts[1].Len())
+		}
 	}
-	if st := c.Stats(); st.TotalUnits != 0 || st.Rounds != 1 {
+	if st := c.Stats(); st.TotalUnits != 0 || st.Rounds != 2 {
 		t.Fatalf("stats = %v", st)
 	}
 }

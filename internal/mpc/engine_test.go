@@ -126,33 +126,28 @@ var engineScenarios = []struct {
 	}},
 	{"distribute", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0, 1), 4000))
-		parts := g.DistributeSpread(d, []int{2, 3}, func(_ *relation.Relation, t relation.Tuple) []BranchSend {
-			if t[0]%2 == 0 {
-				return []BranchSend{{Branch: 0}}
-			}
-			// Replicate odd tuples over branch 1.
-			return []BranchSend{{Branch: 1, Broadcast: true}}
-		})
+		// Round-robin: evens to branch 0, odds to branch 1.
+		parts := g.DistributeSpread(d, []int{2, 3}, false, func(t relation.Tuple) int { return int(t[0] % 2) })
 		for _, p := range parts {
 			keep(p.Frags...)
 		}
 	}},
 	{"distribute-spread", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0, 1), 4000))
-		parts := g.DistributeSpread(d, []int{2, 3}, func(_ *relation.Relation, t relation.Tuple) []BranchSend {
+		pick := func(t relation.Tuple) int {
 			switch {
-			case t[0]%5 == 0:
-				return []BranchSend{{Branch: 1, Broadcast: true}}
-			case t[0]%2 == 0:
-				return []BranchSend{{Branch: 0}}
 			case t[0]%7 == 0:
-				return nil // dropped
+				return -1 // dropped
+			case t[0]%5 == 0:
+				return 1
 			default:
-				return []BranchSend{{Branch: 0}, {Branch: 1}}
+				return 0
 			}
-		})
-		for _, p := range parts {
-			keep(p.Frags...)
+		}
+		for _, broadcast := range []bool{false, true} {
+			for _, p := range g.DistributeSpread(d, []int{2, 3}, broadcast, pick) {
+				keep(p.Frags...)
+			}
 		}
 	}},
 	{"parallel-nested", func(g *Group, keep func(...*relation.Relation)) {
@@ -240,25 +235,44 @@ func naiveBranches(schema relation.Schema, sizes []int, p int) (frags []*relatio
 	return NewDist(schema, total).Frags, offset, make([]int, max(total, p))
 }
 
-func naiveDistributeSpread(d *DistRelation, sizes []int, p int, pick func(f *relation.Relation, t relation.Tuple) []BranchSend) ([]*relation.Relation, []int) {
+func naiveDistributeSpread(d *DistRelation, sizes []int, p int, broadcast bool, pick func(relation.Tuple) int) ([]*relation.Relation, []int) {
 	frags, offset, recv := naiveBranches(d.Schema, sizes, p)
 	rr := make([]int, len(sizes))
 	for _, f := range d.Frags {
 		for i := 0; i < f.Len(); i++ {
 			t := f.Row(i)
-			for _, s := range pick(f, t) {
-				if s.Broadcast {
-					for srv := 0; srv < sizes[s.Branch]; srv++ {
-						frags[offset[s.Branch]+srv].Add(t)
-						recv[offset[s.Branch]+srv]++
-					}
-					continue
-				}
-				srv := rr[s.Branch] % sizes[s.Branch]
-				rr[s.Branch]++
-				frags[offset[s.Branch]+srv].Add(t)
-				recv[offset[s.Branch]+srv]++
+			b := pick(t)
+			if b < 0 {
+				continue
 			}
+			if broadcast {
+				for srv := 0; srv < sizes[b]; srv++ {
+					frags[offset[b]+srv].Add(t)
+					recv[offset[b]+srv]++
+				}
+				continue
+			}
+			srv := rr[b] % sizes[b]
+			rr[b]++
+			frags[offset[b]+srv].Add(t)
+			recv[offset[b]+srv]++
+		}
+	}
+	return frags, recv
+}
+
+// naiveSpread delivers flattened tuple i to server i mod k of every
+// k-server branch.
+func naiveSpread(d *DistRelation, sizes []int, p int) ([]*relation.Relation, []int) {
+	frags, offset, recv := naiveBranches(d.Schema, sizes, p)
+	i := 0
+	for _, f := range d.Frags {
+		for j := 0; j < f.Len(); j++ {
+			for b, k := range sizes {
+				frags[offset[b]+i%k].Add(f.Row(j))
+				recv[offset[b]+i%k]++
+			}
+			i++
 		}
 	}
 	return frags, recv
@@ -290,12 +304,11 @@ func flatten(parts []*DistRelation) []*relation.Relation {
 }
 
 // exchangeCases returns the exchanges over a group of p servers.
-// Routes replicate, drop and (DistributeSpread) mix broadcast with
-// round-robin sends to both branches, so any cut of the input has
-// rotation state on either side of it. Spread's reference is
-// DistributeSpread's with every tuple picking every branch; its
-// branches have one server, three, and p+2 (more than some inputs
-// have tuples).
+// Routes replicate and drop; DistributeSpread drops and sends to both
+// branches, round-robin in one case and broadcast in the other, so any
+// cut of the input has rotation state on either side of it. Spread's
+// branches have one server, three, and p+2 (more than some inputs have
+// tuples).
 func exchangeCases(p int) []exchangeCase {
 	route := func(src int, t relation.Tuple) []int {
 		switch a, b := col(src, t, 0), col(src, t, 1); {
@@ -309,22 +322,20 @@ func exchangeCases(p int) []exchangeCase {
 	}
 	sizes := []int{2, 3}
 	spreadSizes := []int{1, 3, p + 2}
-	every := make([]BranchSend, len(spreadSizes))
-	for b := range every {
-		every[b] = BranchSend{Branch: b}
-	}
-	everyBranch := func(*relation.Relation, relation.Tuple) []BranchSend { return every }
-	pick := func(_ *relation.Relation, t relation.Tuple) []BranchSend {
-		switch a := col(0, t, 0); {
-		case a%5 == 0:
-			return []BranchSend{{Branch: 1, Broadcast: true}}
-		case a%2 == 0:
-			return []BranchSend{{Branch: 0}}
-		case a%7 == 0:
-			return nil
-		default:
-			return []BranchSend{{Branch: 0}, {Branch: 1}}
+	pick := func(t relation.Tuple) int {
+		if a := col(0, t, 0); a%7 != 6 {
+			return a % 2
 		}
+		return -1
+	}
+	distribute := func(name string, broadcast bool) exchangeCase {
+		return exchangeCase{name,
+			func(g *Group, d *DistRelation) []*relation.Relation {
+				return flatten(g.DistributeSpread(d, sizes, broadcast, pick))
+			},
+			func(d *DistRelation, p int) ([]*relation.Relation, []int) {
+				return naiveDistributeSpread(d, sizes, p, broadcast, pick)
+			}}
 	}
 	return []exchangeCase{
 		{"hash-partition",
@@ -337,19 +348,14 @@ func exchangeCases(p int) []exchangeCase {
 		{"route",
 			func(g *Group, d *DistRelation) []*relation.Relation { return g.Route(d, route).Frags },
 			func(d *DistRelation, p int) ([]*relation.Relation, []int) { return naiveRoute(d, p, route) }},
-		{"distribute-spread",
-			func(g *Group, d *DistRelation) []*relation.Relation {
-				return flatten(g.DistributeSpread(d, sizes, pick))
-			},
-			func(d *DistRelation, p int) ([]*relation.Relation, []int) {
-				return naiveDistributeSpread(d, sizes, p, pick)
-			}},
+		distribute("distribute-spread", false),
+		distribute("distribute-spread/broadcast", true),
 		{"spread",
 			func(g *Group, d *DistRelation) []*relation.Relation {
 				return flatten(g.Spread(d, spreadSizes))
 			},
 			func(d *DistRelation, p int) ([]*relation.Relation, []int) {
-				return naiveDistributeSpread(d, spreadSizes, p, everyBranch)
+				return naiveSpread(d, spreadSizes, p)
 			}},
 	}
 }

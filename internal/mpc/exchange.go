@@ -22,12 +22,12 @@ import "coverpack/internal/relation"
 // exchange's scratch (scratch.go).
 
 // router appends the destinations of one tuple, as ids in [0, nd) with
-// nd < 1<<31, to dst. c is the tuple's chunk, f the source fragment, src
-// its index, flat the tuple's index in the flattened input. A router
+// nd < 1<<31, to dst. c is the tuple's chunk, src the index of its
+// source fragment, flat its index in the flattened input. A router
 // validates what a caller handed it; the kernel trusts the ids. Routers
 // are values passed as type arguments: routing builds no function value.
 type router interface {
-	route(c *xchunk, dst []uint32, src int, f *relation.Relation, t relation.Tuple, flat int) []uint32
+	route(c *xchunk, dst []uint32, src int, t relation.Tuple, flat int) []uint32
 }
 
 // When a tuple may have any number of destinations, the last id of its
@@ -99,13 +99,12 @@ func exchange[R router](g *Group, x *xrun, d *DistRelation, nd int, single bool,
 func pass1[R router](x *xrun, d *DistRelation, r R, ci, nd int, single bool) {
 	chunk, c, arity := x.chunks[ci], &x.cs[ci], d.Schema.Len()
 	last := chunk[len(chunk)-1]
-	dst := sized(c.dst, last.base+last.hi-last.lo-chunk[0].base)[:0] // one id a tuple, or more
+	dst := c.ids(last.base + last.hi - last.lo - chunk[0].base) // one id a tuple, or more
 	for _, s := range chunk {
-		f := d.Frags[s.frag]
-		data := f.Data()
+		data := d.Frags[s.frag].Data()
 		for i := s.lo; i < s.hi; i++ {
 			before := len(dst)
-			dst = r.route(c, dst, s.frag, f, data[i*arity:(i+1)*arity:(i+1)*arity], s.base+i-s.lo)
+			dst = r.route(c, dst, s.frag, data[i*arity:(i+1)*arity:(i+1)*arity], s.base+i-s.lo)
 			if single {
 				continue
 			}
@@ -317,6 +316,6 @@ func fillRotate(blob, data []relation.Value, rows int, first []int, q, s, arity 
 // roundRobin routes flattened tuple i to destination i mod k.
 type roundRobin int
 
-func (k roundRobin) route(_ *xchunk, dst []uint32, _ int, _ *relation.Relation, _ relation.Tuple, flat int) []uint32 {
+func (k roundRobin) route(_ *xchunk, dst []uint32, _ int, _ relation.Tuple, flat int) []uint32 {
 	return append(dst, uint32(flat%int(k)))
 }

@@ -57,10 +57,11 @@ func FuzzExchangeChunking(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{0xff}, uint8(1), uint8(4), uint8(3), uint8(1))
 	f.Add([]byte{0, 0, 255, 255, 7, 7, 9, 9, 42, 42}, []byte{0x12}, uint8(16), uint8(7), uint8(5), uint8(1))
 	f.Add([]byte{200, 1, 200, 2, 200, 3}, []byte{0}, uint8(5), uint8(1), uint8(0x80), uint8(1))
-	// Round-robin sends to both DistributeSpread branches on either side
-	// of every cut: two cuts inside the only fragment, then one chunk per
-	// tuple over two fragments.
-	rr := []byte{1, 0, 3, 0, 9, 0, 11, 0, 13, 0, 17, 0}
+	// DistributeSpread picks that alternate between the two branches,
+	// one a tuple, with one drop, so each branch's rotation runs on
+	// either side of every cut: two cuts inside the only fragment, then
+	// one chunk per tuple over two fragments.
+	rr := []byte{1, 0, 2, 0, 3, 0, 4, 0, 6, 0, 7, 0}
 	f.Add(rr, []byte{0x0a}, uint8(4), uint8(3), uint8(0), uint8(1))
 	f.Add(rr, []byte{}, uint8(4), uint8(1), uint8(0x81), uint8(1))
 	// The other arities: 1, 3 and 4 have their own fill loops, 5 takes

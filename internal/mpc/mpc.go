@@ -360,7 +360,7 @@ func (d *DistRelation) PartitionedOn(attrs []int) bool {
 // NewDist allocates an empty distributed relation for a group of the
 // given size.
 func NewDist(schema relation.Schema, size int) *DistRelation {
-	return &DistRelation{Schema: schema, Frags: relation.NewSlab(schema, size, 0)}
+	return &DistRelation{Schema: schema, Frags: relation.NewSlab(schema, size)}
 }
 
 // Len returns the total tuple count across fragments.
@@ -429,7 +429,7 @@ type dedupRoute struct {
 	size  int
 }
 
-func (r dedupRoute) route(c *xchunk, dst []uint32, _ int, _ *relation.Relation, _ relation.Tuple, flat int) []uint32 {
+func (r dedupRoute) route(c *xchunk, dst []uint32, _ int, _ relation.Tuple, flat int) []uint32 {
 	if c.k < len(r.first) && int(r.first[c.k]) == flat {
 		dst = append(dst, uint32(c.k%r.size))
 		c.k++
@@ -471,7 +471,7 @@ type hashRoute struct {
 	k   uint64
 }
 
-func (r hashRoute) route(_ *xchunk, dst []uint32, _ int, _ *relation.Relation, t relation.Tuple, _ int) []uint32 {
+func (r hashRoute) route(_ *xchunk, dst []uint32, _ int, t relation.Tuple, _ int) []uint32 {
 	return append(dst, uint32(hashtab.Hash(t, r.pos)%r.k))
 }
 
@@ -555,7 +555,7 @@ type bufRoute struct {
 	k  int
 }
 
-func (r bufRoute) route(c *xchunk, dst []uint32, src int, _ *relation.Relation, t relation.Tuple, _ int) []uint32 {
+func (r bufRoute) route(c *xchunk, dst []uint32, src int, t relation.Tuple, _ int) []uint32 {
 	c.buf = r.fn(src, t, c.buf)
 	for _, dest := range c.buf {
 		if dest < 0 || dest >= r.k {
@@ -707,41 +707,41 @@ func checkBranch(b, nb int) {
 	}
 }
 
-// BranchSend addresses one delivery of a DistributeSpread exchange at
-// the branch level: the tuple goes to branch Branch, either replicated
-// to every branch server (Broadcast) or to the next server in the
-// branch's round-robin rotation.
-type BranchSend struct {
-	Branch    int
-	Broadcast bool
-}
-
 // DistributeSpread reshapes a distributed relation into per-branch
 // relations in a single exchange, charged to g with per-destination
-// loads; sizes gives each branch's server count. Server selection is
-// owned by the engine: pick returns, per tuple, the branches that must
-// receive it (none drops it, several replicate it) and whether delivery
-// is broadcast or round-robin. The round-robin
-// rotation advances per branch in flattened (fragment-major) input
-// order, whatever the worker count — this is the home for the "spread
-// a branch's share evenly over its servers" pattern that would
-// otherwise need a stateful (and on several workers, racy and
-// order-dependent) route closure. It serves data-dependent picks; a
-// relation copied round-robin to every branch goes through Spread,
-// which delivers the same without routing.
+// loads; sizes gives each branch's server count. pick returns, per
+// tuple, the one branch that receives it, or −1 to drop it. With
+// broadcast the tuple is replicated to every server of its branch;
+// otherwise it goes to the next server of the branch's round-robin
+// rotation, which advances in flattened (fragment-major) input order,
+// whatever the worker count — the home for the "spread a branch's share
+// evenly over its servers" pattern that would otherwise need a stateful
+// (and on several workers, racy and order-dependent) route closure. It
+// serves data-dependent picks; a relation copied round-robin to every
+// branch goes through Spread, which delivers that without routing.
 //
 // pick must be pure: deterministic, safe for concurrent calls, and
-// indifferent to how many times it is invoked per tuple (an exchange
-// cut into several chunks calls it twice — once to count rotations,
-// once to assign).
-func (g *Group) DistributeSpread(d *DistRelation, sizes []int, pick func(src *relation.Relation, t relation.Tuple) []BranchSend) []*DistRelation {
+// indifferent to how many times it is invoked per tuple (a round-robin
+// exchange cut into several chunks calls it twice — once to count
+// rotations, once to assign).
+func (g *Group) DistributeSpread(d *DistRelation, sizes []int, broadcast bool, pick func(relation.Tuple) int) []*DistRelation {
 	x := g.scratch(d)
 	total := x.branchOffsets(sizes)
-	nb, chunks := len(sizes), x.chunks
-	// rot[ci*nb+b] is branch b's rotation when chunk ci starts: the
-	// round-robin sends to b ahead of the chunk in flattened order. One
-	// chunk starts at zero; several need a counting pass over all but
-	// the last, each leaving its count in the slot of the chunk after it.
+	if !broadcast {
+		x.rotations(g, d, len(sizes), pick)
+	}
+	frags := exchange(g, x, d, total, false, spreadRoute{pick, sizes, x.offs, broadcast})
+	g.charge(trace.OpDistribute, x)
+	return branchSlab(d.Schema, frags, sizes)
+}
+
+// rotations gives every chunk of x its branches' round-robin rotations
+// at its start (c.rr): the sends to each of the nb branches ahead of the
+// chunk in flattened order. One chunk starts at zero; several need a
+// counting pass over all but the last, each leaving its count in the
+// slot of the chunk after it.
+func (x *xrun) rotations(g *Group, d *DistRelation, nb int, pick func(relation.Tuple) int) {
+	chunks := x.chunks
 	rot := zeroed(x.rot, len(chunks)*nb)
 	x.rot = rot
 	if len(chunks) > 1 {
@@ -750,11 +750,9 @@ func (g *Group) DistributeSpread(d *DistRelation, sizes []int, pick func(src *re
 			for _, r := range chunks[ci] {
 				f := d.Frags[r.frag]
 				for i := r.lo; i < r.hi; i++ {
-					for _, s := range pick(f, f.Row(i)) {
-						checkBranch(s.Branch, nb)
-						if !s.Broadcast {
-							cnt[s.Branch]++
-						}
+					if b := pick(f.Row(i)); b != -1 {
+						checkBranch(b, nb)
+						cnt[b]++
 					}
 				}
 			}
@@ -766,43 +764,43 @@ func (g *Group) DistributeSpread(d *DistRelation, sizes []int, pick func(src *re
 	for ci := range chunks {
 		x.cs[ci].rr = rot[ci*nb : (ci+1)*nb]
 	}
-	frags := exchange(g, x, d, total, false, spreadRoute{pick, sizes, x.offs})
-	g.charge(trace.OpDistribute, x)
-	return branchSlab(d.Schema, frags, sizes)
 }
 
-// spreadRoute sends a tuple to every server of a broadcast branch and to
-// the next one in the chunk's rotation (c.rr) of a round-robin branch.
+// spreadRoute sends a tuple to every server of its branch under
+// broadcast, and otherwise to the next one in the chunk's rotation
+// (c.rr) of the branch.
 type spreadRoute struct {
-	fn          func(src *relation.Relation, t relation.Tuple) []BranchSend
+	pick        func(relation.Tuple) int
 	sizes, offs []int
+	broadcast   bool
 }
 
-func (r spreadRoute) route(c *xchunk, dst []uint32, _ int, f *relation.Relation, t relation.Tuple, _ int) []uint32 {
-	for _, s := range r.fn(f, t) {
-		checkBranch(s.Branch, len(r.sizes))
-		first, k := r.offs[s.Branch], r.sizes[s.Branch]
-		if s.Broadcast {
-			for srv := 0; srv < k; srv++ {
-				dst = append(dst, uint32(first+srv))
-			}
-			continue
-		}
-		dst = append(dst, uint32(first+c.rr[s.Branch]%k))
-		c.rr[s.Branch]++
+func (r spreadRoute) route(c *xchunk, dst []uint32, _ int, t relation.Tuple, _ int) []uint32 {
+	b := r.pick(t)
+	if b == -1 {
+		return dst
 	}
+	checkBranch(b, len(r.sizes))
+	first, k := r.offs[b], r.sizes[b]
+	if r.broadcast {
+		for srv := range k {
+			dst = append(dst, uint32(first+srv))
+		}
+		return dst
+	}
+	dst = append(dst, uint32(first+c.rr[b]%k))
+	c.rr[b]++
 	return dst
 }
 
 // Spread copies d to every branch in a single exchange, charged to g
 // with per-destination loads like DistributeSpread: flattened tuple i
-// goes to server i mod sizes[b] of every branch b. It delivers exactly
-// what DistributeSpread delivers when pick sends every tuple
-// round-robin to every branch, but nothing is routed: branch b's
-// rotation at tuple i is i, so server s of a k-server branch receives
-// n/k tuples, one more when s < n mod k, and tuple i is row i/k of
-// server i mod k — the fill computes every row's place from its index
-// (spreadFill).
+// goes to server i mod sizes[b] of every branch b — what a round-robin
+// DistributeSpread into branch b alone would deliver there, for every
+// branch at once. Nothing is routed: branch b's rotation at tuple i is
+// i, so server s of a k-server branch receives n/k tuples, one more
+// when s < n mod k, and tuple i is row i/k of server i mod k — the fill
+// computes every row's place from its index (spreadFill).
 func (g *Group) Spread(d *DistRelation, sizes []int) []*DistRelation {
 	x := g.scratch(d)
 	total, n := x.branchOffsets(sizes), d.Len()

@@ -22,6 +22,7 @@
 package primitives
 
 import (
+	"cmp"
 	"slices"
 
 	"coverpack/internal/hashtab"
@@ -287,83 +288,120 @@ type PackResult struct {
 // half full; per-server next-fit relaxes that to all but p groups,
 // which keeps every server-count bound in Theorems 1–5 intact (see
 // DESIGN.md).
+//
+// The driver runs every server's next-fit, over its rows by ascending
+// value, into one pooled scratch arena; after the control round, one
+// Local step writes each server's (value, group) rows in that order.
 func Pack(g *mpc.Group, weights *mpc.DistRelation, valueAttr, weightAttr, groupAttr int, capacity int64) PackResult {
 	if capacity <= 0 {
 		panic("primitives: Pack capacity must be positive")
 	}
-	outSchema := relation.NewSchema(valueAttr, groupAttr)
-	binsPerServer := make([]int, len(weights.Frags))
-	// Pass 1: local next-fit to count bins per server.
-	type localAssign struct {
-		value relation.Value
-		bin   int
-	}
-	local := make([][]localAssign, len(weights.Frags))
-	for s, f := range weights.Frags {
-		// Deterministic order: visit rows by ascending value via an index
-		// permutation (values are distinct — one row per value — so an
-		// unstable sort cannot reorder ties).
-		vp := f.Schema().Pos(valueAttr)
-		wp := f.Schema().Pos(weightAttr)
-		perm := make([]int32, f.Len())
-		for i := range perm {
-			perm[i] = int32(i)
+	p, n := len(weights.Frags), weights.Len()
+	vp, wp, arity := weights.Schema.Pos(valueAttr), weights.Schema.Pos(weightAttr), weights.Schema.Len()
+	sc := relation.GetArena(2 * n)[:2*n]
+	offs := make([]int, 2*p+1)
+	s := packStep{vals: sc[:n], bin: sc[n:], base: offs[:p+1], first: offs[p+1:],
+		out: relation.NewSchema(valueAttr, groupAttr)}
+	s.vp, s.gp = s.out.Pos(valueAttr), s.out.Pos(groupAttr)
+	for i, f := range weights.Frags {
+		lo, hi := s.base[i], s.base[i]+f.Len()
+		s.base[i+1] = hi
+		// Values are distinct — one row per value — so an unstable sort
+		// of the row indices by value is deterministic.
+		order, data := s.vals[lo:hi], f.Data()
+		for r := range order {
+			order[r] = relation.Value(r)
 		}
-		slices.SortFunc(perm, func(a, b int32) int {
-			av, bv := f.Row(int(a))[vp], f.Row(int(b))[vp]
-			switch {
-			case av < bv:
-				return -1
-			case av > bv:
-				return 1
-			}
-			return 0
+		slices.SortFunc(order, func(a, b relation.Value) int {
+			return cmp.Compare(data[int(a)*arity+vp], data[int(b)*arity+vp])
 		})
-		bin, binLoad := 0, int64(0)
-		opened := false
-		for _, ri := range perm {
-			t := f.Row(int(ri))
-			w := t[wp]
+		bin, load := relation.Value(0), int64(0)
+		for r, ri := range order {
+			w := data[int(ri)*arity+wp]
 			if w > capacity {
 				panic("primitives: Pack weight exceeds capacity")
 			}
-			if !opened {
-				opened = true
-			} else if binLoad+w > capacity {
-				bin++
-				binLoad = 0
+			if r > 0 && load+w > capacity {
+				bin, load = bin+1, 0
 			}
-			binLoad += w
-			local[s] = append(local[s], localAssign{value: t[vp], bin: bin})
-		}
-		if opened {
-			binsPerServer[s] = bin + 1
+			load += w
+			s.bin[lo+r] = bin
+			order[r] = data[int(ri)*arity+vp] // the row's value replaces its index
 		}
 	}
-	// Control round: every server learns its global bin offset (one
+	// Control round: every server learns its first global group id (one
 	// integer per server).
-	control := make([]int, len(weights.Frags))
-	for i := range control {
-		control[i] = 1
+	for i := range s.first {
+		s.first[i] = 1
 	}
-	g.Span("pack", func() { g.ChargeControl(control) })
-	offsets := make([]int, len(weights.Frags))
+	g.Span("pack", func() { g.ChargeControl(s.first) })
 	total := 0
-	for s, b := range binsPerServer {
-		offsets[s] = total
-		total += b
-	}
-	assign := mpc.NewDist(outSchema, len(weights.Frags))
-	vp := outSchema.Pos(valueAttr)
-	gp := outSchema.Pos(groupAttr)
-	nt := make(relation.Tuple, 2)
-	for s, as := range local {
-		assign.Frags[s].Grow(len(as))
-		for _, a := range as {
-			nt[vp] = a.value
-			nt[gp] = int64(offsets[s] + a.bin)
-			assign.Frags[s].Add(nt)
+	for i := range s.first {
+		s.first[i] = total
+		if lo, hi := s.base[i], s.base[i+1]; hi > lo {
+			total += int(s.bin[hi-1]) + 1
 		}
 	}
+	assign := mpc.Local(g, weights, s)
+	relation.PutArena(sc)
 	return PackResult{Assign: assign, NumGroups: total}
+}
+
+// packStep is Pack's output step: server i's rows are its values
+// vals[base[i]:base[i+1]], ascending, each with group first[i] plus its
+// local bin; vp and gp are the output columns.
+type packStep struct {
+	vals, bin   []relation.Value
+	base, first []int
+	vp, gp      int
+	out         relation.Schema
+}
+
+func (s packStep) Schema() relation.Schema { return s.out }
+
+func (s packStep) Scratch(int, *relation.Relation) int { return 0 }
+
+func (s packStep) Count(_ int, in *relation.Relation, _ []relation.Value) int { return in.Len() }
+
+func (s packStep) Fill(i int, _ *relation.Relation, _, dst []relation.Value, rows int) {
+	lo := s.base[i]
+	for r := range rows {
+		dst[2*r+s.vp], dst[2*r+s.gp] = s.vals[lo+r], relation.Value(s.first[i])+s.bin[lo+r]
+	}
+}
+
+// Union concatenates distributed relations of one schema server by
+// server, in argument order, as one exact-size Local step: no
+// communication. A single relation is its own union.
+func Union(g *mpc.Group, ds []*mpc.DistRelation) *mpc.DistRelation {
+	if len(ds) == 1 {
+		return ds[0]
+	}
+	for _, d := range ds[1:] {
+		if !d.Schema.Equal(ds[0].Schema) || len(d.Frags) != len(ds[0].Frags) {
+			panic("primitives: Union of mismatched relations")
+		}
+	}
+	return mpc.Local(g, ds[0], unionStep(ds))
+}
+
+// unionStep is Union's step: fragment i of every part, in order.
+type unionStep []*mpc.DistRelation
+
+func (u unionStep) Schema() relation.Schema { return u[0].Schema }
+
+func (u unionStep) Scratch(int, *relation.Relation) int { return 0 }
+
+func (u unionStep) Count(i int, _ *relation.Relation, _ []relation.Value) int {
+	n := 0
+	for _, d := range u {
+		n += d.Frags[i].Len()
+	}
+	return n
+}
+
+func (u unionStep) Fill(i int, _ *relation.Relation, _, dst []relation.Value, _ int) {
+	for _, d := range u {
+		dst = dst[copy(dst, d.Frags[i].Data()):]
+	}
 }

@@ -169,6 +169,76 @@ func TestPack(t *testing.T) {
 	}
 }
 
+// TestPackMatchesNextFit: every server's rows come out by ascending
+// value, each with the next-fit bin it takes on its own server offset
+// by the bins of the servers before it — checked against a per-tuple
+// reference, over servers with no rows and a value order the input does
+// not have.
+func TestPackMatchesNextFit(t *testing.T) {
+	const capacity = 10
+	rng := rand.New(rand.NewSource(9))
+	d := &mpc.DistRelation{Schema: relation.NewSchema(0, wAttr)}
+	for s, n := range []int{7, 0, 1, 40, 0, 13} {
+		f := relation.New(d.Schema)
+		for _, v := range rng.Perm(n) {
+			f.AddValues(int64(100*s+v), rng.Int63n(capacity)+1)
+		}
+		d.Frags = append(d.Frags, f)
+	}
+	res := Pack(mpc.NewCluster(len(d.Frags)).Root(), d, 0, wAttr, gAttr, capacity)
+	first := 0
+	for s, f := range d.Frags {
+		rows := slices.Clone(f.Tuples())
+		slices.SortFunc(rows, func(a, b relation.Tuple) int { return int(a[0] - b[0]) })
+		want := relation.New(relation.NewSchema(0, gAttr))
+		bin, load := first, int64(0)
+		for i, r := range rows {
+			if i > 0 && load+r[1] > capacity {
+				bin, load = bin+1, 0
+			}
+			load += r[1]
+			want.AddValues(r[0], int64(bin))
+		}
+		if len(rows) > 0 {
+			first = bin + 1
+		}
+		got := res.Assign.Frags[s]
+		if !got.Schema().Equal(want.Schema()) || !slices.Equal(got.Data(), want.Data()) {
+			t.Fatalf("server %d: Pack rows %v, want %v", s, got.Tuples(), want.Tuples())
+		}
+	}
+	if res.NumGroups != first {
+		t.Fatalf("NumGroups = %d, want %d", res.NumGroups, first)
+	}
+}
+
+// TestUnion: fragment i of a union is fragment i of every part, in
+// order; one part is its own union, and mismatched parts panic.
+func TestUnion(t *testing.T) {
+	g := mpc.NewCluster(3).Root()
+	rng := rand.New(rand.NewSource(4))
+	a, b := fragmented(rng, []int{5, 0, 2}, 9), fragmented(rng, []int{0, 3, 4}, 9)
+	u := Union(g, []*mpc.DistRelation{a, b, a})
+	for i, f := range u.Frags {
+		want := slices.Concat(a.Frags[i].Data(), b.Frags[i].Data(), a.Frags[i].Data())
+		if f.Len() != 2*a.Frags[i].Len()+b.Frags[i].Len() || !slices.Equal(f.Data(), want) {
+			t.Fatalf("fragment %d: %v, want rows %v", i, f.Tuples(), want)
+		}
+	}
+	if Union(g, []*mpc.DistRelation{a}) != a {
+		t.Fatal("a one-part union is not its part")
+	}
+	if st := g.Stats(); st.Rounds != 0 || st.TotalUnits != 0 {
+		t.Fatalf("Union charged %v", st)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a union of different schemas should panic")
+		}
+	}()
+	Union(g, []*mpc.DistRelation{a, mpc.NewDist(relation.NewSchema(0), 3)})
+}
+
 func TestPackPanics(t *testing.T) {
 	c := mpc.NewCluster(1)
 	g := c.Root()

@@ -252,7 +252,10 @@ func TestCounterLargeRelations(t *testing.T) {
 			for e := range in.Relations {
 				r := in.Relations[e].Dedup()
 				if withDup {
-					r.Append(r.Clone())
+					c := r.Clone()
+					for i := range c.Len() {
+						r.Add(c.Row(i))
+					}
 				}
 				in.Relations[e] = r
 			}

@@ -13,7 +13,7 @@ import "coverpack/internal/hashtab"
 // keyed operator on the same key.
 //
 // The one thing a relation keeps is Dedup's first-row list, dropped by
-// every mutator (Add, AddValues, Append, Sort, SortBy). The inputs of a
+// every mutator (Add, AddValues, Sort, SortBy). The inputs of a
 // run are deduplicated as they are scattered (mpc.Group.ScatterDedup),
 // and an input that outlives runs is then listed once, however many
 // runs scatter it. The list is published through an atomic pointer, so

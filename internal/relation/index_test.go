@@ -31,15 +31,12 @@ func TestIndexReusedUntilInvalidated(t *testing.T) {
 	}
 	// Every mutator drops the retained list; the next list is fresh and
 	// lists the mutated content.
-	other := New(NewSchema(0, 1))
-	other.AddValues(98, 98)
 	for _, m := range []struct {
 		name   string
 		mutate func()
 	}{
 		{"Add", func() { r.Add(Tuple{99, 99}) }},
 		{"AddValues", func() { r.AddValues(97, 97) }},
-		{"Append", func() { r.Append(other) }},
 		{"SortBy", func() { r.SortBy([]int{1}) }},
 		{"Sort", func() { r.Sort() }},
 	} {

@@ -113,7 +113,9 @@ func TestMergeRunsParMatchesMergeRuns(t *testing.T) {
 				}
 				run.SortBy(pos)
 				runLens[i] = run.Len()
-				r.Append(run)
+				for j := range run.Len() {
+					r.Add(run.Row(j))
+				}
 			}
 			if !sameRel(t, "sorted runs", sortRuns(r, pos), refMergeRuns(r, runLens, pos)) {
 				return false

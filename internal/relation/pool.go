@@ -51,8 +51,9 @@ func PutArena(a []Value) { arenas.Put(a) }
 // pooled blob, relation i holding exactly counts[i] rows at value
 // offset arity·Σcounts[:i]. The rows are stale until the caller has
 // written every one of them through the returned blob — the scatter
-// pass of a count-then-scatter exchange. Arena slices are capped at
-// their region, so a relation that later grows reallocates on its own.
+// pass of a count-then-scatter exchange; the engine never writes them
+// again. Arena slices are capped at their region, so an Add to one
+// reallocates it rather than write into its neighbour.
 // The sub-slices share the single blob, so only the returned blob —
 // never an individual relation's arena — may be recycled with PutArena,
 // once every relation in the slab is dead.

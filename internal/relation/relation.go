@@ -15,7 +15,7 @@
 // handed out by Row and Tuples are views into that arena — cheap slice
 // headers, not per-row heap objects. Views are invalidated by any
 // mutation that can reallocate or reorder the arena (Add, AddValues,
-// Append, Grow past capacity, Sort, SortBy): callers must not hold a
+// Grow past capacity, Sort, SortBy): callers must not hold a
 // view across such a call on the same relation. Reading one relation
 // while appending to a different one is always safe. See DESIGN.md,
 // "Storage layout and hashing".
@@ -179,29 +179,13 @@ func New(schema Schema) *Relation {
 	return &Relation{schema: schema, arity: schema.Len()}
 }
 
-// NewSlab returns n empty relations over schema backed by shared
-// allocations: one slab of Relation structs, and (when perHint > 0)
-// one arena block pre-partitioned so each relation holds perHint rows
-// before its first growth. The per-relation arena slices are capacity-
-// capped at their partition, so a relation that outgrows its hint
-// reallocates independently and can never write into a neighbor's
-// region. This is the constructor for exchange fan-outs, where the
-// per-destination `make` calls otherwise dominate the allocation
-// profile.
-func NewSlab(schema Schema, n, perHint int) []*Relation {
-	arity := schema.Len()
+// NewSlab returns n empty relations over schema in one slab of
+// Relation structs: the empty fragments of a distributed relation.
+func NewSlab(schema Schema, n int) []*Relation {
 	slab := make([]Relation, n)
 	out := make([]*Relation, n)
-	var blob []Value
-	if perHint > 0 && arity > 0 {
-		blob = make([]Value, n*perHint*arity)
-	}
 	for i := range slab {
-		slab[i] = Relation{schema: schema, arity: arity}
-		if blob != nil {
-			lo := i * perHint * arity
-			slab[i].data = blob[lo : lo : lo+perHint*arity]
-		}
+		slab[i] = Relation{schema: schema, arity: schema.Len()}
 		out[i] = &slab[i]
 	}
 	return out
@@ -250,16 +234,6 @@ func (r *Relation) Add(t Tuple) {
 
 // AddValues appends a tuple given values in schema order.
 func (r *Relation) AddValues(vals ...Value) { r.Add(Tuple(vals)) }
-
-// Append bulk-appends tuples from another relation with an equal schema.
-func (r *Relation) Append(o *Relation) {
-	if !r.schema.Equal(o.schema) {
-		panic("relation: Append schema mismatch")
-	}
-	r.invalidate()
-	r.data = append(r.data, o.data...)
-	r.rows += o.rows
-}
 
 // Clone returns a deep copy (one arena allocation).
 func (r *Relation) Clone() *Relation {

@@ -57,10 +57,6 @@ func TestRelationBasics(t *testing.T) {
 	if r.Equal(o) {
 		t.Fatal("Equal wrong on different sizes")
 	}
-	r.Append(c)
-	if r.Len() != 5 {
-		t.Fatalf("Append len = %d", r.Len())
-	}
 	if s := r.String(); s == "" {
 		t.Fatal("String empty")
 	}
@@ -70,7 +66,6 @@ func TestArityPanics(t *testing.T) {
 	r := New(NewSchema(0, 1))
 	for name, f := range map[string]func(){
 		"Add":      func() { r.Add(Tuple{1}) },
-		"Append":   func() { r.Append(New(NewSchema(0))) },
 		"Get":      func() { r.AddValues(1, 2); r.Get(r.Tuples()[0], 7) },
 		"Project":  func() { r.Project(9) },
 		"SelectEq": func() { r.SelectEq(9, 0) },

@@ -202,7 +202,6 @@ func TestFragmentsAreIsolatedViews(t *testing.T) {
 		name string
 		fn   func(f *Relation)
 	}{
-		{"Append", func(f *Relation) { f.Append(r) }},
 		{"Add", func(f *Relation) { f.AddValues(-1, -1) }},
 		{"SortBy", func(f *Relation) { f.SortBy([]int{1}) }},
 	} {

@@ -394,16 +394,6 @@ func ProvableHard(q *hypergraph.Query, w *fractional.Witness, n int, seed uint64
 	return in
 }
 
-// ProvableHardNamed computes the witness and builds the hard instance in
-// one call; it panics if the query is not edge-packing-provable.
-func ProvableHardNamed(q *hypergraph.Query, n int, seed uint64) *relation.Instance {
-	w, err := fractional.EdgePackingProvable(q)
-	if err != nil {
-		panic(err)
-	}
-	return ProvableHard(q, w, n, seed)
-}
-
 // StarDualHard builds the instance exhibiting the one-round vs
 // multi-round gap for the star-dual join (Section 1.3): R0 holds n
 // tuples over the m hub attributes with every coordinate distinct per
