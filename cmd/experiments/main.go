@@ -35,7 +35,6 @@ func run() (status int) {
 	traceFormat := flag.String("trace-format", "chrome", "trace rendering: jsonl, chrome, or heatmap")
 	workers := flag.Int("workers", 0, "goroutine workers INSIDE one simulated run (0 = GOMAXPROCS, 1 = sequential); independent of -parallel — the two multiply; tables are identical for every setting")
 	parallel := flag.Int("parallel", 1, "run-level sweep workers: how many experiment cells (independent simulator runs) execute concurrently (0 = GOMAXPROCS); tables are identical for every setting")
-	memBudget := flag.Int64("membudget", 0, "admission budget in total tuples resident across in-flight cells (0 = default, negative = unlimited)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /metrics.json and /debug/pprof on this address (e.g. 127.0.0.1:9190; \":0\" picks a free port)")
@@ -63,7 +62,7 @@ func run() (status int) {
 		fmt.Fprintf(os.Stderr, "experiments: warning: -workers(%d) × -parallel(%d) = %d goroutines exceeds %d CPUs; oversubscription adds scheduling overhead without extra speedup\n",
 			nw, np, product, runtime.NumCPU())
 	}
-	cfg := experiments.Config{Small: *small, Workers: nw, RunWorkers: np, MemBudget: *memBudget}
+	cfg := experiments.Config{Small: *small, Workers: nw, RunWorkers: np}
 
 	// The trace flags are checked, and the file created, before the sweep.
 	tf, err := coverpack.ParseTraceFormat(*traceFormat)

@@ -202,24 +202,19 @@ func run() (status int) {
 // recorder, if any, is attached to the first repetition only.
 func runRepeated(alg coverpack.Algorithm, in *coverpack.Instance, p, reps int, eo coverpack.ExecOptions) (*coverpack.Report, error) {
 	out := make([]*coverpack.Report, reps)
-	cells := make([]sched.Cell, reps)
+	cells := make([]func() error, reps)
 	for i := range cells {
-		i := i
 		ceo := eo
 		if i != 0 {
 			ceo.Recorder = nil
 		}
-		cells[i] = sched.Cell{
-			Key:  fmt.Sprintf("rep%d", i),
-			Cost: int64(in.TotalTuples()),
-			Run: func() error {
-				rep, err := coverpack.ExecuteOpts(alg, in, p, ceo)
-				out[i] = rep
-				return err
-			},
+		cells[i] = func() error {
+			rep, err := coverpack.ExecuteOpts(alg, in, p, ceo)
+			out[i] = rep
+			return err
 		}
 	}
-	if _, err := sched.Run(cells, sched.Options{Workers: reps}); err != nil {
+	if err := sched.Run(cells, reps); err != nil {
 		return nil, err
 	}
 	for i := 1; i < reps; i++ {

@@ -4,14 +4,14 @@
 // function returns printable tables so that cmd/experiments, the
 // benchmark suite and the tests share one implementation.
 //
-// Every measured experiment is decomposed into independent sched.Cells
-// — one simulator run (or one lower-bound inversion) each — executed by
-// the run-level sweep scheduler. Cells write into indexed result slots;
+// Every measured experiment is decomposed into independent cells — one
+// simulator run (or one lower-bound inversion) each — executed by the
+// run-level sweep scheduler. Cells write into indexed result slots;
 // tables are assembled from the slots only after the scheduler returns,
 // in the same order a sequential pass would produce. Instances are
 // built sequentially before scheduling and shared read-only by the
 // cells, so every table is byte-identical for every Config.RunWorkers
-// and Config.MemBudget setting (the difftest oracle pins this).
+// setting (the difftest oracle pins this).
 package experiments
 
 import (
@@ -52,17 +52,7 @@ type Config struct {
 	// Independent of Workers — the two multiply. Every table is
 	// byte-identical for every setting.
 	RunWorkers int
-	// MemBudget caps the summed working-set cost — total input tuples;
-	// big AGM instances count more — of concurrently admitted cells.
-	// 0 selects DefaultMemBudget; negative disables the gate.
-	MemBudget int64
 }
-
-// DefaultMemBudget is the admission-gate default: the summed input
-// tuples of concurrently running cells stays below this, so a sweep
-// over big AGM instances cannot multiply its resident footprint by the
-// worker count.
-const DefaultMemBudget = 4 << 20
 
 func (c Config) pick(small, big int) int {
 	if c.Small {
@@ -76,40 +66,18 @@ func (c Config) eo() coverpack.ExecOptions {
 	return coverpack.ExecOptions{Workers: c.Workers}
 }
 
-// schedOpts maps the config onto scheduler options.
-func (c Config) schedOpts() sched.Options {
-	b := c.MemBudget
-	switch {
-	case b == 0:
-		b = DefaultMemBudget
-	case b < 0:
-		b = 0
-	}
-	return sched.Options{Workers: c.RunWorkers, Budget: b}
-}
-
-// runCells executes one experiment's cell list under the config's
-// scheduler settings.
-func runCells(cfg Config, cells []sched.Cell) error {
-	_, err := sched.Run(cells, cfg.schedOpts())
-	return err
-}
-
-// cellCost is the admission-gate weight of a cell running on in.
-func cellCost(in *coverpack.Instance) int64 { return int64(in.TotalTuples()) }
-
 // execCell builds the scheduler cell for one simulator run: alg on in
 // at p servers, report delivered through put (a caller-owned slot).
-func execCell(cfg Config, key string, alg coverpack.Algorithm, in *coverpack.Instance, p int, put func(*coverpack.Report)) sched.Cell {
+func execCell(cfg Config, alg coverpack.Algorithm, in *coverpack.Instance, p int, put func(*coverpack.Report)) func() error {
 	eo := cfg.eo()
-	return sched.Cell{Key: key, Cost: cellCost(in), Run: func() error {
+	return func() error {
 		rep, err := coverpack.ExecuteOpts(alg, in, p, eo)
 		if err != nil {
 			return err
 		}
 		put(rep)
 		return nil
-	}}
+	}
 }
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
@@ -151,19 +119,17 @@ func Table1(cfg Config) ([]Table, error) {
 	// One cell per (row, p): a single simulator run writing its report
 	// into a caller-owned slot.
 	reps := make([][]*coverpack.Report, len(rows))
-	var cells []sched.Cell
+	var cells []func() error
 	for ri := range rows {
 		reps[ri] = make([]*coverpack.Report, len(ps))
 		r := rows[ri]
 		for pi, p := range ps {
 			ri, pi := ri, pi
-			cells = append(cells, execCell(cfg,
-				fmt.Sprintf("table1/%s/%s/p%d", r.q.Name(), r.alg, p),
-				r.alg, r.in, p,
+			cells = append(cells, execCell(cfg, r.alg, r.in, p,
 				func(rep *coverpack.Report) { reps[ri][pi] = rep }))
 		}
 	}
-	if err := runCells(cfg, cells); err != nil {
+	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
 		return nil, err
 	}
 
@@ -231,15 +197,13 @@ func binaryJoinRows(cfg Config) (Table, error) {
 	in := mustAGMInst(q, n)
 	ps := []int{8, 27, 216}
 	loads := make([]int, len(ps))
-	cells := make([]sched.Cell, len(ps))
+	cells := make([]func() error, len(ps))
 	for pi, p := range ps {
 		pi := pi
-		cells[pi] = execCell(cfg,
-			fmt.Sprintf("table1/triangle-agm/p%d", p),
-			coverpack.AlgTriangle, in, p,
+		cells[pi] = execCell(cfg, coverpack.AlgTriangle, in, p,
 			func(rep *coverpack.Report) { loads[pi] = rep.Stats.MaxLoad })
 	}
-	if err := runCells(cfg, cells); err != nil {
+	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -280,18 +244,14 @@ func lowerBoundRows(cfg Config) (Table, error) {
 	out := int64(in.Rel(0).Len()) * int64(in.Rel(1).Len())
 	ps := []int{8, 27, 64, 216}
 	results := make([]lowerbound.MinLoadResult, len(ps))
-	cells := make([]sched.Cell, len(ps))
+	cells := make([]func() error, len(ps))
 	for pi, p := range ps {
-		cells[pi] = sched.Cell{
-			Key:  fmt.Sprintf("table1/lowerbound-square/p%d", p),
-			Cost: cellCost(in),
-			Run: func() error {
-				results[pi] = lowerbound.MinLoad(a, in, p, out)
-				return nil
-			},
+		cells[pi] = func() error {
+			results[pi] = lowerbound.MinLoad(a, in, p, out)
+			return nil
 		}
 	}
-	if err := runCells(cfg, cells); err != nil {
+	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -405,19 +365,17 @@ func Figure4(cfg Config) (Table, error) {
 	ps := []int{4, 16}
 	type pair struct{ cons, opt *coverpack.Report }
 	res := make([]pair, len(ps))
-	var cells []sched.Cell
+	var cells []func() error
 	for pi, p := range ps {
 		pi := pi
 		cells = append(cells,
-			execCell(cfg, fmt.Sprintf("figure4/conservative/p%d", p),
-				coverpack.AlgAcyclicConservative, in, p,
+			execCell(cfg, coverpack.AlgAcyclicConservative, in, p,
 				func(r *coverpack.Report) { res[pi].cons = r }),
-			execCell(cfg, fmt.Sprintf("figure4/optimal/p%d", p),
-				coverpack.AlgAcyclicOptimal, in, p,
+			execCell(cfg, coverpack.AlgAcyclicOptimal, in, p,
 				func(r *coverpack.Report) { res[pi].opt = r }),
 		)
 	}
-	if err := runCells(cfg, cells); err != nil {
+	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -482,19 +440,17 @@ func Figure6(cfg Config) (Table, error) {
 	ps := []int{4, 16, 64}
 	type pair struct{ opt, hc *coverpack.Report }
 	res := make([]pair, len(ps))
-	var cells []sched.Cell
+	var cells []func() error
 	for pi, p := range ps {
 		pi := pi
 		cells = append(cells,
-			execCell(cfg, fmt.Sprintf("figure6/optimal/p%d", p),
-				coverpack.AlgAcyclicOptimal, in, p,
+			execCell(cfg, coverpack.AlgAcyclicOptimal, in, p,
 				func(r *coverpack.Report) { res[pi].opt = r }),
-			execCell(cfg, fmt.Sprintf("figure6/hypercube/p%d", p),
-				coverpack.AlgHyperCube, in, p,
+			execCell(cfg, coverpack.AlgHyperCube, in, p,
 				func(r *coverpack.Report) { res[pi].hc = r }),
 		)
 	}
-	if err := runCells(cfg, cells); err != nil {
+	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -528,7 +484,7 @@ func Figure7(cfg Config) (Table, error) {
 		r lowerbound.MinLoadResult
 	}
 	slots := make([]slot, len(cases))
-	cells := make([]sched.Cell, len(cases))
+	cells := make([]func() error, len(cases))
 	for ci, c := range cases {
 		q := hypergraph.SpokeJoin(c.k)
 		a, err := lowerbound.Analyze(q)
@@ -538,16 +494,12 @@ func Figure7(cfg Config) (Table, error) {
 		in := workload.ProvableHard(q, a.Witness, c.n, 11)
 		out := int64(in.Rel(0).Len()) * int64(in.Rel(1).Len())
 		slots[ci].a = a
-		cells[ci] = sched.Cell{
-			Key:  fmt.Sprintf("figure7/%s/p%d", q.Name(), p),
-			Cost: cellCost(in),
-			Run: func() error {
-				slots[ci].r = lowerbound.MinLoad(a, in, p, out)
-				return nil
-			},
+		cells[ci] = func() error {
+			slots[ci].r = lowerbound.MinLoad(a, in, p, out)
+			return nil
 		}
 	}
-	if err := runCells(cfg, cells); err != nil {
+	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -579,22 +531,20 @@ func Section13(cfg Config) (Table, error) {
 	ps := []int{16, 64}
 	type pair struct{ one, multi *coverpack.Report }
 	res := make([][]pair, len(tcs))
-	var cells []sched.Cell
+	var cells []func() error
 	for ti, tc := range tcs {
 		res[ti] = make([]pair, len(ps))
 		for pi, p := range ps {
 			ti, pi := ti, pi
 			cells = append(cells,
-				execCell(cfg, fmt.Sprintf("section13/%s/one-round/p%d", tc.q.Name(), p),
-					coverpack.AlgSkewAware, tc.in, p,
+				execCell(cfg, coverpack.AlgSkewAware, tc.in, p,
 					func(r *coverpack.Report) { res[ti][pi].one = r }),
-				execCell(cfg, fmt.Sprintf("section13/%s/multi-round/p%d", tc.q.Name(), p),
-					coverpack.AlgAcyclicOptimal, tc.in, p,
+				execCell(cfg, coverpack.AlgAcyclicOptimal, tc.in, p,
 					func(r *coverpack.Report) { res[ti][pi].multi = r }),
 			)
 		}
 	}
-	if err := runCells(cfg, cells); err != nil {
+	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -634,15 +584,13 @@ func EMCorollary(cfg Config) (Table, error) {
 	}
 	ps := []int{4, 16, 64}
 	reps := make([]*coverpack.Report, len(ps))
-	cells := make([]sched.Cell, len(ps))
+	cells := make([]func() error, len(ps))
 	for pi, p := range ps {
 		pi := pi
-		cells[pi] = execCell(cfg,
-			fmt.Sprintf("em/line3-agm/p%d", p),
-			coverpack.AlgAcyclicOptimal, in, p,
+		cells[pi] = execCell(cfg, coverpack.AlgAcyclicOptimal, in, p,
 			func(rep *coverpack.Report) { reps[pi] = rep })
 	}
-	if err := runCells(cfg, cells); err != nil {
+	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
 		return Table{}, err
 	}
 	profile := em.LoadProfile{N: in.N(), Points: make(map[int]int, len(ps))}
@@ -694,21 +642,19 @@ func AblationSkew(cfg Config) (Table, error) {
 	}
 	loads := make([][3]int, len(ss))
 	emitted := make([][3]int64, len(ss))
-	var cells []sched.Cell
+	var cells []func() error
 	for si := range ss {
 		in := ins[si]
 		for ai, alg := range algs {
 			si, ai := si, ai
-			cells = append(cells, execCell(cfg,
-				fmt.Sprintf("ablation-skew/s%.1f/%s", ss[si], alg),
-				alg, in, p,
+			cells = append(cells, execCell(cfg, alg, in, p,
 				func(rep *coverpack.Report) {
 					loads[si][ai] = rep.Stats.MaxLoad
 					emitted[si][ai] = rep.Emitted
 				}))
 		}
 	}
-	if err := runCells(cfg, cells); err != nil {
+	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -748,28 +694,24 @@ func AblationThreshold(cfg Config) (Table, error) {
 		st mpc.Stats
 	}
 	slots := make([]slot, len(muls))
-	cells := make([]sched.Cell, len(muls))
+	cells := make([]func() error, len(muls))
 	for mi, mul := range muls {
 		l := base * mul.num / mul.den
 		if l < 1 {
 			l = 1
 		}
 		slots[mi].l = l
-		cells[mi] = sched.Cell{
-			Key:  fmt.Sprintf("ablation-threshold/L%s", mul.label),
-			Cost: cellCost(in),
-			Run: func() error {
-				c := mpcCluster(cfg, p)
-				defer c.Release()
-				if _, err := core.Run(c.Root(), in, core.Options{Strategy: core.PathOptimal, L: l}); err != nil {
-					return err
-				}
-				slots[mi].st = c.Stats()
-				return nil
-			},
+		cells[mi] = func() error {
+			c := mpcCluster(cfg, p)
+			defer c.Release()
+			if _, err := core.Run(c.Root(), in, core.Options{Strategy: core.PathOptimal, L: l}); err != nil {
+				return err
+			}
+			slots[mi].st = c.Stats()
+			return nil
 		}
 	}
-	if err := runCells(cfg, cells); err != nil {
+	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
 		return Table{}, err
 	}
 	t := Table{

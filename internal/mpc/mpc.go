@@ -331,30 +331,32 @@ type DistRelation struct {
 	Schema relation.Schema
 	Frags  []*relation.Relation
 
-	// part, when non-nil, records that the fragments are the output of a
-	// HashPartition on these attributes over a group of len(Frags)
+	// part, when non-empty, records that the fragments are the output of
+	// a HashPartition on these attributes over a group of len(Frags)
 	// servers: every tuple of Frags[i] hashes to i. HashPartition uses it
 	// to elide re-partitioning on the same key entirely (the identity
 	// path of HashPartition). The mark describes fragment placement,
 	// not content, so Local and other per-fragment transforms must not
 	// propagate it unless placement is preserved; algorithm layers
-	// propagate it explicitly via MarkPartitioned.
+	// propagate it explicitly via MarkPartitioned. It is the caller's
+	// key slice, not a copy.
 	part []int
 }
 
 // MarkPartitioned records that d's fragments are hash-partitioned on
 // attrs (tuple t lives on server hashtab.Hash(t, pos) mod len(Frags)).
 // Callers assert placement they have established — e.g. a per-server
-// filter of an already-partitioned relation preserves it.
+// filter of an already-partitioned relation preserves it. d keeps attrs
+// itself, so the caller must not modify it after the call.
 func (d *DistRelation) MarkPartitioned(attrs []int) {
-	d.part = append([]int(nil), attrs...)
+	d.part = attrs
 }
 
 // PartitionedOn reports whether d is known to be hash-partitioned on
 // exactly these attributes (order-sensitive: the hash covers key columns
 // in the given order).
 func (d *DistRelation) PartitionedOn(attrs []int) bool {
-	return d.part != nil && slices.Equal(d.part, attrs)
+	return len(d.part) > 0 && slices.Equal(d.part, attrs)
 }
 
 // NewDist allocates an empty distributed relation for a group of the
@@ -444,8 +446,11 @@ func (r dedupRoute) route(c *xchunk, dst []uint32, _ int, _ relation.Tuple, flat
 // the identity: every tuple of fragment i hashes back to server i, in
 // fragment order. The output then shares d's fragments without hashing,
 // and the charge is each fragment's size — what hashing would compute.
+//
+// The output records attrs itself as its partitioning key, so the caller
+// must not modify attrs after the call.
 func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
-	out := &DistRelation{Schema: d.Schema, part: append([]int(nil), attrs...)}
+	out := &DistRelation{Schema: d.Schema, part: attrs}
 	var x *xrun
 	if len(d.Frags) == g.size && d.PartitionedOn(attrs) {
 		g.cluster.identity.Add(1)

@@ -259,36 +259,15 @@ func (r *Relation) Get(t Tuple, a int) Value {
 // This is the legacy keyed path: hot loops hash projections directly
 // with internal/hashtab, no string materialization. Routing uses
 // hashtab.Hash, the same FNV-64a over the same big-endian bytes, so Key
-// remains the wire/debug encoding and the reference the routing
-// equivalence tests compare hashtab.Hash against. The hash tables use
-// their own private hash, which Key has no counterpart for.
+// remains the reference the routing equivalence tests compare
+// hashtab.Hash against. The hash tables use their own private hash,
+// which Key has no counterpart for.
 func Key(t Tuple, positions []int) string {
 	buf := make([]byte, 8*len(positions))
 	for i, p := range positions {
 		binary.BigEndian.PutUint64(buf[8*i:], uint64(t[p]))
 	}
 	return string(buf)
-}
-
-// DecodeKey inverts Key: it unpacks an encoded key back into the
-// projected values. ok is false when the string is not a multiple of
-// the 8-byte value width (i.e. not a Key output). The empty key decodes
-// to an empty value list — the valid encoding of a 0-ary projection.
-func DecodeKey(key string) (vals []Value, ok bool) {
-	if len(key)%8 != 0 {
-		return nil, false
-	}
-	vals = make([]Value, len(key)/8)
-	for i := range vals {
-		// Big-endian decode by direct string indexing; converting each
-		// chunk through []byte(key[...]) would allocate per chunk.
-		var v uint64
-		for j := 0; j < 8; j++ {
-			v = v<<8 | uint64(key[8*i+j])
-		}
-		vals[i] = Value(v)
-	}
-	return vals, true
 }
 
 // Positions resolves the named attributes to tuple positions under this

@@ -285,16 +285,6 @@ func TestPositionsAndGrow(t *testing.T) {
 	}
 }
 
-func TestDecodeKeyRejectsBadLength(t *testing.T) {
-	if _, ok := DecodeKey("1234567"); ok {
-		t.Fatal("7-byte key should be rejected")
-	}
-	vals, ok := DecodeKey("")
-	if !ok || len(vals) != 0 {
-		t.Fatalf("empty key: ok=%v vals=%v", ok, vals)
-	}
-}
-
 // TestSchemaAllocs: a schema is its sorted attribute list and nothing
 // else, so building one and merging two are one allocation each.
 func TestSchemaAllocs(t *testing.T) {

@@ -6,31 +6,31 @@ import (
 	"coverpack/internal/metrics"
 )
 
-// Scheduler telemetry on the default registry. Observation-only: Stats
-// stays the artifact-facing record; these series are the live view of
-// the same events, so a scrape mid-sweep shows gate pressure and
-// budget occupancy as they happen.
+// Scheduler telemetry on the default registry, observation-only: a
+// scrape mid-sweep shows how many cells are running and how long they
+// take.
 var (
 	mSchedRuns = metrics.Default.NewCounter("coverpack_sched_runs_total",
 		"Sweep-scheduler Run invocations.")
 	mSchedCells = metrics.Default.NewCounter("coverpack_sched_cells_total",
 		"Experiment cells submitted to the sweep scheduler.")
-	mSchedGateWaits = metrics.Default.NewCounter("coverpack_sched_gate_waits_total",
-		"Cell admissions delayed by the memory-budget gate.")
 	mSchedRunning = metrics.Default.NewGauge("coverpack_sched_running_cells",
 		"Cells currently executing across all scheduler Runs.")
-	mSchedInflight = metrics.Default.NewGauge("coverpack_sched_inflight_cost",
-		"Summed admission-gate cost of currently executing cells.")
 	mSchedCellSeconds = metrics.Default.NewHistogram("coverpack_sched_cell_seconds",
 		"Wall-clock seconds per experiment cell.",
 		metrics.ExponentialBuckets(1e-4, 10, 8))
 )
 
-// cellTimer times one cell: nil when metrics are disabled.
-func cellTimer() func() {
+// runCell runs one cell under the running-cells gauge and, when metrics
+// are enabled, times it into the cell-seconds histogram.
+func runCell(cell func() error) error {
+	mSchedRunning.Add(1)
+	defer mSchedRunning.Add(-1)
 	if !metrics.Enabled() {
-		return nil
+		return cell()
 	}
 	start := time.Now()
-	return func() { mSchedCellSeconds.Observe(time.Since(start).Seconds()) }
+	err := cell()
+	mSchedCellSeconds.Observe(time.Since(start).Seconds())
+	return err
 }

@@ -3,24 +3,20 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// cellsFilling returns n cells that each write i*i into slot i — the
+// cellsFilling returns cells that each write i*i into slot i — the
 // caller-owned-slot pattern every experiment uses.
-func cellsFilling(out []int64) []Cell {
-	cells := make([]Cell, len(out))
+func cellsFilling(out []int64) []func() error {
+	cells := make([]func() error, len(out))
 	for i := range cells {
-		i := i
-		cells[i] = Cell{
-			Key:  fmt.Sprintf("cell/%d", i),
-			Cost: int64(i%7 + 1),
-			Run: func() error {
-				out[i] = int64(i) * int64(i)
-				return nil
-			},
+		cells[i] = func() error {
+			out[i] = int64(i) * int64(i)
+			return nil
 		}
 	}
 	return cells
@@ -35,172 +31,178 @@ func checkFilled(t *testing.T, out []int64) {
 	}
 }
 
-// TestSequentialMatchesConcurrent is the scheduler's determinism core:
-// the merged slots are identical for every worker count. CI runs this
-// test under -race to certify the concurrent admission path.
-func TestSequentialMatchesConcurrent(t *testing.T) {
-	const n = 100
-	ref := make([]int64, n)
-	if _, err := Run(cellsFilling(ref), Options{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 4, 8} {
-		out := make([]int64, n)
-		st, err := Run(cellsFilling(out), Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range out {
-			if out[i] != ref[i] {
-				t.Fatalf("workers=%d: slot %d = %d, want %d", w, i, out[i], ref[i])
-			}
-		}
-		if st.Cells != n {
-			t.Fatalf("workers=%d: stats counted %d cells, want %d", w, st.Cells, n)
-		}
-	}
-}
-
-func TestEmptyAndSingle(t *testing.T) {
-	if st, err := Run(nil, Options{Workers: 4}); err != nil || st.Cells != 0 {
-		t.Fatalf("empty run: stats=%+v err=%v", st, err)
-	}
-	out := make([]int64, 1)
-	st, err := Run(cellsFilling(out), Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFilled(t, out)
-	if st.Workers != 1 {
-		t.Fatalf("single cell resolved %d workers, want 1 (clamped to cell count)", st.Workers)
-	}
-}
-
-func TestDefaultWorkersSequential(t *testing.T) {
-	out := make([]int64, 10)
-	st, err := Run(cellsFilling(out), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFilled(t, out)
-	if st.Workers != 1 || st.MaxConcurrent != 1 {
-		t.Fatalf("Workers=0 should run sequentially, got %+v", st)
-	}
-}
-
-// TestBudgetGate verifies that the admission gate caps the summed cost
-// of concurrently running cells at the budget.
-func TestBudgetGate(t *testing.T) {
-	const n = 40
-	const budget = 10
-	var inflight, peak atomic.Int64
-	cells := make([]Cell, n)
-	out := make([]int64, n)
+// barrierCells returns w cells that each return nil only once all w are
+// running at the same time. A cell that waits longer than timeout gives
+// up with an error, so a pool narrower than w fails instead of hanging.
+func barrierCells(w int, timeout time.Duration) []func() error {
+	var arrived atomic.Int64
+	all := make(chan struct{})
+	cells := make([]func() error, w)
 	for i := range cells {
-		i := i
-		cost := int64(i%5 + 1)
-		cells[i] = Cell{
-			Cost: cost,
-			Run: func() error {
-				cur := inflight.Add(cost)
-				for {
-					p := peak.Load()
-					if cur <= p || peak.CompareAndSwap(p, cur) {
-						break
-					}
-				}
-				out[i] = int64(i) * int64(i)
-				inflight.Add(-cost)
+		cells[i] = func() error {
+			if arrived.Add(1) == int64(w) {
+				close(all)
+			}
+			select {
+			case <-all:
 				return nil
-			},
+			case <-time.After(timeout):
+				return fmt.Errorf("cell %d: %d of %d cells running at once after %v", i, arrived.Load(), w, timeout)
+			}
 		}
 	}
-	st, err := Run(cells, Options{Workers: 8, Budget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFilled(t, out)
-	if p := peak.Load(); p > budget {
-		t.Fatalf("observed inflight cost %d exceeded budget %d", p, budget)
-	}
-	if st.PeakCost > budget {
-		t.Fatalf("stats PeakCost %d exceeded budget %d", st.PeakCost, budget)
-	}
+	return cells
 }
 
-// TestOversizedCellRunsAlone: a cell costlier than the whole budget
-// must still execute (alone), not deadlock.
-func TestOversizedCellRunsAlone(t *testing.T) {
-	var running, maxRunning atomic.Int64
-	mk := func(cost int64, slot *int64) Cell {
-		return Cell{Cost: cost, Run: func() error {
+// peakCells returns n cells that record in peak the most cells ever seen
+// running at once.
+func peakCells(n int, peak *atomic.Int64) []func() error {
+	var running atomic.Int64
+	cells := make([]func() error, n)
+	for i := range cells {
+		cells[i] = func() error {
 			cur := running.Add(1)
-			for {
-				p := maxRunning.Load()
-				if cur <= p || maxRunning.CompareAndSwap(p, cur) {
-					break
-				}
+			for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
 			}
-			*slot = cost
+			time.Sleep(200 * time.Microsecond)
 			running.Add(-1)
 			return nil
-		}}
-	}
-	slots := make([]int64, 4)
-	cells := []Cell{mk(1, &slots[0]), mk(1000, &slots[1]), mk(1, &slots[2]), mk(1000, &slots[3])}
-	st, err := Run(cells, Options{Workers: 4, Budget: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []int64{1, 1000, 1, 1000} {
-		if slots[i] != want {
-			t.Fatalf("slot %d = %d, want %d", i, slots[i], want)
 		}
 	}
-	if st.MaxConcurrent < 1 {
-		t.Fatalf("stats recorded no concurrency: %+v", st)
+	return cells
+}
+
+// TestSequentialMatchesConcurrent is the scheduler's determinism core:
+// the merged slots are identical for every worker count. CI runs this
+// test under -race to certify the concurrent claim path.
+func TestSequentialMatchesConcurrent(t *testing.T) {
+	const n = 100
+	for _, w := range []int{1, 2, 4, 8} {
+		out := make([]int64, n)
+		if err := Run(cellsFilling(out), w); err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		checkFilled(t, out)
 	}
 }
 
-// TestErrorStopsAdmissionAndReportsLowestIndex: after a failure no new
-// cells are admitted, and the reported error is the lowest-index one —
-// the error a sequential pass would surface first.
+// TestBarrierReleasesOnlyWithAllWorkers: w workers run w cells at once —
+// a barrier that needs all w running releases — and the same barrier
+// under w-1 workers fails after its bounded wait.
+func TestBarrierReleasesOnlyWithAllWorkers(t *testing.T) {
+	for _, w := range []int{2, 4} {
+		if err := Run(barrierCells(w, 10*time.Second), w); err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if err := Run(barrierCells(w, 50*time.Millisecond), w-1); err == nil {
+			t.Fatalf("workers=%d: a barrier of %d cells released", w-1, w)
+		}
+	}
+}
+
+// TestPeakWithinWorkers: no more than workers cells ever run at once.
+func TestPeakWithinWorkers(t *testing.T) {
+	for _, w := range []int{1, 2, 3, 5} {
+		var peak atomic.Int64
+		if err := Run(peakCells(40, &peak), w); err != nil {
+			t.Fatal(err)
+		}
+		if p := peak.Load(); p < 1 || p > int64(w) {
+			t.Fatalf("workers=%d: peak %d cells running at once", w, p)
+		}
+	}
+}
+
+// TestNegativeWorkersIsGOMAXPROCS: workers < 0 sizes the pool at
+// GOMAXPROCS — a barrier of that many cells releases, and the peak never
+// exceeds it.
+func TestNegativeWorkersIsGOMAXPROCS(t *testing.T) {
+	const procs = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	if err := Run(barrierCells(procs, 10*time.Second), -1); err != nil {
+		t.Fatal(err)
+	}
+	var peak atomic.Int64
+	if err := Run(peakCells(30, &peak), -1); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > procs {
+		t.Fatalf("workers=-1 with GOMAXPROCS=%d: peak %d cells running at once", procs, p)
+	}
+}
+
+// TestEmptyAndSingle: an empty list and a pool wider than the list both
+// work.
+func TestEmptyAndSingle(t *testing.T) {
+	for _, w := range []int{-1, 0, 1, 4} {
+		if err := Run(nil, w); err != nil {
+			t.Fatalf("empty run, workers=%d: %v", w, err)
+		}
+	}
+	out := make([]int64, 1)
+	if err := Run(cellsFilling(out), 4); err != nil {
+		t.Fatal(err)
+	}
+	checkFilled(t, out)
+	if err := Run(barrierCells(3, 10*time.Second), 8); err != nil {
+		t.Fatalf("3 cells on 8 workers: %v", err)
+	}
+}
+
+// TestDefaultWorkersSequential: workers 0 runs the cells one at a time.
+func TestDefaultWorkersSequential(t *testing.T) {
+	out := make([]int64, 10)
+	if err := Run(cellsFilling(out), 0); err != nil {
+		t.Fatal(err)
+	}
+	checkFilled(t, out)
+	var peak atomic.Int64
+	if err := Run(peakCells(10, &peak), 0); err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("workers=0: peak %d cells running at once, want 1", p)
+	}
+}
+
+// TestErrorStopsAdmissionAndReportsLowestIndex: a later-index cell that
+// fails first still yields the lowest-index error — the error a
+// sequential pass would surface first — and no cell is claimed after
+// both failures.
 func TestErrorStopsAdmissionAndReportsLowestIndex(t *testing.T) {
 	errA := errors.New("cell 3 failed")
 	errB := errors.New("cell 5 failed")
 	var after atomic.Int64
-	var release sync.WaitGroup
-	release.Add(1)
-	cells := make([]Cell, 30)
+	fiveFailed := make(chan struct{})
+	cells := make([]func() error, 30)
 	for i := range cells {
-		i := i
-		cells[i] = Cell{Run: func() error {
-			switch i {
-			case 3:
+		cells[i] = func() error {
+			switch {
+			case i == 3:
 				// Hold the failure until cell 5's error is in, so the
 				// lowest-index-wins rule is actually exercised.
-				release.Wait()
-				return errA
-			case 5:
-				defer release.Done()
-				return errB
-			default:
-				if i > 5 {
-					after.Add(1)
+				select {
+				case <-fiveFailed:
+					return errA
+				case <-time.After(10 * time.Second):
+					return errors.New("cell 5 never ran alongside cell 3")
 				}
-				return nil
+			case i == 5:
+				defer close(fiveFailed)
+				return errB
+			case i > 5:
+				after.Add(1)
 			}
-		}}
+			return nil
+		}
 	}
-	_, err := Run(cells, Options{Workers: 2})
-	if !errors.Is(err, errA) {
+	if err := Run(cells, 2); !errors.Is(err, errA) {
 		t.Fatalf("got error %v, want lowest-index error %v", err, errA)
 	}
-	// Cells already admitted when the failure lands still finish; the
-	// scheduler just stops admitting new ones. With 2 workers at most a
-	// handful of later cells can have been admitted before cell 5 fails.
-	if after.Load() == int64(len(cells)-6) {
-		t.Fatalf("all later cells ran; admission did not stop on failure")
+	// With 2 workers, one holds cell 3 while the other reaches cell 5;
+	// each records its failure before it claims again.
+	if n := after.Load(); n != 0 {
+		t.Fatalf("%d cells after index 5 ran; admission did not stop on failure", n)
 	}
 }
 
@@ -208,17 +210,18 @@ func TestErrorStopsAdmissionAndReportsLowestIndex(t *testing.T) {
 // first error stops the pass immediately.
 func TestSequentialErrorShortCircuits(t *testing.T) {
 	boom := errors.New("boom")
-	ran := 0
-	cells := []Cell{
-		{Run: func() error { ran++; return nil }},
-		{Run: func() error { ran++; return boom }},
-		{Run: func() error { ran++; return nil }},
-	}
-	_, err := Run(cells, Options{Workers: 1})
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want %v", err, boom)
-	}
-	if ran != 2 {
-		t.Fatalf("%d cells ran, want 2 (stop at first error)", ran)
+	for _, w := range []int{0, 1} {
+		ran := 0
+		cells := []func() error{
+			func() error { ran++; return nil },
+			func() error { ran++; return boom },
+			func() error { ran++; return nil },
+		}
+		if err := Run(cells, w); !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: got %v, want %v", w, err, boom)
+		}
+		if ran != 2 {
+			t.Fatalf("workers=%d: %d cells ran, want 2 (stop at first error)", w, ran)
+		}
 	}
 }

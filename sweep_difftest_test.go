@@ -2,7 +2,6 @@ package coverpack_test
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"coverpack/internal/experiments"
@@ -55,26 +54,5 @@ func TestScheduledSweepByteIdentical(t *testing.T) {
 			t.Errorf("runWorkers=%d: rendered tables diverged from the sequential reference\nref:\n%s\ngot:\n%s",
 				rw, ref, got)
 		}
-	}
-}
-
-// TestScheduledSweepBudgetIdentical pins that the admission gate only
-// delays cells, never changes results: a budget small enough to force
-// serialization and an unlimited budget render identical tables.
-func TestScheduledSweepBudgetIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep matrix skipped in -short mode")
-	}
-	run := func(budget int64) []experiments.Table {
-		t.Helper()
-		tables, err := experiments.Table1(experiments.Config{Small: true, RunWorkers: 4, MemBudget: budget})
-		if err != nil {
-			t.Fatalf("budget=%d: %v", budget, err)
-		}
-		return tables
-	}
-	tight, unlimited := run(1), run(-1)
-	if !reflect.DeepEqual(tight, unlimited) {
-		t.Errorf("tables differ between tight and unlimited admission budgets")
 	}
 }
