@@ -306,10 +306,9 @@ type Report struct {
 // budget. It is the run's only configuration for parallel execution:
 // the worker count travels on the run's cluster, so executions with
 // different ExecOptions are safe side by side, and no field writes
-// process state. The process-wide stores — the memory pools and the
-// retained first-row lists — have no switch, and the one process-wide
-// switch, SetMetricsEnabled, is not run configuration: it turns the
-// metrics registry on or off for every run at once.
+// process state. The process-wide stores — the memory pools, the
+// retained first-row lists and the metrics registry — have no switch
+// (SetMetricsEnabled is an inert stub).
 type ExecOptions struct {
 	// Workers sets the goroutine worker-pool size of the simulator's
 	// parallel engine: 0 or 1 runs sequentially, n > 1 uses n workers,

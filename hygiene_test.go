@@ -200,13 +200,13 @@ func TestExchangeScratchBalanced(t *testing.T) {
 	}
 }
 
-// No store has a switch: the memory pools and the retained first-row
-// lists are always on, so the only process-wide on/off value is the
-// metrics registry's. No cluster has a mode switch either: a run has one
-// accounting convention. A source scan of every non-test file fails on
-// any other package-level func Set…(bool) and on any func With…(bool).
+// No store has a switch: the memory pools, the retained first-row lists
+// and the metrics registry are always on. No cluster has a mode switch
+// either: a run has one accounting convention. A source scan of every
+// non-test file fails on any package-level func Set…(bool) but the
+// inert SetMetricsEnabled stub in stubs.go, and on any func With…(bool).
 func TestNoStoreSwitches(t *testing.T) {
-	allowed := map[string]bool{"SetMetricsEnabled": true, "internal/metrics.SetEnabled": true}
+	allowed := map[string]bool{"stubs.go:SetMetricsEnabled": true}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -228,10 +228,7 @@ func TestNoStoreSwitches(t *testing.T) {
 			if id, ok := params[0].Type.(*ast.Ident); !ok || id.Name != "bool" {
 				continue
 			}
-			name := fn.Name.Name
-			if dir := filepath.Dir(path); dir != "." {
-				name = filepath.ToSlash(dir) + "." + name
-			}
+			name := filepath.ToSlash(path) + ":" + fn.Name.Name
 			switch {
 			case strings.HasPrefix(fn.Name.Name, "With"):
 				t.Errorf("%s: %s(bool) is a mode switch; clusters carry none", fset.Position(fn.Pos()), name)
@@ -243,5 +240,97 @@ func TestNoStoreSwitches(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMetricsWriteOnly pins the telemetry no-perturbation contract in
+// the source, since metrics have no off position to compare against:
+// recording cannot change a run if nothing in a run reads a series.
+// Outside internal/metrics, the commands and the root metrics.go, only a
+// package's own metrics.go imports internal/metrics; and no non-test
+// file reads (Value, Count, Sum, Snapshot) a variable declared in its
+// package's metrics.go.
+func TestMetricsWriteOnly(t *testing.T) {
+	reads := map[string]bool{"Value": true, "Count": true, "Sum": true, "Snapshot": true}
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // non-test files by directory
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		files[dir] = append(files[dir], f)
+		if dir == "internal/metrics" || dir == "cmd" || strings.HasPrefix(dir, "cmd/") || filepath.Base(path) == "metrics.go" {
+			return nil
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"coverpack/internal/metrics"` {
+				t.Errorf("%s: imports internal/metrics outside its package's metrics.go", fset.Position(imp.Pos()))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, pkg := range files {
+		if dir == "internal/metrics" {
+			continue
+		}
+		series := map[string]bool{}
+		for _, f := range pkg {
+			if filepath.Base(fset.Position(f.Pos()).Filename) != "metrics.go" {
+				continue
+			}
+			for _, decl := range f.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					for _, spec := range gd.Specs {
+						for _, id := range spec.(*ast.ValueSpec).Names {
+							series[id.Name] = true
+						}
+					}
+				}
+			}
+		}
+		if len(series) == 0 {
+			continue
+		}
+		for _, f := range pkg {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || !reads[sel.Sel.Name] {
+					return true
+				}
+				if root := rootIdent(sel.X); root != nil && series[root.Name] {
+					t.Errorf("%s: reads series %s.%s; metrics are write-only", fset.Position(sel.Pos()), root.Name, sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// rootIdent is the identifier a selector chain, call or index starts
+// from (mPhaseSeconds in mPhaseSeconds.With(p).Count()), or nil.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.CallExpr:
+			e = x.Fun
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil
+		}
 	}
 }

@@ -91,8 +91,8 @@ func choosePathOptimal(tree *hypergraph.JoinTree, origOf []int, vars []hypergrap
 				continue // x must be shared with the parent
 			}
 			if len(path) > bestLen ||
-				(len(path) == bestLen && (origOf[leaf] < origOf[best.sx[0]] ||
-					(origOf[leaf] == origOf[best.sx[0]] && a < best.x))) {
+				(len(path) == bestLen && (origOf[leaf] < best.sx[0] ||
+					(origOf[leaf] == best.sx[0] && a < best.x))) {
 				orig := make([]int, len(path))
 				for i, e := range path {
 					orig[i] = origOf[e]

@@ -18,80 +18,57 @@ type PathChoice struct {
 	Residual []string
 }
 
-// Decomposition simulates the structural choices of the path-optimal
-// run on a query (ignoring data): repeatedly reduce, choose (x, S^x),
-// and peel the path, until at most one relation remains per component.
-// The peeled paths partition the join tree into node-disjoint paths —
-// the linear cover of Definition 4.7 (Figure 5) — so this is the
+// Decomposition lists the (x, S^x) choices of the program a
+// path-optimal run compiles for q, ignoring data: each Case I step's
+// choice in light-branch order, and each Case II component's choices in
+// turn. The peeled paths partition the join tree into node-disjoint
+// paths — the linear cover of Definition 4.7 (Figure 5) — so this is the
 // decomposition the cost formula of Theorem 3 charges.
 func Decomposition(q *hypergraph.Query) ([]PathChoice, error) {
 	if !plan.Acyclic(q) {
 		return nil, fmt.Errorf("core: %s is not acyclic", q.Name())
 	}
-	alive := q.AllEdges()
+	ex := &executor{q: q, strat: PathOptimal}
 	vars := make([]hypergraph.VarSet, q.NumEdges())
 	for e := range vars {
 		vars[e] = q.EdgeVars(e)
 	}
-	var out []PathChoice
-	for guard := 0; guard < q.NumEdges()+4; guard++ {
-		// Structural reduce.
-		for again := true; again; {
-			again = false
-			for _, i := range alive.Edges() {
-				for _, j := range alive.Edges() {
-					if i == j || !vars[i].SubsetOf(vars[j]) {
-						continue
-					}
-					if vars[i].Equal(vars[j]) && i < j {
-						continue
-					}
-					alive.Remove(i)
-					again = true
-					break
-				}
-			}
-		}
-		if alive.Len() <= 1 {
-			break
-		}
-		qc := hypergraph.NewQuery(q.Name() + "|decomp")
-		var origOf []int
-		for _, e := range alive.Edges() {
-			qc.AddEdgeVars(q.Edge(e).Name, vars[e])
-			origOf = append(origOf, e)
-		}
-		if len(qc.ConnectedComponents()) > 1 {
-			// Components decompose independently; recurse per component
-			// and splice.
-			for _, comp := range qc.ConnectedComponents() {
-				var keep hypergraph.EdgeSet
-				for _, i := range comp.Edges() {
-					keep.Add(origOf[i])
-				}
-				sub := q.KeepEdges(keep)
-				cs, err := Decomposition(sub)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, cs...)
-			}
-			return out, nil
-		}
-		tree, ok := plan.GYO(qc)
-		if !ok {
-			return nil, fmt.Errorf("core: decomposition subquery cyclic (bug)")
-		}
-		ch := choosePathOptimal(tree, origOf, vars)
-		pc := PathChoice{Attr: q.AttrName(ch.x)}
-		for _, e := range ch.sx {
-			pc.Path = append(pc.Path, q.Edge(e).Name)
-			alive.Remove(e)
-		}
-		for _, e := range alive.Edges() {
-			pc.Residual = append(pc.Residual, q.Edge(e).Name)
-		}
-		out = append(out, pc)
+	root, err := ex.compile(q.AllEdges().Edges(), vars, nil)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	var out []PathChoice
+	return out, ex.decompose(root, &out)
+}
+
+// decompose appends the choices of st's light chain and components.
+func (ex *executor) decompose(st *step, out *[]PathChoice) error {
+	for st.caseI != nil {
+		c := st.caseI
+		pc := PathChoice{Attr: ex.q.AttrName(c.x)}
+		for _, e := range c.sx {
+			pc.Path = append(pc.Path, ex.q.Edge(e).Name)
+		}
+		for _, e := range c.lightLive {
+			pc.Residual = append(pc.Residual, ex.q.Edge(e).Name)
+		}
+		*out = append(*out, pc)
+		var err error
+		if st, err = c.light.step(ex); err != nil {
+			return err
+		}
+	}
+	if st.caseII == nil {
+		return nil
+	}
+	for i := range st.caseII.comps {
+		child, err := st.caseII.comps[i].child.step(ex)
+		if err != nil {
+			return err
+		}
+		if err := ex.decompose(child, out); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -168,3 +168,24 @@ func TestLIsMonotoneInP(t *testing.T) {
 		}
 	}
 }
+
+// TestPathOptimalTieOnSubquery: two equally long paths on a residual
+// subquery tie-break on their leaves' original edge ids. Here the second
+// choice sees live edges [1 3 4] (R3 R1 wins on V2), and comparing a
+// leaf with the incumbent path's first edge, an original id, must not
+// index origOf by it.
+func TestPathOptimalTieOnSubquery(t *testing.T) {
+	q := hypergraph.MustParse("tie", "R0(V0,V1) R1(V0,V2,V3) R2(V1,V4) R3(V2,V5) R4(V3,V6,V7)")
+	choices, err := Decomposition(q)
+	if err != nil || len(choices) != 2 {
+		t.Fatalf("Decomposition = %v, %v; want two choices", choices, err)
+	}
+	in := workload.Uniform(q, 40, 10, 1)
+	res, err := Run(mpc.NewCluster(5).Root(), in, Options{Strategy: PathOptimal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := in.JoinSize(); res.Emitted != want {
+		t.Fatalf("emitted %d, oracle %d", res.Emitted, want)
+	}
+}

@@ -11,19 +11,19 @@
 // # The no-perturbation contract
 //
 // Metrics are observation-only. Nothing read from a metric may feed
-// back into a computation, and no instrumentation site may change what
-// a run computes: Reports, Stats, span trees and sweep tables are
-// byte-identical with metrics enabled or disabled (the root package's
-// difftest oracle pins this). SetEnabled(false) turns every mutator
-// into a no-op — the lever the oracle flips.
+// back into a computation, so no instrumentation site can change what
+// a run computes. The contract is structural, and a source scan in the
+// root package pins it: outside this package, the commands and the
+// root package's metrics.go, only a package's own metrics.go imports
+// this package, and no non-test file reads back a series declared
+// there. Recording is always on; there is no switch.
 //
 // # Hot-path cost
 //
 // Counter.Add, Gauge.Add and Histogram.Observe are allocation-free:
-// one atomic load of the global enable switch plus one or two atomic
-// adds. Vector lookups (HistogramVec.With) allocate only on the first
-// observation of a new label value; instrumentation sites that run per
-// exchange hold the resolved *Histogram instead.
+// one or two atomic adds. Vector lookups (HistogramVec.With) allocate
+// only on the first observation of a new label value; instrumentation
+// sites that run per exchange hold the resolved *Histogram instead.
 package metrics
 
 import (
@@ -33,17 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// disabled is inverted so the zero value means "enabled".
-var disabled atomic.Bool
-
-// SetEnabled toggles every metric mutator in the process. Disabled,
-// Add/Set/Observe are no-ops and values freeze; registration and
-// exposition still work. The default is enabled.
-func SetEnabled(on bool) { disabled.Store(!on) }
-
-// Enabled reports whether metric mutators currently record.
-func Enabled() bool { return !disabled.Load() }
 
 // Label is one name=value pair attached to a metric at registration.
 type Label struct {
@@ -77,13 +66,8 @@ type Counter struct{ v atomic.Uint64 }
 // Inc adds 1.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add increments the counter; no-op while metrics are disabled.
-func (c *Counter) Add(n uint64) {
-	if disabled.Load() {
-		return
-	}
-	c.v.Add(n)
-}
+// Add increments the counter.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
@@ -91,22 +75,11 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 // Gauge is a settable int64 (occupancy, in-flight cost, pool size).
 type Gauge struct{ v atomic.Int64 }
 
-// Set stores v; no-op while metrics are disabled.
-func (g *Gauge) Set(v int64) {
-	if disabled.Load() {
-		return
-	}
-	g.v.Store(v)
-}
+// Set stores v.
+func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add moves the gauge by delta (negative to decrease); no-op while
-// metrics are disabled.
-func (g *Gauge) Add(delta int64) {
-	if disabled.Load() {
-		return
-	}
-	g.v.Add(delta)
-}
+// Add moves the gauge by delta (negative to decrease).
+func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value reads the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -121,11 +94,8 @@ type Histogram struct {
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
 }
 
-// Observe records one sample; no-op while metrics are disabled.
+// Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if disabled.Load() {
-		return
-	}
 	// Linear scan: bucket ladders here are short (≤ ~20) and the scan
 	// beats binary search on them.
 	i := 0
@@ -257,8 +227,9 @@ func (r *Registry) NewHistogram(name, help string, buckets []float64, labels ...
 }
 
 // NewCounterFunc registers a callback counter: fn is read at exposition
-// time and must be monotonically non-decreasing (it typically snapshots
-// an existing atomic, e.g. a pool's hit count).
+// time and must be non-decreasing between its owner's Reset (it
+// typically snapshots an existing counter, e.g. a pool's hit count,
+// which a reset function zeroes).
 func (r *Registry) NewCounterFunc(name, help string, fn func() float64, labels ...Label) {
 	r.register(name, help, &funcVal{k: KindCounter, fn: fn}, labels)
 }

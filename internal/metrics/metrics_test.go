@@ -40,32 +40,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
-func TestSetEnabledFreezesMutators(t *testing.T) {
-	r := NewRegistry("t")
-	c := r.NewCounter("t_c_total", "c")
-	g := r.NewGauge("t_g", "g")
-	h := r.NewHistogram("t_h", "h", []float64{1})
-	c.Inc()
-	SetEnabled(false)
-	defer SetEnabled(true)
-	c.Inc()
-	g.Set(5)
-	h.Observe(1)
-	if !Enabled() {
-		// expected
-	} else {
-		t.Fatal("Enabled() = true after SetEnabled(false)")
-	}
-	if c.Value() != 1 || g.Value() != 0 || h.Count() != 0 {
-		t.Errorf("mutators not frozen: c=%d g=%d h=%d", c.Value(), g.Value(), h.Count())
-	}
-	SetEnabled(true)
-	c.Inc()
-	if c.Value() != 2 {
-		t.Errorf("counter did not resume: %d", c.Value())
-	}
-}
-
 func TestRegisterPanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()

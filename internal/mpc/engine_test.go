@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"coverpack/internal/metrics"
 	"coverpack/internal/relation"
 	"coverpack/internal/trace"
 )
@@ -722,12 +721,9 @@ func TestScratchRoundTripAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestSpanTimerAllocatesNothing: with metrics on, a phase span times
-// itself without allocating, and still records when its body panics.
+// TestSpanTimerAllocatesNothing: a phase span times itself without
+// allocating, and still records when its body panics.
 func TestSpanTimerAllocatesNothing(t *testing.T) {
-	if !metrics.Enabled() {
-		t.Skip("metrics disabled")
-	}
 	g := NewCluster(2).Root()
 	body := func() {}
 	g.Span("span-timer-test", body)

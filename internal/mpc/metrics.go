@@ -9,8 +9,8 @@ import (
 // Process-wide telemetry of the simulator, registered on the default
 // registry. Everything here is observation-only: the counters mirror
 // quantities the simulator already computes (per-cluster Stats are
-// untouched), so metrics on/off cannot change a Report, a trace, or a
-// table — the root difftest oracle pins that contract.
+// untouched), and nothing here is read back, so recording cannot change
+// a Report, a trace, or a table (the root source scan pins that).
 //
 // The per-round load histograms are the live form of the paper's
 // central quantity: mRoundMaxLoad observes, for every charged exchange
@@ -56,24 +56,14 @@ func observeRound(max int, total int64) {
 
 // phaseTimer is the wall-clock timer of one named phase: startPhase
 // reads the clock, and observe records the elapsed time into the
-// phase's histogram. It is a value, so timing a span allocates nothing;
-// the zero timer, returned when metrics are disabled, observes nothing,
-// and Span pays one atomic load in that case.
+// phase's histogram. It is a value, so timing a span allocates nothing.
 type phaseTimer struct {
 	name  string
 	start time.Time
 }
 
-func startPhase(name string) phaseTimer {
-	if !metrics.Enabled() {
-		return phaseTimer{}
-	}
-	return phaseTimer{name: name, start: time.Now()}
-}
+func startPhase(name string) phaseTimer { return phaseTimer{name: name, start: time.Now()} }
 
 func (t phaseTimer) observe() {
-	if t.start.IsZero() {
-		return
-	}
 	mPhaseSeconds.With(t.name).Observe(time.Since(t.start).Seconds())
 }

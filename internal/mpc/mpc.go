@@ -292,11 +292,11 @@ func (g *Group) charge(op trace.Op, x *xrun) {
 }
 
 // Span runs fn inside a named phase span when the cluster records
-// traces; with tracing off it is exactly fn() plus, when metrics are
-// enabled, a wall-clock phase timer. Phase spans are what the per-phase
-// load attribution table aggregates by; the timer is the wall-clock
-// complement of that load-unit attribution (inclusive of nested
-// phases), recorded into the coverpack_mpc_phase_seconds histogram.
+// traces; with tracing off it is exactly fn() plus a wall-clock phase
+// timer. Phase spans are what the per-phase load attribution table
+// aggregates by; the timer is the wall-clock complement of that
+// load-unit attribution (inclusive of nested phases), recorded into the
+// coverpack_mpc_phase_seconds histogram.
 func (g *Group) Span(name string, fn func()) {
 	defer startPhase(name).observe()
 	rec := g.recorder()

@@ -58,7 +58,6 @@ func Reset() {
 	byKey = make(map[string]*entry)
 	hits, misses = 0, 0
 	mu.Unlock()
-	mEntries.Set(0)
 }
 
 // Snapshot returns the current counters.
@@ -88,7 +87,6 @@ func For(q *hypergraph.Query) (h Handle, ok bool) {
 		}
 		e = &entry{slots: make(map[string]any)}
 		byKey[string(key)] = e
-		mEntries.Set(int64(len(byKey)))
 	}
 	return Handle{e: e}, true
 }
@@ -103,11 +101,6 @@ func (h Handle) Invariant(slot string) (any, bool) {
 		misses++
 	}
 	mu.Unlock()
-	if ok {
-		mHits.Inc()
-	} else {
-		mMisses.Inc()
-	}
 	return v, ok
 }
 

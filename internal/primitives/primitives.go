@@ -65,9 +65,9 @@ func reduceAggregated(g *mpc.Group, pre *mpc.DistRelation, keyAttrs []int, valAt
 			for c*c < p {
 				c++
 			}
-			// All pre fragments share outSchema, so the key positions can
-			// be hoisted out of the (pure) route closure.
-			kpos := outSchema.Positions(keyAttrs)
+			// All pre fragments share outSchema, so the step's key
+			// positions serve the (pure) route closure.
+			kpos := step.kpos
 			mid := g.RouteBuf(pre, func(src int, t relation.Tuple, buf []int) []int {
 				base := int(hashtab.Hash(t, kpos) % uint64(p))
 				return append(buf[:0], (base+src%c)%p)
@@ -110,7 +110,9 @@ type aggregate struct {
 // aggregateStep is the aggregate of valAttr by keyAttrs over fragments
 // of schema in, producing rows under out (keys ∪ {valAttr}).
 func aggregateStep(in relation.Schema, keyAttrs []int, valAttr int, out relation.Schema) aggregate {
-	s := aggregate{kpos: in.Positions(keyAttrs), vpos: in.Pos(valAttr), srcPos: make([]int, out.Len()), out: out}
+	// kpos and srcPos share one allocation.
+	kpos := in.AppendPositions(make([]int, 0, len(keyAttrs)+out.Len()), keyAttrs)
+	s := aggregate{kpos: kpos, vpos: in.Pos(valAttr), srcPos: kpos[len(kpos) : len(kpos)+out.Len()], out: out}
 	for i := range s.srcPos {
 		if a := out.Attr(i); a == valAttr {
 			s.srcPos[i] = -1

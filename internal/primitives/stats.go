@@ -121,7 +121,8 @@ type multiply struct {
 // multiplyStep is the multiply of parent fragments of schema ps by the
 // aggregates agg on key.
 func multiplyStep(ps relation.Schema, agg *mpc.DistRelation, key []int, weightAttr int) multiply {
-	return multiply{agg: agg.Frags, akpos: agg.Schema.Positions(key), pkpos: ps.Positions(key),
+	akpos := agg.Schema.AppendPositions(make([]int, 0, 2*len(key)), key)
+	return multiply{agg: agg.Frags, akpos: akpos, pkpos: ps.AppendPositions(akpos[len(akpos):], key),
 		awp: agg.Schema.Pos(weightAttr), wp: ps.Pos(weightAttr), out: ps}
 }
 

@@ -255,7 +255,14 @@ func (r *Relation) JoinCount(s *Relation) int64 {
 	if r.rows < s.rows {
 		probe, build = s, r
 	}
-	pos, probePos := build.schema.Positions(common), probe.schema.Positions(common)
+	// Both key-column lists fit a stack buffer for all but very wide keys.
+	var buf [16]int
+	pos := buf[:0]
+	if 2*len(common) > len(buf) {
+		pos = make([]int, 0, 2*len(common))
+	}
+	pos = build.schema.AppendPositions(pos, common)
+	probePos := probe.schema.AppendPositions(pos[len(pos):], common)
 	a := probe.arity
 	table, counts := sumByKey(build, nil, pos)
 	var n int64

@@ -295,11 +295,14 @@ func TestOneBlockAllocs(t *testing.T) {
 			// The parents of SemiJoin and Join are the same calls on a
 			// fresh build side (9f5040d with its index caching off): the
 			// index that commit retained was rarely probed twice.
-			{"SemiJoin", [2]float64{5, 5}, [2]float64{14, 15}, true, func() { r.SemiJoin(s) }},
-			{"Join", [2]float64{7, 7}, [2]float64{22, 23}, true, func() { r.Join(s) }},
+			// Each step resolves its key columns (and Join its output map)
+			// into one allocation.
+			{"SemiJoin", [2]float64{4, 4}, [2]float64{14, 15}, true, func() { r.SemiJoin(s) }},
+			{"Join", [2]float64{5, 5}, [2]float64{22, 23}, true, func() { r.Join(s) }},
 			// The parent is Join's, the call JoinCount replaces. Its count
-			// table comes from the hashtab pool.
-			{"JoinCount", [2]float64{5, 5}, [2]float64{13, 14}, true, func() { r.JoinCount(s) }},
+			// table comes from the hashtab pool, its key columns from the
+			// stack.
+			{"JoinCount", [2]float64{3, 3}, [2]float64{13, 14}, true, func() { r.JoinCount(s) }},
 			{"Dedup", [2]float64{2, 2}, [2]float64{2, 3}, false, func() { r.Dedup() }},
 			// At 10 000 rows the radix kernel, since retired, took two
 			// more: its key buffer and a second permutation.

@@ -201,8 +201,9 @@ func SemiJoinStep(in, bs Schema, build []*Relation) Filter {
 // semiJoinOn is SemiJoinStep with the common attributes resolved; pair,
 // when build is nil, is the one build side.
 func semiJoinOn(in, bs Schema, common []int, build []*Relation, pair *Relation) Filter {
-	return Filter{p: rowPred{op: predProbe, pos: in.Positions(common)}, out: in,
-		build: build, pair: pair, buildPos: bs.Positions(common)}
+	pos := in.AppendPositions(make([]int, 0, 2*len(common)), common)
+	return Filter{p: rowPred{op: predProbe, pos: pos}, out: in,
+		build: build, pair: pair, buildPos: bs.AppendPositions(pos[len(pos):], common)}
 }
 
 // other returns fragment i's other side: all[i], or pair when all is
@@ -367,10 +368,10 @@ func JoinStep(in, os Schema, other []*Relation) Join {
 func joinStep(in, os Schema, others []*Relation, pair *Relation) Join {
 	out := in.Union(os)
 	s := Join{other: others, pair: pair, out: out}
-	if common := in.Common(os); len(common) > 0 {
-		s.lpos, s.rpos = in.Positions(common), os.Positions(common)
-	}
-	outPos := make([]int, in.Len()+os.Len())
+	// One allocation holds the output map of both sides and, after it,
+	// the join key's columns on each.
+	common := in.Common(os)
+	outPos := make([]int, in.Len()+os.Len(), in.Len()+os.Len()+2*len(common))
 	for c, a := range in.attrs {
 		outPos[c] = out.Pos(a)
 	}
@@ -378,6 +379,10 @@ func joinStep(in, os Schema, others []*Relation, pair *Relation) Join {
 		outPos[in.Len()+c] = out.Pos(a)
 	}
 	s.lout, s.rout = outPos[:in.Len()], outPos[in.Len():]
+	if len(common) > 0 {
+		s.lpos = in.AppendPositions(outPos[len(outPos):], common)
+		s.rpos = os.AppendPositions(s.lpos[len(s.lpos):], common)
+	}
 	return s
 }
 

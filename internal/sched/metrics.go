@@ -21,14 +21,11 @@ var (
 		metrics.ExponentialBuckets(1e-4, 10, 8))
 )
 
-// runCell runs one cell under the running-cells gauge and, when metrics
-// are enabled, times it into the cell-seconds histogram.
+// runCell runs one cell under the running-cells gauge and times it into
+// the cell-seconds histogram.
 func runCell(cell func() error) error {
 	mSchedRunning.Add(1)
 	defer mSchedRunning.Add(-1)
-	if !metrics.Enabled() {
-		return cell()
-	}
 	start := time.Now()
 	err := cell()
 	mSchedCellSeconds.Observe(time.Since(start).Seconds())

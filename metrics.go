@@ -6,6 +6,7 @@ import (
 	"coverpack/internal/hashtab"
 	"coverpack/internal/metrics"
 	"coverpack/internal/mpc"
+	"coverpack/internal/plan"
 	"coverpack/internal/relation"
 )
 
@@ -14,9 +15,9 @@ import (
 // and folds the library's snapshot-style diagnostics (pool counters,
 // Analyze memoization) into the default registry as callback series.
 //
-// Everything registered here is observation-only: the simulator's
-// Reports, Stats, span trees and sweep tables are byte-identical with
-// metrics enabled or disabled (the root difftest oracle pins this).
+// Everything registered here is observation-only: the callbacks read
+// counters their owners already keep, and nothing reads a series back
+// into a run (hygiene_test.go's source scan pins this).
 
 // MetricsRegistry is a named collection of counters, gauges and
 // histograms with a Prometheus text exposition.
@@ -33,14 +34,6 @@ type DebugServer = metrics.DebugServer
 // (simulator, plan cache, pools, scheduler, engine) reports into.
 func DefaultMetrics() *MetricsRegistry { return metrics.Default }
 
-// SetMetricsEnabled toggles metric recording globally. Off, every
-// mutation is a single atomic load and no-op; already-recorded values
-// remain visible. Metrics are on by default.
-func SetMetricsEnabled(on bool) { metrics.SetEnabled(on) }
-
-// MetricsEnabled reports whether metric recording is active.
-func MetricsEnabled() bool { return metrics.Enabled() }
-
 // WriteMetricsText writes the default registry in Prometheus text
 // exposition format (version 0.0.4).
 func WriteMetricsText(w io.Writer) error { return metrics.Default.WritePrometheus(w) }
@@ -56,8 +49,8 @@ func StartDebugServer(addr string) (*DebugServer, error) {
 	return metrics.StartDebugServer(addr, metrics.Default)
 }
 
-// The pool and Analyze-cache counters already exist as process-wide
-// atomics with snapshot accessors; rather than double-counting on the
+// The pool, Analyze-cache and compile-cache counters already exist as
+// process-wide counters with snapshot accessors; rather than double-counting on the
 // hot path, expose them as callback series read at scrape time.
 func init() {
 	pools := []struct {
@@ -96,4 +89,14 @@ func init() {
 	metrics.Default.NewCounterFunc("coverpack_analyze_cache_misses_total",
 		"Analyze memoization misses (fractional covers computed fresh).",
 		func() float64 { _, m := AnalyzeCacheStats(); return float64(m) })
+	metrics.Default.NewCounterFunc("coverpack_plancompile_events_total",
+		"Compiled-plan shape cache outcomes across the process.",
+		func() float64 { return float64(plan.Snapshot().Hits) },
+		metrics.Label{Key: "event", Value: "hit"})
+	metrics.Default.NewCounterFunc("coverpack_plancompile_events_total", "",
+		func() float64 { return float64(plan.Snapshot().Misses) },
+		metrics.Label{Key: "event", Value: "miss"})
+	metrics.Default.NewGaugeFunc("coverpack_plancompile_entries",
+		"Query shapes currently retained by the compile cache.",
+		func() float64 { return float64(plan.Snapshot().Entries) })
 }

@@ -2,71 +2,51 @@ package coverpack_test
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
 	"coverpack"
-	"coverpack/internal/experiments"
 )
 
-// The telemetry no-perturbation oracle: every observable artifact — the
-// Report, the span tree, the per-phase attribution, and a whole sweep
-// table — must be identical with metrics enabled and disabled. Metrics
-// are strictly observation-only; this is the difftest lever that pins
-// it.
-
-func TestMetricsOnOffReportsIdentical(t *testing.T) {
-	in := coverpack.Uniform(coverpack.Catalog()[0].Query, 600, 3000, 1)
-	for _, alg := range oracleAlgorithms {
-		for _, workers := range []int{1, 4} {
-			eo := coverpack.ExecOptions{Workers: workers}
-
-			coverpack.SetMetricsEnabled(false)
-			off, err := tracedExec(alg, in, 16, eo)
-			coverpack.SetMetricsEnabled(true)
-			if err != nil {
-				continue // algorithm rejects this query class
-			}
-			before := coverpack.DefaultMetrics().Snapshot()
-			on, err := tracedExec(alg, in, 16, eo)
-			if err != nil {
-				t.Fatalf("%s metrics-on run failed where metrics-off succeeded: %v", alg, err)
-			}
-			label := fmt.Sprintf("%s/workers=%d/metrics-on-vs-off", alg, workers)
-			assertRunsAgree(t, label, off, on)
-
-			// The enabled run must actually have recorded something.
-			after := coverpack.DefaultMetrics().Snapshot()
-			if counterValue(t, before, "coverpack_mpc_rounds_total") >= counterValue(t, after, "coverpack_mpc_rounds_total") {
-				t.Errorf("%s: coverpack_mpc_rounds_total did not advance during an enabled run", label)
+// The plan-cache series are scrape-time reads of the shape cache's own
+// counters, so they agree with PlanCompileCacheStats — across a reset
+// too, which zeroes the one copy there is.
+func TestPlanCompileSeriesMatchStats(t *testing.T) {
+	defer coverpack.ResetPlanCompileCache()
+	lookups := func() {
+		for _, e := range coverpack.Catalog()[:4] {
+			for i := 0; i < 2; i++ {
+				if _, err := coverpack.CompileQuery(e.Query); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
-}
-
-// A full sweep table rendered with metrics off must be byte-identical
-// to one rendered with metrics on.
-func TestMetricsOnOffSweepTableIdentical(t *testing.T) {
-	cfg := experiments.Config{Small: true, Workers: 2, RunWorkers: 2}
-	render := func() string {
-		table, err := experiments.Figure6(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		b.WriteString(strings.Join(table.Header, "|") + "\n")
-		for _, r := range table.Rows {
-			b.WriteString(strings.Join(r, "|") + "\n")
-		}
-		return b.String()
+	lookups()
+	coverpack.ResetPlanCompileCache()
+	lookups()
+	st := coverpack.PlanCompileCacheStats()
+	if st.Hits == 0 || st.Misses == 0 || st.Entries == 0 {
+		t.Fatalf("PlanCompileCacheStats() = %+v, want hits, misses and entries", st)
 	}
-	coverpack.SetMetricsEnabled(false)
-	off := render()
-	coverpack.SetMetricsEnabled(true)
-	on := render()
-	if off != on {
-		t.Errorf("sweep table diverged between metrics off and on:\n--- off ---\n%s--- on ---\n%s", off, on)
+	snap := coverpack.TakeMetricsSnapshot()
+	for _, c := range []struct {
+		name, event string
+		want        float64
+	}{
+		{"coverpack_plancompile_events_total", "hit", float64(st.Hits)},
+		{"coverpack_plancompile_events_total", "miss", float64(st.Misses)},
+		{"coverpack_plancompile_entries", "", float64(st.Entries)},
+	} {
+		got, found := 0.0, false
+		for _, m := range snap.Metrics {
+			if m.Name == c.name && m.Labels["event"] == c.event && m.Value != nil {
+				got, found = *m.Value, true
+			}
+		}
+		if !found || got != c.want {
+			t.Errorf("%s{event=%q} = %v (found %v), PlanCompileCacheStats reads %v", c.name, c.event, got, found, c.want)
+		}
 	}
 }
 
@@ -95,16 +75,4 @@ func TestMetricsExpositionCoversSubsystems(t *testing.T) {
 			t.Errorf("exposition missing family %s", family)
 		}
 	}
-}
-
-// counterValue sums every series of one family in a snapshot.
-func counterValue(t *testing.T, s coverpack.MetricsSnapshot, name string) float64 {
-	t.Helper()
-	var sum float64
-	for _, m := range s.Metrics {
-		if m.Name == name && m.Value != nil {
-			sum += *m.Value
-		}
-	}
-	return sum
 }

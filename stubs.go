@@ -3,16 +3,20 @@ package coverpack
 import "coverpack/internal/lp"
 
 // Streaming, out-of-core execution, the exchange-plan cache, the LP
-// solve memo, the per-run compile-cache switch and the row-block
-// kernels are gone: every run executes the same exact-size local
-// operators on resident arenas, writes no file, hashes every exchange
-// whose input is not already partitioned on its key, compiles through
-// the always-on shape cache, and runs a local operator in parallel only
-// across servers. The names below, with ExecOptions' NoPlanCache,
-// Streaming, Spilling, SpillDir, SpillBudgetBytes, PlanCompile and
-// ParKernels fields, have no effect and stay only because
-// internal/bench reads them; they go with that harness code when the
-// benchmark contract reopens (ROADMAP, Parked).
+// solve memo, the per-run compile-cache switch, the row-block kernels
+// and the metrics switch are gone: every run executes the same
+// exact-size local operators on resident arenas, writes no file, hashes
+// every exchange whose input is not already partitioned on its key,
+// compiles through the always-on shape cache, runs a local operator in
+// parallel only across servers, and records metrics. The names below,
+// with ExecOptions' NoPlanCache, Streaming, Spilling, SpillDir,
+// SpillBudgetBytes, PlanCompile and ParKernels fields, have no effect
+// and stay only because internal/bench reads them; they go with that
+// harness code when the benchmark contract reopens (ROADMAP, Parked).
+
+// SetMetricsEnabled does nothing: metrics always record, and nothing
+// reads a series back into a run.
+func SetMetricsEnabled(bool) {}
 
 // StreamCounters is the former streaming-layer snapshot. Both fields
 // always read zero.

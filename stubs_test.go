@@ -54,13 +54,39 @@ func TestSpillNamesAreInert(t *testing.T) {
 	}
 }
 
+// TestSetMetricsEnabledIsInert: metrics record whatever the stub was
+// told, so a run after SetMetricsEnabled(false) still advances the
+// round counter.
+func TestSetMetricsEnabledIsInert(t *testing.T) {
+	rounds := func() float64 {
+		var sum float64
+		for _, m := range TakeMetricsSnapshot().Metrics {
+			if m.Name == "coverpack_mpc_rounds_total" {
+				sum += *m.Value
+			}
+		}
+		return sum
+	}
+	SetMetricsEnabled(false)
+	defer SetMetricsEnabled(true)
+	before := rounds()
+	in := Uniform(MustParseQuery("line3", "R1(A,B) R2(B,C) R3(C,D)"), 400, 500, 1)
+	if _, err := ExecuteOpts(AlgYannakakis, in, 8, ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if after := rounds(); after <= before {
+		t.Errorf("coverpack_mpc_rounds_total stayed at %v across a run after SetMetricsEnabled(false)", after)
+	}
+}
+
 // TestSpillNamesLiveInStubs keeps the inert names in one place, to be
 // deleted when the benchmark contract reopens (ROADMAP, Parked): outside
 // stubs.go, no top-level declaration of the root package, and no
 // ExecOptions field other than Spilling, SpillDir, SpillBudgetBytes and
 // ParKernels, names spilling, the LP solve memo (LPMemo*), the
-// compile-cache mode (PlanCompileMode, PlanCompileDefault) or the block
-// kernels (ParKernel*, ParCounters, ParStats, ResetParStats).
+// compile-cache mode (PlanCompileMode, PlanCompileDefault), the block
+// kernels (ParKernel*, ParCounters, ParStats, ResetParStats) or the
+// metrics switch (SetMetricsEnabled).
 func TestSpillNamesLiveInStubs(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -80,7 +106,7 @@ func TestSpillNamesLiveInStubs(t *testing.T) {
 			stub := strings.Contains(id.Name, "Spill") || strings.HasPrefix(id.Name, "LPMemo") ||
 				id.Name == "PlanCompileMode" || id.Name == "PlanCompileDefault" ||
 				strings.HasPrefix(id.Name, "ParKernel") || id.Name == "ParCounters" ||
-				id.Name == "ParStats" || id.Name == "ResetParStats"
+				id.Name == "ParStats" || id.Name == "ResetParStats" || id.Name == "SetMetricsEnabled"
 			if stub && !fields[id.Name] {
 				t.Errorf("%s: stub name %s outside stubs.go", fset.Position(id.Pos()), id.Name)
 			}
