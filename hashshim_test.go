@@ -97,23 +97,23 @@ func TestHashPartitionMatchesLegacyDestinations(t *testing.T) {
 	for i := range want {
 		want[i] = relation.New(r.Schema())
 	}
-	for _, f := range d.Frags {
-		for i := 0; i < f.Len(); i++ {
-			tp := f.Row(i)
-			want[legacyHashDest(tp, pos, p)].Add(tp)
-		}
+	all := d.Collect()
+	for i := 0; i < all.Len(); i++ {
+		tp := all.Row(i)
+		want[legacyHashDest(tp, pos, p)].Add(tp)
 	}
 
 	got := c.Root().HashPartition(d, attrs)
 	for s := 0; s < p; s++ {
-		if !got.Frags[s].Equal(want[s]) {
+		gf := got.Frag(s)
+		if !gf.Clone().Equal(want[s]) {
 			t.Fatalf("fragment %d diverged from legacy partition: got %d rows, want %d",
-				s, got.Frags[s].Len(), want[s].Len())
+				s, gf.Len(), want[s].Len())
 		}
 		// Order within the fragment must match the sequential append
 		// order too (byte-identity, not just set equality).
-		for i := 0; i < got.Frags[s].Len(); i++ {
-			g, w := got.Frags[s].Row(i), want[s].Row(i)
+		for i := 0; i < gf.Len(); i++ {
+			g, w := gf.Row(i), want[s].Row(i)
 			for j := range g {
 				if g[j] != w[j] {
 					t.Fatalf("fragment %d row %d: got %v, want %v", s, i, g, w)

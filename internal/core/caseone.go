@@ -14,7 +14,7 @@ import (
 // heavy/light statistics of Step 1, decomposes dom(x) (Step 2), and
 // computes all subqueries in parallel (Step 3).
 func (ex *executor) caseI(g *mpc.Group, st *step, rels []*mpc.DistRelation,
-	ctx []*relation.Relation, depth int) (int64, error) {
+	ctx []relation.View, depth int) (int64, error) {
 
 	c := st.caseI
 	if g.Recording() {
@@ -31,7 +31,7 @@ func (ex *executor) caseI(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 // caseIPeel is the body of caseI, separated so the whole peel of x runs
 // inside one named trace span.
 func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
-	ctx []*relation.Relation, depth int) (int64, error) {
+	ctx []relation.View, depth int) (int64, error) {
 
 	c := st.caseI
 	L := int64(ex.L)
@@ -201,7 +201,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	// tuple lands in exactly one branch, so a heavy branch's part is the
 	// heavy exchange's and a light branch's the light exchange's.
 	// Relations without x are copied to every branch by one Spread.
-	parts := make([][]*mpc.DistRelation, len(rels))
+	parts := make([][]mpc.DistRelation, len(rels))
 	nHeavy := len(heavyBranch) // plans list the heavy branches first
 	g.Span("heavy/light split", func() {
 		for _, e := range st.live {
@@ -238,7 +238,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 			// tuples, and one table over all of asgP reads what each
 			// server's own share would.
 			var groupOf hashtab.Table
-			gids := groupIndex(&groupOf, relation.GetArena(asgP.Len()), asgP.Frags,
+			gids := groupIndex(&groupOf, relation.GetArena(asgP.Len()), asgP.Collect(),
 				[]int{asgP.Schema.Pos(x)}, asgP.Schema.Pos(ex.grpAttr))
 			rxp := []int{relP.Schema.Pos(x)}
 			lParts := g.DistributeSpread(relP, sizes, c.sxSet.Contains(e), func(t relation.Tuple) int {
@@ -290,25 +290,25 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 // heavyBranch computes the residual subquery Q_x on the σ_{x=a}
 // instance: x is projected away everywhere (it is constant), the context
 // is filtered consistently, and the whole algorithm recurses.
-func (ex *executor) heavyBranch(sub *mpc.Group, st *step, parts [][]*mpc.DistRelation,
-	ctx []*relation.Relation, a relation.Value, bi, depth int) (int64, error) {
+func (ex *executor) heavyBranch(sub *mpc.Group, st *step, parts [][]mpc.DistRelation,
+	ctx []relation.View, a relation.Value, bi, depth int) (int64, error) {
 
 	c := st.caseI
 	chargeCtx(sub, ctx)
 	nrels := make([]*mpc.DistRelation, len(parts))
 	for _, e := range st.live {
-		part := parts[e][bi]
+		part := &parts[e][bi]
 		if st.vars[e].Contains(c.x) {
 			ns := c.proj[e]
 			part = mpc.Local(sub, part, relation.ProjectStep(part.Schema, ns))
 		}
 		nrels[e] = part
 	}
-	nctx := make([]*relation.Relation, len(ctx))
+	nctx := make([]relation.View, len(ctx))
 	for i, r := range ctx {
 		nctx[i] = r
 		if rest := c.ctxRest[i]; rest != nil {
-			nctx[i] = r.SelectEqProject(c.x, a, rest...)
+			nctx[i] = r.SelectEqProject(c.x, a, rest...).View
 		}
 	}
 	child, err := c.heavy.step(ex)
@@ -321,19 +321,19 @@ func (ex *executor) heavyBranch(sub *mpc.Group, st *step, parts [][]*mpc.DistRel
 // lightBranch computes the residual subquery Q_y on the group's light
 // instance: the S^x relations' σ tuples were replicated to every server
 // of the branch and join the context; the rest recurses.
-func (ex *executor) lightBranch(sub *mpc.Group, st *step, parts [][]*mpc.DistRelation,
-	ctx []*relation.Relation, bi, depth int) (int64, error) {
+func (ex *executor) lightBranch(sub *mpc.Group, st *step, parts [][]mpc.DistRelation,
+	ctx []relation.View, bi, depth int) (int64, error) {
 
 	c := st.caseI
 	chargeCtx(sub, ctx)
-	nctx := make([]*relation.Relation, 0, len(ctx)+len(c.sx))
+	nctx := make([]relation.View, 0, len(ctx)+len(c.sx))
 	nctx = append(nctx, ctx...)
 	for _, e := range c.sx {
-		nctx = append(nctx, parts[e][bi].Frags[0])
+		nctx = append(nctx, parts[e][bi].Frag(0))
 	}
 	nrels := make([]*mpc.DistRelation, len(parts))
 	for _, e := range c.lightLive {
-		nrels[e] = parts[e][bi]
+		nrels[e] = &parts[e][bi]
 	}
 	child, err := c.light.step(ex)
 	if err != nil {

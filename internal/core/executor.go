@@ -140,7 +140,7 @@ func note(g *mpc.Group, depth int, format string, args ...interface{}) {
 // results emitted. rels is indexed by original edge id and owned by the
 // call: the reduction overwrites it.
 func (ex *executor) compute(g *mpc.Group, st *step, rels []*mpc.DistRelation,
-	ctx []*relation.Relation, depth int) (int64, error) {
+	ctx []relation.View, depth int) (int64, error) {
 
 	if depth > maxDepth {
 		return 0, fmt.Errorf("core: recursion depth %d exceeded", depth)
@@ -186,11 +186,11 @@ func (ex *executor) compute(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	// fragment joined with the context. The context is the same at every
 	// server: its side of the count is aggregated once, and each fragment
 	// only probes it.
-	frags := rels[st.live[0]].Frags
-	bound := st.count.Bind(append([]*relation.Relation{nil}, ctx...), 0)
-	partial := make([]int64, len(frags))
-	g.Fork(len(frags), func(i int) {
-		partial[i] = bound.Count(frags[i])
+	d := rels[st.live[0]]
+	bound := st.count.Bind(append([]relation.View{{}}, ctx...), 0)
+	partial := make([]int64, d.Servers())
+	g.Fork(len(partial), func(i int) {
+		partial[i] = bound.Count(d.Frag(i))
 	})
 	bound.Release()
 	var total int64
@@ -203,7 +203,7 @@ func (ex *executor) compute(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 // caseII handles a disconnected subquery: the Cartesian product over
 // components on a hypercube of server groups (Section 3.1, Case II).
 func (ex *executor) caseII(g *mpc.Group, st *step, rels []*mpc.DistRelation,
-	ctx []*relation.Relation, depth int) (int64, error) {
+	ctx []relation.View, depth int) (int64, error) {
 
 	comps := st.caseII.comps
 	// Allocation per component.
@@ -226,7 +226,7 @@ func (ex *executor) caseII(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 			i, comp := i, &comps[i]
 			branchRels := make([]*mpc.DistRelation, len(rels))
 			for _, e := range comp.edges {
-				branchRels[e] = g.Spread(rels[e], sizes[i:i+1])[0]
+				branchRels[e] = &g.Spread(rels[e], sizes[i:i+1])[0]
 			}
 			branches = append(branches, mpc.Branch{
 				Servers: sizes[i],
@@ -261,23 +261,18 @@ func (ex *executor) caseII(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	// A context relation can span several components, so the product of
 	// per-component counts over-counts; the emitted total is the joint
 	// count, which the final hypercube servers verify locally. The
-	// movement above is what costs; the count itself is exact.
-	// The collected copies are dropped after the count, so their arenas
-	// go back to the pool.
-	all := make([]*relation.Relation, 0, len(st.live)+len(ctx))
+	// movement above is what costs; the count itself is exact, over
+	// views of the branches' inputs.
+	all := make([]relation.View, 0, len(st.live)+len(ctx))
 	for _, e := range st.live {
 		all = append(all, rels[e].Collect())
 	}
-	n := st.caseII.joint.Count(append(all, ctx...))
-	for _, r := range all[:len(st.live)] {
-		relation.PutArena(r.Data())
-	}
-	return n, nil
+	return st.caseII.joint.Count(append(all, ctx...)), nil
 }
 
 // chargeCtx charges the delivery of the replicated context to a freshly
 // allocated subgroup (one round, ctx size per server).
-func chargeCtx(sub *mpc.Group, ctx []*relation.Relation) {
+func chargeCtx(sub *mpc.Group, ctx []relation.View) {
 	if len(ctx) == 0 {
 		return
 	}

@@ -78,35 +78,29 @@ func TestPropertyBothStrategiesMatchOracle(t *testing.T) {
 
 // TestPropertyDecompositionIsLinearCover: on random acyclic queries the
 // path-optimal decomposition produces node-disjoint paths covering a
-// subset of relations, and never errors.
+// subset of relations, and never errors or panics. It enumerates the
+// generator's seeds 0 to 2 999 rather than sampling a few: only 20 of
+// them (the first is 59) reach a path-optimal tie on a residual
+// subquery, where the tie-break must compare original edge ids.
 func TestPropertyDecompositionIsLinearCover(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(7))}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		q := randomAcyclicQuery(rng)
+	for seed := int64(0); seed < 3000; seed++ {
+		q := randomAcyclicQuery(rand.New(rand.NewSource(seed)))
 		choices, err := Decomposition(q)
 		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		seen := map[string]bool{}
 		for _, c := range choices {
 			if c.Attr == "" || len(c.Path) == 0 {
-				t.Logf("seed %d: empty choice", seed)
-				return false
+				t.Fatalf("seed %d: empty choice", seed)
 			}
 			for _, rel := range c.Path {
 				if seen[rel] {
-					t.Logf("seed %d: %s peeled twice", seed, rel)
-					return false
+					t.Fatalf("seed %d: %s peeled twice", seed, rel)
 				}
 				seen[rel] = true
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 

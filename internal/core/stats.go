@@ -29,7 +29,7 @@ func gatherRows(g *mpc.Group, d *mpc.DistRelation, x int, values map[relation.Va
 // each match's group id and count at scratch[2k] and scratch[2k+1];
 // Fill lays them out.
 type groupJoin struct {
-	assign             []*relation.Relation
+	assign             relation.Frags
 	axp, cxp           []int // x in the assignment and the count rows
 	agp, ccp, gp, cpos int   // group id and count columns, in and out
 	out                relation.Schema
@@ -37,11 +37,11 @@ type groupJoin struct {
 
 func (s groupJoin) Schema() relation.Schema { return s.out }
 
-func (s groupJoin) Scratch(i int, in *relation.Relation) int { return 2*in.Len() + s.assign[i].Len() }
+func (s groupJoin) Scratch(i int, in relation.View) int { return 2*in.Len() + s.assign.FragLen(i) }
 
-func (s groupJoin) Count(i int, in *relation.Relation, sc []relation.Value) int {
+func (s groupJoin) Count(i int, in relation.View, sc []relation.Value) int {
 	var groupOf hashtab.Table
-	gids := groupIndex(&groupOf, sc[2*in.Len():2*in.Len():len(sc)], s.assign[i:i+1], s.axp, s.agp)
+	gids := groupIndex(&groupOf, sc[2*in.Len():2*in.Len():len(sc)], s.assign.Frag(i), s.axp, s.agp)
 	n := 0
 	for j := 0; j < in.Len(); j++ {
 		t := in.Row(j)
@@ -54,30 +54,24 @@ func (s groupJoin) Count(i int, in *relation.Relation, sc []relation.Value) int 
 	return n
 }
 
-func (s groupJoin) Fill(_ int, _ *relation.Relation, sc, dst []relation.Value, rows int) {
+func (s groupJoin) Fill(_ int, _ relation.View, sc, dst []relation.Value, rows int) {
 	for k := 0; k < rows; k++ {
 		dst[2*k+s.gp], dst[2*k+s.cpos] = sc[2*k], sc[2*k+1]
 	}
 }
 
 // groupIndex initializes groupOf as an index of the x values (column
-// axp) of the assignment rows in frags and appends to gids, at each
-// entry's index, the group id (column agp) of its value's last row. It
-// returns gids; the caller releases groupOf.
-func groupIndex(groupOf *hashtab.Table, gids []relation.Value, frags []*relation.Relation, axp []int, agp int) []relation.Value {
-	n := 0
-	for _, f := range frags {
-		n += f.Len()
-	}
-	groupOf.Init(1, n)
-	for _, f := range frags {
-		for j := 0; j < f.Len(); j++ {
-			t := f.Row(j)
-			if k, found := groupOf.Insert(t, axp); found {
-				gids[k] = t[agp]
-			} else {
-				gids = append(gids, t[agp])
-			}
+// axp) of the assignment rows and appends to gids, at each entry's
+// index, the group id (column agp) of its value's last row. It returns
+// gids; the caller releases groupOf.
+func groupIndex(groupOf *hashtab.Table, gids []relation.Value, rows relation.View, axp []int, agp int) []relation.Value {
+	groupOf.Init(1, rows.Len())
+	for j := 0; j < rows.Len(); j++ {
+		t := rows.Row(j)
+		if k, found := groupOf.Insert(t, axp); found {
+			gids[k] = t[agp]
+		} else {
+			gids = append(gids, t[agp])
 		}
 	}
 	return gids
@@ -278,8 +272,9 @@ func (ex *executor) allocate(g *mpc.Group, c *component, rels []*mpc.DistRelatio
 	total := 0
 	collected := make([]*relation.Relation, len(c.edges))
 	for i, e := range c.edges {
-		collected[i] = rels[e].Collect()
-		total += collected[i].Len()
+		all := rels[e].Collect()
+		collected[i] = relation.FromData(all.Schema(), all.Data(), all.Len())
+		total += all.Len()
 	}
 	units := make([]int, g.Size())
 	for i := range units {
@@ -292,9 +287,6 @@ func (ex *executor) allocate(g *mpc.Group, c *component, rels []*mpc.DistRelatio
 		if v := float64(SubjoinSize(in, c.tree, s)) / powInt(L, s.Len()); v > best {
 			best = v
 		}
-	}
-	for _, r := range collected {
-		relation.PutArena(r.Data())
 	}
 	return ceilPos(best)
 }

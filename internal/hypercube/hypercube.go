@@ -296,7 +296,7 @@ func RunWithShares(g *mpc.Group, in *relation.Instance, shares map[int]int, salt
 	g.Span("hypercube route", func() {
 		for e := 0; e < q.NumEdges(); e++ {
 			r := in.Rel(e)
-			placed := &mpc.DistRelation{Schema: r.Schema(), Frags: []*relation.Relation{r}}
+			placed := &mpc.DistRelation{Frags: relation.NewFrags(r.Schema(), r.Data(), []int32{0, int32(r.Len())})}
 			local[e] = g.RouteBuf(placed, gr.router(r.Schema(), salt).route)
 		}
 	})
@@ -309,9 +309,9 @@ func RunWithShares(g *mpc.Group, in *relation.Instance, shares map[int]int, salt
 	counter := relation.NewCounter(schemas)
 	emits := make([]int64, gr.size)
 	g.Fork(gr.size, func(s int) {
-		frags := make([]*relation.Relation, len(local))
+		frags := make([]relation.View, len(local))
 		for e := range frags {
-			frags[e] = local[e].Frags[s]
+			frags[e] = local[e].Frag(s)
 		}
 		emits[s] = counter.Count(frags)
 	})

@@ -55,7 +55,7 @@ func heavyValues(g *mpc.Group, in *relation.Instance, threshold int64, countAttr
 			// needs the cutoff lists to classify its tuples).
 			hv := primitives.HeavyFilter(g, degs, countAttr, threshold)
 			all := g.Broadcast(hv)
-			one := all.Frags[0]
+			one := all.Frag(0)
 			ap := one.Schema().Pos(a)
 			for i := 0; i < one.Len(); i++ {
 				heavy[a][one.Row(i)[ap]] = true

@@ -19,7 +19,7 @@ import (
 // resize moves d onto k servers, flattened tuple i to server i mod k:
 // DistributeSpread into one round-robin branch.
 func resize(g *Group, d *DistRelation, k int) *DistRelation {
-	return g.DistributeSpread(d, []int{k}, false, func(relation.Tuple) int { return 0 })[0]
+	return &g.DistributeSpread(d, []int{k}, false, func(relation.Tuple) int { return 0 })[0]
 }
 
 // TestSendToGrowingGroup checks a resize into a larger group: the
@@ -30,10 +30,10 @@ func TestSendToGrowingGroup(t *testing.T) {
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 12))
 	out := resize(g, d, 6)
-	if len(out.Frags) != 6 {
-		t.Fatalf("frags = %d", len(out.Frags))
+	if out.Servers() != 6 {
+		t.Fatalf("frags = %d", out.Servers())
 	}
-	for s, f := range out.Frags {
+	for s, f := range fragRels(out) {
 		if f.Len() != 2 {
 			t.Fatalf("server %d has %d, want 2", s, f.Len())
 		}
@@ -66,8 +66,8 @@ func TestDistributeGrowingTotal(t *testing.T) {
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 14))
 	parts := g.DistributeSpread(d, []int{3, 4}, false, func(tp relation.Tuple) int { return int(tp[0] % 2) })
-	if len(parts[0].Frags) != 3 || len(parts[1].Frags) != 4 {
-		t.Fatalf("branch sizes = %d, %d", len(parts[0].Frags), len(parts[1].Frags))
+	if parts[0].Servers() != 3 || parts[1].Servers() != 4 {
+		t.Fatalf("branch sizes = %d, %d", parts[0].Servers(), parts[1].Servers())
 	}
 	if parts[0].Len()+parts[1].Len() != 14 {
 		t.Fatalf("tuples lost: %d + %d", parts[0].Len(), parts[1].Len())
@@ -101,7 +101,7 @@ func TestDistributeReplicatedDestinations(t *testing.T) {
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 6))
 	parts := g.DistributeSpread(d, []int{4}, true, func(relation.Tuple) int { return 0 })
-	for s, f := range parts[0].Frags {
+	for s, f := range fragRels(&parts[0]) {
 		if f.Len() != 6 {
 			t.Fatalf("server %d has %d, want 6 (replication)", s, f.Len())
 		}
@@ -129,15 +129,12 @@ func TestHashPartitionSelfSendAccounting(t *testing.T) {
 	rec := &recvRecorder{}
 	c := NewCluster(4, WithRecorder(rec))
 	g := c.Root()
-	d := NewDist(relation.NewSchema(0), g.Size())
-	for i := 0; i < 32; i++ {
-		d.Frags[0].Add(relation.Tuple{int64(i)})
-	}
+	d := blocks(fill(relation.NewSchema(0), 32), 32, 0, 0, 0)
 	out := g.HashPartition(d, []int{0})
-	if out.Frags[0].Len() == 0 {
+	if out.FragLen(0) == 0 {
 		t.Fatal("hash sent nothing back to server 0; self-send path unexercised")
 	}
-	for i, f := range out.Frags {
+	for i, f := range fragRels(out) {
 		if rec.recvs[0][i] != f.Len() {
 			t.Fatalf("server %d charged %d, holds %d", i, rec.recvs[0][i], f.Len())
 		}

@@ -1,6 +1,8 @@
 package mpc
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"coverpack/internal/relation"
@@ -12,22 +14,21 @@ import (
 // releases the cluster, so the output arenas come back to the pool for
 // the next run.
 //
-// A routed exchange returns NewSlabCounts' fragment header slab and its
-// pointer slice, plus a DistRelation — or, for DistributeSpread, a slab
-// of branch DistRelations and its pointer slice. Destination-id
-// vectors over scratchCap come from idPool, so HashPartition over more
-// than scratchCap tuples allocates no more than over fewer. Spread
-// returns the same and nothing else; it runs over more than scratchCap
-// tuples, so a destination-id vector would come from idPool and count a
-// get there, and a rotation vector kept outside the scratch would show
-// up here. HashPartition records the caller's key, not a copy, so it
+// A routed exchange returns a DistRelation and its offset vector over
+// the pooled blob: its fragments have no headers. DistributeSpread and
+// Spread return one slab of branch DistRelations sharing one offset
+// vector. Destination-id vectors over scratchCap come from idPool, one
+// id a tuple even for a broadcast DistributeSpread into branches of
+// several servers, so HashPartition and DistributeSpread over more than
+// scratchCap tuples allocate no more than over fewer; Spread stores no
+// ids at all. HashPartition records the caller's key, not a copy, so it
 // adds nothing (key is built once, outside the measured runs); Scatter
-// and ScatterDedup add their one-fragment view of the input; Route its RouteBuf wrapper of
-// the caller's function; RouteBuf its destination buffer (one per
-// exchange: a route function may return memory it holds).
-// HashPartition's identity path returns a DistRelation and a clone of
-// the fragment pointers; Gather one Relation; Broadcast is a
-// Local step (DistRelation, header slab, pointer slice, arena).
+// and ScatterDedup keep their one-fragment input's offsets in the
+// scratch; Route adds its RouteBuf wrapper of the caller's function;
+// RouteBuf its destination buffer (one per exchange: a route function
+// may return memory it holds). HashPartition's identity path returns a
+// DistRelation sharing its input's arena and offsets; Gather one
+// Relation; Broadcast is a Local step (DistRelation, offsets, arena).
 func TestExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -54,18 +55,19 @@ func TestExchangeAllocs(t *testing.T) {
 		want float64
 		run  func()
 	}{
-		{"Scatter", 4, func() { g.Scatter(in) }},
-		{"ScatterDedup", 4, func() { g.ScatterDedup(in) }},
-		{"HashPartition", 3, func() { g.HashPartition(d, key) }},
-		{"HashPartition/wide", 3, func() { g.HashPartition(wide, key) }},
-		{"HashPartition/identity", 2, func() { g.HashPartition(parted, key) }},
-		{"Route", 4, func() { g.Route(d, plain) }},
-		{"RouteBuf", 4, func() { g.RouteBuf(d, route) }},
-		{"DistributeSpread", 4, func() { g.DistributeSpread(d, sizes, false, pick) }},
-		{"DistributeSpread/broadcast", 4, func() { g.DistributeSpread(d, sizes, true, pick) }},
-		{"Spread", 4, func() { g.Spread(wide, sizes) }},
+		{"Scatter", 2, func() { g.Scatter(in) }},
+		{"ScatterDedup", 2, func() { g.ScatterDedup(in) }},
+		{"HashPartition", 2, func() { g.HashPartition(d, key) }},
+		{"HashPartition/wide", 2, func() { g.HashPartition(wide, key) }},
+		{"HashPartition/identity", 1, func() { g.HashPartition(parted, key) }},
+		{"Route", 3, func() { g.Route(d, plain) }},
+		{"RouteBuf", 3, func() { g.RouteBuf(d, route) }},
+		{"DistributeSpread", 2, func() { g.DistributeSpread(d, sizes, false, pick) }},
+		{"DistributeSpread/broadcast", 2, func() { g.DistributeSpread(d, sizes, true, pick) }},
+		{"DistributeSpread/wide broadcast", 2, func() { g.DistributeSpread(wide, sizes, true, pick) }},
+		{"Spread", 2, func() { g.Spread(wide, sizes) }},
 		{"Gather", 1, func() { g.Gather(d) }},
-		{"Broadcast", 4, func() { g.Broadcast(d) }},
+		{"Broadcast", 3, func() { g.Broadcast(d) }},
 	} {
 		run := func() {
 			op.run()
@@ -85,5 +87,57 @@ func TestExchangeAllocs(t *testing.T) {
 	c.Release()
 	if got := idPool.Stats().Gets; got != before {
 		t.Errorf("Spread took %d destination-id vectors, want none", got-before)
+	}
+	// The wide broadcast's one-id-a-tuple vector is idPool's, and goes
+	// back there: none is grown past it.
+	st := idPool.Stats()
+	g.DistributeSpread(wide, sizes, true, pick)
+	c.Release()
+	if got := idPool.Stats(); got.Gets-st.Gets != 1 || got.Puts-st.Puts != 1 {
+		t.Errorf("wide broadcast DistributeSpread: %d id vectors taken, %d put back, want 1 and 1",
+			got.Gets-st.Gets, got.Puts-st.Puts)
+	}
+}
+
+// TestFragmentsCostNoHeaders: a distributed relation's fragments are
+// views of its arena and its offset vector, so a Local step and a
+// hashed HashPartition over 4096 servers allocate at most 8 bytes a
+// server beyond their output arenas — the Local step's exact make; the
+// exchange's blob comes from the pool. A header and a pointer a fragment
+// would read 80.
+func TestFragmentsCostNoHeaders(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const p, runs = 4096, 20
+	d := NewCluster(p).Root().Scatter(big(relation.NewSchema(0, 1), p)) // one row a server
+	c := NewCluster(p, withForcedWorkers(1))
+	g := c.Root()
+	key := []int{0}
+	every := relation.SelectGtStep(d.Schema, 0, -1)
+	for _, op := range []struct {
+		name  string
+		arena uint64 // bytes of the output arena outside the pool
+		run   func()
+	}{
+		{"Local", 8 * 2 * p, func() { Local(g, d, every) }},
+		{"HashPartition", 0, func() { g.HashPartition(d, key) }},
+	} {
+		run := func() {
+			op.run()
+			c.Release()
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > op.arena+8*p {
+			t.Errorf("%s over %d servers: %d bytes a run, %.1f a server beyond its arena, want at most 8",
+				op.name, p, b, float64(b-min(b, op.arena))/p)
+		}
 	}
 }

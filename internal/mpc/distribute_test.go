@@ -31,8 +31,8 @@ func TestDistributeSplitsAndCharges(t *testing.T) {
 		if rr[b].Len() != want {
 			t.Fatalf("round-robin branch %d has %d, want %d", b, rr[b].Len(), want)
 		}
-		k := len(rr[b].Frags)
-		for s, f := range rr[b].Frags {
+		k := rr[b].Servers()
+		for s, f := range fragRels(&rr[b]) {
 			if n := want/k + min(1, max(0, want%k-s)); f.Len() != n {
 				t.Fatalf("round-robin branch %d server %d has %d, want %d", b, s, f.Len(), n)
 			}
@@ -40,7 +40,7 @@ func TestDistributeSplitsAndCharges(t *testing.T) {
 	}
 	bc := g.DistributeSpread(d, []int{2, 3}, true, parity)
 	for b, want := range []int{evens, odds} {
-		for s, f := range bc[b].Frags {
+		for s, f := range fragRels(&bc[b]) {
 			if f.Len() != want {
 				t.Fatalf("broadcast branch %d server %d has %d, want %d (replicated)", b, s, f.Len(), want)
 			}

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"coverpack/internal/relation"
 )
 
 // This file is the worker pool under the exchanges. The simulator's
@@ -16,12 +14,12 @@ import (
 //
 // The mechanism is deterministic decomposition + ordered merge:
 //
-//   - Exchanges cut the flattened fragment-major tuple stream into
-//     index-ordered chunks (flatChunks) and run the one exchange kernel
-//     (exchange.go) over them; its output does not depend on where the
-//     cuts fall, and a small exchange or a one-worker cluster is the
-//     same kernel over one chunk. Per-server steps (Local, and
-//     Broadcast's copies through it, Gather's concatenation) write
+//   - Exchanges cut their input's rows, one arena in server order, into
+//     ranges of consecutive rows (Group.scratch) and run the one
+//     exchange kernel (exchange.go) over them; its output does not
+//     depend on where the cuts fall, and a small exchange or a
+//     one-worker cluster is the same kernel over one chunk. Per-server
+//     steps (Local, and Broadcast's copies through it) write
 //     caller-owned per-index slots.
 //
 //   - Parallel branches run concurrently on sub-groups whose recorder
@@ -74,10 +72,11 @@ func withForcedWorkers(n int) Option {
 	}
 }
 
-// withChunker replaces chunksOf's cut of every exchange input. Test
-// seam: the chunking-invariance fuzz target cuts where it likes, on
-// inputs far below parThreshold.
-func withChunker(cut func(d *DistRelation) [][]frange) Option {
+// withChunker replaces the scratch's cut of every exchange input: cut
+// returns the chunk bounds of n rows, 0 first and n last. Test seam: the
+// chunking-invariance fuzz target cuts where it likes, on inputs far
+// below parThreshold.
+func withChunker(cut func(n int) []int) Option {
 	return func(c *Cluster) { c.chunker = cut }
 }
 
@@ -192,69 +191,3 @@ func (t *forkTasks) run(i int) {
 // relation.Forker, so Local's server fork shares the exchanges' pool
 // and token budget.
 func (g *Group) Fork(n int, fn func(i int)) { g.cluster.fork(n, fn) }
-
-// frange is one contiguous run of tuples within a fragment; base is the
-// flattened (fragment-major) index of its first tuple.
-type frange struct {
-	frag, lo, hi, base int
-}
-
-// flatChunks splits d's flattened stream of total tuples into at most
-// nchunks index-ordered chunks of roughly equal size, in x's chunk
-// vectors. Where the cuts fall affects only scheduling granularity, never
-// results (exchange.go).
-func (x *xrun) flatChunks(d *DistRelation, total, nchunks int) [][]frange {
-	per := (total + nchunks - 1) / nchunks
-	out := x.chunks[:0]
-	// One backing array: a fragment adds a range, a cut inside one adds
-	// another.
-	spans := sized(x.spans, len(d.Frags)+nchunks)[:0]
-	start, room, base := 0, per, 0
-	for fi, f := range d.Frags {
-		n := f.Len()
-		for lo := 0; lo < n; {
-			take := min(n-lo, room)
-			spans = append(spans, frange{frag: fi, lo: lo, hi: lo + take, base: base})
-			base += take
-			lo += take
-			room -= take
-			if room == 0 {
-				out = append(out, spans[start:len(spans):len(spans)])
-				start, room = len(spans), per
-			}
-		}
-	}
-	if len(spans) > start {
-		out = append(out, spans[start:])
-	}
-	x.chunks, x.spans = out, spans
-	return out
-}
-
-// collect concatenates fragments in order into one pooled output arena,
-// so the merged relation is built with a single allocation. A parallel
-// collect copies each fragment into its slice of the arena at the
-// offsets (in values, rows × arity) it keeps in x.
-func (g *Group) collect(x *xrun, d *DistRelation) *relation.Relation {
-	total := d.Len()
-	arity := d.Schema.Len()
-	// Every position is overwritten (the fragments tile the arena), so a
-	// recycled arena is safe despite its stale contents.
-	data := relation.GetArena(total * arity)[:total*arity]
-	if g.parallel(total) {
-		offs, off := sized(x.offs, len(d.Frags)), 0
-		for i, f := range d.Frags {
-			offs[i] = off
-			off += f.Len() * arity
-		}
-		x.offs = offs
-		g.cluster.fork(len(d.Frags), func(i int) { copy(data[offs[i]:], d.Frags[i].Data()) })
-	} else {
-		off := 0
-		for _, f := range d.Frags {
-			off += copy(data[off:], f.Data())
-		}
-	}
-	g.cluster.trackArena(data)
-	return relation.FromData(d.Schema, data, total)
-}

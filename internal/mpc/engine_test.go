@@ -91,11 +91,11 @@ var engineScenarios = []struct {
 }{
 	{"scatter", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0, 1), 4000))
-		keep(d.Frags...)
+		keep(fragRels(d)...)
 	}},
 	{"hash-partition", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0, 1), 4000))
-		keep(g.HashPartition(d, []int{1}).Frags...)
+		keep(fragRels(g.HashPartition(d, []int{1}))...)
 	}},
 	{"route-replicated", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0, 1), 4000))
@@ -106,29 +106,29 @@ var engineScenarios = []struct {
 			}
 			return []int{int(t[0]) % size}
 		})
-		keep(out.Frags...)
+		keep(fragRels(out)...)
 	}},
 	{"send-to", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0, 1), 4000))
-		keep(resize(g, d, 3).Frags...)
-		keep(resize(g, d, g.Size()+2).Frags...)
+		keep(fragRels(resize(g, d, 3))...)
+		keep(fragRels(resize(g, d, g.Size()+2))...)
 	}},
 	{"broadcast-gather", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0), 2000))
-		keep(g.Broadcast(d).Frags...)
+		keep(fragRels(g.Broadcast(d))...)
 		keep(g.Gather(d))
 	}},
 	{"local", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0, 1), 4000))
 		out := Local(g, d, relation.SelectEqStep(d.Schema, 0, 5))
-		keep(out.Frags...)
+		keep(fragRels(out)...)
 	}},
 	{"distribute", func(g *Group, keep func(...*relation.Relation)) {
 		d := g.Scatter(big(relation.NewSchema(0, 1), 4000))
 		// Round-robin: evens to branch 0, odds to branch 1.
 		parts := g.DistributeSpread(d, []int{2, 3}, false, func(t relation.Tuple) int { return int(t[0] % 2) })
-		for _, p := range parts {
-			keep(p.Frags...)
+		for i := range parts {
+			keep(fragRels(&parts[i])...)
 		}
 	}},
 	{"distribute-spread", func(g *Group, keep func(...*relation.Relation)) {
@@ -144,9 +144,7 @@ var engineScenarios = []struct {
 			}
 		}
 		for _, broadcast := range []bool{false, true} {
-			for _, p := range g.DistributeSpread(d, []int{2, 3}, broadcast, pick) {
-				keep(p.Frags...)
-			}
+			keep(flatten(g.DistributeSpread(d, []int{2, 3}, broadcast, pick))...)
 		}
 	}},
 	{"parallel-nested", func(g *Group, keep func(...*relation.Relation)) {
@@ -183,7 +181,7 @@ var engineScenarios = []struct {
 			})
 		})
 		for _, d := range append(append([]*DistRelation{}, outs...), inner...) {
-			keep(d.Frags...)
+			keep(fragRels(d)...)
 		}
 	}},
 }
@@ -195,32 +193,50 @@ var engineScenarios = []struct {
 // chunking invariance, not correctness.
 
 func naiveHashPartition(d *DistRelation, pos []int, p int) ([]*relation.Relation, []int) {
-	out := NewDist(d.Schema, p)
+	out := empties(d.Schema, p)
 	recv := make([]int, p)
-	for _, f := range d.Frags {
+	for _, f := range fragRels(d) {
 		for i := 0; i < f.Len(); i++ {
 			t := f.Row(i)
 			dst := legacyHashDest(t, pos, p)
-			out.Frags[dst].Add(t)
+			out[dst].Add(t)
 			recv[dst]++
 		}
 	}
-	return out.Frags, recv
+	return out, recv
 }
 
 func naiveRoute(d *DistRelation, p int, route func(src int, t relation.Tuple) []int) ([]*relation.Relation, []int) {
-	out := NewDist(d.Schema, p)
+	out := empties(d.Schema, p)
 	recv := make([]int, p)
-	for src, f := range d.Frags {
+	for src, f := range fragRels(d) {
 		for i := 0; i < f.Len(); i++ {
 			t := f.Row(i)
 			for _, dst := range route(src, t) {
-				out.Frags[dst].Add(t)
+				out[dst].Add(t)
 				recv[dst]++
 			}
 		}
 	}
-	return out.Frags, recv
+	return out, recv
+}
+
+// empties returns n empty relations over schema.
+func empties(schema relation.Schema, n int) []*relation.Relation {
+	out := make([]*relation.Relation, n)
+	for i := range out {
+		out[i] = relation.New(schema)
+	}
+	return out
+}
+
+// fragRels copies d's fragments out as relations, fragment i at index i.
+func fragRels(d *DistRelation) []*relation.Relation {
+	out := make([]*relation.Relation, d.Servers())
+	for i := range out {
+		out[i] = d.Frag(i).Clone()
+	}
+	return out
 }
 
 // naiveBranches allocates the per-branch outputs of DistributeSpread as
@@ -231,13 +247,13 @@ func naiveBranches(schema relation.Schema, sizes []int, p int) (frags []*relatio
 		offset = append(offset, total)
 		total += k
 	}
-	return NewDist(schema, total).Frags, offset, make([]int, max(total, p))
+	return empties(schema, total), offset, make([]int, max(total, p))
 }
 
 func naiveDistributeSpread(d *DistRelation, sizes []int, p int, broadcast bool, pick func(relation.Tuple) int) ([]*relation.Relation, []int) {
 	frags, offset, recv := naiveBranches(d.Schema, sizes, p)
 	rr := make([]int, len(sizes))
-	for _, f := range d.Frags {
+	for _, f := range fragRels(d) {
 		for i := 0; i < f.Len(); i++ {
 			t := f.Row(i)
 			b := pick(t)
@@ -265,7 +281,7 @@ func naiveDistributeSpread(d *DistRelation, sizes []int, p int, broadcast bool, 
 func naiveSpread(d *DistRelation, sizes []int, p int) ([]*relation.Relation, []int) {
 	frags, offset, recv := naiveBranches(d.Schema, sizes, p)
 	i := 0
-	for _, f := range d.Frags {
+	for _, f := range fragRels(d) {
 		for j := 0; j < f.Len(); j++ {
 			for b, k := range sizes {
 				frags[offset[b]+i%k].Add(f.Row(j))
@@ -294,10 +310,10 @@ func col(src int, t relation.Tuple, j int) int {
 	return src + j
 }
 
-func flatten(parts []*DistRelation) []*relation.Relation {
+func flatten(parts []DistRelation) []*relation.Relation {
 	var out []*relation.Relation
-	for _, d := range parts {
-		out = append(out, d.Frags...)
+	for i := range parts {
+		out = append(out, fragRels(&parts[i])...)
 	}
 	return out
 }
@@ -339,13 +355,13 @@ func exchangeCases(p int) []exchangeCase {
 	return []exchangeCase{
 		{"hash-partition",
 			func(g *Group, d *DistRelation) []*relation.Relation {
-				return g.HashPartition(d, d.Schema.Attrs()[:min(1, d.Schema.Len())]).Frags
+				return fragRels(g.HashPartition(d, d.Schema.Attrs()[:min(1, d.Schema.Len())]))
 			},
 			func(d *DistRelation, p int) ([]*relation.Relation, []int) {
 				return naiveHashPartition(d, []int{0}[:min(1, d.Schema.Len())], p)
 			}},
 		{"route",
-			func(g *Group, d *DistRelation) []*relation.Relation { return g.Route(d, route).Frags },
+			func(g *Group, d *DistRelation) []*relation.Relation { return fragRels(g.Route(d, route)) },
 			func(d *DistRelation, p int) ([]*relation.Relation, []int) { return naiveRoute(d, p, route) }},
 		distribute("distribute-spread", false),
 		distribute("distribute-spread/broadcast", true),
@@ -406,16 +422,7 @@ func checkAgainstNaive(t testing.TB, label string, ec exchangeCase, d *DistRelat
 // blocks lays r out over len(sizes) fragments by contiguous runs of the
 // given sizes (which must sum to r.Len()), without going through Scatter.
 func blocks(r *relation.Relation, sizes ...int) *DistRelation {
-	d := &DistRelation{Schema: r.Schema()}
-	row := 0
-	for _, n := range sizes {
-		f := relation.New(r.Schema())
-		for ; n > 0; n, row = n-1, row+1 {
-			f.Add(r.Row(row))
-		}
-		d.Frags = append(d.Frags, f)
-	}
-	return d
+	return &DistRelation{Frags: relation.NewFragsCounts(r.Schema(), slices.Clone(r.Data()), sizes)}
 }
 
 func TestEngineEquivalence(t *testing.T) {
@@ -490,7 +497,7 @@ func itoa(n int) string {
 // parThreshold, and with a chunk per tuple, where every chunk has to
 // find its own rank in the deduplicated order.
 func TestScatterDedupMatchesScatterOfDedup(t *testing.T) {
-	everyTuple := withChunker(func(d *DistRelation) [][]frange { return cutChunks(d, nil, true) })
+	everyTuple := withChunker(func(n int) []int { return cutChunks(n, nil, true) })
 	for _, n := range []int{0, 1, 20, 200, 3 * parThreshold} {
 		in := relation.New(relation.NewSchema(0, 1))
 		for i := 0; i < n; i++ {
@@ -514,43 +521,25 @@ func TestScatterDedupMatchesScatterOfDedup(t *testing.T) {
 }
 
 func TestFlatChunksPartitionFlattenedOrder(t *testing.T) {
-	schema := relation.NewSchema(0)
-	x := new(xrun) // one scratch for every cut: reused vectors must not leak stale ranges
-	for _, sizes := range [][]int{
-		{0, 0, 0},
-		{1},
-		{700, 0, 1, 299, 4000},
-		{256, 256, 256},
-		{5000},
-	} {
-		d := &DistRelation{Schema: schema}
-		total := 0
-		for fi, n := range sizes {
-			f := relation.New(schema)
-			for i := 0; i < n; i++ {
-				f.Add(relation.Tuple{int64(fi*100000 + i)})
-			}
-			d.Frags = append(d.Frags, f)
-			total += n
-		}
-		for _, workers := range []int{1, 2, 7, 64} {
-			chunks := x.flatChunks(d, total, workers)
+	for _, workers := range []int{1, 2, 7, 64} {
+		g := NewCluster(3, withForcedWorkers(workers)).Root()
+		for _, n := range []int{0, 1, 255, parThreshold - 1, parThreshold, 5000, 100000} {
+			x := g.scratch(n)
 			next := 0
-			for _, chunk := range chunks {
-				for _, r := range chunk {
-					at := r.lo // the range's flat index, counted from the sizes
-					for _, n := range sizes[:r.frag] {
-						at += n
-					}
-					if r.base != next || at != next || r.hi <= r.lo || r.hi > sizes[r.frag] {
-						t.Fatalf("sizes %v workers %d: range %+v, want one starting at flat index %d", sizes, workers, r, next)
-					}
-					next += r.hi - r.lo
+			for ci := range x.chunks() {
+				lo, hi := x.cut[ci], x.cut[ci+1]
+				if lo != next || hi <= lo {
+					t.Fatalf("n %d workers %d: chunk %d is rows %d to %d, want one starting at row %d", n, workers, ci, lo, hi, next)
 				}
+				next = hi
 			}
-			if next != total {
-				t.Fatalf("sizes %v workers %d: visited %d of %d tuples", sizes, workers, next, total)
+			if next != n {
+				t.Fatalf("n %d workers %d: chunks cover %d of %d rows", n, workers, next, n)
 			}
+			if k := x.chunks(); n > 0 && (k < 1 || k > max(1, workers*chunkFactor) || k > 1 && !g.parallel(n)) {
+				t.Fatalf("n %d workers %d: %d chunks", n, workers, k)
+			}
+			putScratch(x)
 		}
 	}
 }
@@ -671,9 +660,9 @@ func TestWithWorkersFallbackUnderSingleCPU(t *testing.T) {
 	if rs != gs {
 		t.Fatalf("fallback stats %+v, want %+v", gs, rs)
 	}
-	for i := range rout.Frags {
-		if rout.Frags[i].Len() != out.Frags[i].Len() {
-			t.Fatalf("fragment %d: %d tuples, want %d", i, out.Frags[i].Len(), rout.Frags[i].Len())
+	for i := range rout.Servers() {
+		if rout.FragLen(i) != out.FragLen(i) {
+			t.Fatalf("fragment %d: %d tuples, want %d", i, out.FragLen(i), rout.FragLen(i))
 		}
 	}
 }
@@ -697,8 +686,9 @@ func TestExchangeOutputsPooledAndTracked(t *testing.T) {
 	}
 }
 
-// TestSmallStepsRunInline: Broadcast, Gather and Local decide to fan out by the same rule as the exchanges — never below
-// parThreshold tuples, however many servers the group has.
+// TestSmallStepsRunInline: Broadcast and Local decide to fan out by the
+// same rule as the exchanges — never below parThreshold tuples, however
+// many servers the group has — and Gather never forks.
 func TestSmallStepsRunInline(t *testing.T) {
 	c := NewCluster(8, withForcedWorkers(4))
 	g := c.Root()

@@ -2,81 +2,103 @@ package mpc
 
 import "coverpack/internal/relation"
 
-// The exchange kernel: with Spread's fill below, the only code in the
-// package that moves tuples between fragments. Every exchange but
-// Spread is a router over it.
+// The exchange kernel: with the spreads' fills below, the only code in
+// the package that moves tuples between fragments. Every exchange but
+// Spread and DistributeSpread is a router over it.
 //
-// Pass 1 routes every tuple, chunk by chunk, keeps the destination ids
-// the router returns and counts them per destination. The counts size
-// one pooled slab exactly (relation.NewSlabCounts) and, prefix-summed
-// destination by destination and chunk by chunk within a destination,
-// give every chunk its own write cursors into it. Pass 2 copies each row
-// to its cursors, by arity: rows of one to four values move as
-// fixed-size arrays in a loop written for that arity, on the
-// one-destination path and on the many-destination path alike; wider
-// rows go through copy. Chunks partition the flattened (fragment-major)
-// input in order, so chunk-major cursors within a destination are
-// flattened input order: the output is the same for any chunking, and
-// one chunk is the sequential exchange. One chunk runs both passes
-// inline; several run them on the pool. All bookkeeping lives in the
-// exchange's scratch (scratch.go).
+// An exchange's input is its fragments' rows in server order, one arena
+// (relation.Frags), cut into chunks of consecutive rows. Pass 1 routes
+// every tuple, chunk by chunk, keeps the destination ids the router
+// returns and counts them per destination. The counts size one pooled
+// blob exactly, and, prefix-summed destination by destination and chunk
+// by chunk within a destination, give every chunk its own write cursors
+// into it. Pass 2 copies each row to its cursors, by arity: rows of one
+// to four values move as fixed-size arrays in a loop written for that
+// arity, on the one-destination path and on the many-destination path
+// alike; wider rows go through copy. The output hands over the blob
+// with the prefix-summed counts as its offsets: the destinations'
+// fragments tile it, with no header of their own. Chunk-major cursors
+// within a destination are input order, so the output is the same for
+// any chunking, and one chunk is the sequential exchange. One chunk runs
+// both passes inline; several run them on the pool. All bookkeeping
+// lives in the exchange's scratch (scratch.go).
 
 // router appends the destinations of one tuple, as ids in [0, nd) with
-// nd < 1<<31, to dst. c is the tuple's chunk, src the index of its
-// source fragment, flat its index in the flattened input. A router
-// validates what a caller handed it; the kernel trusts the ids. Routers
-// are values passed as type arguments: routing builds no function value.
+// nd < 1<<31, to dst. c is the tuple's chunk and flat its index among
+// the input's rows. A router validates what a caller handed it; the
+// kernel trusts the ids. Routers are values passed as type arguments:
+// routing builds no function value.
 type router interface {
-	route(c *xchunk, dst []uint32, src int, t relation.Tuple, flat int) []uint32
+	route(c *xchunk, dst []uint32, t relation.Tuple, flat int) []uint32
 }
 
 // When a tuple may have any number of destinations, the last id of its
 // run in dst carries lastID, and a tuple with none leaves the lone
 // entry noID (which carries it too). With exactly one destination per
-// tuple the ids are stored bare.
+// tuple the ids are stored bare; a one-destination router may still
+// store noID to drop a tuple, which the count skips (DistributeSpread).
 const (
 	lastID uint32 = 1 << 31
 	noID          = ^uint32(0)
 )
 
-// scratch takes an exchange scratch holding d's cut: one chunk unless
-// the exchange is big enough to fan out (parallel), then a few per
-// worker so that uneven fragments still balance.
-func (g *Group) scratch(d *DistRelation) *xrun {
+// scratch takes an exchange scratch holding the cut of n input rows:
+// none for no rows, one chunk unless the exchange is big enough to fan
+// out (parallel), then a few per worker so that uneven routing still
+// balances.
+func (g *Group) scratch(n int) *xrun {
 	x := getScratch()
-	if g.cluster.chunker != nil {
-		x.chunks = append(x.chunks[:0], g.cluster.chunker(d)...)
-	} else {
-		total, n := d.Len(), 1
-		if g.parallel(total) {
-			n = min(g.cluster.workers*chunkFactor, (total+minChunk-1)/minChunk)
+	switch {
+	case g.cluster.chunker != nil:
+		x.cut = append(x.cut[:0], g.cluster.chunker(n)...)
+	case n == 0:
+		x.cut = x.cut[:0]
+	default:
+		k := 1
+		if g.parallel(n) {
+			k = min(g.cluster.workers*chunkFactor, (n+minChunk-1)/minChunk)
 		}
-		x.chunks = x.flatChunks(d, total, n)
+		x.cut = sized(x.cut, k+1)
+		for i := range x.cut {
+			x.cut[i] = i * n / k
+		}
 	}
-	x.cs = sized(x.cs, len(x.chunks))
+	x.cs = sized(x.cs, x.chunks())
 	return x
 }
 
-// exchange routes d's tuples, cut as x.chunks, to nd destinations by r;
+// chunks returns the number of chunks in x's cut.
+func (x *xrun) chunks() int { return max(len(x.cut)-1, 0) }
+
+// rowsOf returns chunk ci's rows of in, and their first index.
+func (x *xrun) rowsOf(in relation.Frags, ci int) ([]relation.Value, int) {
+	lo, hi, a := x.cut[ci], x.cut[ci+1], in.Schema.Len()
+	all := in.Collect()
+	return all.Data()[lo*a : hi*a], lo
+}
+
+// exchange routes in's tuples, cut as x.cut, to nd destinations by r;
 // single promises exactly one destination per tuple. It returns the nd
 // output fragments and leaves in x.recv the per-destination tuple
 // counts, of length max(nd, group size) — the charged recv vector of an
 // exchange that charges every delivery — and each chunk's destination
 // ids in its dst. The caller charges and admits.
-func exchange[R router](g *Group, x *xrun, d *DistRelation, nd int, single bool, r R) []*relation.Relation {
-	c, n := g.cluster, len(x.chunks)
+func exchange[R router](g *Group, x *xrun, in relation.Frags, nd int, single bool, r R) relation.Frags {
+	c, n := g.cluster, x.chunks()
 	x.recv = zeroed(x.recv, max(nd, g.size))
 	if n == 1 {
-		pass1(x, d, r, 0, nd, single)
+		pass1(x, in, r, 0, nd, single)
 	} else if n > 1 {
-		c.fork(n, func(ci int) { pass1(x, d, r, ci, nd, single) })
+		c.fork(n, func(ci int) { pass1(x, in, r, ci, nd, single) })
 	}
+	total := 0
 	for _, ch := range x.cs[:n] {
 		for dest, v := range ch.cur {
 			x.recv[dest] += v
+			total += v
 		}
 	}
-	frags, blob := relation.NewSlabCounts(d.Schema, x.recv[:nd])
+	blob := relation.GetArena(total * in.Schema.Len())[:total*in.Schema.Len()]
 	c.trackArena(blob)
 	// The (destination, chunk) prefix sum of the counts turns each
 	// chunk's count for a destination into its first row there.
@@ -87,32 +109,30 @@ func exchange[R router](g *Group, x *xrun, d *DistRelation, nd int, single bool,
 		}
 	}
 	if n == 1 {
-		pass2(x, d, blob, 0, single)
+		pass2(x, in, blob, 0, single)
 	} else if n > 1 {
-		c.fork(n, func(ci int) { pass2(x, d, blob, ci, single) })
+		c.fork(n, func(ci int) { pass2(x, in, blob, ci, single) })
 	}
-	return frags
+	return relation.NewFragsCounts(in.Schema, blob, x.recv[:nd])
 }
 
 // pass1 routes chunk ci by r and counts its destination ids into the
 // chunk's cursor vector.
-func pass1[R router](x *xrun, d *DistRelation, r R, ci, nd int, single bool) {
-	chunk, c, arity := x.chunks[ci], &x.cs[ci], d.Schema.Len()
-	last := chunk[len(chunk)-1]
-	dst := c.ids(last.base + last.hi - last.lo - chunk[0].base) // one id a tuple, or more
-	for _, s := range chunk {
-		data := d.Frags[s.frag].Data()
-		for i := s.lo; i < s.hi; i++ {
-			before := len(dst)
-			dst = r.route(c, dst, s.frag, data[i*arity:(i+1)*arity:(i+1)*arity], s.base+i-s.lo)
-			if single {
-				continue
-			}
-			if len(dst) == before {
-				dst = append(dst, noID)
-			} else {
-				dst[len(dst)-1] |= lastID
-			}
+func pass1[R router](x *xrun, in relation.Frags, r R, ci, nd int, single bool) {
+	data, lo := x.rowsOf(in, ci)
+	c, arity := &x.cs[ci], in.Schema.Len()
+	rows := x.cut[ci+1] - lo
+	dst := c.ids(rows) // one id a tuple, or more
+	for i := range rows {
+		before := len(dst)
+		dst = r.route(c, dst, data[i*arity:(i+1)*arity:(i+1)*arity], lo+i)
+		if single {
+			continue
+		}
+		if len(dst) == before {
+			dst = append(dst, noID)
+		} else {
+			dst[len(dst)-1] |= lastID
 		}
 	}
 	c.dst, c.cur = dst, zeroed(c.cur, nd)
@@ -124,17 +144,13 @@ func pass1[R router](x *xrun, d *DistRelation, r R, ci, nd int, single bool) {
 }
 
 // pass2 copies chunk ci's rows to their destinations' write cursors.
-func pass2(x *xrun, d *DistRelation, blob []relation.Value, ci int, single bool) {
-	c, j, arity := &x.cs[ci], 0, d.Schema.Len()
-	for _, s := range x.chunks[ci] {
-		rows := s.hi - s.lo
-		data := d.Frags[s.frag].Data()[s.lo*arity : s.hi*arity]
-		if single {
-			fillOne(blob, data, c.dst[j:j+rows], c.cur, arity)
-			j += rows
-		} else {
-			j = fillMany(blob, data, rows, c.dst, j, c.cur, arity)
-		}
+func pass2(x *xrun, in relation.Frags, blob []relation.Value, ci int, single bool) {
+	data, lo := x.rowsOf(in, ci)
+	c, rows := &x.cs[ci], x.cut[ci+1]-lo
+	if single {
+		fillOne(blob, data, c.dst[:rows], c.cur, in.Schema.Len())
+	} else {
+		fillMany(blob, data, rows, c.dst, c.cur, in.Schema.Len())
 	}
 }
 
@@ -179,9 +195,9 @@ func fillOne(blob, data []relation.Value, ids []uint32, cur []int, arity int) {
 }
 
 // fillMany is fillOne for any number of destinations a row: the ids
-// from ids[j] on run as lastID and noID mark them, one run a row. It
-// returns the index past the last run.
-func fillMany(blob, data []relation.Value, rows int, ids []uint32, j int, cur []int, arity int) int {
+// run as lastID and noID mark them, one run a row.
+func fillMany(blob, data []relation.Value, rows int, ids []uint32, cur []int, arity int) {
+	j := 0
 	switch arity {
 	case 1:
 		for i := range rows {
@@ -244,34 +260,72 @@ func fillMany(blob, data []relation.Value, rows int, ids []uint32, j int, cur []
 			}
 		}
 	}
-	return j
 }
 
 // spreadFill copies chunk ci's rows to every branch of a Spread. In a
-// k-server branch, flattened tuple i is row i/k of server i mod k, so
-// the chunk starts at quotient f0/k and server f0 mod k of each branch,
-// f0 its first flattened index, and walks the servers in rotation:
-// nothing is routed, counted or stored per row.
-func spreadFill(x *xrun, d *DistRelation, blob []relation.Value, sizes []int, ci int) {
-	chunk, arity := x.chunks[ci], d.Schema.Len()
-	f0, lo := chunk[0].base, 0
-	for _, k := range sizes {
-		first := x.first[lo : lo+k]
-		lo += k
-		q, s := f0/k, f0%k
-		for _, sp := range chunk {
-			data := d.Frags[sp.frag].Data()[sp.lo*arity : sp.hi*arity]
-			q, s = fillRotate(blob, data, sp.hi-sp.lo, first, q, s, arity)
+// k-server branch, input row i is row i/k of server i mod k, so the
+// chunk starts at quotient lo/k and server lo mod k of each branch, lo
+// its first row, and walks the servers in rotation: nothing is routed,
+// counted or stored per row.
+func spreadFill(x *xrun, in relation.Frags, blob []relation.Value, sizes []int, ci int) {
+	data, lo := x.rowsOf(in, ci)
+	rows, arity := x.cut[ci+1]-lo, in.Schema.Len()
+	for b, k := range sizes {
+		first := x.first[x.offs[b] : x.offs[b]+k]
+		fillRotate(blob, data, rows, first, lo/k, lo%k, arity)
+	}
+}
+
+// pickFill copies chunk ci's rows to their branches in a
+// DistributeSpread: a row whose id is branch b is the q-th pick of b,
+// q counted in c.cur[b] from the chunk's first rank there, and goes to
+// row q of every server of b under broadcast, and otherwise to row q/k
+// of server q mod k of a k-server branch.
+func pickFill(x *xrun, in relation.Frags, blob []relation.Value, sizes []int, ci int, broadcast bool) {
+	data, lo := x.rowsOf(in, ci)
+	c, arity := &x.cs[ci], in.Schema.Len()
+	for i, id := range c.dst[:x.cut[ci+1]-lo] {
+		if id == noID {
+			continue
 		}
+		b := int(id)
+		q := c.cur[b]
+		c.cur[b]++
+		first, row := x.first[x.offs[b]:x.offs[b]+sizes[b]], data[i*arity:(i+1)*arity]
+		if !broadcast {
+			k := len(first)
+			putRow(blob, first[q%k]+q/k, row)
+			continue
+		}
+		for _, f := range first {
+			putRow(blob, f+q, row)
+		}
+	}
+}
+
+// putRow copies row to row at of blob, len(row) values a row. Rows of
+// one to four values move as fixed-size arrays, as in fillOne.
+func putRow(blob []relation.Value, at int, row []relation.Value) {
+	switch len(row) {
+	case 1:
+		blob[at] = row[0]
+	case 2:
+		*(*[2]relation.Value)(blob[at*2:]) = *(*[2]relation.Value)(row)
+	case 3:
+		*(*[3]relation.Value)(blob[at*3:]) = *(*[3]relation.Value)(row)
+	case 4:
+		*(*[4]relation.Value)(blob[at*4:]) = *(*[4]relation.Value)(row)
+	default:
+		copy(blob[at*len(row):], row)
 	}
 }
 
 // fillRotate copies rows rows of data (arity values a row) to one
 // branch: the next row goes to row q of the server s, whose first row
 // in blob is first[s], and s rotates over the len(first) servers,
-// advancing q on wrapping. It returns the next (q, s). Rows of one to
-// four values move as fixed-size arrays, as in fillOne.
-func fillRotate(blob, data []relation.Value, rows int, first []int, q, s, arity int) (int, int) {
+// advancing q on wrapping. Rows of one to four values move as
+// fixed-size arrays, as in fillOne.
+func fillRotate(blob, data []relation.Value, rows int, first []int, q, s, arity int) {
 	k := len(first)
 	switch arity {
 	case 1:
@@ -310,12 +364,11 @@ func fillRotate(blob, data []relation.Value, rows int, first []int, q, s, arity 
 			}
 		}
 	}
-	return q, s
 }
 
-// roundRobin routes flattened tuple i to destination i mod k.
+// roundRobin routes input row i to destination i mod k.
 type roundRobin int
 
-func (k roundRobin) route(_ *xchunk, dst []uint32, _ int, _ relation.Tuple, flat int) []uint32 {
+func (k roundRobin) route(_ *xchunk, dst []uint32, _ relation.Tuple, flat int) []uint32 {
 	return append(dst, uint32(flat%int(k)))
 }

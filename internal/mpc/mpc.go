@@ -18,8 +18,8 @@
 //     load O(L)" are checked by comparing ServersUsed against f and Load
 //     against L.
 //
-// Data lives in DistRelations: one relation fragment per server of the
-// owning group. Tuples move between servers only through the group's
+// Data lives in DistRelations: one fragment per server of the owning
+// group, all of them views of one arena (relation.Frags). Tuples move between servers only through the group's
 // exchange operations (HashPartition, Route, DistributeSpread, ...),
 // which share one kernel (exchange.go) and charge every round. Decisions
 // the driver makes from O(p)-size summaries (fragment sizes, heavy-value
@@ -55,6 +55,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -103,7 +104,7 @@ type Cluster struct {
 	workers  int
 	tokens   chan struct{}
 	fellBack bool
-	chunker  func(d *DistRelation) [][]frange
+	chunker  func(n int) []int
 
 	// hashed and identity count the HashPartitions that hashed and
 	// those that took the identity path (see PlanCacheStats). Atomics:
@@ -326,15 +327,18 @@ func (g *Group) Note(text string) {
 }
 
 // DistRelation is a relation partitioned across the servers of a group:
-// Frags[i] is server i's fragment.
+// fragment i (Frag(i)) is server i's. The fragments are views of one
+// arena and an offset vector (relation.Frags), written once. Collect is
+// all of them as one view, free: the engine reads it only where the
+// cost is charged by other means (Case II's joint count, the
+// conservative allocator's sub-joins); Gather is the accounted one.
 type DistRelation struct {
-	Schema relation.Schema
-	Frags  []*relation.Relation
+	relation.Frags
 
 	// part, when non-empty, records that the fragments are the output of
-	// a HashPartition on these attributes over a group of len(Frags)
-	// servers: every tuple of Frags[i] hashes to i. HashPartition uses it
-	// to elide re-partitioning on the same key entirely (the identity
+	// a HashPartition on these attributes over a group of Servers()
+	// servers: every tuple of fragment i hashes to i. HashPartition uses
+	// it to elide re-partitioning on the same key entirely (the identity
 	// path of HashPartition). The mark describes fragment placement,
 	// not content, so Local and other per-fragment transforms must not
 	// propagate it unless placement is preserved; algorithm layers
@@ -344,7 +348,7 @@ type DistRelation struct {
 }
 
 // MarkPartitioned records that d's fragments are hash-partitioned on
-// attrs (tuple t lives on server hashtab.Hash(t, pos) mod len(Frags)).
+// attrs (tuple t lives on server hashtab.Hash(t, pos) mod Servers()).
 // Callers assert placement they have established — e.g. a per-server
 // filter of an already-partitioned relation preserves it. d keeps attrs
 // itself, so the caller must not modify it after the call.
@@ -362,48 +366,23 @@ func (d *DistRelation) PartitionedOn(attrs []int) bool {
 // NewDist allocates an empty distributed relation for a group of the
 // given size.
 func NewDist(schema relation.Schema, size int) *DistRelation {
-	return &DistRelation{Schema: schema, Frags: relation.NewSlab(schema, size)}
-}
-
-// Len returns the total tuple count across fragments.
-func (d *DistRelation) Len() int {
-	n := 0
-	for _, f := range d.Frags {
-		n += f.Len()
-	}
-	return n
-}
-
-// Collect concatenates all fragments into one local relation, sized
-// once. It is free, not a simulated communication step: tests and
-// oracles inspect through it, and the engine calls it where the cost is
-// charged by other means — Case II's joint count (the movement to the
-// counting servers is charged by the exchanges before it) and the
-// conservative allocator's oracle sub-joins (one statistics round,
-// charged through ChargeControl). Use Gather for the accounted
-// operation. The copy's arena comes from relation.GetArena and nothing
-// tracks it: a caller that drops the copy hands its Data back with
-// relation.PutArena once nothing reads it (the engine's callers do,
-// right after counting), and one that keeps it leaves it to the
-// collector.
-func (d *DistRelation) Collect() *relation.Relation {
-	n := d.Len()
-	data := relation.GetArena(n * d.Schema.Len())
-	for _, f := range d.Frags {
-		data = append(data, f.Data()...)
-	}
-	return relation.FromData(d.Schema, data, n)
+	return &DistRelation{Frags: relation.NewFrags(schema, nil, make([]int32, size+1))}
 }
 
 // Scatter distributes a local relation round-robin over the group —
 // the "data initially distributed evenly" premise of the model. It is
 // free: initial placement precedes the computation.
 func (g *Group) Scatter(r *relation.Relation) *DistRelation {
-	d := &DistRelation{Schema: r.Schema(), Frags: []*relation.Relation{r}}
-	x := g.scratch(d)
-	d.Frags = exchange(g, x, d, g.size, true, roundRobin(g.size))
+	x := g.scratch(r.Len())
+	d := &DistRelation{Frags: exchange(g, x, x.whole(r), g.size, true, roundRobin(g.size))}
 	putScratch(x)
 	return d
+}
+
+// whole returns r as one fragment, its offsets in x.
+func (x *xrun) whole(r *relation.Relation) relation.Frags {
+	x.one = append(x.one[:0], 0, int32(r.Len()))
+	return relation.NewFrags(r.Schema(), r.Data(), x.one)
 }
 
 // ScatterDedup scatters the distinct rows of r round-robin over the
@@ -414,12 +393,11 @@ func (g *Group) Scatter(r *relation.Relation) *DistRelation {
 // repeats. Free and untraced like Scatter.
 func (g *Group) ScatterDedup(r *relation.Relation) *DistRelation {
 	first := r.FirstRows()
-	d := &DistRelation{Schema: r.Schema(), Frags: []*relation.Relation{r}}
-	x := g.scratch(d)
-	for ci, chunk := range x.chunks {
-		x.cs[ci].k, _ = slices.BinarySearch(first, int32(chunk[0].base))
+	x := g.scratch(r.Len())
+	for ci := range x.chunks() {
+		x.cs[ci].k, _ = slices.BinarySearch(first, int32(x.cut[ci]))
 	}
-	d.Frags = exchange(g, x, d, g.size, false, dedupRoute{first, g.size})
+	d := &DistRelation{Frags: exchange(g, x, x.whole(r), g.size, false, dedupRoute{first, g.size})}
 	putScratch(x)
 	return d
 }
@@ -431,7 +409,7 @@ type dedupRoute struct {
 	size  int
 }
 
-func (r dedupRoute) route(c *xchunk, dst []uint32, _ int, _ relation.Tuple, flat int) []uint32 {
+func (r dedupRoute) route(c *xchunk, dst []uint32, _ relation.Tuple, flat int) []uint32 {
 	if c.k < len(r.first) && int(r.first[c.k]) == flat {
 		dst = append(dst, uint32(c.k%r.size))
 		c.k++
@@ -444,27 +422,28 @@ func (r dedupRoute) route(c *xchunk, dst []uint32, _ int, _ relation.Tuple, flat
 //
 // When d is already partitioned on attrs for this group the exchange is
 // the identity: every tuple of fragment i hashes back to server i, in
-// fragment order. The output then shares d's fragments without hashing,
-// and the charge is each fragment's size — what hashing would compute.
+// fragment order. The output then shares d's arena and offsets without
+// hashing, and the charge is each fragment's size — what hashing would
+// compute.
 //
 // The output records attrs itself as its partitioning key, so the caller
 // must not modify attrs after the call.
 func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
-	out := &DistRelation{Schema: d.Schema, part: attrs}
+	out := &DistRelation{part: attrs}
 	var x *xrun
-	if len(d.Frags) == g.size && d.PartitionedOn(attrs) {
+	if d.Servers() == g.size && d.PartitionedOn(attrs) {
 		g.cluster.identity.Add(1)
 		x = getScratch()
 		x.recv = sized(x.recv, g.size)
-		for i, f := range d.Frags {
-			x.recv[i] = f.Len()
+		for i := range x.recv {
+			x.recv[i] = d.FragLen(i)
 		}
-		out.Frags = slices.Clone(d.Frags)
+		out.Frags = d.Frags
 	} else {
 		g.cluster.hashed.Add(1)
-		x = g.scratch(d)
+		x = g.scratch(d.Len())
 		x.offs = d.Schema.AppendPositions(x.offs[:0], attrs)
-		out.Frags = exchange(g, x, d, g.size, true, hashRoute{x.offs, uint64(g.size)})
+		out.Frags = exchange(g, x, d.Frags, g.size, true, hashRoute{x.offs, uint64(g.size)})
 	}
 	g.charge(trace.OpHashPartition, x)
 	return out
@@ -476,17 +455,17 @@ type hashRoute struct {
 	k   uint64
 }
 
-func (r hashRoute) route(_ *xchunk, dst []uint32, _ int, t relation.Tuple, _ int) []uint32 {
+func (r hashRoute) route(_ *xchunk, dst []uint32, t relation.Tuple, _ int) []uint32 {
 	return append(dst, uint32(hashtab.Hash(t, r.pos)%r.k))
 }
 
 // Broadcast sends every tuple of d to every server. One round; each
 // server receives Len(d) units. The p copies are one Local step: each
-// server's region of the one output arena is filled with d's fragments
-// in order.
+// server's region of the one output arena is filled with d's rows in
+// server order.
 func (g *Group) Broadcast(d *DistRelation) *DistRelation {
 	n := d.Len()
-	out := Local(g, d, replicate{schema: d.Schema, frags: d.Frags, rows: n})
+	out := Local(g, d, replicate{d.Collect()})
 	x := getScratch()
 	x.recv = sized(x.recv, g.size)
 	for i := range x.recv {
@@ -496,36 +475,32 @@ func (g *Group) Broadcast(d *DistRelation) *DistRelation {
 	return out
 }
 
-// replicate is Broadcast's step: every server's output is all of frags,
-// rows rows in fragment order.
-type replicate struct {
-	schema relation.Schema
-	frags  []*relation.Relation
-	rows   int
-}
+// replicate is Broadcast's step: every server's output is all of rows.
+type replicate struct{ rows relation.View }
 
-func (s replicate) Schema() relation.Schema { return s.schema }
+func (s replicate) Schema() relation.Schema { return s.rows.Schema() }
 
-func (s replicate) Scratch(int, *relation.Relation) int { return 0 }
+func (s replicate) Scratch(int, relation.View) int { return 0 }
 
-func (s replicate) Count(int, *relation.Relation, []relation.Value) int { return s.rows }
+func (s replicate) Count(int, relation.View, []relation.Value) int { return s.rows.Len() }
 
-func (s replicate) Fill(_ int, _ *relation.Relation, _, dst []relation.Value, _ int) {
-	for _, f := range s.frags {
-		dst = dst[copy(dst, f.Data()):]
-	}
+func (s replicate) Fill(_ int, _ relation.View, _, dst []relation.Value, _ int) {
+	copy(dst, s.rows.Data())
 }
 
 // Gather collects d onto server 0. One round; server 0 receives
 // Len(d) units, its own fragment included (see the package comment).
-// Use only for provably small data (statistics).
+// Use only for provably small data (statistics). The output's rows are
+// d's arena, not a copy: a Relation's mutators never write its arena in
+// place (Add reallocates the capped arena, sorts gather into a new one),
+// so the caller may sort or grow it and d stays as it is.
 func (g *Group) Gather(d *DistRelation) *relation.Relation {
 	x := getScratch()
 	x.recv = zeroed(x.recv, g.size)
 	x.recv[0] = d.Len()
-	out := g.collect(x, d)
 	g.charge(trace.OpGather, x)
-	return out
+	all := d.Collect()
+	return relation.FromData(d.Schema, all.Data(), all.Len())
 }
 
 // Route sends each tuple to the destinations chosen by route (0-based
@@ -548,20 +523,33 @@ func (g *Group) Route(d *DistRelation, route func(src int, t relation.Tuple) []i
 // contract of Route still applies; the buffer is never shared between
 // goroutines.
 func (g *Group) RouteBuf(d *DistRelation, route func(src int, t relation.Tuple, buf []int) []int) *DistRelation {
-	x := g.scratch(d)
-	out := &DistRelation{Schema: d.Schema, Frags: exchange(g, x, d, g.size, false, bufRoute{route, g.size})}
+	x := g.scratch(d.Len())
+	for ci := range x.chunks() {
+		c := &x.cs[ci]
+		c.src = sort.Search(d.Servers(), func(s int) bool { return d.Start(s+1) > x.cut[ci] })
+		c.end = d.Start(c.src + 1)
+	}
+	out := &DistRelation{Frags: exchange(g, x, d.Frags, g.size, false, bufRoute{route, d.Frags, g.size})}
 	g.charge(trace.OpRoute, x)
 	return out
 }
 
-// bufRoute routes by a RouteBuf function, in the chunk's buffer.
+// bufRoute routes by a RouteBuf function, in the chunk's buffer. The
+// source server of a row is found from in's offsets: the chunk's cursor
+// (c.src, c.end) starts at its first row's server and moves on as the
+// rows pass the end of one.
 type bufRoute struct {
 	fn func(src int, t relation.Tuple, buf []int) []int
+	in relation.Frags
 	k  int
 }
 
-func (r bufRoute) route(c *xchunk, dst []uint32, src int, t relation.Tuple, _ int) []uint32 {
-	c.buf = r.fn(src, t, c.buf)
+func (r bufRoute) route(c *xchunk, dst []uint32, t relation.Tuple, flat int) []uint32 {
+	for flat >= c.end {
+		c.src++
+		c.end = r.in.Start(c.src + 1)
+	}
+	c.buf = r.fn(c.src, t, c.buf)
 	for _, dest := range c.buf {
 		if dest < 0 || dest >= r.k {
 			panic(fmt.Sprintf("mpc: route destination %d outside group of size %d", dest, r.k))
@@ -573,7 +561,7 @@ func (r bufRoute) route(c *xchunk, dst []uint32, src int, t relation.Tuple, _ in
 
 // Local runs a per-server step with no communication: s's Count half
 // over every server of g, one exactly sized arena for all the outputs,
-// then its Fill half into each server's capacity-capped region of it
+// then its Fill half into each server's region of it
 // (relation.Fragments). The output is under s.Schema(). Under a parallel
 // cluster the servers of each half may run concurrently; both halves
 // must be pure with respect to shared state (reading shared read-only
@@ -583,14 +571,14 @@ func (r bufRoute) route(c *xchunk, dst []uint32, src int, t relation.Tuple, _ in
 // a step passed as a type argument stays a value on the caller's stack,
 // where an interface argument would be boxed on every call.
 func Local[S relation.Step](g *Group, d *DistRelation, s S) *DistRelation {
-	if len(d.Frags) != g.size {
+	if d.Servers() != g.size {
 		panic("mpc: Local on relation of mismatched group size")
 	}
 	var f relation.Forker
 	if g.parallel(d.Len()) {
 		f = g
 	}
-	return &DistRelation{Schema: s.Schema(), Frags: relation.Fragments(f, d.Frags, s)}
+	return &DistRelation{Frags: relation.Fragments(f, d.Frags, s)}
 }
 
 // Branch describes one member of a parallel block: a subgroup size and
@@ -691,25 +679,39 @@ func (x *xrun) branchOffsets(sizes []int) (total int) {
 	return total
 }
 
-// branchSlab cuts the kernel's flat fragment vector into one
-// DistRelation per branch, all in one slab.
-func branchSlab(schema relation.Schema, frags []*relation.Relation, sizes []int) []*DistRelation {
-	slab := make([]DistRelation, len(sizes))
-	out := make([]*DistRelation, len(sizes))
-	lo := 0
+// deliver lays out the total destinations of a spread whose branch b
+// receives rows[b] tuples: under broadcast every server of the branch
+// holds all of them, otherwise server s of a k-server branch holds
+// rows[b]/k, one more when s < rows[b] mod k. It leaves the counts in
+// x.recv, charged over max(total, group size) servers, and each
+// destination's first row in x.first, and returns one tracked pooled
+// blob and the branches' relations, runs of the destinations' fragments
+// over it.
+func (x *xrun) deliver(g *Group, schema relation.Schema, sizes []int, total int, broadcast bool) ([]relation.Value, []DistRelation) {
+	x.recv = zeroed(x.recv, max(total, g.size))
+	x.first = sized(x.first, total)
+	row := 0
 	for b, k := range sizes {
-		slab[b] = DistRelation{Schema: schema, Frags: frags[lo : lo+k : lo+k]}
-		out[b] = &slab[b]
-		lo += k
+		for s := range k {
+			dest, n := x.offs[b]+s, x.rows[b]
+			if !broadcast {
+				n = x.rows[b] / k
+				if s < x.rows[b]%k {
+					n++
+				}
+			}
+			x.recv[dest] = n
+			x.first[dest], row = row, row+n
+		}
 	}
-	return out
-}
-
-// checkBranch panics unless b names one of nb branches.
-func checkBranch(b, nb int) {
-	if b < 0 || b >= nb {
-		panic(fmt.Sprintf("mpc: DistributeSpread branch %d out of range", b))
+	blob := relation.GetArena(row * schema.Len())[:row*schema.Len()]
+	g.cluster.trackArena(blob)
+	out := relation.NewFragsCounts(schema, blob, x.recv[:total])
+	ds := make([]DistRelation, len(sizes))
+	for b, k := range sizes {
+		ds[b].Frags = out.Slice(x.offs[b], x.offs[b]+k)
 	}
+	return blob, ds
 }
 
 // DistributeSpread reshapes a distributed relation into per-branch
@@ -718,119 +720,83 @@ func checkBranch(b, nb int) {
 // tuple, the one branch that receives it, or −1 to drop it. With
 // broadcast the tuple is replicated to every server of its branch;
 // otherwise it goes to the next server of the branch's round-robin
-// rotation, which advances in flattened (fragment-major) input order,
+// rotation, which advances in input order (server after server),
 // whatever the worker count — the home for the "spread a branch's share
 // evenly over its servers" pattern that would otherwise need a stateful
 // (and on several workers, racy and order-dependent) route closure. It
 // serves data-dependent picks; a relation copied round-robin to every
 // branch goes through Spread, which delivers that without routing.
 //
-// pick must be pure: deterministic, safe for concurrent calls, and
-// indifferent to how many times it is invoked per tuple (a round-robin
-// exchange cut into several chunks calls it twice — once to count
-// rotations, once to assign).
-func (g *Group) DistributeSpread(d *DistRelation, sizes []int, broadcast bool, pick func(relation.Tuple) int) []*DistRelation {
-	x := g.scratch(d)
-	total := x.branchOffsets(sizes)
-	if !broadcast {
-		x.rotations(g, d, len(sizes), pick)
+// Pass 1 stores one branch id a tuple and counts each branch's picks
+// per chunk; the fill places every copy from the tuple's rank in its
+// branch alone (pickFill). The branches share one arena and offsets.
+//
+// pick must be pure: deterministic and safe for concurrent calls.
+func (g *Group) DistributeSpread(d *DistRelation, sizes []int, broadcast bool, pick func(relation.Tuple) int) []DistRelation {
+	nb := len(sizes)
+	x := g.scratch(d.Len())
+	n, total := x.chunks(), x.branchOffsets(sizes)
+	if n == 1 {
+		pass1(x, d.Frags, pickRoute{pick, nb}, 0, nb, true)
+	} else if n > 1 {
+		g.cluster.fork(n, func(ci int) { pass1(x, d.Frags, pickRoute{pick, nb}, ci, nb, true) })
 	}
-	frags := exchange(g, x, d, total, false, spreadRoute{pick, sizes, x.offs, broadcast})
+	x.rows = zeroed(x.rows, nb)
+	for _, ch := range x.cs[:n] {
+		for b, v := range ch.cur {
+			ch.cur[b], x.rows[b] = x.rows[b], x.rows[b]+v
+		}
+	}
+	blob, ds := x.deliver(g, d.Schema, sizes, total, broadcast)
+	if n == 1 {
+		pickFill(x, d.Frags, blob, sizes, 0, broadcast)
+	} else if n > 1 {
+		g.cluster.fork(n, func(ci int) { pickFill(x, d.Frags, blob, sizes, ci, broadcast) })
+	}
 	g.charge(trace.OpDistribute, x)
-	return branchSlab(d.Schema, frags, sizes)
+	return ds
 }
 
-// rotations gives every chunk of x its branches' round-robin rotations
-// at its start (c.rr): the sends to each of the nb branches ahead of the
-// chunk in flattened order. One chunk starts at zero; several need a
-// counting pass over all but the last, each leaving its count in the
-// slot of the chunk after it.
-func (x *xrun) rotations(g *Group, d *DistRelation, nb int, pick func(relation.Tuple) int) {
-	chunks := x.chunks
-	rot := zeroed(x.rot, len(chunks)*nb)
-	x.rot = rot
-	if len(chunks) > 1 {
-		g.cluster.fork(len(chunks)-1, func(ci int) {
-			cnt := rot[(ci+1)*nb : (ci+2)*nb]
-			for _, r := range chunks[ci] {
-				f := d.Frags[r.frag]
-				for i := r.lo; i < r.hi; i++ {
-					if b := pick(f.Row(i)); b != -1 {
-						checkBranch(b, nb)
-						cnt[b]++
-					}
-				}
-			}
-		})
-		for i := 2 * nb; i < len(rot); i++ {
-			rot[i] += rot[i-nb]
-		}
-	}
-	for ci := range chunks {
-		x.cs[ci].rr = rot[ci*nb : (ci+1)*nb]
-	}
+// pickRoute stores a tuple's branch id, or noID when pick drops it.
+type pickRoute struct {
+	pick func(relation.Tuple) int
+	nb   int
 }
 
-// spreadRoute sends a tuple to every server of its branch under
-// broadcast, and otherwise to the next one in the chunk's rotation
-// (c.rr) of the branch.
-type spreadRoute struct {
-	pick        func(relation.Tuple) int
-	sizes, offs []int
-	broadcast   bool
-}
-
-func (r spreadRoute) route(c *xchunk, dst []uint32, _ int, t relation.Tuple, _ int) []uint32 {
-	b := r.pick(t)
-	if b == -1 {
-		return dst
+func (r pickRoute) route(_ *xchunk, dst []uint32, t relation.Tuple, _ int) []uint32 {
+	switch b := r.pick(t); {
+	case b == -1:
+		return append(dst, noID)
+	case b < 0 || b >= r.nb:
+		panic(fmt.Sprintf("mpc: DistributeSpread branch %d out of range", b))
+	default:
+		return append(dst, uint32(b))
 	}
-	checkBranch(b, len(r.sizes))
-	first, k := r.offs[b], r.sizes[b]
-	if r.broadcast {
-		for srv := range k {
-			dst = append(dst, uint32(first+srv))
-		}
-		return dst
-	}
-	dst = append(dst, uint32(first+c.rr[b]%k))
-	c.rr[b]++
-	return dst
 }
 
 // Spread copies d to every branch in a single exchange, charged to g
-// with per-destination loads like DistributeSpread: flattened tuple i
-// goes to server i mod sizes[b] of every branch b — what a round-robin
+// with per-destination loads like DistributeSpread: input row i goes to
+// server i mod sizes[b] of every branch b — what a round-robin
 // DistributeSpread into branch b alone would deliver there, for every
-// branch at once. Nothing is routed: branch b's rotation at tuple i is
-// i, so server s of a k-server branch receives n/k tuples, one more
-// when s < n mod k, and tuple i is row i/k of server i mod k — the fill
+// branch at once. Nothing is routed: branch b's rotation at row i is i,
+// so server s of a k-server branch receives n/k tuples, one more when
+// s < n mod k, and row i is row i/k of server i mod k — the fill
 // computes every row's place from its index (spreadFill).
-func (g *Group) Spread(d *DistRelation, sizes []int) []*DistRelation {
-	x := g.scratch(d)
-	total, n := x.branchOffsets(sizes), d.Len()
-	x.recv = zeroed(x.recv, max(total, g.size))
-	x.first = sized(x.first, total)
-	row := 0
-	for b, k := range sizes {
-		for s := range k {
-			dest := x.offs[b] + s
-			x.recv[dest] = n / k
-			if s < n%k {
-				x.recv[dest]++
-			}
-			x.first[dest], row = row, row+x.recv[dest]
-		}
+func (g *Group) Spread(d *DistRelation, sizes []int) []DistRelation {
+	x := g.scratch(d.Len())
+	total := x.branchOffsets(sizes)
+	x.rows = sized(x.rows, len(sizes))
+	for b := range x.rows {
+		x.rows[b] = d.Len()
 	}
-	frags, blob := relation.NewSlabCounts(d.Schema, x.recv[:total])
-	g.cluster.trackArena(blob)
-	if nc := len(x.chunks); nc == 1 {
-		spreadFill(x, d, blob, sizes, 0)
-	} else if nc > 1 {
-		g.cluster.fork(nc, func(ci int) { spreadFill(x, d, blob, sizes, ci) })
+	blob, ds := x.deliver(g, d.Schema, sizes, total, false)
+	if n := x.chunks(); n == 1 {
+		spreadFill(x, d.Frags, blob, sizes, 0)
+	} else if n > 1 {
+		g.cluster.fork(n, func(ci int) { spreadFill(x, d.Frags, blob, sizes, ci) })
 	}
 	g.charge(trace.OpDistribute, x)
-	return branchSlab(d.Schema, frags, sizes)
+	return ds
 }
 
 // DeclareServers records that the computation logically occupies at

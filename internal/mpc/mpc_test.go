@@ -3,6 +3,7 @@ package mpc
 import (
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"coverpack/internal/relation"
@@ -23,7 +24,7 @@ func fill(schema relation.Schema, n int) *relation.Relation {
 // maxFrag returns d's largest fragment size.
 func maxFrag(d *DistRelation) int {
 	m := 0
-	for _, f := range d.Frags {
+	for _, f := range fragRels(d) {
 		m = max(m, f.Len())
 	}
 	return m
@@ -58,7 +59,7 @@ func TestHashPartitionGroupsKeys(t *testing.T) {
 	}
 	// All tuples with the same key on one server.
 	owner := map[int64]int{}
-	for s, f := range h.Frags {
+	for s, f := range fragRels(h) {
 		for _, tp := range f.Tuples() {
 			if prev, ok := owner[tp[0]]; ok && prev != s {
 				t.Fatalf("key %d on servers %d and %d", tp[0], prev, s)
@@ -83,7 +84,7 @@ func TestBroadcastLoad(t *testing.T) {
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 30))
 	b := g.Broadcast(d)
-	for i, f := range b.Frags {
+	for i, f := range fragRels(b) {
 		if f.Len() != 30 {
 			t.Fatalf("server %d has %d tuples", i, f.Len())
 		}
@@ -98,12 +99,20 @@ func TestGather(t *testing.T) {
 	c := NewCluster(4)
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 20))
+	before := slices.Clone(d.Collect().Clone().Data())
 	r := g.Gather(d)
-	if r.Len() != 20 {
-		t.Fatalf("gathered %d", r.Len())
+	if r.Len() != 20 || !slices.Equal(r.Data(), before) {
+		t.Fatalf("gathered %v, want %v", r.Data(), before)
 	}
 	if st := c.Stats(); st.MaxLoad != 20 || st.Rounds != 1 {
 		t.Fatalf("stats = %v", st)
+	}
+	// The gathered rows are d's arena: sorting or growing them leaves d's
+	// fragments as they were.
+	r.SortBy([]int{0})
+	r.AddValues(-1)
+	if !slices.Equal(d.Collect().Clone().Data(), before) {
+		t.Fatal("mutating the gathered relation wrote d's fragments")
 	}
 }
 
@@ -113,7 +122,7 @@ func TestRouteReplication(t *testing.T) {
 	d := g.Scatter(fill(relation.NewSchema(0), 10))
 	// Send every tuple to servers 0 and 1.
 	r := g.Route(d, func(src int, tp relation.Tuple) []int { return []int{0, 1} })
-	if r.Frags[0].Len() != 10 || r.Frags[1].Len() != 10 || r.Frags[2].Len() != 0 {
+	if r.FragLen(0) != 10 || r.FragLen(1) != 10 || r.FragLen(2) != 0 {
 		t.Fatal("replication wrong")
 	}
 	if st := c.Stats(); st.MaxLoad != 10 || st.TotalUnits != 20 {
@@ -229,7 +238,7 @@ func TestSendToResize(t *testing.T) {
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 30))
 	small := resize(g, d, 2)
-	if len(small.Frags) != 2 || small.Len() != 30 {
+	if small.Servers() != 2 || small.Len() != 30 {
 		t.Fatal("resize lost data")
 	}
 	if m := maxFrag(small); m != 15 {
@@ -335,11 +344,11 @@ func TestWithSpillIsInert(t *testing.T) {
 
 // sameFrags reports byte-identity of two distributed relations.
 func sameFrags(a, b *DistRelation) bool {
-	if len(a.Frags) != len(b.Frags) {
+	if a.Servers() != b.Servers() {
 		return false
 	}
-	for i := range a.Frags {
-		af, bf := a.Frags[i], b.Frags[i]
+	for i := range a.Servers() {
+		af, bf := a.Frag(i), b.Frag(i)
 		if af.Len() != bf.Len() {
 			return false
 		}
@@ -378,7 +387,7 @@ func TestPartitionIdentityFastPath(t *testing.T) {
 	ref := NewCluster(4)
 	rg := ref.Root()
 	rp1 := rg.HashPartition(rg.Scatter(big(relation.NewSchema(0, 1), 500)), key)
-	rp2 := rg.HashPartition(&DistRelation{Schema: rp1.Schema, Frags: rp1.Frags}, key)
+	rp2 := rg.HashPartition(&DistRelation{Frags: rp1.Frags}, key)
 	if s := ref.PlanCacheStats(); s.PartitionHits != 0 || s.Misses != 2 {
 		t.Fatalf("unmarked relation not hashed: %+v", s)
 	}

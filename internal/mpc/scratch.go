@@ -22,22 +22,24 @@ import (
 
 // xrun is one exchange's scratch.
 type xrun struct {
-	chunks [][]frange // this exchange's cut, into spans or the test chunker's ranges
-	spans  []frange
-	cs     []xchunk // per chunk, indexed like chunks
-	recv   []int    // per destination: tuples received (the charged vector)
-	rot    []int    // round-robin DistributeSpread: branch rotations, chunk-major
-	offs   []int    // branch offsets, collect's offsets or key positions
-	first  []int    // Spread: each destination's first row in the slab
+	cut   []int    // chunk bounds: chunk ci is input rows cut[ci] to cut[ci+1], in server order
+	cs    []xchunk // per chunk
+	recv  []int    // per destination: tuples received (the charged vector)
+	offs  []int    // branch offsets or key positions
+	rows  []int    // Spread and DistributeSpread: tuples per branch
+	first []int    // Spread and DistributeSpread: each destination's first row in the blob
+	one   []int32  // Scatter: the offsets of its one-fragment input
 }
 
 // xchunk is one chunk's share of the scratch.
 type xchunk struct {
 	dst []uint32 // destination ids in tuple order (see lastID); from idPool over scratchCap
 	cur []int    // per destination: ids counted, then the next row to write
-	rr  []int    // round-robin DistributeSpread: the chunk's branch rotations, in rot
 	k   int      // ScatterDedup: rank of the chunk's next first occurrence
-	buf []int    // RouteBuf's destination buffer, dropped at the put
+	// RouteBuf: the source server of the chunk's next row, and the index
+	// of the first row past that server's.
+	src, end int
+	buf      []int // RouteBuf's destination buffer, dropped at the put
 }
 
 // scratchCap bounds the elements of a vector the pool keeps.
@@ -76,10 +78,8 @@ func getScratch() *xrun {
 // destination-id vectors over scratchCap go back to idPool. The caller
 // must not use x afterwards.
 func putScratch(x *xrun) {
-	clear(x.chunks[:cap(x.chunks)]) // views of spans or of the test's ranges
-	x.chunks, x.spans = keep(x.chunks), keep(x.spans)
-	x.recv, x.rot, x.offs, x.first = keep(x.recv), keep(x.rot), keep(x.offs), keep(x.first)
-	x.cs = keep(x.cs)
+	x.cut, x.recv, x.offs, x.rows, x.first = keep(x.cut), keep(x.recv), keep(x.offs), keep(x.rows), keep(x.first)
+	x.one, x.cs = keep(x.one), keep(x.cs)
 	for i, c := range x.cs[:cap(x.cs)] {
 		if cap(c.dst) > scratchCap {
 			idPool.Put(c.dst)

@@ -12,7 +12,7 @@ import (
 )
 
 // TestLocalAllocsIndependentOfServers: a server-major local step costs
-// the output DistRelation, its header slab and one arena, whatever the
+// the output DistRelation, its offset vector and one arena, whatever the
 // group size — a filter, an aggregate, a Broadcast, a two-way Union
 // (the S^x degree union) and a Pack over the same 256 rows read the
 // same allocation count on 4 servers as on 64. (The race detector makes
@@ -52,12 +52,12 @@ func TestLocalAllocsIndependentOfServers(t *testing.T) {
 			counts[c.name] = append(counts[c.name], testing.AllocsPerRun(20, c.run))
 		}
 	}
-	// The DistRelation, the Relation structs, their pointer list and the
-	// arena; Broadcast's charged load vector comes from the exchange
-	// scratch. Pack adds its offset vector and its output schema; its
-	// next-fit scratch comes from the arena pool. Building the aggregate
-	// step costs its one column-map allocation.
-	want := map[string]float64{"filter": 4, "aggregate": 4, "aggregateStep": 1, "Broadcast": 4, "Union": 4, "Pack": 6}
+	// The DistRelation, its offset vector and the arena; Broadcast's
+	// charged load vector comes from the exchange scratch. Pack adds its
+	// offset vector and its output schema; its next-fit scratch comes
+	// from the arena pool. Building the aggregate step costs its one
+	// column-map allocation.
+	want := map[string]float64{"filter": 3, "aggregate": 3, "aggregateStep": 1, "Broadcast": 3, "Union": 3, "Pack": 5}
 	for name, n := range counts {
 		if n[0] != want[name] || n[1] != want[name] {
 			t.Errorf("%s: %v allocations on 4 servers, %v on 64, want %v", name, n[0], n[1], want[name])

@@ -13,13 +13,32 @@ import (
 // given fragment sizes, values drawn from a domain of d.
 func fragmented(rng *rand.Rand, sizes []int, d int64) *mpc.DistRelation {
 	schema := relation.NewSchema(0, 1, wAttr)
-	out := &mpc.DistRelation{Schema: schema}
-	for _, n := range sizes {
-		f := relation.New(schema)
+	frags := make([]*relation.Relation, len(sizes))
+	for s, n := range sizes {
+		frags[s] = relation.New(schema)
 		for i := 0; i < n; i++ {
-			f.AddValues(rng.Int63n(d), rng.Int63n(d), rng.Int63n(5)-1)
+			frags[s].AddValues(rng.Int63n(d), rng.Int63n(d), rng.Int63n(5)-1)
 		}
-		out.Frags = append(out.Frags, f)
+	}
+	return distOf(schema, frags)
+}
+
+// distOf lays rels, all of schema, out as the fragments of one
+// distributed relation, rels[i] on server i.
+func distOf(schema relation.Schema, rels []*relation.Relation) *mpc.DistRelation {
+	var data []relation.Value
+	counts := make([]int, len(rels))
+	for i, r := range rels {
+		data, counts[i] = append(data, r.Data()...), r.Len()
+	}
+	return &mpc.DistRelation{Frags: relation.NewFragsCounts(schema, data, counts)}
+}
+
+// fragsOf copies d's fragments out as relations, server i's at index i.
+func fragsOf(d *mpc.DistRelation) []*relation.Relation {
+	out := make([]*relation.Relation, d.Servers())
+	for i := range out {
+		out[i] = d.Frag(i).Clone()
 	}
 	return out
 }
@@ -69,26 +88,28 @@ func TestLocalStepsMatchPerFragment(t *testing.T) {
 			for _, keys := range [][]int{{0}, {1, 0}, {}} {
 				out := relation.NewSchema(append(slices.Clone(keys), wAttr)...)
 				got := mpc.Local(g, d, aggregateStep(d.Schema, keys, wAttr, out))
-				for i, f := range d.Frags {
+				for i, f := range fragsOf(d) {
 					want := refAggregate(f, keys, out)
-					if !slices.Equal(got.Frags[i].Data(), want.Data()) || got.Frags[i].Len() != want.Len() {
-						t.Fatalf("sizes %v keys %v workers %d: server %d aggregates to %v, want %v", sizes, keys, w, i, got.Frags[i], want)
+					if !slices.Equal(got.Frag(i).Clone().Data(), want.Data()) || got.FragLen(i) != want.Len() {
+						t.Fatalf("sizes %v keys %v workers %d: server %d aggregates to %v, want %v", sizes, keys, w, i, got.Frag(i), want)
 					}
 				}
 			}
-			agg := &mpc.DistRelation{Schema: relation.NewSchema(1, wAttr)}
-			for _, f := range fragmented(rng, sizes, 12).Frags {
-				agg.Frags = append(agg.Frags, f.Project(1, wAttr))
+			var aggs []*relation.Relation
+			for _, f := range fragsOf(fragmented(rng, sizes, 12)) {
+				aggs = append(aggs, f.Project(1, wAttr))
 			}
+			agg := distOf(relation.NewSchema(1, wAttr), aggs)
 			for _, key := range [][]int{{1}, {}} {
 				got := mpc.Local(g, d, multiplyStep(d.Schema, agg, key, wAttr))
-				for i, f := range d.Frags {
+				for i, f := range fragsOf(d) {
 					want := relation.New(d.Schema)
+					af := agg.Frag(i)
 					for j := 0; j < f.Len(); j++ {
 						var sum int64
 						matched := false
-						for k := 0; k < agg.Frags[i].Len(); k++ {
-							if a := agg.Frags[i].Row(k); len(key) == 0 || a[0] == f.Row(j)[1] {
+						for k := 0; k < af.Len(); k++ {
+							if a := af.Row(k); len(key) == 0 || a[0] == f.Row(j)[1] {
 								sum += a[1]
 								matched = true
 							}
@@ -99,24 +120,25 @@ func TestLocalStepsMatchPerFragment(t *testing.T) {
 							want.Add(row)
 						}
 					}
-					if !slices.Equal(got.Frags[i].Data(), want.Data()) || got.Frags[i].Len() != want.Len() {
-						t.Fatalf("sizes %v key %v workers %d: server %d multiplies to %v, want %v", sizes, key, w, i, got.Frags[i], want)
+					if !slices.Equal(got.Frag(i).Clone().Data(), want.Data()) || got.FragLen(i) != want.Len() {
+						t.Fatalf("sizes %v key %v workers %d: server %d multiplies to %v, want %v", sizes, key, w, i, got.Frag(i), want)
 					}
 				}
 			}
 			ws := relation.NewSchema(0, 1, 2)
-			in := &mpc.DistRelation{Schema: relation.NewSchema(0, 1)}
-			for _, f := range d.Frags {
-				in.Frags = append(in.Frags, f.Project(0, 1))
+			var ins []*relation.Relation
+			for _, f := range fragsOf(d) {
+				ins = append(ins, f.Project(0, 1))
 			}
+			in := distOf(relation.NewSchema(0, 1), ins)
 			got := mpc.Local(g, in, unitWeights(in.Schema, ws, 2))
-			for i, f := range in.Frags {
+			for i, f := range ins {
 				want := relation.New(ws)
 				for j := 0; j < f.Len(); j++ {
 					want.AddValues(f.Row(j)[0], f.Row(j)[1], 1)
 				}
-				if !slices.Equal(got.Frags[i].Data(), want.Data()) || got.Frags[i].Len() != want.Len() {
-					t.Fatalf("sizes %v workers %d: server %d weights %v, want %v", sizes, w, i, got.Frags[i], want)
+				if !slices.Equal(got.Frag(i).Clone().Data(), want.Data()) || got.FragLen(i) != want.Len() {
+					t.Fatalf("sizes %v workers %d: server %d weights %v, want %v", sizes, w, i, got.Frag(i), want)
 				}
 			}
 		}

@@ -125,9 +125,9 @@ func aggregateStep(in relation.Schema, keyAttrs []int, valAttr int, out relation
 
 func (s aggregate) Schema() relation.Schema { return s.out }
 
-func (s aggregate) Scratch(_ int, in *relation.Relation) int { return 2 * in.Len() }
+func (s aggregate) Scratch(_ int, in relation.View) int { return 2 * in.Len() }
 
-func (s aggregate) Count(_ int, in *relation.Relation, sc []relation.Value) int {
+func (s aggregate) Count(_ int, in relation.View, sc []relation.Value) int {
 	n := in.Len()
 	if n <= smallAggCutoff {
 		groups := 0
@@ -160,7 +160,7 @@ func (s aggregate) Count(_ int, in *relation.Relation, sc []relation.Value) int 
 	return groups
 }
 
-func (s aggregate) Fill(_ int, in *relation.Relation, sc, dst []relation.Value, rows int) {
+func (s aggregate) Fill(_ int, in relation.View, sc, dst []relation.Value, rows int) {
 	k := 0
 	for e := 0; e < rows; e++ {
 		rep := in.Row(int(sc[2*e]))
@@ -225,7 +225,7 @@ func semiJoin(g *mpc.Group, r, s *mpc.DistRelation) (out, sp *mpc.DistRelation) 
 	}
 	rp := g.HashPartition(r, common)
 	sp = g.HashPartition(s, common)
-	out = mpc.Local(g, rp, relation.SemiJoinStep(rp.Schema, sp.Schema, sp.Frags))
+	out = mpc.Local(g, rp, relation.SemiJoinStep(rp.Schema, sp.Frags))
 	// The local filter keeps rows in place, so the output inherits rp's
 	// partitioning — the next semi-join of a reduce sweep on the same
 	// key (or the pair join that follows it) skips the exchange.
@@ -298,14 +298,15 @@ func Pack(g *mpc.Group, weights *mpc.DistRelation, valueAttr, weightAttr, groupA
 	if capacity <= 0 {
 		panic("primitives: Pack capacity must be positive")
 	}
-	p, n := len(weights.Frags), weights.Len()
+	p, n := weights.Servers(), weights.Len()
 	vp, wp, arity := weights.Schema.Pos(valueAttr), weights.Schema.Pos(weightAttr), weights.Schema.Len()
 	sc := relation.GetArena(2 * n)[:2*n]
 	offs := make([]int, 2*p+1)
 	s := packStep{vals: sc[:n], bin: sc[n:], base: offs[:p+1], first: offs[p+1:],
 		out: relation.NewSchema(valueAttr, groupAttr)}
 	s.vp, s.gp = s.out.Pos(valueAttr), s.out.Pos(groupAttr)
-	for i, f := range weights.Frags {
+	for i := range p {
+		f := weights.Frag(i)
 		lo, hi := s.base[i], s.base[i]+f.Len()
 		s.base[i+1] = hi
 		// Values are distinct — one row per value — so an unstable sort
@@ -361,11 +362,11 @@ type packStep struct {
 
 func (s packStep) Schema() relation.Schema { return s.out }
 
-func (s packStep) Scratch(int, *relation.Relation) int { return 0 }
+func (s packStep) Scratch(int, relation.View) int { return 0 }
 
-func (s packStep) Count(_ int, in *relation.Relation, _ []relation.Value) int { return in.Len() }
+func (s packStep) Count(_ int, in relation.View, _ []relation.Value) int { return in.Len() }
 
-func (s packStep) Fill(i int, _ *relation.Relation, _, dst []relation.Value, rows int) {
+func (s packStep) Fill(i int, _ relation.View, _, dst []relation.Value, rows int) {
 	lo := s.base[i]
 	for r := range rows {
 		dst[2*r+s.vp], dst[2*r+s.gp] = s.vals[lo+r], relation.Value(s.first[i])+s.bin[lo+r]
@@ -380,7 +381,7 @@ func Union(g *mpc.Group, ds []*mpc.DistRelation) *mpc.DistRelation {
 		return ds[0]
 	}
 	for _, d := range ds[1:] {
-		if !d.Schema.Equal(ds[0].Schema) || len(d.Frags) != len(ds[0].Frags) {
+		if !d.Schema.Equal(ds[0].Schema) || d.Servers() != ds[0].Servers() {
 			panic("primitives: Union of mismatched relations")
 		}
 	}
@@ -392,18 +393,19 @@ type unionStep []*mpc.DistRelation
 
 func (u unionStep) Schema() relation.Schema { return u[0].Schema }
 
-func (u unionStep) Scratch(int, *relation.Relation) int { return 0 }
+func (u unionStep) Scratch(int, relation.View) int { return 0 }
 
-func (u unionStep) Count(i int, _ *relation.Relation, _ []relation.Value) int {
+func (u unionStep) Count(i int, _ relation.View, _ []relation.Value) int {
 	n := 0
 	for _, d := range u {
-		n += d.Frags[i].Len()
+		n += d.FragLen(i)
 	}
 	return n
 }
 
-func (u unionStep) Fill(i int, _ *relation.Relation, _, dst []relation.Value, _ int) {
+func (u unionStep) Fill(i int, _ relation.View, _, dst []relation.Value, _ int) {
 	for _, d := range u {
-		dst = dst[copy(dst, d.Frags[i].Data()):]
+		f := d.Frag(i)
+		dst = dst[copy(dst, f.Data()):]
 	}
 }

@@ -80,7 +80,7 @@ func TestSemiJoinDistributed(t *testing.T) {
 		t.Fatalf("semi-join kept %d, want 25", out.Len())
 	}
 	// Cross-check against the local operator.
-	if !out.Collect().Equal(r.SemiJoin(s)) {
+	if !out.Collect().Clone().Equal(r.SemiJoin(s)) {
 		t.Fatal("distributed semi-join disagrees with local")
 	}
 	// Disjoint-schema cases.
@@ -128,7 +128,7 @@ func TestSemiJoinReduceTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := range red {
-		if !red[e].Collect().Equal(seq.Rel(e)) {
+		if !red[e].Collect().Clone().Equal(seq.Rel(e)) {
 			t.Fatalf("edge %d disagrees with sequential reduction", e)
 		}
 	}
@@ -177,17 +177,19 @@ func TestPack(t *testing.T) {
 func TestPackMatchesNextFit(t *testing.T) {
 	const capacity = 10
 	rng := rand.New(rand.NewSource(9))
-	d := &mpc.DistRelation{Schema: relation.NewSchema(0, wAttr)}
+	schema := relation.NewSchema(0, wAttr)
+	var frags []*relation.Relation
 	for s, n := range []int{7, 0, 1, 40, 0, 13} {
-		f := relation.New(d.Schema)
+		f := relation.New(schema)
 		for _, v := range rng.Perm(n) {
 			f.AddValues(int64(100*s+v), rng.Int63n(capacity)+1)
 		}
-		d.Frags = append(d.Frags, f)
+		frags = append(frags, f)
 	}
-	res := Pack(mpc.NewCluster(len(d.Frags)).Root(), d, 0, wAttr, gAttr, capacity)
+	d := distOf(schema, frags)
+	res := Pack(mpc.NewCluster(d.Servers()).Root(), d, 0, wAttr, gAttr, capacity)
 	first := 0
-	for s, f := range d.Frags {
+	for s, f := range frags {
 		rows := slices.Clone(f.Tuples())
 		slices.SortFunc(rows, func(a, b relation.Tuple) int { return int(a[0] - b[0]) })
 		want := relation.New(relation.NewSchema(0, gAttr))
@@ -202,7 +204,7 @@ func TestPackMatchesNextFit(t *testing.T) {
 		if len(rows) > 0 {
 			first = bin + 1
 		}
-		got := res.Assign.Frags[s]
+		got := res.Assign.Frag(s)
 		if !got.Schema().Equal(want.Schema()) || !slices.Equal(got.Data(), want.Data()) {
 			t.Fatalf("server %d: Pack rows %v, want %v", s, got.Tuples(), want.Tuples())
 		}
@@ -219,9 +221,10 @@ func TestUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a, b := fragmented(rng, []int{5, 0, 2}, 9), fragmented(rng, []int{0, 3, 4}, 9)
 	u := Union(g, []*mpc.DistRelation{a, b, a})
-	for i, f := range u.Frags {
-		want := slices.Concat(a.Frags[i].Data(), b.Frags[i].Data(), a.Frags[i].Data())
-		if f.Len() != 2*a.Frags[i].Len()+b.Frags[i].Len() || !slices.Equal(f.Data(), want) {
+	for i := range u.Servers() {
+		f := u.Frag(i)
+		want := slices.Concat(a.Frag(i).Clone().Data(), b.Frag(i).Clone().Data(), a.Frag(i).Clone().Data())
+		if f.Len() != 2*a.FragLen(i)+b.FragLen(i) || !slices.Equal(f.Data(), want) {
 			t.Fatalf("fragment %d: %v, want rows %v", i, f.Tuples(), want)
 		}
 	}
@@ -403,21 +406,22 @@ func TestDegreesMatchesReduceByKey(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("size=%d,workers=%d", size, workers), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(size)))
-				in := mpc.NewDist(relation.NewSchema(0, 1), p)
-				ones := mpc.NewDist(relation.NewSchema(0, wAttr), p)
+				ins, oneRels := make([]*relation.Relation, p), make([]*relation.Relation, p)
 				for s := 0; s < p; s++ {
+					ins[s], oneRels[s] = relation.New(relation.NewSchema(0, 1)), relation.New(relation.NewSchema(0, wAttr))
 					for i := 0; i < size; i++ {
 						v := rng.Int63n(int64(size)/3 + 2)
-						in.Frags[s].AddValues(v, int64(i))
-						ones.Frags[s].AddValues(v, 1)
+						ins[s].AddValues(v, int64(i))
+						oneRels[s].AddValues(v, 1)
 					}
 				}
+				in, ones := distOf(relation.NewSchema(0, 1), ins), distOf(relation.NewSchema(0, wAttr), oneRels)
 				gc := mpc.NewCluster(p, mpc.WithWorkers(workers))
 				got := Degrees(gc.Root(), in, 0, wAttr)
 				wc := mpc.NewCluster(p, mpc.WithWorkers(workers))
 				want := ReduceByKey(wc.Root(), ones, []int{0}, wAttr)
-				for s := range want.Frags {
-					g, w := got.Frags[s], want.Frags[s]
+				for s := range want.Servers() {
+					g, w := got.Frag(s), want.Frag(s)
 					if !g.Schema().Equal(w.Schema()) || g.Len() != w.Len() || !slices.Equal(g.Data(), w.Data()) {
 						t.Fatalf("server %d: Degrees %v, ReduceByKey %v", s, g, w)
 					}

@@ -115,11 +115,11 @@ func TestReduceTreeReusesUpSweepPartition(t *testing.T) {
 // sameFrags reports whether two distributed relations hold the same rows
 // in the same order on every server.
 func sameFrags(a, b *mpc.DistRelation) bool {
-	if !a.Schema.Equal(b.Schema) || len(a.Frags) != len(b.Frags) {
+	if !a.Schema.Equal(b.Schema) || a.Servers() != b.Servers() {
 		return false
 	}
-	for i, f := range a.Frags {
-		if f.Len() != b.Frags[i].Len() || !slices.Equal(f.Data(), b.Frags[i].Data()) {
+	for i := range a.Servers() {
+		if f := a.Frag(i); f.Len() != b.FragLen(i) || !slices.Equal(f.Data(), b.Frag(i).Clone().Data()) {
 			return false
 		}
 	}

@@ -95,14 +95,10 @@ func IsGloballySorted(d *mpc.DistRelation, attrs []int) bool {
 	for i, a := range attrs {
 		pos[i] = d.Schema.Pos(a)
 	}
-	var prev relation.Tuple
-	for _, f := range d.Frags {
-		for i := 0; i < f.Len(); i++ {
-			t := f.Row(i)
-			if prev != nil && lessOn(t, prev, pos) {
-				return false
-			}
-			prev = t
+	all := d.Collect()
+	for i := 1; i < all.Len(); i++ {
+		if lessOn(all.Row(i), all.Row(i-1), pos) {
+			return false
 		}
 	}
 	return true

@@ -31,7 +31,7 @@ func TestSortGloballySorted(t *testing.T) {
 		if s.Len() != 500 {
 			t.Fatalf("p=%d: lost tuples (%d)", p, s.Len())
 		}
-		if !s.Collect().Equal(r) {
+		if !s.Collect().Clone().Equal(r) {
 			t.Fatalf("p=%d: multiset changed", p)
 		}
 	}
@@ -44,7 +44,7 @@ func TestSortBalanced(t *testing.T) {
 	g := c.Root()
 	d := g.Scatter(randomRel(rng, 4000, 1_000_000))
 	s := Sort(g, d, []int{0})
-	for _, f := range s.Frags {
+	for _, f := range fragsOf(s) {
 		if f.Len() > 4*4000/8 {
 			t.Fatalf("fragment of %d tuples far above N/p", f.Len())
 		}
@@ -106,7 +106,7 @@ func TestPropertySortCorrect(t *testing.T) {
 		g := c.Root()
 		r := randomRel(rng, n, dom)
 		s := Sort(g, g.Scatter(r), []int{0, 1})
-		return IsGloballySorted(s, []int{0, 1}) && s.Collect().Equal(r)
+		return IsGloballySorted(s, []int{0, 1}) && s.Collect().Clone().Equal(r)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

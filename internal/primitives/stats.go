@@ -59,11 +59,11 @@ func unitWeights(in, out relation.Schema, weightAttr int) unitWeight {
 
 func (s unitWeight) Schema() relation.Schema { return s.out }
 
-func (s unitWeight) Scratch(int, *relation.Relation) int { return 0 }
+func (s unitWeight) Scratch(int, relation.View) int { return 0 }
 
-func (s unitWeight) Count(_ int, in *relation.Relation, _ []relation.Value) int { return in.Len() }
+func (s unitWeight) Count(_ int, in relation.View, _ []relation.Value) int { return in.Len() }
 
-func (s unitWeight) Fill(_ int, in *relation.Relation, _, dst []relation.Value, rows int) {
+func (s unitWeight) Fill(_ int, in relation.View, _, dst []relation.Value, rows int) {
 	k := 0
 	for i := 0; i < rows; i++ {
 		t := in.Row(i)
@@ -112,7 +112,7 @@ func multiplyWeights(g *mpc.Group, parent, agg *mpc.DistRelation, key []int, wei
 // that sum, at scratch[2k] and scratch[2k+1]; Fill copies the listed
 // rows with their weights multiplied.
 type multiply struct {
-	agg          []*relation.Relation
+	agg          relation.Frags
 	akpos, pkpos []int // key columns of the aggregates and of the parent
 	awp, wp      int   // weight columns
 	out          relation.Schema
@@ -128,10 +128,10 @@ func multiplyStep(ps relation.Schema, agg *mpc.DistRelation, key []int, weightAt
 
 func (s multiply) Schema() relation.Schema { return s.out }
 
-func (s multiply) Scratch(i int, in *relation.Relation) int { return 2*in.Len() + s.agg[i].Len() }
+func (s multiply) Scratch(i int, in relation.View) int { return 2*in.Len() + s.agg.FragLen(i) }
 
-func (s multiply) Count(i int, in *relation.Relation, sc []relation.Value) int {
-	af := s.agg[i]
+func (s multiply) Count(i int, in relation.View, sc []relation.Value) int {
+	af := s.agg.Frag(i)
 	sums := sc[2*in.Len() : 2*in.Len() : len(sc)]
 	var tab hashtab.Table
 	tab.Init(len(s.akpos), af.Len())
@@ -154,7 +154,7 @@ func (s multiply) Count(i int, in *relation.Relation, sc []relation.Value) int {
 	return n
 }
 
-func (s multiply) Fill(_ int, in *relation.Relation, sc, dst []relation.Value, rows int) {
+func (s multiply) Fill(_ int, in relation.View, sc, dst []relation.Value, rows int) {
 	a := in.Schema().Len()
 	for k := 0; k < rows; k++ {
 		row := dst[k*a : (k+1)*a]
@@ -175,10 +175,9 @@ func JoinCount(g *mpc.Group, rels []*mpc.DistRelation, children [][]int, root, w
 	g.ChargeControl(control)
 	var total int64
 	wp := w.Schema.Pos(weightAttr)
-	for _, f := range w.Frags {
-		for i := 0; i < f.Len(); i++ {
-			total += f.Row(i)[wp]
-		}
+	all := w.Collect()
+	for i := 0; i < all.Len(); i++ {
+		total += all.Row(i)[wp]
 	}
 	return total
 }

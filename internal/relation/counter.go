@@ -111,7 +111,7 @@ func foldOrder(sets []hypergraph.VarSet) []int {
 // Count returns the size of the natural join of rels, which must have
 // the schemas the counter was compiled from; duplicate rows within a
 // relation count once, and the result saturates at math.MaxInt64.
-func (c *Counter) Count(rels []*Relation) int64 {
+func (c *Counter) Count(rels []View) int64 {
 	c.check(rels, -1)
 	for _, r := range rels {
 		if r.rows == 0 {
@@ -134,7 +134,7 @@ func (c *Counter) Count(rels []*Relation) int64 {
 // check panics unless rels (but for index skip) has the compiled
 // schemas: the column positions baked into the counter are only valid
 // for them.
-func (c *Counter) check(rels []*Relation, skip int) {
+func (c *Counter) check(rels []View, skip int) {
 	if len(rels) != len(c.schemas) {
 		panic(fmt.Sprintf("relation: Counter compiled for %d relations, given %d", len(c.schemas), len(rels)))
 	}
@@ -147,7 +147,7 @@ func (c *Counter) check(rels []*Relation, skip int) {
 
 // treeCount counts the join of the tree containing root, walked from
 // root.
-func (c *Counter) treeCount(rels []*Relation, root int) int64 {
+func (c *Counter) treeCount(rels []View, root int) int64 {
 	r, w := c.rowWeights(rels, root, -1)
 	if w == nil {
 		return int64(r.rows)
@@ -168,7 +168,7 @@ func (c *Counter) treeCount(rels []*Relation, root int) int64 {
 // some child finds no key and multiplies by zero, and a row of a child
 // with no partner in e is summed under a key nothing probes. A nil
 // weight slice means every weight is 1 (e is a leaf).
-func (c *Counter) rowWeights(rels []*Relation, e, from int) (*Relation, []int64) {
+func (c *Counter) rowWeights(rels []View, e, from int) (View, []int64) {
 	r := distinct(rels[e])
 	var w []int64
 	for _, l := range c.adj[e] {
@@ -202,14 +202,14 @@ func (c *Counter) rowWeights(rels []*Relation, e, from int) (*Relation, []int64)
 // from) by the key it shares with that parent: a table over the
 // distinct keys, at positions pos of e's rows, and per table entry the
 // summed weight of the rows carrying it.
-func (c *Counter) keySums(rels []*Relation, e, from int, pos []int) (*hashtab.Table, []int64) {
+func (c *Counter) keySums(rels []View, e, from int, pos []int) (*hashtab.Table, []int64) {
 	r, w := c.rowWeights(rels, e, from)
-	return sumByKey(r, w, pos)
+	return sumByKey(&r, w, pos)
 }
 
 // sumByKey groups r's rows by the columns at pos and sums their weights
 // w (nil: every weight is 1) per group. The caller releases the table.
-func sumByKey(r *Relation, w []int64, pos []int) (*hashtab.Table, []int64) {
+func sumByKey(r *View, w []int64, pos []int) (*hashtab.Table, []int64) {
 	table := hashtab.New(len(pos), r.rows)
 	sums := make([]int64, 0, r.rows)
 	data := r.Data()
@@ -229,11 +229,12 @@ func sumByKey(r *Relation, w []int64, pos []int) (*hashtab.Table, []int64) {
 
 // countFold is the cyclic fallback: join all relations but the last of
 // the fold order, then count — not build — the matches of the last.
-func (c *Counter) countFold(rels []*Relation) int64 {
+func (c *Counter) countFold(rels []View) int64 {
 	acc := distinct(rels[c.fold[0]])
 	last := len(c.fold) - 1
 	for _, i := range c.fold[1:last] {
-		acc = acc.Join(distinct(rels[i]))
+		s := distinct(rels[i])
+		acc = one(acc, joinStep(acc.schema, s.schema, Frags{}, s)).View
 	}
 	return acc.JoinCount(distinct(rels[c.fold[last]]))
 }
@@ -253,7 +254,7 @@ type BoundCounter struct {
 	factor int64
 	probes []probe
 	// rels is the bound list, kept for the cyclic fallback only.
-	rels []*Relation
+	rels []View
 }
 
 // probe is one subtree hanging off the varying relation: its per-key
@@ -265,8 +266,8 @@ type probe struct {
 }
 
 // Bind fixes rels[i] for every i != vary (rels[vary] is ignored and may
-// be nil).
-func (c *Counter) Bind(rels []*Relation, vary int) *BoundCounter {
+// be the zero View).
+func (c *Counter) Bind(rels []View, vary int) *BoundCounter {
 	c.check(rels, vary)
 	b := &BoundCounter{c: c, vary: vary}
 	for i, r := range rels {
@@ -276,7 +277,7 @@ func (c *Counter) Bind(rels []*Relation, vary int) *BoundCounter {
 	}
 	b.factor = 1
 	if !c.acyclic {
-		b.rels = append([]*Relation(nil), rels...)
+		b.rels = append([]View(nil), rels...)
 		return b
 	}
 	for _, root := range c.roots {
@@ -297,7 +298,7 @@ func (c *Counter) Bind(rels []*Relation, vary int) *BoundCounter {
 // Count returns Counter.Count of the bound list with frag in the
 // varying position. It allocates nothing when frag has at most
 // smallDistinctRows rows and no duplicates.
-func (b *BoundCounter) Count(frag *Relation) int64 {
+func (b *BoundCounter) Count(frag View) int64 {
 	if !frag.schema.Equal(b.c.schemas[b.vary]) {
 		panic(fmt.Sprintf("relation: BoundCounter fragment has schema %v, compiled for %v", frag.schema, b.c.schemas[b.vary]))
 	}
@@ -305,7 +306,7 @@ func (b *BoundCounter) Count(frag *Relation) int64 {
 		return 0
 	}
 	if !b.c.acyclic {
-		rels := append([]*Relation(nil), b.rels...)
+		rels := append([]View(nil), b.rels...)
 		rels[b.vary] = frag
 		return b.c.Count(rels)
 	}
@@ -344,17 +345,17 @@ func (b *BoundCounter) Release() {
 // check: row indices fit a byte and the slot array stays on the stack.
 const smallDistinctRows = 64
 
-// distinct returns r when it holds no duplicate row and r.Dedup()
+// distinct returns r when it holds no duplicate row and its dedup
 // otherwise, so that the common duplicate-free relation is never copied.
 // Above smallDistinctRows rows the check's slot array is a pooled arena,
 // cleared before use and released after it. A 0-ary relation's rows are
 // all equal: it stands for a single row.
-func distinct(r *Relation) *Relation {
+func distinct(r View) View {
 	if r.rows < 2 {
 		return r
 	}
 	if r.arity == 0 {
-		return r.Dedup()
+		return r.dedup().View
 	}
 	var dup bool
 	if r.rows <= smallDistinctRows {
@@ -371,7 +372,7 @@ func distinct(r *Relation) *Relation {
 		PutArena(slots[:0])
 	}
 	if dup {
-		return r.Dedup()
+		return r.dedup().View
 	}
 	return r
 }

@@ -19,6 +19,22 @@ func schemasOf(rels []*Relation) []Schema {
 	return out
 }
 
+// views lists the relations' views, the zero View for nil.
+func views(rels ...*Relation) []View {
+	out := make([]View, len(rels))
+	for i, r := range rels {
+		if r != nil {
+			out[i] = r.View
+		}
+	}
+	return out
+}
+
+// sameRows reports whether two views are the same rows of one arena.
+func sameRows(a, b View) bool {
+	return a.rows == b.rows && len(a.data) == len(b.data) && (len(a.data) == 0 || &a.data[0] == &b.data[0])
+}
+
 // rel builds a relation over attrs from rows given in schema order.
 func rel(attrs []int, rows ...[]Value) *Relation {
 	r := New(NewSchema(attrs...))
@@ -91,7 +107,7 @@ func instanceOf(rels []*Relation) *Instance {
 func checkCounter(t *testing.T, rels []*Relation, rng *rand.Rand) {
 	t.Helper()
 	c := NewCounter(schemasOf(rels))
-	got := c.Count(rels)
+	got := c.Count(views(rels...))
 	if want := nestedLoopCount(rels); got != want {
 		t.Fatalf("Count = %d, nested loop = %d on %v", got, want, rels)
 	}
@@ -104,7 +120,7 @@ func checkCounter(t *testing.T, rels []*Relation, rng *rand.Rand) {
 		t.Fatalf("JoinSizeOf = %d, Count = %d on %v", js, got, rels)
 	}
 	for vary := range rels {
-		bound := c.Bind(rels, vary)
+		bound := c.Bind(views(rels...), vary)
 		whole := rels[vary]
 		nfrag := 1 + rng.Intn(3)
 		frags := make([]*Relation, nfrag)
@@ -117,7 +133,7 @@ func checkCounter(t *testing.T, rels []*Relation, rng *rand.Rand) {
 		for _, f := range append(frags, whole) {
 			local := append([]*Relation(nil), rels...)
 			local[vary] = f
-			if got, want := bound.Count(f), c.Count(local); got != want {
+			if got, want := bound.Count(f.View), c.Count(views(local...)); got != want {
 				t.Fatalf("bound at %d: Count(frag) = %d, Counter.Count = %d; frag %v of %v", vary, got, want, f, rels)
 			}
 		}
@@ -183,7 +199,7 @@ func TestCounterTable(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if got := NewCounter(schemasOf(tc.rels)).Count(tc.rels); got != tc.want {
+			if got := NewCounter(schemasOf(tc.rels)).Count(views(tc.rels...)); got != tc.want {
 				t.Fatalf("Count = %d, want %d", got, tc.want)
 			}
 			checkCounter(t, tc.rels, rand.New(rand.NewSource(1)))
@@ -261,11 +277,11 @@ func TestCounterLargeRelations(t *testing.T) {
 			}
 			c := NewCounter(schemasOf(in.Relations))
 			want := int64(in.Join().Len())
-			if got := c.Count(in.Relations); got != want || want == 0 {
+			if got := c.Count(views(in.Relations...)); got != want || want == 0 {
 				t.Fatalf("%s dup=%v: Count = %d, Join = %d (want nonzero)", tc.q.Name(), withDup, got, want)
 			}
 			for vary := range in.Relations {
-				if got := c.Bind(in.Relations, vary).Count(in.Relations[vary]); got != want {
+				if got := c.Bind(views(in.Relations...), vary).Count(in.Relations[vary].View); got != want {
 					t.Fatalf("%s dup=%v: bound at %d = %d, Join = %d", tc.q.Name(), withDup, vary, got, want)
 				}
 			}
@@ -291,10 +307,10 @@ func TestCounterSaturates(t *testing.T) {
 	for _, k := range []int{62, 63, 70} {
 		rels := pathOfSquares(k)
 		c := NewCounter(schemasOf(rels))
-		if got := c.Count(rels); got != math.MaxInt64 {
+		if got := c.Count(views(rels...)); got != math.MaxInt64 {
 			t.Fatalf("path of %d squares: Count = %d, want MaxInt64", k, got)
 		}
-		if got := c.Bind(rels, k/2).Count(rels[k/2]); got != math.MaxInt64 {
+		if got := c.Bind(views(rels...), k/2).Count(rels[k/2].View); got != math.MaxInt64 {
 			t.Fatalf("path of %d squares: bound Count = %d, want MaxInt64", k, got)
 		}
 	}
@@ -329,12 +345,12 @@ func boundFixture(rows int) (rels []*Relation, frag *Relation) {
 
 func TestBoundCounterCountAllocatesNothing(t *testing.T) {
 	rels, frag := boundFixture(smallDistinctRows)
-	bound := NewCounter([]Schema{frag.Schema(), rels[1].Schema(), rels[2].Schema()}).Bind(rels, 0)
+	bound := NewCounter([]Schema{frag.Schema(), rels[1].Schema(), rels[2].Schema()}).Bind(views(rels...), 0)
 	want := int64(smallDistinctRows) // half the rows match right, each twice in left
-	if got := bound.Count(frag); got != want {
+	if got := bound.Count(frag.View); got != want {
 		t.Fatalf("Count = %d, want %d", got, want)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { bound.Count(frag) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { bound.Count(frag.View) }); allocs != 0 {
 		t.Fatalf("bound Count of a %d-row duplicate-free fragment allocates %v times, want 0", frag.Len(), allocs)
 	}
 }
@@ -358,13 +374,13 @@ func TestDistinctAtStackBoundary(t *testing.T) {
 			}
 			for run := 0; run < 2; run++ {
 				before := PoolStats()
-				got := distinct(r)
+				got := distinct(r.View)
 				after := PoolStats()
 				label := fmt.Sprintf("rows=%d dup=%v run %d", r.Len(), dup, run)
-				if dup && (got == r || !got.Equal(r.Dedup())) {
+				if dup && (sameRows(got, r.View) || !got.Clone().Equal(r.Dedup())) {
 					t.Errorf("%s: duplicate not removed", label)
 				}
-				if !dup && got != r {
+				if !dup && !sameRows(got, r.View) {
 					t.Errorf("%s: duplicate-free relation copied", label)
 				}
 				gets, returned := after.Gets-before.Gets, (after.Puts+after.Discards)-(before.Puts+before.Discards)
@@ -393,10 +409,10 @@ func TestBoundCounterConcurrentCount(t *testing.T) {
 		frags[g] = f
 	}
 	c := NewCounter([]Schema{frags[0].Schema(), rels[1].Schema(), rels[2].Schema()})
-	bound := c.Bind(rels, 0)
+	bound := c.Bind(views(rels...), 0)
 	want := make([]int64, len(frags))
 	for g, f := range frags {
-		want[g] = c.Count([]*Relation{f, rels[1], rels[2]})
+		want[g] = c.Count(views(f, rels[1], rels[2]))
 	}
 	var wg sync.WaitGroup
 	for g := range frags {
@@ -404,7 +420,7 @@ func TestBoundCounterConcurrentCount(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for rep := 0; rep < 50; rep++ {
-				if got := bound.Count(frags[g]); got != want[g] {
+				if got := bound.Count(frags[g].View); got != want[g] {
 					t.Errorf("goroutine %d: Count = %d, want %d", g, got, want[g])
 					return
 				}
@@ -426,8 +442,8 @@ func TestCounterRejectsOtherSchemas(t *testing.T) {
 		f()
 	}
 	ab, bc, cd := rel([]int{0, 1}), rel([]int{1, 2}), rel([]int{2, 3})
-	mustPanic("short list", func() { c.Count([]*Relation{ab}) })
-	mustPanic("wrong schema", func() { c.Count([]*Relation{ab, cd}) })
-	mustPanic("wrong bound schema", func() { c.Bind([]*Relation{nil, cd}, 0) })
-	mustPanic("wrong fragment schema", func() { c.Bind([]*Relation{nil, bc}, 0).Count(cd) })
+	mustPanic("short list", func() { c.Count(views(ab)) })
+	mustPanic("wrong schema", func() { c.Count(views(ab, cd)) })
+	mustPanic("wrong bound schema", func() { c.Bind(views(nil, cd), 0) })
+	mustPanic("wrong fragment schema", func() { c.Bind(views(nil, bc), 0).Count(cd.View) })
 }

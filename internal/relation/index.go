@@ -31,7 +31,7 @@ func (r *Relation) invalidate() {
 
 // firstRows lists the first occurrence of every distinct row, ascending,
 // through a borrowed full-row table.
-func (r *Relation) firstRows() []int32 {
+func (r *View) firstRows() []int32 {
 	pos := identityPositions(r.arity)
 	seen := hashtab.New(r.arity, r.rows)
 	first := make([]int32, 0, r.rows)
@@ -58,7 +58,7 @@ type keyChains struct {
 // and scratch, which holds at least 2·r.Len() values. The rows are
 // inserted last to first, so each row is pushed on the front of its
 // chain and no tail list is needed.
-func chainsOn(tab *hashtab.Table, r *Relation, pos []int, scratch []Value) keyChains {
+func chainsOn(tab *hashtab.Table, r View, pos []int, scratch []Value) keyChains {
 	tab.Init(len(pos), r.rows)
 	ix := keyChains{
 		table: tab,

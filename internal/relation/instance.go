@@ -143,10 +143,11 @@ func (in *Instance) JoinSize() int64 { return JoinSizeOf(in.Relations) }
 // themselves.
 func JoinSizeOf(rels []*Relation) int64 {
 	schemas := make([]Schema, len(rels))
+	views := make([]View, len(rels))
 	for i, r := range rels {
-		schemas[i] = r.schema
+		schemas[i], views[i] = r.schema, r.View
 	}
-	return NewCounter(schemas).Count(rels)
+	return NewCounter(schemas).Count(views)
 }
 
 // semiJoinReduce removes all dangling tuples with two passes of

@@ -33,7 +33,7 @@ func identityPerm(n int) []int32 {
 // gatherInto copies the rows of r listed in sel, in order, to dst — the
 // one compaction body (a filter's kept rows, Dedup's first occurrences, a
 // sort's permutation).
-func gatherInto[I int32 | Value](r *Relation, dst []Value, sel []I) {
+func gatherInto[I int32 | Value](r *View, dst []Value, sel []I) {
 	a := r.arity
 	for k, i := range sel {
 		copy(dst[k*a:(k+1)*a], r.data[int(i)*a:])
@@ -41,7 +41,7 @@ func gatherInto[I int32 | Value](r *Relation, dst []Value, sel []I) {
 }
 
 // gather returns the arena of the rows listed in sel, in order.
-func (r *Relation) gather(sel []int32) []Value {
+func (r *View) gather(sel []int32) []Value {
 	data := make([]Value, len(sel)*r.arity)
 	gatherInto(r, data, sel)
 	return data
@@ -71,7 +71,7 @@ type rowPred struct {
 
 // mark lists the rows of r that p keeps, ascending, in sel (len ≥
 // r.Len()) and returns how many there are.
-func (p rowPred) mark(sel []Value, r *Relation) int {
+func (p rowPred) mark(sel []Value, r View) int {
 	n, a := 0, r.arity
 	for i := 0; i < r.rows; i++ {
 		var keep bool
@@ -109,7 +109,7 @@ func (r *Relation) SemiJoin(s *Relation) *Relation {
 		}
 		return r.Clone()
 	}
-	return one(r, semiJoinOn(r.schema, s.schema, common, nil, s))
+	return one(r.View, semiJoinOn(r.schema, s.schema, common, Frags{}, s.View))
 }
 
 // smallDedupCutoff is the input size up to which Dedup and Degrees find
@@ -120,7 +120,7 @@ const smallDedupCutoff = 32
 // firstSmall appends to buf the index of the first occurrence of every
 // distinct row, ascending, comparing each row against the rows already
 // listed — no table or position allocations.
-func (r *Relation) firstSmall(buf []int32) []int32 {
+func (r *View) firstSmall(buf []int32) []int32 {
 	for i := 0; i < r.rows; i++ {
 		t, dup := r.Row(i), false
 		for _, e := range buf {
@@ -157,13 +157,21 @@ func (r *Relation) FirstRows() []int32 {
 // first-seen order: FirstRows is the mark pass, gather the compaction.
 func (r *Relation) Dedup() *Relation {
 	if r.rows <= smallDedupCutoff {
-		var buf [smallDedupCutoff]int32
-		first := r.firstSmall(buf[:0])
-		data := make([]Value, len(first)*r.arity)
-		gatherInto(r, data, first)
-		return FromData(r.schema, data, len(first))
+		return r.View.dedup()
 	}
 	first := r.FirstRows()
+	return FromData(r.schema, r.gather(first), len(first))
+}
+
+// dedup is Dedup over rows that keep no first-row list.
+func (r *View) dedup() *Relation {
+	var first []int32
+	if r.rows <= smallDedupCutoff {
+		var buf [smallDedupCutoff]int32
+		first = r.firstSmall(buf[:0])
+	} else {
+		first = r.firstRows()
+	}
 	return FromData(r.schema, r.gather(first), len(first))
 }
 
@@ -176,7 +184,7 @@ var valuePos = []int{0}
 // alone. out holds a and one count attribute; it is prebuilt so that
 // callers hoist the NewSchema call, as with ProjectTo.
 func (r *Relation) Degrees(a int, out Schema) *Relation {
-	return one(r, DegreesStep(r.schema, a, out))
+	return one(r.View, DegreesStep(r.schema, a, out))
 }
 
 // joinRun is one natural join resolved to positions: the probe side is
@@ -184,7 +192,7 @@ func (r *Relation) Degrees(a int, out Schema) *Relation {
 // order — the key index's chain, or every build row when probePos is nil
 // (no shared attribute).
 type joinRun struct {
-	probe, build       *Relation
+	probe, build       View
 	ix                 keyChains
 	probePos, buildPos []int
 	probeOut, buildOut []int // column of the side -> output column
@@ -236,14 +244,14 @@ func (j *joinRun) scatter(dst []Value, chain []Value) {
 	}
 }
 
-// JoinCount returns Join(s).Len() without building the join: the
-// size of r ⋈ s with bag semantics (a duplicate row matches once per
-// copy), saturating at math.MaxInt64. It is the emit step of a plan
+// JoinCount returns the size of r ⋈ s with bag semantics (a duplicate
+// row matches once per copy) without building the join, saturating at
+// math.MaxInt64. It is the emit step of a plan
 // whose last join is never exchanged. The build side is Join's; a
 // transient per-key count table over it is probed by the other side and
 // released to the hashtab pool, so the cost is O(|r| + |s|) whatever the
 // output size, and no index is retained.
-func (r *Relation) JoinCount(s *Relation) int64 {
+func (r *View) JoinCount(s View) int64 {
 	if r.rows == 0 || s.rows == 0 {
 		return 0
 	}
@@ -251,9 +259,9 @@ func (r *Relation) JoinCount(s *Relation) int64 {
 	if len(common) == 0 {
 		return MulSat(int64(r.rows), int64(s.rows))
 	}
-	probe, build := r, s
+	probe, build := r, &s
 	if r.rows < s.rows {
-		probe, build = s, r
+		probe, build = &s, r
 	}
 	// Both key-column lists fit a stack buffer for all but very wide keys.
 	var buf [16]int
@@ -283,5 +291,5 @@ func (r *Relation) JoinCount(s *Relation) int64 {
 // pooled arena; both are released after the scatter. Output order is
 // probe order × build order, and r × s row order for the product.
 func (r *Relation) Join(s *Relation) *Relation {
-	return one(r, joinStep(r.schema, s.schema, nil, s))
+	return one(r.View, joinStep(r.schema, s.schema, Frags{}, s.View))
 }

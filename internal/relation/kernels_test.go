@@ -176,7 +176,7 @@ func TestSemiJoinParMatchesSemiJoin(t *testing.T) {
 			{rowPred{op: predNotIn, col: 1, set: set}, refSelectIn(r, 1, set, false)},
 			{rowPred{op: predNotIn, col: 0}, r},
 		} {
-			if !sameRel(t, "Filter", one(r, Filter{p: c.p, out: r.schema}), c.want) {
+			if !sameRel(t, "Filter", one(r.View, Filter{p: c.p, out: r.schema}), c.want) {
 				return false
 			}
 		}
@@ -251,7 +251,7 @@ func TestJoinCountMatchesJoin(t *testing.T) {
 			tc.prepare(r, s)
 		}
 		rBefore, sBefore := r.first.Load(), s.first.Load()
-		got := r.JoinCount(s)
+		got := r.JoinCount(s.View)
 		n := r.Join(s).Len()
 		if got != want {
 			t.Errorf("%s: JoinCount %d, want %d", tc.name, got, want)
@@ -302,7 +302,7 @@ func TestOneBlockAllocs(t *testing.T) {
 			// The parent is Join's, the call JoinCount replaces. Its count
 			// table comes from the hashtab pool, its key columns from the
 			// stack.
-			{"JoinCount", [2]float64{3, 3}, [2]float64{13, 14}, true, func() { r.JoinCount(s) }},
+			{"JoinCount", [2]float64{3, 3}, [2]float64{13, 14}, true, func() { r.JoinCount(s.View) }},
 			{"Dedup", [2]float64{2, 2}, [2]float64{2, 3}, false, func() { r.Dedup() }},
 			// At 10 000 rows the radix kernel, since retired, took two
 			// more: its key buffer and a second permutation.

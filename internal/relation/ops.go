@@ -23,23 +23,23 @@ func (r *Relation) Project(attrs ...int) *Relation {
 // for callers that hoist the NewSchema call (sort + position map) out of
 // a loop. A missing attribute panics whether or not any rows exist.
 func (r *Relation) ProjectTo(schema Schema) *Relation {
-	return one(r, ProjectStep(r.schema, schema))
+	return one(r.View, ProjectStep(r.schema, schema))
 }
 
 // SelectEq returns the tuples with value v at attribute a.
 func (r *Relation) SelectEq(a int, v Value) *Relation {
-	return one(r, SelectEqStep(r.schema, a, v))
+	return one(r.View, SelectEqStep(r.schema, a, v))
 }
 
 // SelectGt returns the tuples whose value at attribute a exceeds v.
 func (r *Relation) SelectGt(a int, v Value) *Relation {
-	return one(r, SelectGtStep(r.schema, a, v))
+	return one(r.View, SelectGtStep(r.schema, a, v))
 }
 
 // SelectIn returns the tuples whose value at attribute a is in set, or,
 // when in is false, is not in set.
 func (r *Relation) SelectIn(a int, set map[Value]bool, in bool) *Relation {
-	return one(r, SelectInStep(r.schema, a, set, in))
+	return one(r.View, SelectInStep(r.schema, a, set, in))
 }
 
 // selectPos resolves a selection attribute, panicking when it is not in
@@ -58,9 +58,9 @@ func (s Schema) selectPos(op string, a int) int {
 // intermediate. Panics match the two operators': the selection attribute
 // is checked first, then every projection attribute, even when no row
 // survives.
-func (r *Relation) SelectEqProject(a int, v Value, attrs ...int) *Relation {
+func (r *View) SelectEqProject(a int, v Value, attrs ...int) *Relation {
 	sel := SelectEqStep(r.schema, a, v)
-	return one(r, selectProject{sel: sel, proj: ProjectStep(r.schema, NewSchema(attrs...))})
+	return one(*r, selectProject{sel: sel, proj: ProjectStep(r.schema, NewSchema(attrs...))})
 }
 
 // selectProject is SelectEqProject's step: Filter's marks, Project's
@@ -72,11 +72,11 @@ type selectProject struct {
 
 func (s selectProject) Schema() Schema { return s.proj.out }
 
-func (s selectProject) Scratch(i int, in *Relation) int { return s.sel.Scratch(i, in) }
+func (s selectProject) Scratch(i int, in View) int { return s.sel.Scratch(i, in) }
 
-func (s selectProject) Count(i int, in *Relation, sel []Value) int { return s.sel.Count(i, in, sel) }
+func (s selectProject) Count(i int, in View, sel []Value) int { return s.sel.Count(i, in, sel) }
 
-func (s selectProject) Fill(_ int, in *Relation, sel, dst []Value, rows int) {
+func (s selectProject) Fill(_ int, in View, sel, dst []Value, rows int) {
 	k := 0
 	for _, i := range sel[:rows] {
 		t := in.data[int(i)*in.arity:]
@@ -90,7 +90,7 @@ func (s selectProject) Fill(_ int, in *Relation, sel, dst []Value, rows int) {
 // DistinctValues returns the set of values of attribute a. The int64-
 // keyed map allocates no key strings; callers needing deterministic
 // order must sort (map iteration order is randomized).
-func (r *Relation) DistinctValues(a int) map[Value]bool {
+func (r *View) DistinctValues(a int) map[Value]bool {
 	p := r.schema.Pos(a)
 	if p < 0 {
 		panic(fmt.Sprintf("relation: DistinctValues attribute %d not in schema %v", a, r.schema))

@@ -10,13 +10,14 @@ import (
 // across runs so the 2nd..Nth cell of a sweep stops re-growing them.
 //
 // Ownership contract. An arena may be released (PutArena) only by an
-// owner that can prove no live Relation still references any part of
-// it. For exchange outputs that is the mpc.Cluster: it tracks every
-// pooled blob it acquires during a run and releases them all in
+// owner that can prove no live Relation or View still references any
+// part of it. For exchange outputs that is the mpc.Cluster: it tracks
+// every pooled blob it acquires during a run and releases them all in
 // Release(), after the run's Report (scalars only) has been extracted.
-// Slab blobs are shared by many relations (NewSlabCounts), so only the
-// whole blob — never an individual relation's sub-slice — is ever
-// released. Kernel scratch goes back before the kernel returns.
+// An exchange's blob is the arena of all its output fragments (Frags),
+// and a Spread's branches share it, so only the whole blob — never a
+// fragment's or a branch's part of it — is ever released. Kernel scratch
+// goes back before the kernel returns.
 
 // Size classes run from 256 values (2 KiB) to 16 Mi values (128 MiB);
 // smaller requests are not worth pooling, larger ones are left to the
@@ -42,36 +43,7 @@ func ResetPoolStats() { arenas.Reset() }
 func GetArena(n int) []Value { return arenas.Get(n) }
 
 // PutArena releases an arena back to the pool. The caller must own the
-// entire backing array exclusively — in particular, a slab sub-slice
-// must never be released, only the whole slab blob. Undersized and
+// entire backing array exclusively — in particular, a fragment's part
+// of an exchange blob must never be released, only the whole blob. Undersized and
 // oversized arenas are discarded.
 func PutArena(a []Value) { arenas.Put(a) }
-
-// NewSlabCounts returns len(counts) relations over schema in one
-// pooled blob, relation i holding exactly counts[i] rows at value
-// offset arity·Σcounts[:i]. The rows are stale until the caller has
-// written every one of them through the returned blob — the scatter
-// pass of a count-then-scatter exchange; the engine never writes them
-// again. Arena slices are capped at their region, so an Add to one
-// reallocates it rather than write into its neighbour.
-// The sub-slices share the single blob, so only the returned blob —
-// never an individual relation's arena — may be recycled with PutArena,
-// once every relation in the slab is dead.
-func NewSlabCounts(schema Schema, counts []int) ([]*Relation, []Value) {
-	arity := schema.Len()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	blob := GetArena(total * arity)[:total*arity]
-	slab := make([]Relation, len(counts))
-	out := make([]*Relation, len(counts))
-	lo := 0
-	for i, c := range counts {
-		hi := lo + c*arity
-		slab[i] = Relation{schema: schema, arity: arity, data: blob[lo:hi:hi], rows: c}
-		out[i] = &slab[i]
-		lo = hi
-	}
-	return out, blob
-}

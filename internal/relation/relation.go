@@ -17,8 +17,10 @@
 // mutation that can reallocate or reorder the arena (Add, AddValues,
 // Grow past capacity, Sort, SortBy): callers must not hold a
 // view across such a call on the same relation. Reading one relation
-// while appending to a different one is always safe. See DESIGN.md,
-// "Storage layout and hashing".
+// while appending to a different one is always safe. A Relation's rows
+// are a View; a distributed relation's fragments are Views of one arena
+// and an offset vector (Frags, servers.go). See DESIGN.md, "Storage
+// layout and hashing".
 package relation
 
 import (
@@ -160,12 +162,10 @@ func (s Schema) String() string {
 
 // Relation is a multiset of tuples under one schema, stored in a flat
 // arity-strided []Value arena. Operators that require set semantics
-// (semi-join probe sides, dedup) say so.
+// (semi-join probe sides, dedup) say so. Its rows are its View; the
+// read-only operators are View's, promoted.
 type Relation struct {
-	schema Schema
-	arity  int
-	data   []Value // row i at data[i*arity : (i+1)*arity]
-	rows   int     // row count (len(data)/arity, tracked for arity 0)
+	View
 
 	// first is the retained FirstRows list of the current content:
 	// mutators drop it, and no other index outlives the call that built
@@ -174,40 +174,43 @@ type Relation struct {
 	first atomic.Pointer[[]int32]
 }
 
+// View is a read-only window on rows of one arena under a schema: a
+// Relation's rows, or one fragment of a distributed relation (Frags).
+// It is a value — a few words, no allocation — and is passed by value.
+// No operator writes through a View; one taken from a Relation goes
+// stale, not invalid, when the relation is mutated. Its methods take a
+// pointer, but for Clone, Tuples and String, which copy anyway: a View
+// is too large for the compiler to keep in registers, so a value
+// receiver would copy all of it on every inlined Row or Len.
+type View struct {
+	schema Schema
+	arity  int
+	data   []Value // row i at data[i*arity : (i+1)*arity]
+	rows   int     // row count (len(data)/arity, tracked for arity 0)
+}
+
 // New returns an empty relation with the given schema.
 func New(schema Schema) *Relation {
-	return &Relation{schema: schema, arity: schema.Len()}
+	return &Relation{View: View{schema: schema, arity: schema.Len()}}
 }
 
-// NewSlab returns n empty relations over schema in one slab of
-// Relation structs: the empty fragments of a distributed relation.
-func NewSlab(schema Schema, n int) []*Relation {
-	slab := make([]Relation, n)
-	out := make([]*Relation, n)
-	for i := range slab {
-		slab[i] = Relation{schema: schema, arity: schema.Len()}
-		out[i] = &slab[i]
-	}
-	return out
-}
-
-// Schema returns the relation's schema.
-func (r *Relation) Schema() Schema { return r.schema }
+// Schema returns the rows' schema.
+func (r *View) Schema() Schema { return r.schema }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return r.rows }
+func (r *View) Len() int { return r.rows }
 
 // Row returns tuple i as a view into the arena. The view is capped at
 // the row boundary, so appending to it cannot corrupt neighbors; it is
 // invalidated by arena-mutating calls (see the package comment).
-func (r *Relation) Row(i int) Tuple {
+func (r *View) Row(i int) Tuple {
 	return r.data[i*r.arity : (i+1)*r.arity : (i+1)*r.arity]
 }
 
 // Tuples materializes one view per row. It allocates the header slice
 // on every call — hot loops should index with Row instead. The views
 // follow the arena invalidation rules of the package comment.
-func (r *Relation) Tuples() []Tuple {
+func (r View) Tuples() []Tuple {
 	out := make([]Tuple, r.rows)
 	for i := range out {
 		out[i] = r.Row(i)
@@ -215,11 +218,17 @@ func (r *Relation) Tuples() []Tuple {
 	return out
 }
 
-// Data exposes the backing arena (row-major, arity-strided). Callers
-// must treat it as read-only; it is the zero-copy path for bulk
-// concatenation and hashing.
-func (r *Relation) Data() []Value {
+// Data exposes the backing arena (row-major, arity-strided), capped at
+// the last row. Callers must treat it as read-only; it is the zero-copy
+// path for bulk concatenation and hashing.
+func (r *View) Data() []Value {
 	return r.data
+}
+
+// Clone returns a relation holding a copy of the rows (one arena
+// allocation).
+func (r View) Clone() *Relation {
+	return FromData(r.schema, append(make([]Value, 0, len(r.data)), r.data...), r.rows)
 }
 
 // Add appends a copy of the tuple; it must match the schema arity.
@@ -235,17 +244,9 @@ func (r *Relation) Add(t Tuple) {
 // AddValues appends a tuple given values in schema order.
 func (r *Relation) AddValues(vals ...Value) { r.Add(Tuple(vals)) }
 
-// Clone returns a deep copy (one arena allocation).
-func (r *Relation) Clone() *Relation {
-	out := New(r.schema)
-	out.data = append(make([]Value, 0, len(r.data)), r.data...)
-	out.rows = r.rows
-	return out
-}
-
 // Get returns the value of attribute a in tuple t under this relation's
 // schema.
-func (r *Relation) Get(t Tuple, a int) Value {
+func (r *View) Get(t Tuple, a int) Value {
 	p := r.schema.Pos(a)
 	if p < 0 {
 		panic(fmt.Sprintf("relation: attribute %d not in schema %v", a, r.schema))
@@ -329,7 +330,7 @@ func FromData(schema Schema, data []Value, rows int) *Relation {
 	if arity := schema.Len(); arity*rows != len(data) {
 		panic(fmt.Sprintf("relation: FromData arena length %d != %d rows × arity %d", len(data), rows, arity))
 	}
-	return &Relation{schema: schema, arity: schema.Len(), data: data, rows: rows}
+	return &Relation{View: View{schema: schema, arity: schema.Len(), data: data, rows: rows}}
 }
 
 // Sort orders tuples lexicographically in place (for deterministic
@@ -366,7 +367,7 @@ func (r *Relation) sortByPositions(pos []int) {
 // order. Rows equal on pos are ordered by index, so the order is total
 // and the one permutation it admits is the stable one, which pattern-
 // defeating quicksort finds in O(n log n) comparisons.
-func (r *Relation) sortPerm(pos []int) []int32 {
+func (r *View) sortPerm(pos []int) []int32 {
 	if r.sorted(pos) {
 		return nil
 	}
@@ -382,7 +383,7 @@ func (r *Relation) sortPerm(pos []int) []int32 {
 
 // sorted reports whether every row is ≥ its predecessor on the given
 // positions.
-func (r *Relation) sorted(pos []int) bool {
+func (r *View) sorted(pos []int) bool {
 	for i := 1; i < r.rows; i++ {
 		if r.compareRowsAt(i-1, i, pos) > 0 {
 			return false
@@ -392,7 +393,7 @@ func (r *Relation) sorted(pos []int) bool {
 }
 
 // compareRowsAt compares rows i and j of r on the given positions.
-func (r *Relation) compareRowsAt(i, j int, pos []int) int {
+func (r *View) compareRowsAt(i, j int, pos []int) int {
 	a := r.data[i*r.arity:]
 	b := r.data[j*r.arity:]
 	for _, p := range pos {
@@ -419,7 +420,7 @@ func (r *Relation) Equal(o *Relation) bool {
 }
 
 // String renders up to 20 tuples for debugging.
-func (r *Relation) String() string {
+func (r View) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Relation%v |%d|", r.schema, r.rows)
 	for i := 0; i < r.rows; i++ {

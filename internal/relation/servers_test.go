@@ -39,20 +39,24 @@ func seedArenas(n int) {
 	}
 }
 
-// cutAt splits r at the given ascending row offsets into len(cuts)+1
-// fragments (empty ones where offsets repeat).
-func cutAt(r *Relation, cuts []int) []*Relation {
-	out := make([]*Relation, 0, len(cuts)+1)
-	lo := 0
-	for _, hi := range append(slices.Clone(cuts), r.Len()) {
-		f := New(r.Schema())
-		for i := lo; i < hi; i++ {
-			f.Add(r.Row(i))
-		}
-		out = append(out, f)
-		lo = hi
+// cutAt splits a copy of r at the given ascending row offsets into
+// len(cuts)+1 fragments (empty ones where offsets repeat).
+func cutAt(r *Relation, cuts []int) Frags {
+	off := make([]int32, 0, len(cuts)+2)
+	for _, c := range append(append([]int{0}, cuts...), r.Len()) {
+		off = append(off, int32(c))
 	}
-	return out
+	return NewFrags(r.schema, slices.Clone(r.data), off)
+}
+
+// fragsOf lays rels, all of schema, out as fragments of one arena.
+func fragsOf(schema Schema, rels []*Relation) Frags {
+	var data []Value
+	counts := make([]int, len(rels))
+	for i, r := range rels {
+		data, counts[i] = append(data, r.data...), r.Len()
+	}
+	return NewFragsCounts(schema, data, counts)
 }
 
 // randomCuts returns k−1 ascending cut points in [0, rows].
@@ -66,32 +70,33 @@ func randomCuts(rng *rand.Rand, rows, k int) []int {
 }
 
 // checkFragments runs s over frags under schema, inline and forked, and
-// compares every output fragment with ref's on the same input fragment.
-// Outputs must also be capacity-capped views of one arena.
-func checkFragments[S Step](t *testing.T, label string, frags []*Relation, s S, ref func(i int, f *Relation) *Relation) {
+// compares every output fragment with ref's on a copy of the same input
+// fragment. Outputs must also be capacity-capped views of one arena.
+func checkFragments[S Step](t *testing.T, label string, frags Frags, s S, ref func(i int, f *Relation) *Relation) {
 	t.Helper()
 	need := 0
-	for i, f := range frags {
-		need += s.Scratch(i, f)
+	for i := range frags.Servers() {
+		need += s.Scratch(i, frags.Frag(i))
 	}
-	need = max(need, len(frags)+1) // fragmentsPar's offsets
+	need = max(need, frags.Servers()+1) // fragmentsPar's offsets
 	for _, f := range []Forker{nil, goForker{4}} {
 		seedArenas(need)
 		got := Fragments(f, frags, s)
-		if len(got) != len(frags) {
-			t.Fatalf("%s: %d fragments out of %d", label, len(got), len(frags))
+		if got.Servers() != frags.Servers() {
+			t.Fatalf("%s: %d fragments out of %d", label, got.Servers(), frags.Servers())
 		}
-		for i, g := range got {
+		for i := range got.Servers() {
+			g := got.Frag(i)
 			if cap(g.data) != len(g.data) {
 				t.Fatalf("%s: fragment %d has capacity %d beyond its %d values", label, i, cap(g.data), len(g.data))
 			}
-			if !sameRel(t, label, g, ref(i, frags[i])) {
-				t.Fatalf("%s (forker %v): fragment %d of %d differs", label, f, i, len(frags))
+			if !sameRel(t, label, g.Clone(), ref(i, frags.Frag(i).Clone())) {
+				t.Fatalf("%s (forker %v): fragment %d of %d differs", label, f, i, frags.Servers())
 			}
 		}
 	}
 	seedArenas(need)
-	if !sameRel(t, label, one(frags[0], s), ref(0, frags[0])) {
+	if !sameRel(t, label, one(frags.Frag(0), s), ref(0, frags.Frag(0).Clone())) {
 		t.Fatalf("%s: one on fragment 0 differs", label)
 	}
 }
@@ -99,7 +104,7 @@ func checkFragments[S Step](t *testing.T, label string, frags []*Relation, s S, 
 // checkServerSteps runs every relation step over the fragmentations rf
 // of a relation over (0, 1) and sf of one over (1, 2), server i pairing
 // rf[i] with sf[i].
-func checkServerSteps(t *testing.T, rf, sf []*Relation, v Value) {
+func checkServerSteps(t *testing.T, rf, sf Frags, v Value) {
 	t.Helper()
 	rs, ss := NewSchema(0, 1), NewSchema(1, 2)
 	set := map[Value]bool{0: true, v: true}
@@ -107,7 +112,7 @@ func checkServerSteps(t *testing.T, rf, sf []*Relation, v Value) {
 	checkFragments(t, "SelectGt", rf, SelectGtStep(rs, 1, v), func(_ int, f *Relation) *Relation { return refSelect(f, 1, v, true) })
 	checkFragments(t, "SelectIn", rf, SelectInStep(rs, 1, set, true), func(_ int, f *Relation) *Relation { return refSelectIn(f, 1, set, true) })
 	checkFragments(t, "SelectNotIn", rf, SelectInStep(rs, 1, set, false), func(_ int, f *Relation) *Relation { return refSelectIn(f, 1, set, false) })
-	checkFragments(t, "SemiJoin", rf, SemiJoinStep(rs, ss, sf), func(i int, f *Relation) *Relation { return refSemiJoin(f, sf[i]) })
+	checkFragments(t, "SemiJoin", rf, SemiJoinStep(rs, sf), func(i int, f *Relation) *Relation { return refSemiJoin(f, sf.Frag(i).Clone()) })
 	for _, ps := range []Schema{NewSchema(1), NewSchema(1, 0), NewSchema()} {
 		checkFragments(t, "Project", rf, ProjectStep(rs, ps), func(_ int, f *Relation) *Relation { return refProject(f, ps) })
 		checkFragments(t, "SelectEqProject", rf, selectProject{sel: SelectEqStep(rs, 1, v), proj: ProjectStep(rs, ps)},
@@ -115,18 +120,19 @@ func checkServerSteps(t *testing.T, rf, sf []*Relation, v Value) {
 	}
 	deg := NewSchema(1, 2)
 	checkFragments(t, "Degrees", rf, DegreesStep(rs, 1, deg), func(_ int, f *Relation) *Relation { return refDegrees(f, 1, 2) })
-	checkFragments(t, "Join", rf, JoinStep(rs, ss, sf), func(i int, f *Relation) *Relation { return refJoin(f, sf[i]) })
-	checkFragments(t, "Join swapped", sf, JoinStep(ss, rs, rf), func(i int, f *Relation) *Relation { return refJoin(f, rf[i]) })
+	checkFragments(t, "Join", rf, JoinStep(rs, sf), func(i int, f *Relation) *Relation { return refJoin(f, sf.Frag(i).Clone()) })
+	checkFragments(t, "Join swapped", sf, JoinStep(ss, rf), func(i int, f *Relation) *Relation { return refJoin(f, rf.Frag(i).Clone()) })
 	// A 0-ary side: the product keeps the other side's rows once per
 	// 0-ary row.
-	zero := make([]*Relation, len(rf))
-	for i, f := range rf {
-		zero[i] = New(NewSchema())
-		for k := 0; k < f.Len()%3; k++ {
-			zero[i].AddValues()
+	zeros := make([]*Relation, rf.Servers())
+	for i := range zeros {
+		zeros[i] = New(NewSchema())
+		for k := 0; k < rf.FragLen(i)%3; k++ {
+			zeros[i].AddValues()
 		}
 	}
-	checkFragments(t, "Join product", sf, JoinStep(ss, NewSchema(), zero), func(i int, f *Relation) *Relation { return refJoin(f, zero[i]) })
+	zero := fragsOf(NewSchema(), zeros)
+	checkFragments(t, "Join product", sf, JoinStep(ss, zero), func(i int, f *Relation) *Relation { return refJoin(f, zeros[i]) })
 	checkFragments(t, "Project 0-ary", zero, ProjectStep(NewSchema(), NewSchema()), func(_ int, f *Relation) *Relation { return f })
 	for _, pos := range [][]int{{0}, {1, 0}} {
 		checkFragments(t, "Sort", rf, SortStep(rs, pos), func(_ int, f *Relation) *Relation { return refSortBy(f, pos) })
@@ -183,38 +189,59 @@ func FuzzLocalServers(f *testing.F) {
 		slices.Sort(rc)
 		slices.Sort(sc)
 		rf, sf := cutAt(r, rc), cutAt(s, sc)
-		if len(rf) != k || len(sf) != k {
-			t.Fatalf("cut into %d and %d fragments, want %d", len(rf), len(sf), k)
+		if rf.Servers() != k || sf.Servers() != k {
+			t.Fatalf("cut into %d and %d fragments, want %d", rf.Servers(), sf.Servers(), k)
 		}
 		checkServerSteps(t, rf, sf, d/2)
 	})
 }
 
-// TestFragmentsAreIsolatedViews: the outputs share one arena, capped at
-// each fragment's region, so growing or reordering one fragment leaves
-// its neighbours' rows unchanged.
+// TestFragmentsAreIsolatedViews: a step's output fragments tile one
+// arena in server order, a run of them (a spread's branch) is a view of
+// the same arena, and no operator writes a fragment's rows: running
+// every step over the fragments, and growing or sorting a relation
+// wrapped around one fragment's rows, leaves the input arena as it was.
 func TestFragmentsAreIsolatedViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	r := randomRel(rng, NewSchema(0, 1), 60, 10)
+	r, s := randomRel(rng, NewSchema(0, 1), 60, 10), randomRel(rng, NewSchema(1, 2), 60, 10)
 	rs := r.Schema()
-	frags := cutAt(r, []int{20, 40})
-	for _, mutate := range []struct {
-		name string
-		fn   func(f *Relation)
-	}{
-		{"Add", func(f *Relation) { f.AddValues(-1, -1) }},
-		{"SortBy", func(f *Relation) { f.SortBy([]int{1}) }},
-	} {
-		out := Fragments(nil, frags, ProjectStep(rs, rs))
-		want := make([][]Value, len(out))
-		for i, f := range out {
-			want[i] = slices.Clone(f.data)
+	frags, sf := cutAt(r, []int{20, 20, 45}), cutAt(s, []int{10, 30, 30})
+	before := slices.Clone(frags.data)
+
+	out := Fragments(nil, frags, SelectGtStep(rs, 1, 3))
+	all := out.Collect()
+	for i, at := 0, 0; i < out.Servers(); i++ {
+		f := out.Frag(i)
+		if f.Len() > 0 && &f.data[0] != &all.data[at] {
+			t.Fatalf("fragment %d does not start at value %d of the arena", i, at)
 		}
-		mutate.fn(out[1])
-		for _, i := range []int{0, 2} {
-			if !slices.Equal(out[i].data, want[i]) {
-				t.Fatalf("%s on fragment 1 changed fragment %d", mutate.name, i)
-			}
+		at += len(f.data)
+		if i == out.Servers()-1 && at != len(all.data) {
+			t.Fatalf("fragments cover %d of %d values", at, len(all.data))
 		}
+	}
+	branch := out.Slice(1, 3)
+	for i := range branch.Servers() {
+		if b, f := branch.Frag(i), out.Frag(i+1); b.Len() != f.Len() || b.Len() > 0 && &b.data[0] != &f.data[0] {
+			t.Fatalf("branch fragment %d is not fragment %d of the arena", i, i+1)
+		}
+	}
+	if got := branch.Collect(); got.Len() != branch.Len() || got.Len() != out.FragLen(1)+out.FragLen(2) {
+		t.Fatalf("branch collects %d rows, want %d", got.Len(), branch.Len())
+	}
+
+	checkServerSteps(t, frags, sf, 4)
+	for i := range frags.Servers() {
+		f := frags.Frag(i)
+		w := FromData(rs, f.Data(), f.Len())
+		w.AddValues(-1, -1)
+		w.SortBy([]int{1})
+		if f.Len() > 1 {
+			w = FromData(rs, f.Data(), f.Len())
+			w.Sort()
+		}
+	}
+	if !slices.Equal(frags.data, before) {
+		t.Fatal("an operator wrote the input fragments' arena")
 	}
 }

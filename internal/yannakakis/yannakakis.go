@@ -110,7 +110,7 @@ func pairExchange(g *mpc.Group, a, b *mpc.DistRelation) (ap, bp *mpc.DistRelatio
 // pairJoin joins two distributed relations on their common attributes.
 func pairJoin(g *mpc.Group, a, b *mpc.DistRelation) *mpc.DistRelation {
 	ap, bp, common := pairExchange(g, a, b)
-	out := mpc.Local(g, ap, relation.JoinStep(ap.Schema, bp.Schema, bp.Frags))
+	out := mpc.Local(g, ap, relation.JoinStep(ap.Schema, bp.Frags))
 	// Joined rows keep the join-key values of their inputs, so the
 	// output stays partitioned on common — the parent's pairJoin on the
 	// same key (frequent in path/star trees) elides its exchange. The
@@ -124,9 +124,10 @@ func pairJoin(g *mpc.Group, a, b *mpc.DistRelation) *mpc.DistRelation {
 // counts the join of its two fragments instead of building it.
 func pairCount(g *mpc.Group, a, b *mpc.DistRelation) int64 {
 	ap, bp, _ := pairExchange(g, a, b)
-	counts := make([]int64, len(ap.Frags))
-	g.Fork(len(ap.Frags), func(i int) {
-		counts[i] = ap.Frags[i].JoinCount(bp.Frags[i])
+	counts := make([]int64, ap.Servers())
+	g.Fork(len(counts), func(i int) {
+		a := ap.Frag(i)
+		counts[i] = a.JoinCount(bp.Frag(i))
 	})
 	var total int64
 	for _, n := range counts {
