@@ -38,15 +38,15 @@ func randomAcyclicQuery(rng *rand.Rand) *hypergraph.Query {
 // TestPropertyBothStrategiesMatchOracle is the central end-to-end
 // property: on random acyclic queries and random (sometimes skewed)
 // instances, both runs of the generic algorithm emit exactly the oracle
-// join size.
+// join size. It enumerates the generator's seeds 0 to 499 rather than
+// sampling a few, so it reaches the path-optimal tie shapes on a
+// residual subquery (the first is seed 59).
 func TestPropertyBothStrategiesMatchOracle(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(99))}
-	f := func(seed int64) bool {
+	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		q := randomAcyclicQuery(rng)
 		if !q.IsAcyclic() {
-			t.Logf("seed %d: generator produced cyclic query %s", seed, q)
-			return false
+			t.Fatalf("seed %d: generator produced cyclic query %s", seed, q)
 		}
 		var in *relation.Instance
 		if rng.Intn(2) == 0 {
@@ -60,19 +60,13 @@ func TestPropertyBothStrategiesMatchOracle(t *testing.T) {
 			c := mpc.NewCluster(p)
 			res, err := Run(c.Root(), in, Options{Strategy: strat})
 			if err != nil {
-				t.Logf("seed %d (%s, %v, p=%d): %v", seed, q, strat, p, err)
-				return false
+				t.Fatalf("seed %d (%s, %v, p=%d): %v", seed, q, strat, p, err)
 			}
 			if res.Emitted != want {
-				t.Logf("seed %d (%s, %v, p=%d): emitted %d, oracle %d",
+				t.Fatalf("seed %d (%s, %v, p=%d): emitted %d, oracle %d",
 					seed, q, strat, p, res.Emitted, want)
-				return false
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"slices"
 	"sort"
 
 	"coverpack/internal/hypergraph"
@@ -225,33 +224,40 @@ func (g *grid) router(s relation.Schema, salt uint64) router {
 	return r
 }
 
-// route is an mpc.RouteBuf routing function: it writes t's destinations
-// into buf in ascending server order. The pinned coordinates sum to one
-// base cell; each free dimension then expands the list in place, back
-// to front so no entry is overwritten before it is read, which keeps
-// earlier dimensions outer.
-func (r router) route(_ int, t relation.Tuple, buf []int) []int {
+// base is an mpc.RouteFan routing function: t's pinned coordinates sum
+// to the first cell of its sub-grid, every free coordinate 0.
+func (r router) base(_ int, t relation.Tuple) int {
 	base := 0
 	for _, x := range r {
 		if x.pos >= 0 {
 			base += int(coordHash(t[x.pos], x.salt)%uint64(x.dim)) * x.stride
 		}
 	}
-	buf = append(buf[:0], base)
+	return base
+}
+
+// fan returns the RouteFan offsets of a sub-grid from its base cell:
+// every combination of the free dimensions' coordinates, ascending,
+// earlier dimensions outer. It is nil when no dimension is free: the
+// base is the one cell.
+func (r router) fan() []int {
+	fan := []int{0}
 	for _, x := range r {
 		if x.pos >= 0 || x.dim == 1 {
 			continue
 		}
-		n := len(buf)
-		buf = slices.Grow(buf, n*(x.dim-1))[:n*x.dim]
-		for j := n - 1; j >= 0; j-- {
-			d := buf[j]
-			for c := x.dim - 1; c >= 0; c-- {
-				buf[j*x.dim+c] = d + c*x.stride
+		next := make([]int, 0, len(fan)*x.dim)
+		for _, o := range fan {
+			for c := range x.dim {
+				next = append(next, o+c*x.stride)
 			}
 		}
+		fan = next
 	}
-	return buf
+	if len(fan) == 1 {
+		return nil
+	}
+	return fan
 }
 
 // coordHash is a deterministic 64-bit mix of a value and a salt
@@ -288,7 +294,7 @@ func RunWithShares(g *mpc.Group, in *relation.Instance, shares map[int]int, salt
 	}
 	// Route every relation in the single round. The relation is routed
 	// as placed, one fragment, which is the form Scatter starts from:
-	// Scatter is free and untraced, RouteBuf charges receivers only, and
+	// Scatter is free and untraced, RouteFan charges receivers only, and
 	// the grid router ignores the source server, so loads, Stats and
 	// traces are those of scattering first — without a full copy of the
 	// relation held until Release.
@@ -297,7 +303,8 @@ func RunWithShares(g *mpc.Group, in *relation.Instance, shares map[int]int, salt
 		for e := 0; e < q.NumEdges(); e++ {
 			r := in.Rel(e)
 			placed := &mpc.DistRelation{Frags: relation.NewFrags(r.Schema(), r.Data(), []int32{0, int32(r.Len())})}
-			local[e] = g.RouteBuf(placed, gr.router(r.Schema(), salt).route)
+			rt := gr.router(r.Schema(), salt)
+			local[e] = g.RouteFan(placed, rt.base, rt.fan())
 		}
 	})
 	// Local joins; emit() is zero-cost per the model. Each server's join
@@ -307,9 +314,11 @@ func RunWithShares(g *mpc.Group, in *relation.Instance, shares map[int]int, salt
 		schemas[e] = local[e].Schema
 	}
 	counter := relation.NewCounter(schemas)
+	// One slab of views: server s's relations are views[s*E:(s+1)*E].
 	emits := make([]int64, gr.size)
+	views := make([]relation.View, gr.size*len(local))
 	g.Fork(gr.size, func(s int) {
-		frags := make([]relation.View, len(local))
+		frags := views[s*len(local) : (s+1)*len(local)]
 		for e := range frags {
 			frags[e] = local[e].Frag(s)
 		}

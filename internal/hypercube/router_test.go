@@ -86,11 +86,26 @@ func bruteCells(gr *grid, s relation.Schema, t relation.Tuple, salt uint64) []in
 	return out
 }
 
-// checkGridRoute routes the case of b into a stale buffer and requires
-// exactly the brute-force cell list, in order.
+// cells lists the cells r sends t to: its base plus every offset of
+// its fan, sorted.
+func cells(r router, t relation.Tuple) []int {
+	fan := r.fan()
+	if fan == nil {
+		fan = []int{0}
+	}
+	out := make([]int, len(fan))
+	for i, o := range fan {
+		out[i] = r.base(0, t) + o
+	}
+	slices.Sort(out)
+	return out
+}
+
+// checkGridRoute routes the case of b and requires exactly the
+// brute-force cell list.
 func checkGridRoute(t *testing.T, b []byte) {
 	gr, s, tup, salt := gridCase(b)
-	got := gr.router(s, salt).route(0, tup, []int{-1, 7, 99})
+	got := cells(gr.router(s, salt), tup)
 	if want := bruteCells(gr, s, tup, salt); !slices.Equal(got, want) {
 		t.Fatalf("dims %v schema %v tuple %v salt %#x: routed to %v, want %v", gr.dims, s, tup, salt, got, want)
 	}
@@ -116,17 +131,16 @@ func FuzzGridRouting(f *testing.F) {
 	f.Fuzz(checkGridRoute)
 }
 
-// Routing one tuple into a warm buffer must not allocate: the engine
-// hands each chunk's buffer back on every call.
+// Routing one tuple must not allocate: a tuple's sub-grid is its base
+// cell, and the fan of offsets is built once per relation.
 func TestGridRouterAllocFree(t *testing.T) {
 	gr := newGrid([]int{0, 1, 2}, map[int]int{0: 4, 1: 4, 2: 4})
 	r := gr.router(relation.NewSchema(0, 2), 1)
 	tup := relation.Tuple{5, 9}
-	buf := r.route(0, tup, nil)
-	if allocs := testing.AllocsPerRun(100, func() { buf = r.route(0, tup, buf) }); allocs != 0 {
-		t.Fatalf("route allocated %.1f times per tuple into a warm buffer", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { r.base(0, tup) }); allocs != 0 {
+		t.Fatalf("base allocated %.1f times per tuple", allocs)
 	}
-	if len(buf) != 4 {
-		t.Fatalf("one free dimension of 4: routed to %v", buf)
+	if fan := r.fan(); !slices.Equal(fan, []int{0, 4, 8, 12}) {
+		t.Fatalf("one free dimension of 4, stride 4: fan %v", fan)
 	}
 }

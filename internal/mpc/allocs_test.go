@@ -24,9 +24,9 @@ import (
 // ids at all. HashPartition records the caller's key, not a copy, so it
 // adds nothing (key is built once, outside the measured runs); Scatter
 // and ScatterDedup keep their one-fragment input's offsets in the
-// scratch; Route adds its RouteBuf wrapper of the caller's function;
-// RouteBuf its destination buffer (one per exchange: a route function
-// may return memory it holds). HashPartition's identity path returns a
+// scratch; Route stores nothing a tuple and calls its function again to
+// fill; RouteFan stores one id a tuple whatever its fan, in idPool's
+// vector over scratchCap tuples. HashPartition's identity path returns a
 // DistRelation sharing its input's arena and offsets; Gather one
 // Relation; Broadcast is a Local step (DistRelation, offsets, arena).
 func TestExchangeAllocs(t *testing.T) {
@@ -45,9 +45,9 @@ func TestExchangeAllocs(t *testing.T) {
 	key := []int{0}
 	two := []int{1, 5}
 	plain := func(int, relation.Tuple) []int { return two }
-	route := func(_ int, t relation.Tuple, buf []int) []int {
-		return append(buf[:0], int(t[0])%p, int(t[1])%p)
-	}
+	// A 2×2×2 grid with its first dimension pinned: two free dimensions.
+	base := func(_ int, t relation.Tuple) int { return int(t[0]) % 2 * 4 }
+	fan := []int{0, 1, 2, 3}
 	sizes := []int{3, 5}
 	pick := func(t relation.Tuple) int { return int(t[0]%3) - 1 } // one in three dropped
 	for _, op := range []struct {
@@ -60,8 +60,8 @@ func TestExchangeAllocs(t *testing.T) {
 		{"HashPartition", 2, func() { g.HashPartition(d, key) }},
 		{"HashPartition/wide", 2, func() { g.HashPartition(wide, key) }},
 		{"HashPartition/identity", 1, func() { g.HashPartition(parted, key) }},
-		{"Route", 3, func() { g.Route(d, plain) }},
-		{"RouteBuf", 3, func() { g.RouteBuf(d, route) }},
+		{"Route", 2, func() { g.Route(d, plain) }},
+		{"RouteFan", 2, func() { g.RouteFan(wide, base, fan) }},
 		{"DistributeSpread", 2, func() { g.DistributeSpread(d, sizes, false, pick) }},
 		{"DistributeSpread/broadcast", 2, func() { g.DistributeSpread(d, sizes, true, pick) }},
 		{"DistributeSpread/wide broadcast", 2, func() { g.DistributeSpread(wide, sizes, true, pick) }},
@@ -88,14 +88,22 @@ func TestExchangeAllocs(t *testing.T) {
 	if got := idPool.Stats().Gets; got != before {
 		t.Errorf("Spread took %d destination-id vectors, want none", got-before)
 	}
-	// The wide broadcast's one-id-a-tuple vector is idPool's, and goes
-	// back there: none is grown past it.
-	st := idPool.Stats()
-	g.DistributeSpread(wide, sizes, true, pick)
-	c.Release()
-	if got := idPool.Stats(); got.Gets-st.Gets != 1 || got.Puts-st.Puts != 1 {
-		t.Errorf("wide broadcast DistributeSpread: %d id vectors taken, %d put back, want 1 and 1",
-			got.Gets-st.Gets, got.Puts-st.Puts)
+	// The wide broadcast's and the wide fan's one-id-a-tuple vectors are
+	// idPool's, and go back there: none is grown past them.
+	for _, op := range []struct {
+		name string
+		run  func()
+	}{
+		{"wide broadcast DistributeSpread", func() { g.DistributeSpread(wide, sizes, true, pick) }},
+		{"wide RouteFan", func() { g.RouteFan(wide, base, fan) }},
+	} {
+		st := idPool.Stats()
+		op.run()
+		c.Release()
+		if got := idPool.Stats(); got.Gets-st.Gets != 1 || got.Puts-st.Puts != 1 {
+			t.Errorf("%s: %d id vectors taken, %d put back, want 1 and 1",
+				op.name, got.Gets-st.Gets, got.Puts-st.Puts)
+		}
 	}
 }
 

@@ -319,7 +319,9 @@ func flatten(parts []DistRelation) []*relation.Relation {
 }
 
 // exchangeCases returns the exchanges over a group of p servers.
-// Routes replicate and drop; DistributeSpread drops and sends to both
+// Routes replicate and drop; RouteFan sends every tuple to its base and
+// the base plus p/2 (twice to server 0 when p is 1), the naive Route of
+// that list; DistributeSpread drops and sends to both
 // branches, round-robin in one case and broadcast in the other, so any
 // cut of the input has rotation state on either side of it. Spread's
 // branches have one server, three, and p+2 (more than some inputs have
@@ -334,6 +336,12 @@ func exchangeCases(p int) []exchangeCase {
 		default:
 			return []int{a % p}
 		}
+	}
+	fan := []int{0, p / 2}
+	base := func(src int, t relation.Tuple) int { return (col(src, t, 0) + src) % (p - p/2) }
+	fanned := func(src int, t relation.Tuple) []int {
+		b := base(src, t)
+		return []int{b + fan[0], b + fan[1]}
 	}
 	sizes := []int{2, 3}
 	spreadSizes := []int{1, 3, p + 2}
@@ -363,6 +371,9 @@ func exchangeCases(p int) []exchangeCase {
 		{"route",
 			func(g *Group, d *DistRelation) []*relation.Relation { return fragRels(g.Route(d, route)) },
 			func(d *DistRelation, p int) ([]*relation.Relation, []int) { return naiveRoute(d, p, route) }},
+		{"route-fan",
+			func(g *Group, d *DistRelation) []*relation.Relation { return fragRels(g.RouteFan(d, base, fan)) },
+			func(d *DistRelation, p int) ([]*relation.Relation, []int) { return naiveRoute(d, p, fanned) }},
 		distribute("distribute-spread", false),
 		distribute("distribute-spread/broadcast", true),
 		{"spread",

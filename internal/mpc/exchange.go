@@ -1,46 +1,57 @@
 package mpc
 
-import "coverpack/internal/relation"
+import (
+	"fmt"
+
+	"coverpack/internal/relation"
+)
 
 // The exchange kernel: with the spreads' fills below, the only code in
 // the package that moves tuples between fragments. Every exchange but
-// Spread and DistributeSpread is a router over it.
+// Spread and DistributeSpread runs its two passes over it.
 //
 // An exchange's input is its fragments' rows in server order, one arena
 // (relation.Frags), cut into chunks of consecutive rows. Pass 1 routes
-// every tuple, chunk by chunk, keeps the destination ids the router
-// returns and counts them per destination. The counts size one pooled
-// blob exactly, and, prefix-summed destination by destination and chunk
-// by chunk within a destination, give every chunk its own write cursors
-// into it. Pass 2 copies each row to its cursors, by arity: rows of one
-// to four values move as fixed-size arrays in a loop written for that
-// arity, on the one-destination path and on the many-destination path
-// alike; wider rows go through copy. The output hands over the blob
-// with the prefix-summed counts as its offsets: the destinations'
-// fragments tile it, with no header of their own. Chunk-major cursors
-// within a destination are input order, so the output is the same for
-// any chunking, and one chunk is the sequential exchange. One chunk runs
-// both passes inline; several run them on the pool. All bookkeeping
-// lives in the exchange's scratch (scratch.go).
+// every tuple, chunk by chunk, keeps the one destination id the router
+// returns for it and counts the tuple's destinations: that id, or,
+// under RouteFan's fan, the id plus each of the fan's fixed offsets.
+// The counts size one pooled blob exactly, and, prefix-summed
+// destination by destination and chunk by chunk within a destination,
+// give every chunk its own write cursors into it. Pass 2 copies each row
+// to its cursors: on the one-destination path rows of one to four
+// values move as fixed-size arrays in a loop written for that arity,
+// and wider rows go through copy; under a fan each copy goes through
+// putRow. The output hands over the blob with the prefix-summed counts
+// as its offsets: the destinations' fragments tile it, with no header
+// of their own. Chunk-major cursors within a destination are input
+// order, so the output is the same for any chunking, and one chunk is
+// the sequential exchange. One chunk runs both passes inline; several
+// run them on the pool. All bookkeeping lives in the exchange's scratch
+// (scratch.go): one id a tuple, or none for Route, whose pass 2 calls
+// its function again.
 
-// router appends the destinations of one tuple, as ids in [0, nd) with
-// nd < 1<<31, to dst. c is the tuple's chunk and flat its index among
-// the input's rows. A router validates what a caller handed it; the
-// kernel trusts the ids. Routers are values passed as type arguments:
-// routing builds no function value.
-type router interface {
-	route(c *xchunk, dst []uint32, t relation.Tuple, flat int) []uint32
+// An exchange's two passes over chunk ci: count leaves the chunk's
+// per-destination tuple counts in its c.cur, over nd destinations; fill
+// copies its rows to the write cursors c.cur then holds, advancing
+// them. Passes are values passed as type arguments, as are the routers
+// under them: routing builds no function value.
+type passes interface {
+	count(x *xrun, in relation.Frags, ci, nd int)
+	fill(x *xrun, in relation.Frags, blob []relation.Value, ci int)
 }
 
-// When a tuple may have any number of destinations, the last id of its
-// run in dst carries lastID, and a tuple with none leaves the lone
-// entry noID (which carries it too). With exactly one destination per
-// tuple the ids are stored bare; a one-destination router may still
-// store noID to drop a tuple, which the count skips (DistributeSpread).
-const (
-	lastID uint32 = 1 << 31
-	noID          = ^uint32(0)
-)
+// router returns the destination id of one tuple, in [0, nd) with
+// nd < 1<<31: under a fan, the base id the fan's offsets add to. c is
+// the tuple's chunk, whose routing state pass 1 resets to -1, and flat
+// the tuple's index among the input's rows. A router validates what a
+// caller handed it; the kernel trusts the ids.
+type router interface {
+	route(c *xchunk, t relation.Tuple, flat int) uint32
+}
+
+// noID is the id of a tuple a router drops, which the count skips
+// (DistributeSpread, whose fill is its own).
+const noID = ^uint32(0)
 
 // scratch takes an exchange scratch holding the cut of n input rows:
 // none for no rows, one chunk unless the exchange is big enough to fan
@@ -77,19 +88,18 @@ func (x *xrun) rowsOf(in relation.Frags, ci int) ([]relation.Value, int) {
 	return all.Data()[lo*a : hi*a], lo
 }
 
-// exchange routes in's tuples, cut as x.cut, to nd destinations by r;
-// single promises exactly one destination per tuple. It returns the nd
-// output fragments and leaves in x.recv the per-destination tuple
-// counts, of length max(nd, group size) — the charged recv vector of an
-// exchange that charges every delivery — and each chunk's destination
-// ids in its dst. The caller charges and admits.
-func exchange[R router](g *Group, x *xrun, in relation.Frags, nd int, single bool, r R) relation.Frags {
+// exchange moves in's tuples, cut as x.cut, to nd destinations by the
+// passes p. It returns the nd output fragments and leaves in x.recv the
+// per-destination tuple counts, of length max(nd, group size) — the
+// charged recv vector of an exchange that charges every delivery. The
+// caller charges and admits.
+func exchange[P passes](g *Group, x *xrun, in relation.Frags, nd int, p P) relation.Frags {
 	c, n := g.cluster, x.chunks()
 	x.recv = zeroed(x.recv, max(nd, g.size))
 	if n == 1 {
-		pass1(x, in, r, 0, nd, single)
+		p.count(x, in, 0, nd)
 	} else if n > 1 {
-		c.fork(n, func(ci int) { pass1(x, in, r, ci, nd, single) })
+		c.fork(n, func(ci int) { p.count(x, in, ci, nd) })
 	}
 	total := 0
 	for _, ch := range x.cs[:n] {
@@ -109,48 +119,94 @@ func exchange[R router](g *Group, x *xrun, in relation.Frags, nd int, single boo
 		}
 	}
 	if n == 1 {
-		pass2(x, in, blob, 0, single)
+		p.fill(x, in, blob, 0)
 	} else if n > 1 {
-		c.fork(n, func(ci int) { pass2(x, in, blob, ci, single) })
+		c.fork(n, func(ci int) { p.fill(x, in, blob, ci) })
 	}
 	return relation.NewFragsCounts(in.Schema, blob, x.recv[:nd])
 }
 
-// pass1 routes chunk ci by r and counts its destination ids into the
-// chunk's cursor vector.
-func pass1[R router](x *xrun, in relation.Frags, r R, ci, nd int, single bool) {
+// stored is the passes of an exchange that stores one id a tuple, the
+// one r returns, in its chunk's dst: the tuple goes to id+o for every
+// offset o of fan, or to id alone when fan is nil.
+type stored[R router] struct {
+	r   R
+	fan []int
+}
+
+func (p stored[R]) count(x *xrun, in relation.Frags, ci, nd int) {
 	data, lo := x.rowsOf(in, ci)
 	c, arity := &x.cs[ci], in.Schema.Len()
 	rows := x.cut[ci+1] - lo
-	dst := c.ids(rows) // one id a tuple, or more
-	for i := range rows {
-		before := len(dst)
-		dst = r.route(c, dst, data[i*arity:(i+1)*arity:(i+1)*arity], lo+i)
-		if single {
-			continue
-		}
-		if len(dst) == before {
-			dst = append(dst, noID)
-		} else {
-			dst[len(dst)-1] |= lastID
-		}
+	dst := c.ids(rows)[:rows]
+	c.k, c.src = -1, -1
+	for i := range dst {
+		dst[i] = p.r.route(c, data[i*arity:(i+1)*arity:(i+1)*arity], lo+i)
 	}
 	c.dst, c.cur = dst, zeroed(c.cur, nd)
 	for _, id := range dst {
-		if id != noID {
-			c.cur[id&^lastID]++
+		switch {
+		case p.fan != nil:
+			for _, o := range p.fan {
+				c.cur[int(id)+o]++
+			}
+		case id != noID:
+			c.cur[id]++
 		}
 	}
 }
 
-// pass2 copies chunk ci's rows to their destinations' write cursors.
-func pass2(x *xrun, in relation.Frags, blob []relation.Value, ci int, single bool) {
+func (p stored[R]) fill(x *xrun, in relation.Frags, blob []relation.Value, ci int) {
+	data, _ := x.rowsOf(in, ci)
+	c, arity := &x.cs[ci], in.Schema.Len()
+	if p.fan == nil {
+		fillOne(blob, data, c.dst, c.cur, arity)
+		return
+	}
+	for i, id := range c.dst {
+		for _, o := range p.fan {
+			at := &c.cur[int(id)+o]
+			putRow(blob, *at, data[i*arity:(i+1)*arity])
+			*at++
+		}
+	}
+}
+
+// calls is Route's passes: they store nothing, and the fill calls the
+// route function again.
+type calls struct {
+	fn   func(src int, t relation.Tuple) []int
+	size int
+}
+
+func (p calls) count(x *xrun, in relation.Frags, ci, nd int) {
+	x.cs[ci].cur = zeroed(x.cs[ci].cur, nd)
+	p.each(x, in, nil, ci)
+}
+
+func (p calls) fill(x *xrun, in relation.Frags, blob []relation.Value, ci int) {
+	p.each(x, in, blob, ci)
+}
+
+// each walks chunk ci's rows and every destination fn returns for them:
+// with blob nil it counts the destination, else copies the row to it.
+func (p calls) each(x *xrun, in relation.Frags, blob []relation.Value, ci int) {
 	data, lo := x.rowsOf(in, ci)
-	c, rows := &x.cs[ci], x.cut[ci+1]-lo
-	if single {
-		fillOne(blob, data, c.dst[:rows], c.cur, in.Schema.Len())
-	} else {
-		fillMany(blob, data, rows, c.dst, c.cur, in.Schema.Len())
+	c, arity, src := &x.cs[ci], in.Schema.Len(), 0
+	for i := range x.cut[ci+1] - lo {
+		for lo+i >= in.Start(src+1) {
+			src++
+		}
+		row := data[i*arity : (i+1)*arity : (i+1)*arity]
+		for _, dest := range p.fn(src, row) {
+			if dest < 0 || dest >= p.size {
+				panic(fmt.Sprintf("mpc: route destination %d outside group of size %d", dest, p.size))
+			}
+			if blob != nil {
+				putRow(blob, c.cur[dest], row)
+			}
+			c.cur[dest]++
+		}
 	}
 }
 
@@ -190,74 +246,6 @@ func fillOne(blob, data []relation.Value, ids []uint32, cur []int, arity int) {
 			at := &cur[id]
 			copy(blob[*at*arity:], data[i*arity:(i+1)*arity])
 			*at++
-		}
-	}
-}
-
-// fillMany is fillOne for any number of destinations a row: the ids
-// run as lastID and noID mark them, one run a row.
-func fillMany(blob, data []relation.Value, rows int, ids []uint32, cur []int, arity int) {
-	j := 0
-	switch arity {
-	case 1:
-		for i := range rows {
-			for more := true; more; j++ {
-				id := ids[j]
-				if id != noID {
-					at := &cur[id&^lastID]
-					blob[*at] = data[i]
-					*at++
-				}
-				more = id&lastID == 0
-			}
-		}
-	case 2:
-		for i := range rows {
-			for more := true; more; j++ {
-				id := ids[j]
-				if id != noID {
-					at := &cur[id&^lastID]
-					*(*[2]relation.Value)(blob[*at*2:]) = *(*[2]relation.Value)(data[i*2:])
-					*at++
-				}
-				more = id&lastID == 0
-			}
-		}
-	case 3:
-		for i := range rows {
-			for more := true; more; j++ {
-				id := ids[j]
-				if id != noID {
-					at := &cur[id&^lastID]
-					*(*[3]relation.Value)(blob[*at*3:]) = *(*[3]relation.Value)(data[i*3:])
-					*at++
-				}
-				more = id&lastID == 0
-			}
-		}
-	case 4:
-		for i := range rows {
-			for more := true; more; j++ {
-				id := ids[j]
-				if id != noID {
-					at := &cur[id&^lastID]
-					*(*[4]relation.Value)(blob[*at*4:]) = *(*[4]relation.Value)(data[i*4:])
-					*at++
-				}
-				more = id&lastID == 0
-			}
-		}
-	default:
-		for i := range rows {
-			for more := true; more; j++ {
-				id := ids[j]
-				if id != noID {
-					at := &cur[id&^lastID]
-					copy(blob[*at*arity:], data[i*arity:(i+1)*arity])
-					*at++
-				}
-				more = id&lastID == 0
-			}
 		}
 	}
 }
@@ -369,6 +357,6 @@ func fillRotate(blob, data []relation.Value, rows int, first []int, q, s, arity 
 // roundRobin routes input row i to destination i mod k.
 type roundRobin int
 
-func (k roundRobin) route(_ *xchunk, dst []uint32, _ relation.Tuple, flat int) []uint32 {
-	return append(dst, uint32(flat%int(k)))
+func (k roundRobin) route(_ *xchunk, _ relation.Tuple, flat int) uint32 {
+	return uint32(flat % int(k))
 }

@@ -19,9 +19,11 @@
 //     against L.
 //
 // Data lives in DistRelations: one fragment per server of the owning
-// group, all of them views of one arena (relation.Frags). Tuples move between servers only through the group's
-// exchange operations (HashPartition, Route, DistributeSpread, ...),
-// which share one kernel (exchange.go) and charge every round. Decisions
+// group, all of them views of one arena (relation.Frags). Tuples move
+// between servers only through the group's exchange operations
+// (HashPartition, RouteFan, DistributeSpread, ...), which share one
+// kernel (exchange.go), store at most one destination id a tuple and
+// charge every round. Decisions
 // the driver makes from O(p)-size summaries (fragment sizes, heavy-value
 // cutoffs) model the free control channel of the paper's lower-bound
 // convention; every tuple and every per-value statistic moved between
@@ -47,15 +49,15 @@
 // over several chunks at once, and Parallel branches run concurrently.
 // All observable results are byte-identical for every worker count (see
 // engine.go and DESIGN.md, "Parallel engine determinism contract").
-// Route/DistributeSpread callbacks and Local steps must be pure
-// (deterministic, no shared mutable state) under a parallel cluster.
+// Route/RouteFan/DistributeSpread callbacks and Local steps must be
+// pure (deterministic, no shared mutable state) under a parallel
+// cluster; Route calls its function twice a tuple.
 package mpc
 
 import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -374,7 +376,7 @@ func NewDist(schema relation.Schema, size int) *DistRelation {
 // free: initial placement precedes the computation.
 func (g *Group) Scatter(r *relation.Relation) *DistRelation {
 	x := g.scratch(r.Len())
-	d := &DistRelation{Frags: exchange(g, x, x.whole(r), g.size, true, roundRobin(g.size))}
+	d := &DistRelation{Frags: exchange(g, x, x.whole(r), g.size, stored[roundRobin]{r: roundRobin(g.size)})}
 	putScratch(x)
 	return d
 }
@@ -389,32 +391,34 @@ func (x *xrun) whole(r *relation.Relation) relation.Frags {
 // group — Scatter(r.Dedup()) without the deduplicated intermediate: the
 // dedup hands over the first occurrences in order, so row k of the
 // deduplicated order is known, with the count, before anything moves,
-// and the exchange kernel routes it to server k mod size and drops the
-// repeats. Free and untraced like Scatter.
+// and the exchange kernel routes it to server k mod size. The repeats
+// go to one destination past the group's, which the output leaves out:
+// the one-destination fill needs no drop test. Free and untraced like
+// Scatter.
 func (g *Group) ScatterDedup(r *relation.Relation) *DistRelation {
-	first := r.FirstRows()
 	x := g.scratch(r.Len())
-	for ci := range x.chunks() {
-		x.cs[ci].k, _ = slices.BinarySearch(first, int32(x.cut[ci]))
-	}
-	d := &DistRelation{Frags: exchange(g, x, x.whole(r), g.size, false, dedupRoute{first, g.size})}
+	out := exchange(g, x, x.whole(r), g.size+1, stored[dedupRoute]{r: dedupRoute{r.FirstRows(), g.size}})
 	putScratch(x)
-	return d
+	return &DistRelation{Frags: out.Slice(0, g.size)}
 }
 
 // dedupRoute sends the k-th first occurrence to server k mod size and
-// drops the repeats (c.k: the rank of the chunk's next first occurrence).
+// the repeats to destination size (c.k: the rank of the chunk's next
+// first occurrence).
 type dedupRoute struct {
 	first []int32
 	size  int
 }
 
-func (r dedupRoute) route(c *xchunk, dst []uint32, _ relation.Tuple, flat int) []uint32 {
-	if c.k < len(r.first) && int(r.first[c.k]) == flat {
-		dst = append(dst, uint32(c.k%r.size))
-		c.k++
+func (r dedupRoute) route(c *xchunk, _ relation.Tuple, flat int) uint32 {
+	if c.k < 0 {
+		c.k, _ = slices.BinarySearch(r.first, int32(flat))
 	}
-	return dst
+	if c.k < len(r.first) && int(r.first[c.k]) == flat {
+		c.k++
+		return uint32((c.k - 1) % r.size)
+	}
+	return uint32(r.size)
 }
 
 // HashPartition re-partitions d by the given attributes: every tuple
@@ -443,7 +447,7 @@ func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
 		g.cluster.hashed.Add(1)
 		x = g.scratch(d.Len())
 		x.offs = d.Schema.AppendPositions(x.offs[:0], attrs)
-		out.Frags = exchange(g, x, d.Frags, g.size, true, hashRoute{x.offs, uint64(g.size)})
+		out.Frags = exchange(g, x, d.Frags, g.size, stored[hashRoute]{r: hashRoute{x.offs, uint64(g.size)}})
 	}
 	g.charge(trace.OpHashPartition, x)
 	return out
@@ -455,8 +459,8 @@ type hashRoute struct {
 	k   uint64
 }
 
-func (r hashRoute) route(_ *xchunk, dst []uint32, t relation.Tuple, _ int) []uint32 {
-	return append(dst, uint32(hashtab.Hash(t, r.pos)%r.k))
+func (r hashRoute) route(_ *xchunk, t relation.Tuple, _ int) uint32 {
+	return uint32(hashtab.Hash(t, r.pos) % r.k)
 }
 
 // Broadcast sends every tuple of d to every server. One round; each
@@ -507,56 +511,54 @@ func (g *Group) Gather(d *DistRelation) *relation.Relation {
 // server indices within the group); tuples may be replicated. One
 // round. route must be pure — deterministic, safe for concurrent
 // calls, no shared mutable state — so the parallel engine can invoke
-// it from worker goroutines.
+// it from worker goroutines; it is called twice a tuple, once to count
+// the destinations and once to fill them, and its slice is read before
+// the next call. Route stores nothing a tuple: it is the harness's
+// free-form exchange, and no algorithm calls it.
 func (g *Group) Route(d *DistRelation, route func(src int, t relation.Tuple) []int) *DistRelation {
-	return g.RouteBuf(d, func(src int, t relation.Tuple, _ []int) []int {
-		return route(src, t)
-	})
-}
-
-// RouteBuf is Route with an engine-owned destination buffer: route
-// receives a scratch slice (possibly nil or stale) and returns the
-// tuple's destinations, reusing the scratch's backing array when it is
-// big enough. The engine hands each returned slice back on the next
-// call from the same goroutine, so routing functions that fan a tuple
-// out to many servers avoid a per-tuple allocation. The purity
-// contract of Route still applies; the buffer is never shared between
-// goroutines.
-func (g *Group) RouteBuf(d *DistRelation, route func(src int, t relation.Tuple, buf []int) []int) *DistRelation {
 	x := g.scratch(d.Len())
-	for ci := range x.chunks() {
-		c := &x.cs[ci]
-		c.src = sort.Search(d.Servers(), func(s int) bool { return d.Start(s+1) > x.cut[ci] })
-		c.end = d.Start(c.src + 1)
-	}
-	out := &DistRelation{Frags: exchange(g, x, d.Frags, g.size, false, bufRoute{route, d.Frags, g.size})}
+	out := &DistRelation{Frags: exchange(g, x, d.Frags, g.size, calls{route, g.size})}
 	g.charge(trace.OpRoute, x)
 	return out
 }
 
-// bufRoute routes by a RouteBuf function, in the chunk's buffer. The
-// source server of a row is found from in's offsets: the chunk's cursor
-// (c.src, c.end) starts at its first row's server and moves on as the
-// rows pass the end of one.
-type bufRoute struct {
-	fn func(src int, t relation.Tuple, buf []int) []int
-	in relation.Frags
-	k  int
+// RouteFan sends each tuple to the servers route(src, t)+o, one for
+// every offset o of fan, or to route(src, t) alone when fan is nil: a
+// fixed shape of servers placed by one base server a tuple — HyperCube's
+// sub-grid of the cells consistent with a tuple's pinned coordinates.
+// One round. Only the base is stored, one id a tuple, whatever the fan.
+// route must be pure, as Route's; the caller must not modify fan
+// during the call.
+func (g *Group) RouteFan(d *DistRelation, route func(src int, t relation.Tuple) int, fan []int) *DistRelation {
+	r := fanRoute{fn: route, in: d.Frags, hi: g.size}
+	if len(fan) > 0 {
+		r.lo, r.hi = -slices.Min(fan), g.size-slices.Max(fan)
+	}
+	x := g.scratch(d.Len())
+	out := &DistRelation{Frags: exchange(g, x, d.Frags, g.size, stored[fanRoute]{r, fan})}
+	g.charge(trace.OpRoute, x)
+	return out
 }
 
-func (r bufRoute) route(c *xchunk, dst []uint32, t relation.Tuple, flat int) []uint32 {
-	for flat >= c.end {
+// fanRoute routes by a RouteFan function, whose bases must lie in
+// [lo, hi) for every offset of the fan to land in the group. The source
+// server of a row is found from in's offsets: the chunk's cursor c.src
+// walks up from server 0 each pass as the rows pass the end of one.
+type fanRoute struct {
+	fn     func(src int, t relation.Tuple) int
+	in     relation.Frags
+	lo, hi int
+}
+
+func (r fanRoute) route(c *xchunk, t relation.Tuple, flat int) uint32 {
+	for flat >= r.in.Start(c.src+1) {
 		c.src++
-		c.end = r.in.Start(c.src + 1)
 	}
-	c.buf = r.fn(c.src, t, c.buf)
-	for _, dest := range c.buf {
-		if dest < 0 || dest >= r.k {
-			panic(fmt.Sprintf("mpc: route destination %d outside group of size %d", dest, r.k))
-		}
-		dst = append(dst, uint32(dest))
+	b := r.fn(c.src, t)
+	if b < r.lo || b >= r.hi {
+		panic(fmt.Sprintf("mpc: route base %d outside [%d, %d) in a group of size %d", b, r.lo, r.hi, r.in.Servers()))
 	}
-	return dst
+	return uint32(b)
 }
 
 // Local runs a per-server step with no communication: s's Count half
@@ -736,10 +738,11 @@ func (g *Group) DistributeSpread(d *DistRelation, sizes []int, broadcast bool, p
 	nb := len(sizes)
 	x := g.scratch(d.Len())
 	n, total := x.chunks(), x.branchOffsets(sizes)
+	ids := stored[pickRoute]{r: pickRoute{pick, nb}}
 	if n == 1 {
-		pass1(x, d.Frags, pickRoute{pick, nb}, 0, nb, true)
+		ids.count(x, d.Frags, 0, nb)
 	} else if n > 1 {
-		g.cluster.fork(n, func(ci int) { pass1(x, d.Frags, pickRoute{pick, nb}, ci, nb, true) })
+		g.cluster.fork(n, func(ci int) { ids.count(x, d.Frags, ci, nb) })
 	}
 	x.rows = zeroed(x.rows, nb)
 	for _, ch := range x.cs[:n] {
@@ -763,14 +766,14 @@ type pickRoute struct {
 	nb   int
 }
 
-func (r pickRoute) route(_ *xchunk, dst []uint32, t relation.Tuple, _ int) []uint32 {
+func (r pickRoute) route(_ *xchunk, t relation.Tuple, _ int) uint32 {
 	switch b := r.pick(t); {
 	case b == -1:
-		return append(dst, noID)
+		return noID
 	case b < 0 || b >= r.nb:
 		panic(fmt.Sprintf("mpc: DistributeSpread branch %d out of range", b))
 	default:
-		return append(dst, uint32(b))
+		return uint32(b)
 	}
 }
 

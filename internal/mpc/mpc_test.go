@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"coverpack/internal/relation"
@@ -130,17 +131,14 @@ func TestRouteReplication(t *testing.T) {
 	}
 }
 
-// A route function may return a slice it holds: the engine reuses it as
-// the buffer within that exchange only, so a later exchange's route,
-// appending into its buffer, leaves the held slice intact.
+// A route function may return a slice it holds: the engine only reads
+// it, so the held slice stays intact.
 func TestRouteKeepsNoReturnedSlice(t *testing.T) {
 	c := NewCluster(4, withForcedWorkers(1))
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 10))
 	held := []int{0, 1}
 	g.Route(d, func(int, relation.Tuple) []int { return held })
-	g.RouteBuf(d, func(_ int, _ relation.Tuple, buf []int) []int { return held })
-	g.RouteBuf(d, func(_ int, _ relation.Tuple, buf []int) []int { return append(buf[:0], 3, 2) })
 	if held[0] != 0 || held[1] != 1 {
 		t.Fatalf("held destinations overwritten: %v", held)
 	}
@@ -156,6 +154,19 @@ func TestRoutePanicsOnBadDest(t *testing.T) {
 	g := c.Root()
 	d := g.Scatter(fill(relation.NewSchema(0), 2))
 	g.Route(d, func(int, relation.Tuple) []int { return []int{5} })
+}
+
+// A RouteFan base whose fan reaches past the group panics, before any
+// copy is counted.
+func TestRouteFanPanicsPastGroup(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "route base 3") {
+			t.Fatalf("recovered %v, want a route base panic", r)
+		}
+	}()
+	g := NewCluster(4).Root()
+	d := g.Scatter(fill(relation.NewSchema(0), 2))
+	g.RouteFan(d, func(int, relation.Tuple) int { return 3 }, []int{0, 1})
 }
 
 func TestLocalNoCost(t *testing.T) {

@@ -31,15 +31,13 @@ type xrun struct {
 	one   []int32  // Scatter: the offsets of its one-fragment input
 }
 
-// xchunk is one chunk's share of the scratch.
+// xchunk is one chunk's share of the scratch. Its routing state (k,
+// src) is -1 at the start of every pass 1 that stores ids.
 type xchunk struct {
-	dst []uint32 // destination ids in tuple order (see lastID); from idPool over scratchCap
-	cur []int    // per destination: ids counted, then the next row to write
+	dst []uint32 // one destination id a tuple, in tuple order; from idPool over scratchCap
+	cur []int    // per destination: tuples counted, then the next row to write
 	k   int      // ScatterDedup: rank of the chunk's next first occurrence
-	// RouteBuf: the source server of the chunk's next row, and the index
-	// of the first row past that server's.
-	src, end int
-	buf      []int // RouteBuf's destination buffer, dropped at the put
+	src int      // RouteFan: the source server of the chunk's next row
 }
 
 // scratchCap bounds the elements of a vector the pool keeps.
@@ -73,10 +71,8 @@ func getScratch() *xrun {
 }
 
 // putScratch returns x to the pool without its vectors over scratchCap
-// elements, any view of them, or RouteBuf's buffers (a route function
-// may return memory it holds, so a buffer lives for one exchange); the
-// destination-id vectors over scratchCap go back to idPool. The caller
-// must not use x afterwards.
+// elements or any view of them; the destination-id vectors over
+// scratchCap go back to idPool. The caller must not use x afterwards.
 func putScratch(x *xrun) {
 	x.cut, x.recv, x.offs, x.rows, x.first = keep(x.cut), keep(x.recv), keep(x.offs), keep(x.rows), keep(x.first)
 	x.one, x.cs = keep(x.one), keep(x.cs)

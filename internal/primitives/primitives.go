@@ -68,10 +68,9 @@ func reduceAggregated(g *mpc.Group, pre *mpc.DistRelation, keyAttrs []int, valAt
 			// All pre fragments share outSchema, so the step's key
 			// positions serve the (pure) route closure.
 			kpos := step.kpos
-			mid := g.RouteBuf(pre, func(src int, t relation.Tuple, buf []int) []int {
-				base := int(hashtab.Hash(t, kpos) % uint64(p))
-				return append(buf[:0], (base+src%c)%p)
-			})
+			mid := g.RouteFan(pre, func(src int, t relation.Tuple) int {
+				return (int(hashtab.Hash(t, kpos)%uint64(p)) + src%c) % p
+			}, nil)
 			pre = agg(mid)
 		}
 		parted := g.HashPartition(pre, keyAttrs)

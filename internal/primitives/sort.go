@@ -78,9 +78,7 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 	}
 
 	// Round 2: range routing, then local sort.
-	routed := g.RouteBuf(d, func(_ int, t relation.Tuple, buf []int) []int {
-		return append(buf[:0], destOf(t))
-	})
+	routed := g.RouteFan(d, func(_ int, t relation.Tuple) int { return destOf(t) }, nil)
 	// Each server stably sorts its range; the servers are the tasks of
 	// the group's worker pool, and the result is byte-identical at any
 	// worker count.
