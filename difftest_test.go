@@ -91,7 +91,7 @@ func (a oracleArm) String() string {
 		on   bool
 		name string
 	}{
-		{a.eo.ParKernels == coverpack.ParKernelOff, "morsel-off"},
+		{a.eo.ParKernels != coverpack.ParKernelDefault, "morsel-off"},
 		{a.spilled(), "spill-on"},
 		{a.untraced, "trace-off"},
 	} {
@@ -150,7 +150,7 @@ func oracleArms() []oracleArm {
 		eo := coverpack.ExecOptions{Workers: w}
 		arms = append(arms, oracleArm{eo: eo})
 		if w > 1 {
-			eo.ParKernels = coverpack.ParKernelOff
+			eo.ParKernels = 1
 			arms = append(arms, oracleArm{eo: eo})
 		}
 	}

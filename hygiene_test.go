@@ -1,13 +1,20 @@
 package coverpack_test
 
 import (
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"math/rand"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -333,4 +340,251 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
+}
+
+// testOnlyAllowed lists, keyed as funcKey names them, the functions no
+// run reaches that stay, each with its reason: references the tests
+// compare the engine against, and accessors the tests of other packages
+// read. What an entry calls needs no entry of its own. A seam only its
+// own package's tests use belongs in that package's _test.go files, and
+// anything else no run reaches is deleted.
+var testOnlyAllowed = map[string]string{
+	"coverpack/internal/relation.Instance.Join":           "sequential reference join the relation, hypercube, primitives and core tests compare runs against",
+	"coverpack/internal/relation.Instance.SemiJoinReduce": "sequential reference for primitives' distributed semi-join reduction",
+	"coverpack/internal/relation.Relation.Equal":          "order-insensitive comparison the tests of several packages check outputs with",
+	"coverpack/internal/relation.Key":                     "legacy keyed path the routing tests check hashtab.Hash destinations against",
+	"coverpack/internal/hypergraph.Query.Residual":        "Q_x by its definition, the reference fractional's ψ* tests enumerate",
+	"coverpack/internal/pool.Pool.Reserved":               "reserve accounting the pool and relation arena-pool tests check",
+	"coverpack/internal/trace.Span.TotalUnits":            "a span subtree's volume, which the trace, mpc, primitives and core tests check",
+}
+
+// TestNoTestOnlyCode fails on any top-level function or method of
+// non-test Go that no run reaches, unless testOnlyAllowed lists it or
+// what it lists calls it; and on any entry of testOnlyAllowed that a run
+// reaches, that names no function or that gives no reason. It
+// type-checks every package of the module from source, importing
+// through the export data `go list -export` leaves in the build cache,
+// and closes over uses from the roots: main and init, every function of
+// the frozen benchmark harness (internal/bench, cmd/bench), the root
+// package's exported API, every package-level variable's initializer,
+// and every method that satisfies an interface some package declares (a
+// call through an interface reaches it).
+func TestNoTestOnlyCode(t *testing.T) {
+	args := []string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard"}
+	if raceEnabled {
+		args = append(args, "-race")
+	}
+	out, err := exec.Command("go", append(args, "./...")...).Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		Standard                bool
+	}
+	exports := map[string]string{}
+	var mods []listed
+	for dec := json.NewDecoder(strings.NewReader(string(out))); dec.More(); {
+		var p listed
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		exports[p.ImportPath] = p.Export
+		if !p.Standard {
+			mods = append(mods, p)
+		}
+	}
+	fset := token.NewFileSet()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+
+	type decl struct {
+		pos   token.Pos
+		lines int
+	}
+	decls := map[string]decl{}
+	uses := map[string]map[string]bool{} // function key -> keys its body names; "" for package-level initializers
+	var roots []string
+	var named []*types.Named // concrete types whose methods an interface may reach
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seenPkg := map[*types.Package]bool{}
+	var addIfaces func(p *types.Package)
+	addIfaces = func(p *types.Package) {
+		if seenPkg[p] {
+			return
+		}
+		seenPkg[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+		for _, q := range p.Imports() {
+			addIfaces(q)
+		}
+	}
+
+	for _, m := range mods {
+		var files []*ast.File
+		for _, name := range m.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(m.Dir, name), nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+		pkg, err := conf.Check(m.ImportPath, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", m.ImportPath, err)
+		}
+		addIfaces(pkg)
+		for _, tv := range info.Types {
+			switch tt := tv.Type.(type) {
+			case *types.Interface:
+				ifaces = append(ifaces, tt)
+			case *types.Named: // instances of generic types, as they are used
+				if tt.TypeArgs().Len() > 0 {
+					named = append(named, tt)
+				}
+			}
+		}
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if nt, ok := tn.Type().(*types.Named); ok && nt.TypeParams().Len() == 0 {
+					named = append(named, nt)
+				}
+			}
+		}
+		frozen := m.ImportPath == "coverpack/internal/bench" || m.ImportPath == "coverpack/cmd/bench"
+		usesIn := func(from string, n ast.Node) {
+			set := uses[from]
+			if set == nil {
+				set = map[string]bool{}
+				uses[from] = set
+			}
+			ast.Inspect(n, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if fn, ok := info.Uses[id].(*types.Func); ok {
+						set[funcKey(fn)] = true
+					}
+				}
+				return true
+			})
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					usesIn("", d)
+					continue
+				}
+				fn := info.Defs[fd.Name].(*types.Func)
+				key := funcKey(fn)
+				usesIn(key, fd)
+				if fd.Recv == nil && (fd.Name.Name == "init" || fd.Name.Name == "main" && pkg.Name() == "main") {
+					roots = append(roots, key)
+					continue
+				}
+				decls[key] = decl{fd.Pos(), fset.Position(fd.End()).Line - fset.Position(fd.Pos()).Line + 1}
+				api := pkg.Path() == "coverpack" && fn.Exported() && (fd.Recv == nil || token.IsExported(recvName(fn)))
+				if frozen || api {
+					roots = append(roots, key)
+				}
+			}
+		}
+	}
+	roots = append(roots, "")
+	for _, nt := range named {
+		if types.IsInterface(nt) {
+			continue
+		}
+		ptr := types.NewPointer(nt)
+		for _, it := range ifaces {
+			if it.NumMethods() == 0 || !it.IsMethodSet() || !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name()); obj != nil {
+					roots = append(roots, funcKey(obj.(*types.Func)))
+				}
+			}
+		}
+	}
+	closure := func(from []string) map[string]bool {
+		seen := map[string]bool{}
+		for len(from) > 0 {
+			k := from[len(from)-1]
+			from = from[:len(from)-1]
+			if !seen[k] {
+				seen[k] = true
+				for u := range uses[k] {
+					from = append(from, u)
+				}
+			}
+		}
+		return seen
+	}
+	reached := closure(roots)
+	var allowed []string
+	for k, why := range testOnlyAllowed {
+		allowed = append(allowed, k)
+		switch _, ok := decls[k]; {
+		case !ok:
+			t.Errorf("allowlisted %s names no function", k)
+		case reached[k]:
+			t.Errorf("allowlisted %s is reached by a run; drop its entry", k)
+		case strings.TrimSpace(why) == "":
+			t.Errorf("allowlisted %s gives no reason", k)
+		}
+	}
+	kept := closure(allowed)
+
+	var unreached []string
+	for k := range decls {
+		if !reached[k] && !kept[k] {
+			unreached = append(unreached, k)
+		}
+	}
+	sort.Strings(unreached)
+	for _, k := range unreached {
+		t.Errorf("%s: %s (%d lines) is reached by no run; delete it, move it into a _test.go file, or allowlist it with a reason",
+			fset.Position(decls[k].pos), k, decls[k].lines)
+	}
+}
+
+// funcKey names a function by package path, receiver type and name:
+// "coverpack/internal/relation.Instance.Join".
+func funcKey(fn *types.Func) string {
+	fn = fn.Origin()
+	pkg := ""
+	if fn.Pkg() != nil {
+		pkg = fn.Pkg().Path()
+	}
+	if r := recvName(fn); r != "" {
+		return pkg + "." + r + "." + fn.Name()
+	}
+	return pkg + "." + fn.Name()
+}
+
+// recvName is the name of fn's receiver type, "" for a function or a
+// method of an unnamed interface.
+func recvName(fn *types.Func) string {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	rt := types.Unalias(recv.Type())
+	if p, ok := rt.(*types.Pointer); ok {
+		rt = types.Unalias(p.Elem())
+	}
+	if n, ok := rt.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
 }

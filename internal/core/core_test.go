@@ -70,8 +70,8 @@ func TestSubjoinSizeExample32(t *testing.T) {
 	parent[e("e5")] = e("e4")
 	parent[e("e6")] = e("e5")
 	parent[e("e7")] = e("e5")
-	tree, err := hypergraph.NewJoinTree(q, parent)
-	if err != nil {
+	tree := &hypergraph.JoinTree{Query: q, Parent: parent}
+	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -222,13 +222,21 @@ func TestHeterogeneousSizes(t *testing.T) {
 	// stay exact, and the path-optimal L must reflect the product of
 	// the *actual* cover-relation sizes, not N^{ρ*}.
 	q := hypergraph.PathJoin(3)
-	in := workload.UniformSizes(q, []int{400, 50, 400}, 5000, 7)
+	sized := func(sizes []int, seed uint64) *relation.Instance {
+		in := workload.Uniform(q, 400, 5000, seed)
+		for e, n := range sizes {
+			r := in.Rel(e)
+			in.Relations[e] = relation.FromData(r.Schema(), r.Data()[:n*r.Schema().Len()], n)
+		}
+		return in
+	}
+	in := sized([]int{400, 50, 400}, 7)
 	runBoth(t, in, 8)
 
 	// Cover {R1, R3}: L = (400·400/p)^{1/2} = 400/√8, well below the
 	// homogeneous N/p^{1/2} with N=400 only if sizes entered... here
 	// they are equal on the cover; shrink R3 instead and watch L drop.
-	smallCover := workload.UniformSizes(q, []int{400, 400, 50}, 5000, 8)
+	smallCover := sized([]int{400, 400, 50}, 8)
 	lBig := ChooseL(in, 8, PathOptimal)
 	lSmall := ChooseL(smallCover, 8, PathOptimal)
 	if lSmall >= lBig {

@@ -6,6 +6,7 @@ import (
 
 	"coverpack/internal/hypergraph"
 	"coverpack/internal/mpc"
+	"coverpack/internal/relation"
 	"coverpack/internal/workload"
 )
 
@@ -113,7 +114,7 @@ func TestTriangleShapeRejections(t *testing.T) {
 func TestRunTriangleEmptyRelation(t *testing.T) {
 	q := hypergraph.TriangleJoin()
 	in := workload.Matching(q, 10)
-	in.Relations[1] = in.Rel(1).SelectEq(q.AttrID("X2"), -999) // empty it
+	in.Relations[1] = relation.New(in.Rel(1).Schema()) // empty it
 	c := mpc.NewCluster(4)
 	res, err := RunTriangle(c.Root(), in)
 	if err != nil {

@@ -268,23 +268,91 @@ func lowerBoundRows(cfg Config) (Table, error) {
 }
 
 // Figure1 reproduces the classification diagram as a membership table.
+// Three verdict columns check, per query, structural facts the
+// algorithms rest on ("—" where one does not apply): a tree join's
+// relations split into path joins (footnotes 7–8); the GYO join tree of
+// an acyclic query is a valid width-1 GHD (Appendix A.5); and every
+// statistics query of its path-optimal program — S^x grouped by x, for
+// each (x, S^x) core.Decomposition lists — is free-connex (Section 3.2).
 func Figure1() (Table, error) {
 	t := Table{
 		Title:  "Figure 1 — classification of join queries",
-		Header: []string{"query", "class", "acyclic", "berge", "r-hier", "deg-2", "LW", "pack-provable"},
+		Header: []string{"query", "class", "acyclic", "berge", "r-hier", "deg-2", "LW", "pack-provable", "tree paths", "width-1 GHD", "stats free-connex"},
 	}
 	for _, e := range coverpack.Catalog() {
-		a, err := coverpack.Analyze(e.Query)
+		q := e.Query
+		a, err := coverpack.Analyze(q)
 		if err != nil {
 			return Table{}, err
 		}
+		paths, ghd, free := "—", "—", "—"
+		if q.IsTreeJoin() {
+			paths = yn(pathJoins(q))
+		}
+		if a.Acyclic {
+			g, ok := hypergraph.Width1GHD(q)
+			ghd = yn(ok && g.Validate() == nil)
+			if free, err = statsFreeConnex(q); err != nil {
+				return Table{}, err
+			}
+		}
 		t.Rows = append(t.Rows, []string{
-			e.Query.Name(), a.Class(),
+			q.Name(), a.Class(),
 			yn(a.Acyclic), yn(a.BergeAcyclic), yn(a.RHierarchical),
 			yn(a.DegreeTwo), yn(a.LoomisWhitney), yn(a.EdgePackingProvable),
+			paths, ghd, free,
 		})
 	}
 	return t, nil
+}
+
+// pathJoins reports whether q.PathDecomposition splits the tree join's
+// relations into parts that are each a path join: connected, with no
+// attribute in more than two of the part's relations.
+func pathJoins(q *hypergraph.Query) bool {
+	parts, err := q.PathDecomposition()
+	if err != nil {
+		return false
+	}
+	var seen hypergraph.EdgeSet
+	for _, s := range parts {
+		sub := q.KeepEdges(s)
+		if len(sub.ConnectedComponents()) != 1 {
+			return false
+		}
+		for _, a := range sub.AllVars().Attrs() {
+			if sub.Degree(a) > 2 {
+				return false
+			}
+		}
+		for _, e := range s.Edges() {
+			if seen.Contains(e) {
+				return false
+			}
+			seen.Add(e)
+		}
+	}
+	return seen.Len() == q.NumEdges()
+}
+
+// statsFreeConnex is the verdict on whether every statistics query of
+// q's path-optimal program is free-connex: "—" when the program issues
+// none (q reduces to one relation).
+func statsFreeConnex(q *hypergraph.Query) (string, error) {
+	choices, err := core.Decomposition(q)
+	if err != nil || len(choices) == 0 {
+		return "—", err
+	}
+	for _, c := range choices {
+		var s hypergraph.EdgeSet
+		for _, name := range c.Path {
+			s.Add(q.EdgeIndex(name))
+		}
+		if !hypergraph.StatisticsQueryIsFreeConnex(q, s, q.AttrID(c.Attr)) {
+			return "no", nil
+		}
+	}
+	return "yes", nil
 }
 
 func yn(b bool) string {
@@ -328,11 +396,13 @@ func Figure2() (Table, error) {
 }
 
 // Figure3 reproduces the ρ* vs τ* landscape with the inequalities the
-// paper proves per class.
+// paper proves per class. On the degree-two rows the Lemma 5.3 column
+// checks τ* + ρ* = |E|, τ* ≥ |E|/2 ≥ ρ*, half-integral optimal packing
+// and cover, and integral ones when the join has no odd cycle.
 func Figure3() (Table, error) {
 	t := Table{
 		Title:  "Figure 3 — ρ* vs τ* of reduced joins",
-		Header: []string{"query", "ρ*", "τ*", "ψ*", "relation", "checked"},
+		Header: []string{"query", "ρ*", "τ*", "ψ*", "relation", "checked", "Lemma 5.3"},
 	}
 	for _, e := range coverpack.Catalog() {
 		q, _ := e.Query.Reduce()
@@ -349,8 +419,17 @@ func Figure3() (Table, error) {
 			rel = "degree-two ⇒ τ* ≥ |E|/2 ≥ ρ*"
 			ok = c >= 0
 		}
+		lemma := "—"
+		if q.IsDegreeTwo() {
+			f, err := fractional.CheckDegreeTwo(q)
+			if err != nil {
+				return Table{}, err
+			}
+			lemma = yn(f.SumIsEdgeCount && f.TauAtLeastHalfE && f.RhoAtMostHalfE &&
+				f.PackingHalfInt && f.CoverHalfInt && f.IntegralIfNoCycl)
+		}
 		t.Rows = append(t.Rows, []string{
-			q.Name(), nums.Rho.RatString(), nums.Tau.RatString(), nums.Psi.RatString(), rel, yn(ok),
+			q.Name(), nums.Rho.RatString(), nums.Tau.RatString(), nums.Psi.RatString(), rel, yn(ok), lemma,
 		})
 	}
 	return t, nil
@@ -429,11 +508,21 @@ func Figure5() (Table, error) {
 
 // Figure6 reproduces the linear-join panel: the line-3 query (the
 // canonical linear join, ρ* = 2) on its AGM worst case — measured load
-// of the optimal run vs N/p^{1/2} and the one-round baseline.
+// of the optimal run vs N/p^{1/2} and the one-round baseline — and
+// checks that the instance is worst case: the optimal run emits exactly
+// the AGM bound of its relation sizes.
 func Figure6(cfg Config) (Table, error) {
 	q := hypergraph.Line3Join()
 	n := cfg.pick(256, 1024)
 	in, err := coverpack.AGMWorstCase(q, n)
+	if err != nil {
+		return Table{}, err
+	}
+	sizes := make([]int, q.NumEdges())
+	for e := range sizes {
+		sizes[e] = in.Rel(e).Len()
+	}
+	agm, err := fractional.AGMBound(q, sizes)
 	if err != nil {
 		return Table{}, err
 	}
@@ -455,13 +544,14 @@ func Figure6(cfg Config) (Table, error) {
 	}
 	t := Table{
 		Title:  "Figure 6 — linear join (line-3) on the AGM worst case",
-		Header: []string{"p", "load optimal-run", "theory N/p^(1/2)", "load one-round HC"},
+		Header: []string{"p", "load optimal-run", "theory N/p^(1/2)", "load one-round HC", "AGM bound", "emitted = AGM"},
 	}
 	for pi, p := range ps {
 		t.Rows = append(t.Rows, []string{
 			itoa(p), load(res[pi].opt.Stats.MaxLoad),
 			f3(float64(in.N()) / math.Sqrt(float64(p))),
 			load(res[pi].hc.Stats.MaxLoad),
+			fmt.Sprintf("%.0f", agm), yn(float64(res[pi].opt.Emitted) == math.Round(agm)),
 		})
 	}
 	return t, nil

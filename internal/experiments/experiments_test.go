@@ -82,10 +82,25 @@ func TestFigure1AllChecked(t *testing.T) {
 	if len(tab.Rows) < 10 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
+	applies := 0
 	for _, r := range tab.Rows {
 		if r[1] == "" {
 			t.Errorf("%s: empty class", r[0])
 		}
+		// tree paths, width-1 GHD, stats free-connex
+		for c := 8; c < 11; c++ {
+			switch r[c] {
+			case "yes":
+				applies++
+			case "—":
+			default:
+				t.Errorf("%s: %s reads %q", r[0], tab.Header[c], r[c])
+			}
+		}
+	}
+	// 5 tree joins, 8 acyclic queries, 6 of them with statistics queries.
+	if applies != 5+8+6 {
+		t.Errorf("%d verdict cells apply, want %d", applies, 5+8+6)
 	}
 }
 
@@ -110,10 +125,22 @@ func TestFigure3AllChecked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lemma := 0
 	for _, r := range tab.Rows {
 		if r[5] != "yes" {
 			t.Errorf("%s: inequality %q violated", r[0], r[4])
 		}
+		switch r[6] {
+		case "yes":
+			lemma++
+		case "—":
+		default:
+			t.Errorf("%s: Lemma 5.3 reads %q", r[0], r[6])
+		}
+	}
+	// triangle, cycle-4, cycle-6, square, spoke-4, spoke-5
+	if lemma != 6 {
+		t.Errorf("Lemma 5.3 checked on %d degree-two rows, want 6", lemma)
 	}
 }
 
@@ -187,6 +214,20 @@ func trimBrackets(s string) string {
 		return s[1 : len(s)-1]
 	}
 	return s
+}
+
+// The line-3 AGM worst case at N = 256 emits N^2 = 65 536 tuples, the
+// AGM bound of its relation sizes.
+func TestFigure6EmitsAGMBound(t *testing.T) {
+	tab, err := Figure6(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range tab.Rows {
+		if r[4] != "65536" || r[5] != "yes" {
+			t.Errorf("p=%s: AGM bound %s, emitted = AGM %s; want 65536, yes", r[0], r[4], r[5])
+		}
+	}
 }
 
 func TestFigure6TracksTheory(t *testing.T) {

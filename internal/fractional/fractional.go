@@ -29,9 +29,6 @@ type Assignment struct {
 	Number  *big.Rat   // Σ_e Weights[e]
 }
 
-// Value returns the weight of edge e.
-func (a *Assignment) Value(e int) *big.Rat { return a.Weights[e] }
-
 // Support returns the edges with nonzero weight.
 func (a *Assignment) Support() hypergraph.EdgeSet {
 	var es hypergraph.EdgeSet
@@ -92,27 +89,6 @@ func (v *VertexAssignment) Value(a int) *big.Rat {
 		return w
 	}
 	return new(big.Rat)
-}
-
-// EdgeSum returns Σ_{v ∈ e} x_v for edge e.
-func (v *VertexAssignment) EdgeSum(e int) *big.Rat {
-	sum := new(big.Rat)
-	for _, a := range v.Query.EdgeVars(e).Attrs() {
-		sum.Add(sum, v.Value(a))
-	}
-	return sum
-}
-
-// IsConstantSmall reports whether max_v x_v <= 1 − ε for the given ε
-// (Definition 5.4's "constant-small" requirement).
-func (v *VertexAssignment) IsConstantSmall(eps *big.Rat) bool {
-	limit := new(big.Rat).Sub(big.NewRat(1, 1), eps)
-	for _, w := range v.Weights {
-		if w.Cmp(limit) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // one and two are shared read-only constants.
@@ -225,13 +201,6 @@ func vertexLP(q *hypergraph.Query, maximize bool, sense lp.Sense, what string) (
 		weights[a] = sol.X[i]
 	}
 	return &VertexAssignment{Query: q, Weights: weights, Number: sol.Value}, nil
-}
-
-// VertexCover computes an optimal fractional vertex covering: minimize
-// Σx_v subject to Σ_{v ∈ e} x_v ≥ 1 for every edge e. By LP duality its
-// number equals τ* (the paper's Section 5.2 uses this prime-dual pair).
-func VertexCover(q *hypergraph.Query) (*VertexAssignment, error) {
-	return vertexLP(q, false, lp.GE, "vertex cover")
 }
 
 // VertexPacking computes an optimal fractional vertex packing: maximize
@@ -419,19 +388,19 @@ func packingProblem(p *lp.IntProblem, fam []uint32, covered uint32) {
 // AGMBound returns the Atserias–Grohe–Marx bound on the join output size
 // for the given per-relation sizes: min over fractional edge covers f of
 // Π_e |R(e)|^{f(e)}. It solves the weighted cover LP (minimize
-// Σ f(e)·log|R(e)|) and returns the bound as a float64 along with the
-// optimal weighting. Relations with zero size force a zero bound.
-func AGMBound(q *hypergraph.Query, sizes []int) (float64, *Assignment, error) {
+// Σ f(e)·log|R(e)|) and returns the bound as a float64. Relations with
+// zero size force a zero bound.
+func AGMBound(q *hypergraph.Query, sizes []int) (float64, error) {
 	if len(sizes) != q.NumEdges() {
-		return 0, nil, fmt.Errorf("fractional: AGM of %s: %d sizes for %d relations",
+		return 0, fmt.Errorf("fractional: AGM of %s: %d sizes for %d relations",
 			q.Name(), len(sizes), q.NumEdges())
 	}
 	for _, s := range sizes {
 		if s == 0 {
-			return 0, nil, nil
+			return 0, nil
 		}
 		if s < 0 {
-			return 0, nil, fmt.Errorf("fractional: AGM of %s: negative size", q.Name())
+			return 0, fmt.Errorf("fractional: AGM of %s: negative size", q.Name())
 		}
 	}
 	m := q.NumEdges()
@@ -445,16 +414,14 @@ func AGMBound(q *hypergraph.Query, sizes []int) (float64, *Assignment, error) {
 	addIncidenceRows(p, q, lp.GE)
 	sol, err := solveOptimal(p, "AGM", q)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	bound := 1.0
-	num := new(big.Rat)
 	for e := 0; e < m; e++ {
 		w, _ := sol.X[e].Float64()
 		bound *= math.Pow(float64(sizes[e]), w)
-		num.Add(num, sol.X[e])
 	}
-	return bound, &Assignment{Query: q, Weights: sol.X, Number: num}, nil
+	return bound, nil
 }
 
 // Numbers bundles the three query quantities of Table 1.

@@ -70,8 +70,8 @@ func TestPropertyDualityAndFeasibility(t *testing.T) {
 		for _, a := range q.AllVars().Attrs() {
 			cSum, pSum := new(big.Rat), new(big.Rat)
 			for _, e := range q.EdgesWith(a).Edges() {
-				cSum.Add(cSum, cover.Value(e))
-				pSum.Add(pSum, pack.Value(e))
+				cSum.Add(cSum, cover.Weights[e])
+				pSum.Add(pSum, pack.Weights[e])
 			}
 			if cSum.Cmp(one) < 0 {
 				t.Logf("seed %d: cover misses %s", seed, q.AttrName(a))

@@ -170,3 +170,24 @@ func TestIsConstantSmall(t *testing.T) {
 		t.Fatal("missing attr should read as zero")
 	}
 }
+
+// EdgeSum returns Σ_{v ∈ e} x_v for edge e.
+func (v *VertexAssignment) EdgeSum(e int) *big.Rat {
+	sum := new(big.Rat)
+	for _, a := range v.Query.EdgeVars(e).Attrs() {
+		sum.Add(sum, v.Value(a))
+	}
+	return sum
+}
+
+// IsConstantSmall reports whether max_v x_v <= 1 − ε for the given ε
+// (Definition 5.4's "constant-small" requirement).
+func (v *VertexAssignment) IsConstantSmall(eps *big.Rat) bool {
+	limit := new(big.Rat).Sub(big.NewRat(1, 1), eps)
+	for _, w := range v.Weights {
+		if w.Cmp(limit) > 0 {
+			return false
+		}
+	}
+	return true
+}

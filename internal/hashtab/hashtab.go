@@ -146,22 +146,8 @@ func (t *Table) Init(arity, hint int) {
 	t.keys = keyPool.Get(hint * arity)
 }
 
-// newColliding is the test-only constructor whose keys all hash to one
-// value, letting the tests force distinct keys onto equal hashes.
-func newColliding(arity, hint int) *Table {
-	t := New(arity, hint)
-	t.collide = true
-	return t
-}
-
 // Len returns the number of distinct keys inserted.
 func (t *Table) Len() int { return len(t.hashes) }
-
-// Key returns entry i's key columns. The returned slice aliases the
-// table's key arena; callers must not mutate it.
-func (t *Table) Key(i int) []int64 {
-	return t.keys[i*t.arity : (i+1)*t.arity : (i+1)*t.arity]
-}
 
 // hashOf is the table's hash of the projection of row onto pos: MixRow
 // of the projected columns.
@@ -250,7 +236,3 @@ func (t *Table) grow() {
 		t.slots[s] = int32(e + 1)
 	}
 }
-
-// slotsLen reports the slot-array capacity (test hook for the growth
-// tests).
-func (t *Table) slotsLen() int { return len(t.slots) }

@@ -347,3 +347,21 @@ func BenchmarkProbe(b *testing.B) {
 		}
 	}
 }
+
+// newColliding is a constructor whose keys all hash to one
+// value, letting the tests force distinct keys onto equal hashes.
+func newColliding(arity, hint int) *Table {
+	t := New(arity, hint)
+	t.collide = true
+	return t
+}
+
+// Key returns entry i's key columns. The returned slice aliases the
+// table's key arena; callers must not mutate it.
+func (t *Table) Key(i int) []int64 {
+	return t.keys[i*t.arity : (i+1)*t.arity : (i+1)*t.arity]
+}
+
+// slotsLen reports the slot-array capacity (test hook for the growth
+// tests).
+func (t *Table) slotsLen() int { return len(t.slots) }

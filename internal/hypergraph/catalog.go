@@ -205,20 +205,6 @@ func Line3Join() *Query {
 	return q
 }
 
-// BowtieJoin is a degree-two join with an odd cycle (two triangles
-// sharing structure is not degree-two, so this is two disjoint odd
-// cycles); used as a negative example for Definition 5.4.
-func BowtieJoin() *Query {
-	q := NewQuery("two-triangles")
-	q.AddEdge("R1", "A", "B")
-	q.AddEdge("R2", "B", "C")
-	q.AddEdge("R3", "C", "A")
-	q.AddEdge("S1", "D", "E")
-	q.AddEdge("S2", "E", "F")
-	q.AddEdge("S3", "F", "D")
-	return q
-}
-
 // CatalogEntry names one catalog query for table-driven experiments.
 type CatalogEntry struct {
 	Query *Query

@@ -120,16 +120,6 @@ func GYOVars(sets []VarSet) (parent []int, ok bool) {
 	return parent, true
 }
 
-// NewJoinTree wraps an explicit parent array (e.g. a tree given in a
-// paper figure) as a JoinTree, validating the join-tree property.
-func NewJoinTree(q *Query, parent []int) (*JoinTree, error) {
-	t := &JoinTree{Query: q, Parent: append([]int(nil), parent...)}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // IsAcyclic reports whether the query is α-acyclic.
 func (q *Query) IsAcyclic() bool {
 	_, ok := GYO(q)
@@ -221,49 +211,6 @@ func (t *JoinTree) Leaves() []int {
 		}
 	}
 	return out
-}
-
-// SubtreeEdges returns the set of edges in the subtree rooted at e.
-func (t *JoinTree) SubtreeEdges(e int) EdgeSet {
-	var out EdgeSet
-	var walk func(int)
-	walk = func(u int) {
-		out.Add(u)
-		for _, c := range t.Children(u) {
-			walk(c)
-		}
-	}
-	walk(e)
-	return out
-}
-
-// Path returns the edges on the unique tree path between a and b
-// (inclusive), or nil if they are in different subtrees.
-func (t *JoinTree) Path(a, b int) []int {
-	ancestors := func(e int) []int {
-		var out []int
-		for e != -1 {
-			out = append(out, e)
-			e = t.Parent[e]
-		}
-		return out
-	}
-	pa, pb := ancestors(a), ancestors(b)
-	inPA := make(map[int]int) // edge -> depth index in pa
-	for i, e := range pa {
-		inPA[e] = i
-	}
-	for j, e := range pb {
-		if i, ok := inPA[e]; ok {
-			// Meet at e: pa[0..i] + reverse(pb[0..j-1]).
-			out := append([]int(nil), pa[:i+1]...)
-			for k := j - 1; k >= 0; k-- {
-				out = append(out, pb[k])
-			}
-			return out
-		}
-	}
-	return nil
 }
 
 // ConnectedComponentsOn returns T[S]: the maximal connected components of

@@ -157,23 +157,6 @@ func (q *Query) ConnectedComponents() []EdgeSet {
 	return out
 }
 
-// IsConnected reports whether the query's hypergraph is connected.
-func (q *Query) IsConnected() bool {
-	return len(q.ConnectedComponents()) <= 1
-}
-
-// UniqueVars returns the attributes appearing in exactly one relation
-// ("unique" attributes in the paper's join-tree terminology).
-func (q *Query) UniqueVars() VarSet {
-	var out VarSet
-	for _, a := range q.AllVars().Attrs() {
-		if q.Degree(a) == 1 {
-			out.Add(a)
-		}
-	}
-	return out
-}
-
 // IsHierarchical reports whether for every pair of attributes x, y the
 // relation sets E_x and E_y are either disjoint or nested. The paper's
 // r-hierarchical class [15] is the hierarchical property on the reduced
@@ -278,22 +261,6 @@ func (q *Query) HasOddCycle() bool {
 		}
 	}
 	return false
-}
-
-// IsBetaAcyclic reports whether every subset of the relations is
-// α-acyclic — β-acyclicity, one of the intermediate notions of footnote
-// 5 (Berge-acyclic ⇒ γ-acyclic ⇒ β-acyclic ⇒ α-acyclic). The check
-// enumerates edge subsets; query sizes are constants.
-func (q *Query) IsBetaAcyclic() bool {
-	for _, s := range SubsetsOf(q.AllEdges().Edges()) {
-		if s.IsEmpty() {
-			continue
-		}
-		if !q.KeepEdges(s).IsAcyclic() {
-			return false
-		}
-	}
-	return true
 }
 
 // IsTreeJoin reports whether the query is acyclic with every relation

@@ -71,7 +71,7 @@ func TestHasOddCycle(t *testing.T) {
 		{SquareJoin(), false}, // all cycles have length 4
 		{SpokeJoin(4), false},
 		{PathJoin(4), false},
-		{BowtieJoin(), true}, // two disjoint triangles
+		{MustParse("two-triangles", "R1(A,B) R2(B,C) R3(C,A) S1(D,E) S2(E,F) S3(F,D)"), true},
 	} {
 		if got := tc.q.HasOddCycle(); got != tc.want {
 			t.Errorf("%s: HasOddCycle = %v, want %v", tc.q.Name(), got, tc.want)
@@ -185,35 +185,12 @@ func TestConstructorPanics(t *testing.T) {
 	}
 }
 
-func TestIsBetaAcyclic(t *testing.T) {
-	for _, tc := range []struct {
-		q    *Query
-		want bool
-	}{
-		{PathJoin(4), true},
-		{StarJoin(3), true},
-		// α-acyclic but not β: the figure-4 query contains the cyclic
-		// subset {e1(ABD), e2(BCE), e3(ACF)}.
-		{Figure4Join(), false},
-		// β-acyclic but not Berge: two relations sharing two attributes.
-		{MustParse("shared2", "R0(A,B,C) R1(A,B,D)"), true},
-		{TriangleJoin(), false},
-	} {
-		if got := tc.q.IsBetaAcyclic(); got != tc.want {
-			t.Errorf("%s: IsBetaAcyclic = %v, want %v", tc.q.Name(), got, tc.want)
-		}
-	}
-}
-
 func TestAcyclicityHierarchy(t *testing.T) {
-	// Footnote 5: berge ⇒ β ⇒ α on the whole catalog.
+	// Footnote 5: berge ⇒ α on the whole catalog.
 	for _, e := range Catalog() {
 		q := e.Query
-		if q.IsBergeAcyclic() && !q.IsBetaAcyclic() {
-			t.Errorf("%s: berge-acyclic but not beta-acyclic", q.Name())
-		}
-		if q.IsBetaAcyclic() && !q.IsAcyclic() {
-			t.Errorf("%s: beta-acyclic but not alpha-acyclic", q.Name())
+		if q.IsBergeAcyclic() && !q.IsAcyclic() {
+			t.Errorf("%s: berge-acyclic but not alpha-acyclic", q.Name())
 		}
 	}
 }

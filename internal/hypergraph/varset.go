@@ -276,16 +276,6 @@ func (s EdgeSet) Clone() EdgeSet {
 	return EdgeSet{words: append([]uint64(nil), s.words...)}
 }
 
-// Union returns s ∪ t.
-func (s EdgeSet) Union(t EdgeSet) EdgeSet {
-	out := s.Clone()
-	out.ensure(len(t.words) - 1)
-	for i, w := range t.words {
-		out.words[i] |= w
-	}
-	return out
-}
-
 // Subtract returns s \ t.
 func (s EdgeSet) Subtract(t EdgeSet) EdgeSet {
 	out := s.Clone()
@@ -299,23 +289,6 @@ func (s EdgeSet) Subtract(t EdgeSet) EdgeSet {
 	return out
 }
 
-// Equal reports whether s and t contain the same edges.
-func (s EdgeSet) Equal(t EdgeSet) bool {
-	for i := 0; i < len(s.words) || i < len(t.words); i++ {
-		var a, b uint64
-		if i < len(s.words) {
-			a = s.words[i]
-		}
-		if i < len(t.words) {
-			b = t.words[i]
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
-}
-
 // Edges returns the edge indices in ascending order.
 func (s EdgeSet) Edges() []int {
 	out := make([]int, 0, s.Len())
@@ -327,17 +300,4 @@ func (s EdgeSet) Edges() []int {
 		}
 	}
 	return out
-}
-
-// Key returns a canonical string key usable as a map key for memoizing
-// per-subset computations.
-func (s EdgeSet) Key() string {
-	var b strings.Builder
-	for i, e := range s.Edges() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(itoa(e))
-	}
-	return b.String()
 }

@@ -28,15 +28,6 @@ func TestSingleEdgeQueryRejected(t *testing.T) {
 	if w.Provable {
 		t.Fatal("single-edge query reported edge-packing-provable")
 	}
-	// WithWitness bypasses provability (it exists for pinned witnesses)
-	// but must still report the trivial fractional numbers.
-	a, err := WithWitness(q, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Tau != 1 || a.Rho != 1 {
-		t.Fatalf("single edge: tau=%v rho=%v, want 1, 1", a.Tau, a.Rho)
-	}
 }
 
 // TestEmptyPackingWitnessMeasureJ: C4's witness has E' = ∅ (the hard

@@ -57,18 +57,6 @@ func Analyze(q *hypergraph.Query) (*Analysis, error) {
 	return &Analysis{Query: q, Witness: w, Tau: tau, Rho: rho}, nil
 }
 
-// WithWitness builds an Analysis from an explicit witness (e.g. the
-// paper's pinned Q_□ witness behind workload.SquareHard).
-func WithWitness(q *hypergraph.Query, w *fractional.Witness) (*Analysis, error) {
-	nums, err := fractional.Compute(q)
-	if err != nil {
-		return nil, err
-	}
-	tau, _ := nums.Tau.Float64()
-	rho, _ := nums.Rho.Float64()
-	return &Analysis{Query: q, Witness: w, Tau: tau, Rho: rho}, nil
-}
-
 // JResult reports one J(L) measurement.
 type JResult struct {
 	L int

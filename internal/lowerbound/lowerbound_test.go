@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"coverpack/internal/fractional"
 	"coverpack/internal/hypergraph"
 	"coverpack/internal/workload"
 )
@@ -34,19 +33,12 @@ func TestAnalyzeRejectsTriangle(t *testing.T) {
 	}
 }
 
-// paperSquareAnalysis pins the paper's witness (E' = {R2}), matching the
-// workload.SquareHard construction.
+// paperSquareAnalysis is Q_□'s analysis. Its witness is the searched
+// one, E' = {R1}, the mirror image of the paper's E' = {R2}.
 func paperSquareAnalysis(t *testing.T) *Analysis {
 	t.Helper()
 	q := hypergraph.SquareJoin()
-	in := workload.SquareHard(8, 1) // tiny; only used to steal the witness shape
-	_ = in
-	// Rebuild the pinned witness the same way SquareHard does.
-	w, err := fractional.EdgePackingProvable(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := WithWitness(q, w)
+	a, err := Analyze(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,6 @@ import (
 	"math/big"
 )
 
-// Rat is a convenience constructor for an exact rational a/b.
-func Rat(a, b int64) *big.Rat { return big.NewRat(a, b) }
-
 // Int is a convenience constructor for an exact integer rational.
 func Int(a int64) *big.Rat { return big.NewRat(a, 1) }
 
@@ -202,13 +199,4 @@ func (p *Problem) addDense(coeffs []int64, sense Sense) *big.Rat {
 	rhs := &rats[p.NumVars]
 	p.Constraints = append(p.Constraints, Constraint{Coeffs: cp, Sense: sense, RHS: rhs})
 	return rhs
-}
-
-// clone returns a deep copy of a rational slice.
-func cloneRats(xs []*big.Rat) []*big.Rat {
-	out := make([]*big.Rat, len(xs))
-	for i, x := range xs {
-		out[i] = new(big.Rat).Set(x)
-	}
-	return out
 }

@@ -147,13 +147,6 @@ func solve(p *Problem) (*Solution, error) {
 	return sol, nil
 }
 
-// Maximize is shorthand for solving with the direction forced to max.
-func Maximize(p *Problem) (*Solution, error) {
-	q := *p
-	q.Maximize = true
-	return Solve(&q)
-}
-
 func newTableau(p *Problem) *tableau {
 	m := len(p.Constraints)
 	n := p.NumVars

@@ -370,3 +370,15 @@ func TestCloneRats(t *testing.T) {
 		t.Fatal("cloneRats aliases memory")
 	}
 }
+
+// Rat is a convenience constructor for an exact rational a/b.
+func Rat(a, b int64) *big.Rat { return big.NewRat(a, b) }
+
+// cloneRats returns a deep copy of a rational slice.
+func cloneRats(xs []*big.Rat) []*big.Rat {
+	out := make([]*big.Rat, len(xs))
+	for i, x := range xs {
+		out[i] = new(big.Rat).Set(x)
+	}
+	return out
+}

@@ -72,11 +72,8 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable int64 (occupancy, in-flight cost, pool size).
+// Gauge is an int64 level (occupancy, in-flight cost, pool size).
 type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add moves the gauge by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
@@ -195,9 +192,6 @@ func NewRegistry(name string) *Registry {
 // Default is the process-wide registry every built-in instrumentation
 // site registers on.
 var Default = NewRegistry("coverpack")
-
-// Name returns the registry's name.
-func (r *Registry) Name() string { return r.name }
 
 // NewCounter registers and returns a counter.
 func (r *Registry) NewCounter(name, help string, labels ...Label) *Counter {

@@ -15,7 +15,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Errorf("counter = %d, want 5", got)
 	}
 	g := r.NewGauge("t_g", "g")
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if got := g.Value(); got != 7 {
 		t.Errorf("gauge = %d, want 7", got)
@@ -128,7 +128,7 @@ func TestSnapshot(t *testing.T) {
 	r := NewRegistry("snap")
 	r.NewCounter("s_hits_total", "hits", Label{"kind", "a"}).Add(3)
 	g := r.NewGauge("s_level", "level")
-	g.Set(-2)
+	g.Add(-2)
 	h := r.NewHistogram("s_h", "h", []float64{1, 10})
 	h.Observe(0.5)
 	h.Observe(100)

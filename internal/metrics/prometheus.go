@@ -110,87 +110,3 @@ func escapeLabelValue(s string) string {
 	s = strings.ReplaceAll(s, `"`, `\"`)
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
-
-// Lint validates a Prometheus text exposition: every sample line must
-// parse (name, optional balanced label block, float value), every
-// sample's base family must have a preceding TYPE line, and histogram
-// _bucket series must carry an le label. It returns the first problem
-// found, or nil. The CI smoke and the debug-server tests run scraped
-// output through it.
-func Lint(data []byte) error {
-	typed := map[string]string{}
-	lineNo := 0
-	for _, line := range strings.Split(string(data), "\n") {
-		lineNo++
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) >= 4 && fields[1] == "TYPE" {
-				typed[fields[2]] = fields[3]
-			}
-			continue
-		}
-		name, labels, value, err := splitSample(line)
-		if err != nil {
-			return fmt.Errorf("line %d: %v", lineNo, err)
-		}
-		if !validMetricName(name) {
-			return fmt.Errorf("line %d: invalid metric name %q", lineNo, name)
-		}
-		if _, err := strconv.ParseFloat(value, 64); err != nil {
-			return fmt.Errorf("line %d: bad value %q", lineNo, value)
-		}
-		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
-		t, ok := typed[name]
-		if !ok {
-			t, ok = typed[base]
-		}
-		if !ok {
-			return fmt.Errorf("line %d: sample %q has no TYPE declaration", lineNo, name)
-		}
-		if t == "histogram" && strings.HasSuffix(name, "_bucket") && !strings.Contains(labels, `le="`) {
-			return fmt.Errorf("line %d: histogram bucket without le label", lineNo)
-		}
-	}
-	return nil
-}
-
-// splitSample splits `name{labels} value` (labels optional) without
-// being confused by escaped quotes inside label values.
-func splitSample(line string) (name, labels, value string, err error) {
-	i := strings.IndexAny(line, "{ ")
-	if i < 0 {
-		return "", "", "", fmt.Errorf("malformed sample %q", line)
-	}
-	name = line[:i]
-	rest := line[i:]
-	if rest[0] == '{' {
-		end := -1
-		inStr := false
-		for j := 1; j < len(rest); j++ {
-			switch {
-			case inStr && rest[j] == '\\':
-				j++
-			case rest[j] == '"':
-				inStr = !inStr
-			case !inStr && rest[j] == '}':
-				end = j
-			}
-			if end >= 0 {
-				break
-			}
-		}
-		if end < 0 {
-			return "", "", "", fmt.Errorf("unbalanced label block in %q", line)
-		}
-		labels = rest[:end+1]
-		rest = rest[end+1:]
-	}
-	value = strings.TrimSpace(rest)
-	if value == "" {
-		return "", "", "", fmt.Errorf("sample %q missing value", line)
-	}
-	return name, labels, value, nil
-}

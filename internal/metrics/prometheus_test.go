@@ -3,8 +3,10 @@ package metrics
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,7 +23,7 @@ func goldenRegistry() *Registry {
 	miss := r.NewCounter("test_events_total", "", Label{"event", "miss"})
 	miss.Inc()
 	g := r.NewGauge("test_inflight", "In-flight work.")
-	g.Set(7)
+	g.Add(7)
 	h := r.NewHistogram("test_latency_seconds", "Latency with \\ and\nnewline.", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.0625, 0.5, 0.5, 20} {
 		h.Observe(v)
@@ -127,4 +129,88 @@ func TestFormatFloat(t *testing.T) {
 			t.Errorf("formatFloat(%g) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// Lint validates a Prometheus text exposition: every sample line must
+// parse (name, optional balanced label block, float value), every
+// sample's base family must have a preceding TYPE line, and histogram
+// _bucket series must carry an le label. It returns the first problem
+// found, or nil. The exposition and debug-server tests run their output
+// through it.
+func Lint(data []byte) error {
+	typed := map[string]string{}
+	lineNo := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		lineNo++
+		if line == "" {
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			fields := strings.Fields(line)
+			if len(fields) >= 4 && fields[1] == "TYPE" {
+				typed[fields[2]] = fields[3]
+			}
+			continue
+		}
+		name, labels, value, err := splitSample(line)
+		if err != nil {
+			return fmt.Errorf("line %d: %v", lineNo, err)
+		}
+		if !validMetricName(name) {
+			return fmt.Errorf("line %d: invalid metric name %q", lineNo, name)
+		}
+		if _, err := strconv.ParseFloat(value, 64); err != nil {
+			return fmt.Errorf("line %d: bad value %q", lineNo, value)
+		}
+		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum"), "_count")
+		t, ok := typed[name]
+		if !ok {
+			t, ok = typed[base]
+		}
+		if !ok {
+			return fmt.Errorf("line %d: sample %q has no TYPE declaration", lineNo, name)
+		}
+		if t == "histogram" && strings.HasSuffix(name, "_bucket") && !strings.Contains(labels, `le="`) {
+			return fmt.Errorf("line %d: histogram bucket without le label", lineNo)
+		}
+	}
+	return nil
+}
+
+// splitSample splits `name{labels} value` (labels optional) without
+// being confused by escaped quotes inside label values.
+func splitSample(line string) (name, labels, value string, err error) {
+	i := strings.IndexAny(line, "{ ")
+	if i < 0 {
+		return "", "", "", fmt.Errorf("malformed sample %q", line)
+	}
+	name = line[:i]
+	rest := line[i:]
+	if rest[0] == '{' {
+		end := -1
+		inStr := false
+		for j := 1; j < len(rest); j++ {
+			switch {
+			case inStr && rest[j] == '\\':
+				j++
+			case rest[j] == '"':
+				inStr = !inStr
+			case !inStr && rest[j] == '}':
+				end = j
+			}
+			if end >= 0 {
+				break
+			}
+		}
+		if end < 0 {
+			return "", "", "", fmt.Errorf("unbalanced label block in %q", line)
+		}
+		labels = rest[:end+1]
+		rest = rest[end+1:]
+	}
+	value = strings.TrimSpace(rest)
+	if value == "" {
+		return "", "", "", fmt.Errorf("sample %q missing value", line)
+	}
+	return name, labels, value, nil
 }

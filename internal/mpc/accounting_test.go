@@ -182,7 +182,7 @@ func TestRecorderSpanTree(t *testing.T) {
 		t.Fatalf("root children = %d", len(root.Children))
 	}
 	warm := root.Children[0]
-	if warm.Name != "warmup" || warm.Kind != trace.KindPhase || warm.NumEvents() != 1 {
+	if warm.Name != "warmup" || warm.Kind != trace.KindPhase || len(warm.Events) != 1 {
 		t.Fatalf("warmup span = %+v", warm)
 	}
 	if ev := warm.Events[0]; ev.Op != trace.OpBroadcast || ev.Hist.Max != 8 || ev.Hist.Total != 32 {
@@ -192,10 +192,10 @@ func TestRecorderSpanTree(t *testing.T) {
 	if b0.Name != "branch 0" || b0.Kind != trace.KindParallel || b0.Servers != 2 {
 		t.Fatalf("branch span = %+v", b0)
 	}
-	if b0.NumEvents() != 1 || b0.Events[0].Hist.Max != 2 {
+	if len(b0.Events) != 1 || b0.Events[0].Hist.Max != 2 {
 		t.Fatalf("branch events = %+v", b0.Events)
 	}
-	if b1 := root.Children[2]; b1.Kind != trace.KindParallel || b1.NumEvents() != 0 {
+	if b1 := root.Children[2]; b1.Kind != trace.KindParallel || len(b1.Events) != 0 {
 		t.Fatalf("empty branch span = %+v", b1)
 	}
 }

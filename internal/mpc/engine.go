@@ -59,27 +59,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// withForcedWorkers sets the pool size bypassing the GOMAXPROCS
-// fallback. Test seam: the determinism and race suites must exercise
-// the concurrent code paths even on single-CPU CI shards.
-func withForcedWorkers(n int) Option {
-	return func(c *Cluster) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		c.workers = n
-		c.fellBack = false
-	}
-}
-
-// withChunker replaces the scratch's cut of every exchange input: cut
-// returns the chunk bounds of n rows, 0 first and n last. Test seam: the
-// chunking-invariance fuzz target cuts where it likes, on inputs far
-// below parThreshold.
-func withChunker(cut func(n int) []int) Option {
-	return func(c *Cluster) { c.chunker = cut }
-}
-
 const (
 	// parThreshold is the minimum flattened tuple count before a step
 	// fans out; below it one inline chunk wins on overhead.

@@ -741,3 +741,24 @@ func TestSpanTimerAllocatesNothing(t *testing.T) {
 		t.Fatalf("a panicking span recorded %d observations, want 1", h.Count()-before)
 	}
 }
+
+// withForcedWorkers sets the pool size bypassing the GOMAXPROCS
+// fallback. Test seam: the determinism and race suites must exercise
+// the concurrent code paths even on single-CPU CI shards.
+func withForcedWorkers(n int) Option {
+	return func(c *Cluster) {
+		if n <= 0 {
+			n = runtime.GOMAXPROCS(0)
+		}
+		c.workers = n
+		c.fellBack = false
+	}
+}
+
+// withChunker replaces the scratch's cut of every exchange input: cut
+// returns the chunk bounds of n rows, 0 first and n last. Test seam: the
+// chunking-invariance fuzz target cuts where it likes, on inputs far
+// below parThreshold.
+func withChunker(cut func(n int) []int) Option {
+	return func(c *Cluster) { c.chunker = cut }
+}

@@ -53,8 +53,8 @@ func TestReduceTreeReusesUpSweepPartition(t *testing.T) {
 		{hypergraph.PathJoin(4), []int{-1, 0, 1, 2}},
 	}
 	for _, tr := range trees {
-		tree, err := hypergraph.NewJoinTree(tr.q, tr.parent)
-		if err != nil {
+		tree := &hypergraph.JoinTree{Query: tr.q, Parent: tr.parent}
+		if err := tree.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		children := make([][]int, tr.q.NumEdges())

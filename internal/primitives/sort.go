@@ -84,20 +84,3 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 	// worker count.
 	return mpc.Local(g, routed, relation.SortStep(routed.Schema, pos))
 }
-
-// IsGloballySorted reports whether the distributed relation is sorted
-// within fragments and across fragment boundaries on the given
-// attributes (test helper; zero cost).
-func IsGloballySorted(d *mpc.DistRelation, attrs []int) bool {
-	pos := make([]int, len(attrs))
-	for i, a := range attrs {
-		pos[i] = d.Schema.Pos(a)
-	}
-	all := d.Collect()
-	for i := 1; i < all.Len(); i++ {
-		if lessOn(all.Row(i), all.Row(i-1), pos) {
-			return false
-		}
-	}
-	return true
-}

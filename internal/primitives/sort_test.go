@@ -112,3 +112,20 @@ func TestPropertySortCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// IsGloballySorted reports whether the distributed relation is sorted
+// within fragments and across fragment boundaries on the given
+// attributes.
+func IsGloballySorted(d *mpc.DistRelation, attrs []int) bool {
+	pos := make([]int, len(attrs))
+	for i, a := range attrs {
+		pos[i] = d.Schema.Pos(a)
+	}
+	all := d.Collect()
+	for i := 1; i < all.Len(); i++ {
+		if lessOn(all.Row(i), all.Row(i-1), pos) {
+			return false
+		}
+	}
+	return true
+}

@@ -38,7 +38,6 @@ func TestIndexReusedUntilInvalidated(t *testing.T) {
 		{"Add", func() { r.Add(Tuple{99, 99}) }},
 		{"AddValues", func() { r.AddValues(97, 97) }},
 		{"SortBy", func() { r.SortBy([]int{1}) }},
-		{"Sort", func() { r.Sort() }},
 	} {
 		before := r.FirstRows()
 		if !sameList(r.FirstRows(), before) {

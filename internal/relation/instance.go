@@ -25,15 +25,6 @@ func NewInstance(q *hypergraph.Query) *Instance {
 // Rel returns the relation of edge e.
 func (in *Instance) Rel(e int) *Relation { return in.Relations[e] }
 
-// RelByName returns the relation for the named edge, or nil.
-func (in *Instance) RelByName(name string) *Relation {
-	i := in.Query.EdgeIndex(name)
-	if i < 0 {
-		return nil
-	}
-	return in.Relations[i]
-}
-
 // N returns max_e |R(e)|, the paper's input size parameter.
 func (in *Instance) N() int {
 	n := 0
@@ -68,15 +59,6 @@ func (in *Instance) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Clone deep-copies the instance.
-func (in *Instance) Clone() *Instance {
-	out := &Instance{Query: in.Query, Relations: make([]*Relation, len(in.Relations))}
-	for i, r := range in.Relations {
-		out.Relations[i] = r.Clone()
-	}
-	return out
 }
 
 // Join computes the full join result sequentially (the correctness

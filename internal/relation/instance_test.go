@@ -75,18 +75,10 @@ func TestInstanceBasics(t *testing.T) {
 	if err := in.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	in.RelByName("R1").AddValues(1, 2, 3)
-	in.RelByName("R3").AddValues(1, 5)
+	in.Rel(q.EdgeIndex("R1")).AddValues(1, 2, 3)
+	in.Rel(q.EdgeIndex("R3")).AddValues(1, 5)
 	if in.N() != 1 || in.TotalTuples() != 2 {
 		t.Fatalf("N=%d total=%d", in.N(), in.TotalTuples())
-	}
-	if in.RelByName("nope") != nil {
-		t.Fatal("unknown relation should be nil")
-	}
-	c := in.Clone()
-	c.Rel(0).AddValues(9, 9, 9)
-	if in.Rel(0).Len() != 1 {
-		t.Fatal("Clone aliases")
 	}
 }
 
@@ -159,7 +151,7 @@ func TestSemiJoinReducePreservesJoin(t *testing.T) {
 	out := red.Join().Dedup()
 	for e := 0; e < q.NumEdges(); e++ {
 		attrs := q.EdgeVars(e).Attrs()
-		proj := out.Project(attrs...).Dedup()
+		proj := one(out.View, ProjectStep(out.schema, NewSchema(attrs...))).Dedup()
 		if red.Rel(e).Len() > proj.Len() {
 			t.Fatalf("edge %d keeps %d tuples but only %d participate", e, red.Rel(e).Len(), proj.Len())
 		}

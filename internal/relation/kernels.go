@@ -178,15 +178,6 @@ func (r *View) dedup() *Relation {
 // valuePos is the key position of a one-column key view.
 var valuePos = []int{0}
 
-// Degrees returns the degree of every value of attribute a — the number
-// of rows holding it — as rows of out, in first-seen order: the
-// per-server pre-aggregate of primitives.Degrees, and DegreesStep over r
-// alone. out holds a and one count attribute; it is prebuilt so that
-// callers hoist the NewSchema call, as with ProjectTo.
-func (r *Relation) Degrees(a int, out Schema) *Relation {
-	return one(r.View, DegreesStep(r.schema, a, out))
-}
-
 // joinRun is one natural join resolved to positions: the probe side is
 // scanned in row order and each probe row meets its build rows in build
 // order — the key index's chain, or every build row when probePos is nil

@@ -312,7 +312,7 @@ func TestOneBlockAllocs(t *testing.T) {
 			// per-server pass (a (value, 1) relation aggregated at 8 rows,
 			// a chunk-iterator aggregation at 10 000).
 			{"SelectEqProject", [2]float64{4, 4}, [2]float64{9, 8}, true, func() { r.SelectEqProject(1, v, 0) }},
-			{"Degrees", [2]float64{2, 2}, [2]float64{8, 20}, true, func() { r.Degrees(1, deg) }},
+			{"Degrees", [2]float64{2, 2}, [2]float64{8, 20}, true, func() { one(r.View, DegreesStep(r.schema, 1, deg)) }},
 		} {
 			k := 0
 			if rows > 8 {

@@ -4,43 +4,14 @@ import "fmt"
 
 // This file holds the local (single-server) operators. The MPC
 // algorithms compose them with communication primitives; the sequential
-// oracle in instance.go composes them directly. The filters, Dedup and
-// Join are the kernels of kernels.go run over one relation.
+// oracle in instance.go composes them directly. Dedup and Join are the
+// kernels of kernels.go run over one relation.
 //
 // Every keyed operator (dedup, semi-join, hash join) probes an
 // internal/hashtab table keyed on projected arena columns — no
 // per-tuple key strings. Output orders are identical to the historical
 // map[string] implementations because hashtab entries enumerate in
 // first-insert order and probes scan input order.
-
-// Project returns the projection onto the given attributes (multiset —
-// no dedup; call Dedup for set semantics).
-func (r *Relation) Project(attrs ...int) *Relation {
-	return r.ProjectTo(NewSchema(attrs...))
-}
-
-// ProjectTo projects onto a prebuilt schema — ProjectStep over r alone,
-// for callers that hoist the NewSchema call (sort + position map) out of
-// a loop. A missing attribute panics whether or not any rows exist.
-func (r *Relation) ProjectTo(schema Schema) *Relation {
-	return one(r.View, ProjectStep(r.schema, schema))
-}
-
-// SelectEq returns the tuples with value v at attribute a.
-func (r *Relation) SelectEq(a int, v Value) *Relation {
-	return one(r.View, SelectEqStep(r.schema, a, v))
-}
-
-// SelectGt returns the tuples whose value at attribute a exceeds v.
-func (r *Relation) SelectGt(a int, v Value) *Relation {
-	return one(r.View, SelectGtStep(r.schema, a, v))
-}
-
-// SelectIn returns the tuples whose value at attribute a is in set, or,
-// when in is false, is not in set.
-func (r *Relation) SelectIn(a int, set map[Value]bool, in bool) *Relation {
-	return one(r.View, SelectInStep(r.schema, a, set, in))
-}
 
 // selectPos resolves a selection attribute, panicking when it is not in
 // the schema.

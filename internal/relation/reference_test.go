@@ -212,7 +212,7 @@ func TestSelectEqProjectAndDegreesMatchReferences(t *testing.T) {
 				t.Fatal("SelectEqProject onto no attributes")
 			}
 			// The count attribute on either side of the value attribute.
-			if !sameRel(t, "Degrees", r.Degrees(1, NewSchema(1, 5)), refDegrees(r, 1, 5)) || !sameRel(t, "Degrees", r.Degrees(2, NewSchema(-1, 2)), refDegrees(r, 2, -1)) {
+			if !sameRel(t, "Degrees", one(r.View, DegreesStep(r.schema, 1, NewSchema(1, 5))), refDegrees(r, 1, 5)) || !sameRel(t, "Degrees", one(r.View, DegreesStep(r.schema, 2, NewSchema(-1, 2))), refDegrees(r, 2, -1)) {
 				t.Fatal("Degrees")
 			}
 		})

@@ -333,12 +333,6 @@ func FromData(schema Schema, data []Value, rows int) *Relation {
 	return &Relation{View: View{schema: schema, arity: schema.Len(), data: data, rows: rows}}
 }
 
-// Sort orders tuples lexicographically in place (for deterministic
-// output and comparisons).
-func (r *Relation) Sort() {
-	r.sortByPositions(identityPositions(r.arity))
-}
-
 // SortBy stably orders tuples in place by the given schema positions;
 // rows that compare equal on the positions keep their relative order
 // (the in-place successor of sorting a materialized []Tuple with
@@ -414,8 +408,8 @@ func (r *Relation) Equal(o *Relation) bool {
 		return false
 	}
 	a, b := r.Clone(), o.Clone()
-	a.Sort()
-	b.Sort()
+	a.SortBy(identityPositions(a.arity))
+	b.SortBy(identityPositions(b.arity))
 	return slices.Equal(a.data, b.data)
 }
 

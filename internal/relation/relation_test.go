@@ -67,8 +67,8 @@ func TestArityPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Add":      func() { r.Add(Tuple{1}) },
 		"Get":      func() { r.AddValues(1, 2); r.Get(r.Tuples()[0], 7) },
-		"Project":  func() { r.Project(9) },
-		"SelectEq": func() { r.SelectEq(9, 0) },
+		"Project":  func() { one(r.View, ProjectStep(r.schema, NewSchema(9))) },
+		"SelectEq": func() { one(r.View, SelectEqStep(r.schema, 9, 0)) },
 	} {
 		func() {
 			defer func() {
@@ -86,17 +86,17 @@ func TestProjectSelectDedup(t *testing.T) {
 	r.AddValues(1, 10)
 	r.AddValues(1, 20)
 	r.AddValues(2, 10)
-	p := r.Project(0)
+	p := one(r.View, ProjectStep(r.schema, NewSchema(0)))
 	if p.Len() != 3 {
 		t.Fatalf("Project is multiset, len = %d", p.Len())
 	}
 	if d := p.Dedup(); d.Len() != 2 {
 		t.Fatalf("Dedup len = %d", d.Len())
 	}
-	if s := r.SelectEq(0, 1); s.Len() != 2 {
+	if s := one(r.View, SelectEqStep(r.schema, 0, 1)); s.Len() != 2 {
 		t.Fatalf("SelectEq len = %d", s.Len())
 	}
-	if s := r.SelectGt(1, 10); s.Len() != 1 || s.Row(0)[1] != 20 {
+	if s := one(r.View, SelectGtStep(r.schema, 1, 10)); s.Len() != 1 || s.Row(0)[1] != 20 {
 		t.Fatalf("SelectGt = %v", s)
 	}
 	dv := r.DistinctValues(0)

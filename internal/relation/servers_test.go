@@ -238,7 +238,7 @@ func TestFragmentsAreIsolatedViews(t *testing.T) {
 		w.SortBy([]int{1})
 		if f.Len() > 1 {
 			w = FromData(rs, f.Data(), f.Len())
-			w.Sort()
+			w.SortBy(identityPositions(w.arity))
 		}
 	}
 	if !slices.Equal(frags.data, before) {

@@ -50,9 +50,6 @@ func (b *Buffer) Exchange(op Op, recv []int) {
 	b.ops = append(b.ops, bufferedOp{kind: bufExchange, op: op, recv: append([]int(nil), recv...)})
 }
 
-// Len returns the number of buffered emissions.
-func (b *Buffer) Len() int { return len(b.ops) }
-
 // ReplayInto re-emits the buffered stream into r in recording order.
 func (b *Buffer) ReplayInto(r Recorder) {
 	for _, op := range b.ops {

@@ -22,8 +22,8 @@ func TestBufferReplayMatchesDirectRecording(t *testing.T) {
 
 	buf := NewBuffer()
 	emitScript(buf)
-	if buf.Len() != 7 {
-		t.Fatalf("buffered %d ops, want 7", buf.Len())
+	if len(buf.ops) != 7 {
+		t.Fatalf("buffered %d ops, want 7", len(buf.ops))
 	}
 	replayed := NewCollector()
 	buf.ReplayInto(replayed)

@@ -230,13 +230,6 @@ func (s *Span) MaxLoad() int {
 	return m
 }
 
-// NumEvents counts the exchanges in the subtree.
-func (s *Span) NumEvents() int {
-	n := 0
-	s.Walk(func(sp *Span) { n += len(sp.Events) })
-	return n
-}
-
 // Walk visits the span and its descendants preorder.
 func (s *Span) Walk(fn func(*Span)) {
 	fn(s)

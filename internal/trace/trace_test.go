@@ -87,8 +87,10 @@ func TestCollectorTree(t *testing.T) {
 	if root.MaxLoad() != 30 {
 		t.Fatalf("max = %d", root.MaxLoad())
 	}
-	if root.NumEvents() != 3 {
-		t.Fatalf("events = %d", root.NumEvents())
+	events := 0
+	root.Walk(func(sp *Span) { events += len(sp.Events) })
+	if events != 3 {
+		t.Fatalf("events = %d", events)
 	}
 	stats := root.Children[0]
 	if stats.Name != "statistics" || stats.Start != 0 || stats.End != 1 {

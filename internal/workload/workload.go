@@ -54,38 +54,6 @@ func Uniform(q *hypergraph.Query, n int, dom int64, seed uint64) *relation.Insta
 	return in
 }
 
-// UniformSizes fills relation e with sizes[e] distinct uniform tuples —
-// the heterogeneous-size regime of Theorem 4, where the load formula
-// charges Π_{e∈S}|R(e)| rather than N^{|S|}.
-func UniformSizes(q *hypergraph.Query, sizes []int, dom int64, seed uint64) *relation.Instance {
-	if len(sizes) != q.NumEdges() {
-		panic(fmt.Sprintf("workload: %s: %d sizes for %d relations", q.Name(), len(sizes), q.NumEdges()))
-	}
-	r := rng(seed)
-	in := relation.NewInstance(q)
-	for e := 0; e < q.NumEdges(); e++ {
-		arity := q.EdgeVars(e).Len()
-		space := math.Pow(float64(dom), float64(arity))
-		if float64(sizes[e]) > space {
-			panic(fmt.Sprintf("workload: %s edge %s: %d tuples exceed domain space %.0f",
-				q.Name(), q.Edge(e).Name, sizes[e], space))
-		}
-		seen := hashtab.New(arity, sizes[e])
-		idx := identity(arity)
-		t := make(relation.Tuple, arity)
-		for seen.Len() < sizes[e] {
-			for j := range t {
-				t[j] = r.Int64N(dom)
-			}
-			if _, dup := seen.Insert(t, idx); !dup {
-				in.Rel(e).Add(t)
-			}
-		}
-		seen.Release()
-	}
-	return in
-}
-
 // Zipf fills each relation with n tuples whose attribute values follow a
 // Zipf(s) distribution over a domain of dom values (rank 1 most likely).
 // Duplicates are kept out; if the skew is too extreme to find n distinct

@@ -52,34 +52,6 @@ func TestUniformPanicsOnImpossible(t *testing.T) {
 	Uniform(hypergraph.PathJoin(2), 1000, 3, 1) // 3^2 < 1000
 }
 
-func TestUniformSizes(t *testing.T) {
-	q := hypergraph.PathJoin(3)
-	sizes := []int{50, 200, 10}
-	in := UniformSizes(q, sizes, 100, 2)
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for e, want := range sizes {
-		if got := in.Rel(e).Len(); got != want {
-			t.Fatalf("edge %d size %d, want %d", e, got, want)
-		}
-		if in.Rel(e).Dedup().Len() != want {
-			t.Fatalf("edge %d has duplicates", e)
-		}
-	}
-	if in.N() != 200 {
-		t.Fatalf("N = %d", in.N())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("size/arity mismatch should panic")
-			}
-		}()
-		UniformSizes(q, []int{1, 2}, 10, 1)
-	}()
-}
-
 func TestZipfSkew(t *testing.T) {
 	q := hypergraph.PathJoin(2)
 	in := Zipf(q, 2000, 1000, 1.2, 3)
@@ -164,7 +136,7 @@ func TestFigure4Hard(t *testing.T) {
 		}
 	}
 	// e4 is one-to-one on (H, J).
-	e4 := in.RelByName("e4")
+	e4 := rel(in, "e4")
 	h, j := q.AttrID("H"), q.AttrID("J")
 	for _, tp := range e4.Tuples() {
 		if e4.Get(tp, h) != e4.Get(tp, j) {
@@ -198,12 +170,12 @@ func TestSquareHardConcentration(t *testing.T) {
 	in := SquareHard(n, 7)
 	// Deterministic relations have exactly n tuples.
 	for _, name := range []string{"R1", "R3", "R4", "R5"} {
-		if got := in.RelByName(name).Len(); got != n {
+		if got := rel(in, name).Len(); got != n {
 			t.Fatalf("%s: %d tuples, want %d", name, got, n)
 		}
 	}
 	// R2 concentrates around n (Chernoff: within 20% for this size).
-	r2 := in.RelByName("R2").Len()
+	r2 := rel(in, "R2").Len()
 	if float64(r2) < 0.8*float64(n) || float64(r2) > 1.2*float64(n) {
 		t.Fatalf("R2 = %d, expected ~%d", r2, n)
 	}
@@ -216,7 +188,7 @@ func TestSquareHardConcentration(t *testing.T) {
 func TestSquareHardJoinIsProduct(t *testing.T) {
 	n := 64 // 4^3
 	in := SquareHard(n, 9)
-	want := int64(in.RelByName("R1").Len()) * int64(in.RelByName("R2").Len())
+	want := int64(rel(in, "R1").Len()) * int64(rel(in, "R2").Len())
 	if got := in.JoinSize(); got != want {
 		t.Fatalf("output = %d, want |R1|·|R2| = %d", got, want)
 	}
@@ -293,7 +265,7 @@ func TestHeavyHubSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Satellites have a heavy value 0 of degree ~n/2 on the hub attr.
-	r1 := in.RelByName("R1")
+	r1 := rel(in, "R1")
 	x1 := q.AttrID("X1")
 	heavy := 0
 	for _, tp := range r1.Tuples() {
@@ -315,4 +287,9 @@ func TestHeavyHubSkew(t *testing.T) {
 	if got := in.JoinSize(); got < 50*50*50 {
 		t.Fatalf("join size = %d, want >= 125000", got)
 	}
+}
+
+// rel is the relation of the named edge.
+func rel(in *relation.Instance, name string) *relation.Relation {
+	return in.Rel(in.Query.EdgeIndex(name))
 }

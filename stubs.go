@@ -74,13 +74,9 @@ func LPMemoCacheStats() LPMemoStats { return lp.Memo() }
 // ParKernelMode is the type of ExecOptions.ParKernels.
 type ParKernelMode int
 
-const (
-	// ParKernelDefault is the zero ParKernelMode, the one internal/bench
-	// checks for.
-	ParKernelDefault ParKernelMode = iota
-	// ParKernelOff selects nothing either.
-	ParKernelOff
-)
+// ParKernelDefault is the zero ParKernelMode, the one internal/bench
+// checks for.
+const ParKernelDefault ParKernelMode = 0
 
 // ParCounters is the former block-kernel snapshot. Both fields always
 // read zero.
@@ -91,6 +87,3 @@ type ParCounters struct {
 
 // ParStats returns zero counters.
 func ParStats() ParCounters { return ParCounters{} }
-
-// ResetParStats does nothing.
-func ResetParStats() {}

@@ -12,7 +12,8 @@ import (
 )
 
 // TestSpillNamesAreInert pins the stubs' contract: a run that asks for
-// spilling under a one-byte budget writes nothing to its directory,
+// spilling under a one-byte budget, and sets every other inert
+// ExecOptions field to a nonzero value, writes nothing to its directory,
 // moves no spill counter, and reports what the default run reports.
 // Every algorithm runs on each of an acyclic and a cyclic query it
 // accepts, sequentially and with 4 workers.
@@ -35,7 +36,10 @@ func TestSpillNamesAreInert(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%v/workers=%d", q.Name(), alg, w), func(t *testing.T) {
 					dir := t.TempDir()
-					got, err := ExecuteOpts(alg, in, 8, ExecOptions{Workers: w, Spilling: SpillOn, SpillDir: dir, SpillBudgetBytes: 1})
+					got, err := ExecuteOpts(alg, in, 8, ExecOptions{
+						Workers: w, Spilling: SpillOn, SpillDir: dir, SpillBudgetBytes: 1,
+						NoPlanCache: true, Streaming: 1, PlanCompile: 1, ParKernels: 1,
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -85,7 +89,7 @@ func TestSetMetricsEnabledIsInert(t *testing.T) {
 // ExecOptions field other than Spilling, SpillDir, SpillBudgetBytes and
 // ParKernels, names spilling, the LP solve memo (LPMemo*), the
 // compile-cache mode (PlanCompileMode, PlanCompileDefault), the block
-// kernels (ParKernel*, ParCounters, ParStats, ResetParStats) or the
+// kernels (ParKernel*, ParCounters, ParStats) or the
 // metrics switch (SetMetricsEnabled).
 func TestSpillNamesLiveInStubs(t *testing.T) {
 	files, err := filepath.Glob("*.go")
@@ -106,7 +110,7 @@ func TestSpillNamesLiveInStubs(t *testing.T) {
 			stub := strings.Contains(id.Name, "Spill") || strings.HasPrefix(id.Name, "LPMemo") ||
 				id.Name == "PlanCompileMode" || id.Name == "PlanCompileDefault" ||
 				strings.HasPrefix(id.Name, "ParKernel") || id.Name == "ParCounters" ||
-				id.Name == "ParStats" || id.Name == "ResetParStats" || id.Name == "SetMetricsEnabled"
+				id.Name == "ParStats" || id.Name == "SetMetricsEnabled"
 			if stub && !fields[id.Name] {
 				t.Errorf("%s: stub name %s outside stubs.go", fset.Position(id.Pos()), id.Name)
 			}
