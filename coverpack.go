@@ -351,11 +351,20 @@ func ExecuteTraced(alg Algorithm, in *Instance, p int, rec TraceRecorder) (*Repo
 	return ExecuteOpts(alg, in, p, ExecOptions{Recorder: rec})
 }
 
-// ExecuteOpts is Execute with full options.
+// ExecuteOpts is Execute with full options. It is the door every
+// algorithm's input passes: a malformed instance (a relation count or a
+// schema that does not match the query's edges) is an error, and the
+// instance is taken through AsSets, so every algorithm joins sets — a
+// repeated row counts once and is never shipped. in itself is not
+// changed.
 func ExecuteOpts(alg Algorithm, in *Instance, p int, eo ExecOptions) (*Report, error) {
 	if err := checkServers(p); err != nil {
 		return nil, err
 	}
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	in = in.AsSets()
 	var opts []mpc.Option
 	if eo.Recorder != nil {
 		opts = append(opts, mpc.WithRecorder(eo.Recorder))

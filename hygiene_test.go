@@ -133,10 +133,10 @@ func TestKeyedKernelsReturnTables(t *testing.T) {
 }
 
 // Two runs on one shared *Instance at the same time. The inputs outlive
-// both runs, and each run's ScatterDedup lists their distinct rows
-// through the same retained first-row lists: under -race this checks
-// that a list is published safely, and either way each run must report
-// what the same run reports alone.
+// both runs, and each run's set check at the door (Relation.AsSet from
+// ExecuteOpts) reads the same retained first-row lists: under -race this
+// checks that a list is published safely, and either way each run must
+// report what the same run reports alone.
 func TestConcurrentRunsShareInstance(t *testing.T) {
 	gen := func() *coverpack.Instance { return coverpack.Uniform(hypergraph.Line3Join(), 1200, 60, 5) }
 	algs := []coverpack.Algorithm{coverpack.AlgYannakakis, coverpack.AlgAcyclicOptimal}

@@ -130,21 +130,10 @@ func SubjoinSize(in *relation.Instance, tree *hypergraph.JoinTree, s hypergraph.
 		for i, e := range comp.Edges() {
 			subIn.Relations[i] = in.Rel(e)
 		}
-		total = satMul(total, subIn.JoinSize())
+		total = relation.MulSat(total, subIn.JoinSize())
 		if total == 0 {
 			return 0
 		}
 	}
 	return total
-}
-
-func satMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	const max = int64(^uint64(0) >> 1)
-	if a > max/b {
-		return max
-	}
-	return a * b
 }

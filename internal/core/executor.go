@@ -63,7 +63,9 @@ const (
 	grpOff
 )
 
-// Run executes the generic acyclic join algorithm on the group.
+// Run executes the generic acyclic join algorithm on the group, over a
+// valid, set-valued instance (coverpack.ExecuteOpts validates its input
+// and takes it through relation.Instance.AsSets).
 func Run(g *mpc.Group, in *relation.Instance, opts Options) (*Result, error) {
 	res, _, err := run(g, in, opts)
 	return res, err
@@ -78,9 +80,6 @@ func run(g *mpc.Group, in *relation.Instance, opts Options) (*Result, *step, err
 	q := in.Query
 	if !plan.Acyclic(q) {
 		return nil, nil, fmt.Errorf("core: %s is not acyclic", q.Name())
-	}
-	if err := in.Validate(); err != nil {
-		return nil, nil, err
 	}
 	L := opts.L
 	if L <= 0 {
@@ -97,13 +96,12 @@ func run(g *mpc.Group, in *relation.Instance, opts Options) (*Result, *step, err
 		grpAttr: q.NumAttrs() + grpOff,
 	}
 	// Initial state: all edges alive with their full attribute sets,
-	// relations deduplicated and scattered evenly (free initial layout;
-	// ScatterDedup routes the first occurrences into the placement).
+	// relations scattered evenly (free initial layout).
 	vars := make([]hypergraph.VarSet, q.NumEdges())
 	rels := make([]*mpc.DistRelation, q.NumEdges())
 	for e := range rels {
 		vars[e] = q.EdgeVars(e)
-		rels[e] = g.ScatterDedup(in.Rel(e))
+		rels[e] = g.Scatter(in.Rel(e))
 	}
 	root, err := ex.compile(q.AllEdges().Edges(), vars, nil)
 	if err != nil {
@@ -254,7 +252,7 @@ func (ex *executor) caseII(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	if len(ctx) == 0 {
 		total := int64(1)
 		for _, c := range counts {
-			total = satMul(total, c)
+			total = relation.MulSat(total, c)
 		}
 		return total, nil
 	}

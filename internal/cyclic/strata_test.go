@@ -83,8 +83,8 @@ func diffStrata(got []hypercube.Stratum, want map[uint64]*relation.Instance) str
 }
 
 // The triangle and LW algorithms' statistics and stratifier, run as
-// they run them (dedup, scatter, Degrees-based heavy values), must
-// produce the strata of the old per-mask loop.
+// they run them (on the door's sets, scattered, Degrees-based heavy
+// values), must produce the strata of the old per-mask loop.
 func TestHeavyStrataMatchReferenceLoop(t *testing.T) {
 	multi := false
 	for _, tc := range []struct {
@@ -102,16 +102,14 @@ func TestHeavyStrataMatchReferenceLoop(t *testing.T) {
 		g := c.Root()
 		q := tc.in.Query
 		attrs := q.AllVars().Attrs()
-		dedup := make([]*relation.Relation, q.NumEdges())
+		sets := tc.in.AsSets()
 		scattered := make([]*mpc.DistRelation, q.NumEdges())
-		for e := range dedup {
-			dedup[e] = tc.in.Rel(e).Dedup()
-			scattered[e] = g.Scatter(dedup[e])
+		for e := range scattered {
+			scattered[e] = g.Scatter(sets.Rel(e))
 		}
 		heavy := heavyStatistics(g, q, attrs, scattered, tc.delta)
-		deduped := &relation.Instance{Query: q, Relations: dedup}
-		got := heavyStrata(deduped, attrs, heavy)
-		if diff := diffStrata(got, referenceHeavyStrata(deduped, attrs, heavy)); diff != "" {
+		got := heavyStrata(sets, attrs, heavy)
+		if diff := diffStrata(got, referenceHeavyStrata(sets, attrs, heavy)); diff != "" {
 			t.Errorf("%s: %s", tc.name, diff)
 		}
 		t.Logf("%s: %d strata", tc.name, len(got))

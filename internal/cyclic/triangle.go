@@ -38,9 +38,10 @@ type Result struct {
 	HeavyBranches int
 }
 
-// RunTriangle executes the multi-round triangle algorithm. The query
-// must be a 3-cycle of binary relations (hypergraph.TriangleJoin shape,
-// any attribute/relation names).
+// RunTriangle executes the multi-round triangle algorithm over a valid,
+// set-valued instance (see core.Run). The query must be a 3-cycle of
+// binary relations (hypergraph.TriangleJoin shape, any attribute/relation
+// names).
 func RunTriangle(g *mpc.Group, in *relation.Instance) (*Result, error) {
 	attrs, err := triangleShape(in.Query)
 	if err != nil {
@@ -61,15 +62,12 @@ func runStrata(g *mpc.Group, in *relation.Instance, attrs []int, delta int64) (*
 		delta = 1
 	}
 
-	// Dedup and scatter each relation once up front: every edge is
-	// visited once per incident attribute by the statistics loop and
-	// once more by the stratifier, and both the dedup and the initial
-	// placement are identical each time.
-	dedup := make([]*relation.Relation, q.NumEdges())
+	// Scatter each relation once up front: every edge is visited once
+	// per incident attribute by the statistics loop, and the initial
+	// placement is identical each time.
 	scattered := make([]*mpc.DistRelation, q.NumEdges())
 	for e := 0; e < q.NumEdges(); e++ {
-		dedup[e] = in.Rel(e).Dedup()
-		scattered[e] = g.Scatter(dedup[e])
+		scattered[e] = g.Scatter(in.Rel(e))
 	}
 
 	heavy := heavyStatistics(g, q, attrs, scattered, delta)
@@ -91,7 +89,7 @@ func runStrata(g *mpc.Group, in *relation.Instance, attrs []int, delta int64) (*
 		})
 	}
 
-	for _, st := range heavyStrata(&relation.Instance{Query: q, Relations: dedup}, attrs, heavy) {
+	for _, st := range heavyStrata(in, attrs, heavy) {
 		strat := st.Inst
 		if st.Pattern == 0 {
 			// All-light: one-round HyperCube with τ*-shares; light
@@ -119,10 +117,7 @@ func runStrata(g *mpc.Group, in *relation.Instance, attrs []int, delta int64) (*
 			perBranch = 1
 		}
 		for _, v := range vals {
-			branchIn, err := residualInstance(strat, h, v)
-			if err != nil {
-				return nil, err
-			}
+			branchIn := residualInstance(strat, h, v)
 			if branchIn == nil {
 				continue
 			}
@@ -240,7 +235,7 @@ func heavyValuesIn(in *relation.Instance, q *hypergraph.Query, h int) []relation
 // triangle minus vertex h. Relations containing h are filtered to v and
 // projected in one pass; the opposite relation is kept whole. Returns
 // nil when some relation empties.
-func residualInstance(in *relation.Instance, h int, v relation.Value) (*relation.Instance, error) {
+func residualInstance(in *relation.Instance, h int, v relation.Value) *relation.Instance {
 	q := in.Query
 	rq := hypergraph.NewQuery(q.Name() + "|res")
 	var rels []*relation.Relation
@@ -251,7 +246,7 @@ func residualInstance(in *relation.Instance, h int, v relation.Value) (*relation
 			rest.Remove(h)
 			filtered := r.SelectEqProject(h, v, rest.Attrs()...)
 			if filtered.Len() == 0 {
-				return nil, nil
+				return nil
 			}
 			rq.AddEdgeVars(q.Edge(e).Name, rest)
 			rels = append(rels, filtered)
@@ -260,9 +255,5 @@ func residualInstance(in *relation.Instance, h int, v relation.Value) (*relation
 			rels = append(rels, r)
 		}
 	}
-	out := &relation.Instance{Query: rq, Relations: rels}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return &relation.Instance{Query: rq, Relations: rels}
 }

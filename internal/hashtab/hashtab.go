@@ -15,11 +15,11 @@
 // they do not move by a single byte (the difftest oracle and
 // TestHashMatchesLegacyKeyPath enforce the equivalence).
 //
-// The table's own hash (Table.hashOf, and MixRow for a whole row) is
-// private to the process: a word-at-a-time multiply-xorshift closed by
-// murmur3's finaliser, chosen for speed and for spreading structured
-// keys over a power-of-two mask (TestTableHashSpreads). It
-// carries no compatibility promise — nothing observable depends on it,
+// The table's own hash (Table.hashOf) is private to the process: a
+// word-at-a-time multiply-xorshift closed by murmur3's finaliser,
+// chosen for speed and for spreading structured keys over a
+// power-of-two mask (TestTableHashSpreads). It carries no
+// compatibility promise — nothing observable depends on it,
 // because entry order is first-insert order, not slot order.
 //
 // The table maps keys to dense entry indices 0..Len()-1 in first-insert
@@ -92,18 +92,6 @@ func finish(h uint64) uint64 {
 	return h ^ h>>33
 }
 
-// MixRow returns the table's hash of all columns of row, in order: the
-// value Table.hashOf gives the identity projection. It is the one local
-// (non-routing) hash of the repository; it promises nothing across
-// versions.
-func MixRow(row []int64) uint64 {
-	h := uint64(len(row))
-	for _, v := range row {
-		h = mix(h, uint64(v))
-	}
-	return finish(h)
-}
-
 // Table is an open-addressing (linear-probing) hash table over fixed-
 // width int64 keys. The zero value is not usable; call New or Init.
 type Table struct {
@@ -149,8 +137,10 @@ func (t *Table) Init(arity, hint int) {
 // Len returns the number of distinct keys inserted.
 func (t *Table) Len() int { return len(t.hashes) }
 
-// hashOf is the table's hash of the projection of row onto pos: MixRow
-// of the projected columns.
+// hashOf is the table's hash of the projection of row onto pos: the
+// key width, each projected column mixed in, then finished. It is the
+// one local (non-routing) hash of the repository and promises nothing
+// across versions.
 func (t *Table) hashOf(row []int64, pos []int) uint64 {
 	if t.collide {
 		return 0xdead

@@ -144,7 +144,7 @@ func MeasureJ(a *Analysis, in *relation.Instance, L int) JResult {
 		total := int64(1)
 		for _, v := range attrs {
 			if _, owned := owner[v]; !owned {
-				total = satMul(total, z[v])
+				total = relation.MulSat(total, z[v])
 			}
 		}
 		for _, e := range a.Witness.ProbEdges.Edges() {
@@ -165,7 +165,7 @@ func MeasureJ(a *Analysis, in *relation.Instance, L int) JResult {
 					cnt++
 				}
 			}
-			total = satMul(total, cnt)
+			total = relation.MulSat(total, cnt)
 		}
 		return total
 	}
@@ -177,7 +177,7 @@ func MeasureJ(a *Analysis, in *relation.Instance, L int) JResult {
 			}
 			prod := int64(1)
 			for _, v := range edgeAttrs[e] {
-				prod = satMul(prod, z[v])
+				prod = relation.MulSat(prod, z[v])
 				if prod > int64(L) {
 					return false
 				}
@@ -288,7 +288,7 @@ func MinLoad(a *Analysis, in *relation.Instance, p int, out int64) MinLoadResult
 	}
 	for L <= n {
 		j := MeasureJ(a, in, L)
-		if j.Best > 0 && satMul(int64(p), j.Best) >= out {
+		if j.Best > 0 && relation.MulSat(int64(p), j.Best) >= out {
 			res.MinL = L
 			return res
 		}
@@ -300,15 +300,4 @@ func MinLoad(a *Analysis, in *relation.Instance, p int, out int64) MinLoadResult
 	}
 	res.MinL = n
 	return res
-}
-
-func satMul(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	const max = int64(^uint64(0) >> 1)
-	if a > max/b {
-		return max
-	}
-	return a * b
 }

@@ -201,11 +201,10 @@ func TestRecorderSpanTree(t *testing.T) {
 }
 
 // TestNopRecorderZeroAlloc pins the hot-path contract: with the default
-// (or an explicit Nop) recorder, charging a round allocates nothing.
+// (or an explicit nil) recorder, charging a round allocates nothing.
 func TestNopRecorderZeroAlloc(t *testing.T) {
 	for _, c := range []*Cluster{
 		NewCluster(4),
-		NewCluster(4, WithRecorder(trace.NopRecorder{})),
 		NewCluster(4, WithRecorder(nil)),
 	} {
 		g := c.Root()

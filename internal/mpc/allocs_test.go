@@ -23,10 +23,10 @@ import (
 // scratchCap tuples allocate no more than over fewer; Spread stores no
 // ids at all. HashPartition records the caller's key, not a copy, so it
 // adds nothing (key is built once, outside the measured runs); Scatter
-// and ScatterDedup keep their one-fragment input's offsets in the
-// scratch; Route stores nothing a tuple and calls its function again to
-// fill; RouteFan stores one id a tuple whatever its fan, in idPool's
-// vector over scratchCap tuples. HashPartition's identity path returns a
+// keeps its one-fragment input's offsets in the scratch; Route stores
+// nothing a tuple and calls its function again to fill; RouteFan stores
+// one id a tuple whatever its fan, in idPool's vector over scratchCap
+// tuples. HashPartition's identity path returns a
 // DistRelation sharing its input's arena and offsets; Gather one
 // Relation; Broadcast is a Local step (DistRelation, offsets, arena).
 func TestExchangeAllocs(t *testing.T) {
@@ -56,7 +56,6 @@ func TestExchangeAllocs(t *testing.T) {
 		run  func()
 	}{
 		{"Scatter", 2, func() { g.Scatter(in) }},
-		{"ScatterDedup", 2, func() { g.ScatterDedup(in) }},
 		{"HashPartition", 2, func() { g.HashPartition(d, key) }},
 		{"HashPartition/wide", 2, func() { g.HashPartition(wide, key) }},
 		{"HashPartition/identity", 1, func() { g.HashPartition(parted, key) }},

@@ -502,35 +502,6 @@ func itoa(n int) string {
 	return string(b)
 }
 
-// ScatterDedup routes first occurrences through the exchange kernel;
-// its placement must be Scatter(r.Dedup())'s — on one worker and on
-// several, on both sides of the dedup's linear-scan cutoff and of
-// parThreshold, and with a chunk per tuple, where every chunk has to
-// find its own rank in the deduplicated order.
-func TestScatterDedupMatchesScatterOfDedup(t *testing.T) {
-	everyTuple := withChunker(func(n int) []int { return cutChunks(n, nil, true) })
-	for _, n := range []int{0, 1, 20, 200, 3 * parThreshold} {
-		in := relation.New(relation.NewSchema(0, 1))
-		for i := 0; i < n; i++ {
-			in.Add(relation.Tuple{int64(i * i % 37), int64(i % 5)}) // repeats from row 37 on at the latest
-		}
-		ref := NewCluster(5)
-		want := ref.Root().Scatter(in.Dedup())
-		for _, workers := range []int{1, 4} {
-			for _, opts := range [][]Option{nil, {everyTuple}} {
-				c := NewCluster(5, append(opts, withForcedWorkers(workers))...)
-				got := c.Root().ScatterDedup(in)
-				if !sameFrags(got, want) {
-					t.Fatalf("n=%d workers=%d chunker=%v: placement differs from Scatter(Dedup())", n, workers, opts != nil)
-				}
-				if c.Stats() != ref.Stats() {
-					t.Fatalf("ScatterDedup charged %+v, Scatter %+v", c.Stats(), ref.Stats())
-				}
-			}
-		}
-	}
-}
-
 func TestFlatChunksPartitionFlattenedOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		g := NewCluster(3, withForcedWorkers(workers)).Root()

@@ -139,7 +139,7 @@ func (p stored[R]) count(x *xrun, in relation.Frags, ci, nd int) {
 	c, arity := &x.cs[ci], in.Schema.Len()
 	rows := x.cut[ci+1] - lo
 	dst := c.ids(rows)[:rows]
-	c.k, c.src = -1, -1
+	c.src = -1
 	for i := range dst {
 		dst[i] = p.r.route(c, data[i*arity:(i+1)*arity:(i+1)*arity], lo+i)
 	}

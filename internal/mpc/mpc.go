@@ -125,16 +125,10 @@ type Cluster struct {
 // Option configures a Cluster at construction.
 type Option func(*Cluster)
 
-// WithRecorder attaches a trace recorder to the cluster. Passing nil or
-// a trace.NopRecorder leaves tracing off (the zero-cost default).
+// WithRecorder attaches a trace recorder to the cluster. Passing nil
+// leaves tracing off (the zero-cost default).
 func WithRecorder(r trace.Recorder) Option {
-	return func(c *Cluster) {
-		if _, nop := r.(trace.NopRecorder); nop || r == nil {
-			c.rec = nil
-			return
-		}
-		c.rec = r
-	}
+	return func(c *Cluster) { c.rec = r }
 }
 
 // WithPlanCacheHint has no effect: there is no exchange-plan cache. It
@@ -385,40 +379,6 @@ func (g *Group) Scatter(r *relation.Relation) *DistRelation {
 func (x *xrun) whole(r *relation.Relation) relation.Frags {
 	x.one = append(x.one[:0], 0, int32(r.Len()))
 	return relation.NewFrags(r.Schema(), r.Data(), x.one)
-}
-
-// ScatterDedup scatters the distinct rows of r round-robin over the
-// group — Scatter(r.Dedup()) without the deduplicated intermediate: the
-// dedup hands over the first occurrences in order, so row k of the
-// deduplicated order is known, with the count, before anything moves,
-// and the exchange kernel routes it to server k mod size. The repeats
-// go to one destination past the group's, which the output leaves out:
-// the one-destination fill needs no drop test. Free and untraced like
-// Scatter.
-func (g *Group) ScatterDedup(r *relation.Relation) *DistRelation {
-	x := g.scratch(r.Len())
-	out := exchange(g, x, x.whole(r), g.size+1, stored[dedupRoute]{r: dedupRoute{r.FirstRows(), g.size}})
-	putScratch(x)
-	return &DistRelation{Frags: out.Slice(0, g.size)}
-}
-
-// dedupRoute sends the k-th first occurrence to server k mod size and
-// the repeats to destination size (c.k: the rank of the chunk's next
-// first occurrence).
-type dedupRoute struct {
-	first []int32
-	size  int
-}
-
-func (r dedupRoute) route(c *xchunk, _ relation.Tuple, flat int) uint32 {
-	if c.k < 0 {
-		c.k, _ = slices.BinarySearch(r.first, int32(flat))
-	}
-	if c.k < len(r.first) && int(r.first[c.k]) == flat {
-		c.k++
-		return uint32((c.k - 1) % r.size)
-	}
-	return uint32(r.size)
 }
 
 // HashPartition re-partitions d by the given attributes: every tuple

@@ -31,12 +31,11 @@ type xrun struct {
 	one   []int32  // Scatter: the offsets of its one-fragment input
 }
 
-// xchunk is one chunk's share of the scratch. Its routing state (k,
-// src) is -1 at the start of every pass 1 that stores ids.
+// xchunk is one chunk's share of the scratch. Its routing state (src)
+// is -1 at the start of every pass 1 that stores ids.
 type xchunk struct {
 	dst []uint32 // one destination id a tuple, in tuple order; from idPool over scratchCap
 	cur []int    // per destination: tuples counted, then the next row to write
-	k   int      // ScatterDedup: rank of the chunk's next first occurrence
 	src int      // RouteFan: the source server of the chunk's next row
 }
 

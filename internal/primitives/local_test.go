@@ -10,14 +10,16 @@ import (
 )
 
 // fragmented builds a distributed relation over (0, 1, wAttr) with the
-// given fragment sizes, values drawn from a domain of d.
+// given fragment sizes, values drawn from a domain of d and weights from
+// 0..4: non-negative counts, as every ReduceByKey and weightedDP caller
+// sums, with zeros among them.
 func fragmented(rng *rand.Rand, sizes []int, d int64) *mpc.DistRelation {
 	schema := relation.NewSchema(0, 1, wAttr)
 	frags := make([]*relation.Relation, len(sizes))
 	for s, n := range sizes {
 		frags[s] = relation.New(schema)
 		for i := 0; i < n; i++ {
-			frags[s].AddValues(rng.Int63n(d), rng.Int63n(d), rng.Int63n(5)-1)
+			frags[s].AddValues(rng.Int63n(d), rng.Int63n(d), rng.Int63n(5))
 		}
 	}
 	return distOf(schema, frags)

@@ -33,7 +33,9 @@ import (
 // ReduceByKey sums the value column per distinct key. The input is a
 // distributed relation whose schema contains the key attributes and the
 // value attribute; the output holds one (key..., sum) row per distinct
-// key, hash-partitioned by key.
+// key, hash-partitioned by key. The values must be non-negative counts
+// (every caller sums join-size weights or degrees): the sums saturate at
+// math.MaxInt64 (relation.AddSat) instead of wrapping.
 //
 // Servers pre-aggregate locally, then combine in two exchanges: partial
 // rows of a key first fan in to a block of ~√p servers tied to the key,
@@ -135,7 +137,7 @@ func (s aggregate) Count(_ int, in relation.View, sc []relation.Value) int {
 			t := in.Row(i)
 			for e := 0; e < groups; e++ {
 				if sameKey(in.Row(int(sc[2*e])), t, s.kpos) {
-					sc[2*e+1] += t[s.vpos]
+					sc[2*e+1] = relation.AddSat(sc[2*e+1], t[s.vpos])
 					continue rows
 				}
 			}
@@ -152,7 +154,7 @@ func (s aggregate) Count(_ int, in relation.View, sc []relation.Value) int {
 		if !found {
 			sc[2*e], sc[2*e+1] = relation.Value(i), 0
 		}
-		sc[2*e+1] += t[s.vpos]
+		sc[2*e+1] = relation.AddSat(sc[2*e+1], t[s.vpos])
 	}
 	groups := tab.Len()
 	tab.Release()

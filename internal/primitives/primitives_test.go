@@ -2,6 +2,7 @@ package primitives
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -371,6 +372,47 @@ func TestJoinCountBy(t *testing.T) {
 		}()
 		JoinCountBy(g, rels, children, roots[0], 9999, wAttr)
 	}()
+}
+
+// TestJoinCountSaturates: StarJoin(5) with every shared attribute on
+// one hub value and 10 000 rows in each arm has 10²⁰ results, past
+// MaxInt64. The count DP saturates, as JoinSize does, whether the
+// overflow happens in the weight product (rooted at the centre R0) or
+// in the sums (rooted at the arm R1).
+func TestJoinCountSaturates(t *testing.T) {
+	q := hypergraph.StarJoin(5)
+	in := relation.NewInstance(q)
+	in.Rel(0).AddValues(0, 0, 0, 0, 0)
+	for e := 1; e <= 5; e++ {
+		for i := int64(0); i < 10000; i++ {
+			in.Rel(e).AddValues(0, i)
+		}
+	}
+	if got := in.JoinSize(); got != math.MaxInt64 {
+		t.Fatalf("JoinSize = %d, want MaxInt64", got)
+	}
+	for _, tc := range []struct {
+		name     string
+		children [][]int
+		root     int
+	}{
+		{"centre", [][]int{{1, 2, 3, 4, 5}, {}, {}, {}, {}, {}}, 0},
+		{"arm", [][]int{{2, 3, 4, 5}, {0}, {}, {}, {}, {}}, 1},
+	} {
+		g := mpc.NewCluster(4).Root()
+		rels := make([]*mpc.DistRelation, q.NumEdges())
+		for e := range rels {
+			rels[e] = g.Scatter(in.Rel(e))
+		}
+		if got := JoinCount(g, rels, tc.children, tc.root, wAttr); got != math.MaxInt64 {
+			t.Errorf("%s: JoinCount = %d, want MaxInt64", tc.name, got)
+		}
+		x := rels[tc.root].Schema.Attr(0)
+		by := JoinCountBy(g, rels, tc.children, tc.root, x, wAttr).Collect()
+		if by.Len() != 1 || by.Get(by.Row(0), x) != 0 || by.Get(by.Row(0), wAttr) != math.MaxInt64 {
+			t.Errorf("%s: JoinCountBy = %v, want the one hub row with MaxInt64", tc.name, by)
+		}
+	}
 }
 
 func TestJoinCountDisconnectedComponentViaCartesian(t *testing.T) {

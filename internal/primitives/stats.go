@@ -17,8 +17,10 @@ import (
 //
 // Inputs describe one *connected component* of a join tree: children[e]
 // lists tree children, root is the component's root. Relations must be
-// duplicate-free (the workload generators guarantee this; semi-join
-// reduction preserves it).
+// sets (every run's input passes relation.Instance.AsSets; semi-join
+// reduction preserves it). Every weight, sum and total saturates at
+// math.MaxInt64 (relation.AddSat, MulSat), as every join-size count in
+// the repository does.
 
 // weightedDP returns, for the subtree rooted at e, a distributed
 // relation with schema vars(e) ∪ {weightAttr} where each tuple of R(e)
@@ -110,7 +112,7 @@ func multiplyWeights(g *mpc.Group, parent, agg *mpc.DistRelation, key []int, wei
 // aggregates per key in a borrowed table, the sums at the scratch's
 // tail, then lists every parent row with a nonzero matching sum and
 // that sum, at scratch[2k] and scratch[2k+1]; Fill copies the listed
-// rows with their weights multiplied.
+// rows with their weights multiplied. Sums and products saturate.
 type multiply struct {
 	agg          relation.Frags
 	akpos, pkpos []int // key columns of the aggregates and of the parent
@@ -141,7 +143,7 @@ func (s multiply) Count(i int, in relation.View, sc []relation.Value) int {
 		if !found {
 			sums = append(sums, 0)
 		}
-		sums[e] += t[s.awp]
+		sums[e] = relation.AddSat(sums[e], t[s.awp])
 	}
 	n := 0
 	for j := 0; j < in.Len(); j++ {
@@ -159,7 +161,7 @@ func (s multiply) Fill(_ int, in relation.View, sc, dst []relation.Value, rows i
 	for k := 0; k < rows; k++ {
 		row := dst[k*a : (k+1)*a]
 		copy(row, in.Row(int(sc[2*k])))
-		row[s.wp] *= sc[2*k+1]
+		row[s.wp] = relation.MulSat(row[s.wp], sc[2*k+1])
 	}
 }
 
@@ -177,7 +179,7 @@ func JoinCount(g *mpc.Group, rels []*mpc.DistRelation, children [][]int, root, w
 	wp := w.Schema.Pos(weightAttr)
 	all := w.Collect()
 	for i := 0; i < all.Len(); i++ {
-		total += all.Row(i)[wp]
+		total = relation.AddSat(total, all.Row(i)[wp])
 	}
 	return total
 }

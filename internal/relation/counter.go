@@ -19,8 +19,9 @@ import (
 // list of schemas. Compiling resolves everything that depends on the
 // schemas only: the join forest (hypergraph.GYOVars) with the shared-key
 // column positions of every tree link, or, for a cyclic list, the order
-// in which the relations are folded. A Counter is immutable after
-// NewCounter and safe for concurrent use.
+// in which the relations are folded. Every relation it counts must be a
+// set: the DP weighs each row once and checks nothing. A Counter is
+// immutable after NewCounter and safe for concurrent use.
 type Counter struct {
 	schemas []Schema
 	// Acyclic lists: the join forest as undirected adjacency, so that a
@@ -109,8 +110,10 @@ func foldOrder(sets []hypergraph.VarSet) []int {
 }
 
 // Count returns the size of the natural join of rels, which must have
-// the schemas the counter was compiled from; duplicate rows within a
-// relation count once, and the result saturates at math.MaxInt64.
+// the schemas the counter was compiled from and must be sets — no
+// relation may repeat a row (Relation.AsSet, which every run's input
+// passes, makes them so; every step of a run keeps them so). The result
+// saturates at math.MaxInt64.
 func (c *Counter) Count(rels []View) int64 {
 	c.check(rels, -1)
 	for _, r := range rels {
@@ -160,8 +163,7 @@ func (c *Counter) treeCount(rels []View, root int) int64 {
 }
 
 // rowWeights is the count DP at node e of a tree walked away from node
-// from: for each row of rels[e] (duplicates removed — the relation is
-// returned) the number of combinations of rows of the subtree below e
+// from: for each row of rels[e] (returned with the weights) the number of combinations of rows of the subtree below e
 // that join with it, i.e. the product over e's children of the summed
 // weights of the child rows agreeing on the shared key. Dangling rows
 // get weight 0 here without a reduction pass: a row with no partner in
@@ -169,7 +171,7 @@ func (c *Counter) treeCount(rels []View, root int) int64 {
 // with no partner in e is summed under a key nothing probes. A nil
 // weight slice means every weight is 1 (e is a leaf).
 func (c *Counter) rowWeights(rels []View, e, from int) (View, []int64) {
-	r := distinct(rels[e])
+	r := rels[e]
 	var w []int64
 	for _, l := range c.adj[e] {
 		if l.to == from {
@@ -230,13 +232,12 @@ func sumByKey(r *View, w []int64, pos []int) (*hashtab.Table, []int64) {
 // countFold is the cyclic fallback: join all relations but the last of
 // the fold order, then count — not build — the matches of the last.
 func (c *Counter) countFold(rels []View) int64 {
-	acc := distinct(rels[c.fold[0]])
+	acc := rels[c.fold[0]]
 	last := len(c.fold) - 1
 	for _, i := range c.fold[1:last] {
-		s := distinct(rels[i])
-		acc = one(acc, joinStep(acc.schema, s.schema, Frags{}, s)).View
+		acc = one(acc, joinStep(acc.schema, rels[i].schema, Frags{}, rels[i])).View
 	}
-	return acc.JoinCount(distinct(rels[c.fold[last]]))
+	return acc.JoinCount(rels[c.fold[last]])
 }
 
 // BoundCounter is a Counter with every relation but one fixed: the
@@ -295,9 +296,8 @@ func (c *Counter) Bind(rels []View, vary int) *BoundCounter {
 	return b
 }
 
-// Count returns Counter.Count of the bound list with frag in the
-// varying position. It allocates nothing when frag has at most
-// smallDistinctRows rows and no duplicates.
+// Count returns Counter.Count of the bound list with frag, a set, in
+// the varying position. It allocates nothing.
 func (b *BoundCounter) Count(frag View) int64 {
 	if !frag.schema.Equal(b.c.schemas[b.vary]) {
 		panic(fmt.Sprintf("relation: BoundCounter fragment has schema %v, compiled for %v", frag.schema, b.c.schemas[b.vary]))
@@ -310,14 +310,13 @@ func (b *BoundCounter) Count(frag View) int64 {
 		rels[b.vary] = frag
 		return b.c.Count(rels)
 	}
-	r := distinct(frag)
 	if len(b.probes) == 0 {
-		return MulSat(int64(r.rows), b.factor)
+		return MulSat(int64(frag.rows), b.factor)
 	}
 	var total int64
-	data := r.Data()
-	for i := 0; i < r.rows; i++ {
-		row := data[i*r.arity : (i+1)*r.arity]
+	data := frag.Data()
+	for i := 0; i < frag.rows; i++ {
+		row := data[i*frag.arity : (i+1)*frag.arity]
 		w := int64(1)
 		for p := range b.probes {
 			pr := &b.probes[p]
@@ -339,62 +338,6 @@ func (b *BoundCounter) Release() {
 	for _, pr := range b.probes {
 		pr.table.Release()
 	}
-}
-
-// smallDistinctRows bounds the stack form of distinct's duplicate
-// check: row indices fit a byte and the slot array stays on the stack.
-const smallDistinctRows = 64
-
-// distinct returns r when it holds no duplicate row and its dedup
-// otherwise, so that the common duplicate-free relation is never copied.
-// Above smallDistinctRows rows the check's slot array is a pooled arena,
-// cleared before use and released after it. A 0-ary relation's rows are
-// all equal: it stands for a single row.
-func distinct(r View) View {
-	if r.rows < 2 {
-		return r
-	}
-	if r.arity == 0 {
-		return r.dedup().View
-	}
-	var dup bool
-	if r.rows <= smallDistinctRows {
-		var slots [4 * smallDistinctRows]uint8
-		dup = hasDuplicateRow(slots[:], r.Data(), r.rows, r.arity)
-	} else {
-		size := 8
-		for size < 2*r.rows {
-			size <<= 1
-		}
-		slots := GetArena(size)[:size]
-		clear(slots)
-		dup = hasDuplicateRow(slots, r.Data(), r.rows, r.arity)
-		PutArena(slots[:0])
-	}
-	if dup {
-		return r.dedup().View
-	}
-	return r
-}
-
-// hasDuplicateRow reports whether two of the rows in data are equal. It
-// is a throwaway open-addressing set of row indices (index+1 in slots,
-// a zeroed power-of-two array at least twice the row count) that
-// compares against the arena in place: no keys are copied, and rows
-// hash with the tables' own mixer (hashtab.MixRow).
-func hasDuplicateRow[S uint8 | int64](slots []S, data []Value, rows, arity int) bool {
-	mask := uint64(len(slots) - 1)
-	for i := 0; i < rows; i++ {
-		row := data[i*arity : (i+1)*arity]
-		s := hashtab.MixRow(row) & mask
-		for ; slots[s] != 0; s = (s + 1) & mask {
-			if o := int(slots[s]-1) * arity; Tuple(row).Equal(data[o : o+arity]) {
-				return true
-			}
-		}
-		slots[s] = S(i + 1)
-	}
-	return false
 }
 
 // MulSat returns a·b for non-negative counts, saturating at

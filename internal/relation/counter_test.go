@@ -30,11 +30,6 @@ func views(rels ...*Relation) []View {
 	return out
 }
 
-// sameRows reports whether two views are the same rows of one arena.
-func sameRows(a, b View) bool {
-	return a.rows == b.rows && len(a.data) == len(b.data) && (len(a.data) == 0 || &a.data[0] == &b.data[0])
-}
-
 // rel builds a relation over attrs from rows given in schema order.
 func rel(attrs []int, rows ...[]Value) *Relation {
 	r := New(NewSchema(attrs...))
@@ -101,27 +96,34 @@ func instanceOf(rels []*Relation) *Instance {
 	return &Instance{Query: q, Relations: rels}
 }
 
-// checkCounter asserts Count == Instance.Join().Len() == nested loop,
-// and that the bound form agrees with Count on every fragment of a
-// split of every relation (every re-rooting of the trees).
+// checkCounter asserts JoinSizeOf == nested loop on rels as given,
+// repeated rows and all, and on their set forms (AsSet, the Counter's
+// precondition) Count == Instance.Join().Len() == the same, with the
+// bound form agreeing with Count on every fragment of a split of every
+// relation (every re-rooting of the trees).
 func checkCounter(t *testing.T, rels []*Relation, rng *rand.Rand) {
 	t.Helper()
-	c := NewCounter(schemasOf(rels))
-	got := c.Count(views(rels...))
-	if want := nestedLoopCount(rels); got != want {
-		t.Fatalf("Count = %d, nested loop = %d on %v", got, want, rels)
+	want := nestedLoopCount(rels)
+	if js := JoinSizeOf(rels); js != want {
+		t.Fatalf("JoinSizeOf = %d, nested loop = %d on %v", js, want, rels)
+	}
+	sets := make([]*Relation, len(rels))
+	for i, r := range rels {
+		sets[i] = r.AsSet()
+	}
+	c := NewCounter(schemasOf(sets))
+	got := c.Count(views(sets...))
+	if got != want {
+		t.Fatalf("Count = %d, nested loop = %d on %v", got, want, sets)
 	}
 	// Instance.Join of no relations is the empty relation, not the empty
 	// tuple; the count of the empty join is 1 (core's empty context).
-	if want := int64(instanceOf(rels).Join().Len()); got != want && len(rels) > 0 {
-		t.Fatalf("Count = %d, Instance.Join = %d on %v", got, want, rels)
+	if want := int64(instanceOf(sets).Join().Len()); got != want && len(sets) > 0 {
+		t.Fatalf("Count = %d, Instance.Join = %d on %v", got, want, sets)
 	}
-	if js := JoinSizeOf(rels); js != got {
-		t.Fatalf("JoinSizeOf = %d, Count = %d on %v", js, got, rels)
-	}
-	for vary := range rels {
-		bound := c.Bind(views(rels...), vary)
-		whole := rels[vary]
+	for vary := range sets {
+		bound := c.Bind(views(sets...), vary)
+		whole := sets[vary]
 		nfrag := 1 + rng.Intn(3)
 		frags := make([]*Relation, nfrag)
 		for i := range frags {
@@ -131,10 +133,10 @@ func checkCounter(t *testing.T, rels []*Relation, rng *rand.Rand) {
 			frags[rng.Intn(nfrag)].Add(whole.Row(k))
 		}
 		for _, f := range append(frags, whole) {
-			local := append([]*Relation(nil), rels...)
+			local := append([]*Relation(nil), sets...)
 			local[vary] = f
 			if got, want := bound.Count(f.View), c.Count(views(local...)); got != want {
-				t.Fatalf("bound at %d: Count(frag) = %d, Counter.Count = %d; frag %v of %v", vary, got, want, f, rels)
+				t.Fatalf("bound at %d: Count(frag) = %d, Counter.Count = %d; frag %v of %v", vary, got, want, f, sets)
 			}
 		}
 		bound.Release()
@@ -199,8 +201,8 @@ func TestCounterTable(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if got := NewCounter(schemasOf(tc.rels)).Count(views(tc.rels...)); got != tc.want {
-				t.Fatalf("Count = %d, want %d", got, tc.want)
+			if got := JoinSizeOf(tc.rels); got != tc.want {
+				t.Fatalf("JoinSizeOf = %d, want %d", got, tc.want)
 			}
 			checkCounter(t, tc.rels, rand.New(rand.NewSource(1)))
 		})
@@ -254,9 +256,10 @@ func FuzzCounterVsJoin(f *testing.F) {
 	})
 }
 
-// Above smallDistinctRows the duplicate check and the per-key tables
-// take their hashtab paths; the nested loop is too slow there, so the
-// reference is the materialised join alone.
+// Above smallDedupCutoff the set check and the per-key tables take
+// their hashtab paths; the nested loop is too slow there, so the
+// reference is the materialised join alone. JoinSizeOf counts the
+// relations as given, the Counter their set forms.
 func TestCounterLargeRelations(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range []struct {
@@ -275,13 +278,20 @@ func TestCounterLargeRelations(t *testing.T) {
 				}
 				in.Relations[e] = r
 			}
-			c := NewCounter(schemasOf(in.Relations))
 			want := int64(in.Join().Len())
-			if got := c.Count(views(in.Relations...)); got != want || want == 0 {
-				t.Fatalf("%s dup=%v: Count = %d, Join = %d (want nonzero)", tc.q.Name(), withDup, got, want)
+			if got := JoinSizeOf(in.Relations); got != want || want == 0 {
+				t.Fatalf("%s dup=%v: JoinSizeOf = %d, Join = %d (want nonzero)", tc.q.Name(), withDup, got, want)
 			}
-			for vary := range in.Relations {
-				if got := c.Bind(views(in.Relations...), vary).Count(in.Relations[vary].View); got != want {
+			sets := in.AsSets()
+			if (sets == in) == withDup {
+				t.Fatalf("%s dup=%v: AsSets returned the instance itself: %v", tc.q.Name(), withDup, sets == in)
+			}
+			c := NewCounter(schemasOf(sets.Relations))
+			if got := c.Count(views(sets.Relations...)); got != want {
+				t.Fatalf("%s dup=%v: Count = %d, Join = %d", tc.q.Name(), withDup, got, want)
+			}
+			for vary := range sets.Relations {
+				if got := c.Bind(views(sets.Relations...), vary).Count(sets.Relations[vary].View); got != want {
 					t.Fatalf("%s dup=%v: bound at %d = %d, Join = %d", tc.q.Name(), withDup, vary, got, want)
 				}
 			}
@@ -343,26 +353,30 @@ func boundFixture(rows int) (rels []*Relation, frag *Relation) {
 	return []*Relation{nil, left, right}, frag
 }
 
+// A bound count only probes: it allocates nothing on a fragment of any
+// size (the fragment is a set by precondition, so nothing checks it).
 func TestBoundCounterCountAllocatesNothing(t *testing.T) {
-	rels, frag := boundFixture(smallDistinctRows)
-	bound := NewCounter([]Schema{frag.Schema(), rels[1].Schema(), rels[2].Schema()}).Bind(views(rels...), 0)
-	want := int64(smallDistinctRows) // half the rows match right, each twice in left
-	if got := bound.Count(frag.View); got != want {
-		t.Fatalf("Count = %d, want %d", got, want)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { bound.Count(frag.View) }); allocs != 0 {
-		t.Fatalf("bound Count of a %d-row duplicate-free fragment allocates %v times, want 0", frag.Len(), allocs)
+	for _, rows := range []int{8, smallDedupCutoff, 64, 65, 300} {
+		rels, frag := boundFixture(rows)
+		bound := NewCounter([]Schema{frag.Schema(), rels[1].Schema(), rels[2].Schema()}).Bind(views(rels...), 0)
+		want := int64(2 * ((rows + 1) / 2)) // the rows with an even second column match right, each twice in left
+		if got := bound.Count(frag.View); got != want {
+			t.Fatalf("%d rows: Count = %d, want %d", rows, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { bound.Count(frag.View) }); allocs != 0 {
+			t.Fatalf("bound Count of a %d-row fragment allocates %v times, want 0", rows, allocs)
+		}
+		bound.Release()
 	}
 }
 
-// TestDistinctAtStackBoundary runs distinct's duplicate check on both
-// sides of smallDistinctRows, with and without a duplicate. Up to the
-// boundary the check touches no pool; above it it takes one arena and
-// hands it back. Each case runs twice, so the second check reuses the
-// first one's arena: a slot array not cleared before use would find row
-// 0 already present.
-func TestDistinctAtStackBoundary(t *testing.T) {
-	for _, rows := range []int{smallDistinctRows, smallDistinctRows + 1} {
+// TestAsSetAtStackBoundary runs the set check on both sides of
+// smallDedupCutoff, with and without a repeated row, over a binary and
+// a 0-ary schema (whose rows are all equal). A set comes back as
+// itself, and a warm check of it allocates nothing; a relation with a
+// repeat comes back as its Dedup.
+func TestAsSetAtStackBoundary(t *testing.T) {
+	for _, rows := range []int{smallDedupCutoff, smallDedupCutoff + 1} {
 		for _, dup := range []bool{false, true} {
 			r := New(NewSchema(0, 1))
 			for r.Len() < rows {
@@ -372,26 +386,26 @@ func TestDistinctAtStackBoundary(t *testing.T) {
 					r.AddValues(Value(i), Value(7*i))
 				}
 			}
-			for run := 0; run < 2; run++ {
-				before := PoolStats()
-				got := distinct(r.View)
-				after := PoolStats()
-				label := fmt.Sprintf("rows=%d dup=%v run %d", r.Len(), dup, run)
-				if dup && (sameRows(got, r.View) || !got.Clone().Equal(r.Dedup())) {
-					t.Errorf("%s: duplicate not removed", label)
+			label := fmt.Sprintf("rows=%d dup=%v", r.Len(), dup)
+			got := r.AsSet()
+			if dup && (got == r || !got.Equal(r.Dedup())) {
+				t.Errorf("%s: repeated row not removed", label)
+			}
+			if !dup {
+				if got != r {
+					t.Errorf("%s: set copied", label)
 				}
-				if !dup && !sameRows(got, r.View) {
-					t.Errorf("%s: duplicate-free relation copied", label)
-				}
-				gets, returned := after.Gets-before.Gets, (after.Puts+after.Discards)-(before.Puts+before.Discards)
-				want := uint64(0)
-				if r.Len() > smallDistinctRows {
-					want = 1
-				}
-				if gets != want || returned != want {
-					t.Errorf("%s: %d arena gets, %d returned; want %d, %d", label, gets, returned, want, want)
+				if allocs := testing.AllocsPerRun(20, func() { r.AsSet() }); allocs != 0 {
+					t.Errorf("%s: warm check allocates %v times, want 0", label, allocs)
 				}
 			}
+		}
+		marker := New(NewSchema())
+		for marker.Len() < rows {
+			marker.AddValues()
+		}
+		if got := marker.AsSet(); got.Len() != 1 {
+			t.Errorf("%d-row 0-ary relation: AsSet holds %d rows, want 1", rows, got.Len())
 		}
 	}
 }
@@ -402,11 +416,7 @@ func TestBoundCounterConcurrentCount(t *testing.T) {
 	rels, _ := boundFixture(200)
 	frags := make([]*Relation, 8)
 	for g := range frags {
-		_, f := boundFixture(40 + 30*g) // both sides of smallDistinctRows
-		if g%2 == 1 {
-			f.Add(f.Row(0).Clone()) // a duplicate: the copying path
-		}
-		frags[g] = f
+		_, frags[g] = boundFixture(40 + 30*g)
 	}
 	c := NewCounter([]Schema{frags[0].Schema(), rels[1].Schema(), rels[2].Schema()})
 	bound := c.Bind(views(rels...), 0)

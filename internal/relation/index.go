@@ -13,10 +13,11 @@ import "coverpack/internal/hashtab"
 // keyed operator on the same key.
 //
 // The one thing a relation keeps is Dedup's first-row list, dropped by
-// every mutator (Add, AddValues, Sort, SortBy). The inputs of a
-// run are deduplicated as they are scattered (mpc.Group.ScatterDedup),
-// and an input that outlives runs is then listed once, however many
-// runs scatter it. The list is published through an atomic pointer, so
+// every mutator (Add, AddValues, Sort, SortBy). The inputs of a run
+// pass the set check once, at the door (AsSet, from
+// coverpack.ExecuteOpts through Instance.AsSets): above smallDedupCutoff
+// rows the list answers it, so an input that outlives runs is listed
+// once, however many runs check it, and a set is never copied. The list is published through an atomic pointer, so
 // runs sharing an input stay race-free. Writes through Row views bypass
 // the mutators, so they are only permitted on relations that have never
 // been shared or listed.

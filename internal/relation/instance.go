@@ -45,20 +45,63 @@ func (in *Instance) TotalTuples() int {
 	return n
 }
 
-// Validate checks schema/arity consistency.
+// Validate checks that the instance has a query, one relation per edge,
+// and that each relation's schema is its edge's attribute set. It
+// allocates nothing unless it fails.
 func (in *Instance) Validate() error {
+	if in == nil || in.Query == nil {
+		return fmt.Errorf("relation: instance has no query")
+	}
 	if len(in.Relations) != in.Query.NumEdges() {
 		return fmt.Errorf("relation: instance has %d relations for %d edges",
 			len(in.Relations), in.Query.NumEdges())
 	}
 	for e, r := range in.Relations {
-		want := NewSchema(in.Query.EdgeVars(e).Attrs()...)
-		if !r.Schema().Equal(want) {
+		if r == nil {
+			return fmt.Errorf("relation: edge %s has no relation", in.Query.Edge(e).Name)
+		}
+		if vs := in.Query.EdgeVars(e); !sameSet(r.schema, vs) {
 			return fmt.Errorf("relation: edge %s schema %v, want %v",
-				in.Query.Edge(e).Name, r.Schema(), want)
+				in.Query.Edge(e).Name, r.Schema(), NewSchema(vs.Attrs()...))
 		}
 	}
 	return nil
+}
+
+// sameSet reports whether s lists exactly the attributes of vs.
+func sameSet(s Schema, vs hypergraph.VarSet) bool {
+	if len(s.attrs) != vs.Len() {
+		return false
+	}
+	for _, a := range s.attrs {
+		if !vs.Contains(a) {
+			return false
+		}
+	}
+	return true
+}
+
+// AsSets returns the instance with every relation through AsSet: in
+// itself when no relation has a repeated row, a new instance sharing
+// the query and the duplicate-free relations otherwise. Every algorithm
+// takes its input through it (coverpack.ExecuteOpts): from there on a
+// relation is a set, as the paper's R(e) is.
+func (in *Instance) AsSets() *Instance {
+	var out *Instance
+	for e, r := range in.Relations {
+		s := r.AsSet()
+		if s == r {
+			continue
+		}
+		if out == nil {
+			out = &Instance{Query: in.Query, Relations: append([]*Relation(nil), in.Relations...)}
+		}
+		out.Relations[e] = s
+	}
+	if out == nil {
+		return in
+	}
+	return out
 }
 
 // Join computes the full join result sequentially (the correctness
@@ -118,16 +161,16 @@ func (in *Instance) Join() *Relation {
 func (in *Instance) JoinSize() int64 { return JoinSizeOf(in.Relations) }
 
 // JoinSizeOf returns the natural-join size of an ad-hoc list of
-// relations (duplicates within each relation are ignored; 0-ary
-// relations act as presence markers — nonempty: neutral, empty:
-// annihilating). It compiles a Counter for the list's schemas and runs
-// it once; callers counting many lists of one shape compile once
-// themselves.
+// relations (each relation is taken through AsSet, so a repeated row
+// counts once; 0-ary relations act as presence markers — nonempty:
+// neutral, empty: annihilating). It compiles a Counter for the list's
+// schemas and runs it once; callers counting many lists of one shape
+// compile once themselves, and hand the counter sets.
 func JoinSizeOf(rels []*Relation) int64 {
 	schemas := make([]Schema, len(rels))
 	views := make([]View, len(rels))
 	for i, r := range rels {
-		schemas[i], views[i] = r.schema, r.View
+		schemas[i], views[i] = r.schema, r.AsSet().View
 	}
 	return NewCounter(schemas).Count(views)
 }

@@ -89,6 +89,54 @@ func TestValidateCatchesSchemaDrift(t *testing.T) {
 	if err := in.Validate(); err == nil {
 		t.Fatal("expected validation error")
 	}
+	tri := NewInstance(hypergraph.TriangleJoin())
+	tri.Relations[2] = New(tri.Rel(0).Schema()) // right arity, wrong attributes
+	if err := tri.Validate(); err == nil {
+		t.Fatal("expected validation error for the first edge's schema on the third")
+	}
+	tri.Relations = tri.Relations[:2]
+	if err := tri.Validate(); err == nil {
+		t.Fatal("expected validation error for two relations on three edges")
+	}
+}
+
+// Validate runs at every ExecuteOpts call: on a valid instance it
+// allocates nothing.
+func TestValidateAllocatesNothing(t *testing.T) {
+	in := NewInstance(hypergraph.Figure4Join())
+	if allocs := testing.AllocsPerRun(100, func() {
+		if in.Validate() != nil {
+			t.Fatal("valid instance rejected")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Validate allocates %v times, want 0", allocs)
+	}
+}
+
+// AsSets returns the instance itself when every relation is a set, and
+// otherwise a new instance that shares the sets and holds the others'
+// Dedup, leaving the original untouched.
+func TestAsSets(t *testing.T) {
+	q := hypergraph.PathJoin(2)
+	in := NewInstance(q)
+	for i := Value(0); i < 40; i++ {
+		in.Rel(0).AddValues(i, i%3)
+		in.Rel(1).AddValues(i%3, i)
+	}
+	if got := in.AsSets(); got != in {
+		t.Fatal("instance of sets copied")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { in.AsSets() }); allocs != 0 {
+		t.Fatalf("warm AsSets of sets allocates %v times, want 0", allocs)
+	}
+	in.Rel(1).AddValues(0, 0) // a repeat of row 0
+	got := in.AsSets()
+	if got == in || got.Query != q || got.Rel(0) != in.Rel(0) {
+		t.Fatal("AsSets must return a new instance sharing the query and the sets")
+	}
+	if got.Rel(1).Len() != 40 || in.Rel(1).Len() != 41 || !got.Rel(1).Equal(in.Rel(1).Dedup()) {
+		t.Fatalf("AsSets relation 1 holds %d rows (original %d), want the 40 of its Dedup", got.Rel(1).Len(), in.Rel(1).Len())
+	}
 }
 
 func TestJoinMatchesBruteForce(t *testing.T) {

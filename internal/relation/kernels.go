@@ -163,6 +163,24 @@ func (r *Relation) Dedup() *Relation {
 	return FromData(r.schema, r.gather(first), len(first))
 }
 
+// AsSet returns r itself when no row repeats and r.Dedup() otherwise:
+// the one set check of the engine (see index.go). Above
+// smallDedupCutoff rows the retained first-row list answers, at or
+// below a stack-array scan, so a warm check of a set allocates nothing.
+func (r *Relation) AsSet() *Relation {
+	if r.rows <= smallDedupCutoff {
+		var buf [smallDedupCutoff]int32
+		if len(r.firstSmall(buf[:0])) == r.rows {
+			return r
+		}
+		return r.View.dedup()
+	}
+	if len(r.FirstRows()) == r.rows {
+		return r
+	}
+	return r.Dedup()
+}
+
 // dedup is Dedup over rows that keep no first-row list.
 func (r *View) dedup() *Relation {
 	var first []int32

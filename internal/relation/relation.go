@@ -162,8 +162,8 @@ func (s Schema) String() string {
 
 // Relation is a multiset of tuples under one schema, stored in a flat
 // arity-strided []Value arena. Operators that require set semantics
-// (semi-join probe sides, dedup) say so. Its rows are its View; the
-// read-only operators are View's, promoted.
+// (Counter, semi-join probe sides) say so; AsSet makes a relation a set.
+// Its rows are its View; the read-only operators are View's, promoted.
 type Relation struct {
 	View
 

@@ -263,14 +263,6 @@ type Recorder interface {
 	Exchange(op Op, recv []int)
 }
 
-// NopRecorder discards everything; it is the default recorder of a
-// Cluster and costs nothing on the hot path.
-type NopRecorder struct{}
-
-func (NopRecorder) BeginSpan(string, SpanKind, int) {}
-func (NopRecorder) EndSpan()                        {}
-func (NopRecorder) Exchange(Op, []int)              {}
-
 // Collector is the Recorder that builds the span tree. It is not safe
 // for concurrent use: the simulator emits into it from one goroutine
 // only — concurrent Parallel branches record into per-branch Buffers

@@ -32,7 +32,9 @@ type Result struct {
 	Emitted int64
 }
 
-// Run executes parallel Yannakakis on the group. The query must be
+// Run executes parallel Yannakakis on the group, over a valid,
+// set-valued instance (coverpack.ExecuteOpts validates its input and
+// takes it through relation.Instance.AsSets). The query must be
 // acyclic. Every tuple movement is charged: the scatter, the semi-join
 // reduction, and the exchanges of the join up the tree, including those
 // feeding each root's last join. That last join is emitted at the
@@ -51,11 +53,10 @@ func Run(g *mpc.Group, in *relation.Instance) (*Result, error) {
 	}
 
 	// Scatter and semi-join reduce (removes dangling tuples in O(1)
-	// rounds with load O(N/p) + key-skew). ScatterDedup routes the
-	// first occurrences straight into the free initial placement.
+	// rounds with load O(N/p) + key-skew).
 	rels := make([]*mpc.DistRelation, q.NumEdges())
 	for e := range rels {
-		rels[e] = g.ScatterDedup(in.Rel(e))
+		rels[e] = g.Scatter(in.Rel(e))
 	}
 	rels = primitives.SemiJoinReduceTree(g, rels, children, tree.Roots())
 
