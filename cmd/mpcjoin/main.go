@@ -201,20 +201,16 @@ func run() (status int) {
 // identical report — a CLI-reachable determinism stress test. The trace
 // recorder, if any, is attached to the first repetition only.
 func runRepeated(alg coverpack.Algorithm, in *coverpack.Instance, p, reps int, eo coverpack.ExecOptions) (*coverpack.Report, error) {
-	out := make([]*coverpack.Report, reps)
-	cells := make([]func() error, reps)
+	cells := make([]func() (*coverpack.Report, error), reps)
 	for i := range cells {
 		ceo := eo
 		if i != 0 {
 			ceo.Recorder = nil
 		}
-		cells[i] = func() error {
-			rep, err := coverpack.ExecuteOpts(alg, in, p, ceo)
-			out[i] = rep
-			return err
-		}
+		cells[i] = func() (*coverpack.Report, error) { return coverpack.ExecuteOpts(alg, in, p, ceo) }
 	}
-	if err := sched.Run(cells, reps); err != nil {
+	out, err := sched.Run(cells, reps)
+	if err != nil {
 		return nil, err
 	}
 	for i := 1; i < reps; i++ {

@@ -2,10 +2,12 @@ package coverpack
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"strings"
 	"testing"
 
+	"coverpack/internal/hypergraph"
 	"coverpack/internal/relation"
 )
 
@@ -392,5 +394,38 @@ func TestCatalogNonEmpty(t *testing.T) {
 		if _, err := Analyze(e.Query); err != nil {
 			t.Errorf("%s: %v", e.Query.Name(), err)
 		}
+	}
+}
+
+// TestSkewAwareStrataSumSaturates: the skew-aware run adds its strata's
+// counts saturating, so a count is exact or math.MaxInt64. On star-5
+// the hub stratum (centre (0,…,0), each arm (0, y) for y = 1..10⁴) has
+// 10²⁰ results, past MaxInt64, and the all-(−7) rows add one light
+// result; a wrapping sum reads math.MinInt64. Only skew-aware runs here:
+// Yannakakis would materialise the 10²⁰ rows.
+func TestSkewAwareStrataSumSaturates(t *testing.T) {
+	q := hypergraph.StarJoin(5)
+	in := relation.NewInstance(q)
+	for e := range q.NumEdges() {
+		r := in.Rel(e)
+		light := make(relation.Tuple, r.Schema().Len())
+		for i := range light {
+			light[i] = -7
+		}
+		r.Add(light)
+		if e == 0 {
+			r.Add(make(relation.Tuple, r.Schema().Len()))
+			continue
+		}
+		for y := range relation.Value(10_000) {
+			r.Add(relation.Tuple{0, y + 1})
+		}
+	}
+	rep, err := Execute(AlgSkewAware, in, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Emitted != math.MaxInt64 {
+		t.Fatalf("skew-aware emitted %d, want math.MaxInt64", rep.Emitted)
 	}
 }

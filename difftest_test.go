@@ -370,21 +370,6 @@ func TestSpillHeavyHubSkew(t *testing.T) {
 	}
 }
 
-// TestSpillDirLeavesNothingBehind: an untraced spill run at the default
-// worker count leaves the caller's directory empty.
-func TestSpillDirLeavesNothingBehind(t *testing.T) {
-	dir := t.TempDir()
-	in := coverpack.Uniform(hypergraph.Line3Join(), 1600, 2000, 7)
-	if _, err := coverpack.ExecuteOpts(coverpack.AlgYannakakis, in, 8, coverpack.ExecOptions{
-		Spilling:         coverpack.SpillOn,
-		SpillDir:         dir,
-		SpillBudgetBytes: spillArmBudget,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	assertEmptyDir(t, dir)
-}
-
 func assertEmptyDir(t *testing.T, dir string) {
 	t.Helper()
 	ents, err := os.ReadDir(dir)

@@ -256,35 +256,29 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	})
 
 	// Recurse into all branches in parallel.
-	counts := make([]int64, len(plans))
-	errs := make([]error, len(plans))
 	branches := make([]mpc.Branch, len(plans))
 	for bi, pl := range plans {
-		bi, pl := bi, pl
 		branches[bi] = mpc.Branch{
 			Servers: pl.servers,
-			Run: func(sub *mpc.Group) {
+			Run: func(sub *mpc.Group) (n int64, err error) {
 				if pl.isHeavy {
 					sub.Span("heavy branch", func() {
-						counts[bi], errs[bi] = ex.heavyBranch(sub, st, parts, ctx, pl.heavyVal, bi, depth)
+						n, err = ex.heavyBranch(sub, st, parts, ctx, pl.heavyVal, bi, depth)
 					})
 				} else {
 					sub.Span("light branch", func() {
-						counts[bi], errs[bi] = ex.lightBranch(sub, st, parts, ctx, bi, depth)
+						n, err = ex.lightBranch(sub, st, parts, ctx, bi, depth)
 					})
 				}
+				return n, err
 			},
 		}
 	}
-	g.Parallel(branches)
-	var total int64
-	for bi := range plans {
-		if errs[bi] != nil {
-			return 0, errs[bi]
-		}
-		total = relation.AddSat(total, counts[bi])
+	counts, err := g.Parallel(branches)
+	if err != nil {
+		return 0, err
 	}
-	return total, nil
+	return relation.SumSat(counts), nil
 }
 
 // heavyBranch computes the residual subquery Q_x on the σ_{x=a}

@@ -186,15 +186,8 @@ func (ex *executor) compute(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	// only probes it.
 	d := rels[st.live[0]]
 	bound := st.count.Bind(append([]relation.View{{}}, ctx...), 0)
-	partial := make([]int64, d.Servers())
-	g.Fork(len(partial), func(i int) {
-		partial[i] = bound.Count(d.Frag(i))
-	})
+	total := g.Emit(d.Servers(), func(i int) int64 { return bound.Count(d.Frag(i)) })
 	bound.Release()
-	var total int64
-	for _, c := range partial {
-		total = relation.AddSat(total, c)
-	}
 	return total, nil
 }
 
@@ -216,37 +209,32 @@ func (ex *executor) caseII(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	// Move each component's relations to its branch and recurse in
 	// parallel. The simulator executes one hypercube row per component;
 	// DeclareServers above accounts the full grid.
-	counts := make([]int64, len(comps))
-	errs := make([]error, len(comps))
 	branches := make([]mpc.Branch, 0, len(comps))
 	g.Span("case II split", func() {
 		for i := range comps {
-			i, comp := i, &comps[i]
+			comp := &comps[i]
 			branchRels := make([]*mpc.DistRelation, len(rels))
 			for _, e := range comp.edges {
 				branchRels[e] = &g.Spread(rels[e], sizes[i:i+1])[0]
 			}
 			branches = append(branches, mpc.Branch{
 				Servers: sizes[i],
-				Run: func(sub *mpc.Group) {
+				Run: func(sub *mpc.Group) (n int64, err error) {
 					sub.Span("component branch", func() {
 						chargeCtx(sub, ctx)
-						child, err := comp.child.step(ex)
-						if err != nil {
-							errs[i] = err
-							return
+						var child *step
+						if child, err = comp.child.step(ex); err == nil {
+							n, err = ex.compute(sub, child, branchRels, ctx, depth+1)
 						}
-						counts[i], errs[i] = ex.compute(sub, child, branchRels, ctx, depth+1)
 					})
+					return n, err
 				},
 			})
 		}
 	})
-	g.Parallel(branches)
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
+	counts, err := g.Parallel(branches)
+	if err != nil {
+		return 0, err
 	}
 
 	if len(ctx) == 0 {

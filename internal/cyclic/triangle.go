@@ -74,27 +74,12 @@ func runStrata(g *mpc.Group, in *relation.Instance, attrs []int, delta int64) (*
 
 	res := &Result{Threshold: delta}
 	var branches []mpc.Branch
-	var emits []int64
-	var errSlots []*error
-	addBranch := func(servers int, run func(sub *mpc.Group) (int64, error)) {
-		idx := len(emits)
-		emits = append(emits, 0)
-		errSlot := new(error)
-		errSlots = append(errSlots, errSlot)
-		branches = append(branches, mpc.Branch{
-			Servers: servers,
-			Run: func(sub *mpc.Group) {
-				emits[idx], *errSlot = run(sub)
-			},
-		})
-	}
-
 	for _, st := range heavyStrata(in, attrs, heavy) {
 		strat := st.Inst
 		if st.Pattern == 0 {
 			// All-light: one-round HyperCube with τ*-shares; light
 			// degrees are ≤ δ, so hashing balances the load.
-			addBranch(p, func(sub *mpc.Group) (int64, error) {
+			branches = append(branches, mpc.Branch{Servers: p, Run: func(sub *mpc.Group) (int64, error) {
 				var r *hypercube.Result
 				var err error
 				sub.Span("light stratum", func() { r, err = hypercube.Run(sub, strat) })
@@ -102,7 +87,7 @@ func runStrata(g *mpc.Group, in *relation.Instance, attrs []int, delta int64) (*
 					return 0, err
 				}
 				return r.Emitted, nil
-			})
+			}})
 			continue
 		}
 		// Heavy stratum: split on the lowest heavy attribute h in the
@@ -122,7 +107,7 @@ func runStrata(g *mpc.Group, in *relation.Instance, attrs []int, delta int64) (*
 				continue
 			}
 			res.HeavyBranches++
-			addBranch(perBranch, func(sub *mpc.Group) (int64, error) {
+			branches = append(branches, mpc.Branch{Servers: perBranch, Run: func(sub *mpc.Group) (int64, error) {
 				var r *core.Result
 				var err error
 				sub.Span("heavy stratum", func() {
@@ -140,19 +125,15 @@ func runStrata(g *mpc.Group, in *relation.Instance, attrs []int, delta int64) (*
 					return 0, err
 				}
 				return r.Emitted, nil
-			})
+			}})
 		}
 	}
 
-	g.Parallel(branches)
-	for _, es := range errSlots {
-		if *es != nil {
-			return nil, *es
-		}
+	counts, err := g.Parallel(branches)
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range emits {
-		res.Emitted += e
-	}
+	res.Emitted = relation.SumSat(counts)
 	return res, nil
 }
 

@@ -6,9 +6,9 @@
 //
 // Every measured experiment is decomposed into independent cells — one
 // simulator run (or one lower-bound inversion) each — executed by the
-// run-level sweep scheduler. Cells write into indexed result slots;
-// tables are assembled from the slots only after the scheduler returns,
-// in the same order a sequential pass would produce. Instances are
+// run-level sweep scheduler. Each cell returns its result; tables are
+// assembled from the results, which the scheduler hands back in cell
+// order, in the same order a sequential pass would produce. Instances are
 // built sequentially before scheduling and shared read-only by the
 // cells, so every table is byte-identical for every Config.RunWorkers
 // setting (the difftest oracle pins this).
@@ -67,17 +67,10 @@ func (c Config) eo() coverpack.ExecOptions {
 }
 
 // execCell builds the scheduler cell for one simulator run: alg on in
-// at p servers, report delivered through put (a caller-owned slot).
-func execCell(cfg Config, alg coverpack.Algorithm, in *coverpack.Instance, p int, put func(*coverpack.Report)) func() error {
+// at p servers, returning its report.
+func execCell(cfg Config, alg coverpack.Algorithm, in *coverpack.Instance, p int) func() (*coverpack.Report, error) {
 	eo := cfg.eo()
-	return func() error {
-		rep, err := coverpack.ExecuteOpts(alg, in, p, eo)
-		if err != nil {
-			return err
-		}
-		put(rep)
-		return nil
-	}
+	return func() (*coverpack.Report, error) { return coverpack.ExecuteOpts(alg, in, p, eo) }
 }
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
@@ -116,20 +109,15 @@ func Table1(cfg Config) ([]Table, error) {
 		{triQ, coverpack.Matching(triQ, n), coverpack.AlgHyperCube, "one-round (τ* on skew-free)"},
 	}
 
-	// One cell per (row, p): a single simulator run writing its report
-	// into a caller-owned slot.
-	reps := make([][]*coverpack.Report, len(rows))
-	var cells []func() error
-	for ri := range rows {
-		reps[ri] = make([]*coverpack.Report, len(ps))
-		r := rows[ri]
-		for pi, p := range ps {
-			ri, pi := ri, pi
-			cells = append(cells, execCell(cfg, r.alg, r.in, p,
-				func(rep *coverpack.Report) { reps[ri][pi] = rep }))
+	// One cell per (row, p), row-major: a single simulator run.
+	var cells []func() (*coverpack.Report, error)
+	for _, r := range rows {
+		for _, p := range ps {
+			cells = append(cells, execCell(cfg, r.alg, r.in, p))
 		}
 	}
-	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
+	reps, err := sched.Run(cells, cfg.RunWorkers)
+	if err != nil {
 		return nil, err
 	}
 
@@ -144,7 +132,7 @@ func Table1(cfg Config) ([]Table, error) {
 		}
 		profile := em.LoadProfile{N: r.in.N(), Points: make(map[int]int, len(ps))}
 		for pi, p := range ps {
-			rep := reps[ri][pi]
+			rep := reps[ri*len(ps)+pi]
 			profile.Points[p] = rep.Stats.MaxLoad
 			if rep.Stats.Rounds > profile.Rounds {
 				profile.Rounds = rep.Stats.Rounds
@@ -196,14 +184,12 @@ func binaryJoinRows(cfg Config) (Table, error) {
 	n := cfg.pick(400, 4096)
 	in := mustAGMInst(q, n)
 	ps := []int{8, 27, 216}
-	loads := make([]int, len(ps))
-	cells := make([]func() error, len(ps))
+	cells := make([]func() (*coverpack.Report, error), len(ps))
 	for pi, p := range ps {
-		pi := pi
-		cells[pi] = execCell(cfg, coverpack.AlgTriangle, in, p,
-			func(rep *coverpack.Report) { loads[pi] = rep.Stats.MaxLoad })
+		cells[pi] = execCell(cfg, coverpack.AlgTriangle, in, p)
 	}
-	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
+	reps, err := sched.Run(cells, cfg.RunWorkers)
+	if err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -212,10 +198,8 @@ func binaryJoinRows(cfg Config) (Table, error) {
 	}
 	for pi, p := range ps {
 		theory := float64(n) / math.Pow(float64(p), 2.0/3.0)
-		t.Rows = append(t.Rows, []string{
-			itoa(p), load(loads[pi]), f3(theory),
-			f3(float64(loads[pi]) / theory),
-		})
+		l := reps[pi].Stats.MaxLoad
+		t.Rows = append(t.Rows, []string{itoa(p), load(l), f3(theory), f3(float64(l) / theory)})
 	}
 	return t, nil
 }
@@ -243,28 +227,22 @@ func lowerBoundRows(cfg Config) (Table, error) {
 	in := workload.ProvableHard(q, a.Witness, n, 9)
 	out := int64(in.Rel(0).Len()) * int64(in.Rel(1).Len())
 	ps := []int{8, 27, 64, 216}
-	results := make([]lowerbound.MinLoadResult, len(ps))
-	cells := make([]func() error, len(ps))
+	cells := make([]func() ([]string, error), len(ps))
 	for pi, p := range ps {
-		cells[pi] = func() error {
-			results[pi] = lowerbound.MinLoad(a, in, p, out)
-			return nil
+		cells[pi] = func() ([]string, error) {
+			r := lowerbound.MinLoad(a, in, p, out)
+			return []string{itoa(p), itoa(r.MinL), f3(r.PackingBound), f3(r.CoverBound)}, nil
 		}
 	}
-	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
+	rows, err := sched.Run(cells, cfg.RunWorkers)
+	if err != nil {
 		return Table{}, err
 	}
-	t := Table{
+	return Table{
 		Title:  "Table 1 — lower-bound cell: Q_□ counting argument (Theorem 6)",
 		Header: []string{"p", "min feasible load (measured)", "packing bound N/p^(1/τ*)", "cover bound N/p^(1/ρ*)"},
-	}
-	for pi, p := range ps {
-		r := results[pi]
-		t.Rows = append(t.Rows, []string{
-			itoa(p), itoa(r.MinL), f3(r.PackingBound), f3(r.CoverBound),
-		})
-	}
-	return t, nil
+		Rows:   rows,
+	}, nil
 }
 
 // Figure1 reproduces the classification diagram as a membership table.
@@ -442,19 +420,14 @@ func Figure4(cfg Config) (Table, error) {
 	n := cfg.pick(4, 8)
 	in := workload.Figure4Hard(n)
 	ps := []int{4, 16}
-	type pair struct{ cons, opt *coverpack.Report }
-	res := make([]pair, len(ps))
-	var cells []func() error
-	for pi, p := range ps {
-		pi := pi
+	var cells []func() (*coverpack.Report, error)
+	for _, p := range ps {
 		cells = append(cells,
-			execCell(cfg, coverpack.AlgAcyclicConservative, in, p,
-				func(r *coverpack.Report) { res[pi].cons = r }),
-			execCell(cfg, coverpack.AlgAcyclicOptimal, in, p,
-				func(r *coverpack.Report) { res[pi].opt = r }),
-		)
+			execCell(cfg, coverpack.AlgAcyclicConservative, in, p),
+			execCell(cfg, coverpack.AlgAcyclicOptimal, in, p))
 	}
-	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
+	reps, err := sched.Run(cells, cfg.RunWorkers)
+	if err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -464,7 +437,7 @@ func Figure4(cfg Config) (Table, error) {
 	for pi, p := range ps {
 		lc := core.ChooseL(in, p, core.Conservative)
 		lo := core.ChooseL(in, p, core.PathOptimal)
-		rc, ro := res[pi].cons, res[pi].opt
+		rc, ro := reps[2*pi], reps[2*pi+1]
 		if rc.Emitted != ro.Emitted {
 			return Table{}, fmt.Errorf("figure4: emission mismatch %d vs %d", rc.Emitted, ro.Emitted)
 		}
@@ -527,19 +500,14 @@ func Figure6(cfg Config) (Table, error) {
 		return Table{}, err
 	}
 	ps := []int{4, 16, 64}
-	type pair struct{ opt, hc *coverpack.Report }
-	res := make([]pair, len(ps))
-	var cells []func() error
-	for pi, p := range ps {
-		pi := pi
+	var cells []func() (*coverpack.Report, error)
+	for _, p := range ps {
 		cells = append(cells,
-			execCell(cfg, coverpack.AlgAcyclicOptimal, in, p,
-				func(r *coverpack.Report) { res[pi].opt = r }),
-			execCell(cfg, coverpack.AlgHyperCube, in, p,
-				func(r *coverpack.Report) { res[pi].hc = r }),
-		)
+			execCell(cfg, coverpack.AlgAcyclicOptimal, in, p),
+			execCell(cfg, coverpack.AlgHyperCube, in, p))
 	}
-	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
+	reps, err := sched.Run(cells, cfg.RunWorkers)
+	if err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -547,11 +515,12 @@ func Figure6(cfg Config) (Table, error) {
 		Header: []string{"p", "load optimal-run", "theory N/p^(1/2)", "load one-round HC", "AGM bound", "emitted = AGM"},
 	}
 	for pi, p := range ps {
+		opt, hc := reps[2*pi], reps[2*pi+1]
 		t.Rows = append(t.Rows, []string{
-			itoa(p), load(res[pi].opt.Stats.MaxLoad),
+			itoa(p), load(opt.Stats.MaxLoad),
 			f3(float64(in.N()) / math.Sqrt(float64(p))),
-			load(res[pi].hc.Stats.MaxLoad),
-			fmt.Sprintf("%.0f", agm), yn(float64(res[pi].opt.Emitted) == math.Round(agm)),
+			load(hc.Stats.MaxLoad),
+			fmt.Sprintf("%.0f", agm), yn(float64(opt.Emitted) == math.Round(agm)),
 		})
 	}
 	return t, nil
@@ -569,12 +538,7 @@ func Figure7(cfg Config) (Table, error) {
 		cases = append(cases, cse{5, 7776})
 	}
 	p := 64
-	type slot struct {
-		a *lowerbound.Analysis
-		r lowerbound.MinLoadResult
-	}
-	slots := make([]slot, len(cases))
-	cells := make([]func() error, len(cases))
+	cells := make([]func() ([]string, error), len(cases))
 	for ci, c := range cases {
 		q := hypergraph.SpokeJoin(c.k)
 		a, err := lowerbound.Analyze(q)
@@ -583,26 +547,23 @@ func Figure7(cfg Config) (Table, error) {
 		}
 		in := workload.ProvableHard(q, a.Witness, c.n, 11)
 		out := int64(in.Rel(0).Len()) * int64(in.Rel(1).Len())
-		slots[ci].a = a
-		cells[ci] = func() error {
-			slots[ci].r = lowerbound.MinLoad(a, in, p, out)
-			return nil
+		cells[ci] = func() ([]string, error) {
+			r := lowerbound.MinLoad(a, in, p, out)
+			return []string{
+				a.Query.Name(), f3(a.Tau), f3(a.Rho), itoa(p),
+				itoa(r.MinL), f3(r.PackingBound), f3(r.CoverBound),
+			}, nil
 		}
 	}
-	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
+	rows, err := sched.Run(cells, cfg.RunWorkers)
+	if err != nil {
 		return Table{}, err
 	}
-	t := Table{
+	return Table{
 		Title:  "Figure 7 — edge-packing-provable joins: measured lower bounds",
 		Header: []string{"query", "τ*", "ρ*", "p", "min feasible load", "packing bound", "cover bound"},
-	}
-	for _, s := range slots {
-		t.Rows = append(t.Rows, []string{
-			s.a.Query.Name(), f3(s.a.Tau), f3(s.a.Rho), itoa(p),
-			itoa(s.r.MinL), f3(s.r.PackingBound), f3(s.r.CoverBound),
-		})
-	}
-	return t, nil
+		Rows:   rows,
+	}, nil
 }
 
 // Section13 reproduces the worked example of the introduction: one
@@ -619,22 +580,17 @@ func Section13(cfg Config) (Table, error) {
 		{hypergraph.StarDualJoin(3), workload.StarDualHard(3, n, 3)},
 	}
 	ps := []int{16, 64}
-	type pair struct{ one, multi *coverpack.Report }
-	res := make([][]pair, len(tcs))
-	var cells []func() error
-	for ti, tc := range tcs {
-		res[ti] = make([]pair, len(ps))
-		for pi, p := range ps {
-			ti, pi := ti, pi
+	// Two cells per (instance, p): the one-round run, then the multi-round.
+	var cells []func() (*coverpack.Report, error)
+	for _, tc := range tcs {
+		for _, p := range ps {
 			cells = append(cells,
-				execCell(cfg, coverpack.AlgSkewAware, tc.in, p,
-					func(r *coverpack.Report) { res[ti][pi].one = r }),
-				execCell(cfg, coverpack.AlgAcyclicOptimal, tc.in, p,
-					func(r *coverpack.Report) { res[ti][pi].multi = r }),
-			)
+				execCell(cfg, coverpack.AlgSkewAware, tc.in, p),
+				execCell(cfg, coverpack.AlgAcyclicOptimal, tc.in, p))
 		}
 	}
-	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
+	reps, err := sched.Run(cells, cfg.RunWorkers)
+	if err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -648,7 +604,8 @@ func Section13(cfg Config) (Table, error) {
 		}
 		psi, _ := an.Psi.Float64()
 		for pi, p := range ps {
-			r1, rm := res[ti][pi].one, res[ti][pi].multi
+			k := 2 * (ti*len(ps) + pi)
+			r1, rm := reps[k], reps[k+1]
 			if r1.Emitted != rm.Emitted {
 				return Table{}, fmt.Errorf("section13: emission mismatch")
 			}
@@ -673,14 +630,12 @@ func EMCorollary(cfg Config) (Table, error) {
 		return Table{}, err
 	}
 	ps := []int{4, 16, 64}
-	reps := make([]*coverpack.Report, len(ps))
-	cells := make([]func() error, len(ps))
+	cells := make([]func() (*coverpack.Report, error), len(ps))
 	for pi, p := range ps {
-		pi := pi
-		cells[pi] = execCell(cfg, coverpack.AlgAcyclicOptimal, in, p,
-			func(rep *coverpack.Report) { reps[pi] = rep })
+		cells[pi] = execCell(cfg, coverpack.AlgAcyclicOptimal, in, p)
 	}
-	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
+	reps, err := sched.Run(cells, cfg.RunWorkers)
+	if err != nil {
 		return Table{}, err
 	}
 	profile := em.LoadProfile{N: in.N(), Points: make(map[int]int, len(ps))}
@@ -730,21 +685,15 @@ func AblationSkew(cfg Config) (Table, error) {
 			ins[si] = coverpack.Zipf(q, n, int64(4*n), s, 21)
 		}
 	}
-	loads := make([][3]int, len(ss))
-	emitted := make([][3]int64, len(ss))
-	var cells []func() error
-	for si := range ss {
-		in := ins[si]
-		for ai, alg := range algs {
-			si, ai := si, ai
-			cells = append(cells, execCell(cfg, alg, in, p,
-				func(rep *coverpack.Report) {
-					loads[si][ai] = rep.Stats.MaxLoad
-					emitted[si][ai] = rep.Emitted
-				}))
+	// One cell per (instance, algorithm), instance-major.
+	var cells []func() (*coverpack.Report, error)
+	for _, in := range ins {
+		for _, alg := range algs {
+			cells = append(cells, execCell(cfg, alg, in, p))
 		}
 	}
-	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
+	reps, err := sched.Run(cells, cfg.RunWorkers)
+	if err != nil {
 		return Table{}, err
 	}
 	t := Table{
@@ -752,11 +701,12 @@ func AblationSkew(cfg Config) (Table, error) {
 		Header: []string{"zipf s", "hypercube load", "skew-aware load", "acyclic-optimal load"},
 	}
 	for si, s := range ss {
-		if emitted[si][0] != emitted[si][1] || emitted[si][1] != emitted[si][2] {
-			return Table{}, fmt.Errorf("ablation: emission mismatch %v", emitted[si])
+		r := reps[si*len(algs) : (si+1)*len(algs)]
+		if r[0].Emitted != r[1].Emitted || r[1].Emitted != r[2].Emitted {
+			return Table{}, fmt.Errorf("ablation: emission mismatch %v", []int64{r[0].Emitted, r[1].Emitted, r[2].Emitted})
 		}
 		t.Rows = append(t.Rows, []string{
-			f3(s), load(loads[si][0]), load(loads[si][1]), load(loads[si][2]),
+			f3(s), load(r[0].Stats.MaxLoad), load(r[1].Stats.MaxLoad), load(r[2].Stats.MaxLoad),
 		})
 	}
 	return t, nil
@@ -779,41 +729,28 @@ func AblationThreshold(cfg Config) (Table, error) {
 		num   int
 		den   int
 	}{{"1/2", 1, 2}, {"1", 1, 1}, {"2", 2, 1}, {"4", 4, 1}}
-	type slot struct {
-		l  int
-		st mpc.Stats
-	}
-	slots := make([]slot, len(muls))
-	cells := make([]func() error, len(muls))
+	cells := make([]func() ([]string, error), len(muls))
 	for mi, mul := range muls {
-		l := base * mul.num / mul.den
-		if l < 1 {
-			l = 1
-		}
-		slots[mi].l = l
-		cells[mi] = func() error {
+		l := max(base*mul.num/mul.den, 1)
+		cells[mi] = func() ([]string, error) {
 			c := mpcCluster(cfg, p)
 			defer c.Release()
 			if _, err := core.Run(c.Root(), in, core.Options{Strategy: core.PathOptimal, L: l}); err != nil {
-				return err
+				return nil, err
 			}
-			slots[mi].st = c.Stats()
-			return nil
+			st := c.Stats()
+			return []string{mul.label, itoa(l), load(st.MaxLoad), itoa(st.ServersUsed)}, nil
 		}
 	}
-	if err := sched.Run(cells, cfg.RunWorkers); err != nil {
+	rows, err := sched.Run(cells, cfg.RunWorkers)
+	if err != nil {
 		return Table{}, err
 	}
-	t := Table{
+	return Table{
 		Title:  "Ablation — threshold L (line-3 worst case, p=16)",
 		Header: []string{"L/L*", "L", "measured load", "virtual servers used"},
-	}
-	for mi, mul := range muls {
-		t.Rows = append(t.Rows, []string{
-			mul.label, itoa(slots[mi].l), load(slots[mi].st.MaxLoad), itoa(slots[mi].st.ServersUsed),
-		})
-	}
-	return t, nil
+		Rows:   rows,
+	}, nil
 }
 
 func mpcCluster(cfg Config, p int) *mpc.Cluster {

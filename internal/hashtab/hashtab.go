@@ -100,12 +100,6 @@ type Table struct {
 	hashes []uint64
 	slots  []int32 // entry index + 1; 0 = empty
 	mask   uint64
-	// collide is a test seam for forcing hash collisions: every key
-	// hashes to one value. Production constructors leave it false, so
-	// the hot path pays one predictable branch, and no indirect call
-	// makes the probed rows escape (a caller's table can stay on its
-	// stack).
-	collide bool
 }
 
 // New returns a table for keys of the given column count, pre-sized for
@@ -142,9 +136,6 @@ func (t *Table) Len() int { return len(t.hashes) }
 // one local (non-routing) hash of the repository and promises nothing
 // across versions.
 func (t *Table) hashOf(row []int64, pos []int) uint64 {
-	if t.collide {
-		return 0xdead
-	}
 	h := uint64(len(pos))
 	for _, p := range pos {
 		h = mix(h, uint64(row[p]))

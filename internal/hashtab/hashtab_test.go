@@ -108,24 +108,38 @@ func TestTableHashSpreads(t *testing.T) {
 			}
 		}
 	}
-	// The hash decides slots only: entry indices and lookups come out
-	// the same when every key collides.
-	hashed, colliding := New(2, 0), newColliding(2, 0)
+	// The hash decides slots only: over keys that all share one hash,
+	// entry indices and lookups are those of first-insert order.
+	tab, first := New(2, 0), map[int64]int{}
 	pos := []int{0, 1}
 	for i := range int64(300) {
-		key := []int64{i % 17, i % 23}
-		ri, rf := hashed.Insert(key, pos)
-		ci, cf := colliding.Insert(key, pos)
-		if ri != ci || rf != cf {
-			t.Fatalf("Insert(%v): real hash (%d, %v), colliding (%d, %v)", key, ri, rf, ci, cf)
+		a := i % 17
+		idx, found := tab.Insert(collidingKey(a), pos)
+		want, seen := first[a]
+		if !seen {
+			want = len(first)
+			first[a] = want
+		}
+		if idx != want || found != seen {
+			t.Fatalf("Insert(%v) = (%d, %v), want (%d, %v)", collidingKey(a), idx, found, want, seen)
 		}
 	}
-	for i := range int64(400) {
-		key := []int64{i % 20, i % 25}
-		if r, c := hashed.Find(key, pos), colliding.Find(key, pos); r != c {
-			t.Fatalf("Find(%v): real hash %d, colliding %d", key, r, c)
+	for a := range int64(25) {
+		want, seen := first[a]
+		if !seen {
+			want = -1
+		}
+		if got := tab.Find(collidingKey(a), pos); got != want {
+			t.Fatalf("Find(%v) = %d, want %d", collidingKey(a), got, want)
 		}
 	}
+}
+
+// collidingKey is key a of a family whose table hashes are all equal:
+// the second column cancels the first one's mix, so every key leaves
+// the mixer's state at mix(2, 0) before its last fold.
+func collidingKey(a int64) []int64 {
+	return []int64{a, int64(mix(2, 0) ^ mix(2, uint64(a)))}
 }
 
 func TestInsertFindFirstInsertOrder(t *testing.T) {
@@ -160,28 +174,31 @@ func TestInsertFindFirstInsertOrder(t *testing.T) {
 	}
 }
 
-// TestForcedCollisions drives every key onto one hash value: distinct
-// keys must still occupy distinct entries, and lookups must resolve by
-// comparing key columns, not hashes.
+// TestForcedCollisions drives every key onto one 64-bit hash value:
+// distinct keys must still occupy distinct entries, and lookups must
+// resolve by comparing key columns, not hashes.
 func TestForcedCollisions(t *testing.T) {
-	tab := newColliding(1, 0)
+	tab := New(2, 0)
 	const n = 200
-	pos := []int{0}
+	pos := []int{0, 1}
 	for i := int64(0); i < n; i++ {
-		idx, found := tab.Insert([]int64{i}, pos)
+		if h, h0 := tab.hashOf(collidingKey(i), pos), tab.hashOf(collidingKey(0), pos); h != h0 {
+			t.Fatalf("key %v hashes to %#x, key %v to %#x", collidingKey(i), h, collidingKey(0), h0)
+		}
+		idx, found := tab.Insert(collidingKey(i), pos)
 		if found || idx != int(i) {
-			t.Fatalf("Insert(%d) = (%d, %v) under forced collisions", i, idx, found)
+			t.Fatalf("Insert(%v) = (%d, %v) under forced collisions", collidingKey(i), idx, found)
 		}
 	}
 	for i := int64(0); i < n; i++ {
-		if got := tab.Find([]int64{i}, pos); got != int(i) {
-			t.Fatalf("Find(%d) = %d under forced collisions", i, got)
+		if got := tab.Find(collidingKey(i), pos); got != int(i) {
+			t.Fatalf("Find(%v) = %d under forced collisions", collidingKey(i), got)
 		}
-		if idx, found := tab.Insert([]int64{i}, pos); !found || idx != int(i) {
-			t.Fatalf("re-Insert(%d) = (%d, %v) under forced collisions", i, idx, found)
+		if idx, found := tab.Insert(collidingKey(i), pos); !found || idx != int(i) {
+			t.Fatalf("re-Insert(%v) = (%d, %v) under forced collisions", collidingKey(i), idx, found)
 		}
 	}
-	if tab.Find([]int64{n}, pos) != -1 {
+	if tab.Find(collidingKey(n), pos) != -1 {
 		t.Fatal("absent key found under forced collisions")
 	}
 }
@@ -346,14 +363,6 @@ func BenchmarkProbe(b *testing.B) {
 			b.Fatal("miss")
 		}
 	}
-}
-
-// newColliding is a constructor whose keys all hash to one
-// value, letting the tests force distinct keys onto equal hashes.
-func newColliding(arity, hint int) *Table {
-	t := New(arity, hint)
-	t.collide = true
-	return t
 }
 
 // Key returns entry i's key columns. The returned slice aliases the

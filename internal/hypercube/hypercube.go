@@ -315,18 +315,13 @@ func RunWithShares(g *mpc.Group, in *relation.Instance, shares map[int]int, salt
 	}
 	counter := relation.NewCounter(schemas)
 	// One slab of views: server s's relations are views[s*E:(s+1)*E].
-	emits := make([]int64, gr.size)
 	views := make([]relation.View, gr.size*len(local))
-	g.Fork(gr.size, func(s int) {
+	emitted := g.Emit(gr.size, func(s int) int64 {
 		frags := views[s*len(local) : (s+1)*len(local)]
 		for e := range frags {
 			frags[e] = local[e].Frag(s)
 		}
-		emits[s] = counter.Count(frags)
+		return counter.Count(frags)
 	})
-	var emitted int64
-	for _, c := range emits {
-		emitted = relation.AddSat(emitted, c)
-	}
 	return &Result{Emitted: emitted, Shares: shares, GridSize: gr.size}
 }

@@ -98,20 +98,21 @@ func SkewAwareWithThreshold(g *mpc.Group, in *relation.Instance, threshold int64
 	// traces and stats are identical across runs and worker counts.
 	var res SkewAwareResult
 	res.Threshold = threshold
-	var branches []mpc.Branch
-	emits := make([]int64, len(strata))
+	branches := make([]mpc.Branch, len(strata))
 	for idx, st := range strata {
-		branches = append(branches, mpc.Branch{
+		branches[idx] = mpc.Branch{
 			Servers: g.Size(),
-			Run: func(sub *mpc.Group) {
-				sub.Span("stratum "+strconv.Itoa(idx), func() { runStratum(sub, q, st.Inst, heavy, attrs, st.Pattern, &emits[idx]) })
+			Run: func(sub *mpc.Group) (n int64, err error) {
+				sub.Span("stratum "+strconv.Itoa(idx), func() { n, err = runStratum(sub, q, st.Inst, heavy, attrs, st.Pattern) })
+				return n, err
 			},
-		})
+		}
 	}
-	g.Parallel(branches)
-	for _, e := range emits {
-		res.Emitted += e
+	counts, err := g.Parallel(branches)
+	if err != nil {
+		return nil, err
 	}
+	res.Emitted = relation.SumSat(counts)
 	res.Strata = len(strata)
 	return &res, nil
 }
@@ -167,9 +168,10 @@ func distinctUnion(q *hypergraph.Query, inst *relation.Instance, a int) int64 {
 // valuePos is the key position of a one-column key view.
 var valuePos = []int{0}
 
-// runStratum executes one heavy-pattern stratum's capped HyperCube.
+// runStratum executes one heavy-pattern stratum's capped HyperCube and
+// returns its emitted count.
 func runStratum(sub *mpc.Group, q *hypergraph.Query, inst *relation.Instance,
-	heavy map[int]map[relation.Value]bool, attrs []int, pattern uint64, emitted *int64) {
+	heavy map[int]map[relation.Value]bool, attrs []int, pattern uint64) (int64, error) {
 	caps := make(map[int]*big.Rat)
 	domCaps := make(map[int]int64)
 	logp := math.Log(float64(sub.Size()))
@@ -193,9 +195,8 @@ func runStratum(sub *mpc.Group, q *hypergraph.Query, inst *relation.Instance,
 	}
 	exps, err := ShareExponents(q, caps)
 	if err != nil {
-		panic(err)
+		return 0, err
 	}
 	shares := Shares(q, sub.Size(), exps, domCaps)
-	r := RunWithShares(sub, inst, shares, uint64(pattern)*0x9e37+1)
-	*emitted = r.Emitted
+	return RunWithShares(sub, inst, shares, uint64(pattern)*0x9e37+1).Emitted, nil
 }

@@ -173,8 +173,11 @@ func TestRecorderSpanTree(t *testing.T) {
 	d := g.Scatter(fill(relation.NewSchema(0), 8))
 	g.Span("warmup", func() { g.Broadcast(d) })
 	g.Parallel([]Branch{
-		{Servers: 2, Run: func(sub *Group) { sub.ChargeControl([]int{1, 2}) }},
-		{Servers: 1, Run: func(sub *Group) {}},
+		{Servers: 2, Run: func(sub *Group) (int64, error) {
+			sub.ChargeControl([]int{1, 2})
+			return 0, nil
+		}},
+		{Servers: 1, Run: func(sub *Group) (int64, error) { return 0, nil }},
 	})
 
 	root := col.Root()
@@ -226,12 +229,20 @@ func TestNotesBranchOrder(t *testing.T) {
 		branches := make([]Branch, 4)
 		for i := range branches {
 			i := i
-			branches[i] = Branch{Servers: 2, Run: func(sub *Group) {
+			branches[i] = Branch{Servers: 2, Run: func(sub *Group) (int64, error) {
 				sub.Note("branch " + strconv.Itoa(i))
 				sub.Parallel([]Branch{
-					{Servers: 1, Run: func(s *Group) { s.Note("inner " + strconv.Itoa(i) + ".0") }},
-					{Servers: 1, Run: func(s *Group) { s.ChargeControl([]int{i}); s.Note("inner " + strconv.Itoa(i) + ".1") }},
+					{Servers: 1, Run: func(s *Group) (int64, error) {
+						s.Note("inner " + strconv.Itoa(i) + ".0")
+						return 0, nil
+					}},
+					{Servers: 1, Run: func(s *Group) (int64, error) {
+						s.ChargeControl([]int{i})
+						s.Note("inner " + strconv.Itoa(i) + ".1")
+						return 0, nil
+					}},
 				})
+				return 0, nil
 			}}
 		}
 		g.Parallel(branches)

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"coverpack/internal/relation"
 )
 
 // This file is the worker pool under the exchanges. The simulator's
@@ -19,13 +21,16 @@ import (
 //     exchange kernel (exchange.go) over them; its output does not
 //     depend on where the cuts fall, and a small exchange or a
 //     one-worker cluster is the same kernel over one chunk. Per-server
-//     steps (Local, and Broadcast's copies through it) write
-//     caller-owned per-index slots.
+//     steps (Local, and Broadcast's copies through it) build server i's
+//     fragment from server i's input alone, and Emit sums the servers'
+//     counts in server order.
 //
 //   - Parallel branches run concurrently on sub-groups whose recorder
 //     is replaced by a per-branch buffer; after all branches finish, the
-//     buffers are replayed into the parent recorder in branch order and
-//     the branch Stats are folded exactly as the inline loop folds them.
+//     buffers are replayed into the parent recorder in branch order, the
+//     branch Stats are folded exactly as the inline loop folds them, and
+//     the branches' counts come back in branch order with the
+//     lowest-index error.
 //
 // Work is bounded by a cluster-wide token pool of workers−1 extra
 // goroutines; the calling goroutine always participates, so nested
@@ -163,10 +168,30 @@ func (t *forkTasks) run(i int) {
 }
 
 // Fork runs fn(i) for i in [0, n) across the cluster's worker pool
-// (inline under the sequential engine). It parallelizes local,
-// communication-free computation: fn must not charge the group and its
-// only shared writes must go to caller-owned per-index slots, so the
-// merged result is independent of scheduling. It makes *Group a
+// (inline under the sequential engine). It makes *Group a
 // relation.Forker, so Local's server fork shares the exchanges' pool
-// and token budget.
+// and token budget; fn must not charge the group.
 func (g *Group) Fork(n int, fn func(i int)) { g.cluster.fork(n, fn) }
+
+// Emit is the emit step: server i of the first n emits count(i) join
+// results, and Emit returns their sum, saturating at math.MaxInt64
+// (relation.AddSat). Emission is free in the model, so nothing is
+// charged. Under the sequential engine the counts run inline and are
+// summed as they come; under a parallel cluster they run across the
+// worker pool into per-server sums held in an exchange scratch, summed
+// in server order afterwards. count must not charge the group.
+func (g *Group) Emit(n int, count func(i int) int64) int64 {
+	if g.cluster.workers <= 1 || n <= 1 {
+		var total int64
+		for i := range n {
+			total = relation.AddSat(total, count(i))
+		}
+		return total
+	}
+	x := getScratch()
+	x.sums = sized(x.sums, n)
+	g.cluster.fork(n, func(i int) { x.sums[i] = count(i) })
+	total := relation.SumSat(x.sums)
+	putScratch(x)
+	return total
+}

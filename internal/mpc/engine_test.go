@@ -152,31 +152,37 @@ var engineScenarios = []struct {
 		inner := make([]*DistRelation, 2)
 		g.Span("outer", func() {
 			g.Parallel([]Branch{
-				{Servers: 3, Run: func(sub *Group) {
+				{Servers: 3, Run: func(sub *Group) (int64, error) {
 					d := sub.Scatter(big(relation.NewSchema(0, 1), 3000))
 					sub.Span("branch-phase", func() {
 						outs[0] = sub.HashPartition(d, []int{0})
 					})
+					return 0, nil
 				}},
-				{Servers: 2, Run: func(sub *Group) {
+				{Servers: 2, Run: func(sub *Group) (int64, error) {
 					sub.Parallel([]Branch{
-						{Servers: 2, Run: func(s2 *Group) {
+						{Servers: 2, Run: func(s2 *Group) (int64, error) {
 							d := s2.Scatter(big(relation.NewSchema(0), 1500))
 							inner[0] = resize(s2, d, 2)
+							return 0, nil
 						}},
-						{Servers: 1, Run: func(s2 *Group) {
+						{Servers: 1, Run: func(s2 *Group) (int64, error) {
 							d := s2.Scatter(big(relation.NewSchema(0), 1200))
 							inner[1] = s2.Broadcast(d)
+							return 0, nil
 						}},
 					})
 					outs[1] = sub.Scatter(big(relation.NewSchema(0, 1), 100))
+					return 0, nil
 				}},
-				{Servers: 4, Run: func(sub *Group) {
+				{Servers: 4, Run: func(sub *Group) (int64, error) {
 					sub.ChargeControl([]int{1, 1, 1, 1})
-					sub.Parallel([]Branch{{Servers: 2, Run: func(s2 *Group) {
+					sub.Parallel([]Branch{{Servers: 2, Run: func(s2 *Group) (int64, error) {
 						d := s2.Scatter(big(relation.NewSchema(0, 1), 2000))
 						outs[2] = s2.HashPartition(d, []int{1})
+						return 0, nil
 					}}})
+					return 0, nil
 				}},
 			})
 		})

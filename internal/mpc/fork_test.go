@@ -1,7 +1,10 @@
 package mpc
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -36,7 +39,10 @@ func TestForkRunsEachIndexOnce(t *testing.T) {
 			nested := func(fn func(b, i int)) {
 				branches := make([]Branch, 4)
 				for b := range branches {
-					branches[b] = Branch{Servers: 2, Run: func(sub *Group) { sub.Fork(n, func(i int) { fn(b, i) }) }}
+					branches[b] = Branch{Servers: 2, Run: func(sub *Group) (int64, error) {
+						sub.Fork(n, func(i int) { fn(b, i) })
+						return 0, nil
+					}}
 				}
 				g.Parallel(branches)
 			}
@@ -76,13 +82,89 @@ func TestForkPanicPropagationNestedParallel(t *testing.T) {
 	}()
 	branches := make([]Branch, 4)
 	for bi := range branches {
-		branches[bi] = Branch{Servers: 2, Run: func(sub *Group) {
+		branches[bi] = Branch{Servers: 2, Run: func(sub *Group) (int64, error) {
 			c.fork(6, func(j int) {
 				if bi >= 1 && j >= 3 {
 					panic(fmt.Sprintf("nested-boom-%d", bi))
 				}
 			})
+			return 0, nil
 		}}
 	}
 	g.Parallel(branches)
+}
+
+// TestParallelReturnsCounts: Parallel hands back the branches' counts in
+// branch order and the error of the lowest-index failed branch, and
+// runs and charges every branch even when some fail, for every worker
+// count.
+func TestParallelReturnsCounts(t *testing.T) {
+	errA, errB := errors.New("branch 1 failed"), errors.New("branch 3 failed")
+	for _, w := range []int{1, 2, 4} {
+		c := NewCluster(8, withForcedWorkers(w))
+		var ran atomic.Int32
+		branches := make([]Branch, 5)
+		for i := range branches {
+			branches[i] = Branch{Servers: 1, Run: func(sub *Group) (int64, error) {
+				ran.Add(1)
+				sub.ChargeControl([]int{i + 1})
+				switch i {
+				case 1:
+					return 10, errA
+				case 3:
+					return 30, errB
+				}
+				return int64(100 * i), nil
+			}}
+		}
+		counts, err := c.Root().Parallel(branches)
+		if !errors.Is(err, errA) {
+			t.Fatalf("workers=%d: error %v, want the lowest-index one %v", w, err, errA)
+		}
+		if want := []int64{0, 10, 200, 30, 400}; !slices.Equal(counts, want) {
+			t.Fatalf("workers=%d: counts %v, want %v", w, counts, want)
+		}
+		if n := ran.Load(); n != 5 {
+			t.Fatalf("workers=%d: %d of 5 branches ran", w, n)
+		}
+		if st := c.Stats(); st.Rounds != 1 || st.MaxLoad != 5 || st.TotalUnits != 15 {
+			t.Fatalf("workers=%d: stats %v, want every branch charged", w, st)
+		}
+		c.Release()
+	}
+}
+
+// TestEmitSums: Emit sums the servers' counts, saturating at
+// math.MaxInt64, for every worker count; it charges nothing, and under
+// the sequential engine it allocates nothing.
+func TestEmitSums(t *testing.T) {
+	for _, w := range []int{1, 2, 4} {
+		c := NewCluster(8, withForcedWorkers(w))
+		g := c.Root()
+		cases := []struct {
+			n     int
+			count func(i int) int64
+			want  int64
+		}{
+			{0, func(int) int64 { return 1 }, 0},
+			{1, func(int) int64 { return 7 }, 7},
+			{100, func(i int) int64 { return int64(i) }, 4950},
+			{3, func(int) int64 { return math.MaxInt64 / 2 }, math.MaxInt64},
+			{4, func(i int) int64 { return int64(i) * (math.MaxInt64 / 3) }, math.MaxInt64},
+		}
+		for _, tc := range cases {
+			if got := g.Emit(tc.n, tc.count); got != tc.want {
+				t.Fatalf("workers=%d: Emit(%d) = %d, want %d", w, tc.n, got, tc.want)
+			}
+		}
+		if st := c.Stats(); st.Rounds != 0 || st.TotalUnits != 0 {
+			t.Fatalf("workers=%d: Emit charged %v", w, st)
+		}
+		c.Release()
+	}
+	g := NewCluster(8).Root()
+	count := func(i int) int64 { return int64(i) }
+	if n := testing.AllocsPerRun(100, func() { g.Emit(64, count) }); n != 0 {
+		t.Fatalf("sequential Emit allocates %v objects", n)
+	}
 }

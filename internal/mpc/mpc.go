@@ -544,10 +544,10 @@ func Local[S relation.Step](g *Group, d *DistRelation, s S) *DistRelation {
 }
 
 // Branch describes one member of a parallel block: a subgroup size and
-// the computation to run on it.
+// the computation to run on it, which returns the branch's output count.
 type Branch struct {
 	Servers int
-	Run     func(sub *Group)
+	Run     func(sub *Group) (int64, error)
 }
 
 // Parallel executes the branches on disjoint virtual subgroups that run
@@ -556,31 +556,39 @@ type Branch struct {
 // their peak server usages. Under a parallel cluster the branch Run
 // functions execute on concurrent goroutines; each branch's trace
 // events are buffered and replayed in branch order, so the recorded
-// stream matches the sequential engine exactly. Branch
-// closures must confine shared writes to caller-owned per-branch slots.
-func (g *Group) Parallel(branches []Branch) {
+// stream matches the sequential engine exactly. Parallel returns the
+// branches' counts in branch order and the error of the lowest-index
+// branch that failed; every branch runs either way. A branch hands its
+// results back through its return values only.
+func (g *Group) Parallel(branches []Branch) ([]int64, error) {
 	for _, b := range branches {
 		if b.Servers <= 0 {
 			panic(fmt.Sprintf("mpc: parallel branch with %d servers", b.Servers))
 		}
 	}
 	if g.cluster.workers > 1 && len(branches) > 1 {
-		g.parallelBranches(branches)
-		return
+		return g.parallelBranches(branches)
 	}
+	counts := make([]int64, len(branches))
 	subs := make([]*Group, len(branches))
 	rec := g.recorder()
+	var first error
 	for bi, b := range branches {
 		subs[bi] = g.child(b.Servers)
 		if rec != nil {
 			rec.BeginSpan("branch "+strconv.Itoa(bi), trace.KindParallel, b.Servers)
 		}
-		b.Run(subs[bi])
+		n, err := b.Run(subs[bi])
+		counts[bi] = n
+		if first == nil {
+			first = err
+		}
 		if rec != nil {
 			rec.EndSpan()
 		}
 	}
 	g.foldBranches(subs)
+	return counts, first
 }
 
 // parallelBranches runs a Parallel block's branches on concurrent
@@ -588,7 +596,7 @@ func (g *Group) Parallel(branches []Branch) {
 // per-branch buffer; after all branches complete, the buffers are
 // replayed into the parent recorder in branch order and the stats are
 // folded by the same foldBranches as the inline loop's.
-func (g *Group) parallelBranches(branches []Branch) {
+func (g *Group) parallelBranches(branches []Branch) ([]int64, error) {
 	rec := g.recorder()
 	n := len(branches)
 	subs := make([]*Group, n)
@@ -600,7 +608,9 @@ func (g *Group) parallelBranches(branches []Branch) {
 			subs[i].rec = bufs[i]
 		}
 	}
-	g.cluster.fork(n, func(i int) { branches[i].Run(subs[i]) })
+	counts := make([]int64, n)
+	errs := make([]error, n)
+	g.cluster.fork(n, func(i int) { counts[i], errs[i] = branches[i].Run(subs[i]) })
 	if rec != nil {
 		for i, b := range branches {
 			rec.BeginSpan("branch "+strconv.Itoa(i), trace.KindParallel, b.Servers)
@@ -609,6 +619,12 @@ func (g *Group) parallelBranches(branches []Branch) {
 		}
 	}
 	g.foldBranches(subs)
+	for _, err := range errs {
+		if err != nil {
+			return counts, err
+		}
+	}
+	return counts, nil
 }
 
 // foldBranches charges a completed parallel block to this group: the

@@ -186,14 +186,16 @@ func TestParallelAccounting(t *testing.T) {
 	c := NewCluster(10)
 	g := c.Root()
 	g.Parallel([]Branch{
-		{Servers: 4, Run: func(sub *Group) {
+		{Servers: 4, Run: func(sub *Group) (int64, error) {
 			d := sub.Scatter(fill(relation.NewSchema(0), 40))
 			sub.HashPartition(d, []int{0}) // 1 round
+			return 0, nil
 		}},
-		{Servers: 6, Run: func(sub *Group) {
+		{Servers: 6, Run: func(sub *Group) (int64, error) {
 			d := sub.Scatter(fill(relation.NewSchema(0), 60))
 			h := sub.HashPartition(d, []int{0})
 			sub.Broadcast(h) // 2 rounds total
+			return 0, nil
 		}},
 	})
 	st := c.Stats()
@@ -214,13 +216,15 @@ func TestParallelAccounting(t *testing.T) {
 func TestSubgroupSequential(t *testing.T) {
 	c := NewCluster(8)
 	g := c.Root()
-	g.Parallel([]Branch{{Servers: 3, Run: func(sub *Group) {
+	g.Parallel([]Branch{{Servers: 3, Run: func(sub *Group) (int64, error) {
 		d := sub.Scatter(fill(relation.NewSchema(0), 30))
 		sub.HashPartition(d, []int{0})
+		return 0, nil
 	}}})
-	g.Parallel([]Branch{{Servers: 5, Run: func(sub *Group) {
+	g.Parallel([]Branch{{Servers: 5, Run: func(sub *Group) (int64, error) {
 		d := sub.Scatter(fill(relation.NewSchema(0), 50))
 		sub.HashPartition(d, []int{0})
+		return 0, nil
 	}}})
 	st := c.Stats()
 	if st.Rounds != 2 { // sequential: 1+1
@@ -236,8 +240,14 @@ func TestParallelServersExceedBudget(t *testing.T) {
 	c := NewCluster(2)
 	g := c.Root()
 	g.Parallel([]Branch{
-		{Servers: 3, Run: func(sub *Group) { sub.ChargeControl([]int{1, 0, 0}) }},
-		{Servers: 4, Run: func(sub *Group) { sub.ChargeControl([]int{1, 0, 0, 0}) }},
+		{Servers: 3, Run: func(sub *Group) (int64, error) {
+			sub.ChargeControl([]int{1, 0, 0})
+			return 0, nil
+		}},
+		{Servers: 4, Run: func(sub *Group) (int64, error) {
+			sub.ChargeControl([]int{1, 0, 0, 0})
+			return 0, nil
+		}},
 	})
 	if st := c.Stats(); st.ServersUsed != 7 {
 		t.Fatalf("servers = %d, want 7", st.ServersUsed)
@@ -282,16 +292,24 @@ func TestNestedParallel(t *testing.T) {
 	c := NewCluster(16)
 	g := c.Root()
 	g.Parallel([]Branch{
-		{Servers: 8, Run: func(sub *Group) {
+		{Servers: 8, Run: func(sub *Group) (int64, error) {
 			sub.Parallel([]Branch{
-				{Servers: 4, Run: func(s2 *Group) { s2.ChargeControl(make([]int, 4)) }},
-				{Servers: 4, Run: func(s2 *Group) {
+				{Servers: 4, Run: func(s2 *Group) (int64, error) {
+					s2.ChargeControl(make([]int, 4))
+					return 0, nil
+				}},
+				{Servers: 4, Run: func(s2 *Group) (int64, error) {
 					s2.ChargeControl(make([]int, 4))
 					s2.ChargeControl(make([]int, 4))
+					return 0, nil
 				}},
 			})
+			return 0, nil
 		}},
-		{Servers: 8, Run: func(sub *Group) { sub.ChargeControl(make([]int, 8)) }},
+		{Servers: 8, Run: func(sub *Group) (int64, error) {
+			sub.ChargeControl(make([]int, 8))
+			return 0, nil
+		}},
 	})
 	st := c.Stats()
 	if st.Rounds != 2 { // max( max(1,2), 1 )
@@ -424,8 +442,9 @@ func TestHashPartitionCountsUnderParallelBranches(t *testing.T) {
 	outs := make([][2]*DistRelation, branches)
 	bs := make([]Branch, branches)
 	for i := range bs {
-		bs[i] = Branch{Servers: 4, Run: func(sub *Group) {
+		bs[i] = Branch{Servers: 4, Run: func(sub *Group) (int64, error) {
 			outs[i] = [2]*DistRelation{sub.HashPartition(d, key), sub.HashPartition(parted, key)}
+			return 0, nil
 		}}
 	}
 	g.Parallel(bs)

@@ -29,6 +29,7 @@ type xrun struct {
 	rows  []int    // Spread and DistributeSpread: tuples per branch
 	first []int    // Spread and DistributeSpread: each destination's first row in the blob
 	one   []int32  // Scatter: the offsets of its one-fragment input
+	sums  []int64  // Emit: each server's count
 }
 
 // xchunk is one chunk's share of the scratch. Its routing state (src)
@@ -53,7 +54,8 @@ var (
 )
 
 // SendPoolStats snapshots the exchange-scratch pool counters: Gets counts
-// the scratches taken, one per charged or scattering operation.
+// the scratches taken, one per charged or scattering operation and one
+// per Emit on the worker pool.
 func SendPoolStats() trace.PoolStats { return scratchCounts.Stats() }
 
 // ResetSendPoolStats zeroes the exchange-scratch pool counters (test seam).
@@ -74,7 +76,7 @@ func getScratch() *xrun {
 // scratchCap go back to idPool. The caller must not use x afterwards.
 func putScratch(x *xrun) {
 	x.cut, x.recv, x.offs, x.rows, x.first = keep(x.cut), keep(x.recv), keep(x.offs), keep(x.rows), keep(x.first)
-	x.one, x.cs = keep(x.one), keep(x.cs)
+	x.one, x.cs, x.sums = keep(x.one), keep(x.cs), keep(x.sums)
 	for i, c := range x.cs[:cap(x.cs)] {
 		if cap(c.dst) > scratchCap {
 			idPool.Put(c.dst)

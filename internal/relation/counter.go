@@ -361,3 +361,12 @@ func AddSat(a, b int64) int64 {
 	}
 	return a + b
 }
+
+// SumSat is the AddSat sum of counts.
+func SumSat(counts []int64) int64 {
+	var total int64
+	for _, c := range counts {
+		total = AddSat(total, c)
+	}
+	return total
+}

@@ -23,11 +23,11 @@ var (
 
 // runCell runs one cell under the running-cells gauge and times it into
 // the cell-seconds histogram.
-func runCell(cell func() error) error {
+func runCell[T any](cell func() (T, error)) (T, error) {
 	mSchedRunning.Add(1)
 	defer mSchedRunning.Add(-1)
 	start := time.Now()
-	err := cell()
+	v, err := cell()
 	mSchedCellSeconds.Observe(time.Since(start).Seconds())
-	return err
+	return v, err
 }

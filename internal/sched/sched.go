@@ -4,12 +4,12 @@
 //
 // The determinism contract is inherited from the engine's "deterministic
 // decomposition + ordered merge" pattern, lifted one level up: each cell
-// writes its results into caller-owned slots (closed-over indices into
-// result slices), cells are claimed in index order, and the caller reads
-// the slots only after Run returns. Because cells are independent — they
-// share only immutable inputs — every table, trace, and report assembled
-// from the slots is byte-identical to executing the cells sequentially,
-// for any worker count.
+// returns its result, cells are claimed in index order, and Run hands
+// the results back in cell order once every claimed cell has finished.
+// Because cells are independent — they share only immutable inputs —
+// every table, trace, and report assembled from the results is
+// byte-identical to executing the cells sequentially, for any worker
+// count.
 package sched
 
 import (
@@ -18,16 +18,16 @@ import (
 )
 
 // Run executes the cells on at most workers goroutines and blocks until
-// all have finished or one has failed. Negative workers selects
-// runtime.GOMAXPROCS(0); 0 and 1 run the cells inline on the calling
-// goroutine. Each cell must write results only to caller-owned slots and
-// must not read any other cell's slots.
+// all have finished or one has failed, then returns their results in
+// cell order. Negative workers selects runtime.GOMAXPROCS(0); 0 and 1
+// run the cells inline on the calling goroutine. A cell hands back its
+// result through its return values only and reads no other cell's.
 //
 // Cells are claimed in index order. After a failure no new cell is
-// claimed; cells already running finish, and Run returns the error of
-// the lowest-index failed cell — exactly the error a sequential pass
-// would have surfaced first.
-func Run(cells []func() error, workers int) error {
+// claimed; cells already running finish, and Run returns no results and
+// the error of the lowest-index failed cell — exactly the error a
+// sequential pass would have surfaced first.
+func Run[T any](cells []func() (T, error), workers int) ([]T, error) {
 	mSchedRuns.Inc()
 	mSchedCells.Add(uint64(len(cells)))
 	if workers < 0 {
@@ -37,6 +37,7 @@ func Run(cells []func() error, workers int) error {
 		mu     sync.Mutex
 		next   int // index of the next unclaimed cell
 		failed bool
+		out    = make([]T, len(cells))
 		errs   = make([]error, len(cells))
 	)
 	claim := func() {
@@ -49,7 +50,9 @@ func Run(cells []func() error, workers int) error {
 			i := next
 			next++
 			mu.Unlock()
-			if err := runCell(cells[i]); err != nil {
+			v, err := runCell(cells[i])
+			out[i] = v
+			if err != nil {
 				mu.Lock()
 				errs[i], failed = err, true
 				mu.Unlock()
@@ -71,8 +74,8 @@ func Run(cells []func() error, workers int) error {
 	}
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
 }

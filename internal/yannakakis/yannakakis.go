@@ -125,14 +125,8 @@ func pairJoin(g *mpc.Group, a, b *mpc.DistRelation) *mpc.DistRelation {
 // counts the join of its two fragments instead of building it.
 func pairCount(g *mpc.Group, a, b *mpc.DistRelation) int64 {
 	ap, bp, _ := pairExchange(g, a, b)
-	counts := make([]int64, ap.Servers())
-	g.Fork(len(counts), func(i int) {
+	return g.Emit(ap.Servers(), func(i int) int64 {
 		a := ap.Frag(i)
-		counts[i] = a.JoinCount(bp.Frag(i))
+		return a.JoinCount(bp.Frag(i))
 	})
-	var total int64
-	for _, n := range counts {
-		total = relation.AddSat(total, n)
-	}
-	return total
 }
