@@ -2,6 +2,7 @@ package coverpack_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -116,18 +117,29 @@ func TestKeyedKernelsReturnTables(t *testing.T) {
 		k.run(r, s)
 		balanced(k.name)
 	}
-	// Whole runs: Yannakakis's pair joins and semi-joins, the acyclic
-	// algorithm's server-major aggregation and light-group lookup, and
-	// the skew-aware strata's domain counts.
-	in := coverpack.Uniform(hypergraph.Line3Join(), 1200, 1500, 3)
-	for _, alg := range []coverpack.Algorithm{coverpack.AlgYannakakis, coverpack.AlgAcyclicOptimal, coverpack.AlgSkewAware} {
+	// Whole runs of all seven algorithms: every arena a run takes — a
+	// local step's output, an exchange's blob, a counter's prefix join —
+	// goes back, through its owner's Free or the run's Release, and none
+	// twice. The acyclic ones and skew-aware run on line-3, the cyclic
+	// ones and HyperCube (whose triangle count folds through prefix
+	// joins) on a triangle with a heavy hub, whose heavy strata recurse
+	// into the acyclic algorithm.
+	line3 := coverpack.Uniform(hypergraph.Line3Join(), 1200, 1500, 3)
+	tri := coverpack.HeavyHub(hypergraph.TriangleJoin(), 400)
+	for _, alg := range []coverpack.Algorithm{coverpack.AlgYannakakis, coverpack.AlgAcyclicOptimal,
+		coverpack.AlgAcyclicConservative, coverpack.AlgSkewAware, coverpack.AlgHyperCube,
+		coverpack.AlgTriangle, coverpack.AlgLoomisWhitney} {
+		in := line3
+		if alg == coverpack.AlgHyperCube || alg == coverpack.AlgTriangle || alg == coverpack.AlgLoomisWhitney {
+			in = tri
+		}
 		for _, w := range []int{1, 4} {
 			hashtab.ResetPoolStats()
 			relation.ResetPoolStats()
 			if _, err := coverpack.ExecuteOpts(alg, in, 8, coverpack.ExecOptions{Workers: w}); err != nil {
 				t.Fatal(err)
 			}
-			balanced(alg.String() + " run")
+			balanced(fmt.Sprintf("%s run at Workers %d", alg, w))
 		}
 	}
 }
@@ -373,6 +385,9 @@ func TestNoTestOnlyCode(t *testing.T) {
 	args := []string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,Standard"}
 	if raceEnabled {
 		args = append(args, "-race")
+	}
+	if arenaCheckEnabled {
+		args = append(args, "-tags=arenacheck")
 	}
 	out, err := exec.Command("go", append(args, "./...")...).Output()
 	if err != nil {

@@ -39,7 +39,8 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 
 	// Step 1: degree statistics for x in every relation of E_x
 	// (reduce-by-key), then the heavy set H(x, S^x) = values with degree
-	// > L in some relation of S^x.
+	// > L in some relation of S^x. Every relation the statistics make is
+	// freed after its last read, the degrees at the end of the span.
 	degs := make([]*mpc.DistRelation, len(rels))
 	heavySet := make(map[relation.Value]bool)
 	var heavyVals []relation.Value
@@ -51,11 +52,13 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 			degs[e] = primitives.Degrees(g, rels[e], x, ex.cntAttr)
 		}
 		for _, e := range c.sx {
-			rows := g.Gather(primitives.HeavyFilter(g, degs[e], ex.cntAttr, L))
+			hf := primitives.HeavyFilter(g, degs[e], ex.cntAttr, L)
+			rows := g.Gather(hf)
 			xp := rows.Schema().Pos(x)
 			for i := 0; i < rows.Len(); i++ {
 				heavySet[rows.Row(i)[xp]] = true
 			}
+			g.Free(hf)
 		}
 		heavyVals = make([]relation.Value, 0, len(heavySet))
 		for v := range heavySet { // map order is random; sorted below
@@ -69,12 +72,18 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 		for i, e := range c.sx {
 			sxDegs[i] = degs[e]
 		}
-		sums := primitives.ReduceByKey(g, primitives.Union(g, sxDegs), []int{x}, ex.cntAttr)
+		union := primitives.Union(g, sxDegs)
+		sums := primitives.ReduceByKey(g, union, []int{x}, ex.cntAttr)
+		if len(sxDegs) > 1 { // one relation's union is that relation itself
+			g.Free(union)
+		}
 		chargeSetBroadcast(g, len(heavySet))
 		lightW := mpc.Local(g, sums, relation.SelectInStep(sums.Schema, x, heavySet, false))
+		g.Free(sums)
 		if lightW.Len() > 0 {
 			pk = primitives.Pack(g, lightW, x, ex.cntAttr, ex.grpAttr, int64(len(c.sx))*L)
 		}
+		g.Free(lightW)
 
 		// Per-branch input sizes for allocation and emptiness pruning.
 		for _, e := range c.xHolders {
@@ -85,6 +94,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 				groupW[e] = ex.groupSums(g, degs[e], pk.Assign, x)
 			}
 		}
+		g.Free(degs...)
 	})
 
 	// Branch planning: heavy branches first (sorted by value), then
@@ -229,6 +239,7 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 			})
 			lightPart := mpc.Local(g, rels[e], relation.SelectInStep(rs, x, heavySet, false))
 			if assign == nil || lightPart.Len() == 0 {
+				g.Free(lightPart)
 				continue
 			}
 			relP := g.HashPartition(lightPart, []int{x})
@@ -251,8 +262,10 @@ func (ex *executor) caseIPeel(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 			})
 			groupOf.Release()
 			relation.PutArena(gids)
+			g.Free(lightPart, relP, asgP)
 			copy(parts[e][nHeavy:], lParts[nHeavy:])
 		}
+		g.Free(assign)
 	})
 
 	// Recurse into all branches in parallel.
@@ -290,14 +303,19 @@ func (ex *executor) heavyBranch(sub *mpc.Group, st *step, parts [][]mpc.DistRela
 	c := st.caseI
 	chargeCtx(sub, ctx)
 	nrels := make([]*mpc.DistRelation, len(parts))
+	// The projected parts are the branch's own, freed after the
+	// recursion; compute may overwrite nrels.
+	projected := make([]*mpc.DistRelation, 0, len(st.live))
 	for _, e := range st.live {
 		part := &parts[e][bi]
 		if st.vars[e].Contains(c.x) {
 			ns := c.proj[e]
 			part = mpc.Local(sub, part, relation.ProjectStep(part.Schema, ns))
+			projected = append(projected, part)
 		}
 		nrels[e] = part
 	}
+	defer sub.Free(projected...)
 	nctx := make([]relation.View, len(ctx))
 	for i, r := range ctx {
 		nctx[i] = r

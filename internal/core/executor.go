@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"coverpack/internal/hypergraph"
@@ -107,10 +108,12 @@ func run(g *mpc.Group, in *relation.Instance, opts Options) (*Result, *step, err
 	if err != nil {
 		return nil, nil, err
 	}
+	scattered := slices.Clone(rels) // compute overwrites rels
 	var emitted int64
 	g.Span("core "+opts.Strategy.String(), func() {
 		emitted, err = ex.compute(g, root, rels, nil, 0)
 	})
+	g.Free(scattered...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,7 +139,9 @@ func note(g *mpc.Group, depth int, format string, args ...interface{}) {
 
 // compute runs step st on one subproblem and returns the number of join
 // results emitted. rels is indexed by original edge id and owned by the
-// call: the reduction overwrites it.
+// call: the reduction overwrites it. The relations rels holds on entry
+// stay the caller's; those the reduction makes are freed before compute
+// returns.
 func (ex *executor) compute(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 	ctx []relation.View, depth int) (int64, error) {
 
@@ -159,11 +164,16 @@ func (ex *executor) compute(g *mpc.Group, st *step, rels []*mpc.DistRelation,
 
 	// Reduce: absorb relations contained in another (semi-join, then
 	// drop), Case I's first step.
+	var made []*mpc.DistRelation
 	g.Span("semi-join reduce", func() {
 		for _, a := range st.absorb {
-			rels[a.into] = primitives.SemiJoin(g, rels[a.into], rels[a.from])
+			if r := primitives.SemiJoin(g, rels[a.into], rels[a.from]); r != rels[a.into] {
+				rels[a.into] = r
+				made = append(made, r)
+			}
 		}
 	})
+	defer g.Free(made...)
 	for _, e := range st.live {
 		if rels[e].Len() == 0 {
 			return 0, nil

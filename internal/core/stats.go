@@ -15,13 +15,6 @@ import (
 // rows) are gathered to the driver, which matches the paper's free
 // control channel for O(p)-size coordination data.
 
-// gatherRows filters a distributed relation locally to the rows whose x
-// value is in values and gathers them to the coordinator (charged via
-// Gather).
-func gatherRows(g *mpc.Group, d *mpc.DistRelation, x int, values map[relation.Value]bool) *relation.Relation {
-	return g.Gather(mpc.Local(g, d, relation.SelectInStep(d.Schema, x, values, true)))
-}
-
 // groupJoin is groupSums' per-server step: every (x, cnt) row of the
 // server whose x has an assignment row on the server becomes a (grp,
 // cnt) row. Count looks x up in a borrowed table over the server's
@@ -89,13 +82,15 @@ func chargeSetBroadcast(g *mpc.Group, size int) {
 
 // degreesForValues extracts deg(v) for the given values from a degree
 // relation (x, cnt): the value set is broadcast (charged), rows are
-// filtered locally and gathered (charged). Missing values read as 0.
+// filtered locally to the rows whose x value is in values and gathered
+// to the coordinator (charged). Missing values read as 0.
 func (ex *executor) degreesForValues(g *mpc.Group, degs *mpc.DistRelation, x int, values map[relation.Value]bool) map[relation.Value]int64 {
 	if len(values) == 0 {
 		return nil
 	}
 	chargeSetBroadcast(g, len(values))
-	rows := gatherRows(g, degs, x, values)
+	sel := mpc.Local(g, degs, relation.SelectInStep(degs.Schema, x, values, true))
+	rows := g.Gather(sel)
 	out := make(map[relation.Value]int64, rows.Len())
 	xp := rows.Schema().Pos(x)
 	cp := rows.Schema().Pos(ex.cntAttr)
@@ -103,6 +98,7 @@ func (ex *executor) degreesForValues(g *mpc.Group, degs *mpc.DistRelation, x int
 		t := rows.Row(i)
 		out[t[xp]] = t[cp]
 	}
+	g.Free(sel)
 	return out
 }
 
@@ -128,6 +124,7 @@ func (ex *executor) groupSums(g *mpc.Group, counts, assign *mpc.DistRelation, x 
 		t := rows.Row(i)
 		out[t[rgp]] = t[rcp]
 	}
+	g.Free(cp, ap, joined, reduced)
 	return out
 }
 
@@ -182,6 +179,7 @@ func (sc *statsContext) statsFor(i int) *compStats {
 		if sc.assign != nil {
 			st.byGroup = sc.ex.groupSums(sc.g, counts, sc.assign, sc.x)
 		}
+		sc.g.Free(counts)
 	} else {
 		st.scalar = primitives.JoinCount(sc.g, relsArr, c.children, c.root, sc.ex.cntAttr)
 	}

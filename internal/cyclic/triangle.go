@@ -71,6 +71,7 @@ func runStrata(g *mpc.Group, in *relation.Instance, attrs []int, delta int64) (*
 	}
 
 	heavy := heavyStatistics(g, q, attrs, scattered, delta)
+	g.Free(scattered...)
 
 	res := &Result{Threshold: delta}
 	var branches []mpc.Branch
@@ -171,11 +172,13 @@ func heavyStatistics(g *mpc.Group, q *hypergraph.Query, attrs []int, scattered [
 			heavy[a] = make(map[relation.Value]bool)
 			for _, e := range q.EdgesWith(a).Edges() {
 				degs := primitives.Degrees(g, scattered[e], a, cntAttr)
-				rows := g.Gather(primitives.HeavyFilter(g, degs, cntAttr, delta))
+				hf := primitives.HeavyFilter(g, degs, cntAttr, delta)
+				rows := g.Gather(hf)
 				ap := rows.Schema().Pos(a)
 				for i := 0; i < rows.Len(); i++ {
 					heavy[a][rows.Row(i)[ap]] = true
 				}
+				g.Free(degs, hf)
 			}
 		}
 	})

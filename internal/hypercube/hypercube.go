@@ -323,5 +323,6 @@ func RunWithShares(g *mpc.Group, in *relation.Instance, shares map[int]int, salt
 		}
 		return counter.Count(frags)
 	})
+	g.Free(local...)
 	return &Result{Emitted: emitted, Shares: shares, GridSize: gr.size}
 }

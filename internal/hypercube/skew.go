@@ -60,8 +60,10 @@ func heavyValues(g *mpc.Group, in *relation.Instance, threshold int64, countAttr
 			for i := 0; i < one.Len(); i++ {
 				heavy[a][one.Row(i)[ap]] = true
 			}
+			g.Free(degs, hv, all)
 		}
 	}
+	g.Free(scattered...)
 	return heavy
 }
 

@@ -28,7 +28,8 @@ import (
 // one id a tuple whatever its fan, in idPool's vector over scratchCap
 // tuples. HashPartition's identity path returns a
 // DistRelation sharing its input's arena and offsets; Gather one
-// Relation; Broadcast is a Local step (DistRelation, offsets, arena).
+// Relation; Broadcast is a Local step (DistRelation and offsets; its
+// arena comes from the pool like every exchange's blob).
 func TestExchangeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -66,7 +67,7 @@ func TestExchangeAllocs(t *testing.T) {
 		{"DistributeSpread/wide broadcast", 2, func() { g.DistributeSpread(wide, sizes, true, pick) }},
 		{"Spread", 2, func() { g.Spread(wide, sizes) }},
 		{"Gather", 1, func() { g.Gather(d) }},
-		{"Broadcast", 3, func() { g.Broadcast(d) }},
+		{"Broadcast", 2, func() { g.Broadcast(d) }},
 	} {
 		run := func() {
 			op.run()
@@ -109,9 +110,8 @@ func TestExchangeAllocs(t *testing.T) {
 // TestFragmentsCostNoHeaders: a distributed relation's fragments are
 // views of its arena and its offset vector, so a Local step and a
 // hashed HashPartition over 4096 servers allocate at most 8 bytes a
-// server beyond their output arenas — the Local step's exact make; the
-// exchange's blob comes from the pool. A header and a pointer a fragment
-// would read 80.
+// server: both output arenas come from the pool. A header and a pointer
+// a fragment would read 80.
 func TestFragmentsCostNoHeaders(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -124,12 +124,11 @@ func TestFragmentsCostNoHeaders(t *testing.T) {
 	key := []int{0}
 	every := relation.SelectGtStep(d.Schema, 0, -1)
 	for _, op := range []struct {
-		name  string
-		arena uint64 // bytes of the output arena outside the pool
-		run   func()
+		name string
+		run  func()
 	}{
-		{"Local", 8 * 2 * p, func() { Local(g, d, every) }},
-		{"HashPartition", 0, func() { g.HashPartition(d, key) }},
+		{"Local", func() { Local(g, d, every) }},
+		{"HashPartition", func() { g.HashPartition(d, key) }},
 	} {
 		run := func() {
 			op.run()
@@ -142,9 +141,34 @@ func TestFragmentsCostNoHeaders(t *testing.T) {
 			run()
 		}
 		runtime.ReadMemStats(&after)
-		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > op.arena+8*p {
-			t.Errorf("%s over %d servers: %d bytes a run, %.1f a server beyond its arena, want at most 8",
-				op.name, p, b, float64(b-min(b, op.arena))/p)
+		if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > 8*p {
+			t.Errorf("%s over %d servers: %d bytes a run, %.1f a server, want at most 8",
+				op.name, p, b, float64(b)/p)
 		}
+	}
+}
+
+// TestLocalFreeAllocs pins a warm Local step whose output its owner
+// frees at once: the DistRelation and its offset vector are all it
+// allocates, and its arena is a pool hit, the one Free put back.
+func TestLocalFreeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const p = 8
+	d := NewCluster(p).Root().Scatter(big(relation.NewSchema(0, 1), 600))
+	c := NewCluster(p, withForcedWorkers(1))
+	defer c.Release()
+	g := c.Root()
+	every := relation.SelectGtStep(d.Schema, 0, -1)
+	run := func() { g.Free(Local(g, d, every)) }
+	run()
+	before := relation.PoolStats()
+	if n := testing.AllocsPerRun(200, run); n != 2 {
+		t.Errorf("warm Local + Free: %v allocations, want 2 (the DistRelation and its offsets)", n)
+	}
+	after := relation.PoolStats()
+	if gets := after.Gets - before.Gets; gets == 0 || after.Hits-before.Hits != gets || after.Puts-before.Puts != gets {
+		t.Errorf("warm Local + Free: arena pool %+v -> %+v, want every get a hit and put back", before, after)
 	}
 }

@@ -89,11 +89,11 @@ func (x *xrun) rowsOf(in relation.Frags, ci int) ([]relation.Value, int) {
 }
 
 // exchange moves in's tuples, cut as x.cut, to nd destinations by the
-// passes p. It returns the nd output fragments and leaves in x.recv the
-// per-destination tuple counts, of length max(nd, group size) — the
-// charged recv vector of an exchange that charges every delivery. The
-// caller charges and admits.
-func exchange[P passes](g *Group, x *xrun, in relation.Frags, nd int, p P) relation.Frags {
+// passes p. It returns the nd output fragments, as a relation that owns
+// their blob, and leaves in x.recv the per-destination tuple counts, of
+// length max(nd, group size) — the charged recv vector of an exchange
+// that charges every delivery. The caller charges and admits.
+func exchange[P passes](g *Group, x *xrun, in relation.Frags, nd int, p P) *DistRelation {
 	c, n := g.cluster, x.chunks()
 	x.recv = zeroed(x.recv, max(nd, g.size))
 	if n == 1 {
@@ -109,7 +109,7 @@ func exchange[P passes](g *Group, x *xrun, in relation.Frags, nd int, p P) relat
 		}
 	}
 	blob := relation.GetArena(total * in.Schema.Len())[:total*in.Schema.Len()]
-	c.trackArena(blob)
+	owner := c.trackArena(blob)
 	// The (destination, chunk) prefix sum of the counts turns each
 	// chunk's count for a destination into its first row there.
 	row := 0
@@ -123,7 +123,7 @@ func exchange[P passes](g *Group, x *xrun, in relation.Frags, nd int, p P) relat
 	} else if n > 1 {
 		c.fork(n, func(ci int) { p.fill(x, in, blob, ci) })
 	}
-	return relation.NewFragsCounts(in.Schema, blob, x.recv[:nd])
+	return &DistRelation{Frags: relation.NewFragsCounts(in.Schema, blob, x.recv[:nd]), arena: owner}
 }
 
 // stored is the passes of an exchange that stores one id a tuple, the

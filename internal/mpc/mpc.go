@@ -113,11 +113,14 @@ type Cluster struct {
 	// concurrent Parallel branches partition at the same time.
 	hashed, identity atomic.Uint64
 
-	// arenas tracks every pooled arena blob acquired for this run's
-	// exchange outputs (slab blobs, gather buffers). Release returns
-	// them all to the cross-run pool once the run's scalar results have
-	// been extracted. Mutex-guarded because concurrent Parallel branches
-	// acquire arenas at the same time.
+	// arenas tracks every pooled arena acquired for this run's
+	// distributed relations: exchange blobs and local step outputs. An
+	// owner's Free puts its arena back at once and clears its slot;
+	// Release returns the rest (spread blobs, whatever an error path
+	// left) once the run's scalar results have been extracted. Slots are
+	// never reused within a run, so a stale owner index frees nothing.
+	// Mutex-guarded because concurrent Parallel branches acquire and
+	// free arenas at the same time.
 	arenaMu sync.Mutex
 	arenas  [][]relation.Value
 }
@@ -162,22 +165,26 @@ func NewCluster(p int, opts ...Option) *Cluster {
 // Root returns the root group (size p).
 func (c *Cluster) Root() *Group { return c.root }
 
-// trackArena registers a pooled arena blob acquired during this run so
-// Release can recycle it. nil blobs (zero-size hints) are ignored.
-func (c *Cluster) trackArena(blob []relation.Value) {
+// trackArena registers a pooled arena acquired during this run so that
+// its owner's Free or, failing that, Release recycles it. It returns the
+// owner index a DistRelation keeps (see DistRelation.arena): 0 for a nil
+// arena (no rows), which nothing owns.
+func (c *Cluster) trackArena(blob []relation.Value) int {
 	if blob == nil {
-		return
+		return 0
 	}
 	c.arenaMu.Lock()
 	c.arenas = append(c.arenas, blob)
+	n := len(c.arenas)
 	c.arenaMu.Unlock()
+	return n
 }
 
-// Release returns every pooled arena acquired during the computation to
-// the cross-run pool. Call it exactly once, after all scalar results
-// (Stats, emitted counts) have been read: every relation produced by
-// this cluster's exchanges is invalid afterwards. Release is
-// idempotent; a second call is a no-op.
+// Release returns every pooled arena acquired during the computation
+// and not freed by its owner to the cross-run pool. Call it exactly
+// once, after all scalar results (Stats, emitted counts) have been read:
+// every relation produced by this cluster is invalid afterwards.
+// Release is idempotent; a second call is a no-op.
 //
 // Release also yields the processor. A sweep is one goroutine that
 // calls run after run and never blocks, and the runtime preempts such a
@@ -197,6 +204,31 @@ func (c *Cluster) Release() {
 	}
 	clear(c.arenas)
 	c.arenas = c.arenas[:0]
+}
+
+// Free hands the arenas the given relations own back to the cross-run
+// pool at once, and untracks them, so that Release does not put them
+// back again. A caller frees a relation it made after its last read of
+// it and of every view of its arena: an identity HashPartition of it, a
+// Gather of it, a Slice or Collect of its fragments. A relation that
+// owns nothing (a view of someone else's arena, a spread's branch, an
+// empty relation, one freed already) is skipped, and so is nil. Free is
+// O(1) a relation.
+func (g *Group) Free(ds ...*DistRelation) {
+	c := g.cluster
+	c.arenaMu.Lock()
+	defer c.arenaMu.Unlock()
+	for _, d := range ds {
+		if d == nil || d.arena == 0 {
+			continue
+		}
+		i := d.arena - 1
+		d.arena = 0
+		if i < len(c.arenas) && c.arenas[i] != nil {
+			relation.PutArena(c.arenas[i])
+			c.arenas[i] = nil
+		}
+	}
 }
 
 // Stats returns the accumulated cost of the whole computation so far.
@@ -328,8 +360,18 @@ func (g *Group) Note(text string) {
 // all of them as one view, free: the engine reads it only where the
 // cost is charged by other means (Case II's joint count, the
 // conservative allocator's sub-joins); Gather is the accounted one.
+//
+// A relation that wrote a fresh arena — the output of Local, Scatter, a
+// hashing HashPartition, Route or RouteFan — owns it, and whoever made
+// the relation frees it after its last read (Group.Free). A relation
+// that views another's arena owns nothing.
 type DistRelation struct {
 	relation.Frags
+
+	// arena is 1 + the index of the owned arena in the cluster's tracked
+	// list, 0 when the relation owns none. A copy of the struct carries
+	// it too; Free clears the slot, so only the first Free puts back.
+	arena int
 
 	// part, when non-empty, records that the fragments are the output of
 	// a HashPartition on these attributes over a group of Servers()
@@ -370,7 +412,7 @@ func NewDist(schema relation.Schema, size int) *DistRelation {
 // free: initial placement precedes the computation.
 func (g *Group) Scatter(r *relation.Relation) *DistRelation {
 	x := g.scratch(r.Len())
-	d := &DistRelation{Frags: exchange(g, x, x.whole(r), g.size, stored[roundRobin]{r: roundRobin(g.size)})}
+	d := exchange(g, x, x.whole(r), g.size, stored[roundRobin]{r: roundRobin(g.size)})
 	putScratch(x)
 	return d
 }
@@ -387,13 +429,14 @@ func (x *xrun) whole(r *relation.Relation) relation.Frags {
 // When d is already partitioned on attrs for this group the exchange is
 // the identity: every tuple of fragment i hashes back to server i, in
 // fragment order. The output then shares d's arena and offsets without
-// hashing, and the charge is each fragment's size — what hashing would
+// hashing, and owns nothing, so d's arena lives as long as d's owner
+// keeps it; the charge is each fragment's size — what hashing would
 // compute.
 //
 // The output records attrs itself as its partitioning key, so the caller
 // must not modify attrs after the call.
 func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
-	out := &DistRelation{part: attrs}
+	var out *DistRelation
 	var x *xrun
 	if d.Servers() == g.size && d.PartitionedOn(attrs) {
 		g.cluster.identity.Add(1)
@@ -402,13 +445,14 @@ func (g *Group) HashPartition(d *DistRelation, attrs []int) *DistRelation {
 		for i := range x.recv {
 			x.recv[i] = d.FragLen(i)
 		}
-		out.Frags = d.Frags
+		out = &DistRelation{Frags: d.Frags}
 	} else {
 		g.cluster.hashed.Add(1)
 		x = g.scratch(d.Len())
 		x.offs = d.Schema.AppendPositions(x.offs[:0], attrs)
-		out.Frags = exchange(g, x, d.Frags, g.size, stored[hashRoute]{r: hashRoute{x.offs, uint64(g.size)}})
+		out = exchange(g, x, d.Frags, g.size, stored[hashRoute]{r: hashRoute{x.offs, uint64(g.size)}})
 	}
+	out.part = attrs
 	g.charge(trace.OpHashPartition, x)
 	return out
 }
@@ -426,7 +470,7 @@ func (r hashRoute) route(_ *xchunk, t relation.Tuple, _ int) uint32 {
 // Broadcast sends every tuple of d to every server. One round; each
 // server receives Len(d) units. The p copies are one Local step: each
 // server's region of the one output arena is filled with d's rows in
-// server order.
+// server order, and the output owns the arena.
 func (g *Group) Broadcast(d *DistRelation) *DistRelation {
 	n := d.Len()
 	out := Local(g, d, replicate{d.Collect()})
@@ -457,7 +501,9 @@ func (s replicate) Fill(_ int, _ relation.View, _, dst []relation.Value, _ int) 
 // Use only for provably small data (statistics). The output's rows are
 // d's arena, not a copy: a Relation's mutators never write its arena in
 // place (Add reallocates the capped arena, sorts gather into a new one),
-// so the caller may sort or grow it and d stays as it is.
+// so the caller may sort or grow it and d stays as it is. The output
+// owns nothing: d's owner frees d only after the gathered rows' last
+// read.
 func (g *Group) Gather(d *DistRelation) *relation.Relation {
 	x := getScratch()
 	x.recv = zeroed(x.recv, g.size)
@@ -477,7 +523,7 @@ func (g *Group) Gather(d *DistRelation) *relation.Relation {
 // free-form exchange, and no algorithm calls it.
 func (g *Group) Route(d *DistRelation, route func(src int, t relation.Tuple) []int) *DistRelation {
 	x := g.scratch(d.Len())
-	out := &DistRelation{Frags: exchange(g, x, d.Frags, g.size, calls{route, g.size})}
+	out := exchange(g, x, d.Frags, g.size, calls{route, g.size})
 	g.charge(trace.OpRoute, x)
 	return out
 }
@@ -495,7 +541,7 @@ func (g *Group) RouteFan(d *DistRelation, route func(src int, t relation.Tuple) 
 		r.lo, r.hi = -slices.Min(fan), g.size-slices.Max(fan)
 	}
 	x := g.scratch(d.Len())
-	out := &DistRelation{Frags: exchange(g, x, d.Frags, g.size, stored[fanRoute]{r, fan})}
+	out := exchange(g, x, d.Frags, g.size, stored[fanRoute]{r, fan})
 	g.charge(trace.OpRoute, x)
 	return out
 }
@@ -522,9 +568,10 @@ func (r fanRoute) route(c *xchunk, t relation.Tuple, flat int) uint32 {
 }
 
 // Local runs a per-server step with no communication: s's Count half
-// over every server of g, one exactly sized arena for all the outputs,
-// then its Fill half into each server's region of it
-// (relation.Fragments). The output is under s.Schema(). Under a parallel
+// over every server of g, one pooled arena for all the outputs, then its
+// Fill half into each server's region of it (relation.Fragments). The
+// output is under s.Schema() and owns the arena: the caller frees it
+// after its last read (Free), or Release takes it back. Under a parallel
 // cluster the servers of each half may run concurrently; both halves
 // must be pure with respect to shared state (reading shared read-only
 // data is fine).
@@ -540,7 +587,9 @@ func Local[S relation.Step](g *Group, d *DistRelation, s S) *DistRelation {
 	if g.parallel(d.Len()) {
 		f = g
 	}
-	return &DistRelation{Frags: relation.Fragments(f, d.Frags, s)}
+	out := &DistRelation{Frags: relation.Fragments(f, d.Frags, s)}
+	out.arena = g.cluster.trackArena(out.Arena())
+	return out
 }
 
 // Branch describes one member of a parallel block: a subgroup size and

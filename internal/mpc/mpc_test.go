@@ -457,3 +457,38 @@ func TestHashPartitionCountsUnderParallelBranches(t *testing.T) {
 		t.Fatalf("counts %+v, want %d hashed and %d identity", s, 1+branches, branches)
 	}
 }
+
+// TestFreeOwnership: Free puts back exactly the arenas relations own —
+// each once, whether freed twice, through a copy of the relation or
+// released afterwards — and skips a relation that views another's
+// arena, which stays readable until its owner is freed.
+func TestFreeOwnership(t *testing.T) {
+	key := []int{0}
+	c := NewCluster(4)
+	g := c.Root()
+	d := g.Scatter(big(relation.NewSchema(0, 1), 500))
+	parted := g.HashPartition(d, key)
+	view := g.HashPartition(parted, key) // identity: views parted's arena
+	all := parted.Collect()
+	want := slices.Clone(all.Data())
+	local := Local(g, parted, relation.ProjectStep(parted.Schema, relation.NewSchema(1)))
+	copied := *local
+
+	returned := func() uint64 { st := relation.PoolStats(); return st.Puts + st.Discards }
+	check := func(what string, free func(), want uint64) {
+		t.Helper()
+		before := returned()
+		free()
+		if got := returned() - before; got != want {
+			t.Errorf("%s: %d arenas put back, want %d", what, got, want)
+		}
+	}
+	check("a view", func() { g.Free(view, nil) }, 0)
+	if all := view.Collect(); !slices.Equal(all.Data(), want) {
+		t.Fatal("freeing a view changed the arena it views")
+	}
+	check("an owner, twice, and a copy of it", func() { g.Free(local, local, &copied) }, 1)
+	check("an owner of an identity view", func() { g.Free(parted) }, 1)
+	check("Release", c.Release, 1) // d's blob, which nothing freed
+	check("Release again", c.Release, 0)
+}

@@ -52,8 +52,10 @@ func ReduceByKey(g *mpc.Group, d *mpc.DistRelation, keyAttrs []int, valAttr int)
 // reduceAggregated is ReduceByKey after the first local pre-aggregation
 // — the exchange tail shared with Degrees, which counts its partials in
 // one pass. pre must hold at most one row per key per server, under
-// outSchema. The local pre-aggregation emits no trace events, so whether
-// it happens inside or before the span is unobservable.
+// outSchema; reduceAggregated owns it, and frees it and every partial
+// and exchange output after it once read. The local pre-aggregation
+// emits no trace events, so whether it happens inside or before the
+// span is unobservable.
 func reduceAggregated(g *mpc.Group, pre *mpc.DistRelation, keyAttrs []int, valAttr int, outSchema relation.Schema) *mpc.DistRelation {
 	// Every exchanged fragment is under outSchema, so one step serves
 	// both aggregations.
@@ -73,10 +75,13 @@ func reduceAggregated(g *mpc.Group, pre *mpc.DistRelation, keyAttrs []int, valAt
 			mid := g.RouteFan(pre, func(src int, t relation.Tuple) int {
 				return (int(hashtab.Hash(t, kpos)%uint64(p)) + src%c) % p
 			}, nil)
+			g.Free(pre)
 			pre = agg(mid)
+			g.Free(mid)
 		}
 		parted := g.HashPartition(pre, keyAttrs)
 		out = agg(parted)
+		g.Free(parted, pre)
 	})
 	// Aggregation preserves placement: every output row keeps its key
 	// values, and parted put each key's rows on hash(key) mod p — so the
@@ -208,14 +213,21 @@ func HeavyFilter(g *mpc.Group, degs *mpc.DistRelation, countAttr int, threshold 
 // SemiJoin filters r to the tuples with a partner in s on their common
 // attributes: both sides are hash-partitioned on the common attributes
 // (one round each), then filtered locally. The result keeps r's schema,
-// partitioned by the common attributes.
+// partitioned by the common attributes; it is r itself when there is no
+// common attribute and s is nonempty.
 func SemiJoin(g *mpc.Group, r, s *mpc.DistRelation) *mpc.DistRelation {
-	out, _ := semiJoin(g, r, s)
+	out, sp := semiJoin(g, r, s)
+	if sp != s {
+		g.Free(sp)
+	}
 	return out
 }
 
 // semiJoin is SemiJoin that also returns s as it was partitioned for the
-// filter (s itself when there is no common attribute).
+// filter: s itself when there is no common attribute or s was already
+// partitioned on it (the identity exchange, whose output views s), and
+// otherwise a fresh relation the caller owns. r's partitioned copy is
+// freed.
 func semiJoin(g *mpc.Group, r, s *mpc.DistRelation) (out, sp *mpc.DistRelation) {
 	common := r.Schema.Common(s.Schema)
 	if len(common) == 0 {
@@ -224,9 +236,14 @@ func semiJoin(g *mpc.Group, r, s *mpc.DistRelation) (out, sp *mpc.DistRelation) 
 		}
 		return r, s
 	}
+	placed := s.Servers() == g.Size() && s.PartitionedOn(common)
 	rp := g.HashPartition(r, common)
 	sp = g.HashPartition(s, common)
 	out = mpc.Local(g, rp, relation.SemiJoinStep(rp.Schema, sp.Frags))
+	g.Free(rp)
+	if placed {
+		sp = s
+	}
 	// The local filter keeps rows in place, so the output inherits rp's
 	// partitioning — the next semi-join of a reduce sweep on the same
 	// key (or the pair join that follows it) skips the exchange.
@@ -247,21 +264,35 @@ func semiJoin(g *mpc.Group, r, s *mpc.DistRelation) (out, sp *mpc.DistRelation) 
 // and charges the same round, without hashing. (Under logical
 // accounting the units are the same too; under physical accounting it
 // charges none, since every tuple already sits on its server.)
+//
+// An output that is not its input relation is one the sweeps made, which
+// the caller owns; the sweeps free every relation they made and then
+// replaced.
 func SemiJoinReduceTree(g *mpc.Group, rels []*mpc.DistRelation, children [][]int, roots []int) []*mpc.DistRelation {
 	out := make([]*mpc.DistRelation, len(rels))
 	copy(out, rels)
+	// set makes d edge e's relation and frees the one it replaces when
+	// the sweeps made that one.
+	set := func(e int, d *mpc.DistRelation) {
+		if old := out[e]; d != old && old != rels[e] {
+			g.Free(old)
+		}
+		out[e] = d
+	}
 	g.Span("semi-join reduce", func() {
 		var up func(e int)
 		up = func(e int) {
 			for _, c := range children[e] {
 				up(c)
-				out[e], out[c] = semiJoin(g, out[e], out[c])
+				re, rc := semiJoin(g, out[e], out[c])
+				set(e, re)
+				set(c, rc)
 			}
 		}
 		var down func(e int)
 		down = func(e int) {
 			for _, c := range children[e] {
-				out[c] = SemiJoin(g, out[c], out[e])
+				set(c, SemiJoin(g, out[c], out[e]))
 				down(c)
 			}
 		}

@@ -79,8 +79,13 @@ func Sort(g *mpc.Group, d *mpc.DistRelation, attrs []int) *mpc.DistRelation {
 
 	// Round 2: range routing, then local sort.
 	routed := g.RouteFan(d, func(_ int, t relation.Tuple) int { return destOf(t) }, nil)
+	// The splitters may be views of sampleRel's arena (a sorted sample
+	// keeps it), which the routing round was their last read of.
+	g.Free(sampleRel)
 	// Each server stably sorts its range; the servers are the tasks of
 	// the group's worker pool, and the result is byte-identical at any
 	// worker count.
-	return mpc.Local(g, routed, relation.SortStep(routed.Schema, pos))
+	out := mpc.Local(g, routed, relation.SortStep(routed.Schema, pos))
+	g.Free(routed)
+	return out
 }

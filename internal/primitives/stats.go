@@ -25,7 +25,8 @@ import (
 // weightedDP returns, for the subtree rooted at e, a distributed
 // relation with schema vars(e) ∪ {weightAttr} where each tuple of R(e)
 // carries the number of subtree join combinations consistent with it.
-// Tuples with zero weight are dropped.
+// Tuples with zero weight are dropped. The caller owns the result; every
+// intermediate is freed on the way.
 func weightedDP(g *mpc.Group, rels []*mpc.DistRelation, children [][]int, e, weightAttr int) *mpc.DistRelation {
 	in := rels[e].Schema
 	outSchema := in.Union(relation.NewSchema(weightAttr))
@@ -34,7 +35,9 @@ func weightedDP(g *mpc.Group, rels []*mpc.DistRelation, children [][]int, e, wei
 		childW := weightedDP(g, rels, children, c, weightAttr)
 		common := commonExcept(cur.Schema, childW.Schema, weightAttr)
 		agg := ReduceByKey(g, childW, common, weightAttr)
-		cur = multiplyWeights(g, cur, agg, common, weightAttr)
+		next := multiplyWeights(g, cur, agg, common, weightAttr)
+		g.Free(childW, agg, cur)
+		cur = next
 	}
 	return cur
 }
@@ -101,11 +104,15 @@ func commonExcept(a, b relation.Schema, weightAttr int) []int {
 func multiplyWeights(g *mpc.Group, parent, agg *mpc.DistRelation, key []int, weightAttr int) *mpc.DistRelation {
 	if len(key) == 0 {
 		ba := g.Broadcast(agg)
-		return mpc.Local(g, parent, multiplyStep(parent.Schema, ba, key, weightAttr))
+		out := mpc.Local(g, parent, multiplyStep(parent.Schema, ba, key, weightAttr))
+		g.Free(ba)
+		return out
 	}
 	pp := g.HashPartition(parent, key)
 	ap := g.HashPartition(agg, key)
-	return mpc.Local(g, pp, multiplyStep(pp.Schema, ap, key, weightAttr))
+	out := mpc.Local(g, pp, multiplyStep(pp.Schema, ap, key, weightAttr))
+	g.Free(pp, ap)
+	return out
 }
 
 // multiply is multiplyWeights' per-server step. Count sums server i's
@@ -181,6 +188,7 @@ func JoinCount(g *mpc.Group, rels []*mpc.DistRelation, children [][]int, root, w
 	for i := 0; i < all.Len(); i++ {
 		total = relation.AddSat(total, all.Row(i)[wp])
 	}
+	g.Free(w)
 	return total
 }
 
@@ -194,5 +202,7 @@ func JoinCountBy(g *mpc.Group, rels []*mpc.DistRelation, children [][]int, root,
 		panic("primitives: JoinCountBy root relation lacks the group-by attribute")
 	}
 	w := weightedDP(g, rels, children, root, weightAttr)
-	return ReduceByKey(g, w, []int{x}, weightAttr)
+	out := ReduceByKey(g, w, []int{x}, weightAttr)
+	g.Free(w)
+	return out
 }

@@ -231,13 +231,20 @@ func sumByKey(r *View, w []int64, pos []int) (*hashtab.Table, []int64) {
 
 // countFold is the cyclic fallback: join all relations but the last of
 // the fold order, then count — not build — the matches of the last.
+// Nothing outlives the count, so every prefix join is built in a pooled
+// arena that goes back as soon as the next one has read it.
 func (c *Counter) countFold(rels []View) int64 {
 	acc := rels[c.fold[0]]
 	last := len(c.fold) - 1
+	var held []Value // acc's arena once acc is a prefix join
 	for _, i := range c.fold[1:last] {
-		acc = one(acc, joinStep(acc.schema, rels[i].schema, Frags{}, rels[i])).View
+		next := oneView(acc, joinStep(acc.schema, rels[i].schema, Frags{}, rels[i]), true)
+		PutArena(held)
+		acc, held = next, next.data
 	}
-	return acc.JoinCount(rels[c.fold[last]])
+	n := acc.JoinCount(rels[c.fold[last]])
+	PutArena(held)
+	return n
 }
 
 // BoundCounter is a Counter with every relation but one fixed: the

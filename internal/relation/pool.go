@@ -5,19 +5,30 @@ import (
 	"coverpack/internal/trace"
 )
 
-// Cross-run arena recycling (internal/pool): exchange slab blobs,
-// kernel scratch and gather buffers are flat []Value arenas, recycled
-// across runs so the 2nd..Nth cell of a sweep stops re-growing them.
+// Cross-run arena recycling (internal/pool): exchange slab blobs, local
+// step outputs, kernel scratch and gather buffers are flat []Value
+// arenas, recycled within a run and across runs, so the 2nd..Nth cell
+// of a sweep stops re-growing them.
 //
 // Ownership contract. An arena may be released (PutArena) only by an
 // owner that can prove no live Relation or View still references any
-// part of it. For exchange outputs that is the mpc.Cluster: it tracks
-// every pooled blob it acquires during a run and releases them all in
-// Release(), after the run's Report (scalars only) has been extracted.
-// An exchange's blob is the arena of all its output fragments (Frags),
-// and a Spread's branches share it, so only the whole blob — never a
-// fragment's or a branch's part of it — is ever released. Kernel scratch
-// goes back before the kernel returns.
+// part of it. A distributed relation that wrote a fresh arena — a local
+// step's output (Fragments) or a scattering, hashing or routing
+// exchange's — owns it, and the code that made it frees it after its
+// last read (mpc.Group.Free). Views of an arena own nothing: a Slice or
+// Collect of fragments, an identity re-partition, a gathered relation, a
+// spread's branches. A spread's branches share one blob that no relation
+// owns. The mpc.Cluster tracks every arena of a run and, at Release,
+// returns whatever no owner freed: a spread's blobs and what an error
+// path left behind. Only the whole arena — never a fragment's or a
+// branch's part of it — is ever released. Kernel scratch goes back
+// before the kernel returns.
+//
+// Under the arenacheck build tag every arena is filled with a sentinel
+// when it is handed out and when it comes back, and a put of an arena
+// the pool already holds panics (arenacheck.go): a read after release
+// carries the sentinel into an output, and a double release stops the
+// run.
 
 // Size classes run from 256 values (2 KiB) to 16 Mi values (128 MiB);
 // smaller requests are not worth pooling, larger ones are left to the
@@ -40,10 +51,10 @@ func ResetPoolStats() { arenas.Reset() }
 // GetArena returns a zero-length []Value with capacity ≥ n, recycled
 // from the pool when possible. Contents beyond length 0 are stale; the
 // caller must append or fully overwrite before reading.
-func GetArena(n int) []Value { return arenas.Get(n) }
+func GetArena(n int) []Value { return checkGet(arenas.Get(n)) }
 
 // PutArena releases an arena back to the pool. The caller must own the
 // entire backing array exclusively — in particular, a fragment's part
 // of an exchange blob must never be released, only the whole blob. Undersized and
 // oversized arenas are discarded.
-func PutArena(a []Value) { arenas.Put(a) }
+func PutArena(a []Value) { arenas.Put(checkPut(a)) }

@@ -22,15 +22,17 @@ import (
 //   - pass 1 (Count) records each fragment's output row count in the
 //     output's offset vector, keeping what pass 2 needs in that
 //     fragment's share of one pooled scratch arena;
-//   - the offsets are prefix-summed and size one exact output arena;
-//   - pass 2 (Fill) writes each fragment's rows into its region.
+//   - the offsets are prefix-summed and size one output arena, taken
+//     from the arena pool;
+//   - pass 2 (Fill) writes each fragment's rows into its region, every
+//     value of it: a pooled arena holds stale values until then.
 //
-// A call allocates the offset vector and the output arena, whatever the
-// fragment count; fragment i's scratch offset is recomputed from the
-// Scratch sizes of the fragments before it, and the scratch goes back
-// to the pool before the call returns. The output arena is a plain
-// exact make, not a pooled blob, so no arena is held until a cluster's
-// Release.
+// A call allocates the offset vector only, whatever the fragment count;
+// fragment i's scratch offset is recomputed from the Scratch sizes of
+// the fragments before it, and the scratch goes back to the pool before
+// the call returns. The output arena (Frags.Arena) belongs to the
+// caller, who puts it back once the last view of it is dead: mpc.Local's
+// output owns it, and its owner frees it (mpc.Group.Free).
 //
 // The single-relation operators (SelectEq, SelectGt, SelectIn,
 // ProjectTo, Degrees, SemiJoin and Join) are the one-fragment case of
@@ -94,6 +96,11 @@ func (f *Frags) Frag(i int) View { return f.rows(int(f.off[i]), int(f.off[i+1]))
 // arena: no copy, free like every view.
 func (f *Frags) Collect() View { return f.rows(int(f.off[0]), int(f.off[len(f.off)-1])) }
 
+// Arena returns the whole arena the fragments view, at its full
+// capacity: what an owner hands back to the pool (PutArena). A Slice
+// returns the arena of the fragments it was cut from.
+func (f *Frags) Arena() []Value { return f.data }
+
 // rows returns rows lo to hi of the arena.
 func (f *Frags) rows(lo, hi int) View {
 	a := f.Schema.Len()
@@ -141,9 +148,9 @@ type Step interface {
 }
 
 // Fragments runs s over every fragment of in and returns the outputs,
-// under s.Schema(), as fragments of one exact arena (see above). With a
-// nil f the fragments run inline, one after the other; otherwise each
-// pass is one f.Fork over them.
+// under s.Schema(), as fragments of one pooled arena (see above), which
+// the caller owns. With a nil f the fragments run inline, one after the
+// other; otherwise each pass is one f.Fork over them.
 func Fragments[S Step](f Forker, in Frags, s S) Frags {
 	n := in.Servers()
 	out := Frags{Schema: s.Schema(), off: make([]int32, n+1)}
@@ -202,28 +209,46 @@ func fragmentsPar[S Step](f Forker, in Frags, schema Schema, off []int32, scratc
 }
 
 // carve turns off, holding each fragment's row count at the index after
-// it, into offsets and returns one exactly sized arena for their rows
-// under schema.
+// it, into offsets and returns an arena from the pool for their rows
+// under schema, at exactly their length: the caller owns it, and its
+// values are stale until the fill writes them.
 func carve(schema Schema, off []int32) []Value {
 	if total := prefixSum(off); total > 0 && schema.Len() > 0 {
-		return make([]Value, total*schema.Len())
+		n := total * schema.Len()
+		return GetArena(n)[:n]
 	}
 	return nil
 }
 
 // one runs s over r alone — the one-fragment case of Fragments, with the
-// output in a relation of its own. The halves are called through the
-// instantiation's dictionary, so everything passed to them by reference
-// escapes: the scratch comes from the pool however small it is.
+// output in a relation of its own, in an exact make: the callers' results
+// escape to code that never hands an arena back. The halves are called
+// through the instantiation's dictionary, so everything passed to them
+// by reference escapes: the scratch comes from the pool however small it
+// is.
 func one[S Step](r View, s S) *Relation {
+	v := oneView(r, s, false)
+	return FromData(v.schema, v.data, v.rows)
+}
+
+// oneView is one's body. With pooled the output arena comes from the
+// pool, and the caller puts it back (PutArena of the view's Data) once
+// the view is dead; otherwise it is an exact make.
+func oneView[S Step](r View, s S, pooled bool) View {
 	schema := s.Schema()
 	need := s.Scratch(0, r)
 	scratch := GetArena(need)[:need]
 	n := s.Count(0, r, scratch)
-	data := make([]Value, n*schema.Len())
+	size := n * schema.Len()
+	var data []Value
+	if pooled {
+		data = GetArena(size)[:size]
+	} else {
+		data = make([]Value, size)
+	}
 	s.Fill(0, r, scratch, data, n)
 	PutArena(scratch)
-	return FromData(schema, data, n)
+	return View{schema: schema, arity: schema.Len(), data: data, rows: n}
 }
 
 // Filter is the step of the filter family: the rows a predicate keeps,

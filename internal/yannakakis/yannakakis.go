@@ -53,12 +53,18 @@ func Run(g *mpc.Group, in *relation.Instance) (*Result, error) {
 	}
 
 	// Scatter and semi-join reduce (removes dangling tuples in O(1)
-	// rounds with load O(N/p) + key-skew).
-	rels := make([]*mpc.DistRelation, q.NumEdges())
-	for e := range rels {
-		rels[e] = g.Scatter(in.Rel(e))
+	// rounds with load O(N/p) + key-skew). A scattered relation the
+	// reduction replaced is dead; the join up consumes the rest.
+	scattered := make([]*mpc.DistRelation, q.NumEdges())
+	for e := range scattered {
+		scattered[e] = g.Scatter(in.Rel(e))
 	}
-	rels = primitives.SemiJoinReduceTree(g, rels, children, tree.Roots())
+	rels := primitives.SemiJoinReduceTree(g, scattered, children, tree.Roots())
+	for e, d := range scattered {
+		if rels[e] != d {
+			g.Free(d)
+		}
+	}
 
 	// Join up the tree: each node joins the already-joined subtrees of
 	// its children, partitioned hash joins on the parent-child common
@@ -75,7 +81,9 @@ func Run(g *mpc.Group, in *relation.Instance) (*Result, error) {
 	rootCount := func(root int) int64 {
 		acc, cs := rels[root], children[root]
 		if len(cs) == 0 {
-			return int64(acc.Len())
+			n := int64(acc.Len())
+			g.Free(acc)
+			return n
 		}
 		for _, c := range cs[:len(cs)-1] {
 			acc = pairJoin(g, acc, joinUp(c))
@@ -109,9 +117,12 @@ func pairExchange(g *mpc.Group, a, b *mpc.DistRelation) (ap, bp *mpc.DistRelatio
 }
 
 // pairJoin joins two distributed relations on their common attributes.
+// It consumes a and b: their arenas and the exchanged copies are freed
+// once the join is built.
 func pairJoin(g *mpc.Group, a, b *mpc.DistRelation) *mpc.DistRelation {
 	ap, bp, common := pairExchange(g, a, b)
 	out := mpc.Local(g, ap, relation.JoinStep(ap.Schema, bp.Frags))
+	g.Free(ap, bp, a, b)
 	// Joined rows keep the join-key values of their inputs, so the
 	// output stays partitioned on common — the parent's pairJoin on the
 	// same key (frequent in path/star trees) elides its exchange. The
@@ -122,11 +133,14 @@ func pairJoin(g *mpc.Group, a, b *mpc.DistRelation) *mpc.DistRelation {
 }
 
 // pairCount is |a ⋈ b|: the exchanges of pairJoin, then each server
-// counts the join of its two fragments instead of building it.
+// counts the join of its two fragments instead of building it. It
+// consumes a and b, as pairJoin does.
 func pairCount(g *mpc.Group, a, b *mpc.DistRelation) int64 {
 	ap, bp, _ := pairExchange(g, a, b)
-	return g.Emit(ap.Servers(), func(i int) int64 {
+	n := g.Emit(ap.Servers(), func(i int) int64 {
 		a := ap.Frag(i)
 		return a.JoinCount(bp.Frag(i))
 	})
+	g.Free(ap, bp, a, b)
+	return n
 }
